@@ -21,11 +21,19 @@ from .linalg import DEFAULT_TOL, as_cmatrix, eig, frob, match_to_reference, min_
 from .variety import AugmentedPair, GaugeElement, split_blocks
 
 
+def simple_gap(gap: float, M, tol: float) -> bool:
+    """True when an eigenvalue gap of M exceeds tol * max(1, ||M||_F).
+
+    The one statement of "simple spectrum" that every regularity test
+    compares its gap against.
+    """
+    return gap > tol * max(1.0, frob(M))
+
+
 def is_regular_semisimple(M, tol: float = DEFAULT_TOL) -> bool:
     """True when all eigenvalue gaps exceed tol * max(1, ||M||)."""
     A = as_cmatrix(M, square=True)
-    vals = np.linalg.eigvals(A)
-    return min_gap(vals) > tol * max(1.0, frob(A))
+    return simple_gap(min_gap(np.linalg.eigvals(A)), A, tol)
 
 
 def conjugation_operator(M) -> np.ndarray:
@@ -116,26 +124,23 @@ class RegularityReport:
 def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityReport:
     """Evaluate all regularity predicates at once (no exceptions for failures)."""
     block, _, _, _ = split_blocks(p.A)
-    block_ok = is_regular_semisimple(block, tol)
-    full_ok = is_regular_semisimple(p.A, tol)
+    block_gap = min_gap(np.linalg.eigvals(block))
+    full_gap = min_gap(np.linalg.eigvals(p.A))
+    block_ok = simple_gap(block_gap, block, tol)
     dim = orbit_dimension(p.A, tol)
-    gauge_ok = dim == p.n * p.n
-    evec_ok = _eigenvector_condition(p, tol) if block_ok else False
-    gaps = [min_gap(np.linalg.eigvals(block)), min_gap(np.linalg.eigvals(p.A))]
     return RegularityReport(
         block_regular_semisimple=block_ok,
-        full_regular_semisimple=full_ok,
-        gauge_regular=gauge_ok,
-        eigenvector_condition=evec_ok,
+        full_regular_semisimple=simple_gap(full_gap, p.A, tol),
+        gauge_regular=dim == p.n * p.n,
+        eigenvector_condition=_eigenvector_condition(p, tol) if block_ok else False,
         orbit_dim=dim,
-        min_gap=float(min(gaps)),
+        min_gap=float(min(block_gap, full_gap)),
     )
 
 
 def _eigenvector_condition(p: AugmentedPair, tol: float) -> bool:
     block, _, _, _ = split_blocks(p.A)
-    lam, g = eig(block, tol)
-    vecs = np.linalg.inv(g)
+    lam, _, vecs = eig(block, tol)
     n = p.n
     for j in range(n):
         z = np.zeros(n + 1, dtype=np.complex128)
@@ -164,22 +169,22 @@ def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL, lam_ref=None):
     rounding, with gauge near the identity.
     """
     n = p.n
-    block, _, _, _ = split_blocks(p.A)
-    lam, g1 = eig(block, tol)
+    block, _, row, _ = split_blocks(p.A)
+    lam, g1, g1inv = eig(block, tol)
     if lam_ref is not None:
         perm = match_to_reference(lam, lam_ref)
-        lam = lam[perm]
-        g1 = g1[perm, :]
-    E1 = GaugeElement(g1).embedded()
-    A1 = E1 @ p.A @ np.linalg.inv(E1)
-    y = A1[n, :n]
+        lam, g1, g1inv = lam[perm], g1[perm, :], g1inv[:, perm]
+    # border row of diag(g1, 1) M diag(g1, 1)^-1
+    y = row @ g1inv
     if np.abs(y).min() <= tol * max(1.0, frob(p.A)):
         raise ZeroRowEntryError(
             "a border-row entry vanishes on the eigenbasis; no unit-row form"
         )
-    gauge = GaugeElement(np.diag(y) @ g1)
+    gauge = GaugeElement(y[:, None] * g1)
     E = gauge.embedded()
-    Ei = np.linalg.inv(E)
+    Ei = np.zeros_like(E)
+    Ei[:n, :n] = g1inv / y[None, :]
+    Ei[n, n] = 1.0
     Ah = E @ p.A @ Ei
     Bh = E @ p.B @ Ei
     # snap the structural entries the conjugation guarantees

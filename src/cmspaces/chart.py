@@ -36,7 +36,7 @@ from .errors import (
     SearchExhaustedError,
     ShapeMismatchError,
 )
-from .canonical import normalize, regularity_report
+from .canonical import normalize, simple_gap
 from .linalg import DEFAULT_TOL, as_cmatrix, comm, eig, frob, match_to_reference, min_gap
 from .variety import (
     AugmentedPair,
@@ -171,13 +171,29 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     Requires normal form, strong semisimplicity and the level condition.
     When lamhat_ref is given the spectrum of M is ordered by matching to it
     instead of the package sort.
+
+    In normal form strong semisimplicity reduces to the two spectral gaps.
+    The border row is all ones, so 1 . z = z_j != 0 for every unit
+    eigenvector z = e_j of the diagonal block, and no padded eigenvector
+    survives.  A stabilizer element xi of the embedded basechange must
+    commute with the block, so it is diagonal when the block spectrum is
+    simple, and the border row of [diag(xi, 0), M] is -1 . xi = 0, which
+    forces xi = 0.  Both gaps use the threshold tol * max(1, ||.||_F) of
+    canonical.regularity_report; the unit row gives ||M||_F >= 1, so the
+    full gap is the one linalg.eig already tests.  Either gap failing
+    raises NotStronglySemisimpleError.
     """
     n = p.n
     if not is_normal_form(p, max(tol, 1e-12)):
         raise NotNormalizedError("pair is not in bordered normal form")
-    report = regularity_report(p, tol)
-    if not report.strongly_semisimple:
-        raise NotStronglySemisimpleError(f"regularity failed: {report.to_dict()}")
+    block = split_blocks(p.A)[0]
+    block_gap = min_gap(np.diag(block))
+    if not simple_gap(block_gap, block, tol):
+        raise NotStronglySemisimpleError(f"block spectrum not simple: gap {block_gap:.3e}")
+    try:
+        lamhat, g, ginv = eig(p.A, tol)
+    except DegenerateSpectrumError as exc:
+        raise NotStronglySemisimpleError(f"full spectrum not simple: {exc}") from exc
     if not on_level(p, max(tol, 1e-12) * 1e3):
         raise LevelConditionError("pair commutator leaves the shifted border space")
 
@@ -195,12 +211,10 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
             f"split residual {resid:.3e} exceeds contract at scale {pair_scale(p):.3e}"
         )
 
-    lamhat, g = eig(p.A, tol)
     if lamhat_ref is not None:
         perm = match_to_reference(lamhat, lamhat_ref)
-        lamhat = lamhat[perm]
-        g = g[perm, :]
-    conj = g @ N2 @ np.linalg.inv(g)
+        lamhat, g, ginv = lamhat[perm], g[perm, :], ginv[:, perm]
+    conj = g @ N2 @ ginv
     muhat = np.diag(conj).copy()
     S = conj - np.diag(muhat)
     return Decomposition(mu=mu, muhat=muhat, lamhat=lamhat, defect=defect,
@@ -240,13 +254,11 @@ def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL
 
 def _border_column(lam: np.ndarray, lamhat: np.ndarray) -> np.ndarray:
     """x_i = -prod_j (lam_i - lamhat_j) / prod_{l != i} (lam_i - lam_l)."""
-    n = lam.size
-    x = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        num = np.prod(lam[i] - lamhat)
-        den = np.prod(np.delete(lam[i] - lam, i))
-        x[i] = -num / den
-    return x
+    num = np.prod(lam[:, None] - lamhat[None, :], axis=1)
+    diffs = lam[:, None] - lam[None, :]
+    # a unit factor in place of l = i leaves each product bit-identical
+    np.fill_diagonal(diffs, 1.0)
+    return -num / np.prod(diffs, axis=1)
 
 
 def _chart_frame(c: ChartPoint, tol: float):
@@ -269,15 +281,14 @@ def _chart_frame(c: ChartPoint, tol: float):
     Ah[n, :n] = 1.0
     Ah[n, n] = corner
 
-    vals, g0 = eig(Ah, tol)
+    vals, g0, ginv0 = eig(Ah, tol)
     perm = match_to_reference(vals, c.lamhat)
     dev = float(np.abs(vals[perm] - c.lamhat).max())
     if dev > 1e3 * tol * scale:
         raise EigenMismatchError(
             f"reconstructed spectrum deviates from lamhat by {dev:.3e}"
         )
-    g = g0[perm, :]
-    ginv = np.linalg.inv(g)
+    g, ginv = g0[perm, :], ginv0[:, perm]
 
     shift = level_shift(n, c.tau)
     # diagonal of g (shift + border_col(m)) g^-1 must vanish; linear in m

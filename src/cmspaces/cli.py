@@ -71,6 +71,16 @@ def _parse_n_range(text: str) -> tuple:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _default_tol() -> float:
     raw = os.environ.get("CM_TOL")
     if raw is None:
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="suite name or comma list (default: all)")
     vf.add_argument("--n", type=_parse_n_range, default=None,
                     help="sizes to sweep, e.g. 3 or 1..4 or 2,4")
-    vf.add_argument("--trials", type=int, default=None,
+    vf.add_argument("--trials", type=_positive_int, default=None,
                     help="override per-check trial counts")
     vf.add_argument("--tau", type=_parse_tau, default=complex(1.0))
     vf.add_argument("--seed", type=int, default=1)

@@ -4,9 +4,9 @@ Every other module goes through these wrappers instead of calling numpy
 directly, so the conventions fixed here are uniform across the package:
 
 * eigenvalues are sorted lexicographically by (real part, imaginary part);
-* eigenvector columns (the columns of the inverse of the returned
-  diagonalizer) have unit 2-norm and their first significant entry is
-  rotated to be real and positive.
+* eigenvector columns (the columns of `ginv`, the inverse of the
+  returned diagonalizer `g`) have unit 2-norm and their first significant
+  entry is rotated to be real and positive.
 
 The second convention pins the remaining phase freedom, which makes every
 quantity computed from a diagonalizer reproducible bit for bit on
@@ -55,7 +55,7 @@ def min_gap(values) -> float:
     if v.size < 2:
         return np.inf
     d = np.abs(v[:, None] - v[None, :])
-    d[np.diag_indices_from(d)] = np.inf
+    np.fill_diagonal(d, np.inf)
     return float(d.min())
 
 
@@ -65,26 +65,27 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
 
 def _normalize_columns(V: np.ndarray) -> np.ndarray:
     """Unit columns with the first significant entry rotated real positive."""
-    W = V.copy()
-    for j in range(W.shape[1]):
-        col = W[:, j]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            raise NonConvergentError("eigensolver produced a zero eigenvector")
-        col = col / nrm
-        mags = np.abs(col)
-        anchors = np.nonzero(mags > _PHASE_FLOOR)[0]
-        k = anchors[0] if anchors.size else int(np.argmax(mags))
-        col = col * (np.conj(col[k]) / np.abs(col[k]))
-        W[:, j] = col
-    return W
+    nrm = np.linalg.norm(V, axis=0)
+    if (nrm == 0.0).any():
+        raise NonConvergentError("eigensolver produced a zero eigenvector")
+    W = V / nrm
+    mags = np.abs(W)
+    significant = mags > _PHASE_FLOOR
+    # first significant entry per column, or the largest when none is
+    k = np.where(significant.any(axis=0), np.argmax(significant, axis=0),
+                 np.argmax(mags, axis=0))
+    anchor = W[k, np.arange(W.shape[1])]
+    return W * (np.conj(anchor) / np.abs(anchor))
 
 
 def eig(M, tol: float = DEFAULT_TOL):
     """Diagonalize a matrix with simple spectrum.
 
-    Returns (values, g) with values sorted by the package ordering and
-    g @ M @ inv(g) equal to diag(values) within 1e2 * tol * ||M||_F.
+    Returns the spectral frame (values, g, ginv): values sorted by the
+    package ordering, ginv the normalized eigenvectors as columns and g its
+    inverse, with g @ M @ ginv equal to diag(values) within
+    1e2 * tol * ||M||_F.  A caller that reorders the spectrum by perm
+    takes g[perm, :] and ginv[:, perm], which stay mutually inverse.
     Raises DegenerateSpectrumError when the smallest eigenvalue gap is
     at most tol * ||M||_F, NonConvergentError when the backend fails or
     the reassembly residual is out of contract.
@@ -95,9 +96,10 @@ def eig(M, tol: float = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise NonConvergentError(f"eigensolver failed: {exc}") from exc
     norm = frob(A)
-    if min_gap(vals) <= tol * norm:
+    gap = min_gap(vals)
+    if gap <= tol * norm:
         raise DegenerateSpectrumError(
-            f"eigenvalue gap {min_gap(vals):.3e} at or below {tol * norm:.3e}"
+            f"eigenvalue gap {gap:.3e} at or below {tol * norm:.3e}"
         )
     order = _sort_order(vals)
     vals = vals[order]
@@ -111,7 +113,7 @@ def eig(M, tol: float = DEFAULT_TOL):
         raise NonConvergentError(
             f"diagonalization residual {resid:.3e} exceeds contract at norm {norm:.3e}"
         )
-    return vals, g
+    return vals, g, vecs
 
 
 def solve(M, rhs, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -163,7 +163,7 @@ def _check_eig_reassembly(cfg: RunConfig) -> CheckRecord:
         for i in range(8):
             rng = np.random.default_rng(_seed(cfg, f"eig{size}", i))
             M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            vals, g = eig(M, cfg.tol)
+            vals, g, _ = eig(M, cfg.tol)
             resid = frob(g @ M @ np.linalg.inv(g) - np.diag(vals)) / max(1.0, frob(M))
             worst = max(worst, resid)
     return _finish("linalg.eig_reassembly", "spectral-factorization-residual",
@@ -615,13 +615,13 @@ def _check_scaling_spectra(cfg: RunConfig) -> CheckRecord:
         p = from_chart(c, cfg.tol)
         q = act_pair(GEN_H.exp(0.1), p)
         factor = np.exp(0.1)
-        vals_q, _ = eig(q.A, cfg.tol)
+        vals_q, _, _ = eig(q.A, cfg.tol)
         want = factor * c.lamhat
         perm = match_to_reference(vals_q, want)
         worst = max(worst, float(np.abs(vals_q[perm] - want).max()))
         block_q = q.A[:n, :n]
         if n > 1:
-            vals_b, _ = eig(block_q, cfg.tol)
+            vals_b, _, _ = eig(block_q, cfg.tol)
             want_b = factor * c.lam
             perm_b = match_to_reference(vals_b, want_b)
             worst = max(worst, float(np.abs(vals_b[perm_b] - want_b).max()))

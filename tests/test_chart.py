@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cmspaces.canonical import normalize
 from cmspaces.chart import (
     ChartPoint,
+    _border_column,
     chart_jacobian,
     decompose,
     from_chart,
@@ -19,15 +20,17 @@ from cmspaces.chart import (
     to_chart,
     to_chart_tracked,
 )
-from cmspaces.errors import NotNormalizedError, ShapeMismatchError
+from cmspaces.errors import NotNormalizedError, NotStronglySemisimpleError, ShapeMismatchError
 from cmspaces.linalg import comm, frob, numeric_rank
 from cmspaces.variety import (
     AugmentedPair,
     augment,
+    gauge_act_pair,
     level_shift,
     on_level,
     pair_fingerprint,
     pair_scale,
+    random_gauge,
     random_point,
 )
 
@@ -115,6 +118,61 @@ def test_decompose_requires_normal_form():
     p = augment(random_point(3, 2, 1.0, 96))  # not normalized
     with pytest.raises(NotNormalizedError):
         decompose(p)
+
+
+def _bordered(lam, lamhat):
+    """Normal-form first matrix with block spectrum lam and full spectrum lamhat."""
+    lam = np.asarray(lam, dtype=complex)
+    lamhat = np.asarray(lamhat, dtype=complex)
+    n = lam.size
+    A = np.zeros((n + 1, n + 1), dtype=complex)
+    A[np.arange(n), np.arange(n)] = lam
+    A[:n, n] = _border_column(lam, lamhat)
+    A[n, :n] = 1.0
+    A[n, n] = lamhat.sum() - lam.sum()
+    return A
+
+
+@pytest.mark.parametrize("A, tol", [
+    # repeated block eigenvalue
+    (np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [1.0, 1.0, 0.0]], dtype=complex), 1e-9),
+    # double lamhat at a block eigenvalue: the computed split is rounding level
+    (_bordered([0.0, 2.0], [0.0, 0.0, 3.0]), 1e-9),
+    # generic double lamhat: M is then a 2 x 2 Jordan block (the unit row
+    # makes it nonderogatory), which rounding splits by about sqrt(eps), so
+    # the tolerance must sit above that split for the gap test to see it
+    (_bordered([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-6),
+])
+def test_decompose_rejects_repeated_spectra_as_not_strongly_semisimple(A, tol):
+    # regularity is tested before the level condition, so B is arbitrary
+    B = np.arange(A.size, dtype=complex).reshape(A.shape)
+    with pytest.raises(NotStronglySemisimpleError):
+        decompose(AugmentedPair(A, B, 1.0), tol)
+
+
+def test_to_chart_lapack_call_budget(monkeypatch):
+    # one block eig in normalize, one full eig in decompose; no eigvals and
+    # no SVD of the (n+1)^2 x n^2 orbit operator
+    n = 6
+    c = random_chart_point(n, 1.0, 8)
+    p = gauge_act_pair(random_gauge(n, 9), from_chart(c))
+    calls = []
+    for name in ("eig", "eigvals", "svd", "inv"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    got = to_chart(p)
+    monkeypatch.undo()
+    assert np.abs(got.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())
+    names = [name for name, _ in calls]
+    assert names.count("eig") + names.count("eigvals") <= 2
+    # the only SVD left is GaugeElement's n x n singularity check in normalize
+    svd_shapes = [shape for name, shape in calls if name == "svd"]
+    assert len(svd_shapes) <= 1 and all(shape == (n, n) for shape in svd_shapes)
 
 
 def test_gap_term_depends_on_spectra_only():

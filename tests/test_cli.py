@@ -102,6 +102,15 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("suite", ["quiver", "variety"])
+def test_verify_rejects_nonpositive_trials(capsys, monkeypatch, suite):
+    # -1 used to crash the quiver suite and pass the variety suite on zero samples
+    code, out, err = _run(capsys, monkeypatch,
+                          ["verify", "--suite", suite, "--trials", "-1"])
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "--trials" in err
+
+
 def test_invert_rejects_a_pair_payload(capsys, monkeypatch):
     code, quad_json, _ = _run(capsys, monkeypatch, ["gen", "--n", "2", "--seed", "6"])
     code, _, err = _run(capsys, monkeypatch, ["chart", "--invert"], stdin_text=quad_json)

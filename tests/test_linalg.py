@@ -43,12 +43,15 @@ def test_eig_reassembles_and_sorts():
     for trial in range(20):
         n = 2 + trial % 5
         M = _random_complex(rng, n, n)
-        vals, g = eig(M)
+        vals, g, ginv = eig(M)
         # package ordering: lexicographic on (Re, Im)
         order = np.lexsort((vals.imag, vals.real))
         assert np.array_equal(order, np.arange(n))
         resid = frob(g @ M @ np.linalg.inv(g) - np.diag(vals))
         assert resid < 1e-10 * max(1.0, frob(M))
+        # the returned frame carries the inverse: unit eigenvector columns
+        assert frob(g @ ginv - np.eye(n)) < 1e-10
+        np.testing.assert_allclose(np.linalg.norm(ginv, axis=0), 1.0, atol=1e-14)
 
 
 def test_eig_rejects_degenerate_spectrum():
