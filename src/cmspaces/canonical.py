@@ -4,10 +4,19 @@ An augmented matrix M = [[A, x], [y, c]] is brought to the form with A
 diagonal (eigenvalues in the package ordering) and the border row y equal
 to all ones.  Existence of that form needs two open conditions: the block
 A must have simple spectrum, and no eigenvector of A, padded with a zero,
-may stay an eigenvector of M (equivalently, the border row must pair
-nontrivially with every eigenvector).  Together with triviality of the
-embedded-basechange stabilizer these cut out the regular locus used by the
-chart.
+may stay an eigenvector of M.
+
+Both are read in the block eigenbasis.  With g A g^-1 = diag(lam), the
+conjugate of M by diag(g, 1) has border column x' = g x and border row
+y' = y g^-1.  The padded eigenvector (g^-1 e_i, 0) moves by exactly y'_i,
+so the eigenvector condition is "every |y'_i| > thr".  A stabilizer xi of
+the embedded basechange commutes with diag(lam), so it is diagonal, and
+the border of [diag(xi, 0), M] gives xi_i x'_i = 0 = y'_i xi_i: the
+stabilizer dimension is #{i : |x'_i| <= thr and |y'_i| <= thr} and the
+orbit dimension is n^2 minus that.  The eigenvector condition therefore
+implies a trivial stabilizer, and it alone cuts out the regular locus
+used by the chart.  Every border entry is compared with the one threshold
+thr = tol * max(1, ||M||_F).
 """
 
 from __future__ import annotations
@@ -30,59 +39,61 @@ def simple_gap(gap: float, M, tol: float) -> bool:
     return gap > tol * max(1.0, frob(M))
 
 
-def is_regular_semisimple(M, tol: float = DEFAULT_TOL) -> bool:
-    """True when all eigenvalue gaps exceed tol * max(1, ||M||)."""
-    A = as_cmatrix(M, square=True)
-    return simple_gap(min_gap(np.linalg.eigvals(A)), A, tol)
+def _eigenbasis_border(A, tol: float):
+    """Block spectral frame of A and its border read in that frame.
+
+    Returns (lam, g, ginv, x', y', thr): g block ginv = diag(lam), the
+    border column x' = g col, the border row y' = row ginv, and the
+    threshold thr = tol * max(1, ||A||_F) at or below which a border entry
+    counts as zero.  Raises DegenerateSpectrumError when the block
+    spectrum is not simple.
+    """
+    block, col, row, _ = split_blocks(A)
+    lam, g, ginv = eig(block, tol)
+    return lam, g, ginv, g @ col, row @ ginv, tol * max(1.0, frob(A))
 
 
 def conjugation_operator(M) -> np.ndarray:
     """Matrix of xi -> [diag(xi, 0), M] on the embedded basechange algebra.
 
     Columns run over the n^2 elementary matrices of the block algebra in
-    row-major order; rows are the flattened (n+1)^2 output entries.
+    row-major order; rows are the flattened (n+1)^2 output entries.  In
+    row-major vectorization X M - M X is (I kron M^T - M kron I) vec(X),
+    restricted here to the columns of the block entries.
     """
     M = as_cmatrix(M, square=True)
-    n = M.shape[0] - 1
-    cols = np.empty(((n + 1) ** 2, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            X = np.zeros((n + 1, n + 1), dtype=np.complex128)
-            X[i, j] = 1.0
-            cols[:, i * n + j] = (X @ M - M @ X).ravel()
-    return cols
+    m = M.shape[0]
+    eye = np.eye(m, dtype=np.complex128)
+    block_cols = (np.arange(m - 1)[:, None] * m + np.arange(m - 1)).ravel()
+    return (np.kron(eye, M.T) - np.kron(M, eye))[:, block_cols]
 
 
 def orbit_dimension(M, tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the embedded-basechange orbit through M (numeric rank)."""
+    """Dimension of the embedded-basechange orbit through M (numeric rank).
+
+    An independent certificate of the eigenbasis stabilizer count; it
+    costs an SVD of an (n+1)^2 x n^2 matrix.
+    """
     if isinstance(M, AugmentedPair):
         M = M.A
     return numeric_rank(conjugation_operator(M), tol)
 
 
-def is_gauge_regular(M, tol: float = DEFAULT_TOL) -> bool:
-    """Trivial stabilizer: the orbit has the full dimension n^2."""
-    if isinstance(M, AugmentedPair):
-        M = M.A
-    n = as_cmatrix(M, square=True).shape[0] - 1
-    return orbit_dimension(M, tol) == n * n
-
-
 def in_regular_locus(p: AugmentedPair, tol: float = DEFAULT_TOL) -> bool:
-    """Gauge-regular, and no padded eigenvector of the block survives.
+    """No padded eigenvector of the block survives: every |y'_i| > thr.
 
-    For each eigenpair (lam, z) of the block the padded vector (z, 0) must
-    move: ||M (z, 0) - lam (z, 0)|| > tol * ||z||.  Raises
-    DegenerateBlockError when the block is not regular semisimple, where
-    the predicate is undefined.
+    This implies a trivial stabilizer (module docstring), and it holds
+    exactly when normalize finds a unit-row form.  Raises
+    DegenerateBlockError when the block spectrum is not simple, where the
+    predicate is undefined.
     """
     try:
-        evec_ok = _eigenvector_condition(p, tol)
+        *_, y, thr = _eigenbasis_border(p.A, tol)
     except DegenerateSpectrumError as exc:
         raise DegenerateBlockError(
             "padded-eigenvector test undefined: block spectrum is not simple"
         ) from exc
-    return evec_ok and is_gauge_regular(p.A, tol)
+    return bool((np.abs(y) > thr).all())
 
 
 @dataclass(frozen=True)
@@ -122,37 +133,34 @@ class RegularityReport:
 
 
 def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityReport:
-    """Evaluate all regularity predicates at once (no exceptions for failures)."""
-    block, _, _, _ = split_blocks(p.A)
-    block_gap = min_gap(np.linalg.eigvals(block))
+    """Evaluate all regularity predicates at once (no exceptions for failures).
+
+    With a simple block the eigenvector condition and the orbit dimension
+    are read in the block eigenbasis.  Without one no eigenbasis exists:
+    the eigenvector condition is false and the orbit dimension comes from
+    orbit_dimension.
+    """
+    block = split_blocks(p.A)[0]
+    try:
+        lam, _, _, x, y, thr = _eigenbasis_border(p.A, tol)
+        block_ok = simple_gap(min_gap(lam), block, tol)
+    except DegenerateSpectrumError:
+        lam, block_ok = np.linalg.eigvals(block), False
+    block_gap = min_gap(lam)
+    if block_ok:
+        evec_ok = bool((np.abs(y) > thr).all())
+        dim = p.n * p.n - int(np.count_nonzero((np.abs(x) <= thr) & (np.abs(y) <= thr)))
+    else:
+        evec_ok, dim = False, orbit_dimension(p.A, tol)
     full_gap = min_gap(np.linalg.eigvals(p.A))
-    block_ok = simple_gap(block_gap, block, tol)
-    dim = orbit_dimension(p.A, tol)
     return RegularityReport(
         block_regular_semisimple=block_ok,
         full_regular_semisimple=simple_gap(full_gap, p.A, tol),
         gauge_regular=dim == p.n * p.n,
-        eigenvector_condition=_eigenvector_condition(p, tol) if block_ok else False,
+        eigenvector_condition=evec_ok,
         orbit_dim=dim,
         min_gap=float(min(block_gap, full_gap)),
     )
-
-
-def _eigenvector_condition(p: AugmentedPair, tol: float) -> bool:
-    block, _, _, _ = split_blocks(p.A)
-    lam, _, vecs = eig(block, tol)
-    n = p.n
-    for j in range(n):
-        z = np.zeros(n + 1, dtype=np.complex128)
-        z[:n] = vecs[:, j]
-        if np.linalg.norm(p.A @ z - lam[j] * z) <= tol:
-            return False
-    return True
-
-
-def is_strongly_semisimple(p: AugmentedPair, tol: float = DEFAULT_TOL) -> bool:
-    """Regular locus membership plus simple spectra of block and full matrix."""
-    return regularity_report(p, tol).strongly_semisimple
 
 
 def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL, lam_ref=None):
@@ -169,14 +177,11 @@ def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL, lam_ref=None):
     rounding, with gauge near the identity.
     """
     n = p.n
-    block, _, row, _ = split_blocks(p.A)
-    lam, g1, g1inv = eig(block, tol)
+    lam, g1, g1inv, _, y, thr = _eigenbasis_border(p.A, tol)
     if lam_ref is not None:
         perm = match_to_reference(lam, lam_ref)
-        lam, g1, g1inv = lam[perm], g1[perm, :], g1inv[:, perm]
-    # border row of diag(g1, 1) M diag(g1, 1)^-1
-    y = row @ g1inv
-    if np.abs(y).min() <= tol * max(1.0, frob(p.A)):
+        lam, g1, g1inv, y = lam[perm], g1[perm, :], g1inv[:, perm], y[perm]
+    if np.abs(y).min() <= thr:
         raise ZeroRowEntryError(
             "a border-row entry vanishes on the eigenbasis; no unit-row form"
         )

@@ -33,11 +33,10 @@ from .errors import (
     LevelConditionError,
     NotNormalizedError,
     NotStronglySemisimpleError,
-    SearchExhaustedError,
     ShapeMismatchError,
 )
 from .canonical import normalize, simple_gap
-from .linalg import DEFAULT_TOL, as_cmatrix, comm, eig, frob, match_to_reference, min_gap
+from .linalg import DEFAULT_TOL, comm, eig, frob, match_to_reference, min_gap
 from .variety import (
     AugmentedPair,
     level_shift,
@@ -49,29 +48,6 @@ from .variety import (
 
 # ---------------------------------------------------------------------------
 # border projections
-
-
-def border_col_part(M) -> np.ndarray:
-    """Keep only the border column above the corner."""
-    M = as_cmatrix(M, square=True)
-    out = np.zeros_like(M)
-    out[:-1, -1] = M[:-1, -1]
-    return out
-
-
-def border_row_part(M) -> np.ndarray:
-    """Keep only the border row left of the corner."""
-    M = as_cmatrix(M, square=True)
-    out = np.zeros_like(M)
-    out[-1, :-1] = M[-1, :-1]
-    return out
-
-
-def split_border(M):
-    """(column part, row part, remainder); the three summands reassemble M exactly."""
-    col = border_col_part(M)
-    row = border_row_part(M)
-    return col, row, as_cmatrix(M, square=True) - col - row
 
 
 def _embed_border_col(m: np.ndarray) -> np.ndarray:
@@ -173,15 +149,13 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     instead of the package sort.
 
     In normal form strong semisimplicity reduces to the two spectral gaps.
-    The border row is all ones, so 1 . z = z_j != 0 for every unit
-    eigenvector z = e_j of the diagonal block, and no padded eigenvector
-    survives.  A stabilizer element xi of the embedded basechange must
-    commute with the block, so it is diagonal when the block spectrum is
-    simple, and the border row of [diag(xi, 0), M] is -1 . xi = 0, which
-    forces xi = 0.  Both gaps use the threshold tol * max(1, ||.||_F) of
-    canonical.regularity_report; the unit row gives ||M||_F >= 1, so the
-    full gap is the one linalg.eig already tests.  Either gap failing
-    raises NotStronglySemisimpleError.
+    The diagonal block is its own eigenbasis and the border row y' is all
+    ones, so by the eigenbasis criterion of canonical no padded
+    eigenvector survives and the stabilizer is trivial.  Both gaps use
+    the threshold tol * max(1, ||.||_F) that canonical.simple_gap and the
+    eigenbasis test share; the unit row gives ||M||_F >= 1, so the full
+    gap is the one linalg.eig already tests.  Either gap failing raises
+    NotStronglySemisimpleError.
     """
     n = p.n
     if not is_normal_form(p, max(tol, 1e-12)):
@@ -380,6 +354,11 @@ def random_chart_point(n: int, tau: complex, seed: int) -> ChartPoint:
     return ChartPoint(lam, lamhat, mu, muhat, tau)
 
 
+def _central_difference(f, step: float) -> np.ndarray:
+    """(f(step) - f(-step)) / (2 step), the quotient every numeric derivative uses."""
+    return (f(step) - f(-step)) / (2.0 * step)
+
+
 def chart_jacobian(c: ChartPoint, tol: float = DEFAULT_TOL, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of to_chart(from_chart(.)) at c.
 
@@ -391,11 +370,11 @@ def chart_jacobian(c: ChartPoint, tol: float = DEFAULT_TOL, step: float = 1e-6) 
     dim = base.size
     J = np.empty((dim, dim), dtype=np.complex128)
     for idx in range(dim):
-        bump = np.zeros(dim, dtype=np.complex128)
-        bump[idx] = step
-        cp = ChartPoint.from_vector(base + bump, c.n, c.tau)
-        cm = ChartPoint.from_vector(base - bump, c.n, c.tau)
-        fp = to_chart_tracked(from_chart(cp, tol), c, tol).vector()
-        fm = to_chart_tracked(from_chart(cm, tol), c, tol).vector()
-        J[:, idx] = (fp - fm) / (2.0 * step)
+        def coords(s: float) -> np.ndarray:
+            v = base.copy()
+            v[idx] += s
+            moved = ChartPoint.from_vector(v, c.n, c.tau)
+            return to_chart_tracked(from_chart(moved, tol), c, tol).vector()
+
+        J[:, idx] = _central_difference(coords, step)
     return J

@@ -81,17 +81,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """Parse a tolerance: a positive, finite number (rejects 0, negatives, nan, inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be positive and finite, got {text!r}")
+    return value
+
+
 def _default_tol() -> float:
     raw = os.environ.get("CM_TOL")
     if raw is None:
         return DEFAULT_TOL
     try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"CM_TOL must be a number, got {raw!r}")
-    if value <= 0:
-        raise ValueError(f"CM_TOL must be positive, got {raw!r}")
-    return value
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CM_TOL: {exc}")
 
 
 def _read_stdin_json():
@@ -216,11 +225,15 @@ def cmd_verify(args) -> int:
     summary = report["summary"]
     print(
         f"verify: {summary['passed']}/{summary['total']} passed, "
-        f"{summary['failed']} failed, {summary['errors']} errors",
+        f"{summary['failed']} failed, {summary['errors']} errors, "
+        f"{summary['skipped']} skipped",
         file=sys.stderr,
     )
     for rec in report["records"]:
-        if rec["status"] != "pass":
+        if rec["status"] == "skipped":
+            print(f"  SKIPPED {rec['name']}: no sample in the requested sizes",
+                  file=sys.stderr)
+        elif rec["status"] != "pass":
             print(
                 f"  {rec['status'].upper()} {rec['name']}: residual "
                 f"{rec['residual']:.3e} vs threshold {rec['threshold']:.3e}",
@@ -248,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=_parse_tau, default=complex(1.0),
                        help="level parameter as 're' or 're,im'")
         p.add_argument("--seed", type=int, default=1, help="RNG seed")
-        p.add_argument("--tol", type=float, default=tol_default,
+        p.add_argument("--tol", type=_tolerance, default=tol_default,
                        help="numerical tolerance (CM_TOL overrides the default)")
         p.add_argument("--out", help="also write the JSON payload to this file")
 
@@ -283,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override per-check trial counts")
     vf.add_argument("--tau", type=_parse_tau, default=complex(1.0))
     vf.add_argument("--seed", type=int, default=1)
-    vf.add_argument("--tol", type=float, default=tol_default)
+    vf.add_argument("--tol", type=_tolerance, default=tol_default)
     vf.add_argument("--out", help="also write the JSON report to this file")
     vf.set_defaults(func=cmd_verify)
 

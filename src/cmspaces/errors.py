@@ -70,10 +70,6 @@ class ZeroPairError(CMSpacesError):
     """The probe needs a nonzero matrix pair."""
 
 
-class RootFindingError(CMSpacesError):
-    """Power sums could not be inverted to a simple spectrum."""
-
-
 class SearchExhaustedError(CMSpacesError):
     """A randomized search exceeded its retry budget."""
 

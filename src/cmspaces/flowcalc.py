@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedFitError, WitnessVanishesError
-from .chart import ChartPoint, from_chart, to_chart_tracked
-from .linalg import DEFAULT_TOL, frob
+from .linalg import frob
 from .sl2 import GEN_E, GEN_F, GEN_H, SL2Element, SL2Generator, act_pair, sl2_exp
 from .variety import AugmentedPair
 
@@ -253,14 +252,3 @@ def compatible_witness(p: AugmentedPair, floor: float = 1e-8) -> WitnessReport:
         lower_shear_residual=max(second, higher),
         scale=scale,
     )
-
-
-# ---------------------------------------------------------------------------
-# chart-level flow, for convergence studies that track coordinates
-
-
-def flow_in_chart(kind: str, t: float, c: ChartPoint,
-                  tol: float = DEFAULT_TOL) -> ChartPoint:
-    """Flow a chart point and read the result back in tracked coordinates."""
-    p = from_chart(c, tol)
-    return to_chart_tracked(flow_exact(kind, t, p), c, tol)

@@ -156,21 +156,6 @@ def comm(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
-def trace_word(mats) -> complex:
-    """Trace of the ordered product of the listed square matrices."""
-    seq = [as_cmatrix(M, square=True) for M in mats]
-    if not seq:
-        raise ShapeMismatchError("empty word")
-    shape = seq[0].shape
-    for M in seq[1:]:
-        if M.shape != shape:
-            raise ShapeMismatchError("word mixes matrix sizes")
-    P = seq[0]
-    for M in seq[1:]:
-        P = P @ M
-    return complex(np.trace(P))
-
-
 def match_to_reference(values, ref, guard: float = 0.45) -> np.ndarray:
     """Permutation aligning a spectrum with a reference ordering.
 

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    RootFindingError,
     SearchExhaustedError,
     ShapeMismatchError,
     ZeroPairError,
 )
 from .chart import (
     ChartPoint,
+    _central_difference,
     from_chart,
     project_to_slice,
     slice_residual,
@@ -44,7 +44,6 @@ from .variety import (
     AugmentedPair,
     Representation,
     fingerprint,
-    level_residual,
     spaced_points,
 )
 
@@ -191,11 +190,6 @@ def act_components(g, r: Representation) -> Representation:
     )
 
 
-def level_residual_after(g, r: Representation) -> float:
-    """Level residual of the transformed quadruple; zero for true SL2 elements."""
-    return level_residual(act_components(g, r))
-
-
 def fixed_point_probe(r: Representation, t: float):
     """Fingerprints before and after the scaling subgroup at time t.
 
@@ -218,49 +212,10 @@ def fixed_point_probe(r: Representation, t: float):
 # power-sum coordinates
 
 
-def power_sums(M, kmax: int | None = None) -> np.ndarray:
-    """s_k = tr M^k for k = 1 .. kmax (default: the matrix size)."""
-    M = np.asarray(M, dtype=np.complex128)
-    kmax = M.shape[0] if kmax is None else int(kmax)
-    out = np.empty(kmax, dtype=np.complex128)
-    P = np.eye(M.shape[0], dtype=np.complex128)
-    for k in range(kmax):
-        P = P @ M
-        out[k] = np.trace(P)
-    return out
-
-
 def eigs_to_power_sums(values, kmax: int | None = None) -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128).ravel()
     kmax = v.size if kmax is None else int(kmax)
     return np.array([np.sum(v**k) for k in range(1, kmax + 1)], dtype=np.complex128)
-
-
-def power_sums_to_eigs(s, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Invert s_k = sum lam^k via Newton's identities and a companion solve.
-
-    The input must describe a simple spectrum; returns the values in the
-    package ordering.  Raises RootFindingError on degenerate input.
-    """
-    s = np.asarray(s, dtype=np.complex128).ravel()
-    if not np.isfinite(s).all():
-        raise RootFindingError("power sums contain non-finite entries")
-    m = s.size
-    e = np.zeros(m + 1, dtype=np.complex128)
-    e[0] = 1.0
-    for k in range(1, m + 1):
-        acc = 0.0
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * s[i - 1]
-        e[k] = acc / k
-    coeffs = np.array([(-1) ** k * e[k] for k in range(m + 1)], dtype=np.complex128)
-    roots = np.roots(coeffs)
-    if not np.isfinite(roots).all():
-        raise RootFindingError("companion solve produced non-finite roots")
-    scale = max(1.0, float(np.abs(roots).max()))
-    if min_gap(roots) <= tol * scale:
-        raise RootFindingError("power sums correspond to a degenerate spectrum")
-    return roots[np.lexsort((roots.imag, roots.real))]
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +264,18 @@ class ChartTangent:
 
 
 def numeric_field(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL,
-                  step: float = 1e-5, richardson: bool = False) -> ChartTangent:
+                  step: float = 1e-5) -> ChartTangent:
     """Induced field of a one-parameter subgroup by central differences.
 
     Chart coordinates of the flowed pair are tracked against c so the
-    difference quotient follows one analytic branch.  With richardson=True
-    the step-halved quotient is extrapolated one order.
+    difference quotient follows one analytic branch.
     """
     p = from_chart(c, tol)
 
     def coords(t: float) -> np.ndarray:
         return to_chart_tracked(act_pair(gen.exp(t), p), c, tol).vector()
 
-    def quotient(h: float) -> np.ndarray:
-        return (coords(h) - coords(-h)) / (2.0 * h)
-
-    d = quotient(step)
-    if richardson:
-        d = (4.0 * quotient(step / 2.0) - d) / 3.0
+    d = _central_difference(coords, step)
     n = c.n
     return ChartTangent(
         base=c,
@@ -422,7 +371,7 @@ def slice_tangency(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL,
     def values(t: float) -> np.ndarray:
         return np.array(slice_residual(act_pair(gen.exp(t), p)))
 
-    d = (values(step) - values(-step)) / (2.0 * step)
+    d = _central_difference(values, step)
     return float(abs(d[0])), float(abs(d[1]))
 
 

@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, as_cmatrix, comm, frob, trace_word
+from .linalg import DEFAULT_TOL, as_cmatrix, comm, frob
 
 # ---------------------------------------------------------------------------
 # core containers
@@ -168,16 +168,6 @@ def level_residual(r: Representation) -> float:
 
 def on_shell(r: Representation, tol: float = DEFAULT_TOL) -> bool:
     return level_residual(r) <= tol * level_scale(r)
-
-
-def moment_real(r: Representation) -> np.ndarray:
-    """[A, A*] + [B, B*] - v v* + w* w; Hermitian by construction."""
-    return (
-        comm(r.A, r.A.conj().T)
-        + comm(r.B, r.B.conj().T)
-        - r.v @ r.v.conj().T
-        + r.w.conj().T @ r.w
-    )
 
 
 def level_shift(n: int, tau: complex) -> np.ndarray:

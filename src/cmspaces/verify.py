@@ -3,7 +3,9 @@
 Each check draws its own seeded inputs, measures a residual, normalizes by
 the scale stated in its note, and passes iff residual <= threshold.  Checks
 that must EXCEED a floor are phrased as margins (residual = floor - observed,
-threshold 0) so the pass rule stays uniform.  A check that raises is recorded
+threshold 0) so the pass rule stays uniform.  A check that sweeps the
+requested sizes counts its samples; with none in its range it is recorded
+as "skipped", never as a pass.  A check that raises is recorded
 with status "error" and the failing operation named; callers map that to a
 distinct exit code.  Records sort by name before emission and reports are
 deterministic for a fixed config (runtime_ms aside).
@@ -146,8 +148,11 @@ def _trials(cfg: RunConfig, pinned: int) -> int:
 
 
 def _finish(name: str, law: str, residual: float, threshold: float,
-            t0: float, note: str = "") -> CheckRecord:
-    status = "pass" if residual <= threshold else "fail"
+            t0: float, note: str = "", samples: int | None = None) -> CheckRecord:
+    if samples == 0:
+        status, note = "skipped", "no sample: no requested size is in range; " + note
+    else:
+        status = "pass" if residual <= threshold else "fail"
     return CheckRecord(name, law, status, float(residual), float(threshold),
                        (perf_counter() - t0) * 1000.0, note)
 
@@ -211,13 +216,15 @@ def _check_level_condition(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
     trials = _trials(cfg, 50)
-    for n in _ns(cfg, 6):
+    ns = _ns(cfg, 6)
+    for n in ns:
         for k in cfg.k_values:
             for i in range(trials):
                 r = random_point(n, k, cfg.tau, _seed(cfg, f"lvl{n}{k}", i))
                 worst = max(worst, level_residual(r) / level_scale(r))
     return _finish("variety.level_condition", "seeded-points-on-level-set",
-                   worst, 1e-12, t0, "relative to max(1, ||A|| ||B||)")
+                   worst, 1e-12, t0, "relative to max(1, ||A|| ||B||)",
+                   samples=len(ns) * len(cfg.k_values) * trials)
 
 
 def _check_block_identity(cfg: RunConfig) -> CheckRecord:
@@ -390,7 +397,8 @@ def _check_splitting_constraints(cfg: RunConfig) -> CheckRecord:
 def _check_gap_term_invariance(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
-    for n in _ns(cfg, 4):
+    ns = _ns(cfg, 4)
+    for n in ns:
         base = random_chart_point(n, cfg.tau, _seed(cfg, f"gapi{n}"))
         S_ref = None
         rng = np.random.default_rng(_seed(cfg, f"gapv{n}"))
@@ -404,28 +412,31 @@ def _check_gap_term_invariance(cfg: RunConfig) -> CheckRecord:
             else:
                 worst = max(worst, float(np.abs(d.S - S_ref).max()))
     return _finish("chart.gap_term_spectral_only", "gap-term-depends-on-spectra-only",
-                   worst, 1e-10, t0, "absolute deviation across moment variations")
+                   worst, 1e-10, t0, "absolute deviation across moment variations",
+                   samples=20 * len(ns))
 
 
 def _check_round_trip_coordinates(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
     trials = _trials(cfg, 20)
-    for n in _ns(cfg, 5):
+    ns = _ns(cfg, 5)
+    for n in ns:
         for i in range(trials):
             c = random_chart_point(n, cfg.tau, _seed(cfg, f"rtc{n}", i))
             back = to_chart(from_chart(c, cfg.tol), cfg.tol)
             dev = np.abs(back.vector() - c.vector()).max()
             worst = max(worst, float(dev / max(1.0, np.abs(c.vector()).max())))
     return _finish("chart.round_trip_coordinates", "chart-inverse-composition-identity",
-                   worst, 1e-8, t0, "relative to max(1, |coords|)")
+                   worst, 1e-8, t0, "relative to max(1, |coords|)", samples=len(ns) * trials)
 
 
 def _check_round_trip_pair(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
     trials = _trials(cfg, 20)
-    for n in _ns(cfg, 5):
+    ns = _ns(cfg, 5)
+    for n in ns:
         for i in range(trials):
             r = random_point(n, 2, cfg.tau, _seed(cfg, f"rtp{n}", i))
             p, _ = normalize(augment(r), cfg.tol)
@@ -434,20 +445,21 @@ def _check_round_trip_pair(cfg: RunConfig) -> CheckRecord:
             fp1 = pair_fingerprint(q)
             worst = max(worst, float(np.abs(fp1 - fp0).max() / max(1.0, np.abs(fp0).max())))
     return _finish("chart.round_trip_pair", "rebuilt-pair-on-same-orbit",
-                   worst, 1e-8, t0, "relative trace-word deviation")
+                   worst, 1e-8, t0, "relative trace-word deviation", samples=len(ns) * trials)
 
 
 def _check_jacobian_rank(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     deficiency = 0
     trials = _trials(cfg, 20)
-    for n in _ns(cfg, 5):
+    ns = _ns(cfg, 5)
+    for n in ns:
         for i in range(trials):
             c = random_chart_point(n, cfg.tau, _seed(cfg, f"jac{n}", i))
             J = chart_jacobian(c, cfg.tol)
             deficiency = max(deficiency, abs(numeric_rank(J) - (4 * n + 2)))
     return _finish("chart.jacobian_rank", "chart-coordinate-count",
-                   float(deficiency), 0.0, t0, "deviation from 4n+2")
+                   float(deficiency), 0.0, t0, "deviation from 4n+2", samples=len(ns) * trials)
 
 
 def _suite_chart(cfg: RunConfig) -> list:
@@ -545,10 +557,10 @@ def _check_independence(cfg: RunConfig, points: dict) -> list:
         deficiency = max(deficiency, 3 - rank)
         min_ratio = min(min_ratio, ratio)
     rec1 = _finish("sl2.independence_rank", "three-fields-independent",
-                   float(deficiency), 0.0, t0, "rank deficiency below 3")
+                   float(deficiency), 0.0, t0, "rank deficiency below 3", samples=len(points))
     rec2 = _finish("sl2.independence_ratio_margin", "three-fields-independent",
                    1e-6 - min_ratio, 0.0, t0,
-                   "margin: smallest/largest singular value must exceed 1e-6")
+                   "margin: smallest/largest singular value must exceed 1e-6", samples=len(points))
     return [rec1, rec2]
 
 
@@ -571,9 +583,9 @@ def _check_lower_shear_match(cfg: RunConfig, points: dict) -> list:
         )
         worst_frozen = max(worst_frozen, frozen / scale)
     rec1 = _finish("sl2.lower_shear_field_match", "shear-field-closed-form",
-                   worst_full, 1e-6, t0, "relative to max(1, |spectrum|)")
+                   worst_full, 1e-6, t0, "relative to max(1, |spectrum|)", samples=len(points))
     rec2 = _finish("sl2.lower_shear_invariance", "shear-fixes-spectra-and-row-moments",
-                   worst_frozen, 1e-7, t0, "relative to max(1, |spectrum|)")
+                   worst_frozen, 1e-7, t0, "relative to max(1, |spectrum|)", samples=len(points))
     return [rec1, rec2]
 
 
@@ -591,7 +603,7 @@ def _check_trace_components(cfg: RunConfig, points: dict) -> CheckRecord:
                 max(abs(got[k] - ana[k]) for k in (1, 2)) / scale,
             )
     return _finish("sl2.trace_component_match", "scaling-and-upper-shear-trace-rates",
-                   worst, 1e-6, t0, "relative to max(1, |component|)")
+                   worst, 1e-6, t0, "relative to max(1, |component|)", samples=len(points))
 
 
 def _check_slice_tangency(cfg: RunConfig, points: dict) -> CheckRecord:
@@ -603,7 +615,7 @@ def _check_slice_tangency(cfg: RunConfig, points: dict) -> CheckRecord:
             r1, r2 = slice_tangency(gen, c, cfg.tol)
             worst = max(worst, max(r1, r2) / scale)
     return _finish("sl2.slice_tangency", "fields-tangent-to-embedded-slice",
-                   worst, 1e-7, t0, "relative to max(1, ||A|| ||B||)")
+                   worst, 1e-7, t0, "relative to max(1, ||A|| ||B||)", samples=len(points))
 
 
 def _check_scaling_spectra(cfg: RunConfig) -> CheckRecord:
@@ -670,7 +682,8 @@ def _check_trotter_rate(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
     slopes = []
-    for p in _flow_base_points(cfg, "tro"):
+    points = _flow_base_points(cfg, "tro")
+    for p in points:
         target = trotter_target(GEN_E, GEN_F, TROTTER_TIME, p)
         errs = [
             max(_fp_error(trotter_flow(GEN_E, GEN_F, TROTTER_TIME, m, p), target), 1e-300)
@@ -682,14 +695,15 @@ def _check_trotter_rate(cfg: RunConfig) -> CheckRecord:
         worst = max(worst, abs(slope - 1.0))
     note = "order in 1/steps; measured slopes " + ", ".join(f"{s:.3f}" for s in slopes)
     return _finish("flowcalc.trotter_rate", "split-composition-first-order",
-                   worst, 0.3, t0, note)
+                   worst, 0.3, t0, note, samples=len(points))
 
 
 def _check_bracket_limit(cfg: RunConfig) -> list:
     t0 = perf_counter()
     worst_final = 0.0
     worst_increase = -np.inf
-    for p in _flow_base_points(cfg, "brk"):
+    points = _flow_base_points(cfg, "brk")
+    for p in points:
         target = bracket_target(GEN_E, GEN_F, BRACKET_TIME, p)
         errs = [
             _fp_error(bracket_flow(GEN_E, GEN_F, BRACKET_TIME, m, p), target)
@@ -701,22 +715,26 @@ def _check_bracket_limit(cfg: RunConfig) -> list:
         )
     rec1 = _finish("flowcalc.bracket_final_error", "commutator-composition-limit",
                    worst_final, 1e-3, t0,
-                   f"relative trace-word error at {BRACKET_STEPS[-1]} squares, t={BRACKET_TIME}")
+                   f"relative trace-word error at {BRACKET_STEPS[-1]} squares, t={BRACKET_TIME}",
+                   samples=len(points))
     rec2 = _finish("flowcalc.bracket_monotone", "commutator-composition-limit",
                    worst_increase, 0.0, t0,
-                   "largest error increase across the step ladder; negative passes")
+                   "largest error increase across the step ladder; negative passes",
+                   samples=len(points))
     return [rec1, rec2]
 
 
 def _check_bracket_sign(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     mismatches = 0
-    for p in _flow_base_points(cfg, "sgn")[:5]:
+    points = _flow_base_points(cfg, "sgn")[:5]
+    for p in points:
         if detect_bracket_sign(0.2, 256, p) != -BRACKET_SIGN:
             mismatches += 1
     return _finish("flowcalc.bracket_sign_consistency", "global-bracket-sign",
                    float(mismatches), 0.0, t0,
-                   "commutator flow lands on minus the matrix bracket at every point")
+                   "commutator flow lands on minus the matrix bracket at every point",
+                   samples=len(points))
 
 
 def _check_commuting_cases(cfg: RunConfig) -> CheckRecord:
@@ -862,6 +880,7 @@ def run(cfg: RunConfig) -> dict:
     passed = sum(1 for r in records if r.status == "pass")
     failed = sum(1 for r in records if r.status == "fail")
     errored = sum(1 for r in records if r.status == "error")
+    skipped = sum(1 for r in records if r.status == "skipped")
     return {
         "schema": SCHEMA_VERSION,
         "config": cfg.to_dict(),
@@ -871,5 +890,6 @@ def run(cfg: RunConfig) -> dict:
             "passed": passed,
             "failed": failed,
             "errors": errored,
+            "skipped": skipped,
         },
     }

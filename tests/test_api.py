@@ -1,0 +1,48 @@
+"""Guards on the package surface: exported names, traced names, imports."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import cmspaces
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _assigned(tree, name):
+    """Literal value assigned to a module-level name, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in cmspaces.__all__ if not hasattr(cmspaces, name)] == []
+
+
+def test_every_traced_function_exists():
+    # the benchmark tracer looks up each name in LAYERS when it installs
+    layers = _assigned(ast.parse((ROOT / "perfbench" / "tracer.py").read_text()), "LAYERS")
+    missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
+               if not hasattr(importlib.import_module(f"cmspaces.{layer}"), name)]
+    assert layers and missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for path in sorted(Path(cmspaces.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(_assigned(tree, "__all__") or ())  # re-exports count as uses
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

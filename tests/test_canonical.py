@@ -7,8 +7,6 @@ from cmspaces.canonical import (
     RegularityReport,
     conjugation_operator,
     in_regular_locus,
-    is_gauge_regular,
-    is_regular_semisimple,
     normalize,
     orbit_dimension,
     regularity_report,
@@ -31,11 +29,64 @@ def _pair(n, seed, tau=1.0):
     return augment(random_point(n, 2, tau, seed))
 
 
-def test_regular_semisimple_predicate():
-    assert is_regular_semisimple(np.diag([1.0, 2.0, 3.0]))
-    assert not is_regular_semisimple(np.eye(2))
-    # a Jordan block has a degenerate spectrum
-    assert not is_regular_semisimple(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def _loop_conjugation_operator(M):
+    # reference: one elementary matrix of the block algebra per column
+    n = M.shape[0] - 1
+    cols = np.empty(((n + 1) ** 2, n * n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            X = np.zeros((n + 1, n + 1), dtype=np.complex128)
+            X[i, j] = 1.0
+            cols[:, i * n + j] = (X @ M - M @ X).ravel()
+    return cols
+
+
+def _bordered(n, seed, zero_x0=False, zero_y0=False):
+    """Gauge-scrambled pair whose eigenbasis border has chosen zero entries."""
+    rng = np.random.default_rng(seed)
+    A = np.diag(np.append(np.arange(n) + 1j * rng.uniform(-1, 1, n), 0.3))
+    A[:n, n], A[n, :n] = rng.uniform(1, 2, n), rng.uniform(1, 2, n)
+    if zero_x0:
+        A[0, n] = 0.0
+    if zero_y0:
+        A[n, 0] = 0.0
+    B = rng.standard_normal((n + 1, n + 1))
+    return gauge_act_pair(random_gauge(n, seed + 1), AugmentedPair(A, B, 1.0))
+
+
+def test_eigenbasis_criterion_matches_the_certificates():
+    # orbit_dim agrees with the orbit SVD, and in_regular_locus holds exactly
+    # when the unit-row form exists.  A zero (x'_0, y'_0) leaves a
+    # one-dimensional stabilizer; a zero y'_0 alone keeps the orbit full
+    # but lets a padded eigenvector survive.
+    cases = [(_pair(n, 90 + n), n * n, True) for n in range(1, 7)]
+    for n in range(1, 6):
+        cases += [(_bordered(n, 40 + n), n * n, True),
+                  (_bordered(n, 40 + n, zero_x0=True, zero_y0=True), n * n - 1, False),
+                  (_bordered(n, 40 + n, zero_y0=True), n * n, False)]
+    for p, dim, regular in cases:
+        assert regularity_report(p).orbit_dim == orbit_dimension(p.A) == dim
+        try:
+            normalize(p)
+            normal_form_exists = True
+        except ZeroRowEntryError:
+            normal_form_exists = False
+        assert in_regular_locus(p) == normal_form_exists == regular
+
+
+def test_regularity_predicates_make_no_svd_on_a_simple_block(monkeypatch):
+    p = _pair(6, 95)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    assert regularity_report(p).orbit_dim == 36 and in_regular_locus(p)
+    assert calls == []
+
+
+def test_conjugation_operator_matches_the_elementary_loop():
+    for n in range(1, 6):
+        p = _pair(n, 60 + n)
+        assert np.array_equal(conjugation_operator(p.A), _loop_conjugation_operator(p.A))
 
 
 def test_conjugation_operator_kernel_is_block_centralizer():
@@ -57,14 +108,6 @@ def test_orbit_dimension_values():
                   [0.0, 2.0, 1.0],
                   [1.0, 1.0, 0.0]])
     assert orbit_dimension(M) == 4
-
-
-def test_gauge_regular_examples():
-    assert not is_gauge_regular(np.diag([1.0, 5.0, 9.0]))
-    M = np.array([[1.0, 0.0, 1.0],
-                  [0.0, 2.0, 1.0],
-                  [1.0, 1.0, 0.0]])
-    assert is_gauge_regular(M)
 
 
 def test_seeded_pairs_sit_in_the_regular_locus():

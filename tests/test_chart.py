@@ -3,7 +3,6 @@ and the closed-form inverse."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cmspaces.canonical import normalize
 from cmspaces.chart import (
@@ -16,7 +15,6 @@ from cmspaces.chart import (
     project_to_slice,
     random_chart_point,
     slice_residual,
-    split_border,
     to_chart,
     to_chart_tracked,
 )
@@ -42,19 +40,6 @@ HAND_B = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=complex)
 def _normal_pair(n, seed, tau=1.0):
     nf, _ = normalize(augment(random_point(n, 2, tau, seed)))
     return nf
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 2**31 - 1))
-def test_split_border_reassembles_exactly(size, seed):
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    col, row, rest = split_border(M)
-    assert np.array_equal(col + row + rest, M)
-    # the three supports are disjoint
-    assert np.abs(col[-1, :]).max() == 0.0 and np.abs(col[:, :-1]).max() == 0.0
-    assert np.abs(row[:, -1]).max() == 0.0 and np.abs(row[:-1, :]).max() == 0.0
-    assert np.abs(rest[:-1, -1]).max() == 0.0 and np.abs(rest[-1, :-1]).max() == 0.0
 
 
 def test_chart_point_packing_round_trip():

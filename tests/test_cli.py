@@ -111,6 +111,37 @@ def test_verify_rejects_nonpositive_trials(capsys, monkeypatch, suite):
     assert out == "" and "--trials" in err
 
 
+@pytest.mark.parametrize("suites, sizes, passed, skipped", [
+    ("chart", "9", 2, 4),
+    ("sl2,flowcalc", "7", 8, 10),
+])
+def test_verify_skips_checks_without_samples(capsys, monkeypatch, suites, sizes,
+                                             passed, skipped):
+    # sizes above a check's range leave it nothing to measure; it used to pass
+    code, out, err = _run(capsys, monkeypatch,
+                          ["verify", "--suite", suites, "--n", sizes])
+    assert code == EXIT_OK
+    summary = json.loads(out)["summary"]
+    assert (summary["passed"], summary["skipped"]) == (passed, skipped)
+    assert summary["total"] == passed + skipped
+    assert f"{passed}/{passed + skipped} passed" in err
+    assert err.count("SKIPPED ") == skipped
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_nonpositive_or_nan_tolerance_is_bad_input(capsys, monkeypatch, tol):
+    code, out, err = _run(capsys, monkeypatch, ["verify", "--suite", "canonical", "--tol", tol])
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "--tol" in err
+    _, quad_json, _ = _run(capsys, monkeypatch, ["gen", "--n", "2", "--seed", "3"])
+    code, out, err = _run(capsys, monkeypatch, ["chart", "--tol", tol], stdin_text=quad_json)
+    assert code == EXIT_BAD_INPUT
+    monkeypatch.setenv("CM_TOL", tol)
+    code, out, err = _run(capsys, monkeypatch, ["verify", "--suite", "linalg"])
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "CM_TOL" in err
+
+
 def test_invert_rejects_a_pair_payload(capsys, monkeypatch):
     code, quad_json, _ = _run(capsys, monkeypatch, ["gen", "--n", "2", "--seed", "6"])
     code, _, err = _run(capsys, monkeypatch, ["chart", "--invert"], stdin_text=quad_json)
@@ -154,7 +185,7 @@ def test_verify_maps_summaries_to_exit_codes(capsys, monkeypatch):
             "config": {},
             "records": [],
             "summary": {"total": 1, "passed": 1 - failed - errors,
-                        "failed": failed, "errors": errors},
+                        "failed": failed, "errors": errors, "skipped": 0},
         }
 
     monkeypatch.setattr("cmspaces.cli.run", lambda cfg: canned(1, 0))

@@ -19,7 +19,6 @@ from cmspaces.linalg import (
     min_gap,
     numeric_rank,
     solve,
-    trace_word,
 )
 
 
@@ -89,16 +88,6 @@ def test_commutator_is_trace_free(n, seed):
     B = _random_complex(rng, n, n)
     scale = max(1.0, frob(A) * frob(B))
     assert abs(np.trace(comm(A, B))) < 1e-12 * scale
-
-
-def test_trace_word_cyclic_invariance():
-    rng = np.random.default_rng(12)
-    mats = [_random_complex(rng, 3, 3) for _ in range(3)]
-    a = trace_word(mats)
-    b = trace_word(mats[1:] + mats[:1])
-    assert abs(a - b) < 1e-12 * max(1.0, abs(a))
-    with pytest.raises(ShapeMismatchError):
-        trace_word([])
 
 
 def test_match_to_reference_recovers_permutation():

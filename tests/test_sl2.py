@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmspaces.errors import RootFindingError, ShapeMismatchError, ZeroPairError
+from cmspaces.errors import ShapeMismatchError, ZeroPairError
 from cmspaces.linalg import frob
 from cmspaces.sl2 import (
     GEN_E,
@@ -19,8 +19,6 @@ from cmspaces.sl2 import (
     fixed_point_probe,
     independence_rank,
     numeric_field,
-    power_sums,
-    power_sums_to_eigs,
     random_sl2,
     sl2_exp,
     slice_tangency,
@@ -127,22 +125,6 @@ def test_probe_rejects_degenerate_input():
                        np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
     with pytest.raises(ZeroPairError):
         fixed_point_probe(z, 1.0)
-
-
-def test_power_sums_hand_case_and_round_trip():
-    M = np.diag([1.0, -1.0])
-    np.testing.assert_allclose(power_sums(M), [0.0, 2.0], atol=1e-15)
-    rng = np.random.default_rng(16)
-    vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    s = np.array([np.sum(vals**k) for k in range(1, 5)])
-    back = power_sums_to_eigs(s)
-    want = vals[np.lexsort((vals.imag, vals.real))]
-    np.testing.assert_allclose(back, want, atol=1e-8)
-
-
-def test_power_sums_to_eigs_rejects_nonfinite():
-    with pytest.raises(RootFindingError):
-        power_sums_to_eigs(np.array([np.nan, 1.0]))
 
 
 def test_lower_shear_field_matches_the_closed_form():
