@@ -26,7 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBlockError, DegenerateSpectrumError, ZeroRowEntryError
-from .linalg import DEFAULT_TOL, as_cmatrix, eig, frob, match_to_reference, min_gap, numeric_rank
+from .linalg import (
+    DEFAULT_TOL,
+    any_item,
+    as_cmatrix,
+    eig,
+    frob,
+    gather,
+    match_to_reference,
+    min_gap,
+    numeric_rank,
+    reorder,
+)
 from .variety import AugmentedPair, GaugeElement, split_blocks
 
 
@@ -34,9 +45,9 @@ def simple_gap(gap: float, M, tol: float) -> bool:
     """True when an eigenvalue gap of M exceeds tol * max(1, ||M||_F).
 
     The one statement of "simple spectrum" that every regularity test
-    compares its gap against.
+    compares its gap against.  Stacks of gaps and matrices give arrays.
     """
-    return gap > tol * max(1.0, frob(M))
+    return gap > tol * np.maximum(1.0, frob(M))
 
 
 def _eigenbasis_border(A, tol: float):
@@ -46,11 +57,12 @@ def _eigenbasis_border(A, tol: float):
     border column x' = g col, the border row y' = row ginv, and the
     threshold thr = tol * max(1, ||A||_F) at or below which a border entry
     counts as zero.  Raises DegenerateSpectrumError when the block
-    spectrum is not simple.
+    spectrum is not simple.  A may be a stack over leading axes.
     """
-    block, col, row, _ = split_blocks(A)
-    lam, g, ginv = eig(block, tol)
-    return lam, g, ginv, g @ col, row @ ginv, tol * max(1.0, frob(A))
+    lam, g, ginv = eig(A[..., :-1, :-1], tol)
+    x = (g @ A[..., :-1, -1:])[..., 0]
+    y = (A[..., -1:, :-1] @ ginv)[..., 0, :]
+    return lam, g, ginv, x, y, tol * np.maximum(1.0, frob(A))
 
 
 def conjugation_operator(M) -> np.ndarray:
@@ -143,7 +155,7 @@ def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityR
     block = split_blocks(p.A)[0]
     try:
         lam, _, _, x, y, thr = _eigenbasis_border(p.A, tol)
-        block_ok = simple_gap(min_gap(lam), block, tol)
+        block_ok = bool(simple_gap(min_gap(lam), block, tol))
     except DegenerateSpectrumError:
         lam, block_ok = np.linalg.eigvals(block), False
     block_gap = min_gap(lam)
@@ -155,12 +167,46 @@ def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityR
     full_gap = min_gap(np.linalg.eigvals(p.A))
     return RegularityReport(
         block_regular_semisimple=block_ok,
-        full_regular_semisimple=simple_gap(full_gap, p.A, tol),
+        full_regular_semisimple=bool(simple_gap(full_gap, p.A, tol)),
         gauge_regular=dim == p.n * p.n,
         eigenvector_condition=evec_ok,
         orbit_dim=dim,
         min_gap=float(min(block_gap, full_gap)),
     )
+
+
+def normal_form(A, B, tol: float = DEFAULT_TOL, lam_ref=None):
+    """Bordered normal form of the pairs (A, B), stacked over leading axes.
+
+    Returns (Ah, Bh, G): the conjugates of A and B by diag(G, 1), and the
+    basechange G itself, unchecked for singularity (GaugeElement checks
+    it).  See normalize for the contract; any failing item raises.
+    """
+    n = A.shape[-1] - 1
+    lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol)
+    if lam_ref is not None:
+        perm = match_to_reference(lam, lam_ref)
+        lam, g1, g1inv = reorder(lam, g1, g1inv, perm)
+        y = gather(y, perm, -1)
+    if any_item(np.abs(y).min(axis=-1) <= thr):
+        raise ZeroRowEntryError(
+            "a border-row entry vanishes on the eigenbasis; no unit-row form"
+        )
+    G = y[..., :, None] * g1
+    E = np.zeros_like(A)
+    E[..., :n, :n] = G
+    E[..., n, n] = 1.0
+    Ei = np.zeros_like(A)
+    Ei[..., :n, :n] = g1inv / y[..., None, :]
+    Ei[..., n, n] = 1.0
+    Ah = E @ A @ Ei
+    Bh = E @ B @ Ei
+    # snap the structural entries the conjugation guarantees
+    idx = np.arange(n)
+    Ah[..., :n, :n] = 0.0
+    Ah[..., idx, idx] = lam
+    Ah[..., n, :n] = 1.0
+    return Ah, Bh, G
 
 
 def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL, lam_ref=None):
@@ -176,23 +222,5 @@ def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL, lam_ref=None):
     Idempotent: a pair already in normal form comes back unchanged up to
     rounding, with gauge near the identity.
     """
-    n = p.n
-    lam, g1, g1inv, _, y, thr = _eigenbasis_border(p.A, tol)
-    if lam_ref is not None:
-        perm = match_to_reference(lam, lam_ref)
-        lam, g1, g1inv, y = lam[perm], g1[perm, :], g1inv[:, perm], y[perm]
-    if np.abs(y).min() <= thr:
-        raise ZeroRowEntryError(
-            "a border-row entry vanishes on the eigenbasis; no unit-row form"
-        )
-    gauge = GaugeElement(y[:, None] * g1)
-    E = gauge.embedded()
-    Ei = np.zeros_like(E)
-    Ei[:n, :n] = g1inv / y[None, :]
-    Ei[n, n] = 1.0
-    Ah = E @ p.A @ Ei
-    Bh = E @ p.B @ Ei
-    # snap the structural entries the conjugation guarantees
-    Ah[:n, :n] = np.diag(lam)
-    Ah[n, :n] = 1.0
-    return AugmentedPair(Ah, Bh, p.tau), gauge
+    Ah, Bh, G = normal_form(p.A, p.B, tol, lam_ref)
+    return AugmentedPair(Ah, Bh, p.tau), GaugeElement(G)

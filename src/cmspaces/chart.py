@@ -35,26 +35,55 @@ from .errors import (
     NotStronglySemisimpleError,
     ShapeMismatchError,
 )
-from .canonical import normalize, simple_gap
-from .linalg import DEFAULT_TOL, comm, eig, frob, match_to_reference, min_gap
+from .canonical import normal_form, simple_gap
+from .linalg import (
+    DEFAULT_TOL,
+    all_items,
+    any_item,
+    as_square_stack,
+    comm,
+    eig,
+    first_failure,
+    frob,
+    match_to_reference,
+    min_gap,
+    reorder,
+)
 from .variety import (
     AugmentedPair,
+    check_gauge,
+    commutator_level_deviation,
     level_shift,
-    on_level,
-    pair_scale,
+    matrix_pair_scale,
     spaced_points,
     split_blocks,
 )
+
+# Every kernel below works over the trailing axes of its arrays, so one
+# call evaluates a whole stack of points and a 2-d input stays 2-d.  The
+# public functions on ChartPoint and AugmentedPair go through the same
+# kernels with one point; every contract check is made per item, and the
+# first failing item raises.
 
 # ---------------------------------------------------------------------------
 # border projections
 
 
 def _embed_border_col(m: np.ndarray) -> np.ndarray:
-    n = m.size
-    out = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    out[:n, n] = m
+    n = m.shape[-1]
+    out = np.zeros(m.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
+    out[..., :n, n] = m
     return out
+
+
+def _unpack(V, n: int):
+    """(lam, lamhat, mu, muhat) of packed coordinates (..., 4n+2), checked finite."""
+    V = np.asarray(V, dtype=np.complex128)
+    if V.ndim == 0 or V.shape[-1] != 4 * n + 2:
+        raise ShapeMismatchError(f"expected {4 * n + 2} packed coordinates, got {np.shape(V)}")
+    if not np.isfinite(V).all():
+        raise ShapeMismatchError("chart coordinates contain non-finite entries")
+    return V[..., :n], V[..., n : 2 * n + 1], V[..., 2 * n + 1 : 3 * n + 1], V[..., 3 * n + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +130,7 @@ class ChartPoint:
 
     @classmethod
     def from_vector(cls, vec, n: int, tau: complex) -> "ChartPoint":
-        v = np.asarray(vec, dtype=np.complex128).ravel()
-        if v.size != 4 * n + 2:
-            raise ShapeMismatchError(f"expected {4 * n + 2} packed coordinates, got {v.size}")
-        return cls(v[:n], v[n : 2 * n + 1], v[2 * n + 1 : 3 * n + 1], v[3 * n + 1 :], tau)
+        return cls(*_unpack(np.ravel(vec), n), tau)
 
 
 @dataclass(frozen=True)
@@ -131,12 +157,17 @@ class Decomposition:
 # reading coordinates off a pair
 
 
+def _normal_form_test(A, tol: float):
+    n = A.shape[-1] - 1
+    scale = np.maximum(1.0, frob(A))
+    off = A[..., :n, :n].copy()
+    off[..., np.arange(n), np.arange(n)] = 0.0
+    return (frob(off) <= tol * scale) & (np.abs(A[..., n, :n] - 1.0).max(axis=-1) <= tol * scale)
+
+
 def is_normal_form(p: AugmentedPair, tol: float = DEFAULT_TOL) -> bool:
     """Diagonal block and unit border row, within tol * max(1, ||M||)."""
-    block, _, row, _ = split_blocks(p.A)
-    scale = max(1.0, frob(p.A))
-    off = block - np.diag(np.diag(block))
-    return frob(off) <= tol * scale and np.abs(row - 1.0).max() <= tol * scale
+    return bool(_normal_form_test(p.A, tol))
 
 
 def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> Decomposition:
@@ -157,42 +188,72 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     gap is the one linalg.eig already tests.  Either gap failing raises
     NotStronglySemisimpleError.
     """
-    n = p.n
-    if not is_normal_form(p, max(tol, 1e-12)):
+    return _decompose(p.A, p.B, p.tau, tol, lamhat_ref)
+
+
+def _decompose(A, B, tau, tol: float, lamhat_ref=None) -> Decomposition:
+    """decompose for the pairs (A, B) stacked over leading axes."""
+    n = A.shape[-1] - 1
+    if not all_items(_normal_form_test(A, max(tol, 1e-12))):
         raise NotNormalizedError("pair is not in bordered normal form")
-    block = split_blocks(p.A)[0]
-    block_gap = min_gap(np.diag(block))
-    if not simple_gap(block_gap, block, tol):
-        raise NotStronglySemisimpleError(f"block spectrum not simple: gap {block_gap:.3e}")
+    idx = np.arange(n)
+    block = A[..., :n, :n]
+    block_gap = min_gap(block[..., idx, idx])
+    bad = ~simple_gap(block_gap, block, tol)
+    if any_item(bad):
+        raise NotStronglySemisimpleError(
+            f"block spectrum not simple: gap {first_failure(block_gap, bad):.3e}")
     try:
-        lamhat, g, ginv = eig(p.A, tol)
+        lamhat, g, ginv = eig(A, tol)
     except DegenerateSpectrumError as exc:
         raise NotStronglySemisimpleError(f"full spectrum not simple: {exc}") from exc
-    if not on_level(p, max(tol, 1e-12) * 1e3):
+    K = comm(A, B)
+    scale = matrix_pair_scale(A, B)
+    if not all_items(commutator_level_deviation(K, tau) <= max(tol, 1e-12) * 1e3 * scale):
         raise LevelConditionError("pair commutator leaves the shifted border space")
 
-    K = comm(p.A, p.B)
-    mu = K[n, :n].copy()
-    N1 = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    N1[np.arange(n), np.arange(n)] = mu
-    N2 = p.B - N1
+    mu = K[..., n, :n].copy()
+    N1 = np.zeros_like(A)
+    N1[..., idx, idx] = mu
+    N2 = B - N1
 
-    K2 = comm(p.A, N2)
-    defect = K2[:n, n].copy()
-    resid = frob(K2 - level_shift(n, p.tau) - _embed_border_col(defect))
-    if resid > 1e-9 * pair_scale(p):
+    K2 = comm(A, N2)
+    defect = K2[..., :n, n].copy()
+    resid = frob(K2 - level_shift(n, tau) - _embed_border_col(defect))
+    bad = resid > 1e-9 * scale
+    if any_item(bad):
         raise LevelConditionError(
-            f"split residual {resid:.3e} exceeds contract at scale {pair_scale(p):.3e}"
+            f"split residual {first_failure(resid, bad):.3e} exceeds contract "
+            f"at scale {first_failure(scale, bad):.3e}"
         )
 
     if lamhat_ref is not None:
-        perm = match_to_reference(lamhat, lamhat_ref)
-        lamhat, g, ginv = lamhat[perm], g[perm, :], ginv[:, perm]
-    conj = g @ N2 @ ginv
-    muhat = np.diag(conj).copy()
-    S = conj - np.diag(muhat)
+        lamhat, g, ginv = reorder(lamhat, g, ginv, match_to_reference(lamhat, lamhat_ref))
+    S = g @ N2 @ ginv
+    full = np.arange(n + 1)
+    muhat = S[..., full, full]
+    S[..., full, full] = 0.0
     return Decomposition(mu=mu, muhat=muhat, lamhat=lamhat, defect=defect,
                          g=g, N1=N1, N2=N2, S=S)
+
+
+def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
+                   ref: ChartPoint | None = None) -> np.ndarray:
+    """Packed chart coordinates (..., 4n+2) of the pairs (A, B) stacked over leading axes.
+
+    to_chart without ref, to_chart_tracked with it.  Without ref the
+    pairs are normalized unless every one is in normal form already.
+    """
+    A, B = as_square_stack(A), as_square_stack(B)
+    if A.shape != B.shape or A.shape[-1] < 2:
+        raise ShapeMismatchError(f"pair shapes {A.shape}, {B.shape} differ or are below 2 x 2")
+    n = A.shape[-1] - 1
+    if ref is not None or not all_items(_normal_form_test(A, max(tol, 1e-12))):
+        A, B, gauge = normal_form(A, B, tol, None if ref is None else ref.lam)
+        check_gauge(gauge)
+    d = _decompose(A, B, tau, tol, None if ref is None else ref.lamhat)
+    lam = A[..., np.arange(n), np.arange(n)]
+    return np.concatenate([lam, d.lamhat, d.mu, d.muhat], axis=-1)
 
 
 def to_chart(p: AugmentedPair, tol: float = DEFAULT_TOL) -> ChartPoint:
@@ -201,11 +262,7 @@ def to_chart(p: AugmentedPair, tol: float = DEFAULT_TOL) -> ChartPoint:
     Both spectra come out in the package ordering; mu follows the ordering
     of lam and muhat the ordering of lamhat.
     """
-    if not is_normal_form(p, max(tol, 1e-12)):
-        p, _ = normalize(p, tol)
-    lam = np.diag(split_blocks(p.A)[0]).copy()
-    d = decompose(p, tol)
-    return ChartPoint(lam, d.lamhat, d.mu, d.muhat, p.tau)
+    return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol), p.n, p.tau)
 
 
 def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL) -> ChartPoint:
@@ -216,10 +273,7 @@ def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL
     single analytic branch.  Raises BranchAmbiguityError when matching is
     not injective at the reference gaps.
     """
-    p, _ = normalize(p, tol, lam_ref=ref.lam)
-    lam = np.diag(split_blocks(p.A)[0]).copy()
-    d = decompose(p, tol, lamhat_ref=ref.lamhat)
-    return ChartPoint(lam, d.lamhat, d.mu, d.muhat, p.tau)
+    return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol, ref), p.n, p.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -228,60 +282,86 @@ def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL
 
 def _border_column(lam: np.ndarray, lamhat: np.ndarray) -> np.ndarray:
     """x_i = -prod_j (lam_i - lamhat_j) / prod_{l != i} (lam_i - lam_l)."""
-    num = np.prod(lam[:, None] - lamhat[None, :], axis=1)
-    diffs = lam[:, None] - lam[None, :]
+    num = np.prod(lam[..., :, None] - lamhat[..., None, :], axis=-1)
+    diffs = lam[..., :, None] - lam[..., None, :]
     # a unit factor in place of l = i leaves each product bit-identical
-    np.fill_diagonal(diffs, 1.0)
-    return -num / np.prod(diffs, axis=1)
+    n = lam.shape[-1]
+    diffs[..., np.arange(n), np.arange(n)] = 1.0
+    return -num / np.prod(diffs, axis=-1)
 
 
-def _chart_frame(c: ChartPoint, tol: float):
+def _solve_defect(K, b, tol: float):
+    """Least-squares solution m of K m = b, from the one SVD the rank test takes.
+
+    K is (n+1) x n per item.  Raises DefectSystemError when K has rank
+    below n or the residual is out of contract.
+    """
+    n = K.shape[-1]
+    U, s, Vh = np.linalg.svd(K, full_matrices=False)
+    if any_item(np.count_nonzero(s > 1e-9 * s[..., :1], axis=-1) < n):
+        raise DefectSystemError("defect system is rank deficient")
+    coef = (np.conj(np.swapaxes(U, -1, -2)) @ b[..., None])[..., 0] / s
+    m = (np.conj(np.swapaxes(Vh, -1, -2)) @ coef[..., None])[..., 0]
+    resid = np.linalg.norm((K @ m[..., None])[..., 0] - b, axis=-1)
+    bad = resid > max(tol, 1e-12) * 1e3 * np.maximum(1.0, np.linalg.norm(b, axis=-1))
+    if any_item(bad):
+        raise DefectSystemError(
+            f"defect system inconsistent, residual {first_failure(resid, bad):.3e}")
+    return m
+
+
+def _chart_frame(lam, lamhat, tau: complex, tol: float):
     """First matrix, matched diagonalizer and spectral data shared by the inverse maps.
 
     Returns (Ah, g, ginv, defect, S).  The defect solves the diagonal
     system diag(g (shift + border_col(defect)) g^-1) = 0 by least squares;
     S is the off-diagonal quotient by the lamhat gaps.
     """
-    n = c.n
-    scale = max(1.0, float(np.abs(c.lamhat).max()))
-    if min_gap(c.lam) <= tol * scale or min_gap(c.lamhat) <= tol * scale:
+    n = lam.shape[-1]
+    scale = np.maximum(1.0, np.abs(lamhat).max(axis=-1))
+    if any_item((min_gap(lam) <= tol * scale) | (min_gap(lamhat) <= tol * scale)):
         raise DegenerateSpectrumError("chart coordinates need simple spectra")
 
-    corner = np.sum(c.lamhat) - np.sum(c.lam)
-    x = _border_column(c.lam, c.lamhat)
-    Ah = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    Ah[np.arange(n), np.arange(n)] = c.lam
-    Ah[:n, n] = x
-    Ah[n, :n] = 1.0
-    Ah[n, n] = corner
+    idx = np.arange(n)
+    Ah = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
+    Ah[..., idx, idx] = lam
+    Ah[..., :n, n] = _border_column(lam, lamhat)
+    Ah[..., n, :n] = 1.0
+    Ah[..., n, n] = np.sum(lamhat, axis=-1) - np.sum(lam, axis=-1)
 
-    vals, g0, ginv0 = eig(Ah, tol)
-    perm = match_to_reference(vals, c.lamhat)
-    dev = float(np.abs(vals[perm] - c.lamhat).max())
-    if dev > 1e3 * tol * scale:
+    vals, g, ginv = eig(Ah, tol)
+    vals, g, ginv = reorder(vals, g, ginv, match_to_reference(vals, lamhat))
+    dev = np.abs(vals - lamhat).max(axis=-1)
+    bad = dev > 1e3 * tol * scale
+    if any_item(bad):
         raise EigenMismatchError(
-            f"reconstructed spectrum deviates from lamhat by {dev:.3e}"
+            f"reconstructed spectrum deviates from lamhat by {first_failure(dev, bad):.3e}"
         )
-    g, ginv = g0[perm, :], ginv0[:, perm]
 
-    shift = level_shift(n, c.tau)
+    shift = level_shift(n, tau)
     # diagonal of g (shift + border_col(m)) g^-1 must vanish; linear in m
-    K = g[:, :n] * ginv[n, :][:, None]          # K[j, i] = g[j, i] * ginv[n, j]
-    b = -np.diag(g @ shift @ ginv)
-    m, *_ = np.linalg.lstsq(K, b, rcond=None)
-    resid = float(np.linalg.norm(K @ m - b))
-    sing = np.linalg.svd(K, compute_uv=False)
-    if sing[0] == 0 or np.count_nonzero(sing > 1e-9 * sing[0]) < n:
-        raise DefectSystemError("defect system is rank deficient")
-    if resid > max(tol, 1e-12) * 1e3 * max(1.0, float(np.linalg.norm(b))):
-        raise DefectSystemError(f"defect system inconsistent, residual {resid:.3e}")
+    K = g[..., :, :n] * ginv[..., n, :, None]   # K[j, i] = g[j, i] * ginv[n, j]
+    b = -np.diagonal(g @ shift @ ginv, axis1=-2, axis2=-1)
+    m = _solve_defect(K, b, tol)
 
     R = g @ (shift + _embed_border_col(m)) @ ginv
-    gaps = c.lamhat[:, None] - c.lamhat[None, :]
-    np.fill_diagonal(gaps, 1.0)
+    full = np.arange(n + 1)
+    gaps = lamhat[..., :, None] - lamhat[..., None, :]
+    gaps[..., full, full] = 1.0
     S = R / gaps
-    np.fill_diagonal(S, 0.0)
+    S[..., full, full] = 0.0
     return Ah, g, ginv, m, S
+
+
+def from_chart_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL):
+    """from_chart for packed coordinates V of shape (..., 4n+2); returns the matrices (A, B)."""
+    lam, lamhat, mu, muhat = _unpack(V, n)
+    Ah, g, ginv, _, S = _chart_frame(lam, lamhat, tau, tol)
+    full = np.arange(n + 1)
+    S[..., full, full] = muhat          # S is off-diagonal: this is diag(muhat) + S
+    Bh = ginv @ S @ g
+    Bh[..., full[:n], full[:n]] += mu
+    return Ah, Bh
 
 
 def from_chart(c: ChartPoint, tol: float = DEFAULT_TOL) -> AugmentedPair:
@@ -291,12 +371,8 @@ def from_chart(c: ChartPoint, tol: float = DEFAULT_TOL) -> AugmentedPair:
     its full spectrum is lamhat (in the given order, which need not be
     sorted), and to_chart inverts it up to the package eigenvalue ordering.
     """
-    n = c.n
-    Ah, g, ginv, _, S = _chart_frame(c, tol)
-    N2 = ginv @ (np.diag(c.muhat) + S) @ g
-    Bh = N2.copy()
-    Bh[np.arange(n), np.arange(n)] += c.mu
-    return AugmentedPair(Ah, Bh, c.tau)
+    A, B = from_chart_stack(c.vector(), c.n, c.tau, tol)
+    return AugmentedPair(A, B, c.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +397,7 @@ def project_to_slice(c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartPoint:
     kappa . muhat + s0 = 0.  lam, lamhat, mu are untouched.
     """
     n = c.n
-    _, g, ginv, _, S = _chart_frame(c, tol)
+    _, g, ginv, _, S = _chart_frame(c.lam, c.lamhat, c.tau, tol)
     kappa = ginv[n, :] * g[:, n]
     s0 = complex((ginv @ S @ g)[n, n])
     nrm2 = float(np.linalg.norm(kappa) ** 2)
@@ -355,7 +431,7 @@ def random_chart_point(n: int, tau: complex, seed: int) -> ChartPoint:
 
 
 def _central_difference(f, step: float) -> np.ndarray:
-    """(f(step) - f(-step)) / (2 step), the quotient every numeric derivative uses."""
+    """(f(step) - f(-step)) / (2 step), the quotient of the numeric field derivatives."""
     return (f(step) - f(-step)) / (2.0 * step)
 
 
@@ -364,17 +440,12 @@ def chart_jacobian(c: ChartPoint, tol: float = DEFAULT_TOL, step: float = 1e-6) 
 
     Tracked coordinates keep one analytic branch, so on the chart domain
     this is numerically the identity and its rank certifies the coordinate
-    count 4 n + 2.
+    count 4 n + 2.  All 2 (4 n + 2) perturbed points go through the
+    chart as one stack.
     """
     base = c.vector()
     dim = base.size
-    J = np.empty((dim, dim), dtype=np.complex128)
-    for idx in range(dim):
-        def coords(s: float) -> np.ndarray:
-            v = base.copy()
-            v[idx] += s
-            moved = ChartPoint.from_vector(v, c.n, c.tau)
-            return to_chart_tracked(from_chart(moved, tol), c, tol).vector()
-
-        J[:, idx] = _central_difference(coords, step)
-    return J
+    steps = step * np.eye(dim)
+    A, B = from_chart_stack(np.concatenate([base + steps, base - steps]), c.n, c.tau, tol)
+    back = to_chart_stack(A, B, c.tau, tol, ref=c)
+    return ((back[:dim] - back[dim:]) / (2.0 * step)).T

@@ -15,6 +15,7 @@ variable CM_TOL overrides the default tolerance when --tol is absent.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -44,15 +45,17 @@ EXIT_NUMERICAL = 3
 
 
 def _parse_tau(text: str) -> complex:
+    """Parse 're' or 're,im' into a finite, nonzero level parameter."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        tau = complex(*map(float, parts)) if len(parts) <= 2 else None
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"tau must be 're' or 're,im', got {text!r}")
+        tau = None
+    if tau is None:
+        raise argparse.ArgumentTypeError(f"tau must be 're' or 're,im', got {text!r}")
+    if not (cmath.isfinite(tau) and tau != 0):
+        raise argparse.ArgumentTypeError(f"tau must be finite and nonzero, got {text!r}")
+    return tau
 
 
 def _parse_n_range(text: str) -> tuple:
@@ -234,9 +237,10 @@ def cmd_verify(args) -> int:
             print(f"  SKIPPED {rec['name']}: no sample in the requested sizes",
                   file=sys.stderr)
         elif rec["status"] != "pass":
+            residual = "n/a" if rec["residual"] is None else f"{rec['residual']:.3e}"
             print(
                 f"  {rec['status'].upper()} {rec['name']}: residual "
-                f"{rec['residual']:.3e} vs threshold {rec['threshold']:.3e}",
+                f"{residual} vs threshold {rec['threshold']:.3e}",
                 file=sys.stderr,
             )
     if summary["errors"]:

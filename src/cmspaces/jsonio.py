@@ -3,7 +3,9 @@
 Complex scalars encode as [re, im] pairs, complex matrices as nested
 lists of those pairs.  Composite objects carry a "kind" tag so decode
 can dispatch without guessing.  Dumps sort keys and use a fixed
-separator, so equal objects serialize to identical bytes.
+separator, so equal objects serialize to identical bytes, and write
+strict JSON: a non-finite float raises ValueError instead of printing as
+NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def decode(data: dict):
 
 def dumps(obj) -> str:
     data = obj if isinstance(obj, dict) else encode(obj)
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def loads(text: str):

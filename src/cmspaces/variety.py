@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, as_cmatrix, comm, frob
+from .linalg import DEFAULT_TOL, any_item, as_cmatrix, comm, frob
 
 # ---------------------------------------------------------------------------
 # core containers
@@ -122,9 +122,7 @@ class GaugeElement:
 
     def __post_init__(self):
         g = as_cmatrix(self.g, square=True)
-        s = np.linalg.svd(g, compute_uv=False)
-        if s[-1] <= 1e-12 * max(1.0, s[0]):
-            raise SingularMatrixError("gauge element is numerically singular")
+        check_gauge(g)
         object.__setattr__(self, "g", g)
 
     @property
@@ -140,6 +138,17 @@ class GaugeElement:
         E[:n, :n] = self.g
         E[n, n] = 1.0
         return E
+
+
+def check_gauge(g) -> None:
+    """Raise SingularMatrixError unless every basechange in the stack g is invertible.
+
+    The test GaugeElement applies: smallest singular value above 1e-12
+    times max(1, largest).
+    """
+    s = np.linalg.svd(g, compute_uv=False)
+    if any_item(s[..., -1] <= 1e-12 * np.maximum(1.0, s[..., 0])):
+        raise SingularMatrixError("gauge element is numerically singular")
 
 
 def split_blocks(M):
@@ -261,13 +270,12 @@ def pair_moment(p: AugmentedPair) -> np.ndarray:
 
 
 def pair_scale(p: AugmentedPair) -> float:
-    return max(1.0, frob(p.A) * frob(p.B))
+    return matrix_pair_scale(p.A, p.B)
 
 
-def level_defect(p: AugmentedPair, tau: complex | None = None) -> np.ndarray:
-    """[A, B] minus the level shift; zero outside the open border on shell."""
-    t = p.tau if tau is None else tau
-    return comm(p.A, p.B) - level_shift(p.n, t)
+def matrix_pair_scale(A, B):
+    """max(1, ||A||_F ||B||_F), over the trailing axes of stacked matrices."""
+    return np.maximum(1.0, frob(A) * frob(B))
 
 
 def level_deviation(p: AugmentedPair, tau: complex | None = None) -> float:
@@ -277,14 +285,19 @@ def level_deviation(p: AugmentedPair, tau: complex | None = None) -> float:
     column and border row only; returns the larger of the block norm and
     the corner magnitude of what remains.
     """
-    D = level_defect(p, tau)
-    n = p.n
-    return max(frob(D[:n, :n]), abs(D[n, n]))
+    return commutator_level_deviation(comm(p.A, p.B), p.tau if tau is None else tau)
+
+
+def commutator_level_deviation(K, tau: complex):
+    """level_deviation from the pair commutator K = [A, B], over stacked trailing axes."""
+    n = K.shape[-1] - 1
+    D = K - level_shift(n, tau)
+    return np.maximum(frob(D[..., :n, :n]), np.abs(D[..., n, n]))
 
 
 def on_level(p: AugmentedPair, tol: float = DEFAULT_TOL, tau: complex | None = None) -> bool:
     """True when the pair commutator sits in the shifted border space."""
-    return level_deviation(p, tau) <= tol * pair_scale(p)
+    return bool(level_deviation(p, tau) <= tol * pair_scale(p))
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,19 @@ the scale stated in its note, and passes iff residual <= threshold.  Checks
 that must EXCEED a floor are phrased as margins (residual = floor - observed,
 threshold 0) so the pass rule stays uniform.  A check that sweeps the
 requested sizes counts its samples; with none in its range it is recorded
-as "skipped", never as a pass.  A check that raises is recorded
-with status "error" and the failing operation named; callers map that to a
-distinct exit code.  Records sort by name before emission and reports are
-deterministic for a fixed config (runtime_ms aside).
+as "skipped", with no residual, never as a pass.  Each check runs on its
+own: one that raises a package error is recorded with status "error", no
+residual, and the exception and seed in its note, and the other checks of
+its suite still run; callers map that to a distinct exit code.  Records
+sort by name before emission and reports are deterministic for a fixed
+config (runtime_ms aside).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cache, partial
 from time import perf_counter
 
 import numpy as np
@@ -25,8 +28,9 @@ from .chart import (
     chart_jacobian,
     decompose,
     from_chart,
+    from_chart_stack,
     random_chart_point,
-    to_chart,
+    to_chart_stack,
 )
 from .errors import CMSpacesError
 from .flowcalc import (
@@ -116,7 +120,7 @@ class CheckRecord:
     name: str
     law: str
     status: str
-    residual: float
+    residual: float | None  # None when nothing was measured
     threshold: float
     runtime_ms: float
     note: str = ""
@@ -150,17 +154,27 @@ def _trials(cfg: RunConfig, pinned: int) -> int:
 def _finish(name: str, law: str, residual: float, threshold: float,
             t0: float, note: str = "", samples: int | None = None) -> CheckRecord:
     if samples == 0:
-        status, note = "skipped", "no sample: no requested size is in range; " + note
+        status, residual = "skipped", None
+        note = "no sample: no requested size is in range; " + note
     else:
-        status = "pass" if residual <= threshold else "fail"
-    return CheckRecord(name, law, status, float(residual), float(threshold),
+        status, residual = ("pass" if residual <= threshold else "fail"), float(residual)
+    return CheckRecord(name, law, status, residual, float(threshold),
                        (perf_counter() - t0) * 1000.0, note)
+
+
+def _emits(*names):
+    """Declare the record names a check returns; run() names its error records after them."""
+    def mark(check):
+        check.records = names
+        return check
+    return mark
 
 
 # ---------------------------------------------------------------------------
 # linalg
 
 
+@_emits("linalg.eig_reassembly")
 def _check_eig_reassembly(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -175,6 +189,7 @@ def _check_eig_reassembly(cfg: RunConfig) -> CheckRecord:
                    worst, 1e-12, t0, "relative to max(1, ||M||)")
 
 
+@_emits("linalg.solve_residual")
 def _check_solve(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -189,6 +204,7 @@ def _check_solve(cfg: RunConfig) -> CheckRecord:
                    worst, 1e-12, t0, "relative to ||b||")
 
 
+@_emits("linalg.match_permutation")
 def _check_matching(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     mismatches = 0
@@ -205,13 +221,14 @@ def _check_matching(cfg: RunConfig) -> CheckRecord:
 
 
 def _suite_linalg(cfg: RunConfig) -> list:
-    return [_check_eig_reassembly(cfg), _check_solve(cfg), _check_matching(cfg)]
+    return [_check_eig_reassembly, _check_solve, _check_matching]
 
 
 # ---------------------------------------------------------------------------
 # variety
 
 
+@_emits("variety.level_condition")
 def _check_level_condition(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -227,6 +244,7 @@ def _check_level_condition(cfg: RunConfig) -> CheckRecord:
                    samples=len(ns) * len(cfg.k_values) * trials)
 
 
+@_emits("variety.block_identity")
 def _check_block_identity(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -239,6 +257,7 @@ def _check_block_identity(cfg: RunConfig) -> CheckRecord:
                    worst, 1e-12, t0, "relative to max(1, ||A|| ||B||)")
 
 
+@_emits("variety.augment_project_roundtrip")
 def _check_augment_roundtrip(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -257,6 +276,7 @@ def _check_augment_roundtrip(cfg: RunConfig) -> CheckRecord:
                    worst, 0.0, t0, "bitwise round trip")
 
 
+@_emits("variety.fingerprint_gauge_invariance")
 def _check_fingerprint_invariance(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -273,10 +293,10 @@ def _check_fingerprint_invariance(cfg: RunConfig) -> CheckRecord:
 
 def _suite_variety(cfg: RunConfig) -> list:
     return [
-        _check_level_condition(cfg),
-        _check_block_identity(cfg),
-        _check_augment_roundtrip(cfg),
-        _check_fingerprint_invariance(cfg),
+        _check_level_condition,
+        _check_block_identity,
+        _check_augment_roundtrip,
+        _check_fingerprint_invariance,
     ]
 
 
@@ -291,6 +311,7 @@ def _normalized_point(cfg: RunConfig, n: int, tag: str, i: int):
     return p, nf, g
 
 
+@_emits("canonical.normal_form_shape")
 def _check_normal_form_shape(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -308,6 +329,7 @@ def _check_normal_form_shape(cfg: RunConfig) -> CheckRecord:
                    worst, 0.0, t0, "exact after snapping")
 
 
+@_emits("canonical.normalize_gauge_equivalence")
 def _check_normalize_equivalence(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -321,6 +343,7 @@ def _check_normalize_equivalence(cfg: RunConfig) -> CheckRecord:
                    worst, 1e-8, t0, "relative trace-word deviation")
 
 
+@_emits("canonical.orbit_rank_regular")
 def _check_orbit_rank(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     deficiency = 0
@@ -333,6 +356,7 @@ def _check_orbit_rank(cfg: RunConfig) -> CheckRecord:
                    float(deficiency), 0.0, t0, "deviation from n^2")
 
 
+@_emits("canonical.normalize_idempotent")
 def _check_normalize_idempotent(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -347,10 +371,10 @@ def _check_normalize_idempotent(cfg: RunConfig) -> CheckRecord:
 
 def _suite_canonical(cfg: RunConfig) -> list:
     return [
-        _check_normal_form_shape(cfg),
-        _check_normalize_equivalence(cfg),
-        _check_orbit_rank(cfg),
-        _check_normalize_idempotent(cfg),
+        _check_normal_form_shape,
+        _check_normalize_equivalence,
+        _check_orbit_rank,
+        _check_normalize_idempotent,
     ]
 
 
@@ -358,6 +382,7 @@ def _suite_canonical(cfg: RunConfig) -> list:
 # chart
 
 
+@_emits("chart.splitting_hand_case")
 def _check_hand_case(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -375,6 +400,7 @@ def _check_hand_case(cfg: RunConfig) -> CheckRecord:
                    resid, 1e-12, t0, "absolute deviation from hand values")
 
 
+@_emits("chart.splitting_constraints")
 def _check_splitting_constraints(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -394,6 +420,7 @@ def _check_splitting_constraints(cfg: RunConfig) -> CheckRecord:
                    worst, 1e-9, t0, "relative to max(1, ||A|| ||B||)")
 
 
+@_emits("chart.gap_term_spectral_only")
 def _check_gap_term_invariance(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -416,38 +443,43 @@ def _check_gap_term_invariance(cfg: RunConfig) -> CheckRecord:
                    samples=20 * len(ns))
 
 
+@_emits("chart.round_trip_coordinates")
 def _check_round_trip_coordinates(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
-        for i in range(trials):
-            c = random_chart_point(n, cfg.tau, _seed(cfg, f"rtc{n}", i))
-            back = to_chart(from_chart(c, cfg.tol), cfg.tol)
-            dev = np.abs(back.vector() - c.vector()).max()
-            worst = max(worst, float(dev / max(1.0, np.abs(c.vector()).max())))
+        coords = np.array([random_chart_point(n, cfg.tau, _seed(cfg, f"rtc{n}", i)).vector()
+                           for i in range(trials)])
+        back = to_chart_stack(*from_chart_stack(coords, n, cfg.tau, cfg.tol), cfg.tau, cfg.tol)
+        dev = np.abs(back - coords).max(axis=-1) / np.maximum(1.0, np.abs(coords).max(axis=-1))
+        worst = max(worst, float(dev.max()))
     return _finish("chart.round_trip_coordinates", "chart-inverse-composition-identity",
                    worst, 1e-8, t0, "relative to max(1, |coords|)", samples=len(ns) * trials)
 
 
+@_emits("chart.round_trip_pair")
 def _check_round_trip_pair(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
-        for i in range(trials):
-            r = random_point(n, 2, cfg.tau, _seed(cfg, f"rtp{n}", i))
-            p, _ = normalize(augment(r), cfg.tol)
-            q = from_chart(to_chart(p, cfg.tol), cfg.tol)
+        pairs = [normalize(augment(random_point(n, 2, cfg.tau, _seed(cfg, f"rtp{n}", i))),
+                           cfg.tol)[0] for i in range(trials)]
+        A = np.array([p.A for p in pairs])
+        B = np.array([p.B for p in pairs])
+        coords = to_chart_stack(A, B, cfg.tau, cfg.tol)
+        for p, qA, qB in zip(pairs, *from_chart_stack(coords, n, cfg.tau, cfg.tol)):
             fp0 = pair_fingerprint(p)
-            fp1 = pair_fingerprint(q)
+            fp1 = pair_fingerprint(AugmentedPair(qA, qB, cfg.tau))
             worst = max(worst, float(np.abs(fp1 - fp0).max() / max(1.0, np.abs(fp0).max())))
     return _finish("chart.round_trip_pair", "rebuilt-pair-on-same-orbit",
                    worst, 1e-8, t0, "relative trace-word deviation", samples=len(ns) * trials)
 
 
+@_emits("chart.jacobian_rank")
 def _check_jacobian_rank(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     deficiency = 0
@@ -464,12 +496,12 @@ def _check_jacobian_rank(cfg: RunConfig) -> CheckRecord:
 
 def _suite_chart(cfg: RunConfig) -> list:
     return [
-        _check_hand_case(cfg),
-        _check_splitting_constraints(cfg),
-        _check_gap_term_invariance(cfg),
-        _check_round_trip_coordinates(cfg),
-        _check_round_trip_pair(cfg),
-        _check_jacobian_rank(cfg),
+        _check_hand_case,
+        _check_splitting_constraints,
+        _check_gap_term_invariance,
+        _check_round_trip_coordinates,
+        _check_round_trip_pair,
+        _check_jacobian_rank,
     ]
 
 
@@ -477,6 +509,7 @@ def _suite_chart(cfg: RunConfig) -> list:
 # sl2
 
 
+@_emits("sl2.equivariance_exact")
 def _check_equivariance(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -495,6 +528,7 @@ def _check_equivariance(cfg: RunConfig) -> CheckRecord:
                    worst, 0.0, t0, "bitwise agreement of the two routes")
 
 
+@_emits("sl2.moment_preservation")
 def _check_moment_preservation(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -509,6 +543,7 @@ def _check_moment_preservation(cfg: RunConfig) -> CheckRecord:
                    worst, 1e-10, t0, "relative to max(1, ||A|| ||B||)")
 
 
+@_emits("sl2.determinant_control_margin")
 def _check_negative_control(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     bad = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
@@ -523,6 +558,7 @@ def _check_negative_control(cfg: RunConfig) -> CheckRecord:
                    "margin: smallest residual must exceed 1e-3; negative passes")
 
 
+@_emits("sl2.scaling_probe_margin")
 def _check_scaling_probe(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     smallest = np.inf
@@ -548,8 +584,10 @@ def _independence_points(cfg: RunConfig) -> dict:
     return points
 
 
-def _check_independence(cfg: RunConfig, points: dict) -> list:
+@_emits("sl2.independence_rank", "sl2.independence_ratio_margin")
+def _check_independence(cfg: RunConfig, find_points) -> list:
     t0 = perf_counter()
+    points = find_points()
     deficiency = 0
     min_ratio = np.inf
     for c in points.values():
@@ -559,13 +597,15 @@ def _check_independence(cfg: RunConfig, points: dict) -> list:
     rec1 = _finish("sl2.independence_rank", "three-fields-independent",
                    float(deficiency), 0.0, t0, "rank deficiency below 3", samples=len(points))
     rec2 = _finish("sl2.independence_ratio_margin", "three-fields-independent",
-                   1e-6 - min_ratio, 0.0, t0,
+                   1e-6 - min_ratio, 0.0, perf_counter(),
                    "margin: smallest/largest singular value must exceed 1e-6", samples=len(points))
     return [rec1, rec2]
 
 
-def _check_lower_shear_match(cfg: RunConfig, points: dict) -> list:
+@_emits("sl2.lower_shear_field_match", "sl2.lower_shear_invariance")
+def _check_lower_shear_match(cfg: RunConfig, find_points) -> list:
     t0 = perf_counter()
+    points = find_points()
     worst_full = 0.0
     worst_frozen = 0.0
     for c in points.values():
@@ -585,12 +625,15 @@ def _check_lower_shear_match(cfg: RunConfig, points: dict) -> list:
     rec1 = _finish("sl2.lower_shear_field_match", "shear-field-closed-form",
                    worst_full, 1e-6, t0, "relative to max(1, |spectrum|)", samples=len(points))
     rec2 = _finish("sl2.lower_shear_invariance", "shear-fixes-spectra-and-row-moments",
-                   worst_frozen, 1e-7, t0, "relative to max(1, |spectrum|)", samples=len(points))
+                   worst_frozen, 1e-7, perf_counter(), "relative to max(1, |spectrum|)",
+                   samples=len(points))
     return [rec1, rec2]
 
 
-def _check_trace_components(cfg: RunConfig, points: dict) -> CheckRecord:
+@_emits("sl2.trace_component_match")
+def _check_trace_components(cfg: RunConfig, find_points) -> CheckRecord:
     t0 = perf_counter()
+    points = find_points()
     worst = 0.0
     for c in points.values():
         for gen in (GEN_F, GEN_H):
@@ -606,8 +649,10 @@ def _check_trace_components(cfg: RunConfig, points: dict) -> CheckRecord:
                    worst, 1e-6, t0, "relative to max(1, |component|)", samples=len(points))
 
 
-def _check_slice_tangency(cfg: RunConfig, points: dict) -> CheckRecord:
+@_emits("sl2.slice_tangency")
+def _check_slice_tangency(cfg: RunConfig, find_points) -> CheckRecord:
     t0 = perf_counter()
+    points = find_points()
     worst = 0.0
     for c in points.values():
         scale = pair_scale(from_chart(c, cfg.tol))
@@ -618,6 +663,7 @@ def _check_slice_tangency(cfg: RunConfig, points: dict) -> CheckRecord:
                    worst, 1e-7, t0, "relative to max(1, ||A|| ||B||)", samples=len(points))
 
 
+@_emits("sl2.scaling_spectra")
 def _check_scaling_spectra(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -644,19 +690,20 @@ def _check_scaling_spectra(cfg: RunConfig) -> CheckRecord:
 
 
 def _suite_sl2(cfg: RunConfig) -> list:
-    records = [
-        _check_equivariance(cfg),
-        _check_moment_preservation(cfg),
-        _check_negative_control(cfg),
-        _check_scaling_probe(cfg),
+    # found by the first check that needs them, and charged to it; when the
+    # search raises, every check that needs them records the error
+    points = cache(lambda: _independence_points(cfg))
+    return [
+        _check_equivariance,
+        _check_moment_preservation,
+        _check_negative_control,
+        _check_scaling_probe,
+        partial(_check_independence, find_points=points),
+        partial(_check_lower_shear_match, find_points=points),
+        partial(_check_trace_components, find_points=points),
+        partial(_check_slice_tangency, find_points=points),
+        _check_scaling_spectra,
     ]
-    points = _independence_points(cfg)
-    records.extend(_check_independence(cfg, points))
-    records.extend(_check_lower_shear_match(cfg, points))
-    records.append(_check_trace_components(cfg, points))
-    records.append(_check_slice_tangency(cfg, points))
-    records.append(_check_scaling_spectra(cfg))
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +725,7 @@ def _fp_error(p, q) -> float:
     return float(np.abs(fp1 - fp0).max() / max(1.0, np.abs(fp0).max()))
 
 
+@_emits("flowcalc.trotter_rate")
 def _check_trotter_rate(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -698,6 +746,7 @@ def _check_trotter_rate(cfg: RunConfig) -> CheckRecord:
                    worst, 0.3, t0, note, samples=len(points))
 
 
+@_emits("flowcalc.bracket_final_error", "flowcalc.bracket_monotone")
 def _check_bracket_limit(cfg: RunConfig) -> list:
     t0 = perf_counter()
     worst_final = 0.0
@@ -718,12 +767,13 @@ def _check_bracket_limit(cfg: RunConfig) -> list:
                    f"relative trace-word error at {BRACKET_STEPS[-1]} squares, t={BRACKET_TIME}",
                    samples=len(points))
     rec2 = _finish("flowcalc.bracket_monotone", "commutator-composition-limit",
-                   worst_increase, 0.0, t0,
+                   worst_increase, 0.0, perf_counter(),
                    "largest error increase across the step ladder; negative passes",
                    samples=len(points))
     return [rec1, rec2]
 
 
+@_emits("flowcalc.bracket_sign_consistency")
 def _check_bracket_sign(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     mismatches = 0
@@ -737,6 +787,7 @@ def _check_bracket_sign(cfg: RunConfig) -> CheckRecord:
                    samples=len(points))
 
 
+@_emits("flowcalc.commuting_generators")
 def _check_commuting_cases(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     c = random_chart_point(2, cfg.tau, _seed(cfg, "comm"))
@@ -752,6 +803,7 @@ def _check_commuting_cases(cfg: RunConfig) -> CheckRecord:
                    resid, 1e-12, t0, "relative to max(1, ||A|| ||B||)")
 
 
+@_emits("flowcalc.shear_pullback_degrees")
 def _check_shear_degrees(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     c = random_chart_point(2, cfg.tau, _seed(cfg, "lnd"))
@@ -769,6 +821,7 @@ def _check_shear_degrees(cfg: RunConfig) -> CheckRecord:
                    float(total), 0.0, t0, "sum of degree deviations over hand cases")
 
 
+@_emits("flowcalc.witness_triple")
 def _check_witness(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     worst = 0.0
@@ -788,20 +841,22 @@ def _check_witness(cfg: RunConfig) -> CheckRecord:
 
 
 def _suite_flowcalc(cfg: RunConfig) -> list:
-    records = [_check_trotter_rate(cfg)]
-    records.extend(_check_bracket_limit(cfg))
-    records.append(_check_bracket_sign(cfg))
-    records.append(_check_commuting_cases(cfg))
-    records.append(_check_shear_degrees(cfg))
-    records.append(_check_witness(cfg))
-    return records
+    return [
+        _check_trotter_rate,
+        _check_bracket_limit,
+        _check_bracket_sign,
+        _check_commuting_cases,
+        _check_shear_degrees,
+        _check_witness,
+    ]
 
 
 # ---------------------------------------------------------------------------
 # quiver
 
 
-def _suite_quiver(cfg: RunConfig) -> list:
+@_emits("quiver.dictionary_consistency", "quiver.literal_dictionary_recorded")
+def _check_dictionary(cfg: RunConfig) -> list:
     t0 = perf_counter()
     count = _trials(cfg, 20)
     label_sets = []
@@ -820,6 +875,10 @@ def _suite_quiver(cfg: RunConfig) -> list:
                    0.0, 0.0, perf_counter(),
                    f"literal admissible: {all(literal_flags)}")
     return [rec1, rec2]
+
+
+def _suite_quiver(cfg: RunConfig) -> list:
+    return [_check_dictionary]
 
 
 # ---------------------------------------------------------------------------
@@ -855,27 +914,30 @@ def expand_suites(names) -> list:
     return ordered
 
 
+def _run_check(check, cfg: RunConfig) -> list:
+    """The records of one check; a package error becomes one error record per declared name."""
+    t0 = perf_counter()
+    try:
+        out = check(cfg)
+    except CMSpacesError as exc:
+        names = getattr(check, "func", check).records
+        note = f"{type(exc).__name__} at seed {cfg.seed}: {exc}"
+        return [CheckRecord(name, "check-execution", "error", None, 0.0,
+                            (perf_counter() - t0) * 1000.0 if i == 0 else 0.0, note)
+                for i, name in enumerate(names)]
+    return out if isinstance(out, list) else [out]
+
+
 def run(cfg: RunConfig) -> dict:
     """Run the selected suites and assemble the report dictionary.
 
     A check that raises a package error is recorded with status "error"
-    rather than aborting the whole report.
+    rather than aborting its suite or the report.
     """
     records = []
     for name in expand_suites(cfg.suites):
-        runner = _SUITE_RUNNERS[name]
-        try:
-            records.extend(runner(cfg))
-        except CMSpacesError as exc:
-            records.append(CheckRecord(
-                name=f"{name}.internal",
-                law="suite-execution",
-                status="error",
-                residual=float("inf"),
-                threshold=0.0,
-                runtime_ms=0.0,
-                note=f"{type(exc).__name__}: {exc}",
-            ))
+        for check in _SUITE_RUNNERS[name](cfg):
+            records.extend(_run_check(check, cfg))
     records.sort(key=lambda r: r.name)
     passed = sum(1 for r in records if r.status == "pass")
     failed = sum(1 for r in records if r.status == "fail")

@@ -11,6 +11,7 @@ from cmspaces.chart import (
     chart_jacobian,
     decompose,
     from_chart,
+    from_chart_stack,
     is_normal_form,
     project_to_slice,
     random_chart_point,
@@ -18,7 +19,12 @@ from cmspaces.chart import (
     to_chart,
     to_chart_tracked,
 )
-from cmspaces.errors import NotNormalizedError, NotStronglySemisimpleError, ShapeMismatchError
+from cmspaces.errors import (
+    DegenerateSpectrumError,
+    NotNormalizedError,
+    NotStronglySemisimpleError,
+    ShapeMismatchError,
+)
 from cmspaces.linalg import comm, frob, numeric_rank
 from cmspaces.variety import (
     AugmentedPair,
@@ -214,6 +220,59 @@ def test_chart_jacobian_has_full_rank():
         J = chart_jacobian(c)
         assert J.shape == (4 * n + 2, 4 * n + 2)
         assert numeric_rank(J, tol=1e-6) == 4 * n + 2
+
+
+def _serial_chart_jacobian(c, tol=1e-9, step=1e-6):
+    """The one-perturbation-at-a-time loop the stacked Jacobian replaced."""
+    base = c.vector()
+    dim = base.size
+    J = np.empty((dim, dim), dtype=np.complex128)
+    for idx in range(dim):
+        def coords(s):
+            v = base.copy()
+            v[idx] += s
+            moved = ChartPoint.from_vector(v, c.n, c.tau)
+            return to_chart_tracked(from_chart(moved, tol), c, tol).vector()
+
+        J[:, idx] = (coords(step) - coords(-step)) / (2.0 * step)
+    return J
+
+
+def test_stacked_jacobian_matches_the_serial_loop():
+    for n in range(1, 6):
+        c = random_chart_point(n, 1.0, 160 + n)
+        assert np.abs(chart_jacobian(c) - _serial_chart_jacobian(c)).max() < 1e-6
+
+
+def test_chart_jacobian_lapack_call_budget(monkeypatch):
+    # three eig calls for the whole stack of 2 (4n + 2) perturbed points:
+    # the rebuilt first matrix, the block in normalize, the full matrix in
+    # decompose; the defect system is solved from its SVD, not lstsq
+    c = random_chart_point(5, 1.0, 65)
+    calls = []
+    for name in ("eig", "lstsq"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    J = chart_jacobian(c)
+    monkeypatch.undo()
+    assert numeric_rank(J, tol=1e-6) == 22
+    assert calls.count("eig") <= 3 and "lstsq" not in calls
+
+
+def test_a_coalesced_item_fails_the_stack_like_the_scalar_call():
+    points = [random_chart_point(3, 1.0, 170 + i) for i in range(3)]
+    lamhat = points[1].lamhat.copy()
+    lamhat[1] = lamhat[0]
+    points[1] = ChartPoint(points[1].lam, lamhat, points[1].mu, points[1].muhat, 1.0)
+    with pytest.raises(DegenerateSpectrumError) as scalar:
+        from_chart(points[1])
+    with pytest.raises(type(scalar.value)):
+        from_chart_stack(np.array([c.vector() for c in points]), 3, 1.0)
 
 
 def test_project_to_slice_kills_the_second_corner():

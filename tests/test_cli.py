@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 from cmspaces.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, main
+from cmspaces.errors import DefectSystemError
 from cmspaces.jsonio import decode, dumps, encode
 from cmspaces.variety import AugmentedPair
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict JSON readers do."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def _run(capsys, monkeypatch, argv, stdin_text=None):
@@ -121,8 +130,11 @@ def test_verify_skips_checks_without_samples(capsys, monkeypatch, suites, sizes,
     code, out, err = _run(capsys, monkeypatch,
                           ["verify", "--suite", suites, "--n", sizes])
     assert code == EXIT_OK
-    summary = json.loads(out)["summary"]
+    report = _strict_json(out)
+    summary = report["summary"]
     assert (summary["passed"], summary["skipped"]) == (passed, skipped)
+    assert all(rec["residual"] is None for rec in report["records"]
+               if rec["status"] == "skipped")
     assert summary["total"] == passed + skipped
     assert f"{passed}/{passed + skipped} passed" in err
     assert err.count("SKIPPED ") == skipped
@@ -140,6 +152,33 @@ def test_nonpositive_or_nan_tolerance_is_bad_input(capsys, monkeypatch, tol):
     code, out, err = _run(capsys, monkeypatch, ["verify", "--suite", "linalg"])
     assert code == EXIT_BAD_INPUT
     assert out == "" and "CM_TOL" in err
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "0", "1,nan"])
+def test_nonfinite_or_zero_tau_is_bad_input(capsys, monkeypatch, tau):
+    for command in ("gen", "normalize", "chart", "flow", "verify"):
+        extra = ["--generator", "e"] if command == "flow" else []
+        code, out, err = _run(capsys, monkeypatch, [command, "--tau", tau, *extra],
+                              stdin_text="{}")
+        assert code == EXIT_BAD_INPUT, command
+        assert out == "" and "--tau" in err
+
+
+def test_a_raising_check_leaves_the_rest_of_its_suite(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise DefectSystemError("injected")
+
+    monkeypatch.setattr("cmspaces.verify.chart_jacobian", boom)
+    code, out, err = _run(capsys, monkeypatch,
+                          ["verify", "--suite", "chart", "--n", "1,2", "--seed", "4"])
+    assert code == EXIT_NUMERICAL
+    records = {rec["name"]: rec for rec in _strict_json(out)["records"]}
+    assert len(records) == 6
+    bad = records.pop("chart.jacobian_rank")
+    assert bad["status"] == "error" and bad["residual"] is None
+    assert "DefectSystemError" in bad["note"] and "seed 4" in bad["note"]
+    assert all(rec["status"] == "pass" for rec in records.values())
+    assert "ERROR chart.jacobian_rank: residual n/a" in err
 
 
 def test_invert_rejects_a_pair_payload(capsys, monkeypatch):

@@ -53,6 +53,29 @@ def test_eig_reassembles_and_sorts():
         np.testing.assert_allclose(np.linalg.norm(ginv, axis=0), 1.0, atol=1e-14)
 
 
+def test_stacked_eig_is_bit_identical_per_item():
+    # one LAPACK call for the stack; sort and phase normalization per item
+    rng = np.random.default_rng(12)
+    M = _random_complex(rng, 30, 6, 6)
+    vals, g, ginv = eig(M)
+    for i in range(30):
+        for got, want in zip((vals[i], g[i], ginv[i]), eig(M[i])):
+            assert np.array_equal(got, want)
+    assert np.array_equal(min_gap(vals), [min_gap(v) for v in vals])
+    # every item is checked: one degenerate item fails the stack
+    M[17] = np.eye(6)
+    with pytest.raises(DegenerateSpectrumError):
+        eig(M)
+
+
+def test_stacked_matching_guards_each_item():
+    ref = np.array([0.0, 1.0])
+    values = np.array([[1.0, 0.0], [0.1, 0.9]])
+    assert np.array_equal(match_to_reference(values, ref), [[1, 0], [0, 1]])
+    with pytest.raises(BranchAmbiguityError):
+        match_to_reference(np.array([[1.0, 0.0], [0.5, 1.5]]), ref)
+
+
 def test_eig_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrumError):
         eig(np.eye(3))

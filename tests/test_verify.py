@@ -1,5 +1,7 @@
 """Tests for the self-verification harness itself."""
 
+from time import perf_counter
+
 import pytest
 
 from cmspaces.verify import SCHEMA_VERSION, SUITE_NAMES, RunConfig, expand_suites, run
@@ -32,3 +34,22 @@ def test_reports_are_seed_deterministic():
     ra = [(r["name"], r["residual"]) for r in a["records"]]
     rb = [(r["name"], r["residual"]) for r in b["records"]]
     assert ra == rb
+
+
+@pytest.mark.parametrize("suite", ["sl2", "flowcalc"])
+def test_record_runtimes_do_not_double_count(suite):
+    # the records that share work charge it to the first of them only
+    t0 = perf_counter()
+    report = run(RunConfig(suites=(suite,), seed=2))
+    wall_ms = (perf_counter() - t0) * 1000.0
+    assert sum(rec["runtime_ms"] for rec in report["records"]) <= wall_ms
+
+
+def test_every_check_declares_the_records_it_returns():
+    # run() names the error records of a raising check after these
+    from cmspaces.verify import _SUITE_RUNNERS
+
+    cfg = RunConfig(n_values=(1,), trials=1)
+    declared = sorted(name for suite in SUITE_NAMES for check in _SUITE_RUNNERS[suite](cfg)
+                      for name in getattr(check, "func", check).records)
+    assert declared == [rec["name"] for rec in run(cfg)["records"]]
