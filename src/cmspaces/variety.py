@@ -497,28 +497,34 @@ def random_gauge(n: int, seed: int, cond_bound: float = 100.0,
 # trace-word fingerprints
 
 
-def _word_traces(first_powers, second_powers, extra=None, mixed_budget=0):
-    values = []
-    for P in first_powers:
-        values.append(np.trace(P))
-    for P in second_powers:
-        values.append(np.trace(P))
-    if extra is not None:
-        for P in extra:
-            values.append(np.trace(P))
-    for total in range(2, mixed_budget + 1):
-        for i in range(1, total):
-            values.append(np.trace(first_powers[i - 1] @ second_powers[total - i - 1]))
-    return values
+def _word_length(length, default: int) -> int:
+    L = default if length is None else int(length)
+    if L < 1:
+        raise ShapeMismatchError(f"fingerprint length must be positive, got {L}")
+    return L
 
 
-def _powers(M: np.ndarray, count: int):
-    out = []
-    P = np.eye(M.shape[0], dtype=np.complex128)
-    for _ in range(count):
-        P = P @ M
-        out.append(P)
-    return out
+def _power_ladder(M: np.ndarray, L: int) -> np.ndarray:
+    """I, M, ..., M^L as one (L+1, ..., m, m) array, by doubling: ceil(log2 L) products."""
+    P = np.empty((L + 1, *M.shape), dtype=np.complex128)
+    P[0], P[1] = np.eye(M.shape[-1]), M
+    k = 1
+    while k < L:
+        P[k + 1:2 * k + 1] = P[1:min(k, L - k) + 1] @ P[k]
+        k *= 2
+    return P
+
+
+def _trace_table(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """T[i, j] = tr(P_i Q_j) for two stacks of m x m matrices, as one product."""
+    m = P.shape[-1]
+    return P.reshape(len(P), m * m) @ Q.swapaxes(-1, -2).reshape(len(Q), m * m).T
+
+
+def _antidiagonals(T: np.ndarray, first: int, last: int, edges: bool) -> list:
+    """T[i, t - i] for t = first..last, i ascending, one array per t; without edges 0 < i < t."""
+    lo, flipped = int(not edges), T[:, ::-1]
+    return [flipped.diagonal(len(T) - 1 - t)[lo:t + 1 - lo] for t in range(first, last + 1)]
 
 
 def fingerprint(r: Representation, length: int | None = None) -> np.ndarray:
@@ -530,25 +536,18 @@ def fingerprint(r: Representation, length: int | None = None) -> np.ndarray:
     i + j <= length - 2.  Default length is 2 n.  Conjugation-invariant
     because every word is a trace of conjugation-covariant products.
     """
-    L = 2 * r.n if length is None else int(length)
-    if L < 1:
-        raise ShapeMismatchError("fingerprint length must be positive")
+    L = _word_length(length, 2 * r.n)
     C = r.v @ r.w
-    pa = _powers(r.A, L)
-    pb = _powers(r.B, L)
-    pc = _powers(C, min(L, 4))
-    values = _word_traces(pa, pb, extra=pc, mixed_budget=L)
-    for total in range(1, max(L - 2, 0) + 1):
-        for i in range(total + 1):
-            j = total - i
-            left = pa[i - 1] @ pb[j - 1] if i and j else (pa[i - 1] if i else pb[j - 1])
-            values.append(np.trace(left @ pc[0]))
-    return np.asarray(values, dtype=np.complex128)
+    P = _power_ladder(np.stack([r.A, r.B]), L)
+    T, bordered = _trace_table(P[:, 0], P[:, 1]), _trace_table(P[:L - 1, 0], P[:L - 1, 1] @ C)
+    return np.concatenate([
+        T[1:, 0], T[0, 1:], _power_ladder(C, min(L, 4))[1:].trace(axis1=1, axis2=2),
+        *_antidiagonals(T, 2, L, edges=False), *_antidiagonals(bordered, 1, L - 2, edges=True)])
 
 
 def pair_fingerprint(p: AugmentedPair, length: int | None = None) -> np.ndarray:
-    """Trace-word vector of an augmented pair (powers and mixed words)."""
-    L = max(2, 2 * p.n) if length is None else int(length)
-    pa = _powers(p.A, L)
-    pb = _powers(p.B, L)
-    return np.asarray(_word_traces(pa, pb, mixed_budget=L), dtype=np.complex128)
+    """Trace words of a pair: tr A^i, tr B^j, then tr(A^i B^j) by i + j <= length (default 2 n)."""
+    L = _word_length(length, 2 * p.n)
+    P = _power_ladder(np.stack([p.A, p.B]), L)
+    T = _trace_table(P[:, 0], P[:, 1])
+    return np.concatenate([T[1:, 0], T[0, 1:], *_antidiagonals(T, 2, L, edges=False)])

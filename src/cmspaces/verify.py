@@ -3,18 +3,20 @@
 Each check draws its own seeded inputs, measures a residual, normalizes by
 the scale stated in its note, and passes iff residual <= threshold.  Checks
 that must EXCEED a floor are phrased as margins (residual = floor - observed,
-threshold 0) so the pass rule stays uniform.  A check that sweeps the
-requested sizes counts its samples; with none in its range it is recorded
-as "skipped", with no residual, never as a pass.  Each check runs on its
-own: one that raises a package error is recorded with status "error", no
-residual, and the exception and seed in its note, and the other checks of
-its suite still run; callers map that to a distinct exit code.  Records
-sort by name before emission and reports are deterministic for a fixed
-config (runtime_ms aside).
+threshold 0) so the pass rule stays uniform.  A non-finite residual (an
+overflowed sample, wherever it sits in the sweep) fails, recorded with no
+residual.  A check that sweeps the requested sizes counts its samples;
+with none in its range it is recorded as "skipped", with no residual,
+never as a pass.  Each check runs on its own: one that raises a package
+error is recorded with status "error", no residual, and the exception and
+seed in its note, and the other checks of its suite still run; callers
+map that to a distinct exit code.  Records sort by name before emission
+and reports are deterministic for a fixed config (runtime_ms aside).
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from functools import cache, partial
@@ -156,10 +158,29 @@ def _finish(name: str, law: str, residual: float, threshold: float,
     if samples == 0:
         status, residual = "skipped", None
         note = "no sample: no requested size is in range; " + note
+    elif not math.isfinite(residual):
+        status, note = "fail", f"non-finite residual ({residual}), e.g. overflow; " + note
+        residual = None
     else:
         status, residual = ("pass" if residual <= threshold else "fail"), float(residual)
     return CheckRecord(name, law, status, residual, float(threshold),
                        (perf_counter() - t0) * 1000.0, note)
+
+
+def _fold(samples, pick=max) -> float:
+    """pick() of the samples, except that a non-finite sample wins wherever it sits.
+
+    A running max or min drops a NaN that comes second (max(0.0, nan) is
+    0.0), which would let an overflowed measurement pass.
+    """
+    samples = list(samples)
+    bad = [x for x in samples if not math.isfinite(x)]
+    return bad[0] if bad else pick(samples, default=math.nan)
+
+
+def _trace_word_error(fp, fp0) -> float:
+    """Largest deviation of the trace words fp from fp0, relative to max(1, |fp0|)."""
+    return float(np.abs(fp - fp0).max() / max(1.0, np.abs(fp0).max()))
 
 
 def _emits(*names):
@@ -177,31 +198,31 @@ def _emits(*names):
 @_emits("linalg.eig_reassembly")
 def _check_eig_reassembly(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for size in range(2, 7):
         for i in range(8):
             rng = np.random.default_rng(_seed(cfg, f"eig{size}", i))
             M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             vals, g, _ = eig(M, cfg.tol)
             resid = frob(g @ M @ np.linalg.inv(g) - np.diag(vals)) / max(1.0, frob(M))
-            worst = max(worst, resid)
+            resids.append(resid)
     return _finish("linalg.eig_reassembly", "spectral-factorization-residual",
-                   worst, 1e-12, t0, "relative to max(1, ||M||)")
+                   _fold(resids), 1e-12, t0, "relative to max(1, ||M||)")
 
 
 @_emits("linalg.solve_residual")
 def _check_solve(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for size in range(2, 7):
         rng = np.random.default_rng(_seed(cfg, f"solve{size}"))
         M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         M = M + 1.5 * np.eye(size)
         b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         x = solve(M, b, cfg.tol)
-        worst = max(worst, float(np.linalg.norm(M @ x - b) / np.linalg.norm(b)))
+        resids.append(np.linalg.norm(M @ x - b) / np.linalg.norm(b))
     return _finish("linalg.solve_residual", "linear-solve-residual",
-                   worst, 1e-12, t0, "relative to ||b||")
+                   _fold(resids), 1e-12, t0, "relative to ||b||")
 
 
 @_emits("linalg.match_permutation")
@@ -231,64 +252,57 @@ def _suite_linalg(cfg: RunConfig) -> list:
 @_emits("variety.level_condition")
 def _check_level_condition(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     trials = _trials(cfg, 50)
     ns = _ns(cfg, 6)
     for n in ns:
         for k in cfg.k_values:
             for i in range(trials):
                 r = random_point(n, k, cfg.tau, _seed(cfg, f"lvl{n}{k}", i))
-                worst = max(worst, level_residual(r) / level_scale(r))
+                resids.append(level_residual(r) / level_scale(r))
     return _finish("variety.level_condition", "seeded-points-on-level-set",
-                   worst, 1e-12, t0, "relative to max(1, ||A|| ||B||)",
+                   _fold(resids), 1e-12, t0, "relative to max(1, ||A|| ||B||)",
                    samples=len(ns) * len(cfg.k_values) * trials)
 
 
 @_emits("variety.block_identity")
 def _check_block_identity(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     count = _trials(cfg, 200)
     for i in range(count):
         n = 1 + i % 6
         r = random_quadruple(n, 2, cfg.tau, _seed(cfg, "blk", i))
-        worst = max(worst, block_commutator_residual(r) / level_scale(r))
+        resids.append(block_commutator_residual(r) / level_scale(r))
     return _finish("variety.block_identity", "pair-commutator-block-forms",
-                   worst, 1e-12, t0, "relative to max(1, ||A|| ||B||)")
+                   _fold(resids), 1e-12, t0, "relative to max(1, ||A|| ||B||)")
 
 
 @_emits("variety.augment_project_roundtrip")
 def _check_augment_roundtrip(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for i in range(20):
         n = 1 + i % 5
         r = random_quadruple(n, 2, cfg.tau, _seed(cfg, "aug", i))
         back = project(augment(r))
-        worst = max(
-            worst,
-            float(np.abs(back.A - r.A).max()),
-            float(np.abs(back.B - r.B).max()),
-            float(np.abs(back.v - r.v).max()),
-            float(np.abs(back.w - r.w).max()),
-        )
+        resids += [np.abs(back.A - r.A).max(), np.abs(back.B - r.B).max(),
+                   np.abs(back.v - r.v).max(), np.abs(back.w - r.w).max()]
     return _finish("variety.augment_project_roundtrip", "border-embedding-inverse",
-                   worst, 0.0, t0, "bitwise round trip")
+                   _fold(resids), 0.0, t0, "bitwise round trip")
 
 
 @_emits("variety.fingerprint_gauge_invariance")
 def _check_fingerprint_invariance(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for i in range(20):
         n = 2 + i % 4
         r = random_point(n, 2, cfg.tau, _seed(cfg, "fpg", i))
         g = random_gauge(n, _seed(cfg, "fpgg", i))
-        fp0 = fingerprint(r)
-        fp1 = fingerprint(gauge_act(g, r))
-        worst = max(worst, float(np.abs(fp1 - fp0).max() / max(1.0, np.abs(fp0).max())))
+        resids.append(_trace_word_error(fingerprint(gauge_act(g, r)), fingerprint(r)))
     return _finish("variety.fingerprint_gauge_invariance", "trace-words-basechange-invariant",
-                   worst, 1e-9, t0, "relative to max(1, |fingerprint|)")
+                   _fold(resids), 1e-9, t0, "relative to max(1, |fingerprint|)")
 
 
 def _suite_variety(cfg: RunConfig) -> list:
@@ -314,59 +328,52 @@ def _normalized_point(cfg: RunConfig, n: int, tag: str, i: int):
 @_emits("canonical.normal_form_shape")
 def _check_normal_form_shape(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for i in range(20):
         n = 1 + i % 5
         _, nf, _ = _normalized_point(cfg, n, "nf", i)
         block = nf.A[:n, :n]
         off = block - np.diag(np.diag(block))
-        worst = max(
-            worst,
-            float(np.abs(off).max()),
-            float(np.abs(nf.A[n, :n] - 1.0).max()),
-        )
+        resids += [np.abs(off).max(), np.abs(nf.A[n, :n] - 1.0).max()]
     return _finish("canonical.normal_form_shape", "diagonal-block-unit-border-row",
-                   worst, 0.0, t0, "exact after snapping")
+                   _fold(resids), 0.0, t0, "exact after snapping")
 
 
 @_emits("canonical.normalize_gauge_equivalence")
 def _check_normalize_equivalence(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for i in range(20):
         n = 1 + i % 5
         p, nf, _ = _normalized_point(cfg, n, "nfe", i)
-        fp0 = pair_fingerprint(p)
-        fp1 = pair_fingerprint(nf)
-        worst = max(worst, float(np.abs(fp1 - fp0).max() / max(1.0, np.abs(fp0).max())))
+        resids.append(_trace_word_error(pair_fingerprint(nf), pair_fingerprint(p)))
     return _finish("canonical.normalize_gauge_equivalence", "normal-form-on-same-orbit",
-                   worst, 1e-8, t0, "relative trace-word deviation")
+                   _fold(resids), 1e-8, t0, "relative trace-word deviation")
 
 
 @_emits("canonical.orbit_rank_regular")
 def _check_orbit_rank(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    deficiency = 0
+    deficiencies = []
     for i in range(15):
         n = 1 + i % 5
         r = random_point(n, 2, cfg.tau, _seed(cfg, "orb", i))
-        dim = orbit_dimension(augment(r), cfg.tol)
-        deficiency = max(deficiency, abs(dim - n * n))
+        deficiencies.append(abs(orbit_dimension(augment(r), cfg.tol) - n * n))
     return _finish("canonical.orbit_rank_regular", "free-basechange-orbit-dimension",
-                   float(deficiency), 0.0, t0, "deviation from n^2")
+                   _fold(deficiencies), 0.0, t0, "deviation from n^2")
 
 
 @_emits("canonical.normalize_idempotent")
 def _check_normalize_idempotent(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for i in range(10):
         n = 1 + i % 5
         _, nf, _ = _normalized_point(cfg, n, "nfi", i)
         nf2, _ = normalize(nf, cfg.tol)
-        worst = max(worst, frob(nf2.A - nf.A), frob(nf2.B - nf.B))
+        resids += [frob(nf2.A - nf.A), frob(nf2.B - nf.B)]
     return _finish("canonical.normalize_idempotent", "normal-form-fixed-point",
-                   worst, 1e-12, t0, "absolute matrix deviation")
+                   _fold(resids), 1e-12, t0, "absolute matrix deviation")
 
 
 def _suite_canonical(cfg: RunConfig) -> list:
@@ -390,12 +397,8 @@ def _check_hand_case(cfg: RunConfig) -> CheckRecord:
     p = AugmentedPair(A, B, 1.0)
     d = decompose(p, cfg.tol, lamhat_ref=np.array([1.0, -1.0]))
     S_want = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=np.complex128)
-    resid = max(
-        float(np.abs(d.mu).max()),
-        float(np.abs(d.defect).max()),
-        float(np.abs(d.S - S_want).max()),
-        float(np.abs(d.muhat).max()),
-    )
+    resid = _fold([np.abs(d.mu).max(), np.abs(d.defect).max(),
+                   np.abs(d.S - S_want).max(), np.abs(d.muhat).max()])
     return _finish("chart.splitting_hand_case", "one-site-splitting-closed-form",
                    resid, 1e-12, t0, "absolute deviation from hand values")
 
@@ -403,7 +406,7 @@ def _check_hand_case(cfg: RunConfig) -> CheckRecord:
 @_emits("chart.splitting_constraints")
 def _check_splitting_constraints(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for i in range(20):
         n = 1 + i % 5
         c = random_chart_point(n, cfg.tau, _seed(cfg, "spl", i))
@@ -411,19 +414,16 @@ def _check_splitting_constraints(cfg: RunConfig) -> CheckRecord:
         d = decompose(p, cfg.tol)
         scale = pair_scale(p)
         ginv = np.linalg.inv(d.g)
-        worst = max(
-            worst,
-            frob(d.N1 + d.N2 - p.B) / scale,
-            frob(d.g @ d.N2 @ ginv - np.diag(d.muhat) - d.S) / scale,
-        )
+        resids += [frob(d.N1 + d.N2 - p.B) / scale,
+                   frob(d.g @ d.N2 @ ginv - np.diag(d.muhat) - d.S) / scale]
     return _finish("chart.splitting_constraints", "second-matrix-splitting",
-                   worst, 1e-9, t0, "relative to max(1, ||A|| ||B||)")
+                   _fold(resids), 1e-9, t0, "relative to max(1, ||A|| ||B||)")
 
 
 @_emits("chart.gap_term_spectral_only")
 def _check_gap_term_invariance(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     ns = _ns(cfg, 4)
     for n in ns:
         base = random_chart_point(n, cfg.tau, _seed(cfg, f"gapi{n}"))
@@ -437,16 +437,16 @@ def _check_gap_term_invariance(cfg: RunConfig) -> CheckRecord:
             if S_ref is None:
                 S_ref = d.S
             else:
-                worst = max(worst, float(np.abs(d.S - S_ref).max()))
+                resids.append(np.abs(d.S - S_ref).max())
     return _finish("chart.gap_term_spectral_only", "gap-term-depends-on-spectra-only",
-                   worst, 1e-10, t0, "absolute deviation across moment variations",
+                   _fold(resids), 1e-10, t0, "absolute deviation across moment variations",
                    samples=20 * len(ns))
 
 
 @_emits("chart.round_trip_coordinates")
 def _check_round_trip_coordinates(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
@@ -454,15 +454,16 @@ def _check_round_trip_coordinates(cfg: RunConfig) -> CheckRecord:
                            for i in range(trials)])
         back = to_chart_stack(*from_chart_stack(coords, n, cfg.tau, cfg.tol), cfg.tau, cfg.tol)
         dev = np.abs(back - coords).max(axis=-1) / np.maximum(1.0, np.abs(coords).max(axis=-1))
-        worst = max(worst, float(dev.max()))
+        resids.extend(dev)
     return _finish("chart.round_trip_coordinates", "chart-inverse-composition-identity",
-                   worst, 1e-8, t0, "relative to max(1, |coords|)", samples=len(ns) * trials)
+                   _fold(resids), 1e-8, t0, "relative to max(1, |coords|)",
+                   samples=len(ns) * trials)
 
 
 @_emits("chart.round_trip_pair")
 def _check_round_trip_pair(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
@@ -472,26 +473,26 @@ def _check_round_trip_pair(cfg: RunConfig) -> CheckRecord:
         B = np.array([p.B for p in pairs])
         coords = to_chart_stack(A, B, cfg.tau, cfg.tol)
         for p, qA, qB in zip(pairs, *from_chart_stack(coords, n, cfg.tau, cfg.tol)):
-            fp0 = pair_fingerprint(p)
-            fp1 = pair_fingerprint(AugmentedPair(qA, qB, cfg.tau))
-            worst = max(worst, float(np.abs(fp1 - fp0).max() / max(1.0, np.abs(fp0).max())))
+            resids.append(_trace_word_error(pair_fingerprint(AugmentedPair(qA, qB, cfg.tau)),
+                                            pair_fingerprint(p)))
     return _finish("chart.round_trip_pair", "rebuilt-pair-on-same-orbit",
-                   worst, 1e-8, t0, "relative trace-word deviation", samples=len(ns) * trials)
+                   _fold(resids), 1e-8, t0, "relative trace-word deviation",
+                   samples=len(ns) * trials)
 
 
 @_emits("chart.jacobian_rank")
 def _check_jacobian_rank(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    deficiency = 0
+    deficiencies = []
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
         for i in range(trials):
             c = random_chart_point(n, cfg.tau, _seed(cfg, f"jac{n}", i))
             J = chart_jacobian(c, cfg.tol)
-            deficiency = max(deficiency, abs(numeric_rank(J) - (4 * n + 2)))
+            deficiencies.append(abs(numeric_rank(J) - (4 * n + 2)))
     return _finish("chart.jacobian_rank", "chart-coordinate-count",
-                   float(deficiency), 0.0, t0, "deviation from 4n+2", samples=len(ns) * trials)
+                   _fold(deficiencies), 0.0, t0, "deviation from 4n+2", samples=len(ns) * trials)
 
 
 def _suite_chart(cfg: RunConfig) -> list:
@@ -512,56 +513,53 @@ def _suite_chart(cfg: RunConfig) -> list:
 @_emits("sl2.equivariance_exact")
 def _check_equivariance(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for i in range(20):
         n = 1 + i % 5
         r = random_quadruple(n, 2, cfg.tau, _seed(cfg, "eqv", i))
         g = random_sl2(_seed(cfg, "eqvg", i))
         via_components = augment(act_components(g, r))
         via_pair = act_pair(g, augment(r))
-        worst = max(
-            worst,
-            float(np.abs(via_components.A - via_pair.A).max()),
-            float(np.abs(via_components.B - via_pair.B).max()),
-        )
+        resids += [np.abs(via_components.A - via_pair.A).max(),
+                   np.abs(via_components.B - via_pair.B).max()]
     return _finish("sl2.equivariance_exact", "augmentation-intertwines-action",
-                   worst, 0.0, t0, "bitwise agreement of the two routes")
+                   _fold(resids), 0.0, t0, "bitwise agreement of the two routes")
 
 
 @_emits("sl2.moment_preservation")
 def _check_moment_preservation(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     trials = _trials(cfg, 100)
     for i in range(trials):
         n = 1 + i % 5
         r = random_point(n, 2, cfg.tau, _seed(cfg, "mom", i))
         g = random_sl2(_seed(cfg, "momg", i))
         out = act_components(g, r)
-        worst = max(worst, level_residual(out) / level_scale(out))
+        resids.append(level_residual(out) / level_scale(out))
     return _finish("sl2.moment_preservation", "unit-determinant-preserves-level",
-                   worst, 1e-10, t0, "relative to max(1, ||A|| ||B||)")
+                   _fold(resids), 1e-10, t0, "relative to max(1, ||A|| ||B||)")
 
 
 @_emits("sl2.determinant_control_margin")
 def _check_negative_control(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
     bad = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-    smallest = np.inf
+    resids = []
     for i in range(10):
         n = 1 + i % 5
         r = random_point(n, 2, cfg.tau, _seed(cfg, "neg", i))
         out = act_components(bad, r)
-        smallest = min(smallest, level_residual(out) / level_scale(out))
+        resids.append(level_residual(out) / level_scale(out))
     return _finish("sl2.determinant_control_margin", "non-unimodular-breaks-level",
-                   1e-3 - smallest, 0.0, t0,
+                   1e-3 - _fold(resids, min), 0.0, t0,
                    "margin: smallest residual must exceed 1e-3; negative passes")
 
 
 @_emits("sl2.scaling_probe_margin")
 def _check_scaling_probe(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    smallest = np.inf
+    separations = []
     count = _trials(cfg, 50)
     for i in range(count):
         n = 1 + i % 5
@@ -571,9 +569,9 @@ def _check_scaling_probe(cfg: RunConfig) -> CheckRecord:
             if abs(np.trace(r.A @ r.A)) > 1e-3 * max(1.0, frob(r.A) ** 2):
                 break
         before, _, sep = fixed_point_probe(r, 1.0)
-        smallest = min(smallest, sep / max(1.0, float(np.abs(before).max())))
+        separations.append(sep / max(1.0, float(np.abs(before).max())))
     return _finish("sl2.scaling_probe_margin", "scaling-action-moves-invariants",
-                   1e-6 - smallest, 0.0, t0,
+                   1e-6 - _fold(separations, min), 0.0, t0,
                    "margin: smallest separation must exceed 1e-6; negative passes")
 
 
@@ -588,16 +586,15 @@ def _independence_points(cfg: RunConfig) -> dict:
 def _check_independence(cfg: RunConfig, find_points) -> list:
     t0 = perf_counter()
     points = find_points()
-    deficiency = 0
-    min_ratio = np.inf
+    deficiencies, ratios = [], []
     for c in points.values():
         rank, ratio = independence_rank(c, cfg.tol)
-        deficiency = max(deficiency, 3 - rank)
-        min_ratio = min(min_ratio, ratio)
+        deficiencies.append(3 - rank)
+        ratios.append(ratio)
     rec1 = _finish("sl2.independence_rank", "three-fields-independent",
-                   float(deficiency), 0.0, t0, "rank deficiency below 3", samples=len(points))
+                   _fold(deficiencies), 0.0, t0, "rank deficiency below 3", samples=len(points))
     rec2 = _finish("sl2.independence_ratio_margin", "three-fields-independent",
-                   1e-6 - min_ratio, 0.0, perf_counter(),
+                   1e-6 - _fold(ratios, min), 0.0, perf_counter(),
                    "margin: smallest/largest singular value must exceed 1e-6", samples=len(points))
     return [rec1, rec2]
 
@@ -606,26 +603,18 @@ def _check_independence(cfg: RunConfig, find_points) -> list:
 def _check_lower_shear_match(cfg: RunConfig, find_points) -> list:
     t0 = perf_counter()
     points = find_points()
-    worst_full = 0.0
-    worst_frozen = 0.0
+    full, frozen = [], []
     for c in points.values():
         num = numeric_field(GEN_E, c, cfg.tol)
         ana = analytic_field(GEN_E, c)
         scale = max(1.0, float(np.abs(c.lamhat).max()))
-        worst_full = max(
-            worst_full,
-            float(np.abs(num.vector() - ana.vector()).max()) / scale,
-        )
-        frozen = max(
-            float(np.abs(num.d_lam).max()),
-            float(np.abs(num.d_lamhat).max()),
-            float(np.abs(num.d_mu).max()),
-        )
-        worst_frozen = max(worst_frozen, frozen / scale)
+        full.append(np.abs(num.vector() - ana.vector()).max() / scale)
+        frozen += [np.abs(num.d_lam).max() / scale, np.abs(num.d_lamhat).max() / scale,
+                   np.abs(num.d_mu).max() / scale]
     rec1 = _finish("sl2.lower_shear_field_match", "shear-field-closed-form",
-                   worst_full, 1e-6, t0, "relative to max(1, |spectrum|)", samples=len(points))
+                   _fold(full), 1e-6, t0, "relative to max(1, |spectrum|)", samples=len(points))
     rec2 = _finish("sl2.lower_shear_invariance", "shear-fixes-spectra-and-row-moments",
-                   worst_frozen, 1e-7, perf_counter(), "relative to max(1, |spectrum|)",
+                   _fold(frozen), 1e-7, perf_counter(), "relative to max(1, |spectrum|)",
                    samples=len(points))
     return [rec1, rec2]
 
@@ -634,39 +623,35 @@ def _check_lower_shear_match(cfg: RunConfig, find_points) -> list:
 def _check_trace_components(cfg: RunConfig, find_points) -> CheckRecord:
     t0 = perf_counter()
     points = find_points()
-    worst = 0.0
+    resids = []
     for c in points.values():
         for gen in (GEN_F, GEN_H):
             num = numeric_field(gen, c, cfg.tol)
             ana = analytic_field(gen, c).d_s
             got = num.s_components(2)
             scale = max(1.0, *(abs(v) for v in ana.values()))
-            worst = max(
-                worst,
-                max(abs(got[k] - ana[k]) for k in (1, 2)) / scale,
-            )
+            resids += [abs(got[k] - ana[k]) / scale for k in (1, 2)]
     return _finish("sl2.trace_component_match", "scaling-and-upper-shear-trace-rates",
-                   worst, 1e-6, t0, "relative to max(1, |component|)", samples=len(points))
+                   _fold(resids), 1e-6, t0, "relative to max(1, |component|)", samples=len(points))
 
 
 @_emits("sl2.slice_tangency")
 def _check_slice_tangency(cfg: RunConfig, find_points) -> CheckRecord:
     t0 = perf_counter()
     points = find_points()
-    worst = 0.0
+    resids = []
     for c in points.values():
         scale = pair_scale(from_chart(c, cfg.tol))
         for gen in (GEN_E, GEN_F, GEN_H):
-            r1, r2 = slice_tangency(gen, c, cfg.tol)
-            worst = max(worst, max(r1, r2) / scale)
+            resids += [r / scale for r in slice_tangency(gen, c, cfg.tol)]
     return _finish("sl2.slice_tangency", "fields-tangent-to-embedded-slice",
-                   worst, 1e-7, t0, "relative to max(1, ||A|| ||B||)", samples=len(points))
+                   _fold(resids), 1e-7, t0, "relative to max(1, ||A|| ||B||)", samples=len(points))
 
 
 @_emits("sl2.scaling_spectra")
 def _check_scaling_spectra(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     for i in range(5):
         n = 1 + i % 3
         c = random_chart_point(n, cfg.tau, _seed(cfg, "hsc", i))
@@ -676,17 +661,17 @@ def _check_scaling_spectra(cfg: RunConfig) -> CheckRecord:
         vals_q, _, _ = eig(q.A, cfg.tol)
         want = factor * c.lamhat
         perm = match_to_reference(vals_q, want)
-        worst = max(worst, float(np.abs(vals_q[perm] - want).max()))
+        resids.append(np.abs(vals_q[perm] - want).max())
         block_q = q.A[:n, :n]
         if n > 1:
             vals_b, _, _ = eig(block_q, cfg.tol)
             want_b = factor * c.lam
             perm_b = match_to_reference(vals_b, want_b)
-            worst = max(worst, float(np.abs(vals_b[perm_b] - want_b).max()))
+            resids.append(np.abs(vals_b[perm_b] - want_b).max())
         else:
-            worst = max(worst, float(abs(block_q[0, 0] - factor * c.lam[0])))
+            resids.append(abs(block_q[0, 0] - factor * c.lam[0]))
     return _finish("sl2.scaling_spectra", "joint-exponential-scaling-of-spectra",
-                   worst, 1e-9, t0, "absolute eigenvalue deviation at t=0.1")
+                   _fold(resids), 1e-9, t0, "absolute eigenvalue deviation at t=0.1")
 
 
 def _suite_sl2(cfg: RunConfig) -> list:
@@ -719,55 +704,39 @@ def _flow_base_points(cfg: RunConfig, tag: str) -> list:
     return points
 
 
-def _fp_error(p, q) -> float:
-    fp0 = pair_fingerprint(q)
-    fp1 = pair_fingerprint(p)
-    return float(np.abs(fp1 - fp0).max() / max(1.0, np.abs(fp0).max()))
-
-
 @_emits("flowcalc.trotter_rate")
 def _check_trotter_rate(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
     slopes = []
     points = _flow_base_points(cfg, "tro")
     for p in points:
-        target = trotter_target(GEN_E, GEN_F, TROTTER_TIME, p)
-        errs = [
-            max(_fp_error(trotter_flow(GEN_E, GEN_F, TROTTER_TIME, m, p), target), 1e-300)
-            for m in TROTTER_STEPS
-        ]
+        fp0 = pair_fingerprint(trotter_target(GEN_E, GEN_F, TROTTER_TIME, p))
+        flows = (trotter_flow(GEN_E, GEN_F, TROTTER_TIME, m, p) for m in TROTTER_STEPS)
+        errs = [max(_trace_word_error(pair_fingerprint(q), fp0), 1e-300) for q in flows]
         coef = np.polyfit(np.log(TROTTER_STEPS), np.log(errs), 1)
-        slope = -float(coef[0])
-        slopes.append(slope)
-        worst = max(worst, abs(slope - 1.0))
+        slopes.append(-float(coef[0]))
     note = "order in 1/steps; measured slopes " + ", ".join(f"{s:.3f}" for s in slopes)
     return _finish("flowcalc.trotter_rate", "split-composition-first-order",
-                   worst, 0.3, t0, note, samples=len(points))
+                   _fold(abs(s - 1.0) for s in slopes), 0.3, t0, note, samples=len(points))
 
 
 @_emits("flowcalc.bracket_final_error", "flowcalc.bracket_monotone")
 def _check_bracket_limit(cfg: RunConfig) -> list:
     t0 = perf_counter()
-    worst_final = 0.0
-    worst_increase = -np.inf
+    finals, increases = [], []
     points = _flow_base_points(cfg, "brk")
     for p in points:
-        target = bracket_target(GEN_E, GEN_F, BRACKET_TIME, p)
-        errs = [
-            _fp_error(bracket_flow(GEN_E, GEN_F, BRACKET_TIME, m, p), target)
-            for m in BRACKET_STEPS
-        ]
-        worst_final = max(worst_final, errs[-1])
-        worst_increase = max(
-            worst_increase, max(b - a for a, b in zip(errs, errs[1:]))
-        )
+        fp0 = pair_fingerprint(bracket_target(GEN_E, GEN_F, BRACKET_TIME, p))
+        flows = (bracket_flow(GEN_E, GEN_F, BRACKET_TIME, m, p) for m in BRACKET_STEPS)
+        errs = [_trace_word_error(pair_fingerprint(q), fp0) for q in flows]
+        finals.append(errs[-1])
+        increases += [b - a for a, b in zip(errs, errs[1:])]
     rec1 = _finish("flowcalc.bracket_final_error", "commutator-composition-limit",
-                   worst_final, 1e-3, t0,
+                   _fold(finals), 1e-3, t0,
                    f"relative trace-word error at {BRACKET_STEPS[-1]} squares, t={BRACKET_TIME}",
                    samples=len(points))
     rec2 = _finish("flowcalc.bracket_monotone", "commutator-composition-limit",
-                   worst_increase, 0.0, perf_counter(),
+                   _fold(increases), 0.0, perf_counter(),
                    "largest error increase across the step ladder; negative passes",
                    samples=len(points))
     return [rec1, rec2]
@@ -798,7 +767,7 @@ def _check_commuting_cases(cfg: RunConfig) -> CheckRecord:
         trotter_target(GEN_E, GEN_E, 0.3, p),
     )
     same_bracket = pair_distance(bracket_flow(GEN_E, GEN_E, 0.3, 64, p), p)
-    resid = max(same_trotter, same_bracket) / scale
+    resid = _fold([same_trotter, same_bracket]) / scale
     return _finish("flowcalc.commuting_generators", "commuting-flows-compose-exactly",
                    resid, 1e-12, t0, "relative to max(1, ||A|| ||B||)")
 
@@ -824,7 +793,7 @@ def _check_shear_degrees(cfg: RunConfig) -> CheckRecord:
 @_emits("flowcalc.witness_triple")
 def _check_witness(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    worst = 0.0
+    resids = []
     count = _trials(cfg, 20)
     for i in range(count):
         n = 1 + i % 4
@@ -835,9 +804,9 @@ def _check_witness(cfg: RunConfig) -> CheckRecord:
             if abs(np.trace(p.A)) > 0.1:
                 break
         report = compatible_witness(p)
-        worst = max(worst, report.residual / report.scale)
+        resids.append(report.residual / report.scale)
     return _finish("flowcalc.witness_triple", "trace-witness-derivative-identities",
-                   worst, 1e-10, t0, "relative to max(1, ||A||, ||B||)")
+                   _fold(resids), 1e-10, t0, "relative to max(1, ||A||, ||B||)")
 
 
 def _suite_flowcalc(cfg: RunConfig) -> list:

@@ -164,6 +164,32 @@ def test_nonfinite_or_zero_tau_is_bad_input(capsys, monkeypatch, tau):
         assert out == "" and "--tau" in err
 
 
+@pytest.mark.parametrize("sizes", ["0", "-3", "2..1", "x"])
+def test_verify_rejects_bad_sizes_at_parse_time(capsys, monkeypatch, sizes):
+    code, out, err = _run(capsys, monkeypatch, ["verify", "--suite", "chart", "--n", sizes])
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "--n" in err
+
+
+@pytest.mark.parametrize("suites, overflowed", [
+    ("variety,canonical,flowcalc", ["variety.fingerprint_gauge_invariance",
+                                    "flowcalc.trotter_rate", "flowcalc.bracket_final_error",
+                                    "flowcalc.bracket_monotone"]),
+    ("sl2", ["sl2.determinant_control_margin", "sl2.scaling_probe_margin"]),
+])
+def test_overflowed_samples_never_pass(capsys, monkeypatch, suites, overflowed):
+    # at tau = 1e200 these samples overflow; a running max or min dropped the
+    # NaNs and passed the checks at residual 0 or -inf
+    with np.errstate(all="ignore"):
+        code, out, err = _run(capsys, monkeypatch,
+                              ["verify", "--suite", suites, "--tau", "1e200", "--seed", "1"])
+    records = {rec["name"]: rec for rec in _strict_json(out)["records"]}
+    assert code == EXIT_NUMERICAL
+    for name in overflowed:
+        assert records[name]["status"] == "fail" and records[name]["residual"] is None
+        assert records[name]["note"].startswith("non-finite residual")
+
+
 def test_a_raising_check_leaves_the_rest_of_its_suite(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise DefectSystemError("injected")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cmspaces.errors import NonzeroCornerError, ShapeMismatchError
 from cmspaces.linalg import comm, frob
 from cmspaces.variety import (
+    _power_ladder,
     ALL_DICTIONARY_VARIANTS,
     LITERAL_DICTIONARY,
     AugmentedPair,
@@ -34,6 +35,46 @@ from cmspaces.variety import (
     random_point,
     random_quadruple,
 )
+
+
+def _loop_word_traces(pa, pb, L, extra=()):
+    # reference: one full product per trace, in the fingerprint word order
+    values = [np.trace(P) for P in (*pa, *pb, *extra)]
+    for total in range(2, L + 1):
+        for i in range(1, total):
+            values.append(np.trace(pa[i - 1] @ pb[total - i - 1]))
+    return values
+
+
+def _loop_powers(M, count):
+    out, P = [], np.eye(M.shape[0], dtype=np.complex128)
+    for _ in range(count):
+        P = P @ M
+        out.append(P)
+    return out
+
+
+def _loop_fingerprint(r, length=None):
+    L = 2 * r.n if length is None else length
+    C = r.v @ r.w
+    pa, pb, pc = _loop_powers(r.A, L), _loop_powers(r.B, L), _loop_powers(C, min(L, 4))
+    values = _loop_word_traces(pa, pb, L, extra=pc)
+    for total in range(1, max(L - 2, 0) + 1):
+        for i in range(total + 1):
+            j = total - i
+            left = pa[i - 1] @ pb[j - 1] if i and j else (pa[i - 1] if i else pb[j - 1])
+            values.append(np.trace(left @ C))
+    return np.asarray(values)
+
+
+def _loop_pair_fingerprint(p, length=None):
+    L = 2 * p.n if length is None else length
+    return np.asarray(_loop_word_traces(_loop_powers(p.A, L), _loop_powers(p.B, L), L))
+
+
+def _assert_same_words(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_representation_validates_shapes():
@@ -139,6 +180,43 @@ def test_fingerprints_are_gauge_invariant():
     pf1 = pair_fingerprint(q)
     assert np.abs(pf0 - pf1).max() < 1e-9 * max(1.0, np.abs(pf0).max())
     assert on_level(q, tol=1e-8)
+
+
+def test_fingerprints_match_the_word_loop():
+    # same words in the same order as one trace per product, for every length
+    for n in range(1, 9):
+        r = random_point(n, 2, 1.0, 70 + n)
+        for length in (1, 2, 3, None):
+            _assert_same_words(fingerprint(r, length), _loop_fingerprint(r, length))
+            p = augment(r)
+            _assert_same_words(pair_fingerprint(p, length), _loop_pair_fingerprint(p, length))
+    q = gauge_act_pair(random_gauge(4, 52), augment(random_point(4, 2, 1.0, 51)))
+    _assert_same_words(pair_fingerprint(q), _loop_pair_fingerprint(q))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 16])
+def test_power_ladder_matches_sequential_powers(count):
+    rng = np.random.default_rng(count)
+    M = (rng.standard_normal((2, 5, 5)) + 1j * rng.standard_normal((2, 5, 5))) / 3.0
+    P = _power_ladder(M, count)
+    assert P.shape == (count + 1, 2, 5, 5)
+    assert np.array_equal(P[0], np.broadcast_to(np.eye(5), (2, 5, 5)))
+    for item in range(2):
+        for k, want in enumerate(_loop_powers(M[item], count), start=1):
+            assert frob(P[k, item] - want) <= 1e-13 * max(1.0, frob(want))
+
+
+def test_fingerprint_lengths_are_checked():
+    r = random_point(3, 2, 1.0, 12)
+    p = augment(r)
+    for bad in (0, -2):
+        with pytest.raises(ShapeMismatchError):
+            fingerprint(r, bad)
+        with pytest.raises(ShapeMismatchError):
+            pair_fingerprint(p, bad)
+    # length 1: tr A and tr B, plus tr C for a quadruple
+    assert pair_fingerprint(p, 1).shape == (2,)
+    assert fingerprint(r, 1).shape == (3,)
 
 
 def test_gauge_element_rejects_singular():

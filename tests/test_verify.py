@@ -1,9 +1,11 @@
 """Tests for the self-verification harness itself."""
 
+import math
 from time import perf_counter
 
 import pytest
 
+from cmspaces import verify
 from cmspaces.verify import SCHEMA_VERSION, SUITE_NAMES, RunConfig, expand_suites, run
 
 
@@ -53,3 +55,32 @@ def test_every_check_declares_the_records_it_returns():
     declared = sorted(name for suite in SUITE_NAMES for check in _SUITE_RUNNERS[suite](cfg)
                       for name in getattr(check, "func", check).records)
     assert declared == [rec["name"] for rec in run(cfg)["records"]]
+
+
+def test_a_non_finite_sample_fails_its_check_wherever_it_sits():
+    # max(0.0, nan) is 0.0: a running max would have passed this at residual 0
+    for samples in ([0.0, math.nan], [math.nan, 0.0], [1.0, math.inf, 2.0]):
+        assert not math.isfinite(verify._fold(samples))
+    assert verify._fold([3.0, -math.inf, 1.0]) == -math.inf
+    assert verify._fold([3.0, math.inf, 1.0], min) == math.inf
+    assert verify._fold([3, 1, 2], min) == 1.0
+    rec = verify._finish("x.y", "law", math.nan, 1.0, perf_counter(), "note")
+    assert (rec.status, rec.residual) == ("fail", None)
+    assert rec.note.startswith("non-finite residual (nan)") and rec.note.endswith("note")
+    margin = verify._finish("x.y", "law", 1e-3 - math.inf, 0.0, perf_counter())
+    assert (margin.status, margin.residual) == ("fail", None)
+
+
+def test_flow_checks_fingerprint_each_target_once(monkeypatch):
+    original, calls = verify.pair_fingerprint, []
+
+    def counting(p, length=None):
+        calls.append(p)
+        return original(p, length)
+
+    monkeypatch.setattr(verify, "pair_fingerprint", counting)
+    cfg = RunConfig(n_values=(1, 2), seed=3)
+    verify._check_trotter_rate(cfg)
+    verify._check_bracket_limit(cfg)
+    # 10 base points per check: one target, then one flow per step count
+    assert len(calls) == 10 * (2 + len(verify.TROTTER_STEPS) + len(verify.BRACKET_STEPS))
