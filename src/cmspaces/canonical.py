@@ -178,9 +178,10 @@ def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityR
 def normal_form(A, B, tol: float = DEFAULT_TOL, lam_ref=None):
     """Bordered normal form of the pairs (A, B), stacked over leading axes.
 
-    Returns (Ah, Bh, G): the conjugates of A and B by diag(G, 1), and the
-    basechange G itself, unchecked for singularity (GaugeElement checks
-    it).  See normalize for the contract; any failing item raises.
+    Returns (Ah, Bh, G, Ginv): the conjugates of A and B by diag(G, 1),
+    the basechange G itself, unchecked for singularity (GaugeElement and
+    variety.check_gauge check it), and its exact inverse.  See normalize
+    for the contract; any failing item raises.
     """
     n = A.shape[-1] - 1
     lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol)
@@ -193,11 +194,12 @@ def normal_form(A, B, tol: float = DEFAULT_TOL, lam_ref=None):
             "a border-row entry vanishes on the eigenbasis; no unit-row form"
         )
     G = y[..., :, None] * g1
+    Gi = g1inv / y[..., None, :]
     E = np.zeros_like(A)
     E[..., :n, :n] = G
     E[..., n, n] = 1.0
     Ei = np.zeros_like(A)
-    Ei[..., :n, :n] = g1inv / y[..., None, :]
+    Ei[..., :n, :n] = Gi
     Ei[..., n, n] = 1.0
     Ah = E @ A @ Ei
     Bh = E @ B @ Ei
@@ -206,7 +208,7 @@ def normal_form(A, B, tol: float = DEFAULT_TOL, lam_ref=None):
     Ah[..., :n, :n] = 0.0
     Ah[..., idx, idx] = lam
     Ah[..., n, :n] = 1.0
-    return Ah, Bh, G
+    return Ah, Bh, G, Gi
 
 
 def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL, lam_ref=None):
@@ -222,5 +224,5 @@ def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL, lam_ref=None):
     Idempotent: a pair already in normal form comes back unchanged up to
     rounding, with gauge near the identity.
     """
-    Ah, Bh, G = normal_form(p.A, p.B, tol, lam_ref)
+    Ah, Bh, G, _ = normal_form(p.A, p.B, tol, lam_ref)
     return AugmentedPair(Ah, Bh, p.tau), GaugeElement(G)

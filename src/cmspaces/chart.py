@@ -40,13 +40,15 @@ from .linalg import (
     DEFAULT_TOL,
     all_items,
     any_item,
+    arrowhead_frame,
     as_square_stack,
     comm,
-    eig,
+    eigvals,
     first_failure,
     frob,
     match_to_reference,
     min_gap,
+    normalize_frame,
     reorder,
 )
 from .variety import (
@@ -184,9 +186,20 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     ones, so by the eigenbasis criterion of canonical no padded
     eigenvector survives and the stabilizer is trivial.  Both gaps use
     the threshold tol * max(1, ||.||_F) that canonical.simple_gap and the
-    eigenbasis test share; the unit row gives ||M||_F >= 1, so the full
-    gap is the one linalg.eig already tests.  Either gap failing raises
+    eigenbasis test share.  A double full eigenvalue is a Jordan block
+    (the unit row makes M nonderogatory) that rounding splits by about
+    sqrt(eps), above that threshold, so the full gap is also compared
+    with the threshold times the largest eigenvalue condition number
+    kappa_j = ||g_j|| ||ginv_j|| of the frame, which such a split drives
+    to about 1 / sqrt(eps).  Any gap failing raises
     NotStronglySemisimpleError.
+
+    Only the eigenvalues of M come from an eigensolver.  M is an
+    arrowhead, so its frame is linalg.arrowhead_frame of the block
+    diagonal and those values, checked by its residual
+    ||g M g^-1 - diag(lamhat)|| (EigenMismatchError beyond
+    1e3 * tol * max(1, max |lamhat|)) and rescaled to linalg.eig's
+    convention, which g and S follow.
     """
     return _decompose(p.A, p.B, p.tau, tol, lamhat_ref)
 
@@ -198,15 +211,28 @@ def _decompose(A, B, tau, tol: float, lamhat_ref=None) -> Decomposition:
         raise NotNormalizedError("pair is not in bordered normal form")
     idx = np.arange(n)
     block = A[..., :n, :n]
-    block_gap = min_gap(block[..., idx, idx])
+    lam = block[..., idx, idx]
+    block_gap = min_gap(lam)
     bad = ~simple_gap(block_gap, block, tol)
     if any_item(bad):
         raise NotStronglySemisimpleError(
             f"block spectrum not simple: gap {first_failure(block_gap, bad):.3e}")
-    try:
-        lamhat, g, ginv = eig(A, tol)
-    except DegenerateSpectrumError as exc:
-        raise NotStronglySemisimpleError(f"full spectrum not simple: {exc}") from exc
+    lamhat = eigvals(A)
+    full_gap = min_gap(lamhat)
+    # the plain gap first: the frame divides by the differences of lamhat
+    bad = ~simple_gap(full_gap, A, tol)
+    if any_item(bad):
+        raise NotStronglySemisimpleError(
+            f"full spectrum not simple: gap {first_failure(full_gap, bad):.3e}")
+    g, ginv = arrowhead_frame(lam, lamhat)
+    kappa = (np.linalg.norm(g, axis=-1) * np.linalg.norm(ginv, axis=-2)).max(axis=-1)
+    bad = ~simple_gap(full_gap, A, tol * kappa)
+    if any_item(bad):
+        raise NotStronglySemisimpleError(
+            f"full spectrum not simple: gap {first_failure(full_gap, bad):.3e} at "
+            f"eigenvalue condition number {first_failure(kappa, bad):.3e}")
+    _check_frame(A, lamhat, g, ginv, tol)
+    g, ginv = normalize_frame(g, ginv)
     K = comm(A, B)
     scale = matrix_pair_scale(A, B)
     if not all_items(commutator_level_deviation(K, tau) <= max(tol, 1e-12) * 1e3 * scale):
@@ -249,8 +275,8 @@ def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
         raise ShapeMismatchError(f"pair shapes {A.shape}, {B.shape} differ or are below 2 x 2")
     n = A.shape[-1] - 1
     if ref is not None or not all_items(_normal_form_test(A, max(tol, 1e-12))):
-        A, B, gauge = normal_form(A, B, tol, None if ref is None else ref.lam)
-        check_gauge(gauge)
+        A, B, gauge, gauge_inv = normal_form(A, B, tol, None if ref is None else ref.lam)
+        check_gauge(gauge, gauge_inv)
     d = _decompose(A, B, tau, tol, None if ref is None else ref.lamhat)
     lam = A[..., np.arange(n), np.arange(n)]
     return np.concatenate([lam, d.lamhat, d.mu, d.muhat], axis=-1)
@@ -310,12 +336,34 @@ def _solve_defect(K, b, tol: float):
     return m
 
 
-def _chart_frame(lam, lamhat, tau: complex, tol: float):
-    """First matrix, matched diagonalizer and spectral data shared by the inverse maps.
+def _check_frame(A, lamhat, g, ginv, tol: float) -> None:
+    """Raise EigenMismatchError unless g A ginv = diag(lamhat) within 1e3 * tol * max(1, max |lamhat|)."""
+    R = g @ A @ ginv
+    full = np.arange(A.shape[-1])
+    R[..., full, full] -= lamhat
+    resid = frob(R)
+    bound = 1e3 * tol * np.maximum(1.0, np.abs(lamhat).max(axis=-1))
+    bad = ~(resid <= bound)
+    if any_item(bad):
+        raise EigenMismatchError(
+            f"frame residual {first_failure(resid, bad):.3e} exceeds "
+            f"{first_failure(bound, bad):.3e}"
+        )
 
-    Returns (Ah, g, ginv, defect, S).  The defect solves the diagonal
-    system diag(g (shift + border_col(defect)) g^-1) = 0 by least squares;
-    S is the off-diagonal quotient by the lamhat gaps.
+
+def _chart_frame(lam, lamhat, tau: complex, tol: float):
+    """First matrix, its diagonalizer in lamhat's order and the spectral data of the inverse maps.
+
+    Returns (Ah, g, ginv, defect, S).  Ah is the arrowhead with spectra
+    (lam, lamhat) and (g, ginv) its closed-form frame
+    (linalg.arrowhead_frame), in the given order by construction and not
+    unit-normalized: the defect, S, the rebuilt second matrix and
+    project_to_slice's kappa do not change under a diagonal rescaling of
+    the frame.  The frame residual is the contract check
+    (EigenMismatchError beyond 1e3 * tol * max(1, max |lamhat|)).  The
+    defect solves the diagonal system diag(g (shift + border_col(defect))
+    g^-1) = 0 by least squares; S is the off-diagonal quotient by the
+    lamhat gaps.
     """
     n = lam.shape[-1]
     scale = np.maximum(1.0, np.abs(lamhat).max(axis=-1))
@@ -329,22 +377,17 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     Ah[..., n, :n] = 1.0
     Ah[..., n, n] = np.sum(lamhat, axis=-1) - np.sum(lam, axis=-1)
 
-    vals, g, ginv = eig(Ah, tol)
-    vals, g, ginv = reorder(vals, g, ginv, match_to_reference(vals, lamhat))
-    dev = np.abs(vals - lamhat).max(axis=-1)
-    bad = dev > 1e3 * tol * scale
-    if any_item(bad):
-        raise EigenMismatchError(
-            f"reconstructed spectrum deviates from lamhat by {first_failure(dev, bad):.3e}"
-        )
+    g, ginv = arrowhead_frame(lam, lamhat)
+    _check_frame(Ah, lamhat, g, ginv, tol)
 
-    shift = level_shift(n, tau)
+    g_shift = g * np.diagonal(level_shift(n, tau))   # g @ shift, the shift being diagonal
     # diagonal of g (shift + border_col(m)) g^-1 must vanish; linear in m
     K = g[..., :, :n] * ginv[..., n, :, None]   # K[j, i] = g[j, i] * ginv[n, j]
-    b = -np.diagonal(g @ shift @ ginv, axis1=-2, axis2=-1)
+    b = -(g_shift * np.swapaxes(ginv, -1, -2)).sum(axis=-1)
     m = _solve_defect(K, b, tol)
 
-    R = g @ (shift + _embed_border_col(m)) @ ginv
+    # the border column m e_n^T contributes the rank-one (g[:, :n] m) ginv[n, :]
+    R = g_shift @ ginv + (g[..., :, :n] @ m[..., None]) * ginv[..., n:, :]
     full = np.arange(n + 1)
     gaps = lamhat[..., :, None] - lamhat[..., None, :]
     gaps[..., full, full] = 1.0

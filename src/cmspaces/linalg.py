@@ -12,6 +12,14 @@ The second convention pins the remaining phase freedom, which makes every
 quantity computed from a diagonalizer reproducible bit for bit on
 identical input.  Tolerances are relative to the Frobenius norm of the
 input; `DEFAULT_TOL` is used when the caller does not pass one.
+
+The arrowhead matrices of the chart have their frame in closed form
+(`arrowhead_frame`): no eigensolver, no inverse, and the order of the
+given spectrum.  That frame is not unit-normalized.  Quantities that do
+not change under a diagonal rescaling of the frame (the rebuild in
+chart.from_chart) use it as it is; chart.decompose, whose frame and
+off-diagonal term are public, rescales it to the convention above with
+`normalize_frame`.
 """
 
 from __future__ import annotations
@@ -57,12 +65,41 @@ def as_square_stack(M) -> np.ndarray:
     return A
 
 
+# plain norms outside [_NORM_FLOOR, _NORM_CEIL] are recomputed: below the
+# floor the squared entries that make them up are subnormal, above the
+# ceiling (or NaN) they overflowed
+_NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+_NORM_CEIL = float(np.finfo(np.float64).max)
+
+
 def frob(M):
-    """Frobenius norm: a float for one matrix, an array over the leading axes of a stack."""
+    """Frobenius norm: a float for one matrix, an array over the leading axes of a stack.
+
+    The plain norm squares the entries, so it overflows once they pass
+    about 1e154 and loses its digits, down to 0, once they all fall below
+    about 1e-154.  Such items of finite input are recomputed as
+    s ||M / s|| with s the power of two at their largest entry magnitude:
+    exact scaling, so an item that needed none keeps its value bit for
+    bit.  The common path pays one range test.
+    """
     M = np.asarray(M)
     if M.ndim <= 2:
-        return float(np.linalg.norm(M))
-    return np.linalg.norm(M, axis=(-2, -1))
+        nrm = float(np.linalg.norm(M))
+        if _NORM_FLOOR <= nrm <= _NORM_CEIL or (nrm == 0.0 and not M.any()):
+            return nrm
+        return float(_rescaled_norm(M, None, nrm))
+    nrm = np.linalg.norm(M, axis=(-2, -1))
+    if ((nrm >= _NORM_FLOOR) & (nrm <= _NORM_CEIL)).all():
+        return nrm
+    return _rescaled_norm(M, (-2, -1), nrm)
+
+
+def _rescaled_norm(M, axes, nrm):
+    """frob's recomputation of the plain norms nrm; non-finite input keeps them."""
+    if not np.isfinite(M).all():
+        return nrm
+    s = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=axes, keepdims=True))[1])
+    return s.reshape(np.shape(nrm)) * np.linalg.norm(M / s, axis=axes)
 
 
 def any_item(bad) -> bool:
@@ -112,8 +149,12 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real), axis=-1)
 
 
-def _normalize_columns(V: np.ndarray) -> np.ndarray:
-    """Unit columns with the first significant entry rotated real positive."""
+def _normalize_columns(V: np.ndarray):
+    """Unit columns with the first significant entry rotated real positive.
+
+    Returns them with the column factors c (shape (..., 1, n)) for which
+    V * c equals them up to rounding.
+    """
     nrm = np.linalg.norm(V, axis=-2)
     if (nrm == 0.0).any():
         raise NonConvergentError("eigensolver produced a zero eigenvector")
@@ -124,7 +165,101 @@ def _normalize_columns(V: np.ndarray) -> np.ndarray:
     k = np.where(significant.any(axis=-2), np.argmax(significant, axis=-2),
                  np.argmax(mags, axis=-2))
     anchor = np.take_along_axis(W, k[..., None, :], axis=-2)
-    return W * (np.conj(anchor) / np.abs(anchor))
+    phase = np.conj(anchor) / np.abs(anchor)
+    return W * phase, phase / nrm[..., None, :]
+
+
+def normalize_frame(g, ginv):
+    """A spectral frame rescaled to the package convention for eigenvector columns.
+
+    The columns of ginv become unit vectors with their first significant
+    entry real positive, and the rows of g take the inverse factors, so
+    the pair stays mutually inverse.  O(n^2) per item.
+    """
+    ginv, c = _normalize_columns(ginv)
+    return g / np.swapaxes(c, -1, -2), ginv
+
+
+def _leave_one_out(D: np.ndarray) -> np.ndarray:
+    """P[..., i, j] = prod_{k != j} D[..., i, k], as prefix times suffix products.
+
+    No entry is divided out, so a zero factor leaves every other product
+    intact.
+    """
+    ones = np.ones(D.shape[:-1] + (1,), dtype=D.dtype)
+    prefix = np.cumprod(np.concatenate([ones, D[..., :-1]], axis=-1), axis=-1)
+    suffix = np.cumprod(np.concatenate([ones, D[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    return prefix * suffix
+
+
+def _offdiagonal_products(v: np.ndarray) -> np.ndarray:
+    """prod_{l != i} (v_i - v_l) for each i, along the last axis."""
+    d = v[..., :, None] - v[..., None, :]
+    k = v.shape[-1]
+    d[..., np.arange(k), np.arange(k)] = 1.0
+    return np.prod(d, axis=-1)
+
+
+def arrowhead_frame(lam, lamhat):
+    """Closed-form spectral frame (g, ginv) of the arrowhead with spectra (lam, lamhat).
+
+    The arrowhead is [[diag(lam), x], [1^T, a]] with block spectrum lam
+    (n) and full spectrum lamhat (n+1), both simple; x and a are fixed by
+    the two spectra.  Column j of ginv is the right eigenvector for
+    lamhat_j,
+
+        ginv[l, j] = prod_{k != j} (lam_l - lamhat_k) / prod_{m != l} (lam_l - lam_m),
+
+    with last entry 1; row j of g is the left eigenvector
+
+        w_j[m] = prod_{l != m} (lamhat_j - lam_l),  w_j[n] = prod_l (lamhat_j - lam_l),
+
+    divided by its pairing w_j . v_j = prod_{k != j} (lamhat_j - lamhat_k)
+    (the derivative of the characteristic polynomial at lamhat_j).  So
+    g = ginv^-1 and g A ginv = diag(lamhat) in lamhat's order, in O(n^2)
+    per item, with no eigensolver and no inverse.  Every leave-one-out
+    product is a prefix times a suffix product, never a quotient, so a
+    border entry x_l = 0 (lamhat_j = lam_l) is an ordinary point.
+
+    The frame is neither unit-normalized nor phase-fixed (see
+    normalize_frame).  It is homogeneous, so it is evaluated at lam / s,
+    lamhat / s with s a power of two at the spectral scale (exact
+    scaling, and the products stay clear of overflow) and mapped back by
+    diag(s, ..., s, 1).  Stacks run over leading axes.
+    """
+    lam = np.asarray(lam, dtype=np.complex128)
+    lamhat = np.asarray(lamhat, dtype=np.complex128)
+    n = lam.shape[-1]
+    top = np.maximum(np.abs(lam).max(axis=-1), np.abs(lamhat).max(axis=-1))
+    s = np.ldexp(1.0, np.frexp(top)[1])[..., None]
+    lam, lamhat = lam / s, lamhat / s
+
+    ginv = np.ones(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
+    ginv[..., :n, :] = (_leave_one_out(lam[..., :, None] - lamhat[..., None, :])
+                        / _offdiagonal_products(lam)[..., :, None])
+    E = lamhat[..., :, None] - lam[..., None, :]
+    W = np.empty_like(ginv)
+    W[..., :n] = _leave_one_out(E)
+    W[..., n] = np.prod(E, axis=-1)
+    g = W / _offdiagonal_products(lamhat)[..., :, None]
+
+    ginv[..., :n, :] *= s[..., None]
+    g[..., :n] /= s[..., None]
+    return g, ginv
+
+
+def eigvals(M):
+    """Eigenvalues of a matrix, or of each item of a stack, in the package ordering.
+
+    Values only: no eigenvectors and no checks on the spectrum.  Raises
+    NonConvergentError when the backend fails.
+    """
+    A = as_square_stack(M)
+    try:
+        vals = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergentError(f"eigensolver failed: {exc}") from exc
+    return gather(vals, _sort_order(vals), -1)
 
 
 def eig(M, tol: float = DEFAULT_TOL):
@@ -158,7 +293,7 @@ def eig(M, tol: float = DEFAULT_TOL):
         )
     order = _sort_order(vals)
     vals = gather(vals, order, -1)
-    vecs = _normalize_columns(gather(vecs, order, -1))
+    vecs, _ = _normalize_columns(gather(vecs, order, -1))
     try:
         g = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:

@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, any_item, as_cmatrix, comm, frob
+from .linalg import DEFAULT_TOL, all_items, any_item, as_cmatrix, comm, frob
 
 # ---------------------------------------------------------------------------
 # core containers
@@ -140,12 +140,18 @@ class GaugeElement:
         return E
 
 
-def check_gauge(g) -> None:
+def check_gauge(g, ginv=None) -> None:
     """Raise SingularMatrixError unless every basechange in the stack g is invertible.
 
     The test GaugeElement applies: smallest singular value above 1e-12
-    times max(1, largest).
+    times max(1, largest).  When the caller holds the exact inverse ginv,
+    1 / ||ginv||_F > 1e-12 max(1, ||g||_F) implies that test (the
+    smallest singular value is at least 1 / ||ginv||_F and the largest at
+    most ||g||_F), so it accepts at once; the SVD runs only when that
+    bound is inconclusive, and the accepted set stays the same.
     """
+    if ginv is not None and all_items(1.0 / frob(ginv) > 1e-12 * np.maximum(1.0, frob(g))):
+        return
     s = np.linalg.svd(g, compute_uv=False)
     if any_item(s[..., -1] <= 1e-12 * np.maximum(1.0, s[..., 0])):
         raise SingularMatrixError("gauge element is numerically singular")

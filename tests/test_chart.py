@@ -8,6 +8,9 @@ from cmspaces.canonical import normalize
 from cmspaces.chart import (
     ChartPoint,
     _border_column,
+    _embed_border_col,
+    _solve_defect,
+    _unpack,
     chart_jacobian,
     decompose,
     from_chart,
@@ -20,12 +23,14 @@ from cmspaces.chart import (
     to_chart_tracked,
 )
 from cmspaces.errors import (
+    CMSpacesError,
     DegenerateSpectrumError,
+    EigenMismatchError,
     NotNormalizedError,
     NotStronglySemisimpleError,
     ShapeMismatchError,
 )
-from cmspaces.linalg import comm, frob, numeric_rank
+from cmspaces.linalg import comm, eig, frob, match_to_reference, numeric_rank, reorder
 from cmspaces.variety import (
     AugmentedPair,
     augment,
@@ -46,6 +51,20 @@ HAND_B = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=complex)
 def _normal_pair(n, seed, tau=1.0):
     nf, _ = normalize(augment(random_point(n, 2, tau, seed)))
     return nf
+
+
+def _count_lapack(monkeypatch, names):
+    """Record (name, shape of the first argument) of every call to the named numpy.linalg functions."""
+    calls = []
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def test_chart_point_packing_round_trip():
@@ -130,9 +149,12 @@ def _bordered(lam, lamhat):
     # double lamhat at a block eigenvalue: the computed split is rounding level
     (_bordered([0.0, 2.0], [0.0, 0.0, 3.0]), 1e-9),
     # generic double lamhat: M is then a 2 x 2 Jordan block (the unit row
-    # makes it nonderogatory), which rounding splits by about sqrt(eps), so
-    # the tolerance must sit above that split for the gap test to see it
+    # makes it nonderogatory), which rounding splits by about sqrt(eps);
+    # a tolerance above that split sees it in the plain gap test
     (_bordered([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-6),
+    # and at the default tolerance the gap test scaled by the eigenvalue
+    # condition number (about 6e7 for the split pair) sees it
+    (_bordered([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-9),
 ])
 def test_decompose_rejects_repeated_spectra_as_not_strongly_semisimple(A, tol):
     # regularity is tested before the level condition, so B is arbitrary
@@ -142,28 +164,96 @@ def test_decompose_rejects_repeated_spectra_as_not_strongly_semisimple(A, tol):
 
 
 def test_to_chart_lapack_call_budget(monkeypatch):
-    # one block eig in normalize, one full eig in decompose; no eigvals and
-    # no SVD of the (n+1)^2 x n^2 orbit operator
+    # one block eig in normalize and the values of the full matrix in
+    # decompose; no SVD: the gauge is accepted by its exact inverse, and
+    # the (n+1)^2 x n^2 orbit operator is never formed
     n = 6
     c = random_chart_point(n, 1.0, 8)
     p = gauge_act_pair(random_gauge(n, 9), from_chart(c))
-    calls = []
-    for name in ("eig", "eigvals", "svd", "inv"):
-        original = getattr(np.linalg, name)
-
-        def counted(a, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = _count_lapack(monkeypatch, ("eig", "eigvals", "svd", "inv"))
     got = to_chart(p)
     monkeypatch.undo()
     assert np.abs(got.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())
     names = [name for name, _ in calls]
-    assert names.count("eig") + names.count("eigvals") <= 2
-    # the only SVD left is GaugeElement's n x n singularity check in normalize
-    svd_shapes = [shape for name, shape in calls if name == "svd"]
-    assert len(svd_shapes) <= 1 and all(shape == (n, n) for shape in svd_shapes)
+    assert names.count("eig") <= 1 and names.count("eigvals") <= 1 and names.count("inv") <= 1
+    assert "svd" not in names
+
+
+def test_from_chart_lapack_call_budget(monkeypatch):
+    # the rebuilt first matrix is an arrowhead with a closed-form frame: no
+    # eigensolver and no inverse; the one SVD solves the defect system
+    n = 6
+    c = random_chart_point(n, 1.0, 10)
+    calls = _count_lapack(monkeypatch, ("eig", "eigvals", "inv", "svd"))
+    from_chart(c)
+    monkeypatch.undo()
+    assert calls == [("svd", (n + 1, n))]
+
+
+def _eig_chart_frame(lam, lamhat, tau, tol=1e-9):
+    """The eig-based frame the closed-form arrowhead frame replaced: (Ah, g, ginv, S)."""
+    n = lam.shape[-1]
+    scale = np.maximum(1.0, np.abs(lamhat).max(axis=-1))
+    idx = np.arange(n)
+    Ah = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
+    Ah[..., idx, idx] = lam
+    Ah[..., :n, n] = _border_column(lam, lamhat)
+    Ah[..., n, :n] = 1.0
+    Ah[..., n, n] = np.sum(lamhat, axis=-1) - np.sum(lam, axis=-1)
+    vals, g, ginv = eig(Ah, tol)
+    vals, g, ginv = reorder(vals, g, ginv, match_to_reference(vals, lamhat))
+    if (np.abs(vals - lamhat).max(axis=-1) > 1e3 * tol * scale).any():
+        raise EigenMismatchError("reconstructed spectrum deviates from lamhat")
+    shift = level_shift(n, tau)
+    K = g[..., :, :n] * ginv[..., n, :, None]
+    b = -np.diagonal(g @ shift @ ginv, axis1=-2, axis2=-1)
+    m = _solve_defect(K, b, tol)
+    R = g @ (shift + _embed_border_col(m)) @ ginv
+    full = np.arange(n + 1)
+    gaps = lamhat[..., :, None] - lamhat[..., None, :]
+    gaps[..., full, full] = 1.0
+    S = R / gaps
+    S[..., full, full] = 0.0
+    return Ah, g, ginv, S
+
+
+def _eig_from_chart_stack(V, n, tau):
+    """from_chart_stack on the eig-based frame."""
+    lam, lamhat, mu, muhat = _unpack(V, n)
+    Ah, g, ginv, S = _eig_chart_frame(lam, lamhat, tau)
+    full = np.arange(n + 1)
+    S[..., full, full] = muhat
+    Bh = ginv @ S @ g
+    Bh[..., full[:n], full[:n]] += mu
+    return Ah, Bh
+
+
+def test_closed_form_frame_rebuilds_what_the_eig_frame_did():
+    def close(got, want):
+        return all(np.all(frob(x - y) <= 1e-12 * frob(y)) for x, y in zip(got, want))
+
+    for n in range(1, 9):
+        c = random_chart_point(n, 1.0, 180 + n)
+        assert close(from_chart_stack(c.vector(), n, c.tau),
+                     _eig_from_chart_stack(c.vector(), n, c.tau))
+    V = np.array([random_chart_point(4, 0.5 - 1j, 190 + i).vector() for i in range(6)])
+    assert close(from_chart_stack(V, 4, 0.5 - 1j), _eig_from_chart_stack(V, 4, 0.5 - 1j))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-8, 1e-4])
+def test_a_full_eigenvalue_at_a_block_eigenvalue_round_trips_or_raises(delta):
+    # lamhat_2 = lam_1 + delta puts the border entry x_1 at (or near) zero: a
+    # valid chart point, where a Cauchy quotient of the frame divides by zero
+    c = random_chart_point(4, 1.0, 3)
+    lamhat = c.lamhat.copy()
+    lamhat[2] = c.lam[1] + delta
+    c = ChartPoint(c.lam, lamhat, c.mu, c.muhat, c.tau)
+    try:
+        again = to_chart_tracked(from_chart(c), c)
+    except CMSpacesError:
+        return
+    dev = np.abs(again.vector() - c.vector()).max()
+    assert dev < 1e-8 * max(1.0, np.abs(c.vector()).max())
 
 
 def test_gap_term_depends_on_spectra_only():
@@ -245,23 +335,16 @@ def test_stacked_jacobian_matches_the_serial_loop():
 
 
 def test_chart_jacobian_lapack_call_budget(monkeypatch):
-    # three eig calls for the whole stack of 2 (4n + 2) perturbed points:
-    # the rebuilt first matrix, the block in normalize, the full matrix in
-    # decompose; the defect system is solved from its SVD, not lstsq
+    # for the whole stack of 2 (4n + 2) perturbed points: one eig of the
+    # block in normalize and the values of the full matrix in decompose;
+    # the rebuilt first matrix needs no eigensolver, and the defect system
+    # is solved from its SVD, not lstsq
     c = random_chart_point(5, 1.0, 65)
-    calls = []
-    for name in ("eig", "lstsq"):
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = [name for name, _ in _count_lapack(monkeypatch, ("eig", "eigvals", "lstsq"))]
     J = chart_jacobian(c)
     monkeypatch.undo()
     assert numeric_rank(J, tol=1e-6) == 22
-    assert calls.count("eig") <= 3 and "lstsq" not in calls
+    assert calls.count("eig") <= 1 and calls.count("eigvals") <= 1 and "lstsq" not in calls
 
 
 def test_a_coalesced_item_fails_the_stack_like_the_scalar_call():

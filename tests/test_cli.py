@@ -175,7 +175,7 @@ def test_verify_rejects_bad_sizes_at_parse_time(capsys, monkeypatch, sizes):
     ("variety,canonical,flowcalc", ["variety.fingerprint_gauge_invariance",
                                     "flowcalc.trotter_rate", "flowcalc.bracket_final_error",
                                     "flowcalc.bracket_monotone"]),
-    ("sl2", ["sl2.determinant_control_margin", "sl2.scaling_probe_margin"]),
+    ("sl2", ["sl2.moment_preservation", "sl2.scaling_probe_margin"]),
 ])
 def test_overflowed_samples_never_pass(capsys, monkeypatch, suites, overflowed):
     # at tau = 1e200 these samples overflow; a running max or min dropped the
@@ -188,6 +188,16 @@ def test_overflowed_samples_never_pass(capsys, monkeypatch, suites, overflowed):
     for name in overflowed:
         assert records[name]["status"] == "fail" and records[name]["residual"] is None
         assert records[name]["note"].startswith("non-finite residual")
+
+
+def test_the_determinant_control_keeps_its_margin_at_huge_tau(capsys, monkeypatch):
+    # its samples divide by level_scale, whose norms no longer overflow at
+    # tau = 1e200: the negative control breaks the level there as at tau = 1
+    with np.errstate(all="ignore"):
+        _, out, _ = _run(capsys, monkeypatch,
+                         ["verify", "--suite", "sl2", "--tau", "1e200", "--seed", "1"])
+    rec = {r["name"]: r for r in _strict_json(out)["records"]}["sl2.determinant_control_margin"]
+    assert rec["status"] == "pass" and -1.0 <= rec["residual"] < -0.1
 
 
 def test_a_raising_check_leaves_the_rest_of_its_suite(capsys, monkeypatch):

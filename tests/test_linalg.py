@@ -11,12 +11,14 @@ from cmspaces.errors import (
     SingularMatrixError,
 )
 from cmspaces.linalg import (
+    arrowhead_frame,
     as_cmatrix,
     comm,
     eig,
     frob,
     match_to_reference,
     min_gap,
+    normalize_frame,
     numeric_rank,
     solve,
 )
@@ -127,3 +129,81 @@ def test_match_to_reference_guards_large_displacement():
     ref = np.array([0.0, 1.0])
     with pytest.raises(BranchAmbiguityError):
         match_to_reference(np.array([0.5, 1.5]), ref)
+
+
+def _arrowhead(lam, lamhat):
+    """[[diag(lam), x], [1^T, a]] with block spectrum lam and full spectrum lamhat."""
+    n = lam.size
+    A = np.zeros((n + 1, n + 1), dtype=complex)
+    A[np.arange(n), np.arange(n)] = lam
+    A[:n, n] = [-np.prod(l - lamhat) / np.prod(l - np.delete(lam, i)) for i, l in enumerate(lam)]
+    A[n, :n] = 1.0
+    A[n, n] = lamhat.sum() - lam.sum()
+    return A
+
+
+def test_arrowhead_frame_diagonalizes_in_the_given_order():
+    rng = np.random.default_rng(14)
+    for n in range(1, 9):
+        lam = _random_complex(rng, n)
+        lamhat = _random_complex(rng, n + 1)
+        A = _arrowhead(lam, lamhat)
+        g, ginv = arrowhead_frame(lam, lamhat)
+        assert np.array_equal(ginv[n], np.ones(n + 1))
+        assert frob(g @ ginv - np.eye(n + 1)) < 1e-12
+        assert frob(g @ A @ ginv - np.diag(lamhat)) < 1e-12 * frob(A)
+        # rescaled to eig's convention it is eig's frame, in lamhat's order
+        vals, ge, gie = eig(A)
+        perm = match_to_reference(vals, lamhat)
+        gn, ginvn = normalize_frame(g, ginv)
+        assert np.abs(ginvn - gie[:, perm]).max() < 1e-10
+        assert np.abs(gn - ge[perm]).max() < 1e-10 * max(1.0, np.abs(ge).max())
+
+
+def test_arrowhead_frame_is_exact_at_a_vanishing_border_entry():
+    # lamhat_1 = lam_0 makes x_0 = 0; a Cauchy quotient x_l / (lamhat_j - lam_l)
+    # would divide by zero there, the prefix-suffix products do not
+    lam = np.array([0.0, 2.0, 5.0 + 1.0j])
+    lamhat = np.array([-1.0, 0.0, 3.0, 4.0 - 1.0j])
+    A = _arrowhead(lam, lamhat)
+    assert A[0, 3] == 0.0
+    g, ginv = arrowhead_frame(lam, lamhat)
+    assert np.isfinite(g).all() and np.isfinite(ginv).all()
+    assert frob(g @ A @ ginv - np.diag(lamhat)) < 1e-13 * frob(A)
+
+
+def test_stacked_arrowhead_frame_matches_each_item_at_any_scale():
+    # the frame is homogeneous: at lam s, lamhat s it is (g D^-1, D ginv)
+    # with D = diag(s, ..., s, 1), also where the spectral products of the
+    # unscaled formulas would over- or underflow
+    rng = np.random.default_rng(15)
+    lam = _random_complex(rng, 5)
+    lamhat = _random_complex(rng, 6)
+    g1, ginv1 = arrowhead_frame(lam, lamhat)
+    scales = np.array([1.0, 1e-150, 1e150, 3.0])
+    g, ginv = arrowhead_frame(lam * scales[:, None], lamhat * scales[:, None])
+    for i, s in enumerate(scales):
+        gi, ginvi = arrowhead_frame(lam * s, lamhat * s)
+        assert np.array_equal(g[i], gi) and np.array_equal(ginv[i], ginvi)
+        d = np.array([s] * 5 + [1.0])
+        np.testing.assert_allclose(ginv[i], d[:, None] * ginv1, rtol=1e-13)
+        np.testing.assert_allclose(g[i], g1 / d, rtol=1e-13)
+
+
+def test_frob_stays_finite_and_correct_at_extreme_scales():
+    rng = np.random.default_rng(16)
+    M = _random_complex(rng, 4, 3, 3)
+    want = np.linalg.norm(M, axis=(-2, -1))
+    M[1] *= 1e200
+    M[2] *= 1e-200
+    M[3] = 0.0
+    # numpy reports the overflow of its plain norm; what is tested is the value
+    with np.errstate(over="ignore"):
+        got = frob(M)
+        one = frob(M[1])
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got[:3], want[:3] * [1.0, 1e200, 1e-200], rtol=1e-14)
+    assert got[0] == want[0] and got[3] == 0.0
+    np.testing.assert_allclose([one, frob(M[2])], got[1:3], rtol=1e-14)
+    # non-finite input keeps its non-finite norm
+    assert frob(np.array([[np.inf, 1.0]])) == np.inf

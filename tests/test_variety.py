@@ -17,6 +17,7 @@ from cmspaces.variety import (
     augment,
     block_commutator_residual,
     calibrate_dictionary,
+    check_gauge,
     fingerprint,
     gauge_act,
     gauge_act_pair,
@@ -224,6 +225,35 @@ def test_gauge_element_rejects_singular():
 
     with pytest.raises(SingularMatrixError):
         GaugeElement(np.zeros((2, 2)))
+
+
+def test_check_gauge_accepts_by_the_exact_inverse_and_refuses_like_the_svd(monkeypatch):
+    from cmspaces.errors import SingularMatrixError
+
+    svd_calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        svd_calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(62)
+    G = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    G[1] *= 1e200
+    G[2] = np.diag([1.0, 2.0, 1.0, 1e-11])
+    # the bound reads overflow-safe norms; numpy reports its plain norm's overflow
+    with np.errstate(over="ignore"):
+        check_gauge(G, np.linalg.inv(G))
+        assert svd_calls == []
+        # inconclusive bound: the SVD decides, with GaugeElement's test
+        for small in (1e-12, 1e-13):
+            G[2, 3, 3] = small
+            with pytest.raises(SingularMatrixError):
+                check_gauge(G, np.linalg.inv(G))
+            with pytest.raises(SingularMatrixError):
+                check_gauge(G)
+    assert svd_calls == [(3, 4, 4)] * 4
 
 
 def test_quiver_moment_matches_direct_formula():
