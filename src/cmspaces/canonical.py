@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBlockError, DegenerateSpectrumError, ZeroRowEntryError
+from .errors import (
+    DegenerateBlockError,
+    DegenerateSpectrumError,
+    NonConvergentError,
+    ZeroRowEntryError,
+)
 from .linalg import (
     DEFAULT_TOL,
     any_item,
@@ -181,7 +186,9 @@ def normal_form(A, B, tol: float = DEFAULT_TOL, lam_ref=None):
     Returns (Ah, Bh, G, Ginv): the conjugates of A and B by diag(G, 1),
     the basechange G itself, unchecked for singularity (GaugeElement and
     variety.check_gauge check it), and its exact inverse.  See normalize
-    for the contract; any failing item raises.
+    for the contract; any failing item raises.  A gauge or conjugate with
+    a non-finite entry (the border row scales G, so at extreme scale it
+    overflows) raises NonConvergentError.
     """
     n = A.shape[-1] - 1
     lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol)
@@ -203,6 +210,10 @@ def normal_form(A, B, tol: float = DEFAULT_TOL, lam_ref=None):
     Ei[..., n, n] = 1.0
     Ah = E @ A @ Ei
     Bh = E @ B @ Ei
+    if not all(np.isfinite(X).all() for X in (Ah, Bh, G, Gi)):
+        raise NonConvergentError(
+            "normal form overflowed: the gauge or the conjugated pair is not finite"
+        )
     # snap the structural entries the conjugation guarantees
     idx = np.arange(n)
     Ah[..., :n, :n] = 0.0
@@ -219,7 +230,8 @@ def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL, lam_ref=None):
     given), border row exactly one, and the corner preserved.  The same
     basechange is applied to the second matrix.  Raises ZeroRowEntryError
     when a transformed border-row entry vanishes (the form does not exist),
-    DegenerateSpectrumError when the block spectrum is not simple.
+    DegenerateSpectrumError when the block spectrum is not simple,
+    NonConvergentError when the result overflows.
 
     Idempotent: a pair already in normal form comes back unchanged up to
     rounding, with gauge near the identity.

@@ -201,11 +201,17 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     1e3 * tol * max(1, max |lamhat|)) and rescaled to linalg.eig's
     convention, which g and S follow.
     """
-    return _decompose(p.A, p.B, p.tau, tol, lamhat_ref)
+    return decompose_stack(p.A, p.B, p.tau, tol, lamhat_ref)
 
 
-def _decompose(A, B, tau, tol: float, lamhat_ref=None) -> Decomposition:
-    """decompose for the pairs (A, B) stacked over leading axes."""
+def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
+                    lamhat_ref=None) -> Decomposition:
+    """decompose for the pairs (A, B) stacked over leading axes.
+
+    Every field of the Decomposition gains the same leading axes.
+    lamhat_ref broadcasts against them: one reference for all items or
+    one per item.
+    """
     n = A.shape[-1] - 1
     if not all_items(_normal_form_test(A, max(tol, 1e-12))):
         raise NotNormalizedError("pair is not in bordered normal form")
@@ -263,21 +269,26 @@ def _decompose(A, B, tau, tol: float, lamhat_ref=None) -> Decomposition:
                          g=g, N1=N1, N2=N2, S=S)
 
 
-def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
-                   ref: ChartPoint | None = None) -> np.ndarray:
+def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np.ndarray:
     """Packed chart coordinates (..., 4n+2) of the pairs (A, B) stacked over leading axes.
 
-    to_chart without ref, to_chart_tracked with it.  Without ref the
-    pairs are normalized unless every one is in normal form already.
+    to_chart without ref, to_chart_tracked with it.  ref holds packed
+    reference coordinates (..., 4n+2) that broadcast against the pairs'
+    leading axes, so one reference serves every item or each item has its
+    own.  Without ref the pairs are normalized unless every one is in
+    normal form already.
     """
     A, B = as_square_stack(A), as_square_stack(B)
     if A.shape != B.shape or A.shape[-1] < 2:
         raise ShapeMismatchError(f"pair shapes {A.shape}, {B.shape} differ or are below 2 x 2")
     n = A.shape[-1] - 1
+    lam_ref = lamhat_ref = None
+    if ref is not None:
+        lam_ref, lamhat_ref, _, _ = _unpack(ref, n)
     if ref is not None or not all_items(_normal_form_test(A, max(tol, 1e-12))):
-        A, B, gauge, gauge_inv = normal_form(A, B, tol, None if ref is None else ref.lam)
+        A, B, gauge, gauge_inv = normal_form(A, B, tol, lam_ref)
         check_gauge(gauge, gauge_inv)
-    d = _decompose(A, B, tau, tol, None if ref is None else ref.lamhat)
+    d = decompose_stack(A, B, tau, tol, lamhat_ref)
     lam = A[..., np.arange(n), np.arange(n)]
     return np.concatenate([lam, d.lamhat, d.mu, d.muhat], axis=-1)
 
@@ -299,7 +310,7 @@ def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL
     single analytic branch.  Raises BranchAmbiguityError when matching is
     not injective at the reference gaps.
     """
-    return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol, ref), p.n, p.tau)
+    return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol, ref.vector()), p.n, p.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +489,27 @@ def _central_difference(f, step: float) -> np.ndarray:
     return (f(step) - f(-step)) / (2.0 * step)
 
 
+def chart_jacobian_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL,
+                         step: float = 1e-6) -> np.ndarray:
+    """chart_jacobian at the base points V (..., 4n+2); returns (..., 4n+2, 4n+2).
+
+    The 2 (4 n + 2) perturbations of every base point go through the
+    chart as one stack, each tracked against its own base point.
+    """
+    _unpack(V, n)   # shape and finiteness of the base points
+    base = np.asarray(V, dtype=np.complex128)[..., None, :]
+    dim = 4 * n + 2
+    steps = step * np.eye(dim)
+    A, B = from_chart_stack(np.concatenate([base + steps, base - steps], axis=-2), n, tau, tol)
+    back = to_chart_stack(A, B, tau, tol, ref=base)
+    return np.swapaxes((back[..., :dim, :] - back[..., dim:, :]) / (2.0 * step), -1, -2)
+
+
 def chart_jacobian(c: ChartPoint, tol: float = DEFAULT_TOL, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of to_chart(from_chart(.)) at c.
 
     Tracked coordinates keep one analytic branch, so on the chart domain
     this is numerically the identity and its rank certifies the coordinate
-    count 4 n + 2.  All 2 (4 n + 2) perturbed points go through the
-    chart as one stack.
+    count 4 n + 2.
     """
-    base = c.vector()
-    dim = base.size
-    steps = step * np.eye(dim)
-    A, B = from_chart_stack(np.concatenate([base + steps, base - steps]), c.n, c.tau, tol)
-    back = to_chart_stack(A, B, c.tau, tol, ref=c)
-    return ((back[:dim] - back[dim:]) / (2.0 * step)).T
+    return chart_jacobian_stack(c.vector(), c.n, c.tau, tol, step)

@@ -340,15 +340,23 @@ def solve(M, rhs, tol: float = DEFAULT_TOL) -> np.ndarray:
     return X[:, 0] if vector_rhs else X
 
 
-def numeric_rank(M, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above tol times the largest one."""
-    A = as_cmatrix(M)
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+def numeric_rank(M, tol: float = DEFAULT_TOL):
+    """Number of singular values above tol times the largest one.
+
+    An int for one matrix; for a stack over leading axes, an int array
+    from one SVD call.
+    """
+    A = np.asarray(M, dtype=np.complex128)
+    if A.ndim < 2:
+        raise ShapeMismatchError(f"expected matrices, got ndim={A.ndim}")
+    if not np.isfinite(A).all():
+        raise ShapeMismatchError("matrix contains non-finite entries")
+    if 0 in A.shape[-2:]:
+        rank = np.zeros(A.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(A, compute_uv=False)
+        rank = np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    return int(rank) if A.ndim == 2 else rank
 
 
 def comm(A, B) -> np.ndarray:
@@ -369,8 +377,9 @@ def match_to_reference(values, ref, guard: float = 0.45) -> np.ndarray:
     i.e. when the continuation is no longer trustworthy.
 
     Spectra run along the last axis.  values may be a stack, matched item
-    by item; ref is one spectrum for all items or one per item, and each
-    item gets its own assignment and guard.
+    by item; ref broadcasts against its leading axes (one spectrum for all
+    items, one per item, or one per group of items), and each item gets
+    its own assignment and guard.
     """
     v = np.asarray(values, dtype=np.complex128)
     r = np.asarray(ref, dtype=np.complex128)

@@ -209,16 +209,6 @@ def fixed_point_probe(r: Representation, t: float):
 
 
 # ---------------------------------------------------------------------------
-# power-sum coordinates
-
-
-def eigs_to_power_sums(values, kmax: int | None = None) -> np.ndarray:
-    v = np.asarray(values, dtype=np.complex128).ravel()
-    kmax = v.size if kmax is None else int(kmax)
-    return np.array([np.sum(v**k) for k in range(1, kmax + 1)], dtype=np.complex128)
-
-
-# ---------------------------------------------------------------------------
 # induced vector fields in chart coordinates
 
 
@@ -307,8 +297,8 @@ def analytic_field(gen: SL2Generator, c: ChartPoint) -> ChartTangent:
             d_muhat=z * c.lamhat.copy(),
         )
     if gen.kind == "h":
-        s = eigs_to_power_sums(c.lamhat, 2)
-        return ChartTangent(base=c, d_s={1: z * s[0], 2: 2.0 * z * s[1]})
+        return ChartTangent(base=c, d_s={1: z * np.sum(c.lamhat),
+                                         2: 2.0 * z * np.sum(c.lamhat**2)})
     return ChartTangent(
         base=c,
         d_s={
@@ -345,7 +335,7 @@ def find_independence_point(n: int, tau: complex, seed: int,
             continue
         muhat = rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)
         c = ChartPoint(lam, lamhat, np.zeros(n), muhat, tau)
-        s = eigs_to_power_sums(lamhat, 2)
+        s = (np.sum(lamhat), np.sum(lamhat**2))
         scale = max(1.0, abs(s[0]), abs(s[1]))
         for _ in range(16):
             c = project_to_slice(c, tol)

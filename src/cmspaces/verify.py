@@ -24,11 +24,11 @@ from time import perf_counter
 
 import numpy as np
 
-from .canonical import normalize, orbit_dimension
+from .canonical import normal_form, normalize, orbit_dimension
 from .chart import (
-    ChartPoint,
-    chart_jacobian,
+    chart_jacobian_stack,
     decompose,
+    decompose_stack,
     from_chart,
     from_chart_stack,
     random_chart_point,
@@ -66,10 +66,12 @@ from .variety import (
     augment,
     block_commutator_residual,
     calibrate_dictionary,
+    check_gauge,
     fingerprint,
     gauge_act,
     level_residual,
     level_scale,
+    matrix_pair_scale,
     pair_fingerprint,
     pair_scale,
     project,
@@ -406,18 +408,21 @@ def _check_hand_case(cfg: RunConfig) -> CheckRecord:
 @_emits("chart.splitting_constraints")
 def _check_splitting_constraints(cfg: RunConfig) -> CheckRecord:
     t0 = perf_counter()
-    resids = []
-    for i in range(20):
-        n = 1 + i % 5
-        c = random_chart_point(n, cfg.tau, _seed(cfg, "spl", i))
-        p = from_chart(c, cfg.tol)
-        d = decompose(p, cfg.tol)
-        scale = pair_scale(p)
-        ginv = np.linalg.inv(d.g)
-        resids += [frob(d.N1 + d.N2 - p.B) / scale,
-                   frob(d.g @ d.N2 @ ginv - np.diag(d.muhat) - d.S) / scale]
+    resids = np.empty((20, 2))
+    for n in range(1, 6):
+        trials = list(range(n - 1, 20, 5))    # trial i has size 1 + i % 5
+        V = np.array([random_chart_point(n, cfg.tau, _seed(cfg, "spl", i)).vector()
+                      for i in trials])
+        A, B = from_chart_stack(V, n, cfg.tau, cfg.tol)
+        d = decompose_stack(A, B, cfg.tau, cfg.tol)
+        off = d.g @ d.N2 @ np.linalg.inv(d.g) - d.S
+        off[..., np.arange(n + 1), np.arange(n + 1)] -= d.muhat
+        # norms item by item: frob of one matrix and of a stack round differently
+        for i, a, b, split, rest in zip(trials, A, B, d.N1 + d.N2 - B, off):
+            scale = matrix_pair_scale(a, b)
+            resids[i] = frob(split) / scale, frob(rest) / scale
     return _finish("chart.splitting_constraints", "second-matrix-splitting",
-                   _fold(resids), 1e-9, t0, "relative to max(1, ||A|| ||B||)")
+                   _fold(resids.ravel()), 1e-9, t0, "relative to max(1, ||A|| ||B||)")
 
 
 @_emits("chart.gap_term_spectral_only")
@@ -427,17 +432,15 @@ def _check_gap_term_invariance(cfg: RunConfig) -> CheckRecord:
     ns = _ns(cfg, 4)
     for n in ns:
         base = random_chart_point(n, cfg.tau, _seed(cfg, f"gapi{n}"))
-        S_ref = None
         rng = np.random.default_rng(_seed(cfg, f"gapv{n}"))
+        moments = []
         for _ in range(20):
             mu = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
             muhat = rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)
-            c = ChartPoint(base.lam, base.lamhat, mu, muhat, cfg.tau)
-            d = decompose(from_chart(c, cfg.tol), cfg.tol, lamhat_ref=base.lamhat)
-            if S_ref is None:
-                S_ref = d.S
-            else:
-                resids.append(np.abs(d.S - S_ref).max())
+            moments.append(np.concatenate([base.lam, base.lamhat, mu, muhat]))
+        A, B = from_chart_stack(np.array(moments), n, cfg.tau, cfg.tol)
+        S = decompose_stack(A, B, cfg.tau, cfg.tol, lamhat_ref=base.lamhat).S
+        resids.extend(np.abs(S[1:] - S[0]).max(axis=(-2, -1)))
     return _finish("chart.gap_term_spectral_only", "gap-term-depends-on-spectra-only",
                    _fold(resids), 1e-10, t0, "absolute deviation across moment variations",
                    samples=20 * len(ns))
@@ -467,14 +470,15 @@ def _check_round_trip_pair(cfg: RunConfig) -> CheckRecord:
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
-        pairs = [normalize(augment(random_point(n, 2, cfg.tau, _seed(cfg, f"rtp{n}", i))),
-                           cfg.tol)[0] for i in range(trials)]
-        A = np.array([p.A for p in pairs])
-        B = np.array([p.B for p in pairs])
+        pairs = [augment(random_point(n, 2, cfg.tau, _seed(cfg, f"rtp{n}", i)))
+                 for i in range(trials)]
+        A, B, gauge, gauge_inv = normal_form(np.array([p.A for p in pairs]),
+                                             np.array([p.B for p in pairs]), cfg.tol)
+        check_gauge(gauge, gauge_inv)
         coords = to_chart_stack(A, B, cfg.tau, cfg.tol)
-        for p, qA, qB in zip(pairs, *from_chart_stack(coords, n, cfg.tau, cfg.tol)):
+        for a, b, qA, qB in zip(A, B, *from_chart_stack(coords, n, cfg.tau, cfg.tol)):
             resids.append(_trace_word_error(pair_fingerprint(AugmentedPair(qA, qB, cfg.tau)),
-                                            pair_fingerprint(p)))
+                                            pair_fingerprint(AugmentedPair(a, b, cfg.tau))))
     return _finish("chart.round_trip_pair", "rebuilt-pair-on-same-orbit",
                    _fold(resids), 1e-8, t0, "relative trace-word deviation",
                    samples=len(ns) * trials)
@@ -487,10 +491,10 @@ def _check_jacobian_rank(cfg: RunConfig) -> CheckRecord:
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
-        for i in range(trials):
-            c = random_chart_point(n, cfg.tau, _seed(cfg, f"jac{n}", i))
-            J = chart_jacobian(c, cfg.tol)
-            deficiencies.append(abs(numeric_rank(J) - (4 * n + 2)))
+        V = np.array([random_chart_point(n, cfg.tau, _seed(cfg, f"jac{n}", i)).vector()
+                      for i in range(trials)])
+        J = chart_jacobian_stack(V, n, cfg.tau, cfg.tol)
+        deficiencies.extend(np.abs(numeric_rank(J) - (4 * n + 2)).tolist())
     return _finish("chart.jacobian_rank", "chart-coordinate-count",
                    _fold(deficiencies), 0.0, t0, "deviation from 4n+2", samples=len(ns) * trials)
 

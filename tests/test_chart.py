@@ -12,6 +12,7 @@ from cmspaces.chart import (
     _solve_defect,
     _unpack,
     chart_jacobian,
+    chart_jacobian_stack,
     decompose,
     from_chart,
     from_chart_stack,
@@ -20,9 +21,11 @@ from cmspaces.chart import (
     random_chart_point,
     slice_residual,
     to_chart,
+    to_chart_stack,
     to_chart_tracked,
 )
 from cmspaces.errors import (
+    BranchAmbiguityError,
     CMSpacesError,
     DegenerateSpectrumError,
     EigenMismatchError,
@@ -356,6 +359,58 @@ def test_a_coalesced_item_fails_the_stack_like_the_scalar_call():
         from_chart(points[1])
     with pytest.raises(type(scalar.value)):
         from_chart_stack(np.array([c.vector() for c in points]), 3, 1.0)
+
+
+def test_stacked_base_points_give_the_per_point_jacobians():
+    for n in range(1, 6):
+        points = [random_chart_point(n, 1.0, 400 + 20 * n + i) for i in range(20)]
+        J = chart_jacobian_stack(np.array([c.vector() for c in points]), n, 1.0)
+        assert J.shape == (20, 4 * n + 2, 4 * n + 2)
+        assert np.array_equal(J, np.array([chart_jacobian(c) for c in points]))
+
+
+def _scrambled_stack(n, count, seed):
+    """count chart points and gauge-scrambled pairs (A, B) rebuilt from them."""
+    points = [random_chart_point(n, 1.0, seed + i) for i in range(count)]
+    pairs = [gauge_act_pair(random_gauge(n, seed + 50 + i), from_chart(c)) for i, c in enumerate(points)]
+    return points, pairs, np.array([p.A for p in pairs]), np.array([p.B for p in pairs])
+
+
+def test_to_chart_stack_tracks_each_item_against_its_own_ref():
+    for n in (1, 3, 5):
+        points, pairs, A, B = _scrambled_stack(n, 6, 500 + 10 * n)
+        # reversed spectra in the references: only matching puts them back
+        refs = [ChartPoint(c.lam[::-1], c.lamhat[::-1], c.mu[::-1], c.muhat[::-1], 1.0)
+                for c in points]
+        got = to_chart_stack(A, B, 1.0, ref=np.array([r.vector() for r in refs]))
+        want = np.array([to_chart_tracked(p, r).vector() for p, r in zip(pairs, refs)])
+        # equal up to rounding, not bit for bit: the block diagonal read off
+        # a stack has a transposed memory layout, over which numpy's
+        # products in the closed-form frame round differently
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        assert np.abs(want - np.array([r.vector() for r in refs])).max() < 1e-8
+
+
+def test_one_bad_item_fails_the_stacked_kernels_like_the_scalar_call():
+    # a coalesced base point of the Jacobian stack
+    points = [random_chart_point(3, 1.0, 180 + i) for i in range(3)]
+    lamhat = points[1].lamhat.copy()
+    lamhat[1] = lamhat[0]
+    points[1] = ChartPoint(points[1].lam, lamhat, points[1].mu, points[1].muhat, 1.0)
+    with pytest.raises(DegenerateSpectrumError) as scalar:
+        chart_jacobian(points[1])
+    with pytest.raises(type(scalar.value)):
+        chart_jacobian_stack(np.array([c.vector() for c in points]), 3, 1.0)
+    # an ambiguous reference in a tracked read: two reference values 1e-3
+    # apart leave no trustworthy matching
+    points, pairs, A, B = _scrambled_stack(3, 3, 190)
+    refs = [c.vector() for c in points]
+    refs[2][4] = refs[2][3] + 1e-3     # lamhat[1] next to lamhat[0]
+    bad = ChartPoint.from_vector(refs[2], 3, 1.0)
+    with pytest.raises(BranchAmbiguityError) as scalar:
+        to_chart_tracked(pairs[2], bad)
+    with pytest.raises(type(scalar.value)):
+        to_chart_stack(A, B, 1.0, ref=np.array(refs))
 
 
 def test_project_to_slice_kills_the_second_corner():

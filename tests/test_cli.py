@@ -190,6 +190,20 @@ def test_overflowed_samples_never_pass(capsys, monkeypatch, suites, overflowed):
         assert records[name]["note"].startswith("non-finite residual")
 
 
+def test_an_overflowed_normal_form_is_a_numerical_error(capsys, monkeypatch):
+    # at tau = 1e200 the border row that scales the gauge is ~1e195, and the
+    # conjugated pair overflows: a numerical failure, not a shape error
+    with np.errstate(all="ignore"):
+        code, out, _ = _run(capsys, monkeypatch,
+                            ["verify", "--suite", "canonical", "--tau", "1e200", "--seed", "1"])
+    assert code == EXIT_NUMERICAL
+    records = {rec["name"]: rec for rec in _strict_json(out)["records"]}
+    for name in ("canonical.normal_form_shape", "canonical.normalize_gauge_equivalence"):
+        assert records[name]["status"] == "error"
+        assert records[name]["note"].startswith("NonConvergentError at seed 1")
+        assert "ShapeMismatchError" not in records[name]["note"]
+
+
 def test_the_determinant_control_keeps_its_margin_at_huge_tau(capsys, monkeypatch):
     # its samples divide by level_scale, whose norms no longer overflow at
     # tau = 1e200: the negative control breaks the level there as at tau = 1
@@ -204,7 +218,7 @@ def test_a_raising_check_leaves_the_rest_of_its_suite(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise DefectSystemError("injected")
 
-    monkeypatch.setattr("cmspaces.verify.chart_jacobian", boom)
+    monkeypatch.setattr("cmspaces.verify.chart_jacobian_stack", boom)
     code, out, err = _run(capsys, monkeypatch,
                           ["verify", "--suite", "chart", "--n", "1,2", "--seed", "4"])
     assert code == EXIT_NUMERICAL

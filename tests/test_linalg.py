@@ -105,6 +105,19 @@ def test_numeric_rank_hand_cases():
     assert numeric_rank(M) == 1
 
 
+def test_numeric_rank_of_a_stack_is_the_rank_of_each_item():
+    items = [np.zeros((3, 3)), np.eye(3), np.outer([1.0, 2.0, 0.0], [3.0, 4.0, 5.0]),
+             np.diag([1.0, 1e-12, 1.0])]
+    want = [0, 3, 1, 2]
+    assert [numeric_rank(M) for M in items] == want
+    ranks = numeric_rank(np.array(items))
+    assert ranks.shape == (4,) and ranks.tolist() == want
+    assert numeric_rank(np.array(items).reshape(2, 2, 3, 3)).tolist() == [[0, 3], [1, 2]]
+    assert numeric_rank(np.zeros((2, 0, 3))).tolist() == [0, 0]
+    with pytest.raises(ShapeMismatchError):
+        numeric_rank(np.ones(3))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 2**31 - 1))
 def test_commutator_is_trace_free(n, seed):

@@ -3,6 +3,7 @@
 import math
 from time import perf_counter
 
+import numpy as np
 import pytest
 
 from cmspaces import verify
@@ -84,3 +85,27 @@ def test_flow_checks_fingerprint_each_target_once(monkeypatch):
     verify._check_bracket_limit(cfg)
     # 10 base points per check: one target, then one flow per step count
     assert len(calls) == 10 * (2 + len(verify.TROTTER_STEPS) + len(verify.BRACKET_STEPS))
+
+
+def _count_eigensolver_calls(monkeypatch):
+    counts = {"eig": 0, "eigvals": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_chart_sweeps_make_one_eigensolver_call_per_size(monkeypatch):
+    # one stack per size n: the per-trial loops made 100 eig and 100
+    # eigvals calls in the Jacobian sweep and 80 eigvals in the gap sweep
+    counts = _count_eigensolver_calls(monkeypatch)
+    assert verify._check_jacobian_rank(RunConfig()).status == "pass"
+    assert counts["eig"] <= 5 and counts["eigvals"] <= 5
+    counts.update(eig=0, eigvals=0)
+    assert verify._check_gap_term_invariance(RunConfig()).status == "pass"
+    assert counts["eigvals"] <= 4
