@@ -372,7 +372,8 @@ def test_stacked_base_points_give_the_per_point_jacobians():
 def _scrambled_stack(n, count, seed):
     """count chart points and gauge-scrambled pairs (A, B) rebuilt from them."""
     points = [random_chart_point(n, 1.0, seed + i) for i in range(count)]
-    pairs = [gauge_act_pair(random_gauge(n, seed + 50 + i), from_chart(c)) for i, c in enumerate(points)]
+    pairs = [gauge_act_pair(random_gauge(n, seed + 50 + i), from_chart(c))
+             for i, c in enumerate(points)]
     return points, pairs, np.array([p.A for p in pairs]), np.array([p.B for p in pairs])
 
 
