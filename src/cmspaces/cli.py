@@ -5,7 +5,8 @@ form plus regularity report), chart (coordinates both directions), flow
 (one-parameter subgroup applied to a seeded chart point), verify (the
 self-check suites).  JSON goes to stdout, a short human summary to
 stderr.  Exit codes: 0 success, 1 a verify check failed, 2 malformed
-input, 3 an internal numerical failure (the failing operation is named).
+input or an input too large to allocate, 3 an internal numerical failure
+(the failing operation is named).
 
 Everything random is seeded explicitly; identical invocations print
 identical bytes (runtimes in verify reports aside).  The environment
@@ -74,14 +75,23 @@ def _parse_n_range(text: str) -> tuple:
     return values
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int, rule: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "must be positive")
+
+
+def _seed_value(text: str) -> int:
+    """An RNG seed: numpy's generators take non-negative integers only."""
+    return _int_at_least(text, 0, "must be a non-negative integer")
 
 
 def _tolerance(text: str) -> float:
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=3, help="matrix size")
         p.add_argument("--tau", type=_parse_tau, default=complex(1.0),
                        help="level parameter as 're' or 're,im'")
-        p.add_argument("--seed", type=int, default=1, help="RNG seed")
+        p.add_argument("--seed", type=_seed_value, default=1, help="RNG seed")
         p.add_argument("--tol", type=_tolerance, default=tol_default,
                        help="numerical tolerance (CM_TOL overrides the default)")
         p.add_argument("--out", help="also write the JSON payload to this file")
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--trials", type=_positive_int, default=None,
                     help="override per-check trial counts")
     vf.add_argument("--tau", type=_parse_tau, default=complex(1.0))
-    vf.add_argument("--seed", type=int, default=1)
+    vf.add_argument("--seed", type=_seed_value, default=1)
     vf.add_argument("--tol", type=_tolerance, default=tol_default)
     vf.add_argument("--out", help="also write the JSON report to this file")
     vf.set_defaults(func=cmd_verify)
@@ -318,6 +328,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        print(f"input error: {args.command} needs more memory than is available "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_BAD_INPUT
     except CMSpacesError as exc:
         print(f"numerical failure in {args.command}: {type(exc).__name__}: {exc}",

@@ -24,8 +24,6 @@ off-diagonal term are public, rescales it to the convention above with
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -80,26 +78,44 @@ def frob(M):
     about 1e-154.  Such items of finite input are recomputed as
     s ||M / s|| with s the power of two at their largest entry magnitude:
     exact scaling, so an item that needed none keeps its value bit for
-    bit.  The common path pays one range test.
+    bit.  The common path pays one range test.  Each item of a C-ordered
+    stack gets the bits of its one-item call.
     """
     M = np.asarray(M)
     if M.ndim <= 2:
         nrm = float(np.linalg.norm(M))
         if _NORM_FLOOR <= nrm <= _NORM_CEIL or (nrm == 0.0 and not M.any()):
             return nrm
-        return float(_rescaled_norm(M, None, nrm))
-    nrm = np.linalg.norm(M, axis=(-2, -1))
+        return float(_rescaled_norm(M, False, nrm))
+    nrm = row_norms(M.reshape(M.shape[:-2] + (-1,)))
     if ((nrm >= _NORM_FLOOR) & (nrm <= _NORM_CEIL)).all():
         return nrm
-    return _rescaled_norm(M, (-2, -1), nrm)
+    return _rescaled_norm(M, True, nrm)
 
 
-def _rescaled_norm(M, axes, nrm):
+def row_norms(x):
+    """np.linalg.norm of each vector along the last axis, bit for bit.
+
+    The one-vector norm is the square root of the dot products of the
+    real and imaginary parts; np.vecdot makes the same dot products,
+    where norm(axis=-1) rounds differently.
+    """
+    if not np.iscomplexobj(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.sqrt(np.vecdot(x, x))
+    re, im = x.real, x.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def _rescaled_norm(M, stacked, nrm):
     """frob's recomputation of the plain norms nrm; non-finite input keeps them."""
     if not np.isfinite(M).all():
         return nrm
+    axes = (-2, -1) if stacked else None
     s = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=axes, keepdims=True))[1])
-    return s.reshape(np.shape(nrm)) * np.linalg.norm(M / s, axis=axes)
+    M = M / s
+    plain = row_norms(M.reshape(M.shape[:-2] + (-1,))) if stacked else np.linalg.norm(M)
+    return s.reshape(np.shape(nrm)) * plain
 
 
 def any_item(bad) -> bool:
@@ -385,18 +401,28 @@ def match_to_reference(values, ref, guard: float = 0.45) -> np.ndarray:
     r = np.asarray(ref, dtype=np.complex128)
     if v.ndim == 0 or r.ndim == 0 or v.shape[-1] != r.shape[-1]:
         raise ShapeMismatchError("value and reference counts differ")
+    if not v.shape[-1]:
+        return np.empty(v.shape, dtype=int)
     cost = np.abs(v[..., None, :] - r[..., :, None])
-    perm = np.empty(v.shape, dtype=int)
-    for item in product(*map(range, v.shape[:-1])):
+    # Each reference takes its nearest value.  Where every such
+    # displacement is below guard * gap < gap / 2, no value is nearest to
+    # two references, and any other assignment moves some reference by
+    # more than gap / 2: the nearest matching is the unique optimal one.
+    # The other items (and every item when guard >= 0.5) get the
+    # Hungarian solve.
+    gap = min_gap(r)
+    perm = cost.argmin(axis=-1)
+    hungarian = np.ones(cost.shape[:-2], dtype=bool)
+    if guard < 0.5:
+        hungarian = ~(cost.min(axis=-1).max(axis=-1) < guard * gap)
+    for item in map(tuple, np.argwhere(hungarian)):
         rows, cols = linear_sum_assignment(cost[item])
         perm[item + (rows,)] = cols
-    if v.shape[-1]:
-        dev = np.abs(gather(v, perm, -1) - r).max(axis=-1)
-        gap = min_gap(r)
-        bad = np.isfinite(gap) & (dev > guard * gap)
-        if any_item(bad):
-            raise BranchAmbiguityError(
-                f"matched displacement {first_failure(dev, bad):.3e} exceeds "
-                f"{guard} * gap {first_failure(gap, bad):.3e}"
-            )
+    dev = np.abs(gather(v, perm, -1) - r).max(axis=-1)
+    bad = np.isfinite(gap) & (dev > guard * gap)
+    if any_item(bad):
+        raise BranchAmbiguityError(
+            f"matched displacement {first_failure(dev, bad):.3e} exceeds "
+            f"{guard} * gap {first_failure(gap, bad):.3e}"
+        )
     return perm

@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, all_items, any_item, as_cmatrix, comm, frob
+from .linalg import DEFAULT_TOL, all_items, any_item, as_cmatrix, comm, frob, row_norms
 
 # ---------------------------------------------------------------------------
 # core containers
@@ -173,12 +173,17 @@ def moment_map(r: Representation) -> np.ndarray:
 
 
 def level_scale(r: Representation) -> float:
-    return max(1.0, frob(r.A) * frob(r.B))
+    return float(matrix_pair_scale(r.A, r.B))
 
 
 def level_residual(r: Representation) -> float:
     """Frobenius distance of the moment map from tau * I."""
-    return frob(moment_map(r) - r.tau * np.eye(r.n))
+    return float(quadruple_level_residual(r.A, r.B, r.v, r.w, r.tau))
+
+
+def quadruple_level_residual(A, B, v, w, tau):
+    """level_residual over the trailing axes of stacked quadruples."""
+    return frob(comm(A, B) - v @ w - tau * np.eye(A.shape[-1]))
 
 
 def on_shell(r: Representation, tol: float = DEFAULT_TOL) -> bool:
@@ -225,16 +230,21 @@ def augment(r: Representation) -> AugmentedPair:
     """Embed a k = 2 quadruple into an (n+1) pair with zero corners."""
     if r.k != 2:
         raise ShapeMismatchError("augmentation needs two inner columns (k = 2)")
-    n = r.n
-    Ah = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    Bh = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    Ah[:n, :n] = r.A
-    Ah[:n, n] = r.v[:, 0]
-    Ah[n, :n] = r.w[1, :]
-    Bh[:n, :n] = r.B
-    Bh[:n, n] = r.v[:, 1]
-    Bh[n, :n] = -r.w[0, :]
-    return AugmentedPair(Ah, Bh, r.tau)
+    return AugmentedPair(*augment_stack(r.A, r.B, r.v, r.w), r.tau)
+
+
+def augment_stack(A, B, v, w):
+    """The matrices of augment() for stacked k = 2 quadruples, over leading axes."""
+    n = A.shape[-1]
+    Ah = np.zeros(A.shape[:-2] + (n + 1, n + 1), dtype=np.complex128)
+    Bh = np.zeros_like(Ah)
+    Ah[..., :n, :n] = A
+    Ah[..., :n, n] = v[..., :, 0]
+    Ah[..., n, :n] = w[..., 1, :]
+    Bh[..., :n, :n] = B
+    Bh[..., :n, n] = v[..., :, 1]
+    Bh[..., n, :n] = -w[..., 0, :]
+    return Ah, Bh
 
 
 def project(p: AugmentedPair, tol: float = DEFAULT_TOL) -> Representation:
@@ -411,12 +421,30 @@ def calibrate_dictionary(r: Representation, tol: float = 1e-9) -> DictionaryRepo
 def spaced_points(rng: np.random.Generator, count: int, spacing: float = 1.0,
                   jitter: float = 0.15, origin_radius: float = 0.5) -> np.ndarray:
     """Complex values on a jittered line; pairwise gaps at least spacing - 2*sqrt(2)*jitter."""
+    return _spaced(rng.random(2 * count + 2), spacing, jitter, origin_radius)
+
+
+def _spaced(u, spacing: float = 1.0, jitter: float = 0.15, origin_radius: float = 0.5):
+    """spaced_points from its 2 count + 2 drawn doubles, over the leading axes of u.
+
+    They are count real and count imaginary jitters, then the real and
+    imaginary shift.
+    """
+    count = u.shape[-1] // 2 - 1
     base = (np.arange(count) - (count - 1) / 2.0) * spacing
-    jit = rng.uniform(-jitter, jitter, count) + 1j * rng.uniform(-jitter, jitter, count)
-    shift = rng.uniform(-origin_radius, origin_radius) + 1j * rng.uniform(
-        -origin_radius, origin_radius
-    )
+    jit = _complex_of(u[..., :count], u[..., count:2 * count], jitter)
+    shift = _complex_of(u[..., -2:-1], u[..., -1:], origin_radius)
     return base + jit + shift
+
+
+def _complex_of(re, im, half_width: float = 1.0):
+    """Complex uniforms on the square of half_width from the doubles Generator.random drew.
+
+    Bit for bit what Generator.uniform(-half_width, half_width) makes of
+    the same doubles, low + (high - low) * u, for each part.
+    """
+    low, high = -half_width, half_width
+    return (low + (high - low) * re) + 1j * (low + (high - low) * im)
 
 
 def _complex_uniform(rng: np.random.Generator, shape, half_width: float = 1.0) -> np.ndarray:
@@ -433,7 +461,57 @@ def random_point(n: int, k: int, tau: complex, seed: int,
     with rows bounded away from zero, pick each column of w as the least-norm
     solution of (v w)_ii = -tau plus a seeded kernel offset, then read the
     off-diagonal entries of B from the level condition and seed its diagonal.
-    The result satisfies the level condition to rounding.
+    The result satisfies the level condition to rounding.  The one-seed
+    call of random_points.
+    """
+    A, B, v, w = random_points(n, k, tau, [seed], row_floor, max_tries)
+    return Representation(A[0], B[0], v[0], w[0], tau)
+
+
+def _inner_rows(u, k: int):
+    """Complex rows from blocks of 2k doubles: k real parts, then k imaginary parts."""
+    u = u.reshape(u.shape[:-1] + (u.shape[-1] // (2 * k), 2, k))
+    return _complex_of(u[..., 0, :], u[..., 1, :])
+
+
+def _replay_rows(rng, rest, n: int, k: int, row_floor: float, max_tries: int):
+    """One seed's inner rows by the per-row rejection loop, and the doubles after them.
+
+    rest holds the doubles the stacked draw took after the spectrum; the
+    stream goes on in rng.  The blocks of the rows still missing are
+    taken at once, which consumes the stream as one row at a time does.
+    """
+    rows, tries = [], 0
+    while len(rows) < n:
+        need = 2 * k * (n - len(rows))
+        if len(rest) < need:
+            rest = np.concatenate([rest, rng.random(need - len(rest))])
+        block, rest = _inner_rows(rest[:need], k), rest[need:]
+        for row, norm in zip(block, row_norms(block)):
+            if tries >= max_tries:
+                raise InfeasibleRowError(f"no admissible inner row for index {len(rows)}")
+            if norm >= row_floor:
+                rows.append(row)
+                tries = 0
+            else:
+                tries += 1
+    tail = 2 * n * k
+    if len(rest) < tail:
+        rest = np.concatenate([rest, rng.random(tail - len(rest))])
+    return np.array(rows), rest[:tail]
+
+
+def random_points(n: int, k: int, tau: complex, seeds,
+                  row_floor: float = 0.3, max_tries: int = 32):
+    """Seeded on-shell points, one per seed, stacked: (A, B, v, w) with leading axis len(seeds).
+
+    Item i is random_point(n, k, tau, seeds[i], row_floor, max_tries),
+    from one Generator per seed.  Each seed's spectrum, its inner rows as
+    if none were rejected and the doubles after them come in one draw,
+    and the arithmetic runs over the whole stack.  A seed that rejects a
+    row replays the per-row rejection loop on its own stream, which it
+    consumes as one row at a time would; the first seed to exhaust
+    max_tries raises InfeasibleRowError.
     """
     if complex(tau) == 0:
         raise ValueError("the level parameter tau must be nonzero")
@@ -441,38 +519,44 @@ def random_point(n: int, k: int, tau: complex, seed: int,
         raise ShapeMismatchError(f"inner rank k must be 1 or 2, got {k}")
     if n < 1:
         raise ShapeMismatchError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
     tau = complex(tau)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # per seed: the spectrum (spaced_points), n blocks of 2k row doubles,
+    # then (k = 2) n kernel coefficients as (real, imaginary) pairs and
+    # the diagonal of B (n real, n imaginary)
+    head, body = 2 * n + 2, 2 * n * k
+    total = head + body + 2 * n * k
+    U = np.array([rng.random(total) for rng in rngs]).reshape(len(rngs), total)
 
-    lam = spaced_points(rng, n)
-    v = np.empty((n, k), dtype=np.complex128)
-    for i in range(n):
-        for attempt in range(max_tries + 1):
-            if attempt == max_tries:
-                raise InfeasibleRowError(f"no admissible inner row for index {i}")
-            row = _complex_uniform(rng, k)
-            if np.linalg.norm(row) >= row_floor:
-                v[i] = row
-                break
+    v, tail = _inner_rows(U[:, head:head + body], k), U[:, head + body:]
+    norms = row_norms(v)
+    for s in np.flatnonzero((norms < row_floor).any(axis=-1) | (max_tries < 1)):
+        v[s], tail[s] = _replay_rows(rngs[s], U[s, head:].copy(), n, k, row_floor, max_tries)
+        norms[s] = row_norms(v[s])
+    lam = _spaced(U[:, :head])
 
-    w = np.empty((k, n), dtype=np.complex128)
-    for i in range(n):
-        vi = v[i]
-        base = -tau * vi.conj() / float(np.linalg.norm(vi) ** 2)
-        if k == 2:
-            kernel = np.array([-vi[1], vi[0]])  # vi . kernel == 0 exactly
-            base = base + _complex_uniform(rng, ()) * 0.7 * kernel
-        w[:, i] = base
+    # the squared row norms go through libm pow, as a Python float power
+    # does; an array square (x * x) rounds differently in about 0.08% of
+    # values, and the seeded points are defined by pow
+    sq = np.array([x ** 2 for x in norms.ravel().tolist()]).reshape(norms.shape)
+    w = -tau * v.conj() / sq[..., None]
+    if k == 2:
+        coeff = _complex_of(tail[:, 0:2 * n:2], tail[:, 1:2 * n:2])
+        kernel = np.stack([-v[..., 1], v[..., 0]], axis=-1)  # v_i . kernel_i == 0 exactly
+        w = w + (coeff * 0.7)[..., None] * kernel
+    w = np.ascontiguousarray(w.swapaxes(-1, -2))
+    d = tail[:, -2 * n:]
 
-    C = v @ w
-    B = np.diag(_complex_uniform(rng, n))
-    denom = lam[:, None] - lam[None, :]
-    np.fill_diagonal(denom, 1.0)
-    off = C / denom
-    np.fill_diagonal(off, 0.0)
-    B = B + off
-    A = np.diag(lam)
-    return Representation(A, B, v, w, tau)
+    idx = np.arange(n)
+    A = np.zeros((len(rngs), n, n), dtype=np.complex128)
+    A[:, idx, idx] = lam
+    B = np.zeros_like(A)
+    B[:, idx, idx] = _complex_of(d[:, :n], d[:, n:])
+    denom = lam[:, :, None] - lam[:, None, :]
+    denom[:, idx, idx] = 1.0
+    off = (v @ w) / denom
+    off[:, idx, idx] = 0.0
+    return A, B + off, v, w
 
 
 def random_quadruple(n: int, k: int, tau: complex, seed: int) -> Representation:

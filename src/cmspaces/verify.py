@@ -64,6 +64,7 @@ from .sl2 import (
 from .variety import (
     AugmentedPair,
     augment,
+    augment_stack,
     block_commutator_residual,
     calibrate_dictionary,
     check_gauge,
@@ -75,8 +76,10 @@ from .variety import (
     pair_fingerprint,
     pair_scale,
     project,
+    quadruple_level_residual,
     random_gauge,
     random_point,
+    random_points,
     random_quadruple,
     spaced_points,
 )
@@ -259,9 +262,10 @@ def _check_level_condition(cfg: RunConfig) -> CheckRecord:
     ns = _ns(cfg, 6)
     for n in ns:
         for k in cfg.k_values:
-            for i in range(trials):
-                r = random_point(n, k, cfg.tau, _seed(cfg, f"lvl{n}{k}", i))
-                resids.append(level_residual(r) / level_scale(r))
+            A, B, v, w = random_points(n, k, cfg.tau,
+                                       [_seed(cfg, f"lvl{n}{k}", i) for i in range(trials)])
+            resids.extend((quadruple_level_residual(A, B, v, w, cfg.tau)
+                           / matrix_pair_scale(A, B)).tolist())
     return _finish("variety.level_condition", "seeded-points-on-level-set",
                    _fold(resids), 1e-12, t0, "relative to max(1, ||A|| ||B||)",
                    samples=len(ns) * len(cfg.k_values) * trials)
@@ -417,10 +421,8 @@ def _check_splitting_constraints(cfg: RunConfig) -> CheckRecord:
         d = decompose_stack(A, B, cfg.tau, cfg.tol)
         off = d.g @ d.N2 @ np.linalg.inv(d.g) - d.S
         off[..., np.arange(n + 1), np.arange(n + 1)] -= d.muhat
-        # norms item by item: frob of one matrix and of a stack round differently
-        for i, a, b, split, rest in zip(trials, A, B, d.N1 + d.N2 - B, off):
-            scale = matrix_pair_scale(a, b)
-            resids[i] = frob(split) / scale, frob(rest) / scale
+        resids[trials] = (np.stack([frob(d.N1 + d.N2 - B), frob(off)], axis=-1)
+                          / matrix_pair_scale(A, B)[:, None])
     return _finish("chart.splitting_constraints", "second-matrix-splitting",
                    _fold(resids.ravel()), 1e-9, t0, "relative to max(1, ||A|| ||B||)")
 
@@ -470,10 +472,8 @@ def _check_round_trip_pair(cfg: RunConfig) -> CheckRecord:
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
-        pairs = [augment(random_point(n, 2, cfg.tau, _seed(cfg, f"rtp{n}", i)))
-                 for i in range(trials)]
-        A, B, gauge, gauge_inv = normal_form(np.array([p.A for p in pairs]),
-                                             np.array([p.B for p in pairs]), cfg.tol)
+        points = random_points(n, 2, cfg.tau, [_seed(cfg, f"rtp{n}", i) for i in range(trials)])
+        A, B, gauge, gauge_inv = normal_form(*augment_stack(*points), cfg.tol)
         check_gauge(gauge, gauge_inv)
         coords = to_chart_stack(A, B, cfg.tau, cfg.tol)
         for a, b, qA, qB in zip(A, B, *from_chart_stack(coords, n, cfg.tau, cfg.tol)):

@@ -164,6 +164,29 @@ def test_nonfinite_or_zero_tau_is_bad_input(capsys, monkeypatch, tau):
         assert out == "" and "--tau" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_a_bad_seed_is_bad_input_that_names_the_flag(capsys, monkeypatch, seed):
+    # -1 used to reach numpy, whose "expected non-negative integer" named no flag
+    for command in ("gen", "flow", "verify"):
+        extra = ["--generator", "e"] if command == "flow" else []
+        code, out, err = _run(capsys, monkeypatch, [command, "--seed", seed, *extra])
+        assert code == EXIT_BAD_INPUT, command
+        assert out == "" and "--seed" in err
+    code, out, _ = _run(capsys, monkeypatch, ["gen", "--n", "2", "--seed", "0"])
+    assert code == EXIT_OK and out
+
+
+def test_an_input_too_large_for_memory_is_bad_input(capsys, monkeypatch):
+    # gen --n 100000 let numpy's _ArrayMemoryError escape as a traceback
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB")
+
+    monkeypatch.setattr("cmspaces.cli.random_point", out_of_memory)
+    code, out, err = _run(capsys, monkeypatch, ["gen", "--n", "100000"])
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("input error: gen ") and "MemoryError" in err
+
+
 @pytest.mark.parametrize("sizes", ["0", "-3", "2..1", "x"])
 def test_verify_rejects_bad_sizes_at_parse_time(capsys, monkeypatch, sizes):
     code, out, err = _run(capsys, monkeypatch, ["verify", "--suite", "chart", "--n", sizes])

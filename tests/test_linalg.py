@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from cmspaces.errors import (
     BranchAmbiguityError,
@@ -138,6 +139,76 @@ def test_match_to_reference_recovers_permutation():
     assert np.abs(shuffled[found] - ref).max() < 1e-4
 
 
+def _hungarian_match(values, ref, guard):
+    """match_to_reference with one Hungarian solve per item: the permutation or the error text."""
+    cost = np.abs(values[..., None, :] - ref[..., :, None])
+    perm = np.empty(values.shape, dtype=int)
+    for item in np.ndindex(values.shape[:-1]):
+        rows, cols = linear_sum_assignment(cost[item])
+        perm[item + (rows,)] = cols
+    dev = np.abs(np.take_along_axis(values, perm, -1) - ref).max(axis=-1)
+    gap = np.broadcast_to(min_gap(ref), dev.shape)
+    bad = np.flatnonzero(np.isfinite(gap) & (dev > guard * gap))
+    if bad.size:
+        i = bad[0]
+        return (f"matched displacement {dev.ravel()[i]:.3e} exceeds "
+                f"{guard} * gap {gap.ravel()[i]:.3e}")
+    return perm
+
+
+def _fast_or_hungarian(values, ref, guard):
+    try:
+        return match_to_reference(values, ref, guard)
+    except BranchAmbiguityError as exc:
+        return str(exc)
+
+
+def _assert_same_matching(values, ref, guard):
+    got, want = _fast_or_hungarian(values, ref, guard), _hungarian_match(values, ref, guard)
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("guard", [0.45, 0.3, 0.5, 0.8])
+def test_nearest_matching_is_the_hungarian_matching(guard):
+    rng = np.random.default_rng(17)
+    for trial in range(120):
+        k = 1 + trial % 6
+        ref = _random_complex(rng, *((12, k) if trial % 2 else (k,)))
+        gap = np.broadcast_to(np.minimum(min_gap(ref), 1.0), (12,))  # k = 1 has no gap
+        # displacements from rounding level up past half the reference gap
+        size = np.array([1e-12, 1e-4, 0.2, 0.44, 0.46, 0.49, 0.51, 0.9, 2.0])[trial % 9]
+        values = np.stack([np.broadcast_to(ref, (12, k))[i][rng.permutation(k)]
+                           for i in range(12)])
+        values = values + size * gap[:, None] * np.exp(2j * np.pi * rng.random((12, k)))
+        _assert_same_matching(values, ref, guard)
+        _assert_same_matching(values[:1], ref if ref.ndim == 1 else ref[:1], guard)
+
+
+@pytest.mark.parametrize("guard", [0.45, 0.5])
+def test_matching_near_ties_and_at_the_guard_boundary(guard):
+    ref = np.array([0.0, 1.0, 3.0])
+    eps = np.finfo(float).eps
+    cases = [
+        [0.5, 0.5 + eps, 3.0],           # two values at the midpoint: a near tie
+        [0.5 - eps, 0.5 + eps, 3.0],
+        [1.0, 0.0, 3.0],                 # a swap, displacement one gap
+        [0.45, 1.0, 3.0],                # displacement exactly guard * gap for 0.45
+        [0.45 + 2 * eps, 1.0, 3.0],
+        [0.45 - 2 * eps, 1.0, 3.0],
+        [0.0, 1.5, 3.0],                 # exactly half the gap
+        [0.0, 1.5 - 2 * eps, 3.0],
+        [0.0, 0.0, 3.0],                 # one value nearest to two references
+    ]
+    values = np.array(cases, dtype=complex)
+    for row in values:
+        _assert_same_matching(row[None], ref, guard)
+    _assert_same_matching(values, ref, guard)
+    # repeated references have no gap: the fast matching must not take them
+    same = np.array([[2.0, 2.0, 5.0]], dtype=complex)
+    _assert_same_matching(same, same[0], guard)
+
+
 def test_match_to_reference_guards_large_displacement():
     ref = np.array([0.0, 1.0])
     with pytest.raises(BranchAmbiguityError):
@@ -201,6 +272,24 @@ def test_stacked_arrowhead_frame_matches_each_item_at_any_scale():
         d = np.array([s] * 5 + [1.0])
         np.testing.assert_allclose(ginv[i], d[:, None] * ginv1, rtol=1e-13)
         np.testing.assert_allclose(g[i], g1 / d, rtol=1e-13)
+
+
+def test_stacked_frob_gives_each_item_its_one_item_bits():
+    rng = np.random.default_rng(18)
+    for size in range(1, 42):
+        M = _random_complex(rng, 12, size, size)
+        # items that need the rescaled norm, mixed in with ones that do not
+        M[3] *= 1e200
+        M[7] *= 1e-200
+        M[9] = 0.0
+        with np.errstate(over="ignore"):
+            got = frob(M)
+            want = [frob(item) for item in M]
+        assert got.tolist() == want, size
+        real = M.real[[0, 1, 2]]
+        assert frob(real).tolist() == [frob(item) for item in real]
+    with np.errstate(over="ignore"):
+        assert frob(M.reshape(3, 4, 41, 41)).ravel().tolist() == got.tolist()
 
 
 def test_frob_stays_finite_and_correct_at_extreme_scales():

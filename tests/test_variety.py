@@ -1,11 +1,13 @@
 """Tests for the level-set data structures, seeded points, and the
 quadruple-to-quiver dictionary."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmspaces.errors import NonzeroCornerError, ShapeMismatchError
+from cmspaces.errors import InfeasibleRowError, NonzeroCornerError, ShapeMismatchError
 from cmspaces.linalg import comm, frob
 from cmspaces.variety import (
     _power_ladder,
@@ -15,6 +17,7 @@ from cmspaces.variety import (
     GaugeElement,
     Representation,
     augment,
+    augment_stack,
     block_commutator_residual,
     calibrate_dictionary,
     check_gauge,
@@ -25,15 +28,18 @@ from cmspaces.variety import (
     level_residual,
     level_scale,
     level_shift,
+    matrix_pair_scale,
     moment_map,
     on_level,
     on_shell,
     pair_fingerprint,
     pair_scale,
     project,
+    quadruple_level_residual,
     quiver_moment,
     random_gauge,
     random_point,
+    random_points,
     random_quadruple,
 )
 
@@ -118,6 +124,148 @@ def test_random_point_is_reproducible():
     b = random_point(4, 2, 1.0, 9)
     assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
     assert np.array_equal(a.v, b.v) and np.array_equal(a.w, b.w)
+
+
+def _point_digest(r):
+    h = hashlib.sha256()
+    for a in (r.A, r.B, r.v, r.w):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _outcome(n, k, tau, seed, **kwargs):
+    try:
+        return _point_digest(random_point(n, k, tau, seed, **kwargs))
+    except InfeasibleRowError as exc:
+        return f"InfeasibleRowError: {exc}"
+
+
+# the last eight seeds each draw, at some (n, k) of the grid, an inner row
+# whose squared norm rounds differently by libm pow than by x * x
+_DIGEST_SEEDS = (*range(40), 97, 10_412_345, 58, 65, 80, 164, 260, 418, 666, 798)
+
+# sha256 prefixes of the seeded points (A, B, v, w bytes, then chained over
+# _DIGEST_SEEDS), as the sampler drew them one seed and one row at a time
+_SEEDED_DIGESTS = {
+    (1, 1, 1.0): '3317a8a9c7aa2e89',
+    (1, 1, (2.5-1j)): '795c529c79473046',
+    (1, 1, 100000000.0): '9d3519fd8200642a',
+    (1, 2, 1.0): 'b731ba531e934225',
+    (1, 2, (2.5-1j)): 'b71155bdb6682900',
+    (1, 2, 100000000.0): '4c473fa4a3ec64b6',
+    (2, 1, 1.0): 'b695a3dbdb83b07e',
+    (2, 1, (2.5-1j)): '57221289a97c69eb',
+    (2, 1, 100000000.0): 'bfc74423d1afaf98',
+    (2, 2, 1.0): '1f61ec3c3d26dae4',
+    (2, 2, (2.5-1j)): '683f5dac50bdd01a',
+    (2, 2, 100000000.0): '0dfdc7e9e02e03f2',
+    (3, 1, 1.0): '06228ab92a1123a3',
+    (3, 1, (2.5-1j)): '0b39b4ffe5916c01',
+    (3, 1, 100000000.0): 'cee014f7a620c8f1',
+    (3, 2, 1.0): 'd75f5db00555dfd2',
+    (3, 2, (2.5-1j)): '9851bf65e8336375',
+    (3, 2, 100000000.0): '22479d6d54170c86',
+    (5, 1, 1.0): 'b0c7e3d2507b1dad',
+    (5, 1, (2.5-1j)): 'bf8962e427ee4a8c',
+    (5, 1, 100000000.0): '8ae156a134a84999',
+    (5, 2, 1.0): '85a291149dfa8a06',
+    (5, 2, (2.5-1j)): 'ebde5d369a36988a',
+    (5, 2, 100000000.0): '19e3146842442943',
+    (7, 1, 1.0): '5ae7167d33642446',
+    (7, 1, (2.5-1j)): 'f7ae6c92022ebb27',
+    (7, 1, 100000000.0): '50efadf70f4bdbf1',
+    (7, 2, 1.0): '07533dfec3fbe137',
+    (7, 2, (2.5-1j)): 'd8280417991d601a',
+    (7, 2, 100000000.0): 'd73a179c3cdc92ac',
+}
+
+# n = 4, tau = 1 with a high row floor and max_tries = 4: rows are
+# rejected, some seeds succeed after rejections, the others give up
+_REJECTION_FLOORS = {1: 0.9, 2: 1.2}
+_REJECTION_OUTCOMES = {
+    (1, 0): '192feb27c0d6aab5',
+    (1, 1): 'InfeasibleRowError: no admissible inner row for index 0',
+    (1, 2): '53ac96fb039143de',
+    (1, 3): 'f1f70934077051fa',
+    (1, 4): '43f7ae9a7e1f1051',
+    (1, 5): '55ac094f7bb05ba5',
+    (1, 6): 'InfeasibleRowError: no admissible inner row for index 3',
+    (1, 7): '8ed29bbbf4ef798f',
+    (1, 8): 'InfeasibleRowError: no admissible inner row for index 0',
+    (1, 9): '2c9e527f817a5939',
+    (2, 0): 'InfeasibleRowError: no admissible inner row for index 3',
+    (2, 1): 'InfeasibleRowError: no admissible inner row for index 3',
+    (2, 2): 'ee09e5250b292e56',
+    (2, 3): 'InfeasibleRowError: no admissible inner row for index 3',
+    (2, 4): 'InfeasibleRowError: no admissible inner row for index 1',
+    (2, 5): 'InfeasibleRowError: no admissible inner row for index 2',
+    (2, 6): 'b157e4bb8ecabbab',
+    (2, 7): '80bf6189cb0c906b',
+    (2, 8): 'ab829b7fe6657463',
+    (2, 9): '8170c8f31bd851ae',
+}
+
+
+def test_seeded_points_keep_their_bits():
+    got = {}
+    for n, k, tau in _SEEDED_DIGESTS:
+        h = hashlib.sha256()
+        for seed in _DIGEST_SEEDS:
+            h.update(_outcome(n, k, tau, seed).encode())
+        got[(n, k, tau)] = h.hexdigest()[:16]
+    assert got == _SEEDED_DIGESTS
+    got = {(k, seed): _outcome(4, k, 1.0, seed, row_floor=_REJECTION_FLOORS[k], max_tries=4)
+           for k, seed in _REJECTION_OUTCOMES}
+    assert got == _REJECTION_OUTCOMES
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_points_are_the_one_seed_points(k):
+    floor = _REJECTION_FLOORS[k]
+    for n, tau, kwargs in ((6, 2.5 - 1j, {}), (4, 1.0, dict(row_floor=floor, max_tries=4))):
+        seeds = [s for s in range(10)
+                 if not _outcome(n, k, tau, s, **kwargs).startswith("Infeasible")]
+        A, B, v, w = random_points(n, k, tau, seeds, **kwargs)
+        assert A.shape == B.shape == (len(seeds), n, n)
+        assert v.shape == (len(seeds), n, k) and w.shape == (len(seeds), k, n)
+        for i, seed in enumerate(seeds):
+            r = random_point(n, k, tau, seed, **kwargs)
+            for got, want in zip((A[i], B[i], v[i], w[i]), (r.A, r.B, r.v, r.w)):
+                assert got.tobytes() == want.tobytes()
+    # the first seed that gives up raises, with its own message
+    failing = [s for s in range(10) if _REJECTION_OUTCOMES[(k, s)].startswith("Infeasible")]
+    with pytest.raises(InfeasibleRowError) as info:
+        random_points(4, k, 1.0, [2, *failing], row_floor=floor, max_tries=4)
+    assert f"InfeasibleRowError: {info.value}" == _REJECTION_OUTCOMES[(k, failing[0])]
+
+
+def test_random_points_edge_arguments():
+    A, B, v, w = random_points(3, 2, 1.0, [])
+    assert (A.shape, B.shape, v.shape, w.shape) == ((0, 3, 3), (0, 3, 3), (0, 3, 2), (0, 2, 3))
+    for n, k, tau, error in ((0, 2, 1.0, ShapeMismatchError), (-1, 1, 1.0, ShapeMismatchError),
+                             (3, 3, 1.0, ShapeMismatchError), (3, 0, 1.0, ShapeMismatchError),
+                             (3, 2, 0.0, ValueError), (3, 1, 0j, ValueError)):
+        for seeds in ([], [1, 2]):
+            with pytest.raises(error):
+                random_points(n, k, tau, seeds)
+        with pytest.raises(error):
+            random_point(n, k, tau, 1)
+    for max_tries in (0, -1):  # -1 used to leave the rows uninitialized
+        with pytest.raises(InfeasibleRowError, match="index 0"):
+            random_point(2, 1, 1.0, 1, max_tries=max_tries)
+
+
+def test_stacked_level_residual_is_the_one_point_residual():
+    for k in (1, 2):
+        A, B, v, w = random_points(5, k, 2.5 - 1j, range(12))
+        resid = quadruple_level_residual(A, B, v, w, 2.5 - 1j)
+        scale = matrix_pair_scale(A, B)
+        for i in range(12):
+            r = Representation(A[i], B[i], v[i], w[i], 2.5 - 1j)
+            assert resid[i] == level_residual(r) and scale[i] == level_scale(r)
+    Ah, Bh = augment_stack(A, B, v, w)
+    p = augment(Representation(A[3], B[3], v[3], w[3], 1.0))
+    assert np.array_equal(Ah[3], p.A) and np.array_equal(Bh[3], p.B)
 
 
 @settings(max_examples=40, deadline=None)

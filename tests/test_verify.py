@@ -109,3 +109,21 @@ def test_chart_sweeps_make_one_eigensolver_call_per_size(monkeypatch):
     counts.update(eig=0, eigvals=0)
     assert verify._check_gap_term_invariance(RunConfig()).status == "pass"
     assert counts["eigvals"] <= 4
+
+
+def test_seeded_sweeps_draw_one_stack_per_size(monkeypatch):
+    # the level and pair sweeps used to draw 600 and 100 points one seed at a time
+    calls = {"random_point": 0, "random_points": 0}
+    for name in calls:
+        original = getattr(verify, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert verify._check_level_condition(RunConfig()).status == "pass"
+    assert calls == {"random_point": 0, "random_points": 12}  # n = 1..6, k = 1, 2
+    calls.update(random_points=0)
+    assert verify._check_round_trip_pair(RunConfig()).status == "pass"
+    assert calls == {"random_point": 0, "random_points": 5}  # n = 1..5
