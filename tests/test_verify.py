@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cmspaces import verify
+from cmspaces.errors import SearchExhaustedError
 from cmspaces.verify import SCHEMA_VERSION, SUITE_NAMES, RunConfig, expand_suites, run
 
 
@@ -127,3 +128,40 @@ def test_seeded_sweeps_draw_one_stack_per_size(monkeypatch):
     calls.update(random_points=0)
     assert verify._check_round_trip_pair(RunConfig()).status == "pass"
     assert calls == {"random_point": 0, "random_points": 5}  # n = 1..5
+
+
+_POINT_RECORDS = (
+    "sl2.independence_rank", "sl2.independence_ratio_margin",
+    "sl2.lower_shear_field_match", "sl2.lower_shear_invariance",
+    "sl2.trace_component_match", "sl2.slice_tangency",
+)
+
+
+def test_the_sl2_independence_search_runs_once_per_run(monkeypatch):
+    # four checks share the points; nothing is kept from one run to the next
+    original, calls = verify.find_independence_point, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "find_independence_point", counting)
+    cfg = RunConfig(suites=("sl2",), n_values=(1, 2, 3), seed=2)
+    run(cfg)
+    assert len(calls) == 3
+    run(cfg)
+    assert len(calls) == 6
+
+
+def test_a_raising_independence_search_errors_every_check_that_needs_the_points(monkeypatch):
+    def boom(*args, **kwargs):
+        raise SearchExhaustedError("no point")
+
+    monkeypatch.setattr(verify, "find_independence_point", boom)
+    records = {rec["name"]: rec for rec in run(RunConfig(suites=("sl2",), seed=7))["records"]}
+    errored = sorted(name for name, rec in records.items() if rec["status"] == "error")
+    assert errored == sorted(_POINT_RECORDS)
+    for name in _POINT_RECORDS:
+        rec = records.pop(name)
+        assert rec["residual"] is None and rec["note"].startswith("SearchExhaustedError at seed 7")
+    assert records and all(rec["status"] == "pass" for rec in records.values())
