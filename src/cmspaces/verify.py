@@ -1,26 +1,33 @@
 """Self-check suites with machine-readable reports.
 
-Each check draws its own seeded inputs, measures a residual, normalizes by
-the scale stated in its note, and passes iff residual <= threshold.  Checks
-that must EXCEED a floor are phrased as margins (residual = floor - observed,
+Each check is declared once, with `_declare`: one (name, law, threshold)
+per record it returns, registered under the suite its record names start
+with, in definition order.  The check draws its own seeded inputs and
+returns what it measured, one `_Measured` per record: a residual
+normalized by the scale stated in its note, and for a sweep over the
+requested sizes the sample count.  `_run_check` times it and builds every
+record.  A record passes iff residual <= threshold.  Checks that must
+EXCEED a floor are phrased as margins (residual = floor - observed,
 threshold 0) so the pass rule stays uniform.  A non-finite residual (an
 overflowed sample, wherever it sits in the sweep) fails, recorded with no
-residual.  A check that sweeps the requested sizes counts its samples;
-with none in its range it is recorded as "skipped", with no residual,
-never as a pass.  Each check runs on its own: one that raises a package
-error is recorded with status "error", no residual, and the exception and
-seed in its note, and the other checks of its suite still run; callers
-map that to a distinct exit code.  Records sort by name before emission
-and reports are deterministic for a fixed config (runtime_ms aside).
+residual.  A sweep with no sample in its range is recorded as "skipped",
+with no residual, never as a pass.  Each check runs on its own: one that
+raises a package error is recorded with status "error", no residual, and
+the exception and seed in its note, and the other checks of its suite
+still run; callers map that to a distinct exit code.  Records sort by name
+before emission and reports are deterministic for a fixed config
+(runtime_ms aside).
 """
 
 from __future__ import annotations
 
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +93,6 @@ from .variety import (
 
 SCHEMA_VERSION = "cmspaces-report/1"
 
-SUITE_NAMES = ("linalg", "variety", "canonical", "chart", "sl2", "flowcalc", "quiver")
-
 # Composition times for the flow checks.  The commutator-square error is
 # ~ sinh(t) sqrt(t/steps) (measured and hand-derived from the 2x2 closed
 # form), so BRACKET_TIME = 0.01 puts 1024 squares near 1e-4 relative, an
@@ -144,6 +149,31 @@ class CheckRecord:
         }
 
 
+class _Measured(NamedTuple):
+    """What a check measured for one of its records."""
+
+    residual: float
+    note: str = ""
+    samples: int | None = None  # set by the sweeps over the requested sizes
+
+
+_CHECKS = []  # every declared check, in definition (= run) order
+
+
+def _declare(*records, needs_points=False):
+    """Declare the (name, law, threshold) of each record a check returns.
+
+    The check is registered under the suite its record names start with.
+    With needs_points it also takes the run's sl2 independence points.
+    """
+    def register(check):
+        check.records, check.needs_points = records, needs_points
+        check.suite = records[0][0].split(".")[0]
+        _CHECKS.append(check)
+        return check
+    return register
+
+
 def _seed(cfg: RunConfig, tag: str, i: int = 0) -> int:
     return cfg.seed * 10_000_000 + zlib.crc32(tag.encode()) % 1_000_000 + 1000 * i
 
@@ -156,20 +186,6 @@ def _ns(cfg: RunConfig, pinned_max: int) -> list:
 
 def _trials(cfg: RunConfig, pinned: int) -> int:
     return cfg.trials if cfg.trials else pinned
-
-
-def _finish(name: str, law: str, residual: float, threshold: float,
-            t0: float, note: str = "", samples: int | None = None) -> CheckRecord:
-    if samples == 0:
-        status, residual = "skipped", None
-        note = "no sample: no requested size is in range; " + note
-    elif not math.isfinite(residual):
-        status, note = "fail", f"non-finite residual ({residual}), e.g. overflow; " + note
-        residual = None
-    else:
-        status, residual = ("pass" if residual <= threshold else "fail"), float(residual)
-    return CheckRecord(name, law, status, residual, float(threshold),
-                       (perf_counter() - t0) * 1000.0, note)
 
 
 def _fold(samples, pick=max) -> float:
@@ -188,21 +204,18 @@ def _trace_word_error(fp, fp0) -> float:
     return float(np.abs(fp - fp0).max() / max(1.0, np.abs(fp0).max()))
 
 
-def _emits(*names):
-    """Declare the record names a check returns; run() names its error records after them."""
-    def mark(check):
-        check.records = names
-        return check
-    return mark
+def _chart_stack(cfg: RunConfig, n: int, tag: str, trials) -> np.ndarray:
+    """The coordinate vectors of the seeded chart points of the given trials, stacked."""
+    return np.array([random_chart_point(n, cfg.tau, _seed(cfg, tag, i)).vector()
+                     for i in trials])
 
 
 # ---------------------------------------------------------------------------
 # linalg
 
 
-@_emits("linalg.eig_reassembly")
-def _check_eig_reassembly(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("linalg.eig_reassembly", "spectral-factorization-residual", 1e-12))
+def _check_eig_reassembly(cfg: RunConfig) -> _Measured:
     resids = []
     for size in range(2, 7):
         for i in range(8):
@@ -211,13 +224,11 @@ def _check_eig_reassembly(cfg: RunConfig) -> CheckRecord:
             vals, g, _ = eig(M, cfg.tol)
             resid = frob(g @ M @ np.linalg.inv(g) - np.diag(vals)) / max(1.0, frob(M))
             resids.append(resid)
-    return _finish("linalg.eig_reassembly", "spectral-factorization-residual",
-                   _fold(resids), 1e-12, t0, "relative to max(1, ||M||)")
+    return _Measured(_fold(resids), "relative to max(1, ||M||)")
 
 
-@_emits("linalg.solve_residual")
-def _check_solve(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("linalg.solve_residual", "linear-solve-residual", 1e-12))
+def _check_solve(cfg: RunConfig) -> _Measured:
     resids = []
     for size in range(2, 7):
         rng = np.random.default_rng(_seed(cfg, f"solve{size}"))
@@ -226,13 +237,11 @@ def _check_solve(cfg: RunConfig) -> CheckRecord:
         b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         x = solve(M, b, cfg.tol)
         resids.append(np.linalg.norm(M @ x - b) / np.linalg.norm(b))
-    return _finish("linalg.solve_residual", "linear-solve-residual",
-                   _fold(resids), 1e-12, t0, "relative to ||b||")
+    return _Measured(_fold(resids), "relative to ||b||")
 
 
-@_emits("linalg.match_permutation")
-def _check_matching(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("linalg.match_permutation", "nearest-neighbor-tracking", 0.0))
+def _check_matching(cfg: RunConfig) -> _Measured:
     mismatches = 0
     for i in range(20):
         rng = np.random.default_rng(_seed(cfg, "match", i))
@@ -242,21 +251,15 @@ def _check_matching(cfg: RunConfig) -> CheckRecord:
         found = match_to_reference(noisy, ref)
         if not np.array_equal(found, np.argsort(perm)):
             mismatches += 1
-    return _finish("linalg.match_permutation", "nearest-neighbor-tracking",
-                   float(mismatches), 0.0, t0, "count of unrecovered permutations")
-
-
-def _suite_linalg(cfg: RunConfig) -> list:
-    return [_check_eig_reassembly, _check_solve, _check_matching]
+    return _Measured(float(mismatches), "count of unrecovered permutations")
 
 
 # ---------------------------------------------------------------------------
 # variety
 
 
-@_emits("variety.level_condition")
-def _check_level_condition(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("variety.level_condition", "seeded-points-on-level-set", 1e-12))
+def _check_level_condition(cfg: RunConfig) -> _Measured:
     resids = []
     trials = _trials(cfg, 50)
     ns = _ns(cfg, 6)
@@ -266,27 +269,23 @@ def _check_level_condition(cfg: RunConfig) -> CheckRecord:
                                        [_seed(cfg, f"lvl{n}{k}", i) for i in range(trials)])
             resids.extend((quadruple_level_residual(A, B, v, w, cfg.tau)
                            / matrix_pair_scale(A, B)).tolist())
-    return _finish("variety.level_condition", "seeded-points-on-level-set",
-                   _fold(resids), 1e-12, t0, "relative to max(1, ||A|| ||B||)",
-                   samples=len(ns) * len(cfg.k_values) * trials)
+    return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)",
+                     len(ns) * len(cfg.k_values) * trials)
 
 
-@_emits("variety.block_identity")
-def _check_block_identity(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("variety.block_identity", "pair-commutator-block-forms", 1e-12))
+def _check_block_identity(cfg: RunConfig) -> _Measured:
     resids = []
     count = _trials(cfg, 200)
     for i in range(count):
         n = 1 + i % 6
         r = random_quadruple(n, 2, cfg.tau, _seed(cfg, "blk", i))
         resids.append(block_commutator_residual(r) / level_scale(r))
-    return _finish("variety.block_identity", "pair-commutator-block-forms",
-                   _fold(resids), 1e-12, t0, "relative to max(1, ||A|| ||B||)")
+    return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)")
 
 
-@_emits("variety.augment_project_roundtrip")
-def _check_augment_roundtrip(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("variety.augment_project_roundtrip", "border-embedding-inverse", 0.0))
+def _check_augment_roundtrip(cfg: RunConfig) -> _Measured:
     resids = []
     for i in range(20):
         n = 1 + i % 5
@@ -294,30 +293,18 @@ def _check_augment_roundtrip(cfg: RunConfig) -> CheckRecord:
         back = project(augment(r))
         resids += [np.abs(back.A - r.A).max(), np.abs(back.B - r.B).max(),
                    np.abs(back.v - r.v).max(), np.abs(back.w - r.w).max()]
-    return _finish("variety.augment_project_roundtrip", "border-embedding-inverse",
-                   _fold(resids), 0.0, t0, "bitwise round trip")
+    return _Measured(_fold(resids), "bitwise round trip")
 
 
-@_emits("variety.fingerprint_gauge_invariance")
-def _check_fingerprint_invariance(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("variety.fingerprint_gauge_invariance", "trace-words-basechange-invariant", 1e-9))
+def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
     resids = []
     for i in range(20):
         n = 2 + i % 4
         r = random_point(n, 2, cfg.tau, _seed(cfg, "fpg", i))
         g = random_gauge(n, _seed(cfg, "fpgg", i))
         resids.append(_trace_word_error(fingerprint(gauge_act(g, r)), fingerprint(r)))
-    return _finish("variety.fingerprint_gauge_invariance", "trace-words-basechange-invariant",
-                   _fold(resids), 1e-9, t0, "relative to max(1, |fingerprint|)")
-
-
-def _suite_variety(cfg: RunConfig) -> list:
-    return [
-        _check_level_condition,
-        _check_block_identity,
-        _check_augment_roundtrip,
-        _check_fingerprint_invariance,
-    ]
+    return _Measured(_fold(resids), "relative to max(1, |fingerprint|)")
 
 
 # ---------------------------------------------------------------------------
@@ -325,79 +312,60 @@ def _suite_variety(cfg: RunConfig) -> list:
 
 
 def _normalized_point(cfg: RunConfig, n: int, tag: str, i: int):
-    r = random_point(n, 2, cfg.tau, _seed(cfg, tag, i))
-    p = augment(r)
-    nf, g = normalize(p, cfg.tol)
-    return p, nf, g
+    """A seeded augmented pair and its normal form."""
+    p = augment(random_point(n, 2, cfg.tau, _seed(cfg, tag, i)))
+    return p, normalize(p, cfg.tol)[0]
 
 
-@_emits("canonical.normal_form_shape")
-def _check_normal_form_shape(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("canonical.normal_form_shape", "diagonal-block-unit-border-row", 0.0))
+def _check_normal_form_shape(cfg: RunConfig) -> _Measured:
     resids = []
     for i in range(20):
         n = 1 + i % 5
-        _, nf, _ = _normalized_point(cfg, n, "nf", i)
+        _, nf = _normalized_point(cfg, n, "nf", i)
         block = nf.A[:n, :n]
         off = block - np.diag(np.diag(block))
         resids += [np.abs(off).max(), np.abs(nf.A[n, :n] - 1.0).max()]
-    return _finish("canonical.normal_form_shape", "diagonal-block-unit-border-row",
-                   _fold(resids), 0.0, t0, "exact after snapping")
+    return _Measured(_fold(resids), "exact after snapping")
 
 
-@_emits("canonical.normalize_gauge_equivalence")
-def _check_normalize_equivalence(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("canonical.normalize_gauge_equivalence", "normal-form-on-same-orbit", 1e-8))
+def _check_normalize_equivalence(cfg: RunConfig) -> _Measured:
     resids = []
     for i in range(20):
         n = 1 + i % 5
-        p, nf, _ = _normalized_point(cfg, n, "nfe", i)
+        p, nf = _normalized_point(cfg, n, "nfe", i)
         resids.append(_trace_word_error(pair_fingerprint(nf), pair_fingerprint(p)))
-    return _finish("canonical.normalize_gauge_equivalence", "normal-form-on-same-orbit",
-                   _fold(resids), 1e-8, t0, "relative trace-word deviation")
+    return _Measured(_fold(resids), "relative trace-word deviation")
 
 
-@_emits("canonical.orbit_rank_regular")
-def _check_orbit_rank(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("canonical.orbit_rank_regular", "free-basechange-orbit-dimension", 0.0))
+def _check_orbit_rank(cfg: RunConfig) -> _Measured:
     deficiencies = []
     for i in range(15):
         n = 1 + i % 5
         r = random_point(n, 2, cfg.tau, _seed(cfg, "orb", i))
         deficiencies.append(abs(orbit_dimension(augment(r), cfg.tol) - n * n))
-    return _finish("canonical.orbit_rank_regular", "free-basechange-orbit-dimension",
-                   _fold(deficiencies), 0.0, t0, "deviation from n^2")
+    return _Measured(_fold(deficiencies), "deviation from n^2")
 
 
-@_emits("canonical.normalize_idempotent")
-def _check_normalize_idempotent(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("canonical.normalize_idempotent", "normal-form-fixed-point", 1e-12))
+def _check_normalize_idempotent(cfg: RunConfig) -> _Measured:
     resids = []
     for i in range(10):
         n = 1 + i % 5
-        _, nf, _ = _normalized_point(cfg, n, "nfi", i)
+        _, nf = _normalized_point(cfg, n, "nfi", i)
         nf2, _ = normalize(nf, cfg.tol)
         resids += [frob(nf2.A - nf.A), frob(nf2.B - nf.B)]
-    return _finish("canonical.normalize_idempotent", "normal-form-fixed-point",
-                   _fold(resids), 1e-12, t0, "absolute matrix deviation")
-
-
-def _suite_canonical(cfg: RunConfig) -> list:
-    return [
-        _check_normal_form_shape,
-        _check_normalize_equivalence,
-        _check_orbit_rank,
-        _check_normalize_idempotent,
-    ]
+    return _Measured(_fold(resids), "absolute matrix deviation")
 
 
 # ---------------------------------------------------------------------------
 # chart
 
 
-@_emits("chart.splitting_hand_case")
-def _check_hand_case(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("chart.splitting_hand_case", "one-site-splitting-closed-form", 1e-12))
+def _check_hand_case(cfg: RunConfig) -> _Measured:
     A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     B = np.array([[0.0, -0.5], [0.5, 0.0]], dtype=np.complex128)
     p = AugmentedPair(A, B, 1.0)
@@ -405,31 +373,25 @@ def _check_hand_case(cfg: RunConfig) -> CheckRecord:
     S_want = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=np.complex128)
     resid = _fold([np.abs(d.mu).max(), np.abs(d.defect).max(),
                    np.abs(d.S - S_want).max(), np.abs(d.muhat).max()])
-    return _finish("chart.splitting_hand_case", "one-site-splitting-closed-form",
-                   resid, 1e-12, t0, "absolute deviation from hand values")
+    return _Measured(resid, "absolute deviation from hand values")
 
 
-@_emits("chart.splitting_constraints")
-def _check_splitting_constraints(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("chart.splitting_constraints", "second-matrix-splitting", 1e-9))
+def _check_splitting_constraints(cfg: RunConfig) -> _Measured:
     resids = np.empty((20, 2))
     for n in range(1, 6):
         trials = list(range(n - 1, 20, 5))    # trial i has size 1 + i % 5
-        V = np.array([random_chart_point(n, cfg.tau, _seed(cfg, "spl", i)).vector()
-                      for i in trials])
-        A, B = from_chart_stack(V, n, cfg.tau, cfg.tol)
+        A, B = from_chart_stack(_chart_stack(cfg, n, "spl", trials), n, cfg.tau, cfg.tol)
         d = decompose_stack(A, B, cfg.tau, cfg.tol)
         off = d.g @ d.N2 @ np.linalg.inv(d.g) - d.S
         off[..., np.arange(n + 1), np.arange(n + 1)] -= d.muhat
         resids[trials] = (np.stack([frob(d.N1 + d.N2 - B), frob(off)], axis=-1)
                           / matrix_pair_scale(A, B)[:, None])
-    return _finish("chart.splitting_constraints", "second-matrix-splitting",
-                   _fold(resids.ravel()), 1e-9, t0, "relative to max(1, ||A|| ||B||)")
+    return _Measured(_fold(resids.ravel()), "relative to max(1, ||A|| ||B||)")
 
 
-@_emits("chart.gap_term_spectral_only")
-def _check_gap_term_invariance(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("chart.gap_term_spectral_only", "gap-term-depends-on-spectra-only", 1e-10))
+def _check_gap_term_invariance(cfg: RunConfig) -> _Measured:
     resids = []
     ns = _ns(cfg, 4)
     for n in ns:
@@ -443,31 +405,24 @@ def _check_gap_term_invariance(cfg: RunConfig) -> CheckRecord:
         A, B = from_chart_stack(np.array(moments), n, cfg.tau, cfg.tol)
         S = decompose_stack(A, B, cfg.tau, cfg.tol, lamhat_ref=base.lamhat).S
         resids.extend(np.abs(S[1:] - S[0]).max(axis=(-2, -1)))
-    return _finish("chart.gap_term_spectral_only", "gap-term-depends-on-spectra-only",
-                   _fold(resids), 1e-10, t0, "absolute deviation across moment variations",
-                   samples=20 * len(ns))
+    return _Measured(_fold(resids), "absolute deviation across moment variations", 20 * len(ns))
 
 
-@_emits("chart.round_trip_coordinates")
-def _check_round_trip_coordinates(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("chart.round_trip_coordinates", "chart-inverse-composition-identity", 1e-8))
+def _check_round_trip_coordinates(cfg: RunConfig) -> _Measured:
     resids = []
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
-        coords = np.array([random_chart_point(n, cfg.tau, _seed(cfg, f"rtc{n}", i)).vector()
-                           for i in range(trials)])
+        coords = _chart_stack(cfg, n, f"rtc{n}", range(trials))
         back = to_chart_stack(*from_chart_stack(coords, n, cfg.tau, cfg.tol), cfg.tau, cfg.tol)
         dev = np.abs(back - coords).max(axis=-1) / np.maximum(1.0, np.abs(coords).max(axis=-1))
         resids.extend(dev)
-    return _finish("chart.round_trip_coordinates", "chart-inverse-composition-identity",
-                   _fold(resids), 1e-8, t0, "relative to max(1, |coords|)",
-                   samples=len(ns) * trials)
+    return _Measured(_fold(resids), "relative to max(1, |coords|)", len(ns) * trials)
 
 
-@_emits("chart.round_trip_pair")
-def _check_round_trip_pair(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("chart.round_trip_pair", "rebuilt-pair-on-same-orbit", 1e-8))
+def _check_round_trip_pair(cfg: RunConfig) -> _Measured:
     resids = []
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
@@ -479,44 +434,27 @@ def _check_round_trip_pair(cfg: RunConfig) -> CheckRecord:
         for a, b, qA, qB in zip(A, B, *from_chart_stack(coords, n, cfg.tau, cfg.tol)):
             resids.append(_trace_word_error(pair_fingerprint(AugmentedPair(qA, qB, cfg.tau)),
                                             pair_fingerprint(AugmentedPair(a, b, cfg.tau))))
-    return _finish("chart.round_trip_pair", "rebuilt-pair-on-same-orbit",
-                   _fold(resids), 1e-8, t0, "relative trace-word deviation",
-                   samples=len(ns) * trials)
+    return _Measured(_fold(resids), "relative trace-word deviation", len(ns) * trials)
 
 
-@_emits("chart.jacobian_rank")
-def _check_jacobian_rank(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("chart.jacobian_rank", "chart-coordinate-count", 0.0))
+def _check_jacobian_rank(cfg: RunConfig) -> _Measured:
     deficiencies = []
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
-        V = np.array([random_chart_point(n, cfg.tau, _seed(cfg, f"jac{n}", i)).vector()
-                      for i in range(trials)])
-        J = chart_jacobian_stack(V, n, cfg.tau, cfg.tol)
+        J = chart_jacobian_stack(_chart_stack(cfg, n, f"jac{n}", range(trials)),
+                                 n, cfg.tau, cfg.tol)
         deficiencies.extend(np.abs(numeric_rank(J) - (4 * n + 2)).tolist())
-    return _finish("chart.jacobian_rank", "chart-coordinate-count",
-                   _fold(deficiencies), 0.0, t0, "deviation from 4n+2", samples=len(ns) * trials)
-
-
-def _suite_chart(cfg: RunConfig) -> list:
-    return [
-        _check_hand_case,
-        _check_splitting_constraints,
-        _check_gap_term_invariance,
-        _check_round_trip_coordinates,
-        _check_round_trip_pair,
-        _check_jacobian_rank,
-    ]
+    return _Measured(_fold(deficiencies), "deviation from 4n+2", len(ns) * trials)
 
 
 # ---------------------------------------------------------------------------
 # sl2
 
 
-@_emits("sl2.equivariance_exact")
-def _check_equivariance(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("sl2.equivariance_exact", "augmentation-intertwines-action", 0.0))
+def _check_equivariance(cfg: RunConfig) -> _Measured:
     resids = []
     for i in range(20):
         n = 1 + i % 5
@@ -526,13 +464,11 @@ def _check_equivariance(cfg: RunConfig) -> CheckRecord:
         via_pair = act_pair(g, augment(r))
         resids += [np.abs(via_components.A - via_pair.A).max(),
                    np.abs(via_components.B - via_pair.B).max()]
-    return _finish("sl2.equivariance_exact", "augmentation-intertwines-action",
-                   _fold(resids), 0.0, t0, "bitwise agreement of the two routes")
+    return _Measured(_fold(resids), "bitwise agreement of the two routes")
 
 
-@_emits("sl2.moment_preservation")
-def _check_moment_preservation(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("sl2.moment_preservation", "unit-determinant-preserves-level", 1e-10))
+def _check_moment_preservation(cfg: RunConfig) -> _Measured:
     resids = []
     trials = _trials(cfg, 100)
     for i in range(trials):
@@ -541,13 +477,11 @@ def _check_moment_preservation(cfg: RunConfig) -> CheckRecord:
         g = random_sl2(_seed(cfg, "momg", i))
         out = act_components(g, r)
         resids.append(level_residual(out) / level_scale(out))
-    return _finish("sl2.moment_preservation", "unit-determinant-preserves-level",
-                   _fold(resids), 1e-10, t0, "relative to max(1, ||A|| ||B||)")
+    return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)")
 
 
-@_emits("sl2.determinant_control_margin")
-def _check_negative_control(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("sl2.determinant_control_margin", "non-unimodular-breaks-level", 0.0))
+def _check_negative_control(cfg: RunConfig) -> _Measured:
     bad = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
     resids = []
     for i in range(10):
@@ -555,14 +489,12 @@ def _check_negative_control(cfg: RunConfig) -> CheckRecord:
         r = random_point(n, 2, cfg.tau, _seed(cfg, "neg", i))
         out = act_components(bad, r)
         resids.append(level_residual(out) / level_scale(out))
-    return _finish("sl2.determinant_control_margin", "non-unimodular-breaks-level",
-                   1e-3 - _fold(resids, min), 0.0, t0,
-                   "margin: smallest residual must exceed 1e-3; negative passes")
+    return _Measured(1e-3 - _fold(resids, min),
+                     "margin: smallest residual must exceed 1e-3; negative passes")
 
 
-@_emits("sl2.scaling_probe_margin")
-def _check_scaling_probe(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("sl2.scaling_probe_margin", "scaling-action-moves-invariants", 0.0))
+def _check_scaling_probe(cfg: RunConfig) -> _Measured:
     separations = []
     count = _trials(cfg, 50)
     for i in range(count):
@@ -574,9 +506,8 @@ def _check_scaling_probe(cfg: RunConfig) -> CheckRecord:
                 break
         before, _, sep = fixed_point_probe(r, 1.0)
         separations.append(sep / max(1.0, float(np.abs(before).max())))
-    return _finish("sl2.scaling_probe_margin", "scaling-action-moves-invariants",
-                   1e-6 - _fold(separations, min), 0.0, t0,
-                   "margin: smallest separation must exceed 1e-6; negative passes")
+    return _Measured(1e-6 - _fold(separations, min),
+                     "margin: smallest separation must exceed 1e-6; negative passes")
 
 
 def _independence_points(cfg: RunConfig) -> dict:
@@ -586,27 +517,24 @@ def _independence_points(cfg: RunConfig) -> dict:
     return points
 
 
-@_emits("sl2.independence_rank", "sl2.independence_ratio_margin")
-def _check_independence(cfg: RunConfig, find_points) -> list:
-    t0 = perf_counter()
-    points = find_points()
+@_declare(("sl2.independence_rank", "three-fields-independent", 0.0),
+          ("sl2.independence_ratio_margin", "three-fields-independent", 0.0),
+          needs_points=True)
+def _check_independence(cfg: RunConfig, points: dict) -> list:
     deficiencies, ratios = [], []
     for c in points.values():
         rank, ratio = independence_rank(c, cfg.tol)
         deficiencies.append(3 - rank)
         ratios.append(ratio)
-    rec1 = _finish("sl2.independence_rank", "three-fields-independent",
-                   _fold(deficiencies), 0.0, t0, "rank deficiency below 3", samples=len(points))
-    rec2 = _finish("sl2.independence_ratio_margin", "three-fields-independent",
-                   1e-6 - _fold(ratios, min), 0.0, perf_counter(),
-                   "margin: smallest/largest singular value must exceed 1e-6", samples=len(points))
-    return [rec1, rec2]
+    return [_Measured(_fold(deficiencies), "rank deficiency below 3", len(points)),
+            _Measured(1e-6 - _fold(ratios, min),
+                      "margin: smallest/largest singular value must exceed 1e-6", len(points))]
 
 
-@_emits("sl2.lower_shear_field_match", "sl2.lower_shear_invariance")
-def _check_lower_shear_match(cfg: RunConfig, find_points) -> list:
-    t0 = perf_counter()
-    points = find_points()
+@_declare(("sl2.lower_shear_field_match", "shear-field-closed-form", 1e-6),
+          ("sl2.lower_shear_invariance", "shear-fixes-spectra-and-row-moments", 1e-7),
+          needs_points=True)
+def _check_lower_shear_match(cfg: RunConfig, points: dict) -> list:
     full, frozen = [], []
     for c in points.values():
         num = numeric_field(GEN_E, c, cfg.tol)
@@ -615,18 +543,13 @@ def _check_lower_shear_match(cfg: RunConfig, find_points) -> list:
         full.append(np.abs(num.vector() - ana.vector()).max() / scale)
         frozen += [np.abs(num.d_lam).max() / scale, np.abs(num.d_lamhat).max() / scale,
                    np.abs(num.d_mu).max() / scale]
-    rec1 = _finish("sl2.lower_shear_field_match", "shear-field-closed-form",
-                   _fold(full), 1e-6, t0, "relative to max(1, |spectrum|)", samples=len(points))
-    rec2 = _finish("sl2.lower_shear_invariance", "shear-fixes-spectra-and-row-moments",
-                   _fold(frozen), 1e-7, perf_counter(), "relative to max(1, |spectrum|)",
-                   samples=len(points))
-    return [rec1, rec2]
+    return [_Measured(_fold(full), "relative to max(1, |spectrum|)", len(points)),
+            _Measured(_fold(frozen), "relative to max(1, |spectrum|)", len(points))]
 
 
-@_emits("sl2.trace_component_match")
-def _check_trace_components(cfg: RunConfig, find_points) -> CheckRecord:
-    t0 = perf_counter()
-    points = find_points()
+@_declare(("sl2.trace_component_match", "scaling-and-upper-shear-trace-rates", 1e-6),
+          needs_points=True)
+def _check_trace_components(cfg: RunConfig, points: dict) -> _Measured:
     resids = []
     for c in points.values():
         for gen in (GEN_F, GEN_H):
@@ -635,26 +558,22 @@ def _check_trace_components(cfg: RunConfig, find_points) -> CheckRecord:
             got = num.s_components(2)
             scale = max(1.0, *(abs(v) for v in ana.values()))
             resids += [abs(got[k] - ana[k]) / scale for k in (1, 2)]
-    return _finish("sl2.trace_component_match", "scaling-and-upper-shear-trace-rates",
-                   _fold(resids), 1e-6, t0, "relative to max(1, |component|)", samples=len(points))
+    return _Measured(_fold(resids), "relative to max(1, |component|)", len(points))
 
 
-@_emits("sl2.slice_tangency")
-def _check_slice_tangency(cfg: RunConfig, find_points) -> CheckRecord:
-    t0 = perf_counter()
-    points = find_points()
+@_declare(("sl2.slice_tangency", "fields-tangent-to-embedded-slice", 1e-7),
+          needs_points=True)
+def _check_slice_tangency(cfg: RunConfig, points: dict) -> _Measured:
     resids = []
     for c in points.values():
         scale = pair_scale(from_chart(c, cfg.tol))
         for gen in (GEN_E, GEN_F, GEN_H):
             resids += [r / scale for r in slice_tangency(gen, c, cfg.tol)]
-    return _finish("sl2.slice_tangency", "fields-tangent-to-embedded-slice",
-                   _fold(resids), 1e-7, t0, "relative to max(1, ||A|| ||B||)", samples=len(points))
+    return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)", len(points))
 
 
-@_emits("sl2.scaling_spectra")
-def _check_scaling_spectra(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("sl2.scaling_spectra", "joint-exponential-scaling-of-spectra", 1e-9))
+def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
     resids = []
     for i in range(5):
         n = 1 + i % 3
@@ -674,25 +593,7 @@ def _check_scaling_spectra(cfg: RunConfig) -> CheckRecord:
             resids.append(np.abs(vals_b[perm_b] - want_b).max())
         else:
             resids.append(abs(block_q[0, 0] - factor * c.lam[0]))
-    return _finish("sl2.scaling_spectra", "joint-exponential-scaling-of-spectra",
-                   _fold(resids), 1e-9, t0, "absolute eigenvalue deviation at t=0.1")
-
-
-def _suite_sl2(cfg: RunConfig) -> list:
-    # found by the first check that needs them, and charged to it; when the
-    # search raises, every check that needs them records the error
-    points = cache(lambda: _independence_points(cfg))
-    return [
-        _check_equivariance,
-        _check_moment_preservation,
-        _check_negative_control,
-        _check_scaling_probe,
-        partial(_check_independence, find_points=points),
-        partial(_check_lower_shear_match, find_points=points),
-        partial(_check_trace_components, find_points=points),
-        partial(_check_slice_tangency, find_points=points),
-        _check_scaling_spectra,
-    ]
+    return _Measured(_fold(resids), "absolute eigenvalue deviation at t=0.1")
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +609,8 @@ def _flow_base_points(cfg: RunConfig, tag: str) -> list:
     return points
 
 
-@_emits("flowcalc.trotter_rate")
-def _check_trotter_rate(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("flowcalc.trotter_rate", "split-composition-first-order", 0.3))
+def _check_trotter_rate(cfg: RunConfig) -> _Measured:
     slopes = []
     points = _flow_base_points(cfg, "tro")
     for p in points:
@@ -720,13 +620,12 @@ def _check_trotter_rate(cfg: RunConfig) -> CheckRecord:
         coef = np.polyfit(np.log(TROTTER_STEPS), np.log(errs), 1)
         slopes.append(-float(coef[0]))
     note = "order in 1/steps; measured slopes " + ", ".join(f"{s:.3f}" for s in slopes)
-    return _finish("flowcalc.trotter_rate", "split-composition-first-order",
-                   _fold(abs(s - 1.0) for s in slopes), 0.3, t0, note, samples=len(points))
+    return _Measured(_fold(abs(s - 1.0) for s in slopes), note, len(points))
 
 
-@_emits("flowcalc.bracket_final_error", "flowcalc.bracket_monotone")
+@_declare(("flowcalc.bracket_final_error", "commutator-composition-limit", 1e-3),
+          ("flowcalc.bracket_monotone", "commutator-composition-limit", 0.0))
 def _check_bracket_limit(cfg: RunConfig) -> list:
-    t0 = perf_counter()
     finals, increases = [], []
     points = _flow_base_points(cfg, "brk")
     for p in points:
@@ -735,34 +634,27 @@ def _check_bracket_limit(cfg: RunConfig) -> list:
         errs = [_trace_word_error(pair_fingerprint(q), fp0) for q in flows]
         finals.append(errs[-1])
         increases += [b - a for a, b in zip(errs, errs[1:])]
-    rec1 = _finish("flowcalc.bracket_final_error", "commutator-composition-limit",
-                   _fold(finals), 1e-3, t0,
-                   f"relative trace-word error at {BRACKET_STEPS[-1]} squares, t={BRACKET_TIME}",
-                   samples=len(points))
-    rec2 = _finish("flowcalc.bracket_monotone", "commutator-composition-limit",
-                   _fold(increases), 0.0, perf_counter(),
-                   "largest error increase across the step ladder; negative passes",
-                   samples=len(points))
-    return [rec1, rec2]
+    return [_Measured(_fold(finals), f"relative trace-word error at {BRACKET_STEPS[-1]} "
+                                     f"squares, t={BRACKET_TIME}", len(points)),
+            _Measured(_fold(increases),
+                      "largest error increase across the step ladder; negative passes",
+                      len(points))]
 
 
-@_emits("flowcalc.bracket_sign_consistency")
-def _check_bracket_sign(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("flowcalc.bracket_sign_consistency", "global-bracket-sign", 0.0))
+def _check_bracket_sign(cfg: RunConfig) -> _Measured:
     mismatches = 0
     points = _flow_base_points(cfg, "sgn")[:5]
     for p in points:
         if detect_bracket_sign(0.2, 256, p) != -BRACKET_SIGN:
             mismatches += 1
-    return _finish("flowcalc.bracket_sign_consistency", "global-bracket-sign",
-                   float(mismatches), 0.0, t0,
-                   "commutator flow lands on minus the matrix bracket at every point",
-                   samples=len(points))
+    return _Measured(float(mismatches),
+                     "commutator flow lands on minus the matrix bracket at every point",
+                     len(points))
 
 
-@_emits("flowcalc.commuting_generators")
-def _check_commuting_cases(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("flowcalc.commuting_generators", "commuting-flows-compose-exactly", 1e-12))
+def _check_commuting_cases(cfg: RunConfig) -> _Measured:
     c = random_chart_point(2, cfg.tau, _seed(cfg, "comm"))
     p = from_chart(c, cfg.tol)
     scale = pair_scale(p)
@@ -771,14 +663,12 @@ def _check_commuting_cases(cfg: RunConfig) -> CheckRecord:
         trotter_target(GEN_E, GEN_E, 0.3, p),
     )
     same_bracket = pair_distance(bracket_flow(GEN_E, GEN_E, 0.3, 64, p), p)
-    resid = _fold([same_trotter, same_bracket]) / scale
-    return _finish("flowcalc.commuting_generators", "commuting-flows-compose-exactly",
-                   resid, 1e-12, t0, "relative to max(1, ||A|| ||B||)")
+    return _Measured(_fold([same_trotter, same_bracket]) / scale,
+                     "relative to max(1, ||A|| ||B||)")
 
 
-@_emits("flowcalc.shear_pullback_degrees")
-def _check_shear_degrees(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("flowcalc.shear_pullback_degrees", "unipotent-flows-polynomial", 0.0))
+def _check_shear_degrees(cfg: RunConfig) -> _Measured:
     c = random_chart_point(2, cfg.tau, _seed(cfg, "lnd"))
     p = from_chart(c, cfg.tol)
     cases = (
@@ -790,13 +680,11 @@ def _check_shear_degrees(cfg: RunConfig) -> CheckRecord:
     for obs, want in cases:
         got = lnd_degree("e", obs, p)
         total += 99 if got is None else abs(got - want)
-    return _finish("flowcalc.shear_pullback_degrees", "unipotent-flows-polynomial",
-                   float(total), 0.0, t0, "sum of degree deviations over hand cases")
+    return _Measured(float(total), "sum of degree deviations over hand cases")
 
 
-@_emits("flowcalc.witness_triple")
-def _check_witness(cfg: RunConfig) -> CheckRecord:
-    t0 = perf_counter()
+@_declare(("flowcalc.witness_triple", "trace-witness-derivative-identities", 1e-10))
+def _check_witness(cfg: RunConfig) -> _Measured:
     resids = []
     count = _trials(cfg, 20)
     for i in range(count):
@@ -809,28 +697,16 @@ def _check_witness(cfg: RunConfig) -> CheckRecord:
                 break
         report = compatible_witness(p)
         resids.append(report.residual / report.scale)
-    return _finish("flowcalc.witness_triple", "trace-witness-derivative-identities",
-                   _fold(resids), 1e-10, t0, "relative to max(1, ||A||, ||B||)")
-
-
-def _suite_flowcalc(cfg: RunConfig) -> list:
-    return [
-        _check_trotter_rate,
-        _check_bracket_limit,
-        _check_bracket_sign,
-        _check_commuting_cases,
-        _check_shear_degrees,
-        _check_witness,
-    ]
+    return _Measured(_fold(resids), "relative to max(1, ||A||, ||B||)")
 
 
 # ---------------------------------------------------------------------------
 # quiver
 
 
-@_emits("quiver.dictionary_consistency", "quiver.literal_dictionary_recorded")
+@_declare(("quiver.dictionary_consistency", "admissible-conventions-point-independent", 0.0),
+          ("quiver.literal_dictionary_recorded", "printed-dictionary-membership", 0.0))
 def _check_dictionary(cfg: RunConfig) -> list:
-    t0 = perf_counter()
     count = _trials(cfg, 20)
     label_sets = []
     literal_flags = []
@@ -842,31 +718,15 @@ def _check_dictionary(cfg: RunConfig) -> list:
         literal_flags.append(report.literal_admissible)
     disagreements = sum(1 for s in label_sets if s != label_sets[0])
     note = f"admissible: {list(label_sets[0])}; literal admissible: {literal_flags[0]}"
-    rec1 = _finish("quiver.dictionary_consistency", "admissible-conventions-point-independent",
-                   float(disagreements), 0.0, t0, note)
-    rec2 = _finish("quiver.literal_dictionary_recorded", "printed-dictionary-membership",
-                   0.0, 0.0, perf_counter(),
-                   f"literal admissible: {all(literal_flags)}")
-    return [rec1, rec2]
-
-
-def _suite_quiver(cfg: RunConfig) -> list:
-    return [_check_dictionary]
+    return [_Measured(float(disagreements), note),
+            _Measured(0.0, f"literal admissible: {all(literal_flags)}")]
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
-_SUITE_RUNNERS = {
-    "linalg": _suite_linalg,
-    "variety": _suite_variety,
-    "canonical": _suite_canonical,
-    "chart": _suite_chart,
-    "sl2": _suite_sl2,
-    "flowcalc": _suite_flowcalc,
-    "quiver": _suite_quiver,
-}
+SUITE_NAMES = tuple(dict.fromkeys(check.suite for check in _CHECKS))
 
 
 def expand_suites(names) -> list:
@@ -878,27 +738,49 @@ def expand_suites(names) -> list:
             out.append(name)
         else:
             raise ValueError(f"unknown suite {name!r}")
-    seen = set()
-    ordered = []
-    for name in out:
-        if name not in seen:
-            seen.add(name)
-            ordered.append(name)
-    return ordered
+    return list(dict.fromkeys(out))
 
 
-def _run_check(check, cfg: RunConfig) -> list:
-    """The records of one check; a package error becomes one error record per declared name."""
+def _record(declared, measured: _Measured, runtime_ms: float) -> CheckRecord:
+    """The record of one measurement under its (name, law, threshold)."""
+    name, law, threshold = declared
+    residual, note, samples = measured
+    if samples == 0:
+        status, residual = "skipped", None
+        note = "no sample: no requested size is in range; " + note
+    elif not math.isfinite(residual):
+        status, note = "fail", f"non-finite residual ({residual}), e.g. overflow; " + note
+        residual = None
+    else:
+        status, residual = ("pass" if residual <= threshold else "fail"), float(residual)
+    return CheckRecord(name, law, status, residual, float(threshold), runtime_ms, note)
+
+
+def _run_check(check, cfg: RunConfig, find_points=None) -> list:
+    """Time one check and build its records, one per declared name.
+
+    The first record carries the check's wall time, the others 0.0.  A
+    package error becomes an error record under each declared name.  A
+    check that needs the sl2 independence points gets find_points(); run()
+    passes one cached search for all of them.
+    """
     t0 = perf_counter()
+    error = None
     try:
-        out = check(cfg)
+        if check.needs_points:
+            measured = check(cfg, (find_points or partial(_independence_points, cfg))())
+        else:
+            measured = check(cfg)
     except CMSpacesError as exc:
-        names = getattr(check, "func", check).records
-        note = f"{type(exc).__name__} at seed {cfg.seed}: {exc}"
-        return [CheckRecord(name, "check-execution", "error", None, 0.0,
-                            (perf_counter() - t0) * 1000.0 if i == 0 else 0.0, note)
-                for i, name in enumerate(names)]
-    return out if isinstance(out, list) else [out]
+        error = f"{type(exc).__name__} at seed {cfg.seed}: {exc}"
+    times = [(perf_counter() - t0) * 1000.0] + [0.0] * (len(check.records) - 1)
+    if error:
+        return [CheckRecord(name, "check-execution", "error", None, 0.0, ms, error)
+                for (name, _, _), ms in zip(check.records, times)]
+    if isinstance(measured, _Measured):
+        measured = [measured]
+    return [_record(declared, m, ms)
+            for declared, m, ms in zip(check.records, measured, times, strict=True)]
 
 
 def run(cfg: RunConfig) -> dict:
@@ -907,24 +789,22 @@ def run(cfg: RunConfig) -> dict:
     A check that raises a package error is recorded with status "error"
     rather than aborting its suite or the report.
     """
-    records = []
-    for name in expand_suites(cfg.suites):
-        for check in _SUITE_RUNNERS[name](cfg):
-            records.extend(_run_check(check, cfg))
+    # found by the first check that needs them, and charged to it; when the
+    # search raises, every check that needs them records the error
+    find_points = cache(partial(_independence_points, cfg))
+    records = [rec for suite in expand_suites(cfg.suites) for check in _CHECKS
+               if check.suite == suite for rec in _run_check(check, cfg, find_points)]
     records.sort(key=lambda r: r.name)
-    passed = sum(1 for r in records if r.status == "pass")
-    failed = sum(1 for r in records if r.status == "fail")
-    errored = sum(1 for r in records if r.status == "error")
-    skipped = sum(1 for r in records if r.status == "skipped")
+    status = Counter(r.status for r in records)
     return {
         "schema": SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "records": [r.to_dict() for r in records],
         "summary": {
             "total": len(records),
-            "passed": passed,
-            "failed": failed,
-            "errors": errored,
-            "skipped": skipped,
+            "passed": status["pass"],
+            "failed": status["fail"],
+            "errors": status["error"],
+            "skipped": status["skipped"],
         },
     }

@@ -51,12 +51,13 @@ def test_record_runtimes_do_not_double_count(suite):
 
 def test_every_check_declares_the_records_it_returns():
     # run() names the error records of a raising check after these
-    from cmspaces.verify import _SUITE_RUNNERS
-
     cfg = RunConfig(n_values=(1,), trials=1)
-    declared = sorted(name for suite in SUITE_NAMES for check in _SUITE_RUNNERS[suite](cfg)
-                      for name in getattr(check, "func", check).records)
-    assert declared == [rec["name"] for rec in run(cfg)["records"]]
+    names = [name for check in verify._CHECKS for name, _, _ in check.records]
+    assert sorted(names) == [rec["name"] for rec in run(cfg)["records"]]
+    assert len(set(names)) == len(names)
+    assert SUITE_NAMES == ("linalg", "variety", "canonical", "chart", "sl2", "flowcalc", "quiver")
+    for check in verify._CHECKS:
+        assert all(name.startswith(check.suite + ".") for name, _, _ in check.records)
 
 
 def test_a_non_finite_sample_fails_its_check_wherever_it_sits():
@@ -66,10 +67,10 @@ def test_a_non_finite_sample_fails_its_check_wherever_it_sits():
     assert verify._fold([3.0, -math.inf, 1.0]) == -math.inf
     assert verify._fold([3.0, math.inf, 1.0], min) == math.inf
     assert verify._fold([3, 1, 2], min) == 1.0
-    rec = verify._finish("x.y", "law", math.nan, 1.0, perf_counter(), "note")
+    rec = verify._record(("x.y", "law", 1.0), verify._Measured(math.nan, "note"), 0.0)
     assert (rec.status, rec.residual) == ("fail", None)
     assert rec.note.startswith("non-finite residual (nan)") and rec.note.endswith("note")
-    margin = verify._finish("x.y", "law", 1e-3 - math.inf, 0.0, perf_counter())
+    margin = verify._record(("x.y", "law", 0.0), verify._Measured(1e-3 - math.inf), 0.0)
     assert (margin.status, margin.residual) == ("fail", None)
 
 
@@ -86,6 +87,11 @@ def test_flow_checks_fingerprint_each_target_once(monkeypatch):
     verify._check_bracket_limit(cfg)
     # 10 base points per check: one target, then one flow per step count
     assert len(calls) == 10 * (2 + len(verify.TROTTER_STEPS) + len(verify.BRACKET_STEPS))
+
+
+def _status(check):
+    (rec,) = verify._run_check(check, RunConfig())
+    return rec.status
 
 
 def _count_eigensolver_calls(monkeypatch):
@@ -105,10 +111,10 @@ def test_chart_sweeps_make_one_eigensolver_call_per_size(monkeypatch):
     # one stack per size n: the per-trial loops made 100 eig and 100
     # eigvals calls in the Jacobian sweep and 80 eigvals in the gap sweep
     counts = _count_eigensolver_calls(monkeypatch)
-    assert verify._check_jacobian_rank(RunConfig()).status == "pass"
+    assert _status(verify._check_jacobian_rank) == "pass"
     assert counts["eig"] <= 5 and counts["eigvals"] <= 5
     counts.update(eig=0, eigvals=0)
-    assert verify._check_gap_term_invariance(RunConfig()).status == "pass"
+    assert _status(verify._check_gap_term_invariance) == "pass"
     assert counts["eigvals"] <= 4
 
 
@@ -123,10 +129,10 @@ def test_seeded_sweeps_draw_one_stack_per_size(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, counted)
-    assert verify._check_level_condition(RunConfig()).status == "pass"
+    assert _status(verify._check_level_condition) == "pass"
     assert calls == {"random_point": 0, "random_points": 12}  # n = 1..6, k = 1, 2
     calls.update(random_points=0)
-    assert verify._check_round_trip_pair(RunConfig()).status == "pass"
+    assert _status(verify._check_round_trip_pair) == "pass"
     assert calls == {"random_point": 0, "random_points": 5}  # n = 1..5
 
 
