@@ -243,8 +243,9 @@ def arrowhead_frame(lam, lamhat):
     scaling, and the products stay clear of overflow) and mapped back by
     diag(s, ..., s, 1).  Stacks run over leading axes.
     """
-    lam = np.asarray(lam, dtype=np.complex128)
-    lamhat = np.asarray(lamhat, dtype=np.complex128)
+    # C-ordered, so that each item of a stack rounds as its one-item call
+    lam = np.ascontiguousarray(lam, dtype=np.complex128)
+    lamhat = np.ascontiguousarray(lamhat, dtype=np.complex128)
     n = lam.shape[-1]
     top = np.maximum(np.abs(lam).max(axis=-1), np.abs(lamhat).max(axis=-1))
     s = np.ldexp(1.0, np.frexp(top)[1])[..., None]

@@ -385,10 +385,7 @@ def test_to_chart_stack_tracks_each_item_against_its_own_ref():
                 for c in points]
         got = to_chart_stack(A, B, 1.0, ref=np.array([r.vector() for r in refs]))
         want = np.array([to_chart_tracked(p, r).vector() for p, r in zip(pairs, refs)])
-        # equal up to rounding, not bit for bit: the block diagonal read off
-        # a stack has a transposed memory layout, over which numpy's
-        # products in the closed-form frame round differently
-        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        assert np.array_equal(got, want)
         assert np.abs(want - np.array([r.vector() for r in refs])).max() < 1e-8
 
 
