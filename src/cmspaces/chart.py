@@ -484,11 +484,6 @@ def random_chart_point(n: int, tau: complex, seed: int) -> ChartPoint:
     return ChartPoint(lam, lamhat, mu, muhat, tau)
 
 
-def _central_difference(f, step: float) -> np.ndarray:
-    """(f(step) - f(-step)) / (2 step), the quotient of the numeric field derivatives."""
-    return (f(step) - f(-step)) / (2.0 * step)
-
-
 def chart_jacobian_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL,
                          step: float = 1e-6) -> np.ndarray:
     """chart_jacobian at the base points V (..., 4n+2); returns (..., 4n+2, 4n+2).

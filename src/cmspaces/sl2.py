@@ -33,7 +33,6 @@ from .errors import (
 )
 from .chart import (
     ChartPoint,
-    _central_difference,
     from_chart,
     project_to_slice,
     slice_residual,
@@ -251,6 +250,11 @@ class ChartTangent:
             k: complex(k * np.sum(lh ** (k - 1) * self.d_lamhat))
             for k in range(1, kmax + 1)
         }
+
+
+def _central_difference(f, step: float) -> np.ndarray:
+    """(f(step) - f(-step)) / (2 step), the quotient of the numeric field derivatives."""
+    return (f(step) - f(-step)) / (2.0 * step)
 
 
 def numeric_field(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL,

@@ -217,7 +217,7 @@ def gauge_act_pair(g: GaugeElement, p: AugmentedPair) -> AugmentedPair:
     """Conjugate a pair by the embedded basechange diag(g, 1)."""
     if g.n != p.n:
         raise ShapeMismatchError(f"gauge size {g.n} does not match pair size {p.n}")
-    E = GaugeElement(g.g).embedded()
+    E = g.embedded()
     Ei = np.linalg.inv(E)
     return AugmentedPair(E @ p.A @ Ei, E @ p.B @ Ei, p.tau)
 

@@ -46,3 +46,15 @@ def test_no_module_imports_a_name_it_never_uses():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    private = {}
+    for path in sorted(Path(cmspaces.__file__).parent.glob("*.py")):
+        names = [f"{node.module}.{alias.name}"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.level > 0
+                 for alias in node.names if alias.name.startswith("_")]
+        if names:
+            private[path.name] = names
+    assert private == {}

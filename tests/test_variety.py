@@ -331,6 +331,26 @@ def test_fingerprints_are_gauge_invariant():
     assert on_level(q, tol=1e-8)
 
 
+def test_gauge_act_pair_does_not_check_its_gauge_again(monkeypatch):
+    # the gauge was checked when it was built; the pair is conjugated by
+    # the same matrices either way
+    g, p = random_gauge(4, 52), augment(random_point(4, 2, 1.0, 51))
+    E = np.eye(5, dtype=np.complex128)
+    E[:4, :4] = g.g
+    Ei = np.linalg.inv(E)
+    svd_calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svd_calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    q = gauge_act_pair(g, p)
+    assert svd_calls == []
+    assert np.array_equal(q.A, E @ p.A @ Ei) and np.array_equal(q.B, E @ p.B @ Ei)
+
+
 def test_fingerprints_match_the_word_loop():
     # same words in the same order as one trace per product, for every length
     for n in range(1, 9):
