@@ -761,16 +761,13 @@ def _run_check(check, cfg: RunConfig, find_points=None) -> list:
 
     The first record carries the check's wall time, the others 0.0.  A
     package error becomes an error record under each declared name.  A
-    check that needs the sl2 independence points gets find_points(); run()
-    passes one cached search for all of them.
+    check that needs the sl2 independence points gets find_points(), which
+    run() caches for the run.
     """
     t0 = perf_counter()
     error = None
     try:
-        if check.needs_points:
-            measured = check(cfg, (find_points or partial(_independence_points, cfg))())
-        else:
-            measured = check(cfg)
+        measured = check(cfg, find_points()) if check.needs_points else check(cfg)
     except CMSpacesError as exc:
         error = f"{type(exc).__name__} at seed {cfg.seed}: {exc}"
     times = [(perf_counter() - t0) * 1000.0] + [0.0] * (len(check.records) - 1)
