@@ -14,9 +14,8 @@ spectra alone.  The resulting coordinates
     muhat (n+1) diagonal of the conjugated remainder,
 
 count 4 n + 2 and invert in closed form: the border column of M is a ratio
-of spectral products, the corner is the trace mismatch, the border-column
-defect solves a small linear system, and S is recovered entrywise from the
-gaps of lamhat.
+of spectral products, the corner is the trace mismatch, and S is recovered
+entrywise from the conjugated level shift and the gaps of lamhat.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DefectSystemError,
     DegenerateConstraintError,
     DegenerateSpectrumError,
     EigenMismatchError,
@@ -327,26 +325,6 @@ def _border_column(lam: np.ndarray, lamhat: np.ndarray) -> np.ndarray:
     return -num / np.prod(diffs, axis=-1)
 
 
-def _solve_defect(K, b, tol: float):
-    """Least-squares solution m of K m = b, from the one SVD the rank test takes.
-
-    K is (n+1) x n per item.  Raises DefectSystemError when K has rank
-    below n or the residual is out of contract.
-    """
-    n = K.shape[-1]
-    U, s, Vh = np.linalg.svd(K, full_matrices=False)
-    if any_item(np.count_nonzero(s > 1e-9 * s[..., :1], axis=-1) < n):
-        raise DefectSystemError("defect system is rank deficient")
-    coef = (np.conj(np.swapaxes(U, -1, -2)) @ b[..., None])[..., 0] / s
-    m = (np.conj(np.swapaxes(Vh, -1, -2)) @ coef[..., None])[..., 0]
-    resid = np.linalg.norm((K @ m[..., None])[..., 0] - b, axis=-1)
-    bad = resid > max(tol, 1e-12) * 1e3 * np.maximum(1.0, np.linalg.norm(b, axis=-1))
-    if any_item(bad):
-        raise DefectSystemError(
-            f"defect system inconsistent, residual {first_failure(resid, bad):.3e}")
-    return m
-
-
 def _check_frame(A, lamhat, g, ginv, tol: float) -> None:
     """Raise EigenMismatchError unless g A ginv = diag(lamhat) within 1e3 * tol * max(1, max |lamhat|)."""
     R = g @ A @ ginv
@@ -363,18 +341,23 @@ def _check_frame(A, lamhat, g, ginv, tol: float) -> None:
 
 
 def _chart_frame(lam, lamhat, tau: complex, tol: float):
-    """First matrix, its diagonalizer in lamhat's order and the spectral data of the inverse maps.
+    """First matrix, its diagonalizer in lamhat's order and the off-diagonal term S.
 
-    Returns (Ah, g, ginv, defect, S).  Ah is the arrowhead with spectra
+    Returns (Ah, g, ginv, S).  Ah is the arrowhead with spectra
     (lam, lamhat) and (g, ginv) its closed-form frame
     (linalg.arrowhead_frame), in the given order by construction and not
-    unit-normalized: the defect, S, the rebuilt second matrix and
-    project_to_slice's kappa do not change under a diagonal rescaling of
-    the frame.  The frame residual is the contract check
-    (EigenMismatchError beyond 1e3 * tol * max(1, max |lamhat|)).  The
-    defect solves the diagonal system diag(g (shift + border_col(defect))
-    g^-1) = 0 by least squares; S is the off-diagonal quotient by the
-    lamhat gaps.
+    unit-normalized: S, the rebuilt second matrix and project_to_slice's
+    kappa do not change under a diagonal rescaling of the frame.  The
+    frame residual is the contract check (EigenMismatchError beyond
+    1e3 * tol * max(1, max |lamhat|)).
+
+    S is closed form.  Row n of ginv is all ones (every right eigenvector
+    ends in 1), so a border column m e_n^T adds (g[:, :n] m) 1^T to
+    P = g shift g^-1, and the vanishing diagonal of g [M, N2] g^-1 fixes
+    that term to -diag(P) without solving for m.  Such an m exists: by
+    ginv g = I the range of g[:, :n] is the vectors whose entries sum to
+    zero, and diag(P) sums to tr(shift) = 0.  Off the diagonal
+    S_jk = (P_jk - P_jj) / (lamhat_j - lamhat_k).
     """
     n = lam.shape[-1]
     scale = np.maximum(1.0, np.abs(lamhat).max(axis=-1))
@@ -391,26 +374,19 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     g, ginv = arrowhead_frame(lam, lamhat)
     _check_frame(Ah, lamhat, g, ginv, tol)
 
-    g_shift = g * np.diagonal(level_shift(n, tau))   # g @ shift, the shift being diagonal
-    # diagonal of g (shift + border_col(m)) g^-1 must vanish; linear in m
-    K = g[..., :, :n] * ginv[..., n, :, None]   # K[j, i] = g[j, i] * ginv[n, j]
-    b = -(g_shift * np.swapaxes(ginv, -1, -2)).sum(axis=-1)
-    m = _solve_defect(K, b, tol)
-
-    # the border column m e_n^T contributes the rank-one (g[:, :n] m) ginv[n, :]
-    R = g_shift @ ginv + (g[..., :, :n] @ m[..., None]) * ginv[..., n:, :]
+    P = (g * np.diagonal(level_shift(n, tau))) @ ginv   # the shift is diagonal
     full = np.arange(n + 1)
     gaps = lamhat[..., :, None] - lamhat[..., None, :]
     gaps[..., full, full] = 1.0
-    S = R / gaps
+    S = (P - P[..., full, full][..., :, None]) / gaps
     S[..., full, full] = 0.0
-    return Ah, g, ginv, m, S
+    return Ah, g, ginv, S
 
 
 def from_chart_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL):
     """from_chart for packed coordinates V of shape (..., 4n+2); returns the matrices (A, B)."""
     lam, lamhat, mu, muhat = _unpack(V, n)
-    Ah, g, ginv, _, S = _chart_frame(lam, lamhat, tau, tol)
+    Ah, g, ginv, S = _chart_frame(lam, lamhat, tau, tol)
     full = np.arange(n + 1)
     S[..., full, full] = muhat          # S is off-diagonal: this is diag(muhat) + S
     Bh = ginv @ S @ g
@@ -451,7 +427,7 @@ def project_to_slice(c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartPoint:
     kappa . muhat + s0 = 0.  lam, lamhat, mu are untouched.
     """
     n = c.n
-    _, g, ginv, _, S = _chart_frame(c.lam, c.lamhat, c.tau, tol)
+    _, g, ginv, S = _chart_frame(c.lam, c.lamhat, c.tau, tol)
     kappa = ginv[n, :] * g[:, n]
     s0 = complex((ginv @ S @ g)[n, n])
     nrm2 = float(np.linalg.norm(kappa) ** 2)

@@ -54,10 +54,6 @@ class EigenMismatchError(CMSpacesError):
     """A reconstructed matrix does not reproduce the requested spectrum."""
 
 
-class DefectSystemError(CMSpacesError):
-    """The linear system for the border defect is singular or inconsistent."""
-
-
 class DegenerateConstraintError(CMSpacesError):
     """The slice constraint on the diagonal coordinates has no usable gradient."""
 

@@ -9,7 +9,6 @@ from cmspaces.chart import (
     ChartPoint,
     _border_column,
     _embed_border_col,
-    _solve_defect,
     _unpack,
     chart_jacobian,
     chart_jacobian_stack,
@@ -183,14 +182,14 @@ def test_to_chart_lapack_call_budget(monkeypatch):
 
 
 def test_from_chart_lapack_call_budget(monkeypatch):
-    # the rebuilt first matrix is an arrowhead with a closed-form frame: no
-    # eigensolver and no inverse; the one SVD solves the defect system
-    n = 6
-    c = random_chart_point(n, 1.0, 10)
-    calls = _count_lapack(monkeypatch, ("eig", "eigvals", "inv", "svd"))
+    # the rebuilt first matrix is an arrowhead with a closed-form frame, and
+    # the off-diagonal term is closed form too: no LAPACK call at all
+    c = random_chart_point(6, 1.0, 10)
+    calls = _count_lapack(monkeypatch, ("eig", "eigvals", "inv", "svd", "lstsq", "solve"))
     from_chart(c)
+    project_to_slice(c)
     monkeypatch.undo()
-    assert calls == [("svd", (n + 1, n))]
+    assert calls == []
 
 
 def _eig_chart_frame(lam, lamhat, tau, tol=1e-9):
@@ -208,9 +207,12 @@ def _eig_chart_frame(lam, lamhat, tau, tol=1e-9):
     if (np.abs(vals - lamhat).max(axis=-1) > 1e3 * tol * scale).any():
         raise EigenMismatchError("reconstructed spectrum deviates from lamhat")
     shift = level_shift(n, tau)
+    # the border column m that zeroes the diagonal of g (shift + m e_n^T) g^-1
     K = g[..., :, :n] * ginv[..., n, :, None]
     b = -np.diagonal(g @ shift @ ginv, axis1=-2, axis2=-1)
-    m = _solve_defect(K, b, tol)
+    m = np.empty(lam.shape, dtype=np.complex128)
+    for item in np.ndindex(lam.shape[:-1]):
+        m[item] = np.linalg.lstsq(K[item], b[item], rcond=None)[0]
     R = g @ (shift + _embed_border_col(m)) @ ginv
     full = np.arange(n + 1)
     gaps = lamhat[..., :, None] - lamhat[..., None, :]
@@ -241,6 +243,27 @@ def test_closed_form_frame_rebuilds_what_the_eig_frame_did():
                      _eig_from_chart_stack(c.vector(), n, c.tau))
     V = np.array([random_chart_point(4, 0.5 - 1j, 190 + i).vector() for i in range(6)])
     assert close(from_chart_stack(V, 4, 0.5 - 1j), _eig_from_chart_stack(V, 4, 0.5 - 1j))
+
+
+@pytest.mark.parametrize("n, seed, delta", [(4, 0, 3e-9), (4, 1, 3e-9), (8, 0, 1e-8)])
+def test_near_coalescing_full_eigenvalues_rebuild_a_pair_on_the_level_set(n, seed, delta):
+    # lamhat_1 within delta of lamhat_0: the frame is ill-conditioned, but the
+    # closed-form off-diagonal term still rebuilds a pair on the level set
+    c = random_chart_point(n, 1.0, seed)
+    lamhat = c.lamhat.copy()
+    lamhat[1] = lamhat[0] + delta
+    c = ChartPoint(c.lam, lamhat, c.mu, c.muhat, c.tau)
+    for point in (c, project_to_slice(c)):
+        p = from_chart(point)
+        assert np.array_equal(np.diag(p.A)[:n], c.lam)
+    assert on_level(from_chart(c), tol=1e-12)
+
+
+def test_round_trip_keeps_the_chart_contract_at_large_n_and_tau():
+    for seed in range(20):
+        c = random_chart_point(40, 1e4, seed)
+        again = to_chart_tracked(from_chart(c), c)
+        assert np.abs(again.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-8, 1e-4])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cmspaces.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, main
-from cmspaces.errors import DefectSystemError
+from cmspaces.errors import SingularMatrixError
 from cmspaces.jsonio import decode, dumps, encode
 from cmspaces.variety import AugmentedPair
 
@@ -239,7 +239,7 @@ def test_the_determinant_control_keeps_its_margin_at_huge_tau(capsys, monkeypatc
 
 def test_a_raising_check_leaves_the_rest_of_its_suite(capsys, monkeypatch):
     def boom(*args, **kwargs):
-        raise DefectSystemError("injected")
+        raise SingularMatrixError("injected")
 
     monkeypatch.setattr("cmspaces.verify.chart_jacobian_stack", boom)
     code, out, err = _run(capsys, monkeypatch,
@@ -249,7 +249,7 @@ def test_a_raising_check_leaves_the_rest_of_its_suite(capsys, monkeypatch):
     assert len(records) == 6
     bad = records.pop("chart.jacobian_rank")
     assert bad["status"] == "error" and bad["residual"] is None
-    assert "DefectSystemError" in bad["note"] and "seed 4" in bad["note"]
+    assert "SingularMatrixError" in bad["note"] and "seed 4" in bad["note"]
     assert all(rec["status"] == "pass" for rec in records.values())
     assert "ERROR chart.jacobian_rank: residual n/a" in err
 
