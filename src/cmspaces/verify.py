@@ -25,7 +25,6 @@ import math
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
 from time import perf_counter
 from typing import NamedTuple
 
@@ -787,8 +786,19 @@ def run(cfg: RunConfig) -> dict:
     rather than aborting its suite or the report.
     """
     # found by the first check that needs them, and charged to it; when the
-    # search raises, every check that needs them records the error
-    find_points = cache(partial(_independence_points, cfg))
+    # search raises, every check that needs them records the same error
+    found = []
+
+    def find_points():
+        if not found:
+            try:
+                found.append(_independence_points(cfg))
+            except CMSpacesError as exc:
+                found.append(exc)
+        if isinstance(found[0], CMSpacesError):
+            raise found[0]
+        return found[0]
+
     records = [rec for suite in expand_suites(cfg.suites) for check in _CHECKS
                if check.suite == suite for rec in _run_check(check, cfg, find_points)]
     records.sort(key=lambda r: r.name)

@@ -160,11 +160,15 @@ def test_the_sl2_independence_search_runs_once_per_run(monkeypatch):
 
 
 def test_a_raising_independence_search_errors_every_check_that_needs_the_points(monkeypatch):
+    calls = []
+
     def boom(*args, **kwargs):
+        calls.append(args)
         raise SearchExhaustedError("no point")
 
     monkeypatch.setattr(verify, "find_independence_point", boom)
     records = {rec["name"]: rec for rec in run(RunConfig(suites=("sl2",), seed=7))["records"]}
+    assert len(calls) == 1     # the failed search is not run again for each check
     errored = sorted(name for name, rec in records.items() if rec["status"] == "error")
     assert errored == sorted(_POINT_RECORDS)
     for name in _POINT_RECORDS:
