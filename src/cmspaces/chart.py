@@ -460,8 +460,7 @@ def random_chart_point(n: int, tau: complex, seed: int) -> ChartPoint:
     return ChartPoint(lam, lamhat, mu, muhat, tau)
 
 
-def chart_jacobian_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL,
-                         step: float = 1e-6) -> np.ndarray:
+def chart_jacobian_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL) -> np.ndarray:
     """chart_jacobian at the base points V (..., 4n+2); returns (..., 4n+2, 4n+2).
 
     The 2 (4 n + 2) perturbations of every base point go through the
@@ -470,17 +469,18 @@ def chart_jacobian_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL,
     _unpack(V, n)   # shape and finiteness of the base points
     base = np.asarray(V, dtype=np.complex128)[..., None, :]
     dim = 4 * n + 2
+    step = 1e-6
     steps = step * np.eye(dim)
     A, B = from_chart_stack(np.concatenate([base + steps, base - steps], axis=-2), n, tau, tol)
     back = to_chart_stack(A, B, tau, tol, ref=base)
     return np.swapaxes((back[..., :dim, :] - back[..., dim:, :]) / (2.0 * step), -1, -2)
 
 
-def chart_jacobian(c: ChartPoint, tol: float = DEFAULT_TOL, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of to_chart(from_chart(.)) at c.
+def chart_jacobian(c: ChartPoint, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Central-difference Jacobian of to_chart(from_chart(.)) at c, at step 1e-6.
 
     Tracked coordinates keep one analytic branch, so on the chart domain
     this is numerically the identity and its rank certifies the coordinate
     count 4 n + 2.
     """
-    return chart_jacobian_stack(c.vector(), c.n, c.tau, tol, step)
+    return chart_jacobian_stack(c.vector(), c.n, c.tau, tol)

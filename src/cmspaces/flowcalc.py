@@ -148,14 +148,13 @@ def _chebyshev_nodes(count: int) -> np.ndarray:
     return np.cos((2 * k + 1) * np.pi / (2 * count))
 
 
-def lnd_degree(kind: str, observable, p: AugmentedPair, d_max: int = 6,
-               fit_tol: float = 1e-8) -> int | None:
+def lnd_degree(kind: str, observable, p: AugmentedPair, d_max: int = 6) -> int | None:
     """Least polynomial degree of t -> observable(flow(t, p)), or None.
 
     Only the shear flows 'e' and 'f' are polynomial on trace observables;
     the scaling flow is not, and the fit reports that as None rather than
     a large degree.  Samples at d_max + 2 Chebyshev nodes on [-1, 1] and
-    accepts the least degree whose residual is below fit_tol * scale.
+    accepts the least degree whose residual is below 1e-8 * scale.
     """
     if kind not in ("e", "f"):
         raise ValueError("nilpotency degree is defined for the shear flows only")
@@ -169,7 +168,7 @@ def lnd_degree(kind: str, observable, p: AugmentedPair, d_max: int = 6,
         resid = np.abs(
             np.polynomial.polynomial.polyval(nodes, coeffs) - samples
         ).max()
-        if resid <= fit_tol * scale:
+        if resid <= 1e-8 * scale:
             return deg
     return None
 
@@ -204,10 +203,13 @@ class WitnessReport:
         )
 
 
-def _fit_derivatives(kind: str, p: AugmentedPair, span: float = 0.5,
-                     degree: int = 4) -> np.ndarray:
-    """Polynomial coefficients of t -> tr(second matrix) along a shear flow."""
-    nodes = span * _chebyshev_nodes(degree + 2)
+def _fit_derivatives(kind: str, p: AugmentedPair) -> np.ndarray:
+    """Polynomial coefficients of t -> tr(second matrix) along a shear flow.
+
+    A degree-4 fit at 6 Chebyshev nodes on [-0.5, 0.5].
+    """
+    degree = 4
+    nodes = 0.5 * _chebyshev_nodes(degree + 2)
     samples = np.array(
         [complex(np.trace(flow_exact(kind, t, p).B)) for t in nodes]
     )
@@ -223,18 +225,18 @@ def _fit_derivatives(kind: str, p: AugmentedPair, span: float = 0.5,
     return coeffs
 
 
-def compatible_witness(p: AugmentedPair, floor: float = 1e-8) -> WitnessReport:
+def compatible_witness(p: AugmentedPair) -> WitnessReport:
     """Certify h = tr(second matrix) against the two shear flows.
 
     Checks (by exact-flow polynomial fits): the upper shear leaves h
     constant; along the lower shear the first derivative equals tr(first
     matrix) and the second and higher derivatives vanish.  Points where
-    tr(first matrix) nearly vanishes cannot anchor the certificate and
-    raise WitnessVanishesError.
+    |tr(first matrix)| <= 1e-8 * max(1, ||A||, ||B||) cannot anchor the
+    certificate and raise WitnessVanishesError.
     """
     scale = max(1.0, frob(p.A), frob(p.B))
     anchor = complex(np.trace(p.A))
-    if abs(anchor) <= floor * scale:
+    if abs(anchor) <= 1e-8 * scale:
         raise WitnessVanishesError(
             "tr of the first matrix vanishes at this point; the witness "
             "derivative has no signal here"

@@ -252,13 +252,13 @@ class ChartTangent:
         }
 
 
-def _central_difference(f, step: float) -> np.ndarray:
-    """(f(step) - f(-step)) / (2 step), the quotient of the numeric field derivatives."""
+def _central_difference(f) -> np.ndarray:
+    """(f(h) - f(-h)) / (2 h) at h = 1e-5, the quotient of the numeric field derivatives."""
+    step = 1e-5
     return (f(step) - f(-step)) / (2.0 * step)
 
 
-def numeric_field(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL,
-                  step: float = 1e-5) -> ChartTangent:
+def numeric_field(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartTangent:
     """Induced field of a one-parameter subgroup by central differences.
 
     Chart coordinates of the flowed pair are tracked against c so the
@@ -269,7 +269,7 @@ def numeric_field(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL,
     def coords(t: float) -> np.ndarray:
         return to_chart_tracked(act_pair(gen.exp(t), p), c, tol).vector()
 
-    d = _central_difference(coords, step)
+    d = _central_difference(coords)
     n = c.n
     return ChartTangent(
         base=c,
@@ -317,18 +317,18 @@ def analytic_field(gen: SL2Generator, c: ChartPoint) -> ChartTangent:
 
 
 def find_independence_point(n: int, tau: complex, seed: int,
-                            tol: float = DEFAULT_TOL,
-                            max_tries: int = 200) -> ChartPoint:
+                            tol: float = DEFAULT_TOL) -> ChartPoint:
     """Seeded slice point where the three induced fields are independent.
 
     Looks for coordinates with mu = 0, matching traces (sum lam = sum
     lamhat), vanishing second corner (via project_to_slice), and the
     nondegeneracy |(sum muhat) s_2 - (sum lamhat muhat) s_1| > 0.1 * scale
     with scale = max(1, |s_1|, |s_2|).  muhat is resampled inside the
-    slice-constraint kernel until the nondegeneracy holds.
+    slice-constraint kernel until the nondegeneracy holds.  Raises
+    SearchExhaustedError after 200 draws of the spectra.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(200):
         lam = spaced_points(rng, n)
         lamhat = spaced_points(rng, n + 1) + (0.4 + 0.3j)
         lamhat = lamhat - (np.sum(lamhat) - np.sum(lam)) / (n + 1)
@@ -351,8 +351,7 @@ def find_independence_point(n: int, tau: complex, seed: int,
     raise SearchExhaustedError("no nondegenerate slice point within the retry budget")
 
 
-def slice_tangency(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL,
-                   step: float = 1e-5):
+def slice_tangency(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL):
     """Flow derivatives of the two slice functions at a chart point.
 
     The slice functions (trace mismatch and second corner) are invariant
@@ -365,27 +364,24 @@ def slice_tangency(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL,
     def values(t: float) -> np.ndarray:
         return np.array(slice_residual(act_pair(gen.exp(t), p)))
 
-    d = _central_difference(values, step)
+    d = _central_difference(values)
     return float(abs(d[0])), float(abs(d[1]))
 
 
-def independence_rank(c: ChartPoint, tol: float = DEFAULT_TOL,
-                      step: float = 1e-5, rank_tol: float = 1e-8):
+def independence_rank(c: ChartPoint, tol: float = DEFAULT_TOL):
     """Numeric rank of the three induced fields stacked at c.
 
     Returns (rank, ratio) with ratio the smallest over largest singular
     value of the 3 x (4 n + 2) stack of the lower-shear, upper-shear and
-    scaling fields.
+    scaling fields; the rank counts singular values above 1e-8 times the
+    largest.
     """
-    rows = [
-        numeric_field(gen, c, tol=tol, step=step).vector()
-        for gen in (GEN_E, GEN_F, GEN_H)
-    ]
+    rows = [numeric_field(gen, c, tol).vector() for gen in (GEN_E, GEN_F, GEN_H)]
     M = np.vstack(rows)
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0, 0.0
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    rank = int(np.count_nonzero(s > 1e-8 * s[0]))
     return rank, float(s[-1] / s[0])
 
 

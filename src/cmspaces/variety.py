@@ -294,14 +294,14 @@ def matrix_pair_scale(A, B):
     return np.maximum(1.0, frob(A) * frob(B))
 
 
-def level_deviation(p: AugmentedPair, tau: complex | None = None) -> float:
+def level_deviation(p: AugmentedPair) -> float:
     """How far the pair commutator leaves the shifted border space.
 
     The deviation from the level shift must be supported on the border
     column and border row only; returns the larger of the block norm and
     the corner magnitude of what remains.
     """
-    return commutator_level_deviation(comm(p.A, p.B), p.tau if tau is None else tau)
+    return commutator_level_deviation(comm(p.A, p.B), p.tau)
 
 
 def commutator_level_deviation(K, tau: complex):
@@ -311,9 +311,9 @@ def commutator_level_deviation(K, tau: complex):
     return np.maximum(frob(D[..., :n, :n]), np.abs(D[..., n, n]))
 
 
-def on_level(p: AugmentedPair, tol: float = DEFAULT_TOL, tau: complex | None = None) -> bool:
+def on_level(p: AugmentedPair, tol: float = DEFAULT_TOL) -> bool:
     """True when the pair commutator sits in the shifted border space."""
-    return bool(level_deviation(p, tau) <= tol * pair_scale(p))
+    return bool(level_deviation(p) <= tol * pair_scale(p))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +386,13 @@ class DictionaryReport:
     residuals: dict
 
 
-def calibrate_dictionary(r: Representation, tol: float = 1e-9) -> DictionaryReport:
+def calibrate_dictionary(r: Representation) -> DictionaryReport:
     """Find which dictionary variants land in the expected quiver fiber.
 
     A variant is admissible when it maps the on-shell quadruple to the fiber
-    over (tau * I_n, -n tau).  An empty admissible tuple is reported, not
-    raised, so callers can record the outcome.
+    over (tau * I_n, -n tau), within 1e-9 * level_scale.  An empty
+    admissible tuple is reported, not raised, so callers can record the
+    outcome.
     """
     if r.k != 2:
         raise ShapeMismatchError("dictionary calibration needs k = 2")
@@ -405,7 +406,7 @@ def calibrate_dictionary(r: Representation, tol: float = 1e-9) -> DictionaryRepo
         nu1, nu2 = quiver_moment(r.A, r.B, *var.apply(r))
         resid = max(frob(nu1 - target1), abs(nu2 - target2))
         residuals[var.label()] = resid
-        if resid <= tol * scale:
+        if resid <= 1e-9 * scale:
             admissible.append(var)
     return DictionaryReport(
         admissible=tuple(admissible),
@@ -418,22 +419,22 @@ def calibrate_dictionary(r: Representation, tol: float = 1e-9) -> DictionaryRepo
 # seeded constructions
 
 
-def spaced_points(rng: np.random.Generator, count: int, spacing: float = 1.0,
-                  jitter: float = 0.15, origin_radius: float = 0.5) -> np.ndarray:
-    """Complex values on a jittered line; pairwise gaps at least spacing - 2*sqrt(2)*jitter."""
-    return _spaced(rng.random(2 * count + 2), spacing, jitter, origin_radius)
+def spaced_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Complex values on a jittered line; pairwise gaps at least 1 - 2 sqrt(2) 0.15 > 0.57."""
+    return _spaced(rng.random(2 * count + 2))
 
 
-def _spaced(u, spacing: float = 1.0, jitter: float = 0.15, origin_radius: float = 0.5):
+def _spaced(u):
     """spaced_points from its 2 count + 2 drawn doubles, over the leading axes of u.
 
     They are count real and count imaginary jitters, then the real and
-    imaginary shift.
+    imaginary shift: unit spacing, jitter within 0.15 and a shift within
+    0.5 in each part.
     """
     count = u.shape[-1] // 2 - 1
-    base = (np.arange(count) - (count - 1) / 2.0) * spacing
-    jit = _complex_of(u[..., :count], u[..., count:2 * count], jitter)
-    shift = _complex_of(u[..., -2:-1], u[..., -1:], origin_radius)
+    base = np.arange(count) - (count - 1) / 2.0
+    jit = _complex_of(u[..., :count], u[..., count:2 * count], 0.15)
+    shift = _complex_of(u[..., -2:-1], u[..., -1:], 0.5)
     return base + jit + shift
 
 
@@ -447,10 +448,8 @@ def _complex_of(re, im, half_width: float = 1.0):
     return (low + (high - low) * re) + 1j * (low + (high - low) * im)
 
 
-def _complex_uniform(rng: np.random.Generator, shape, half_width: float = 1.0) -> np.ndarray:
-    return rng.uniform(-half_width, half_width, shape) + 1j * rng.uniform(
-        -half_width, half_width, shape
-    )
+def _complex_uniform(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
 
 
 def random_point(n: int, k: int, tau: complex, seed: int,
@@ -571,14 +570,13 @@ def random_quadruple(n: int, k: int, tau: complex, seed: int) -> Representation:
     )
 
 
-def random_gauge(n: int, seed: int, cond_bound: float = 100.0,
-                 max_tries: int = 32) -> GaugeElement:
-    """Seeded invertible basechange with bounded condition number."""
+def random_gauge(n: int, seed: int) -> GaugeElement:
+    """Seeded invertible basechange with condition number at most 100, in 32 draws."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(32):
         g = _complex_uniform(rng, (n, n)) + 1.2 * np.eye(n)
         s = np.linalg.svd(g, compute_uv=False)
-        if s[-1] > 0 and s[0] / s[-1] <= cond_bound:
+        if s[-1] > 0 and s[0] / s[-1] <= 100.0:
             return GaugeElement(g)
     raise SingularMatrixError("could not draw a well conditioned gauge element")
 
