@@ -38,6 +38,7 @@ from .linalg import (
     DEFAULT_TOL,
     all_items,
     any_item,
+    arrowhead,
     arrowhead_frame,
     as_square_stack,
     comm,
@@ -315,16 +316,6 @@ def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL
 # rebuilding a pair from coordinates
 
 
-def _border_column(lam: np.ndarray, lamhat: np.ndarray) -> np.ndarray:
-    """x_i = -prod_j (lam_i - lamhat_j) / prod_{l != i} (lam_i - lam_l)."""
-    num = np.prod(lam[..., :, None] - lamhat[..., None, :], axis=-1)
-    diffs = lam[..., :, None] - lam[..., None, :]
-    # a unit factor in place of l = i leaves each product bit-identical
-    n = lam.shape[-1]
-    diffs[..., np.arange(n), np.arange(n)] = 1.0
-    return -num / np.prod(diffs, axis=-1)
-
-
 def _check_frame(A, lamhat, g, ginv, tol: float) -> None:
     """Raise EigenMismatchError unless g A ginv = diag(lamhat) within 1e3 * tol * max(1, max |lamhat|)."""
     R = g @ A @ ginv
@@ -364,13 +355,7 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     if any_item((min_gap(lam) <= tol * scale) | (min_gap(lamhat) <= tol * scale)):
         raise DegenerateSpectrumError("chart coordinates need simple spectra")
 
-    idx = np.arange(n)
-    Ah = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
-    Ah[..., idx, idx] = lam
-    Ah[..., :n, n] = _border_column(lam, lamhat)
-    Ah[..., n, :n] = 1.0
-    Ah[..., n, n] = np.sum(lamhat, axis=-1) - np.sum(lam, axis=-1)
-
+    Ah = arrowhead(lam, lamhat)
     g, ginv = arrowhead_frame(lam, lamhat)
     _check_frame(Ah, lamhat, g, ginv, tol)
 

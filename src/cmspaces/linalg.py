@@ -13,11 +13,12 @@ quantity computed from a diagonalizer reproducible bit for bit on
 identical input.  Tolerances are relative to the Frobenius norm of the
 input; `DEFAULT_TOL` is used when the caller does not pass one.
 
-The arrowhead matrices of the chart have their frame in closed form
-(`arrowhead_frame`): no eigensolver, no inverse, and the order of the
-given spectrum.  That frame is not unit-normalized.  Quantities that do
-not change under a diagonal rescaling of the frame (the rebuild in
-chart.from_chart) use it as it is; chart.decompose, whose frame and
+The arrowhead matrices of the chart (`arrowhead`, built from their two
+spectra) have their frame in closed form (`arrowhead_frame`): no
+eigensolver, no inverse, and the order of the given spectrum.  That frame
+is not unit-normalized.  Quantities that do not change under a diagonal
+rescaling of the frame (the rebuild in chart.from_chart, with its
+off-diagonal term) use it as it is; chart.decompose, whose frame and
 off-diagonal term are public, rescales it to the convention above with
 `normalize_frame`.
 """
@@ -216,12 +217,34 @@ def _offdiagonal_products(v: np.ndarray) -> np.ndarray:
     return np.prod(d, axis=-1)
 
 
+def arrowhead(lam, lamhat):
+    """The arrowhead [[diag(lam), x], [1^T, a]] with block spectrum lam and full spectrum lamhat.
+
+    lam has n entries and lamhat n+1, both along the last axis of a
+    stack.  The two spectra fix the border column and the corner:
+
+        x_i = -prod_j (lam_i - lamhat_j) / prod_{l != i} (lam_i - lam_l),
+        a = sum(lamhat) - sum(lam).
+    """
+    lam = np.asarray(lam, dtype=np.complex128)
+    lamhat = np.asarray(lamhat, dtype=np.complex128)
+    n = lam.shape[-1]
+    idx = np.arange(n)
+    A = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
+    A[..., idx, idx] = lam
+    A[..., :n, n] = (-np.prod(lam[..., :, None] - lamhat[..., None, :], axis=-1)
+                     / _offdiagonal_products(lam))
+    A[..., n, :n] = 1.0
+    A[..., n, n] = np.sum(lamhat, axis=-1) - np.sum(lam, axis=-1)
+    return A
+
+
 def arrowhead_frame(lam, lamhat):
     """Closed-form spectral frame (g, ginv) of the arrowhead with spectra (lam, lamhat).
 
-    The arrowhead is [[diag(lam), x], [1^T, a]] with block spectrum lam
-    (n) and full spectrum lamhat (n+1), both simple; x and a are fixed by
-    the two spectra.  Column j of ginv is the right eigenvector for
+    The arrowhead (see arrowhead) has block spectrum lam (n) and full
+    spectrum lamhat (n+1), both simple.  Column j of ginv is the right
+    eigenvector for
     lamhat_j,
 
         ginv[l, j] = prod_{k != j} (lam_l - lamhat_k) / prod_{m != l} (lam_l - lam_m),

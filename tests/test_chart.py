@@ -7,7 +7,6 @@ import pytest
 from cmspaces.canonical import normalize
 from cmspaces.chart import (
     ChartPoint,
-    _border_column,
     _embed_border_col,
     _unpack,
     chart_jacobian,
@@ -32,7 +31,7 @@ from cmspaces.errors import (
     NotStronglySemisimpleError,
     ShapeMismatchError,
 )
-from cmspaces.linalg import comm, eig, frob, match_to_reference, numeric_rank, reorder
+from cmspaces.linalg import arrowhead, comm, eig, frob, match_to_reference, numeric_rank, reorder
 from cmspaces.variety import (
     AugmentedPair,
     augment,
@@ -132,31 +131,18 @@ def test_decompose_requires_normal_form():
         decompose(p)
 
 
-def _bordered(lam, lamhat):
-    """Normal-form first matrix with block spectrum lam and full spectrum lamhat."""
-    lam = np.asarray(lam, dtype=complex)
-    lamhat = np.asarray(lamhat, dtype=complex)
-    n = lam.size
-    A = np.zeros((n + 1, n + 1), dtype=complex)
-    A[np.arange(n), np.arange(n)] = lam
-    A[:n, n] = _border_column(lam, lamhat)
-    A[n, :n] = 1.0
-    A[n, n] = lamhat.sum() - lam.sum()
-    return A
-
-
 @pytest.mark.parametrize("A, tol", [
     # repeated block eigenvalue
     (np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [1.0, 1.0, 0.0]], dtype=complex), 1e-9),
     # double lamhat at a block eigenvalue: the computed split is rounding level
-    (_bordered([0.0, 2.0], [0.0, 0.0, 3.0]), 1e-9),
+    (arrowhead([0.0, 2.0], [0.0, 0.0, 3.0]), 1e-9),
     # generic double lamhat: M is then a 2 x 2 Jordan block (the unit row
     # makes it nonderogatory), which rounding splits by about sqrt(eps);
     # a tolerance above that split sees it in the plain gap test
-    (_bordered([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-6),
+    (arrowhead([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-6),
     # and at the default tolerance the gap test scaled by the eigenvalue
     # condition number (about 6e7 for the split pair) sees it
-    (_bordered([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-9),
+    (arrowhead([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-9),
 ])
 def test_decompose_rejects_repeated_spectra_as_not_strongly_semisimple(A, tol):
     # regularity is tested before the level condition, so B is arbitrary
@@ -196,12 +182,7 @@ def _eig_chart_frame(lam, lamhat, tau, tol=1e-9):
     """The eig-based frame the closed-form arrowhead frame replaced: (Ah, g, ginv, S)."""
     n = lam.shape[-1]
     scale = np.maximum(1.0, np.abs(lamhat).max(axis=-1))
-    idx = np.arange(n)
-    Ah = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
-    Ah[..., idx, idx] = lam
-    Ah[..., :n, n] = _border_column(lam, lamhat)
-    Ah[..., n, :n] = 1.0
-    Ah[..., n, n] = np.sum(lamhat, axis=-1) - np.sum(lam, axis=-1)
+    Ah = arrowhead(lam, lamhat)
     vals, g, ginv = eig(Ah, tol)
     vals, g, ginv = reorder(vals, g, ginv, match_to_reference(vals, lamhat))
     if (np.abs(vals - lamhat).max(axis=-1) > 1e3 * tol * scale).any():

@@ -12,10 +12,12 @@ from cmspaces.errors import (
     SingularMatrixError,
 )
 from cmspaces.linalg import (
+    arrowhead,
     arrowhead_frame,
     as_cmatrix,
     comm,
     eig,
+    eigvals,
     frob,
     match_to_reference,
     min_gap,
@@ -224,6 +226,20 @@ def _arrowhead(lam, lamhat):
     A[n, :n] = 1.0
     A[n, n] = lamhat.sum() - lam.sum()
     return A
+
+
+def test_arrowhead_has_the_given_spectra_and_stacks_item_by_item():
+    rng = np.random.default_rng(13)
+    lam = _random_complex(rng, 4, 5)
+    lamhat = _random_complex(rng, 4, 6)
+    A = arrowhead(lam, lamhat)
+    for i in range(4):
+        assert np.array_equal(A[i], arrowhead(lam[i], lamhat[i]))
+        np.testing.assert_allclose(A[i], _arrowhead(lam[i], lamhat[i]), rtol=1e-14)
+        assert np.array_equal(np.diag(A[i])[:5], lam[i])
+        vals = eigvals(A[i])
+        perm = match_to_reference(vals, lamhat[i])
+        assert np.abs(vals[perm] - lamhat[i]).max() < 1e-11 * frob(A[i])
 
 
 def test_arrowhead_frame_diagonalizes_in_the_given_order():
