@@ -36,6 +36,7 @@ from .linalg import (
     any_item,
     as_cmatrix,
     eig,
+    eigvals,
     frob,
     gather,
     match_to_reference,
@@ -162,14 +163,14 @@ def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityR
         lam, _, _, x, y, thr = _eigenbasis_border(p.A, tol)
         block_ok = bool(simple_gap(min_gap(lam), block, tol))
     except DegenerateSpectrumError:
-        lam, block_ok = np.linalg.eigvals(block), False
+        lam, block_ok = eigvals(block), False
     block_gap = min_gap(lam)
     if block_ok:
         evec_ok = bool((np.abs(y) > thr).all())
         dim = p.n * p.n - int(np.count_nonzero((np.abs(x) <= thr) & (np.abs(y) <= thr)))
     else:
         evec_ok, dim = False, orbit_dimension(p.A, tol)
-    full_gap = min_gap(np.linalg.eigvals(p.A))
+    full_gap = min_gap(eigvals(p.A))
     return RegularityReport(
         block_regular_semisimple=block_ok,
         full_regular_semisimple=bool(simple_gap(full_gap, p.A, tol)),

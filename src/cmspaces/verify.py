@@ -584,14 +584,10 @@ def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
         want = factor * c.lamhat
         perm = match_to_reference(vals_q, want)
         resids.append(np.abs(vals_q[perm] - want).max())
-        block_q = q.A[:n, :n]
-        if n > 1:
-            vals_b, _, _ = eig(block_q, cfg.tol)
-            want_b = factor * c.lam
-            perm_b = match_to_reference(vals_b, want_b)
-            resids.append(np.abs(vals_b[perm_b] - want_b).max())
-        else:
-            resids.append(abs(block_q[0, 0] - factor * c.lam[0]))
+        vals_b, _, _ = eig(q.A[:n, :n], cfg.tol)
+        want_b = factor * c.lam
+        perm_b = match_to_reference(vals_b, want_b)
+        resids.append(np.abs(vals_b[perm_b] - want_b).max())
     return _Measured(_fold(resids), "absolute eigenvalue deviation at t=0.1")
 
 

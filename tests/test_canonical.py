@@ -12,7 +12,7 @@ from cmspaces.canonical import (
     regularity_report,
 )
 from cmspaces.chart import is_normal_form
-from cmspaces.errors import DegenerateSpectrumError, ZeroRowEntryError
+from cmspaces.errors import DegenerateSpectrumError, NonConvergentError, ZeroRowEntryError
 from cmspaces.linalg import frob
 from cmspaces.variety import (
     AugmentedPair,
@@ -121,6 +121,15 @@ def test_seeded_pairs_sit_in_the_regular_locus():
         assert rep.full_regular_semisimple
         assert rep.orbit_dim == n * n
         assert rep.min_gap > 0.0
+
+
+def test_a_failing_eigensolver_in_regularity_report_is_a_package_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(NonConvergentError):
+        regularity_report(_pair(3, 71))
 
 
 def test_normalize_produces_the_stated_shape():
