@@ -244,8 +244,7 @@ def arrowhead_frame(lam, lamhat):
 
     The arrowhead (see arrowhead) has block spectrum lam (n) and full
     spectrum lamhat (n+1), both simple.  Column j of ginv is the right
-    eigenvector for
-    lamhat_j,
+    eigenvector for lamhat_j,
 
         ginv[l, j] = prod_{k != j} (lam_l - lamhat_k) / prod_{m != l} (lam_l - lam_m),
 
