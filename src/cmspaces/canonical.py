@@ -187,9 +187,10 @@ def normal_form(A, B, tol: float = DEFAULT_TOL, lam_ref=None):
     Returns (Ah, Bh, G, Ginv): the conjugates of A and B by diag(G, 1),
     the basechange G itself, unchecked for singularity (GaugeElement and
     variety.check_gauge check it), and its exact inverse.  See normalize
-    for the contract; any failing item raises.  A gauge or conjugate with
-    a non-finite entry (the border row scales G, so at extreme scale it
-    overflows) raises NonConvergentError.
+    for the contract; with lam_ref the block spectrum takes the order
+    matched to it (linalg.match_to_reference).  Any failing item raises.
+    A gauge or conjugate with a non-finite entry (the border row scales G,
+    so at extreme scale it overflows) raises NonConvergentError.
     """
     n = A.shape[-1] - 1
     lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol)
@@ -223,19 +224,19 @@ def normal_form(A, B, tol: float = DEFAULT_TOL, lam_ref=None):
     return Ah, Bh, G, Gi
 
 
-def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL, lam_ref=None):
+def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL):
     """Conjugate a pair into the bordered normal form.
 
     Returns (pair, gauge) with the first matrix of the output pair having a
-    diagonal block (package eigenvalue ordering, or matched to lam_ref when
-    given), border row exactly one, and the corner preserved.  The same
-    basechange is applied to the second matrix.  Raises ZeroRowEntryError
-    when a transformed border-row entry vanishes (the form does not exist),
-    DegenerateSpectrumError when the block spectrum is not simple,
-    NonConvergentError when the result overflows.
+    diagonal block in the package eigenvalue ordering, border row exactly
+    one, and the corner preserved.  The same basechange is applied to the
+    second matrix.  Raises ZeroRowEntryError when a transformed border-row
+    entry vanishes (the form does not exist), DegenerateSpectrumError when
+    the block spectrum is not simple, NonConvergentError when the result
+    overflows.
 
     Idempotent: a pair already in normal form comes back unchanged up to
     rounding, with gauge near the identity.
     """
-    Ah, Bh, G, _ = normal_form(p.A, p.B, tol, lam_ref)
+    Ah, Bh, G, _ = normal_form(p.A, p.B, tol)
     return AugmentedPair(Ah, Bh, p.tau), GaugeElement(G)

@@ -26,7 +26,6 @@ off-diagonal term are public, rescales it to the convention above with
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     BranchAmbiguityError,
@@ -407,18 +406,24 @@ def comm(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
-def match_to_reference(values, ref, guard: float = 0.45) -> np.ndarray:
+# below 1/2, so no value is within MATCH_GUARD * gap of two references
+MATCH_GUARD = 0.45
+
+
+def match_to_reference(values, ref) -> np.ndarray:
     """Permutation aligning a spectrum with a reference ordering.
 
-    Returns perm such that values[perm[j]] is the entry matched to ref[j]
-    (optimal assignment).  Raises BranchAmbiguityError when the largest
-    matched displacement exceeds `guard` times the smallest reference gap,
-    i.e. when the continuation is no longer trustworthy.
+    Returns perm such that values[perm[j]] is the entry nearest to ref[j].
+    Raises BranchAmbiguityError when such a displacement exceeds
+    MATCH_GUARD times the smallest reference gap (the continuation is no
+    longer trustworthy), when the reference repeats an entry, or when an
+    entry is not finite.  Within the guard perm is the unique optimal
+    assignment: any other one moves some reference by more than gap / 2.
 
     Spectra run along the last axis.  values may be a stack, matched item
     by item; ref broadcasts against its leading axes (one spectrum for all
     items, one per item, or one per group of items), and each item gets
-    its own assignment and guard.
+    its own guard.
     """
     v = np.asarray(values, dtype=np.complex128)
     r = np.asarray(ref, dtype=np.complex128)
@@ -426,26 +431,18 @@ def match_to_reference(values, ref, guard: float = 0.45) -> np.ndarray:
         raise ShapeMismatchError("value and reference counts differ")
     if not v.shape[-1]:
         return np.empty(v.shape, dtype=int)
-    cost = np.abs(v[..., None, :] - r[..., :, None])
-    # Each reference takes its nearest value.  Where every such
-    # displacement is below guard * gap < gap / 2, no value is nearest to
-    # two references, and any other assignment moves some reference by
-    # more than gap / 2: the nearest matching is the unique optimal one.
-    # The other items (and every item when guard >= 0.5) get the
-    # Hungarian solve.
+    if not (np.isfinite(v).all() and np.isfinite(r).all()):
+        raise BranchAmbiguityError("spectrum or reference has non-finite entries")
     gap = min_gap(r)
+    if any_item(gap == 0):
+        raise BranchAmbiguityError("reference has a repeated entry (gap 0): no branch to continue")
+    cost = np.abs(v[..., None, :] - r[..., :, None])
     perm = cost.argmin(axis=-1)
-    hungarian = np.ones(cost.shape[:-2], dtype=bool)
-    if guard < 0.5:
-        hungarian = ~(cost.min(axis=-1).max(axis=-1) < guard * gap)
-    for item in map(tuple, np.argwhere(hungarian)):
-        rows, cols = linear_sum_assignment(cost[item])
-        perm[item + (rows,)] = cols
-    dev = np.abs(gather(v, perm, -1) - r).max(axis=-1)
-    bad = np.isfinite(gap) & (dev > guard * gap)
+    dev = cost.min(axis=-1).max(axis=-1)
+    bad = dev > MATCH_GUARD * gap
     if any_item(bad):
         raise BranchAmbiguityError(
             f"matched displacement {first_failure(dev, bad):.3e} exceeds "
-            f"{guard} * gap {first_failure(gap, bad):.3e}"
+            f"{MATCH_GUARD} * gap {first_failure(gap, bad):.3e}"
         )
     return perm

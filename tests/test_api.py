@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import cmspaces
@@ -58,3 +60,13 @@ def test_no_module_imports_a_private_name_from_another():
         if names:
             private[path.name] = names
     assert private == {}
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test dependency only; the package must not pay its import
+    code = ("import sys, cmspaces; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ from cmspaces.linalg import (
     eig,
     eigvals,
     frob,
+    MATCH_GUARD,
     match_to_reference,
     min_gap,
     normalize_frame,
@@ -141,38 +142,31 @@ def test_match_to_reference_recovers_permutation():
     assert np.abs(shuffled[found] - ref).max() < 1e-4
 
 
-def _hungarian_match(values, ref, guard):
-    """match_to_reference with one Hungarian solve per item: the permutation or the error text."""
+def _hungarian_match(values, ref):
+    """Reference matching, one Hungarian solve per item: the permutation, or None where it
+    fails the guard."""
     cost = np.abs(values[..., None, :] - ref[..., :, None])
     perm = np.empty(values.shape, dtype=int)
     for item in np.ndindex(values.shape[:-1]):
         rows, cols = linear_sum_assignment(cost[item])
         perm[item + (rows,)] = cols
     dev = np.abs(np.take_along_axis(values, perm, -1) - ref).max(axis=-1)
-    gap = np.broadcast_to(min_gap(ref), dev.shape)
-    bad = np.flatnonzero(np.isfinite(gap) & (dev > guard * gap))
-    if bad.size:
-        i = bad[0]
-        return (f"matched displacement {dev.ravel()[i]:.3e} exceeds "
-                f"{guard} * gap {gap.ravel()[i]:.3e}")
-    return perm
+    gap = min_gap(ref)
+    return None if (gap == 0).any() or (dev > MATCH_GUARD * gap).any() else perm
 
 
-def _fast_or_hungarian(values, ref, guard):
-    try:
-        return match_to_reference(values, ref, guard)
-    except BranchAmbiguityError as exc:
-        return str(exc)
+def _assert_same_matching(values, ref):
+    """The nearest matching is the Hungarian one where that passes the guard, and raises
+    where it does not (the displacement in the message may differ)."""
+    want = _hungarian_match(values, ref)
+    if want is None:
+        with pytest.raises(BranchAmbiguityError):
+            match_to_reference(values, ref)
+    else:
+        assert np.array_equal(match_to_reference(values, ref), want)
 
 
-def _assert_same_matching(values, ref, guard):
-    got, want = _fast_or_hungarian(values, ref, guard), _hungarian_match(values, ref, guard)
-    assert type(got) is type(want)
-    assert got == want if isinstance(want, str) else np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("guard", [0.45, 0.3, 0.5, 0.8])
-def test_nearest_matching_is_the_hungarian_matching(guard):
+def test_nearest_matching_is_the_hungarian_matching():
     rng = np.random.default_rng(17)
     for trial in range(120):
         k = 1 + trial % 6
@@ -183,19 +177,18 @@ def test_nearest_matching_is_the_hungarian_matching(guard):
         values = np.stack([np.broadcast_to(ref, (12, k))[i][rng.permutation(k)]
                            for i in range(12)])
         values = values + size * gap[:, None] * np.exp(2j * np.pi * rng.random((12, k)))
-        _assert_same_matching(values, ref, guard)
-        _assert_same_matching(values[:1], ref if ref.ndim == 1 else ref[:1], guard)
+        _assert_same_matching(values, ref)
+        _assert_same_matching(values[:1], ref if ref.ndim == 1 else ref[:1])
 
 
-@pytest.mark.parametrize("guard", [0.45, 0.5])
-def test_matching_near_ties_and_at_the_guard_boundary(guard):
+def test_matching_near_ties_and_at_the_guard_boundary():
     ref = np.array([0.0, 1.0, 3.0])
     eps = np.finfo(float).eps
     cases = [
         [0.5, 0.5 + eps, 3.0],           # two values at the midpoint: a near tie
         [0.5 - eps, 0.5 + eps, 3.0],
         [1.0, 0.0, 3.0],                 # a swap, displacement one gap
-        [0.45, 1.0, 3.0],                # displacement exactly guard * gap for 0.45
+        [0.45, 1.0, 3.0],                # displacement exactly MATCH_GUARD * gap
         [0.45 + 2 * eps, 1.0, 3.0],
         [0.45 - 2 * eps, 1.0, 3.0],
         [0.0, 1.5, 3.0],                 # exactly half the gap
@@ -204,11 +197,23 @@ def test_matching_near_ties_and_at_the_guard_boundary(guard):
     ]
     values = np.array(cases, dtype=complex)
     for row in values:
-        _assert_same_matching(row[None], ref, guard)
-    _assert_same_matching(values, ref, guard)
-    # repeated references have no gap: the fast matching must not take them
+        _assert_same_matching(row[None], ref)
+    _assert_same_matching(values, ref)
+    assert np.array_equal(match_to_reference(values[3], ref), [0, 1, 2])
+    # a repeated reference entry has no gap, so no branch to continue
     same = np.array([[2.0, 2.0, 5.0]], dtype=complex)
-    _assert_same_matching(same, same[0], guard)
+    with pytest.raises(BranchAmbiguityError, match="gap 0"):
+        match_to_reference(same, same[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_matching_raises_a_typed_error_on_non_finite_spectra(bad):
+    ref = np.array([0.0, 1.0])
+    for values, reference in [([bad, 1.0], ref), ([0.0, 1.0], [bad, 1.0]), ([bad], [0.0]),
+                              ([[0.0, 1.0], [bad, 1.0]], ref),
+                              ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, bad]])]:
+        with pytest.raises(BranchAmbiguityError, match="non-finite"):
+            match_to_reference(np.array(values, dtype=complex), np.array(reference, dtype=complex))
 
 
 def test_match_to_reference_guards_large_displacement():
