@@ -12,6 +12,7 @@ from cmspaces.errors import (
     SingularMatrixError,
 )
 from cmspaces.linalg import (
+    MATCH_GUARD,
     arrowhead,
     arrowhead_frame,
     as_cmatrix,
@@ -19,7 +20,6 @@ from cmspaces.linalg import (
     eig,
     eigvals,
     frob,
-    MATCH_GUARD,
     match_to_reference,
     min_gap,
     normalize_frame,
@@ -143,8 +143,7 @@ def test_match_to_reference_recovers_permutation():
 
 
 def _hungarian_match(values, ref):
-    """Reference matching, one Hungarian solve per item: the permutation, or None where it
-    fails the guard."""
+    """One Hungarian solve per item: the permutation, or None where it fails the guard."""
     cost = np.abs(values[..., None, :] - ref[..., :, None])
     perm = np.empty(values.shape, dtype=int)
     for item in np.ndindex(values.shape[:-1]):
@@ -156,8 +155,10 @@ def _hungarian_match(values, ref):
 
 
 def _assert_same_matching(values, ref):
-    """The nearest matching is the Hungarian one where that passes the guard, and raises
-    where it does not (the displacement in the message may differ)."""
+    """Equal permutations where the Hungarian matching passes the guard, an error elsewhere.
+
+    Only the displacement that the error message reports may differ.
+    """
     want = _hungarian_match(values, ref)
     if want is None:
         with pytest.raises(BranchAmbiguityError):
