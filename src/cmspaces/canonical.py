@@ -38,11 +38,8 @@ from .linalg import (
     eig,
     eigvals,
     frob,
-    gather,
-    match_to_reference,
     min_gap,
     numeric_rank,
-    reorder,
 )
 from .variety import AugmentedPair, GaugeElement, split_blocks
 
@@ -181,23 +178,19 @@ def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityR
     )
 
 
-def normal_form(A, B, tol: float = DEFAULT_TOL, lam_ref=None):
+def normal_form(A, B, tol: float = DEFAULT_TOL):
     """Bordered normal form of the pairs (A, B), stacked over leading axes.
 
     Returns (Ah, Bh, G, Ginv): the conjugates of A and B by diag(G, 1),
     the basechange G itself, unchecked for singularity (GaugeElement and
     variety.check_gauge check it), and its exact inverse.  See normalize
-    for the contract; with lam_ref the block spectrum takes the order
-    matched to it (linalg.match_to_reference).  Any failing item raises.
+    for the contract; the block spectrum comes out in the package
+    ordering.  Any failing item raises.
     A gauge or conjugate with a non-finite entry (the border row scales G,
     so at extreme scale it overflows) raises NonConvergentError.
     """
     n = A.shape[-1] - 1
     lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol)
-    if lam_ref is not None:
-        perm = match_to_reference(lam, lam_ref)
-        lam, g1, g1inv = reorder(lam, g1, g1inv, perm)
-        y = gather(y, perm, -1)
     if any_item(np.abs(y).min(axis=-1) <= thr):
         raise ZeroRowEntryError(
             "a border-row entry vanishes on the eigenbasis; no unit-row form"

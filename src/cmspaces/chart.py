@@ -45,10 +45,12 @@ from .linalg import (
     eigvals,
     first_failure,
     frob,
+    gather,
     match_to_reference,
     min_gap,
     normalize_frame,
     reorder,
+    sort_order,
 )
 from .variety import (
     AugmentedPair,
@@ -274,8 +276,9 @@ def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np
     to_chart without ref, to_chart_tracked with it.  ref holds packed
     reference coordinates (..., 4n+2) that broadcast against the pairs'
     leading axes, so one reference serves every item or each item has its
-    own.  Without ref the pairs are normalized unless every one is in
-    normal form already.
+    own.  The pairs are normalized unless every one is in normal form
+    already.  The last step orders lam and mu together: matched to ref's
+    lam, or in the package ordering without ref.
     """
     A, B = as_square_stack(A), as_square_stack(B)
     if A.shape != B.shape or A.shape[-1] < 2:
@@ -284,19 +287,21 @@ def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np
     lam_ref = lamhat_ref = None
     if ref is not None:
         lam_ref, lamhat_ref, _, _ = _unpack(ref, n)
-    if ref is not None or not all_items(_normal_form_test(A, max(tol, 1e-12))):
-        A, B, gauge, gauge_inv = normal_form(A, B, tol, lam_ref)
+    if not all_items(_normal_form_test(A, max(tol, 1e-12))):
+        A, B, gauge, gauge_inv = normal_form(A, B, tol)
         check_gauge(gauge, gauge_inv)
     d = decompose_stack(A, B, tau, tol, lamhat_ref)
     lam = A[..., np.arange(n), np.arange(n)]
-    return np.concatenate([lam, d.lamhat, d.mu, d.muhat], axis=-1)
+    perm = sort_order(lam) if ref is None else match_to_reference(lam, lam_ref)
+    lam, mu = gather(lam, perm, -1), gather(d.mu, perm, -1)
+    return np.concatenate([lam, d.lamhat, mu, d.muhat], axis=-1)
 
 
 def to_chart(p: AugmentedPair, tol: float = DEFAULT_TOL) -> ChartPoint:
     """Chart coordinates of a pair, normalizing first when needed.
 
-    Both spectra come out in the package ordering; mu follows the ordering
-    of lam and muhat the ordering of lamhat.
+    Both spectra come out in the package ordering, whatever the order of a
+    normal form's diagonal; mu follows lam's ordering and muhat lamhat's.
     """
     return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol), p.n, p.tau)
 
@@ -438,8 +443,8 @@ def random_chart_point(n: int, tau: complex, seed: int) -> ChartPoint:
     rng = np.random.default_rng(seed)
     lam = spaced_points(rng, n)
     lamhat = spaced_points(rng, n + 1) + (0.45 + 0.35j)
-    lam = lam[np.lexsort((lam.imag, lam.real))]
-    lamhat = lamhat[np.lexsort((lamhat.imag, lamhat.real))]
+    lam = lam[sort_order(lam)]
+    lamhat = lamhat[sort_order(lamhat)]
     mu = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
     muhat = rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)
     return ChartPoint(lam, lamhat, mu, muhat, tau)

@@ -23,8 +23,18 @@ def encode_complex(z) -> list:
     return [z.real, z.imag]
 
 
+def _pairs(value, ndims) -> np.ndarray:
+    """value as a float array of [re, im] pairs with ndims axes in all; ValueError otherwise."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or arr.ndim not in ndims or arr.shape[-1] != 2:
+        raise ValueError(f"expected [re, im] pairs, got {type(value).__name__} "
+                         f"of shape {arr.shape}")
+    return arr.astype(np.float64)
+
+
 def decode_complex(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
+    re, im = _pairs(pair, (1,))
+    return complex(re, im)
 
 
 def encode_cmatrix(M) -> list:
@@ -35,12 +45,8 @@ def encode_cmatrix(M) -> list:
 
 
 def decode_cmatrix(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim == 2:  # vector: list of [re, im]
-        return arr[:, 0] + 1j * arr[:, 1]
-    if arr.ndim == 3:
-        return arr[:, :, 0] + 1j * arr[:, :, 1]
-    raise ValueError(f"cannot decode array of shape {arr.shape}")
+    arr = _pairs(rows, (2, 3))  # a vector or a matrix of [re, im]
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def encode(obj) -> dict:
@@ -73,6 +79,9 @@ def encode(obj) -> dict:
 
 
 def decode(data: dict):
+    """The value type encoded by data; ValueError for a JSON value of the wrong type or length."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "representation":
         v = decode_cmatrix(data["cols"])

@@ -78,12 +78,12 @@ def frob(M):
     about 1e-154.  Such items of finite input are recomputed as
     s ||M / s|| with s the power of two at their largest entry magnitude:
     exact scaling, so an item that needed none keeps its value bit for
-    bit.  The common path pays one range test.  Each item of a C-ordered
-    stack gets the bits of its one-item call.
+    bit.  The common path pays one range test.  Each item of a stack gets
+    the bits of its one-item call, whatever the stack's memory layout.
     """
     M = np.asarray(M)
     if M.ndim <= 2:
-        nrm = float(np.linalg.norm(M))
+        nrm = float(np.linalg.norm(M.ravel()))
         if _NORM_FLOOR <= nrm <= _NORM_CEIL or (nrm == 0.0 and not M.any()):
             return nrm
         return float(_rescaled_norm(M, False, nrm))
@@ -114,7 +114,7 @@ def _rescaled_norm(M, stacked, nrm):
     axes = (-2, -1) if stacked else None
     s = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=axes, keepdims=True))[1])
     M = M / s
-    plain = row_norms(M.reshape(M.shape[:-2] + (-1,))) if stacked else np.linalg.norm(M)
+    plain = row_norms(M.reshape(M.shape[:-2] + (-1,))) if stacked else np.linalg.norm(M.ravel())
     return s.reshape(np.shape(nrm)) * plain
 
 
@@ -161,7 +161,8 @@ def gather(a: np.ndarray, idx: np.ndarray, axis: int) -> np.ndarray:
     return np.take_along_axis(a, idx, axis=axis)
 
 
-def _sort_order(values: np.ndarray) -> np.ndarray:
+def sort_order(values: np.ndarray) -> np.ndarray:
+    """Indices that put values in the package ordering, along the last axis."""
     return np.lexsort((values.imag, values.real), axis=-1)
 
 
@@ -297,7 +298,7 @@ def eigvals(M):
         vals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NonConvergentError(f"eigensolver failed: {exc}") from exc
-    return gather(vals, _sort_order(vals), -1)
+    return gather(vals, sort_order(vals), -1)
 
 
 def eig(M, tol: float = DEFAULT_TOL):
@@ -329,7 +330,7 @@ def eig(M, tol: float = DEFAULT_TOL):
             f"eigenvalue gap {first_failure(gap, bad):.3e} at or below "
             f"{tol * first_failure(norm, bad):.3e}"
         )
-    order = _sort_order(vals)
+    order = sort_order(vals)
     vals = gather(vals, order, -1)
     vecs, _ = _normalize_columns(gather(vecs, order, -1))
     try:

@@ -7,7 +7,6 @@ from cmspaces.canonical import (
     RegularityReport,
     conjugation_operator,
     in_regular_locus,
-    normal_form,
     normalize,
     orbit_dimension,
     regularity_report,
@@ -174,15 +173,6 @@ def test_normalize_keeps_the_level():
     assert on_level(nf, tol=1e-9)
     f0, f1 = pair_fingerprint(p), pair_fingerprint(nf)
     assert np.abs(f0 - f1).max() < 1e-8 * max(1.0, np.abs(f0).max())
-
-
-def test_normalize_respects_a_reference_ordering():
-    p = _pair(3, 85)
-    nf, _ = normalize(p)
-    lam = np.diag(nf.A[:3, :3])
-    ref = lam[::-1]
-    A_ref, _, _, _ = normal_form(p.A, p.B, lam_ref=ref)
-    np.testing.assert_allclose(np.diag(A_ref[:3, :3]), ref, atol=1e-10)
 
 
 def test_normalize_rejects_degenerate_block():

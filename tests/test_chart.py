@@ -31,7 +31,16 @@ from cmspaces.errors import (
     NotStronglySemisimpleError,
     ShapeMismatchError,
 )
-from cmspaces.linalg import arrowhead, comm, eig, frob, match_to_reference, numeric_rank, reorder
+from cmspaces.linalg import (
+    arrowhead,
+    comm,
+    eig,
+    frob,
+    match_to_reference,
+    numeric_rank,
+    reorder,
+    sort_order,
+)
 from cmspaces.variety import (
     AugmentedPair,
     augment,
@@ -300,6 +309,21 @@ def test_chart_round_trip_from_pairs():
         assert on_level(q, tol=1e-8)
 
 
+def test_to_chart_orders_a_normal_form_with_a_reversed_diagonal():
+    # the pair is in normal form, so it is read without normalizing; the
+    # last step still puts lam, and mu with it, in the package ordering
+    n = 4
+    c = random_chart_point(n, 1.0, 88)
+    p = from_chart(ChartPoint(c.lam[::-1], c.lamhat, c.mu[::-1], c.muhat, 1.0))
+    assert is_normal_form(p)
+    got = to_chart(p)
+    scrambled = to_chart(gauge_act_pair(random_gauge(n, 89), p))
+    scale = max(1.0, np.abs(c.vector()).max())
+    assert np.array_equal(sort_order(got.lam), np.arange(n))
+    assert np.abs(got.vector() - c.vector()).max() < 1e-8 * scale
+    assert np.abs(got.vector() - scrambled.vector()).max() < 1e-8 * scale
+
+
 def test_rebuilt_pair_is_normal_with_stated_spectra():
     c = random_chart_point(3, 1.0, 77)
     p = from_chart(c)
@@ -342,16 +366,19 @@ def test_stacked_jacobian_matches_the_serial_loop():
 
 
 def test_chart_jacobian_lapack_call_budget(monkeypatch):
-    # for the whole stack of 2 (4n + 2) perturbed points: one eig of the
-    # block in normalize and the values of the full matrix in decompose;
-    # the rebuilt first matrix needs no eigensolver, and the defect system
-    # is solved from its SVD, not lstsq
+    # for the whole stack of 2 (4n + 2) perturbed points: the values of the
+    # full matrix in decompose and nothing else.  from_chart rebuilds normal
+    # forms with a closed-form frame, and a normal form is read without
+    # normalizing again, so no eig of the block and no inverse
     c = random_chart_point(5, 1.0, 65)
-    calls = [name for name, _ in _count_lapack(monkeypatch, ("eig", "eigvals", "lstsq"))]
+    calls = _count_lapack(monkeypatch, ("eig", "eigvals", "inv", "lstsq"))
     J = chart_jacobian(c)
+    tracked = to_chart_tracked(from_chart(c), c)
     monkeypatch.undo()
     assert numeric_rank(J, tol=1e-6) == 22
-    assert calls.count("eig") <= 1 and calls.count("eigvals") <= 1 and "lstsq" not in calls
+    assert np.abs(tracked.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())
+    # one eigvals for the Jacobian's stack, one for the tracked read
+    assert [name for name, _ in calls] == ["eigvals", "eigvals"]
 
 
 def test_a_coalesced_item_fails_the_stack_like_the_scalar_call():
@@ -383,14 +410,19 @@ def _scrambled_stack(n, count, seed):
 
 def test_to_chart_stack_tracks_each_item_against_its_own_ref():
     for n in (1, 3, 5):
-        points, pairs, A, B = _scrambled_stack(n, 6, 500 + 10 * n)
+        points, scrambled, _, _ = _scrambled_stack(n, 6, 500 + 10 * n)
         # reversed spectra in the references: only matching puts them back
         refs = [ChartPoint(c.lam[::-1], c.lamhat[::-1], c.mu[::-1], c.muhat[::-1], 1.0)
                 for c in points]
-        got = to_chart_stack(A, B, 1.0, ref=np.array([r.vector() for r in refs]))
-        want = np.array([to_chart_tracked(p, r).vector() for p, r in zip(pairs, refs)])
-        assert np.array_equal(got, want)
-        assert np.abs(want - np.array([r.vector() for r in refs])).max() < 1e-8
+        ref = np.array([r.vector() for r in refs])
+        # gauge-scrambled pairs, and the normal forms from_chart rebuilt,
+        # which are read without normalizing
+        for pairs in (scrambled, [from_chart(c) for c in points]):
+            A, B = np.array([p.A for p in pairs]), np.array([p.B for p in pairs])
+            got = to_chart_stack(A, B, 1.0, ref=ref)
+            want = np.array([to_chart_tracked(p, r).vector() for p, r in zip(pairs, refs)])
+            assert np.array_equal(got, want)
+            assert np.abs(want - ref).max() < 1e-8
 
 
 def test_one_bad_item_fails_the_stacked_kernels_like_the_scalar_call():

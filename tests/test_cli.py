@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from cmspaces.chart import from_chart, random_chart_point
 from cmspaces.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, main
 from cmspaces.errors import SingularMatrixError
 from cmspaces.jsonio import decode, dumps, encode
@@ -109,6 +110,15 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch):
     assert code == EXIT_BAD_INPUT
     code, _, _ = _run(capsys, monkeypatch, ["verify", "--suite", "nonsense"])
     assert code == EXIT_BAD_INPUT
+    # JSON values of the wrong type or length: not an object, a level that
+    # is not an [re, im] pair
+    pair = json.loads(dumps(encode(from_chart(random_chart_point(2, 1.0, 3)))))
+    point = json.loads(dumps(encode(random_chart_point(2, 1.0, 3))))
+    for data in ([1, 2], 5, {**pair, "level": 5}, {**pair, "level": [1]},
+                 {**point, "level": None}):
+        code, out, err = _run(capsys, monkeypatch, ["chart"], stdin_text=json.dumps(data))
+        assert code == EXIT_BAD_INPUT, data
+        assert out == "" and "input error" in err
 
 
 @pytest.mark.parametrize("suite", ["quiver", "variety"])

@@ -314,6 +314,17 @@ def test_stacked_frob_gives_each_item_its_one_item_bits():
         assert frob(M.reshape(3, 4, 41, 41)).ravel().tolist() == got.tolist()
 
 
+def test_frob_gives_each_item_of_a_transposed_stack_its_one_item_bits():
+    # a transposed item is not C-ordered; its one-item norm still sums in C order
+    rng = np.random.default_rng(19)
+    for size in range(2, 30):
+        M = _random_complex(rng, 20, size, size).transpose(0, 2, 1)
+        assert frob(M).tolist() == [frob(item) for item in M], size
+        big = M * 1e200     # the rescaled path, for a one-item call too
+        with np.errstate(over="ignore"):
+            assert frob(big).tolist() == [frob(item) for item in big], size
+
+
 def test_frob_stays_finite_and_correct_at_extreme_scales():
     rng = np.random.default_rng(16)
     M = _random_complex(rng, 4, 3, 3)
