@@ -116,12 +116,20 @@ def _default_tol() -> float:
         raise ValueError(f"CM_TOL: {exc}")
 
 
-def _read_stdin_json():
+def _read_stdin():
+    """The value encoded on stdin; ValueError (exit 2) for anything that does not decode.
+
+    A payload of the right JSON types can still be no valid value (matrices
+    of mismatched shapes, a NaN literal); the type's own check raises a
+    CMSpacesError there, which is bad input as well.
+    """
     text = sys.stdin.read()
     try:
-        return json.loads(text)
+        return decode(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"stdin is not valid JSON: {exc}")
+    except CMSpacesError as exc:
+        raise ValueError(f"stdin holds no valid value: {type(exc).__name__}: {exc}")
 
 
 def _as_pair(obj) -> AugmentedPair:
@@ -156,7 +164,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    obj = decode(_read_stdin_json())
+    obj = _read_stdin()
     p = _as_pair(obj)
     nf, gauge = normalize(p, args.tol)
     report = regularity_report(nf, args.tol)
@@ -176,7 +184,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_chart(args) -> int:
-    obj = decode(_read_stdin_json())
+    obj = _read_stdin()
     if args.invert:
         if not isinstance(obj, ChartPoint):
             raise ValueError(

@@ -21,11 +21,12 @@ of the 'e' and 'f' flows equals minus the field of the matrix bracket
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import IllConditionedFitError, WitnessVanishesError
-from .linalg import frob
+from .linalg import as_square_stack, frob
 from .sl2 import GEN_E, GEN_F, GEN_H, SL2Element, SL2Generator, act_pair, sl2_exp
 from .variety import AugmentedPair
 
@@ -49,8 +50,7 @@ def trotter_element(gen1: SL2Generator, gen2: SL2Generator, t: float,
     if n_steps < 1:
         raise ValueError("need at least one step")
     s = t / n_steps
-    step = gen1.exp(s).compose(gen2.exp(s))
-    return SL2Element.from_matrix(np.linalg.matrix_power(step.matrix(), n_steps))
+    return gen1.exp(s).compose(gen2.exp(s)).power(n_steps)
 
 
 def trotter_flow(gen1: SL2Generator, gen2: SL2Generator, t: float,
@@ -88,7 +88,7 @@ def bracket_element(gen1: SL2Generator, gen2: SL2Generator, t: float,
         .compose(gen2.exp(s))
         .compose(gen1.exp(s))
     )
-    return SL2Element.from_matrix(np.linalg.matrix_power(square.matrix(), n_steps))
+    return square.power(n_steps)
 
 
 def bracket_flow(gen1: SL2Generator, gen2: SL2Generator, t: float,
@@ -136,39 +136,98 @@ def detect_bracket_sign(t: float, n_steps: int, p: AugmentedPair) -> int:
 
 
 _OBSERVABLES = {
-    "trace_second": lambda p: complex(np.trace(p.B)),
-    "trace_first": lambda p: complex(np.trace(p.A)),
-    "trace_second_sq": lambda p: complex(np.trace(p.B @ p.B)),
-    "trace_mixed": lambda p: complex(np.trace(p.A @ p.B)),
+    "trace_second": lambda P, Q: Q.trace(axis1=1, axis2=2),
+    "trace_first": lambda P, Q: P.trace(axis1=1, axis2=2),
+    "trace_second_sq": lambda P, Q: (Q @ Q).trace(axis1=1, axis2=2),
+    "trace_mixed": lambda P, Q: (P @ Q).trace(axis1=1, axis2=2),
 }
 
 
-def _chebyshev_nodes(count: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _chebyshev_nodes(count: int, half_width: float) -> np.ndarray:
+    """count Chebyshev nodes on [-half_width, half_width], read-only."""
     k = np.arange(count)
-    return np.cos((2 * k + 1) * np.pi / (2 * count))
+    nodes = half_width * np.cos((2 * k + 1) * np.pi / (2 * count))
+    nodes.setflags(write=False)
+    return nodes
+
+
+@lru_cache(maxsize=None)
+def _fit_projector(count: int, half_width: float, degree: int) -> tuple:
+    """(V, pinv(V)) for a degree-`degree` fit at _chebyshev_nodes(count, half_width).
+
+    V is the increasing Vandermonde matrix of the nodes, so pinv(V) @ samples
+    are the least-squares coefficients and V @ coeffs the fitted values.
+    Built once per key and shared read-only by every call.
+    """
+    V = np.vander(_chebyshev_nodes(count, half_width), degree + 1, increasing=True)
+    proj = np.linalg.pinv(V)
+    V.setflags(write=False)
+    proj.setflags(write=False)
+    return V, proj
+
+
+def _fit(count: int, half_width: float, degree: int, samples: np.ndarray) -> tuple:
+    """Least-squares polynomial coefficients of samples and the largest fit residual.
+
+    Samples near the top of the float range can overflow the coefficients;
+    the residual then reads inf or nan, which no tolerance test passes.
+    """
+    V, proj = _fit_projector(count, half_width, degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = proj @ samples
+        return coeffs, float(np.abs(V @ coeffs - samples).max())
+
+
+def _shear_samples(kind: str, count: int, half_width: float, p: AugmentedPair,
+                   observable) -> np.ndarray:
+    """observable(first, second) along a shear flow of p at every node, in one broadcast.
+
+    first[i], second[i] have the entries of flow_exact(kind, t_i, p) at the
+    nodes t_i = _chebyshev_nodes(count, half_width): the lower shear 'e'
+    adds t A to B, the upper shear 'f' adds t B to A.  A flowed matrix that
+    is not finite raises ShapeMismatchError and a sample that is not finite
+    IllConditionedFitError, so nothing is fitted to an overflow.
+    """
+    t = _chebyshev_nodes(count, half_width)[:, None, None]
+    shape = (count,) + p.A.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "e":
+            first, second = np.broadcast_to(p.A, shape), as_square_stack(t * p.A + p.B)
+        else:
+            first, second = as_square_stack(p.A + t * p.B), np.broadcast_to(p.B, shape)
+        samples = observable(first, second)
+    if not np.isfinite(samples).all():
+        raise IllConditionedFitError("a shear-flow sample is not finite")
+    return samples
 
 
 def lnd_degree(kind: str, observable, p: AugmentedPair, d_max: int = 6) -> int | None:
     """Least polynomial degree of t -> observable(flow(t, p)), or None.
 
+    observable is 'trace_first', 'trace_second', 'trace_second_sq',
+    'trace_mixed', or a callable f(first, second): it takes the flowed pair
+    at all sample times as two stacks of matrices, shape (d_max + 2, n + 1,
+    n + 1) each, and returns one complex sample per time, shape (d_max + 2,).
+    The cubic trace word of the second matrix, for instance, is
+    lambda P, Q: (Q @ Q @ Q).trace(axis1=1, axis2=2).
+
     Only the shear flows 'e' and 'f' are polynomial on trace observables;
     the scaling flow is not, and the fit reports that as None rather than
     a large degree.  Samples at d_max + 2 Chebyshev nodes on [-1, 1] and
-    accepts the least degree whose residual is below 1e-8 * scale.
+    accepts the least degree whose residual is at most 1e-8 times
+    max(1, largest |sample|).  A flowed pair or sample that is not finite
+    raises (see _shear_samples).
     """
     if kind not in ("e", "f"):
         raise ValueError("nilpotency degree is defined for the shear flows only")
     if isinstance(observable, str):
         observable = _OBSERVABLES[observable]
-    nodes = _chebyshev_nodes(d_max + 2)
-    samples = np.array([observable(flow_exact(kind, t, p)) for t in nodes])
-    scale = max(1.0, float(np.abs(samples).max()))
+    count = d_max + 2
+    samples = _shear_samples(kind, count, 1.0, p, observable)
+    samples = samples / max(1.0, float(np.abs(samples).max()))
     for deg in range(d_max + 1):
-        coeffs = np.polynomial.polynomial.polyfit(nodes, samples, deg)
-        resid = np.abs(
-            np.polynomial.polynomial.polyval(nodes, coeffs) - samples
-        ).max()
-        if resid <= 1e-8 * scale:
+        if _fit(count, 1.0, deg, samples)[1] <= 1e-8:
             return deg
     return None
 
@@ -206,18 +265,13 @@ class WitnessReport:
 def _fit_derivatives(kind: str, p: AugmentedPair) -> np.ndarray:
     """Polynomial coefficients of t -> tr(second matrix) along a shear flow.
 
-    A degree-4 fit at 6 Chebyshev nodes on [-0.5, 0.5].
+    A degree-4 fit at 6 Chebyshev nodes on [-0.5, 0.5]; a residual above
+    1e-6 * max(1, max |sample|), or one that is not finite, raises.
     """
-    degree = 4
-    nodes = 0.5 * _chebyshev_nodes(degree + 2)
-    samples = np.array(
-        [complex(np.trace(flow_exact(kind, t, p).B)) for t in nodes]
-    )
-    coeffs = np.polynomial.polynomial.polyfit(nodes, samples, degree)
-    resid = np.abs(
-        np.polynomial.polynomial.polyval(nodes, coeffs) - samples
-    ).max()
-    if resid > 1e-6 * max(1.0, float(np.abs(samples).max())):
+    count, half_width, degree = 6, 0.5, 4
+    samples = _shear_samples(kind, count, half_width, p, _OBSERVABLES["trace_second"])
+    coeffs, resid = _fit(count, half_width, degree, samples)
+    if not resid <= 1e-6 * max(1.0, float(np.abs(samples).max())):
         raise IllConditionedFitError(
             f"shear pullback of the trace is not polynomial to fit tolerance "
             f"(residual {resid:.3e})"

@@ -76,7 +76,8 @@ def frob(M):
     The plain norm squares the entries, so it overflows once they pass
     about 1e154 and loses its digits, down to 0, once they all fall below
     about 1e-154.  Such items of finite input are recomputed as
-    s ||M / s|| with s the power of two at their largest entry magnitude:
+    s ||M / s|| with s the power of two at or below their largest entry
+    magnitude (one above it would overflow for entries from 2^1023 up):
     exact scaling, so an item that needed none keeps its value bit for
     bit.  The common path pays one range test.  Each item of a stack gets
     the bits of its one-item call, whatever the stack's memory layout.
@@ -112,7 +113,7 @@ def _rescaled_norm(M, stacked, nrm):
     if not np.isfinite(M).all():
         return nrm
     axes = (-2, -1) if stacked else None
-    s = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=axes, keepdims=True))[1])
+    s = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=axes, keepdims=True))[1] - 1)
     M = M / s
     plain = row_norms(M.reshape(M.shape[:-2] + (-1,))) if stacked else np.linalg.norm(M.ravel())
     return s.reshape(np.shape(nrm)) * plain

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from cmath import cosh, exp, sinh, sqrt
 from dataclasses import dataclass
+from math import hypot
 
 import numpy as np
 
@@ -69,18 +70,34 @@ class SL2Element:
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.complex128)
 
-    @classmethod
-    def from_matrix(cls, M) -> "SL2Element":
-        M = np.asarray(M, dtype=np.complex128)
-        if M.shape != (2, 2):
-            raise ShapeMismatchError(f"expected a 2 x 2 matrix, got {M.shape}")
-        return cls(M[0, 0], M[0, 1], M[1, 0], M[1, 1])
-
     def compose(self, other: "SL2Element") -> "SL2Element":
-        return SL2Element.from_matrix(self.matrix() @ other.matrix())
+        return SL2Element(*_product(self._entries(), other._entries()))
+
+    def power(self, n: int) -> "SL2Element":
+        """n-th power, n >= 1, by binary powering on the four entries."""
+        if n < 1:
+            raise ValueError(f"need a positive power, got {n}")
+        z, result = self._entries(), None
+        while True:
+            n, bit = divmod(n, 2)
+            if bit:
+                result = z if result is None else _product(result, z)
+            if not n:
+                return SL2Element(*result)
+            z = _product(z, z)
+
+    def _entries(self) -> tuple:
+        return self.a, self.b, self.c, self.d
 
     def inverse(self) -> "SL2Element":
         return SL2Element(self.d, -self.b, -self.c, self.a)
+
+
+def _product(x: tuple, y: tuple) -> tuple:
+    """Entries (a, b, c, d) of the 2 x 2 product x y, in complex scalars."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 @dataclass(frozen=True)
@@ -133,9 +150,10 @@ def sl2_exp(X) -> SL2Element:
     X = np.asarray(X, dtype=np.complex128)
     if X.shape != (2, 2):
         raise ShapeMismatchError(f"expected a 2 x 2 matrix, got {X.shape}")
-    if abs(X[0, 0] + X[1, 1]) > 1e-12 * max(1.0, frob(X)):
+    p, q, r, m = X.ravel().tolist()
+    if abs(p + m) > 1e-12 * max(1.0, hypot(*map(abs, (p, q, r, m)))):
         raise ShapeMismatchError("generator must be traceless")
-    delta = complex(X[0, 0] ** 2 + X[0, 1] * X[1, 0])
+    delta = p**2 + q * r
     s = sqrt(delta)
     if abs(s) < 1e-6:
         ch = 1.0 + delta / 2.0 + delta**2 / 24.0
@@ -143,7 +161,7 @@ def sl2_exp(X) -> SL2Element:
     else:
         ch = cosh(s)
         ratio = sinh(s) / s
-    return SL2Element.from_matrix(ch * np.eye(2) + ratio * X)
+    return SL2Element(ch + ratio * p, ratio * q, ratio * r, ch + ratio * m)
 
 
 def _coeffs(g) -> tuple:

@@ -24,6 +24,7 @@ role of two extra scalar coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -633,9 +634,17 @@ def fingerprint(r: Representation, length: int | None = None) -> np.ndarray:
         *_antidiagonals(T, 2, L, edges=False), *_antidiagonals(bordered, 1, L - 2, edges=True)])
 
 
+@lru_cache(maxsize=None)
+def _pair_word_index(L: int) -> np.ndarray:
+    """Flat positions in the (L+1) x (L+1) trace table of pair_fingerprint's words, in order."""
+    table = np.arange((L + 1) ** 2).reshape(L + 1, L + 1)
+    index = np.concatenate([table[1:, 0], table[0, 1:], *_antidiagonals(table, 2, L, edges=False)])
+    index.setflags(write=False)
+    return index
+
+
 def pair_fingerprint(p: AugmentedPair, length: int | None = None) -> np.ndarray:
     """Trace words of a pair: tr A^i, tr B^j, then tr(A^i B^j) by i + j <= length (default 2 n)."""
     L = _word_length(length, 2 * p.n)
     P = _power_ladder(np.stack([p.A, p.B]), L)
-    T = _trace_table(P[:, 0], P[:, 1])
-    return np.concatenate([T[1:, 0], T[0, 1:], *_antidiagonals(T, 2, L, edges=False)])
+    return _trace_table(P[:, 0], P[:, 1]).take(_pair_word_index(L))

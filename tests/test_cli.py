@@ -121,6 +121,18 @@ def test_exit_codes_for_bad_input(capsys, monkeypatch):
         assert out == "" and "input error" in err
 
 
+@pytest.mark.parametrize("command", ["chart", "normalize"])
+def test_valid_json_that_holds_no_valid_pair_is_bad_input(capsys, monkeypatch, command):
+    # both raise ShapeMismatchError while decoding, which used to exit 3
+    pair = json.loads(dumps(encode(from_chart(random_chart_point(2, 1.0, 3)))))
+    nan_pair = json.loads(json.dumps(pair))
+    nan_pair["first"][0][0] = [float("nan"), 0.0]
+    for data in ({**pair, "second": pair["second"][:2]}, nan_pair):
+        code, out, err = _run(capsys, monkeypatch, [command], stdin_text=json.dumps(data))
+        assert code == EXIT_BAD_INPUT
+        assert out == "" and "input error" in err and "ShapeMismatchError" in err
+
+
 @pytest.mark.parametrize("suite", ["quiver", "variety"])
 def test_verify_rejects_nonpositive_trials(capsys, monkeypatch, suite):
     # -1 used to crash the quiver suite and pass the variety suite on zero samples

@@ -4,9 +4,11 @@ commutator composition, polynomial pullbacks, and the trace witness."""
 import numpy as np
 import pytest
 
-from cmspaces.errors import WitnessVanishesError
+from cmspaces import flowcalc
+from cmspaces.errors import IllConditionedFitError, ShapeMismatchError, WitnessVanishesError
 from cmspaces.flowcalc import (
     BRACKET_SIGN,
+    bracket_element,
     bracket_flow,
     bracket_target,
     compatible_witness,
@@ -14,6 +16,7 @@ from cmspaces.flowcalc import (
     flow_exact,
     lnd_degree,
     pair_distance,
+    trotter_element,
     trotter_flow,
     trotter_target,
 )
@@ -21,6 +24,7 @@ from cmspaces.chart import from_chart, random_chart_point, to_chart_tracked
 from cmspaces.linalg import frob
 from cmspaces.sl2 import GEN_E, GEN_F, GEN_H
 from cmspaces.variety import AugmentedPair, augment, pair_scale, random_point
+from cmspaces.verify import BRACKET_STEPS, BRACKET_TIME, TROTTER_STEPS, TROTTER_TIME
 
 
 def _pair(n, seed, tau=1.0):
@@ -126,7 +130,7 @@ def test_shear_pullback_degrees():
 
 def test_degree_cap_reports_none():
     p = _pair(2, 112)
-    obs = lambda q: complex(np.trace(q.B @ q.B @ q.B))  # noqa: E731
+    obs = lambda P, Q: (Q @ Q @ Q).trace(axis1=1, axis2=2)  # noqa: E731
     # under the lower shear the cubic trace word has degree three, which
     # an intentionally low cap cannot fit
     assert lnd_degree("e", obs, p, d_max=2) is None
@@ -157,3 +161,83 @@ def test_flow_in_chart_matches_the_pair_flow():
     # the lower shear moves only the diagonal moments at first order
     dm = np.abs(moved.mu - c.mu).max()
     assert dm < 0.05 * 0.05 * 10 * max(1.0, np.abs(c.vector()).max())
+
+
+def _entries(g):
+    return np.array([g.a, g.b, g.c, g.d])
+
+
+def test_scalar_powering_matches_matrix_power():
+    for gen2 in (GEN_F, GEN_H):
+        for m in TROTTER_STEPS:
+            s = TROTTER_TIME / m
+            step = GEN_E.exp(s).compose(gen2.exp(s)).matrix()
+            want = np.linalg.matrix_power(step, m).ravel()
+            got = _entries(trotter_element(GEN_E, gen2, TROTTER_TIME, m))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (gen2.kind, m)
+        for m in BRACKET_STEPS:
+            s = float(np.sqrt(BRACKET_TIME / m))
+            square = (gen2.exp(-s).compose(GEN_E.exp(-s)).compose(gen2.exp(s))
+                      .compose(GEN_E.exp(s)).matrix())
+            want = np.linalg.matrix_power(square, m).ravel()
+            got = _entries(bracket_element(GEN_E, gen2, BRACKET_TIME, m))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (gen2.kind, m)
+    for element in (trotter_element, bracket_element):
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                element(GEN_E, GEN_F, 0.1, bad)
+    with pytest.raises(ValueError):
+        GEN_E.exp(0.1).power(0)
+
+
+def test_stacked_shear_samples_match_per_node_flows():
+    p = _pair(3, 114)
+    seen = {}
+
+    def grab(P, Q):
+        seen["first"], seen["second"] = np.array(P), np.array(Q)
+        return (P @ Q @ Q).trace(axis1=1, axis2=2)
+
+    observables = dict(flowcalc._OBSERVABLES, grab=grab)
+    for kind in ("e", "f"):
+        for count, half_width in ((8, 1.0), (6, 0.5)):
+            nodes = flowcalc._chebyshev_nodes(count, half_width)
+            got = {name: flowcalc._shear_samples(kind, count, half_width, p, obs)
+                   for name, obs in observables.items()}
+            first, second = seen["first"], seen["second"]
+            for i, t in enumerate(nodes):
+                q = flow_exact(kind, t, p)
+                assert np.array_equal(first[i], q.A) and np.array_equal(second[i], q.B)
+                for name, obs in observables.items():
+                    assert got[name][i] == obs(q.A[None], q.B[None])[0], (kind, name, i)
+
+
+def test_cached_fit_projector_matches_polyfit():
+    rng = np.random.default_rng(115)
+    for count, half_width, degrees in ((8, 1.0, range(7)), (6, 0.5, (4,))):
+        nodes = flowcalc._chebyshev_nodes(count, half_width)
+        samples = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        for deg in degrees:
+            coeffs, resid = flowcalc._fit(count, half_width, deg, samples)
+            want = np.polynomial.polynomial.polyfit(nodes, samples, deg)
+            np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-12)
+            fitted = np.polynomial.polynomial.polyval(nodes, want)
+            assert abs(resid - np.abs(fitted - samples).max()) <= 1e-12
+            V, proj = flowcalc._fit_projector(count, half_width, deg)
+            assert flowcalc._fit_projector(count, half_width, deg)[1] is proj
+            assert not V.flags.writeable and not proj.flags.writeable
+
+
+def test_overflowing_flows_raise_instead_of_fitting():
+    # entries near the top of the float range: the lower shear overflows B + t A
+    p = AugmentedPair(np.diag([1e308, 2.0]), np.diag([1e308, 3.0]), 1.0)
+    with pytest.raises(ShapeMismatchError):
+        lnd_degree("e", "trace_second", p)
+    # frob reports numpy's overflow in its plain norm; what is tested is the error
+    with np.errstate(over="ignore"), pytest.raises(IllConditionedFitError):
+        compatible_witness(p)
+    # finite flowed pairs whose samples overflow: the squared trace word
+    q = AugmentedPair(np.diag([1e200, 2.0]), np.diag([1e200, 3.0]), 1.0)
+    with pytest.raises(IllConditionedFitError):
+        lnd_degree("e", "trace_second_sq", q)
+    assert lnd_degree("e", "trace_second", q) == 1

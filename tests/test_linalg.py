@@ -325,6 +325,20 @@ def test_frob_gives_each_item_of_a_transposed_stack_its_one_item_bits():
             assert frob(big).tolist() == [frob(item) for item in big], size
 
 
+def test_frob_is_finite_for_entries_from_two_to_the_1023():
+    # the rescaling power of two must stay at or below the largest entry:
+    # 2^1024 is inf, and the norm read nan
+    big, edge = np.diag([1e308, 2.0]), 2.0**1023 * np.eye(2)
+    with np.errstate(over="ignore"):
+        one, at_edge, complex_one = frob(big), frob(edge), frob(big * 1j)
+        stacked = frob(np.stack([big, np.eye(2), edge, -big.T]))
+    assert abs(one - 1e308) <= 1e-15 * 1e308 and complex_one == one
+    assert at_edge == 2.0**1023 * np.sqrt(2.0)
+    assert stacked.tolist() == [one, frob(np.eye(2)), at_edge, one]
+    # an item that needed no rescaling keeps the plain norm's bits
+    assert stacked[1] == np.linalg.norm(np.eye(2))
+
+
 def test_frob_stays_finite_and_correct_at_extreme_scales():
     rng = np.random.default_rng(16)
     M = _random_complex(rng, 4, 3, 3)

@@ -11,6 +11,7 @@ from cmspaces.errors import InfeasibleRowError, NonzeroCornerError, ShapeMismatc
 from cmspaces.linalg import comm, frob
 from cmspaces.variety import (
     _power_ladder,
+    _trace_table,
     ALL_DICTIONARY_VARIANTS,
     LITERAL_DICTIONARY,
     AugmentedPair,
@@ -361,6 +362,20 @@ def test_fingerprints_match_the_word_loop():
             _assert_same_words(pair_fingerprint(p, length), _loop_pair_fingerprint(p, length))
     q = gauge_act_pair(random_gauge(4, 52), augment(random_point(4, 2, 1.0, 51)))
     _assert_same_words(pair_fingerprint(q), _loop_pair_fingerprint(q))
+
+
+def test_pair_fingerprint_gathers_the_trace_table_words_bit_for_bit():
+    # one gather of a cached index reads the same entries of the table as
+    # the word-by-word enumeration
+    for n in range(1, 9):
+        p = augment(random_point(n, 2, 1.0, 80 + n))
+        for L in (1, 2, 3, 2 * n):
+            P = _power_ladder(np.stack([p.A, p.B]), L)
+            T = _trace_table(P[:, 0], P[:, 1])
+            words = ([T[i, 0] for i in range(1, L + 1)] + [T[0, j] for j in range(1, L + 1)]
+                     + [T[i, t - i] for t in range(2, L + 1) for i in range(1, t)])
+            got = pair_fingerprint(p, L)
+            assert got.tolist() == words and got.dtype == np.complex128, (n, L)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 16])
