@@ -36,6 +36,7 @@ from .errors import (
 from .canonical import normal_form, simple_gap
 from .linalg import (
     DEFAULT_TOL,
+    MATCH_GUARD,
     all_items,
     any_item,
     arrowhead,
@@ -56,9 +57,10 @@ from .variety import (
     AugmentedPair,
     check_gauge,
     commutator_level_deviation,
+    complex_uniforms_from,
     level_shift,
     matrix_pair_scale,
-    spaced_points,
+    spaced_points_from,
     split_blocks,
 )
 
@@ -195,9 +197,13 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     to about 1 / sqrt(eps).  Any gap failing raises
     NotStronglySemisimpleError.
 
-    Only the eigenvalues of M come from an eigensolver.  M is an
-    arrowhead, so its frame is linalg.arrowhead_frame of the block
-    diagonal and those values, checked by its residual
+    Only the eigenvalues of M can come from an eigensolver, and only
+    without lamhat_ref.  With it they are the roots of M's secular
+    equation, continued from the reference by Newton steps; an item
+    whose roots are not certified falls back to the eigensolver, and
+    the checks below are the same either way.  M is an arrowhead, so
+    its frame is linalg.arrowhead_frame of the block diagonal and those
+    values, checked by its residual
     ||g M g^-1 - diag(lamhat)|| (EigenMismatchError beyond
     1e3 * tol * max(1, max |lamhat|)) and rescaled to linalg.eig's
     convention, which g and S follow.
@@ -224,7 +230,7 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
     if any_item(bad):
         raise NotStronglySemisimpleError(
             f"block spectrum not simple: gap {first_failure(block_gap, bad):.3e}")
-    lamhat = eigvals(A)
+    lamhat = eigvals(A) if lamhat_ref is None else _tracked_lamhat(A, lam, lamhat_ref)
     full_gap = min_gap(lamhat)
     # the plain gap first: the frame divides by the differences of lamhat
     bad = ~simple_gap(full_gap, A, tol)
@@ -268,6 +274,64 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
     S[..., full, full] = 0.0
     return Decomposition(mu=mu, muhat=muhat, lamhat=lamhat, defect=defect,
                          g=g, N1=N1, N2=N2, S=S)
+
+
+# Newton steps a tracked read takes at most before it stops its item
+_SECULAR_STEPS = 8
+
+
+def _tracked_lamhat(A, lam, lamhat_ref):
+    """Full spectra of normal-form first matrices, continued from lamhat_ref.
+
+    A normal form is the arrowhead [[diag(lam), x], [y^T, a]], whose
+    full spectrum is the roots of the secular equation
+
+        f(z) = z - a - sum_i x_i y_i / (z - lam_i)
+
+    (its characteristic polynomial over prod_i (z - lam_i)).  Newton
+    steps z -= f / f' start from the reference, O(n^2) per item and
+    step over the whole stack.  An item stops once its residual |f| is
+    within the rounding of evaluating f, or once a step no longer
+    shrinks.  It keeps its roots, in the reference's order, only when
+    they are certified: its block is exactly diagonal (else f is not
+    its characteristic equation), every root is finite with |f| at
+    rounding level, and each lies within MATCH_GUARD times the
+    reference gap of its own reference entry, which keeps the roots
+    pairwise distinct.  Every other item gets eigvals, in the package
+    ordering.  Each item's result depends on that item alone.
+    """
+    n = lam.shape[-1]
+    shape = lam.shape[:-1] + (n + 1,)
+    ref = np.asarray(lamhat_ref, dtype=np.complex128)
+    if ref.shape[-1:] != (n + 1,) or np.broadcast_shapes(ref.shape, shape) != shape:
+        return eigvals(A)   # not one reference per item: the matching reports it
+    lam = np.ascontiguousarray(lam)
+    w = A[..., :n, n] * A[..., n, :n]
+    a = A[..., n, n][..., None]
+    z = np.array(np.broadcast_to(ref, shape))
+    # evaluating f at z rounds by about (n + 4) eps times the sum of its
+    # term sizes; twice that is rounding level
+    rounding = 2 * (n + 4) * np.finfo(np.float64).eps
+    prev = np.full(lam.shape[:-1], np.inf)
+    with np.errstate(all="ignore"):      # a pole hit is a non-finite root, certified below
+        for step in range(_SECULAR_STEPS + 1):
+            r = 1.0 / (z[..., :, None] - lam[..., None, :])
+            t = w[..., None, :] * r
+            f = z - a - t.sum(axis=-1)
+            settled = np.isfinite(f) & (
+                np.abs(f) <= rounding * (np.abs(z) + np.abs(a) + np.abs(t).sum(axis=-1)))
+            dz = f / (1.0 + (t * r).sum(axis=-1))
+            size = np.abs(dz).max(axis=-1)
+            go = ~settled.all(axis=-1) & (size < prev) & (step < _SECULAR_STEPS)
+            if not go.any():
+                break
+            z = np.where(go[..., None], z - dz, z)
+            prev = np.where(go, size, prev)
+        ok = (np.count_nonzero(A[..., :n, :n], axis=(-2, -1)) == np.count_nonzero(lam, axis=-1))
+        ok &= (settled & (np.abs(z - ref) <= MATCH_GUARD * min_gap(ref)[..., None])).all(axis=-1)
+    if not ok.all():
+        z[~ok] = eigvals(A[~ok])
+    return z
 
 
 def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np.ndarray:
@@ -432,22 +496,39 @@ def project_to_slice(c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartPoint:
 # seeded chart points and the chart Jacobian
 
 
+def random_chart_points(n: int, tau: complex, seeds) -> np.ndarray:
+    """Packed coordinates (len(seeds), 4n+2) of seeded chart points, one per seed.
+
+    Item i is random_chart_point(n, tau, seeds[i]).vector().  Each seed
+    takes one Generator.random draw of the doubles the one-point
+    construction draws in turn (the two spaced spectra, then the real
+    and imaginary parts of mu and of muhat), and the arithmetic runs over
+    the whole stack.
+    """
+    if complex(tau) == 0:
+        raise ValueError("the level parameter tau must be nonzero")
+    if n < 1:
+        raise ShapeMismatchError(f"n must be positive, got {n}")
+    cuts = np.cumsum([2 * n + 2, 2 * n + 4, n, n, n + 1])
+    U = np.array([np.random.default_rng(seed).random(8 * n + 8) for seed in seeds])
+    U = U.reshape(len(U), 8 * n + 8)
+    u_lam, u_lamhat, mu_re, mu_im, muhat_re, muhat_im = np.split(U, cuts, axis=-1)
+    lam = spaced_points_from(u_lam)
+    lamhat = spaced_points_from(u_lamhat) + (0.45 + 0.35j)
+    return np.concatenate([gather(lam, sort_order(lam), -1),
+                           gather(lamhat, sort_order(lamhat), -1),
+                           complex_uniforms_from(mu_re, mu_im),
+                           complex_uniforms_from(muhat_re, muhat_im)], axis=-1)
+
+
 def random_chart_point(n: int, tau: complex, seed: int) -> ChartPoint:
     """Seeded chart point with sorted, well-separated spectra.
 
     lam and lamhat are sorted in the package ordering so round trips through
-    from_chart / to_chart compare coordinates directly.
+    from_chart / to_chart compare coordinates directly.  The one-seed call
+    of random_chart_points.
     """
-    if complex(tau) == 0:
-        raise ValueError("the level parameter tau must be nonzero")
-    rng = np.random.default_rng(seed)
-    lam = spaced_points(rng, n)
-    lamhat = spaced_points(rng, n + 1) + (0.45 + 0.35j)
-    lam = lam[sort_order(lam)]
-    lamhat = lamhat[sort_order(lamhat)]
-    mu = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-    muhat = rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)
-    return ChartPoint(lam, lamhat, mu, muhat, tau)
+    return ChartPoint.from_vector(random_chart_points(n, tau, [seed])[0], n, tau)
 
 
 def chart_jacobian_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -20,7 +20,11 @@ is not unit-normalized.  Quantities that do not change under a diagonal
 rescaling of the frame (the rebuild in chart.from_chart, with its
 off-diagonal term) use it as it is; chart.decompose, whose frame and
 off-diagonal term are public, rescales it to the convention above with
-`normalize_frame`.
+`normalize_frame`.  An arrowhead's full spectrum is the set of roots of
+its secular equation, so a chart read tracked against a reference takes
+it by Newton steps from the reference (chart.decompose) and calls
+`eigvals` only for an item those steps do not certify; an untracked
+read calls `eigvals`.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from .chart import (
     from_chart,
     project_to_slice,
     slice_residual,
-    to_chart_tracked,
+    to_chart_stack,
 )
 from .linalg import DEFAULT_TOL, frob, min_gap
 from .variety import (
@@ -271,21 +271,28 @@ class ChartTangent:
 
 
 def _central_difference(f) -> np.ndarray:
-    """(f(h) - f(-h)) / (2 h) at h = 1e-5, the quotient of the numeric field derivatives."""
+    """(f(h) - f(-h)) / (2 h) at h = 1e-5, the quotient of the numeric field derivatives.
+
+    f takes both times (h, -h) and returns its two values stacked.
+    """
     step = 1e-5
-    return (f(step) - f(-step)) / (2.0 * step)
+    ahead, behind = f((step, -step))
+    return (ahead - behind) / (2.0 * step)
 
 
 def numeric_field(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartTangent:
     """Induced field of a one-parameter subgroup by central differences.
 
     Chart coordinates of the flowed pair are tracked against c so the
-    difference quotient follows one analytic branch.
+    difference quotient follows one analytic branch; both flowed pairs
+    are read in one stacked call.
     """
     p = from_chart(c, tol)
 
-    def coords(t: float) -> np.ndarray:
-        return to_chart_tracked(act_pair(gen.exp(t), p), c, tol).vector()
+    def coords(times) -> np.ndarray:
+        flowed = [act_pair(gen.exp(t), p) for t in times]
+        return to_chart_stack(np.array([q.A for q in flowed]), np.array([q.B for q in flowed]),
+                              c.tau, tol, ref=c.vector())
 
     d = _central_difference(coords)
     n = c.n
@@ -379,8 +386,8 @@ def slice_tangency(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL):
     """
     p = from_chart(c, tol)
 
-    def values(t: float) -> np.ndarray:
-        return np.array(slice_residual(act_pair(gen.exp(t), p)))
+    def values(times) -> np.ndarray:
+        return np.array([slice_residual(act_pair(gen.exp(t), p)) for t in times])
 
     d = _central_difference(values)
     return float(abs(d[0])), float(abs(d[1]))

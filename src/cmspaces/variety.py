@@ -422,10 +422,10 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
 
 def spaced_points(rng: np.random.Generator, count: int) -> np.ndarray:
     """Complex values on a jittered line; pairwise gaps at least 1 - 2 sqrt(2) 0.15 > 0.57."""
-    return _spaced(rng.random(2 * count + 2))
+    return spaced_points_from(rng.random(2 * count + 2))
 
 
-def _spaced(u):
+def spaced_points_from(u):
     """spaced_points from its 2 count + 2 drawn doubles, over the leading axes of u.
 
     They are count real and count imaginary jitters, then the real and
@@ -434,12 +434,12 @@ def _spaced(u):
     """
     count = u.shape[-1] // 2 - 1
     base = np.arange(count) - (count - 1) / 2.0
-    jit = _complex_of(u[..., :count], u[..., count:2 * count], 0.15)
-    shift = _complex_of(u[..., -2:-1], u[..., -1:], 0.5)
+    jit = complex_uniforms_from(u[..., :count], u[..., count:2 * count], 0.15)
+    shift = complex_uniforms_from(u[..., -2:-1], u[..., -1:], 0.5)
     return base + jit + shift
 
 
-def _complex_of(re, im, half_width: float = 1.0):
+def complex_uniforms_from(re, im, half_width: float = 1.0):
     """Complex uniforms on the square of half_width from the doubles Generator.random drew.
 
     Bit for bit what Generator.uniform(-half_width, half_width) makes of
@@ -471,7 +471,7 @@ def random_point(n: int, k: int, tau: complex, seed: int,
 def _inner_rows(u, k: int):
     """Complex rows from blocks of 2k doubles: k real parts, then k imaginary parts."""
     u = u.reshape(u.shape[:-1] + (u.shape[-1] // (2 * k), 2, k))
-    return _complex_of(u[..., 0, :], u[..., 1, :])
+    return complex_uniforms_from(u[..., 0, :], u[..., 1, :])
 
 
 def _replay_rows(rng, rest, n: int, k: int, row_floor: float, max_tries: int):
@@ -533,7 +533,7 @@ def random_points(n: int, k: int, tau: complex, seeds,
     for s in np.flatnonzero((norms < row_floor).any(axis=-1) | (max_tries < 1)):
         v[s], tail[s] = _replay_rows(rngs[s], U[s, head:].copy(), n, k, row_floor, max_tries)
         norms[s] = row_norms(v[s])
-    lam = _spaced(U[:, :head])
+    lam = spaced_points_from(U[:, :head])
 
     # the squared row norms go through libm pow, as a Python float power
     # does; an array square (x * x) rounds differently in about 0.08% of
@@ -541,7 +541,7 @@ def random_points(n: int, k: int, tau: complex, seeds,
     sq = np.array([x ** 2 for x in norms.ravel().tolist()]).reshape(norms.shape)
     w = -tau * v.conj() / sq[..., None]
     if k == 2:
-        coeff = _complex_of(tail[:, 0:2 * n:2], tail[:, 1:2 * n:2])
+        coeff = complex_uniforms_from(tail[:, 0:2 * n:2], tail[:, 1:2 * n:2])
         kernel = np.stack([-v[..., 1], v[..., 0]], axis=-1)  # v_i . kernel_i == 0 exactly
         w = w + (coeff * 0.7)[..., None] * kernel
     w = np.ascontiguousarray(w.swapaxes(-1, -2))
@@ -551,7 +551,7 @@ def random_points(n: int, k: int, tau: complex, seeds,
     A = np.zeros((len(rngs), n, n), dtype=np.complex128)
     A[:, idx, idx] = lam
     B = np.zeros_like(A)
-    B[:, idx, idx] = _complex_of(d[:, :n], d[:, n:])
+    B[:, idx, idx] = complex_uniforms_from(d[:, :n], d[:, n:])
     denom = lam[:, :, None] - lam[:, None, :]
     denom[:, idx, idx] = 1.0
     off = (v @ w) / denom

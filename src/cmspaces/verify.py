@@ -38,6 +38,7 @@ from .chart import (
     from_chart,
     from_chart_stack,
     random_chart_point,
+    random_chart_points,
     to_chart_stack,
 )
 from .errors import CMSpacesError
@@ -69,6 +70,7 @@ from .sl2 import (
 )
 from .variety import (
     AugmentedPair,
+    Representation,
     augment,
     augment_stack,
     block_commutator_residual,
@@ -203,10 +205,25 @@ def _trace_word_error(fp, fp0) -> float:
     return float(np.abs(fp - fp0).max() / max(1.0, np.abs(fp0).max()))
 
 
+def _seeded_points(cfg: RunConfig, tag: str, sizes) -> list:
+    """random_point(sizes[i], 2, tau, _seed(cfg, tag, i)) for each trial i, in trial order.
+
+    The trials of one size are drawn with one random_points call.
+    """
+    by_size = {}
+    for i, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(i)
+    points = [None] * len(sizes)
+    for n, trials in by_size.items():
+        stack = random_points(n, 2, cfg.tau, [_seed(cfg, tag, i) for i in trials])
+        for j, i in enumerate(trials):
+            points[i] = Representation(*(x[j] for x in stack), cfg.tau)
+    return points
+
+
 def _chart_stack(cfg: RunConfig, n: int, tag: str, trials) -> np.ndarray:
     """The coordinate vectors of the seeded chart points of the given trials, stacked."""
-    return np.array([random_chart_point(n, cfg.tau, _seed(cfg, tag, i)).vector()
-                     for i in trials])
+    return random_chart_points(n, cfg.tau, [_seed(cfg, tag, i) for i in trials])
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +315,8 @@ def _check_augment_roundtrip(cfg: RunConfig) -> _Measured:
 @_declare(("variety.fingerprint_gauge_invariance", "trace-words-basechange-invariant", 1e-9))
 def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
     resids = []
-    for i in range(20):
-        n = 2 + i % 4
-        r = random_point(n, 2, cfg.tau, _seed(cfg, "fpg", i))
-        g = random_gauge(n, _seed(cfg, "fpgg", i))
+    for i, r in enumerate(_seeded_points(cfg, "fpg", [2 + i % 4 for i in range(20)])):
+        g = random_gauge(r.n, _seed(cfg, "fpgg", i))
         resids.append(_trace_word_error(fingerprint(gauge_act(g, r)), fingerprint(r)))
     return _Measured(_fold(resids), "relative to max(1, |fingerprint|)")
 
@@ -310,18 +325,17 @@ def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
 # canonical
 
 
-def _normalized_point(cfg: RunConfig, n: int, tag: str, i: int):
-    """A seeded augmented pair and its normal form."""
-    p = augment(random_point(n, 2, cfg.tau, _seed(cfg, tag, i)))
-    return p, normalize(p, cfg.tol)[0]
+def _normalized_points(cfg: RunConfig, tag: str, count: int) -> list:
+    """Seeded augmented pairs of sizes 1 + i % 5 with their normal forms."""
+    pairs = [augment(r) for r in _seeded_points(cfg, tag, [1 + i % 5 for i in range(count)])]
+    return [(p, normalize(p, cfg.tol)[0]) for p in pairs]
 
 
 @_declare(("canonical.normal_form_shape", "diagonal-block-unit-border-row", 0.0))
 def _check_normal_form_shape(cfg: RunConfig) -> _Measured:
     resids = []
-    for i in range(20):
-        n = 1 + i % 5
-        _, nf = _normalized_point(cfg, n, "nf", i)
+    for _, nf in _normalized_points(cfg, "nf", 20):
+        n = nf.n
         block = nf.A[:n, :n]
         off = block - np.diag(np.diag(block))
         resids += [np.abs(off).max(), np.abs(nf.A[n, :n] - 1.0).max()]
@@ -331,9 +345,7 @@ def _check_normal_form_shape(cfg: RunConfig) -> _Measured:
 @_declare(("canonical.normalize_gauge_equivalence", "normal-form-on-same-orbit", 1e-8))
 def _check_normalize_equivalence(cfg: RunConfig) -> _Measured:
     resids = []
-    for i in range(20):
-        n = 1 + i % 5
-        p, nf = _normalized_point(cfg, n, "nfe", i)
+    for p, nf in _normalized_points(cfg, "nfe", 20):
         resids.append(_trace_word_error(pair_fingerprint(nf), pair_fingerprint(p)))
     return _Measured(_fold(resids), "relative trace-word deviation")
 
@@ -341,19 +353,15 @@ def _check_normalize_equivalence(cfg: RunConfig) -> _Measured:
 @_declare(("canonical.orbit_rank_regular", "free-basechange-orbit-dimension", 0.0))
 def _check_orbit_rank(cfg: RunConfig) -> _Measured:
     deficiencies = []
-    for i in range(15):
-        n = 1 + i % 5
-        r = random_point(n, 2, cfg.tau, _seed(cfg, "orb", i))
-        deficiencies.append(abs(orbit_dimension(augment(r), cfg.tol) - n * n))
+    for r in _seeded_points(cfg, "orb", [1 + i % 5 for i in range(15)]):
+        deficiencies.append(abs(orbit_dimension(augment(r), cfg.tol) - r.n * r.n))
     return _Measured(_fold(deficiencies), "deviation from n^2")
 
 
 @_declare(("canonical.normalize_idempotent", "normal-form-fixed-point", 1e-12))
 def _check_normalize_idempotent(cfg: RunConfig) -> _Measured:
     resids = []
-    for i in range(10):
-        n = 1 + i % 5
-        _, nf = _normalized_point(cfg, n, "nfi", i)
+    for _, nf in _normalized_points(cfg, "nfi", 10):
         nf2, _ = normalize(nf, cfg.tol)
         resids += [frob(nf2.A - nf.A), frob(nf2.B - nf.B)]
     return _Measured(_fold(resids), "absolute matrix deviation")
@@ -470,9 +478,7 @@ def _check_equivariance(cfg: RunConfig) -> _Measured:
 def _check_moment_preservation(cfg: RunConfig) -> _Measured:
     resids = []
     trials = _trials(cfg, 100)
-    for i in range(trials):
-        n = 1 + i % 5
-        r = random_point(n, 2, cfg.tau, _seed(cfg, "mom", i))
+    for i, r in enumerate(_seeded_points(cfg, "mom", [1 + i % 5 for i in range(trials)])):
         g = random_sl2(_seed(cfg, "momg", i))
         out = act_components(g, r)
         resids.append(level_residual(out) / level_scale(out))
@@ -483,9 +489,7 @@ def _check_moment_preservation(cfg: RunConfig) -> _Measured:
 def _check_negative_control(cfg: RunConfig) -> _Measured:
     bad = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
     resids = []
-    for i in range(10):
-        n = 1 + i % 5
-        r = random_point(n, 2, cfg.tau, _seed(cfg, "neg", i))
+    for r in _seeded_points(cfg, "neg", [1 + i % 5 for i in range(10)]):
         out = act_components(bad, r)
         resids.append(level_residual(out) / level_scale(out))
     return _Measured(1e-3 - _fold(resids, min),
@@ -705,9 +709,7 @@ def _check_dictionary(cfg: RunConfig) -> list:
     count = _trials(cfg, 20)
     label_sets = []
     literal_flags = []
-    for i in range(count):
-        n = 1 + i % 4
-        r = random_point(n, 2, cfg.tau, _seed(cfg, "qvr", i))
+    for r in _seeded_points(cfg, "qvr", [1 + i % 4 for i in range(count)]):
         report = calibrate_dictionary(r)
         label_sets.append(tuple(sorted(v.label() for v in report.admissible)))
         literal_flags.append(report.literal_admissible)

@@ -1,9 +1,13 @@
 """Tests for the spectral chart: the second-matrix splitting, coordinates,
 and the closed-form inverse."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cmspaces.chart as chart_module
 from cmspaces.canonical import normalize
 from cmspaces.chart import (
     ChartPoint,
@@ -17,6 +21,7 @@ from cmspaces.chart import (
     is_normal_form,
     project_to_slice,
     random_chart_point,
+    random_chart_points,
     slice_residual,
     to_chart,
     to_chart_stack,
@@ -33,10 +38,13 @@ from cmspaces.errors import (
 )
 from cmspaces.linalg import (
     arrowhead,
+    arrowhead_frame,
     comm,
     eig,
+    eigvals,
     frob,
     match_to_reference,
+    min_gap,
     numeric_rank,
     reorder,
     sort_order,
@@ -366,10 +374,10 @@ def test_stacked_jacobian_matches_the_serial_loop():
 
 
 def test_chart_jacobian_lapack_call_budget(monkeypatch):
-    # for the whole stack of 2 (4n + 2) perturbed points: the values of the
-    # full matrix in decompose and nothing else.  from_chart rebuilds normal
-    # forms with a closed-form frame, and a normal form is read without
-    # normalizing again, so no eig of the block and no inverse
+    # no LAPACK call at all: from_chart rebuilds normal forms with a
+    # closed-form frame, a normal form is read without normalizing again,
+    # and a tracked read takes lamhat from the secular equation, continued
+    # from its reference
     c = random_chart_point(5, 1.0, 65)
     calls = _count_lapack(monkeypatch, ("eig", "eigvals", "inv", "lstsq"))
     J = chart_jacobian(c)
@@ -377,8 +385,149 @@ def test_chart_jacobian_lapack_call_budget(monkeypatch):
     monkeypatch.undo()
     assert numeric_rank(J, tol=1e-6) == 22
     assert np.abs(tracked.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())
-    # one eigvals for the Jacobian's stack, one for the tracked read
-    assert [name for name, _ in calls] == ["eigvals", "eigvals"]
+    assert calls == []
+
+
+def _tracked_reads(p, ref):
+    """to_chart_tracked(p, ref) by the secular equation and by eigvals alone.
+
+    Each is the coordinate vector or the class of the typed error it
+    raised; a RuntimeWarning fails the caller.
+    """
+    out = []
+    for secular in (True, False):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if not secular:
+                mp.setattr(chart_module, "_tracked_lamhat", lambda A, lam, r: eigvals(A))
+            try:
+                out.append(to_chart_tracked(p, ref).vector())
+            except CMSpacesError as exc:
+                out.append(type(exc))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**31 - 1), st.floats(3.0, 9.0),
+       st.floats(0.0, 2 * np.pi), st.sampled_from([1.0, 1e4, 1e8]), st.sampled_from([0.0, 1e-6]))
+def test_a_tracked_read_near_coalescing_lamhat_agrees_with_the_eigvals_path(
+        n, seed, digits, phase, tau, offset):
+    # lamhat_1 within delta = 10^-digits of lamhat_0, read against the point
+    # itself or a reference 1e-6 away (the Jacobian's step)
+    c = random_chart_point(n, tau, seed)
+    lamhat = c.lamhat.copy()
+    lamhat[1] = lamhat[0] + 10.0 ** -digits * np.exp(1j * phase)
+    c = ChartPoint(c.lam, lamhat, c.mu, c.muhat, tau)
+    try:
+        p = from_chart(c)
+    except CMSpacesError:
+        return      # too close for the rebuild itself
+    ref = ChartPoint(c.lam, lamhat + offset * np.exp(1j * np.arange(n + 1)), c.mu, c.muhat, tau)
+    secular, lapack = _tracked_reads(p, ref)
+    if isinstance(secular, type) or isinstance(lapack, type):
+        assert secular == lapack
+        return
+    # the two reads differ by the rounding of lamhat, which the eigenvalue
+    # condition numbers kappa_j amplify: once in lamhat, and at most
+    # kappa^2 times the pair's scale in the other coordinates
+    g, ginv = arrowhead_frame(lapack[:n], lapack[n:2 * n + 1])
+    kappa = np.linalg.norm(g, axis=-1) * np.linalg.norm(ginv, axis=-2)
+    dev = np.abs(secular - lapack)
+    assert np.all(dev[n:2 * n + 1] <= 1e-12 * kappa * max(1.0, frob(p.A)))
+    assert dev.max() <= 1e-12 * kappa.max() ** 2 * pair_scale(p)
+
+
+def test_a_reference_that_swaps_two_roots_falls_back_and_raises(monkeypatch):
+    # the reference moves lamhat_0 and lamhat_1 0.7 of the way to each
+    # other, so its gap is 0.4 of their distance d: Newton from it lands on
+    # the swapped roots, 0.3 d away, beyond the matching guard of
+    # 0.45 * 0.4 d, so the read falls back to eigvals, whose matching raises
+    c = random_chart_point(3, 1.0, 0)
+    lamhat = c.lamhat.copy()
+    lamhat[0] += 0.7 * (c.lamhat[1] - c.lamhat[0])
+    lamhat[1] += 0.7 * (c.lamhat[0] - c.lamhat[1])
+    ref = ChartPoint(c.lam, lamhat, c.mu, c.muhat, 1.0)
+    p = from_chart(c)
+    calls = _count_lapack(monkeypatch, ("eigvals",))
+    with pytest.raises(BranchAmbiguityError):
+        to_chart_tracked(p, ref)
+    assert [name for name, _ in calls] == ["eigvals"]
+
+
+def test_a_tracked_read_returns_the_nearest_branch_or_raises(monkeypatch):
+    # references up to 0.6 of the spectral gap away: Newton may land on
+    # another root, and then the item falls back to eigvals; a read that
+    # returns holds, for each reference entry, the eigenvalue nearest to it
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for trial in range(60):
+        n = 1 + trial % 5
+        c = random_chart_point(n, 1.0, 600 + trial)
+        p = from_chart(c)
+        ref_lamhat = c.lamhat + (rng.uniform(0.2, 0.6) * min_gap(c.lamhat)
+                                 * np.exp(2j * np.pi * rng.random(n + 1)))
+        ref = ChartPoint(c.lam, ref_lamhat, c.mu, c.muhat, 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_lapack(mp, ("eigvals",))
+            secular, lapack = _tracked_reads(p, ref)
+        fell_back = len(calls) > 1          # the eigvals path makes one call itself
+        if isinstance(lapack, type):
+            assert secular == lapack == BranchAmbiguityError
+            continue
+        nearest = c.lamhat[np.abs(ref_lamhat[:, None] - c.lamhat).argmin(axis=-1)]
+        assert np.abs(secular[n:2 * n + 1] - nearest).max() < 1e-12
+        assert np.abs(secular - lapack).max() < 1e-12
+        outcomes.add(fell_back)
+    # both routes of a read that returns were taken
+    assert outcomes == {True, False}
+
+
+def test_a_fallback_item_keeps_the_bits_of_its_one_item_read(monkeypatch):
+    # lamhat_2 = lam_1 cancels a pole of the secular equation, so Newton
+    # started there hits it and that item alone falls back to eigvals
+    points = [random_chart_point(4, 1.0, 3 + i) for i in range(3)]
+    lamhat = points[1].lamhat.copy()
+    lamhat[2] = points[1].lam[1]
+    points[1] = ChartPoint(points[1].lam, lamhat, points[1].mu, points[1].muhat, 1.0)
+    pairs = [from_chart(c) for c in points]
+    want = np.array([to_chart_tracked(p, c).vector() for p, c in zip(pairs, points)])
+    calls = _count_lapack(monkeypatch, ("eigvals",))
+    got = to_chart_stack(np.array([p.A for p in pairs]), np.array([p.B for p in pairs]), 1.0,
+                         ref=np.array([c.vector() for c in points]))
+    assert calls == [("eigvals", (1, 5, 5))]
+    assert np.array_equal(got, want)
+    assert np.abs(got - np.array([c.vector() for c in points])).max() < 1e-12
+
+
+def test_a_block_that_is_not_exactly_diagonal_reads_by_eigvals(monkeypatch):
+    # within the normal-form tolerance but not an arrowhead: the secular
+    # equation is not its characteristic equation, so the read uses eigvals
+    c = random_chart_point(4, 1.0, 21)
+    p = from_chart(c)
+    A = p.A.copy()
+    A[0, 1] = 1e-12
+    q = AugmentedPair(A, p.B, p.tau)
+    secular, lapack = _tracked_reads(q, c)
+    assert np.array_equal(secular, lapack)
+    calls = _count_lapack(monkeypatch, ("eigvals",))
+    to_chart_tracked(q, c)
+    assert [name for name, _ in calls] == ["eigvals"]
+
+
+def test_a_reference_of_the_wrong_size_is_a_shape_error():
+    p = from_chart(random_chart_point(2, 1.0, 1))
+    for ref in ([1.0, 2.0], 3.0):
+        with pytest.raises(ShapeMismatchError):
+            decompose(p, lamhat_ref=np.asarray(ref))
+
+
+def test_stacked_chart_points_are_the_one_point_draws():
+    for n in (1, 2, 5, 9):
+        seeds = [700 + 13 * i for i in range(7)]
+        want = np.array([random_chart_point(n, 1.0, seed).vector() for seed in seeds])
+        assert np.array_equal(random_chart_points(n, 1.0, seeds), want)
+    with pytest.raises(ValueError):
+        random_chart_points(2, 0.0, [1])
 
 
 def test_a_coalesced_item_fails_the_stack_like_the_scalar_call():

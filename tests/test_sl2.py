@@ -23,7 +23,7 @@ from cmspaces.sl2 import (
     sl2_exp,
     slice_tangency,
 )
-from cmspaces.chart import from_chart, slice_residual, to_chart
+from cmspaces.chart import from_chart, slice_residual, to_chart, to_chart_tracked
 from cmspaces.variety import (
     augment,
     level_residual,
@@ -138,6 +138,18 @@ def test_lower_shear_field_matches_the_closed_form():
     assert np.abs(ana.d_muhat - c.lamhat).max() == 0.0
     for blk in (num.d_lam, num.d_lamhat, num.d_mu):
         assert np.abs(blk).max() < 1e-6 * scale
+
+
+def test_numeric_field_reads_both_flowed_pairs_with_one_item_bits():
+    # one stacked read of the two flowed pairs, each item as its own read
+    c = find_independence_point(3, 1.0, 17)
+    p, step = from_chart(c), 1e-5
+    for gen in (GEN_E, GEN_F, GEN_H):
+        ahead, behind = (to_chart_tracked(act_pair(gen.exp(t), p), c).vector()
+                         for t in (step, -step))
+        d = (ahead - behind) / (2.0 * step)
+        num = numeric_field(gen, c)
+        assert np.array_equal(np.concatenate([num.d_lam, num.d_lamhat, num.d_mu, num.d_muhat]), d)
 
 
 def test_scaling_and_upper_shear_trace_components():

@@ -176,3 +176,11 @@ def test_a_raising_independence_search_errors_every_check_that_needs_the_points(
         rec = records.pop(name)
         assert rec["residual"] is None and rec["note"].startswith("SearchExhaustedError at seed 7")
     assert records and all(rec["status"] == "pass" for rec in records.values())
+
+
+def test_grouped_seeded_points_are_the_one_point_draws():
+    cfg = RunConfig(seed=4)
+    points = verify._seeded_points(cfg, "mom", [1 + i % 5 for i in range(12)])
+    for i, r in enumerate(points):
+        want = verify.random_point(1 + i % 5, 2, cfg.tau, verify._seed(cfg, "mom", i))
+        assert all(np.array_equal(getattr(r, f), getattr(want, f)) for f in "ABvw")
