@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateBlockError,
     DegenerateSpectrumError,
     NonConvergentError,
     ZeroRowEntryError,
@@ -41,7 +40,7 @@ from .linalg import (
     min_gap,
     numeric_rank,
 )
-from .variety import AugmentedPair, GaugeElement, split_blocks
+from .variety import AugmentedPair, GaugeElement, check_gauge, split_blocks
 
 
 def simple_gap(gap: float, M, tol: float) -> bool:
@@ -92,23 +91,6 @@ def orbit_dimension(M, tol: float = DEFAULT_TOL) -> int:
     if isinstance(M, AugmentedPair):
         M = M.A
     return numeric_rank(conjugation_operator(M), tol)
-
-
-def in_regular_locus(p: AugmentedPair, tol: float = DEFAULT_TOL) -> bool:
-    """No padded eigenvector of the block survives: every |y'_i| > thr.
-
-    This implies a trivial stabilizer (module docstring), and it holds
-    exactly when normalize finds a unit-row form.  Raises
-    DegenerateBlockError when the block spectrum is not simple, where the
-    predicate is undefined.
-    """
-    try:
-        *_, y, thr = _eigenbasis_border(p.A, tol)
-    except DegenerateSpectrumError as exc:
-        raise DegenerateBlockError(
-            "padded-eigenvector test undefined: block spectrum is not simple"
-        ) from exc
-    return bool((np.abs(y) > thr).all())
 
 
 @dataclass(frozen=True)
@@ -182,12 +164,13 @@ def normal_form(A, B, tol: float = DEFAULT_TOL):
     """Bordered normal form of the pairs (A, B), stacked over leading axes.
 
     Returns (Ah, Bh, G, Ginv): the conjugates of A and B by diag(G, 1),
-    the basechange G itself, unchecked for singularity (GaugeElement and
-    variety.check_gauge check it), and its exact inverse.  See normalize
-    for the contract; the block spectrum comes out in the package
-    ordering.  Any failing item raises.
-    A gauge or conjugate with a non-finite entry (the border row scales G,
-    so at extreme scale it overflows) raises NonConvergentError.
+    the basechange G itself and its exact inverse.  See normalize for the
+    contract; the block spectrum comes out in the package ordering.  Any
+    failing item raises.  A gauge or conjugate with a non-finite entry
+    (the border row scales G, so at extreme scale it overflows) raises
+    NonConvergentError, and a numerically singular G raises
+    SingularMatrixError: normal_form checks its own gauge with
+    variety.check_gauge(G, Ginv), so callers do not check it again.
     """
     n = A.shape[-1] - 1
     lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol)
@@ -209,6 +192,7 @@ def normal_form(A, B, tol: float = DEFAULT_TOL):
         raise NonConvergentError(
             "normal form overflowed: the gauge or the conjugated pair is not finite"
         )
+    check_gauge(G, Gi)
     # snap the structural entries the conjugation guarantees
     idx = np.arange(n)
     Ah[..., :n, :n] = 0.0
@@ -226,7 +210,7 @@ def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL):
     second matrix.  Raises ZeroRowEntryError when a transformed border-row
     entry vanishes (the form does not exist), DegenerateSpectrumError when
     the block spectrum is not simple, NonConvergentError when the result
-    overflows.
+    overflows, SingularMatrixError when the gauge is singular.
 
     Idempotent: a pair already in normal form comes back unchanged up to
     rounding, with gauge near the identity.

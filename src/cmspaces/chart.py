@@ -55,7 +55,6 @@ from .linalg import (
 )
 from .variety import (
     AugmentedPair,
-    check_gauge,
     commutator_level_deviation,
     complex_uniforms_from,
     level_shift,
@@ -71,14 +70,7 @@ from .variety import (
 # first failing item raises.
 
 # ---------------------------------------------------------------------------
-# border projections
-
-
-def _embed_border_col(m: np.ndarray) -> np.ndarray:
-    n = m.shape[-1]
-    out = np.zeros(m.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
-    out[..., :n, n] = m
-    return out
+# packed coordinates and references
 
 
 def _unpack(V, n: int):
@@ -175,27 +167,47 @@ def is_normal_form(p: AugmentedPair, tol: float = DEFAULT_TOL) -> bool:
     return bool(_normal_form_test(p.A, tol))
 
 
+def _reference(ref, lead: tuple, size: int) -> np.ndarray:
+    """ref as complex (..., size), its leading axes broadcasting to lead without enlarging it.
+
+    One reference for every item or one per item (or per group of items);
+    any other shape raises ShapeMismatchError.
+    """
+    ref = np.asarray(ref, dtype=np.complex128)
+    outer = ref.shape[:-1]
+    if (ref.ndim == 0 or ref.shape[-1] != size or len(outer) > len(lead)
+            or any(r not in (1, m) for r, m in zip(outer[::-1], lead[::-1]))):
+        raise ShapeMismatchError(
+            f"reference of shape {ref.shape} does not serve pairs of leading shape {lead}"
+            f" with {size} values each")
+    return ref
+
+
 def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> Decomposition:
     """Split the second matrix of a normal-form pair.
 
     mu is read off the border row of the pair commutator, N1 = diag(mu, 0),
     N2 is the remainder, and the border-column defect comes from [M, N2].
-    Requires normal form, strong semisimplicity and the level condition.
+    Requires normal form (NotNormalizedError, tested here and not again
+    in decompose_stack), strong semisimplicity and the level condition.
     When lamhat_ref is given the spectrum of M is ordered by matching to it
-    instead of the package sort.
+    instead of the package sort; a lamhat_ref that is not n + 1 values
+    raises ShapeMismatchError.
 
     In normal form strong semisimplicity reduces to the two spectral gaps.
     The diagonal block is its own eigenbasis and the border row y' is all
     ones, so by the eigenbasis criterion of canonical no padded
     eigenvector survives and the stabilizer is trivial.  Both gaps use
     the threshold tol * max(1, ||.||_F) that canonical.simple_gap and the
-    eigenbasis test share.  A double full eigenvalue is a Jordan block
-    (the unit row makes M nonderogatory) that rounding splits by about
-    sqrt(eps), above that threshold, so the full gap is also compared
-    with the threshold times the largest eigenvalue condition number
-    kappa_j = ||g_j|| ||ginv_j|| of the frame, which such a split drives
-    to about 1 / sqrt(eps).  Any gap failing raises
-    NotStronglySemisimpleError.
+    eigenbasis test share, the full gap scaled once more by the largest
+    eigenvalue condition number kappa_j = ||g_j|| ||ginv_j|| of the
+    frame, floored at 1.  A double full eigenvalue is a Jordan block (the
+    unit row makes M nonderogatory) that rounding splits by about
+    sqrt(eps), above the plain threshold, but such a split drives kappa
+    to about 1 / sqrt(eps), and an exactly repeated value makes kappa
+    non-finite; either way the one scaled test refuses it.  Since
+    kappa_j >= |g_j . ginv_j| = 1 the scaled test implies the plain one.
+    Any gap failing raises NotStronglySemisimpleError.
 
     Only the eigenvalues of M can come from an eigensolver, and only
     without lamhat_ref.  With it they are the roots of M's secular
@@ -208,6 +220,10 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     1e3 * tol * max(1, max |lamhat|)) and rescaled to linalg.eig's
     convention, which g and S follow.
     """
+    if not _normal_form_test(p.A, max(tol, 1e-12)):
+        raise NotNormalizedError("pair is not in bordered normal form")
+    if lamhat_ref is not None:
+        lamhat_ref = _reference(lamhat_ref, (), p.n + 1)
     return decompose_stack(p.A, p.B, p.tau, tol, lamhat_ref)
 
 
@@ -215,13 +231,14 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
                     lamhat_ref=None) -> Decomposition:
     """decompose for the pairs (A, B) stacked over leading axes.
 
-    Every field of the Decomposition gains the same leading axes.
-    lamhat_ref broadcasts against them: one reference for all items or
-    one per item.
+    Every field of the Decomposition gains the same leading axes.  The
+    pairs must be in normal form already, and lamhat_ref, when given,
+    (..., n + 1) with leading axes that broadcast to the pairs' without
+    enlarging them: one reference for all items or one per item.  The
+    callers make both true (decompose and to_chart_stack test them,
+    from_chart_stack builds normal forms), so neither is tested again.
     """
     n = A.shape[-1] - 1
-    if not all_items(_normal_form_test(A, max(tol, 1e-12))):
-        raise NotNormalizedError("pair is not in bordered normal form")
     idx = np.arange(n)
     block = A[..., :n, :n]
     lam = block[..., idx, idx]
@@ -232,13 +249,11 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
             f"block spectrum not simple: gap {first_failure(block_gap, bad):.3e}")
     lamhat = eigvals(A) if lamhat_ref is None else _tracked_lamhat(A, lam, lamhat_ref)
     full_gap = min_gap(lamhat)
-    # the plain gap first: the frame divides by the differences of lamhat
-    bad = ~simple_gap(full_gap, A, tol)
-    if any_item(bad):
-        raise NotStronglySemisimpleError(
-            f"full spectrum not simple: gap {first_failure(full_gap, bad):.3e}")
-    g, ginv = arrowhead_frame(lam, lamhat)
-    kappa = (np.linalg.norm(g, axis=-1) * np.linalg.norm(ginv, axis=-2)).max(axis=-1)
+    # a repeated value of lamhat makes the frame, and so kappa, non-finite
+    with np.errstate(all="ignore"):
+        g, ginv = arrowhead_frame(lam, lamhat)
+        kappa = np.maximum(1.0, (np.linalg.norm(g, axis=-1)
+                                 * np.linalg.norm(ginv, axis=-2)).max(axis=-1))
     bad = ~simple_gap(full_gap, A, tol * kappa)
     if any_item(bad):
         raise NotStronglySemisimpleError(
@@ -256,9 +271,12 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
     N1[..., idx, idx] = mu
     N2 = B - N1
 
-    K2 = comm(A, N2)
-    defect = K2[..., :n, n].copy()
-    resid = frob(K2 - level_shift(n, tau) - _embed_border_col(defect))
+    # [A, N2] = K - [A, N1], and [A, N1]_ij = A_ij (d_j - d_i) for N1 = diag(d)
+    d = np.diagonal(N1, axis1=-2, axis2=-1)
+    R = K - A * (d[..., None, :] - d[..., :, None]) - level_shift(n, tau)
+    defect = R[..., :n, n].copy()
+    R[..., :n, n] = 0.0
+    resid = frob(R)
     bad = resid > 1e-9 * scale
     if any_item(bad):
         raise LevelConditionError(
@@ -280,8 +298,8 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
 _SECULAR_STEPS = 8
 
 
-def _tracked_lamhat(A, lam, lamhat_ref):
-    """Full spectra of normal-form first matrices, continued from lamhat_ref.
+def _tracked_lamhat(A, lam, ref):
+    """Full spectra of normal-form first matrices, continued from the references ref.
 
     A normal form is the arrowhead [[diag(lam), x], [y^T, a]], whose
     full spectrum is the roots of the secular equation
@@ -298,13 +316,11 @@ def _tracked_lamhat(A, lam, lamhat_ref):
     rounding level, and each lies within MATCH_GUARD times the
     reference gap of its own reference entry, which keeps the roots
     pairwise distinct.  Every other item gets eigvals, in the package
-    ordering.  Each item's result depends on that item alone.
+    ordering.  Each item's result depends on that item alone.  ref is
+    a complex array of the shape decompose_stack states for lamhat_ref.
     """
     n = lam.shape[-1]
     shape = lam.shape[:-1] + (n + 1,)
-    ref = np.asarray(lamhat_ref, dtype=np.complex128)
-    if ref.shape[-1:] != (n + 1,) or np.broadcast_shapes(ref.shape, shape) != shape:
-        return eigvals(A)   # not one reference per item: the matching reports it
     lam = np.ascontiguousarray(lam)
     w = A[..., :n, n] * A[..., n, :n]
     a = A[..., n, n][..., None]
@@ -338,10 +354,12 @@ def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np
     """Packed chart coordinates (..., 4n+2) of the pairs (A, B) stacked over leading axes.
 
     to_chart without ref, to_chart_tracked with it.  ref holds packed
-    reference coordinates (..., 4n+2) that broadcast against the pairs'
-    leading axes, so one reference serves every item or each item has its
-    own.  The pairs are normalized unless every one is in normal form
-    already.  The last step orders lam and mu together: matched to ref's
+    reference coordinates (..., 4n+2) whose leading axes broadcast to the
+    pairs' without enlarging them, so one reference serves every item or
+    each item has its own; any other shape raises ShapeMismatchError
+    before any work.  The pairs are normalized unless every one is in
+    normal form already, so the normal form is tested once per read.
+    The last step orders lam and mu together: matched to ref's
     lam, or in the package ordering without ref.
     """
     A, B = as_square_stack(A), as_square_stack(B)
@@ -350,10 +368,9 @@ def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np
     n = A.shape[-1] - 1
     lam_ref = lamhat_ref = None
     if ref is not None:
-        lam_ref, lamhat_ref, _, _ = _unpack(ref, n)
+        lam_ref, lamhat_ref, _, _ = _unpack(_reference(ref, A.shape[:-2], 4 * n + 2), n)
     if not all_items(_normal_form_test(A, max(tol, 1e-12))):
-        A, B, gauge, gauge_inv = normal_form(A, B, tol)
-        check_gauge(gauge, gauge_inv)
+        A, B, _, _ = normal_form(A, B, tol)
     d = decompose_stack(A, B, tau, tol, lamhat_ref)
     lam = A[..., np.arange(n), np.arange(n)]
     perm = sort_order(lam) if ref is None else match_to_reference(lam, lam_ref)

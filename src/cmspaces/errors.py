@@ -30,10 +30,6 @@ class NonzeroCornerError(CMSpacesError):
     """Projection back to a quadruple requires vanishing corner entries."""
 
 
-class DegenerateBlockError(CMSpacesError):
-    """The inner block is not regular semisimple where the operation needs it."""
-
-
 class ZeroRowEntryError(CMSpacesError):
     """A last-row entry vanishes, so the unit-row normal form does not exist."""
 

@@ -139,7 +139,6 @@ _OBSERVABLES = {
     "trace_second": lambda P, Q: Q.trace(axis1=1, axis2=2),
     "trace_first": lambda P, Q: P.trace(axis1=1, axis2=2),
     "trace_second_sq": lambda P, Q: (Q @ Q).trace(axis1=1, axis2=2),
-    "trace_mixed": lambda P, Q: (P @ Q).trace(axis1=1, axis2=2),
 }
 
 
@@ -205,10 +204,10 @@ def _shear_samples(kind: str, count: int, half_width: float, p: AugmentedPair,
 def lnd_degree(kind: str, observable, p: AugmentedPair, d_max: int = 6) -> int | None:
     """Least polynomial degree of t -> observable(flow(t, p)), or None.
 
-    observable is 'trace_first', 'trace_second', 'trace_second_sq',
-    'trace_mixed', or a callable f(first, second): it takes the flowed pair
-    at all sample times as two stacks of matrices, shape (d_max + 2, n + 1,
-    n + 1) each, and returns one complex sample per time, shape (d_max + 2,).
+    observable is 'trace_first', 'trace_second', 'trace_second_sq', or a
+    callable f(first, second): it takes the flowed pair at all sample
+    times as two stacks of matrices, shape (d_max + 2, n + 1, n + 1) each,
+    and returns one complex sample per time, shape (d_max + 2,).
     The cubic trace word of the second matrix, for instance, is
     lambda P, Q: (Q @ Q @ Q).trace(axis1=1, axis2=2).
 

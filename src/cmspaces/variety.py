@@ -150,6 +150,8 @@ def check_gauge(g, ginv=None) -> None:
     smallest singular value is at least 1 / ||ginv||_F and the largest at
     most ||g||_F), so it accepts at once; the SVD runs only when that
     bound is inconclusive, and the accepted set stays the same.
+    canonical.normal_form checks the gauge it builds this way, with its
+    exact inverse.
     """
     if ginv is not None and all_items(1.0 / frob(ginv) > 1e-12 * np.maximum(1.0, frob(g))):
         return

@@ -50,6 +50,23 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def test_every_package_error_is_raised_somewhere():
+    # a typed error that nothing raises is dead; only a base class, which
+    # callers catch, may go unraised
+    package = Path(cmspaces.__file__).parent
+    classes = {node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+               for node in ast.parse((package / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    bases = set().union(*classes.values())
+    raised = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert sorted(set(classes) - bases - raised) == []
+
+
 def test_no_module_imports_a_private_name_from_another():
     private = {}
     for path in sorted(Path(cmspaces.__file__).parent.glob("*.py")):

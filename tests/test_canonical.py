@@ -6,7 +6,6 @@ import pytest
 from cmspaces.canonical import (
     RegularityReport,
     conjugation_operator,
-    in_regular_locus,
     normalize,
     orbit_dimension,
     regularity_report,
@@ -55,23 +54,24 @@ def _bordered(n, seed, zero_x0=False, zero_y0=False):
 
 
 def test_eigenbasis_criterion_matches_the_certificates():
-    # orbit_dim agrees with the orbit SVD, and in_regular_locus holds exactly
-    # when the unit-row form exists.  A zero (x'_0, y'_0) leaves a
-    # one-dimensional stabilizer; a zero y'_0 alone keeps the orbit full
-    # but lets a padded eigenvector survive.
+    # orbit_dim agrees with the orbit SVD, and the report's in_regular_locus
+    # holds exactly when the unit-row form exists.  A zero (x'_0, y'_0)
+    # leaves a one-dimensional stabilizer; a zero y'_0 alone keeps the
+    # orbit full but lets a padded eigenvector survive.
     cases = [(_pair(n, 90 + n), n * n, True) for n in range(1, 7)]
     for n in range(1, 6):
         cases += [(_bordered(n, 40 + n), n * n, True),
                   (_bordered(n, 40 + n, zero_x0=True, zero_y0=True), n * n - 1, False),
                   (_bordered(n, 40 + n, zero_y0=True), n * n, False)]
     for p, dim, regular in cases:
-        assert regularity_report(p).orbit_dim == orbit_dimension(p.A) == dim
+        rep = regularity_report(p)
+        assert rep.orbit_dim == orbit_dimension(p.A) == dim
         try:
             normalize(p)
             normal_form_exists = True
         except ZeroRowEntryError:
             normal_form_exists = False
-        assert in_regular_locus(p) == normal_form_exists == regular
+        assert rep.in_regular_locus == normal_form_exists == regular
 
 
 def test_regularity_predicates_make_no_svd_on_a_simple_block(monkeypatch):
@@ -79,7 +79,8 @@ def test_regularity_predicates_make_no_svd_on_a_simple_block(monkeypatch):
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
-    assert regularity_report(p).orbit_dim == 36 and in_regular_locus(p)
+    rep = regularity_report(p)
+    assert rep.orbit_dim == 36 and rep.in_regular_locus
     assert calls == []
 
 
@@ -114,8 +115,8 @@ def test_seeded_pairs_sit_in_the_regular_locus():
     for seed in range(6):
         n = 1 + seed % 5
         p = _pair(n, 70 + seed)
-        assert in_regular_locus(p)
         rep = regularity_report(p)
+        assert rep.in_regular_locus
         assert isinstance(rep, RegularityReport)
         assert rep.block_regular_semisimple
         assert rep.full_regular_semisimple

@@ -11,7 +11,6 @@ import cmspaces.chart as chart_module
 from cmspaces.canonical import normalize
 from cmspaces.chart import (
     ChartPoint,
-    _embed_border_col,
     _unpack,
     chart_jacobian,
     chart_jacobian_stack,
@@ -155,16 +154,20 @@ def test_decompose_requires_normal_form():
     (arrowhead([0.0, 2.0], [0.0, 0.0, 3.0]), 1e-9),
     # generic double lamhat: M is then a 2 x 2 Jordan block (the unit row
     # makes it nonderogatory), which rounding splits by about sqrt(eps);
-    # a tolerance above that split sees it in the plain gap test
+    # a tolerance above that split sees it even before kappa scales it
     (arrowhead([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-6),
     # and at the default tolerance the gap test scaled by the eigenvalue
     # condition number (about 6e7 for the split pair) sees it
     (arrowhead([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-9),
+    # a computed full spectrum that repeats a value exactly: the frame,
+    # and so kappa, is not finite, and the same scaled test refuses it
+    (np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]], dtype=complex), 1e-9),
 ])
 def test_decompose_rejects_repeated_spectra_as_not_strongly_semisimple(A, tol):
     # regularity is tested before the level condition, so B is arbitrary
     B = np.arange(A.size, dtype=complex).reshape(A.shape)
-    with pytest.raises(NotStronglySemisimpleError):
+    with warnings.catch_warnings(), pytest.raises(NotStronglySemisimpleError):
+        warnings.simplefilter("error", RuntimeWarning)
         decompose(AugmentedPair(A, B, 1.0), tol)
 
 
@@ -211,7 +214,9 @@ def _eig_chart_frame(lam, lamhat, tau, tol=1e-9):
     m = np.empty(lam.shape, dtype=np.complex128)
     for item in np.ndindex(lam.shape[:-1]):
         m[item] = np.linalg.lstsq(K[item], b[item], rcond=None)[0]
-    R = g @ (shift + _embed_border_col(m)) @ ginv
+    border = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
+    border[..., :n, n] = m
+    R = g @ (shift + border) @ ginv
     full = np.arange(n + 1)
     gaps = lamhat[..., :, None] - lamhat[..., None, :]
     gaps[..., full, full] = 1.0
@@ -519,6 +524,38 @@ def test_a_reference_of_the_wrong_size_is_a_shape_error():
     for ref in ([1.0, 2.0], 3.0):
         with pytest.raises(ShapeMismatchError):
             decompose(p, lamhat_ref=np.asarray(ref))
+
+
+@pytest.mark.parametrize("pairs, ref_shape", [
+    (3, (2,)),        # 3 pairs, 2 references
+    (None, (3,)),     # 1 pair, 3 copies of its own reference
+    (3, (1, 3)),      # 3 pairs, references that would add a leading axis
+])
+def test_a_reference_that_does_not_serve_the_pairs_is_a_shape_error(pairs, ref_shape):
+    c = random_chart_point(2, 1.0, 1)
+    p = from_chart(c)
+    A, B = (p.A, p.B) if pairs is None else (np.array([p.A] * pairs), np.array([p.B] * pairs))
+    ref = np.broadcast_to(c.vector(), ref_shape + (10,))
+    with pytest.raises(ShapeMismatchError):
+        to_chart_stack(A, B, 1.0, ref=ref)
+    if pairs is None:
+        with pytest.raises(ShapeMismatchError):
+            decompose(p, lamhat_ref=ref[..., 2:5])
+
+
+def test_a_normal_form_read_tests_the_form_once_and_forms_one_commutator(monkeypatch):
+    c = random_chart_point(4, 1.0, 12)
+    p = from_chart(c)
+    counts = {"_normal_form_test": 0, "comm": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(chart_module, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(chart_module, name, counted)
+    got = to_chart(p)
+    assert counts == {"_normal_form_test": 1, "comm": 1}
+    assert np.abs(got.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())
 
 
 def test_stacked_chart_points_are_the_one_point_draws():
