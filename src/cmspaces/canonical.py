@@ -215,5 +215,5 @@ def normalize(p: AugmentedPair, tol: float = DEFAULT_TOL):
     Idempotent: a pair already in normal form comes back unchanged up to
     rounding, with gauge near the identity.
     """
-    Ah, Bh, G, _ = normal_form(p.A, p.B, tol)
-    return AugmentedPair(Ah, Bh, p.tau), GaugeElement(G)
+    Ah, Bh, G, Ginv = normal_form(p.A, p.B, tol)
+    return AugmentedPair(Ah, Bh, p.tau), GaugeElement(G, Ginv)

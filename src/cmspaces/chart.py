@@ -29,6 +29,7 @@ from .errors import (
     DegenerateSpectrumError,
     EigenMismatchError,
     LevelConditionError,
+    NonConvergentError,
     NotNormalizedError,
     NotStronglySemisimpleError,
     ShapeMismatchError,
@@ -136,8 +137,9 @@ class Decomposition:
 
     N1 = diag(mu, 0) commutes with the block of the first matrix; the
     commutator [M, N2] is the level shift plus the border column `defect`;
-    g diagonalizes M with spectrum lamhat, and g N2 g^-1 = diag(muhat) + S
-    with S off-diagonal.
+    g diagonalizes M with spectrum lamhat, ginv is its inverse (the
+    eigenvector columns), and g N2 ginv = diag(muhat) + S with S
+    off-diagonal.
     """
 
     mu: np.ndarray
@@ -145,6 +147,7 @@ class Decomposition:
     lamhat: np.ndarray
     defect: np.ndarray
     g: np.ndarray
+    ginv: np.ndarray
     N1: np.ndarray
     N2: np.ndarray
     S: np.ndarray
@@ -291,7 +294,7 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
     muhat = S[..., full, full]
     S[..., full, full] = 0.0
     return Decomposition(mu=mu, muhat=muhat, lamhat=lamhat, defect=defect,
-                         g=g, N1=N1, N2=N2, S=S)
+                         g=g, ginv=ginv, N1=N1, N2=N2, S=S)
 
 
 # Newton steps a tracked read takes at most before it stops its item
@@ -396,6 +399,101 @@ def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL
     not injective at the reference gaps.
     """
     return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol, ref.vector()), p.n, p.tau)
+
+
+# ---------------------------------------------------------------------------
+# the tangent of a read
+
+
+def _read_tangent(A, B, d: Decomposition, dA, dB) -> np.ndarray:
+    """Packed tangents (..., k, 4n+2) of the read of normal-form pairs along k tangents each.
+
+    (A, B) are normal-form pairs (..., n+1, n+1) and d their
+    decomposition.  (dA, dB) are tangents (..., k, n+1, n+1) whose first
+    matrix keeps the normal form: its off-diagonal block and border row
+    vanish.  The read is differentiated at its base point by the
+    first-order formulas for simple eigenvalues and their eigenvectors
+    (Stewart & Sun, Matrix Perturbation Theory, 1990, ch. IV-V).  With
+    E = g dA ginv,
+
+        dlam = diag(dA)[:n],  dlamhat = diag(E),
+        dmu = ([dA, B] + [A, dB])[n, :n],
+        dmuhat = diag(g dN2 ginv) + diag(C M - M C),
+
+    where dN2 = dB - diag(dmu, 0), M = g N2 ginv = diag(muhat) + S, and
+    C_jk = E_jk / (lamhat_j - lamhat_k) off the diagonal is the frame's
+    first-order rotation.  The diagonals of C and M drop out of the last
+    term, which is sum_k (E_jk S_kj + S_jk E_kj) / (lamhat_j - lamhat_k).
+    lam and mu follow the diagonal of A, lamhat and muhat the order of d.
+    A tangent with a non-finite entry (at extreme scale the products
+    overflow) raises NonConvergentError.
+    """
+    n = A.shape[-1] - 1
+    idx, full = np.arange(n), np.arange(n + 1)
+    A, B = A[..., None, :, :], B[..., None, :, :]
+    g, ginv, S = d.g[..., None, :, :], d.ginv[..., None, :, :], d.S[..., None, :, :]
+    lamhat = d.lamhat[..., None, :]
+    with np.errstate(all="ignore"):     # an overflow is refused below
+        E = g @ dA @ ginv
+        # row n of [dA, B] + [A, dB]
+        dK = dA[..., n:, :] @ B - B[..., n:, :] @ dA + A[..., n:, :] @ dB - dB[..., n:, :] @ A
+        dmu = dK[..., 0, :n]
+        ginv_t = np.swapaxes(ginv, -1, -2)
+        dmuhat = (((g @ dB) * ginv_t).sum(axis=-1)
+                  - (g[..., :n] * ginv_t[..., :n] * dmu[..., None, :]).sum(axis=-1))
+        gaps = lamhat[..., :, None] - lamhat[..., None, :]
+        gaps[..., full, full] = 1.0     # the numerator's diagonal is 0, as S's is
+        T = E * np.swapaxes(S, -1, -2)
+        dmuhat += ((T + np.swapaxes(T, -1, -2)) / gaps).sum(axis=-1)
+    out = np.concatenate([dA[..., idx, idx], E[..., full, full], dmu, dmuhat], axis=-1)
+    if not np.isfinite(out).all():
+        raise NonConvergentError("chart tangent overflowed: it has a non-finite entry")
+    return out
+
+
+def tracked_tangent(p: AugmentedPair, dA, dB, ref: ChartPoint,
+                    tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Derivative of to_chart_tracked(., ref) at the normal-form pair p along tangents (dA, dB).
+
+    dA and dB stack k tangent matrices at p, (k, n+1, n+1); the result
+    is (k, 4n+2), packed like ChartPoint.vector.  p is read once, with
+    every check of the read, and the derivative is closed form
+    (_read_tangent).  A tangent generally leaves the normal form, which
+    the read restores by a basechange, so its gauge part is removed
+    first: the block X with
+
+        X_jk = dA_jk / (lam_j - lam_k)  (j != k),
+        X_kk = dA[n, k] - sum_{j != k} X_jk,
+
+    embedded as Y = diag(X, 0), turns (dA, dB) into
+    (dA + [Y, A], dB + [Y, B]), whose first matrix has a vanishing
+    off-diagonal block and border row.  Raises NotNormalizedError when p
+    is not in normal form and ShapeMismatchError when the sizes differ.
+    """
+    n = p.n
+    dA, dB = as_square_stack(dA), as_square_stack(dB)
+    if dA.ndim != 3 or dA.shape != dB.shape or dA.shape[-1] != n + 1 or ref.n != n:
+        raise ShapeMismatchError(
+            f"tangents {dA.shape}, {dB.shape} and a reference of size {ref.n}"
+            f" do not serve a pair of size {n}")
+    if not _normal_form_test(p.A, max(tol, 1e-12)):
+        raise NotNormalizedError("pair is not in bordered normal form")
+    d = decompose_stack(p.A, p.B, p.tau, tol, ref.lamhat)
+    idx = np.arange(n)
+    lam = p.A[idx, idx]
+    gaps = lam[:, None] - lam[None, :]
+    gaps[idx, idx] = 1.0
+    Y = np.zeros_like(dA)
+    with np.errstate(all="ignore"):     # _read_tangent refuses an overflow
+        X = dA[:, :n, :n] / gaps
+        X[:, idx, idx] = 0.0
+        X[:, idx, idx] = dA[:, n, :n] - X.sum(axis=-2)
+        Y[:, :n, :n] = X
+        dA, dB = dA + Y @ p.A - p.A @ Y, dB + Y @ p.B - p.B @ Y
+    T = _read_tangent(p.A, p.B, d, dA, dB)
+    perm = match_to_reference(lam, ref.lam)
+    return np.concatenate([T[:, perm], T[:, n:2 * n + 1], T[:, 2 * n + 1 + perm],
+                           T[:, 3 * n + 1:]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -551,24 +649,40 @@ def random_chart_point(n: int, tau: complex, seed: int) -> ChartPoint:
 def chart_jacobian_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL) -> np.ndarray:
     """chart_jacobian at the base points V (..., 4n+2); returns (..., 4n+2, 4n+2).
 
-    The 2 (4 n + 2) perturbations of every base point go through the
-    chart as one stack, each tracked against its own base point.
+    Each base point is rebuilt and read once, and the read's closed-form
+    tangent (_read_tangent) takes every column.  The 2 (2 n + 1)
+    perturbations of lam and lamhat go through from_chart_stack as one
+    stack, at step 1e-6.  mu and muhat enter the rebuild linearly, so
+    their tangents are exact: a unit of mu_k adds the matrix unit E_kk to
+    the second matrix, and a unit of muhat_j the spectral projector
+    ginv[:, j] g[j, :] of the base point.
     """
-    _unpack(V, n)   # shape and finiteness of the base points
-    base = np.asarray(V, dtype=np.complex128)[..., None, :]
-    dim = 4 * n + 2
+    _, lamhat, _, _ = _unpack(V, n)
+    V = np.asarray(V, dtype=np.complex128)
+    A, B = from_chart_stack(V, n, tau, tol)
+    d = decompose_stack(A, B, tau, tol, lamhat)
+    spectral = 2 * n + 1
     step = 1e-6
-    steps = step * np.eye(dim)
-    A, B = from_chart_stack(np.concatenate([base + steps, base - steps], axis=-2), n, tau, tol)
-    back = to_chart_stack(A, B, tau, tol, ref=base)
-    return np.swapaxes((back[..., :dim, :] - back[..., dim:, :]) / (2.0 * step), -1, -2)
+    steps = step * np.eye(spectral, 4 * n + 2)
+    base = V[..., None, :]
+    Ap, Bp = from_chart_stack(np.concatenate([base + steps, base - steps], axis=-2), n, tau, tol)
+    dA = np.zeros(Ap.shape[:-3] + (4 * n + 2,) + Ap.shape[-2:], dtype=np.complex128)
+    dB = np.zeros_like(dA)
+    dA[..., :spectral, :, :] = (Ap[..., :spectral, :, :] - Ap[..., spectral:, :, :]) / (2.0 * step)
+    dB[..., :spectral, :, :] = (Bp[..., :spectral, :, :] - Bp[..., spectral:, :, :]) / (2.0 * step)
+    idx = np.arange(n)
+    dB[..., spectral + idx, idx, idx] = 1.0
+    dB[..., 3 * n + 1:, :, :] = np.swapaxes(d.ginv, -1, -2)[..., :, :, None] * d.g[..., :, None, :]
+    return np.swapaxes(_read_tangent(A, B, d, dA, dB), -1, -2)
 
 
 def chart_jacobian(c: ChartPoint, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Central-difference Jacobian of to_chart(from_chart(.)) at c, at step 1e-6.
+    """Jacobian of to_chart(from_chart(.)) at c, the read tracked against c.
 
-    Tracked coordinates keep one analytic branch, so on the chart domain
-    this is numerically the identity and its rank certifies the coordinate
-    count 4 n + 2.
+    The read's tangent is closed form at c (first-order perturbation of
+    its simple spectra and their frame); the rebuild's is a central
+    difference at step 1e-6 in lam and lamhat and exact in mu and
+    muhat.  On the chart domain this is the identity up to the rebuild's
+    step error, and its rank certifies the coordinate count 4 n + 2.
     """
     return chart_jacobian_stack(c.vector(), c.n, c.tau, tol)

@@ -15,8 +15,9 @@ and commutes with augmentation entry for entry.  Three one-parameter
 subgroups generate the action: the lower shear (1, 0; t, 1) adds t M to N,
 the upper shear (1, t; 0, 1) adds t N to M, and the diagonal subgroup
 scales the pair by (e^t, e^-t).  Their induced vector fields are computed
-here both numerically (finite differences of tracked chart coordinates)
-and from the closed-form components the shear and scaling actions admit.
+here both from the chart (the tracked read's closed-form tangent along
+the generator's tangent pair) and from the closed-form components the
+shear and scaling actions admit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .chart import (
     from_chart,
     project_to_slice,
     slice_residual,
-    to_chart_stack,
+    tracked_tangent,
 )
 from .linalg import DEFAULT_TOL, frob, min_gap
 from .variety import (
@@ -233,9 +234,9 @@ def fixed_point_probe(r: Representation, t: float):
 class ChartTangent:
     """Tangent vector at a chart point.
 
-    Numerically computed fields fill all four coordinate blocks; closed-form
-    fields fill only the components the computation determines and leave the
-    rest None (never silently zero).  d_s carries power-sum components
+    Fields read through the chart (numeric_field) fill all four coordinate
+    blocks; closed-form fields fill only the components the computation
+    determines and leave the rest None (never silently zero).  d_s carries power-sum components
     {k: d s_k} when they are the natural closed form.
     """
 
@@ -270,31 +271,28 @@ class ChartTangent:
         }
 
 
-def _central_difference(f) -> np.ndarray:
-    """(f(h) - f(-h)) / (2 h) at h = 1e-5, the quotient of the numeric field derivatives.
+def _fields(gens, c: ChartPoint, tol: float) -> np.ndarray:
+    """Packed induced fields (len(gens), 4n+2) of the generators at c, from one read of c.
 
-    f takes both times (h, -h) and returns its two values stacked.
+    At t = 0 the flow of X = ((p, q), (r, -p)) moves the pair along its
+    tangent pair (p A + q B, r A - p B), which act_pair builds from X.
     """
-    step = 1e-5
-    ahead, behind = f((step, -step))
-    return (ahead - behind) / (2.0 * step)
+    p = from_chart(c, tol)
+    tangents = [act_pair(gen.matrix(), p) for gen in gens]
+    return tracked_tangent(p, np.array([t.A for t in tangents]),
+                           np.array([t.B for t in tangents]), c, tol)
 
 
 def numeric_field(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartTangent:
-    """Induced field of a one-parameter subgroup by central differences.
+    """Induced field of a one-parameter subgroup, read through the chart at c.
 
-    Chart coordinates of the flowed pair are tracked against c so the
-    difference quotient follows one analytic branch; both flowed pairs
-    are read in one stacked call.
+    The field is the derivative of the tracked chart read along the
+    generator's tangent pair at from_chart(c), with the pair's gauge part
+    removed (chart.tracked_tangent).  It is closed form at the base
+    point, so no flowed pair is built or read, and the read's contract
+    checks run at c.
     """
-    p = from_chart(c, tol)
-
-    def coords(times) -> np.ndarray:
-        flowed = [act_pair(gen.exp(t), p) for t in times]
-        return to_chart_stack(np.array([q.A for q in flowed]), np.array([q.B for q in flowed]),
-                              c.tau, tol, ref=c.vector())
-
-    d = _central_difference(coords)
+    d = _fields((gen,), c, tol)[0]
     n = c.n
     return ChartTangent(
         base=c,
@@ -379,17 +377,14 @@ def find_independence_point(n: int, tau: complex, seed: int,
 def slice_tangency(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL):
     """Flow derivatives of the two slice functions at a chart point.
 
-    The slice functions (trace mismatch and second corner) are invariant
-    under embedded basechange, so they are evaluated on the flowed pair
-    directly; both derivatives vanish when the field is tangent to the
-    slice at c.  Returns (|d trace mismatch|, |d second corner|).
+    The slice functions (trace mismatch A[n, n] and second corner
+    B[n, n]) are invariant under embedded basechange and linear in the
+    pair, so their derivatives along the flow at t = 0 are their values
+    on the generator's tangent pair at from_chart(c).  Both vanish when
+    the field is tangent to the slice at c.  Returns
+    (|d trace mismatch|, |d second corner|).
     """
-    p = from_chart(c, tol)
-
-    def values(times) -> np.ndarray:
-        return np.array([slice_residual(act_pair(gen.exp(t), p)) for t in times])
-
-    d = _central_difference(values)
+    d = slice_residual(act_pair(gen.matrix(), from_chart(c, tol)))
     return float(abs(d[0])), float(abs(d[1]))
 
 
@@ -398,11 +393,10 @@ def independence_rank(c: ChartPoint, tol: float = DEFAULT_TOL):
 
     Returns (rank, ratio) with ratio the smallest over largest singular
     value of the 3 x (4 n + 2) stack of the lower-shear, upper-shear and
-    scaling fields; the rank counts singular values above 1e-8 times the
-    largest.
+    scaling fields (numeric_field's, from one read of c); the rank counts
+    singular values above 1e-8 times the largest.
     """
-    rows = [numeric_field(gen, c, tol).vector() for gen in (GEN_E, GEN_F, GEN_H)]
-    M = np.vstack(rows)
+    M = _fields((GEN_E, GEN_F, GEN_H), c, tol)
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0, 0.0

@@ -117,41 +117,65 @@ class AugmentedPair:
 
 @dataclass(frozen=True)
 class GaugeElement:
-    """Invertible n x n basechange, embedded as diag(g, 1) when acting on pairs."""
+    """Invertible n x n basechange, embedded as diag(g, 1) when acting on pairs.
+
+    It holds g and its inverse ginv.  A caller that already holds the
+    exact inverse (canonical.normalize does) passes it, and it is kept as
+    given; otherwise it is computed here, once.  Either way
+    check_gauge(g, ginv) runs once, which needs no SVD unless its norm
+    bound is inconclusive.
+    """
 
     g: np.ndarray
+    ginv: np.ndarray | None = None
 
     def __post_init__(self):
         g = as_cmatrix(self.g, square=True)
-        check_gauge(g)
+        if self.ginv is None:
+            try:
+                ginv = np.linalg.inv(g)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrixError("gauge element is singular") from exc
+        else:
+            ginv = as_cmatrix(self.ginv, square=True)
+            if ginv.shape != g.shape:
+                raise ShapeMismatchError(f"inverse shape {ginv.shape} does not match {g.shape}")
+        check_gauge(g, ginv)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "ginv", ginv)
 
     @property
     def n(self) -> int:
         return self.g.shape[0]
 
     def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g)
+        """The held inverse."""
+        return self.ginv
 
     def embedded(self) -> np.ndarray:
-        n = self.n
-        E = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        E[:n, :n] = self.g
-        E[n, n] = 1.0
-        return E
+        return _embed(self.g)
+
+
+def _embed(g: np.ndarray) -> np.ndarray:
+    """diag(g, 1)."""
+    n = g.shape[0]
+    E = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    E[:n, :n] = g
+    E[n, n] = 1.0
+    return E
 
 
 def check_gauge(g, ginv=None) -> None:
     """Raise SingularMatrixError unless every basechange in the stack g is invertible.
 
-    The test GaugeElement applies: smallest singular value above 1e-12
-    times max(1, largest).  When the caller holds the exact inverse ginv,
+    The invertibility test: smallest singular value above 1e-12 times
+    max(1, largest).  When the caller holds the exact inverse ginv,
     1 / ||ginv||_F > 1e-12 max(1, ||g||_F) implies that test (the
     smallest singular value is at least 1 / ||ginv||_F and the largest at
     most ||g||_F), so it accepts at once; the SVD runs only when that
     bound is inconclusive, and the accepted set stays the same.
-    canonical.normal_form checks the gauge it builds this way, with its
-    exact inverse.
+    canonical.normal_form and GaugeElement check their gauges this way,
+    with the exact inverse.
     """
     if ginv is not None and all_items(1.0 / frob(ginv) > 1e-12 * np.maximum(1.0, frob(g))):
         return
@@ -220,8 +244,7 @@ def gauge_act_pair(g: GaugeElement, p: AugmentedPair) -> AugmentedPair:
     """Conjugate a pair by the embedded basechange diag(g, 1)."""
     if g.n != p.n:
         raise ShapeMismatchError(f"gauge size {g.n} does not match pair size {p.n}")
-    E = g.embedded()
-    Ei = np.linalg.inv(E)
+    E, Ei = g.embedded(), _embed(g.ginv)
     return AugmentedPair(E @ p.A @ Ei, E @ p.B @ Ei, p.tau)
 
 
@@ -574,13 +597,17 @@ def random_quadruple(n: int, k: int, tau: complex, seed: int) -> Representation:
 
 
 def random_gauge(n: int, seed: int) -> GaugeElement:
-    """Seeded invertible basechange with condition number at most 100, in 32 draws."""
+    """Seeded invertible basechange with condition number at most 100, in 32 draws.
+
+    The condition bound takes one SVD; GaugeElement's own check then
+    passes by the norm bound of the inverse, without a second SVD.
+    """
     rng = np.random.default_rng(seed)
     for _ in range(32):
         g = _complex_uniform(rng, (n, n)) + 1.2 * np.eye(n)
         s = np.linalg.svd(g, compute_uv=False)
         if s[-1] > 0 and s[0] / s[-1] <= 100.0:
-            return GaugeElement(g)
+            return GaugeElement(g, np.linalg.inv(g))
     raise SingularMatrixError("could not draw a well conditioned gauge element")
 
 

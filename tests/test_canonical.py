@@ -150,6 +150,25 @@ def test_normalize_produces_the_stated_shape():
     assert frob(q.A - nf.A) + frob(q.B - nf.B) < 1e-9 * max(1.0, frob(p.A) * frob(p.B))
 
 
+def test_normalize_checks_its_gauge_once_and_holds_its_inverse(monkeypatch):
+    # one eigendecomposition of the block (with its inverse inside
+    # linalg.eig); the gauge normal_form checked against its exact inverse
+    # is not checked again by an SVD, and the element holds that inverse
+    p = _pair(5, 83)
+    calls = []
+    for name in ("eig", "inv", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    nf, gauge = normalize(p)
+    assert calls == ["eig", "inv"]
+    assert frob(gauge.g @ gauge.inv() - np.eye(5)) < 1e-9 * frob(gauge.g) * frob(gauge.inv())
+
+
 def test_normalize_is_constant_on_orbits():
     p = _pair(3, 81)
     g = random_gauge(3, 82)

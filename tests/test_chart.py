@@ -59,6 +59,7 @@ from cmspaces.variety import (
     random_gauge,
     random_point,
 )
+from cmspaces.sl2 import GEN_E, GEN_F, GEN_H, numeric_field, slice_tangency
 
 # one-site pair sitting exactly on the level set at tau = 1
 HAND_A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -357,7 +358,11 @@ def test_chart_jacobian_has_full_rank():
 
 
 def _serial_chart_jacobian(c, tol=1e-9, step=1e-6):
-    """The one-perturbation-at-a-time loop the stacked Jacobian replaced."""
+    """The Jacobian by central differences of tracked reads, one perturbation at a time.
+
+    The oracle of chart_jacobian, which takes the read's tangent in closed
+    form and differences only the rebuild.
+    """
     base = c.vector()
     dim = base.size
     J = np.empty((dim, dim), dtype=np.complex128)
@@ -381,12 +386,16 @@ def test_stacked_jacobian_matches_the_serial_loop():
 def test_chart_jacobian_lapack_call_budget(monkeypatch):
     # no LAPACK call at all: from_chart rebuilds normal forms with a
     # closed-form frame, a normal form is read without normalizing again,
-    # and a tracked read takes lamhat from the secular equation, continued
-    # from its reference
+    # a tracked read takes lamhat from the secular equation, continued
+    # from its reference, and the read's tangent is closed form; the
+    # induced fields and the slice rates read no flowed pair
     c = random_chart_point(5, 1.0, 65)
-    calls = _count_lapack(monkeypatch, ("eig", "eigvals", "inv", "lstsq"))
+    calls = _count_lapack(monkeypatch, ("eig", "eigvals", "inv", "svd", "lstsq"))
     J = chart_jacobian(c)
     tracked = to_chart_tracked(from_chart(c), c)
+    for gen in (GEN_E, GEN_F, GEN_H):
+        numeric_field(gen, c)
+        slice_tangency(gen, c)
     monkeypatch.undo()
     assert numeric_rank(J, tol=1e-6) == 22
     assert np.abs(tracked.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())

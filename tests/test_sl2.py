@@ -1,12 +1,15 @@
 """Tests for the two-by-two group layer: elements, exponentials, the action
 on quadruples and pairs, and the induced chart fields."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from cmspaces.errors import ShapeMismatchError, ZeroPairError
-from cmspaces.linalg import frob
+from cmspaces.errors import CMSpacesError, NotStronglySemisimpleError, ShapeMismatchError, ZeroPairError
+from cmspaces.linalg import arrowhead_frame, frob, min_gap
 from cmspaces.sl2 import (
     GEN_E,
     GEN_F,
@@ -23,7 +26,15 @@ from cmspaces.sl2 import (
     sl2_exp,
     slice_tangency,
 )
-from cmspaces.chart import from_chart, slice_residual, to_chart, to_chart_tracked
+from cmspaces.chart import (
+    ChartPoint,
+    from_chart,
+    random_chart_point,
+    slice_residual,
+    to_chart,
+    to_chart_stack,
+    to_chart_tracked,
+)
 from cmspaces.variety import (
     augment,
     level_residual,
@@ -140,16 +151,80 @@ def test_lower_shear_field_matches_the_closed_form():
         assert np.abs(blk).max() < 1e-6 * scale
 
 
-def test_numeric_field_reads_both_flowed_pairs_with_one_item_bits():
-    # one stacked read of the two flowed pairs, each item as its own read
+def _central_difference_field(gen, c):
+    """The induced field by central differences of tracked reads of the flowed pairs.
+
+    The oracle the closed-form numeric_field replaced.  Its step is 1e-5,
+    shrunk where the flow moves the first matrix faster than it is large
+    (the upper shear at large tau), so that the flowed reads stay on the
+    reference's branch.
+    """
+    p = from_chart(c)
+    step = 1e-5 * max(1.0, frob(p.A)) / max(1.0, frob(act_pair(gen.matrix(), p).A))
+    flowed = [act_pair(gen.exp(t), p) for t in (step, -step)]
+    ahead, behind = to_chart_stack(np.array([q.A for q in flowed]), np.array([q.B for q in flowed]),
+                                   c.tau, ref=c.vector())
+    return (ahead - behind) / (2.0 * step)
+
+
+def _field_tolerance(c, oracle):
+    """Bound on |numeric_field - oracle|: the oracle's step and rounding errors, scaled by conditioning.
+
+    Both grow with kappa / gap, kappa the largest eigenvalue condition
+    number of the chart frame and gap the smallest spectral gap of lam and
+    lamhat (the first-order rotation divides by the lamhat gaps, the gauge
+    removal by the lam gaps), and with the size of the field and of the
+    pair the reads round in.
+    """
+    g, ginv = arrowhead_frame(c.lam, c.lamhat)
+    kappa = (np.linalg.norm(g, axis=-1) * np.linalg.norm(ginv, axis=-2)).max()
+    cond = kappa / min(min_gap(c.lam), min_gap(c.lamhat))
+    return 1e-8 * cond**2 * (np.abs(oracle).max() + pair_scale(from_chart(c)))
+
+
+def test_numeric_field_matches_the_central_difference_oracle():
     c = find_independence_point(3, 1.0, 17)
-    p, step = from_chart(c), 1e-5
     for gen in (GEN_E, GEN_F, GEN_H):
-        ahead, behind = (to_chart_tracked(act_pair(gen.exp(t), p), c).vector()
-                         for t in (step, -step))
-        d = (ahead - behind) / (2.0 * step)
-        num = numeric_field(gen, c)
-        assert np.array_equal(np.concatenate([num.d_lam, num.d_lamhat, num.d_mu, num.d_muhat]), d)
+        oracle = _central_difference_field(gen, c)
+        got = numeric_field(gen, c).vector()
+        assert np.abs(got - oracle).max() <= _field_tolerance(c, oracle)
+        # and well inside the bound at this well-separated point
+        assert np.abs(got - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**31 - 1), st.sampled_from([1.0, 1e4]),
+       st.sampled_from([GEN_E, GEN_F, GEN_H]))
+def test_numeric_field_agrees_with_the_oracle_or_raises_like_the_base_read(n, seed, tau, gen):
+    c = random_chart_point(n, tau, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            to_chart_tracked(from_chart(c), c)
+        except CMSpacesError as exc:
+            with pytest.raises(type(exc)):
+                numeric_field(gen, c)
+            return
+        got = numeric_field(gen, c).vector()
+        try:
+            oracle = _central_difference_field(gen, c)
+        except CMSpacesError:
+            return      # a flowed read the step carried off its branch
+    assert np.abs(got - oracle).max() <= _field_tolerance(c, oracle)
+
+
+@pytest.mark.parametrize("gen", [GEN_E, GEN_F, GEN_H], ids=["e", "f", "h"])
+def test_a_near_coalescing_lam_raises_the_base_reads_error(gen):
+    # lam_1 within 1e-6 of lam_0: the read of the base point refuses it,
+    # and so does the field, with the same error and no huge field
+    c = find_independence_point(3, 1.0, 17)
+    lam = c.lam.copy()
+    lam[1] = lam[0] + 1e-6
+    c = ChartPoint(lam, c.lamhat, c.mu, c.muhat, 1.0)
+    with pytest.raises(NotStronglySemisimpleError):
+        to_chart_tracked(from_chart(c), c)
+    with pytest.raises(NotStronglySemisimpleError):
+        numeric_field(gen, c)
 
 
 def test_scaling_and_upper_shear_trace_components():
@@ -188,10 +263,15 @@ def test_independence_certificate():
 
 def test_fields_are_tangent_to_the_slice():
     c = find_independence_point(2, 1.0, 19)
+    p, step = from_chart(c), 1e-5
     for gen in (GEN_E, GEN_F, GEN_H):
         tr_rate, corner_rate = slice_tangency(gen, c)
         assert abs(tr_rate) < 1e-7
         assert abs(corner_rate) < 1e-7
+        # the central difference of the slice functions along the flow
+        ahead, behind = (np.array(slice_residual(act_pair(gen.exp(t), p))) for t in (step, -step))
+        want = np.abs((ahead - behind) / (2.0 * step))
+        assert np.abs(np.array([tr_rate, corner_rate]) - want).max() <= 1e-9 * pair_scale(p)
 
 
 def test_random_sl2_is_unimodular():

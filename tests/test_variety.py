@@ -333,23 +333,51 @@ def test_fingerprints_are_gauge_invariant():
 
 
 def test_gauge_act_pair_does_not_check_its_gauge_again(monkeypatch):
-    # the gauge was checked when it was built; the pair is conjugated by
-    # the same matrices either way
+    # the gauge was checked and inverted when it was built; the pair is
+    # conjugated by diag(g, 1) and diag(ginv, 1) with no LAPACK call
     g, p = random_gauge(4, 52), augment(random_point(4, 2, 1.0, 51))
-    E = np.eye(5, dtype=np.complex128)
-    E[:4, :4] = g.g
-    Ei = np.linalg.inv(E)
-    svd_calls = []
-    original = np.linalg.svd
+    E, Ei = np.eye(5, dtype=np.complex128), np.eye(5, dtype=np.complex128)
+    E[:4, :4], Ei[:4, :4] = g.g, g.inv()
+    calls = []
+    for name in ("svd", "inv"):
+        original = getattr(np.linalg, name)
 
-    def counted(*args, **kwargs):
-        svd_calls.append(args)
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     q = gauge_act_pair(g, p)
-    assert svd_calls == []
+    r = gauge_act(g, random_point(4, 2, 1.0, 51))
+    assert calls == []
     assert np.array_equal(q.A, E @ p.A @ Ei) and np.array_equal(q.B, E @ p.B @ Ei)
+    assert np.array_equal(r.A, g.g @ random_point(4, 2, 1.0, 51).A @ g.inv())
+
+
+def test_a_gauge_element_is_checked_and_inverted_once(monkeypatch):
+    calls = []
+    for name in ("svd", "inv"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    # random_gauge: one SVD for its condition bound and one inverse; the
+    # element's own check passes by the inverse's norm bound
+    g = random_gauge(4, 52)
+    assert calls == ["svd", "inv"]
+    assert frob(g.g @ g.inv() - np.eye(4)) < 1e-12
+    # a held inverse is kept as given, and checked without an SVD
+    calls.clear()
+    held = GaugeElement(g.g, g.inv())
+    assert np.array_equal(held.inv(), g.inv()) and calls == []
+    # without one, the element inverts g itself, once
+    GaugeElement(g.g)
+    assert calls == ["inv"]
+    with pytest.raises(ShapeMismatchError):
+        GaugeElement(g.g, np.eye(3))
 
 
 def test_fingerprints_match_the_word_loop():

@@ -184,3 +184,26 @@ def test_grouped_seeded_points_are_the_one_point_draws():
     for i, r in enumerate(points):
         want = verify.random_point(1 + i % 5, 2, cfg.tau, verify._seed(cfg, "mom", i))
         assert all(np.array_equal(getattr(r, f), getattr(want, f)) for f in "ABvw")
+
+
+def test_lapack_calls_of_one_verify_pass(monkeypatch):
+    # per routine, one default pass at seed 1: eig and its inverse for each
+    # normalization and the eig checks, eigvals for the untracked reads,
+    # svd for random_gauge's condition bound and the ranks; the chart
+    # Jacobian, the induced fields and the gauge checks make none.  The
+    # four pinv of the flow fits are cached for the process, so a pass
+    # after the first makes none
+    counts = dict.fromkeys(("eig", "eigvals", "inv", "svd", "solve", "lstsq", "pinv"), 0)
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = run(RunConfig(seed=1))
+    assert report["summary"]["passed"] == report["summary"]["total"]
+    pinv = counts.pop("pinv")
+    assert pinv in (0, 4)
+    assert counts == {"eig": 115, "eigvals": 15, "inv": 140, "svd": 45, "solve": 5, "lstsq": 0}
