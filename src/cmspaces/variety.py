@@ -120,10 +120,11 @@ class GaugeElement:
     """Invertible n x n basechange, embedded as diag(g, 1) when acting on pairs.
 
     It holds g and its inverse ginv.  A caller that already holds the
-    exact inverse (canonical.normalize does) passes it, and it is kept as
-    given; otherwise it is computed here, once.  Either way
-    check_gauge(g, ginv) runs once, which needs no SVD unless its norm
-    bound is inconclusive.
+    inverse (canonical.normalize does) passes it, and it is kept as given
+    once ||g ginv - I||_F <= 1e-8 ||g||_F ||ginv||_F, which any computed
+    inverse meets (ShapeMismatchError otherwise); without one it is
+    computed here, once.  Either way check_gauge(g, ginv) runs once,
+    which needs no SVD unless its norm bound is inconclusive.
     """
 
     g: np.ndarray
@@ -140,6 +141,8 @@ class GaugeElement:
             ginv = as_cmatrix(self.ginv, square=True)
             if ginv.shape != g.shape:
                 raise ShapeMismatchError(f"inverse shape {ginv.shape} does not match {g.shape}")
+            if not frob(g @ ginv - np.eye(g.shape[0])) <= 1e-8 * frob(g) * frob(ginv):
+                raise ShapeMismatchError("ginv is not the inverse of g")
         check_gauge(g, ginv)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "ginv", ginv)

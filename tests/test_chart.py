@@ -402,6 +402,26 @@ def test_chart_jacobian_lapack_call_budget(monkeypatch):
     assert calls == []
 
 
+def test_tracked_tangent_follows_the_reference_order_and_checks_its_input():
+    # the package-ordered normal form of a scrambled pair, read against a
+    # reference with both spectra reversed: the tangent comes out reversed
+    c = random_chart_point(4, 1.0, 66)
+    p, _ = normalize(gauge_act_pair(random_gauge(4, 67), from_chart(c)))
+    ref = to_chart(p)
+    rev = ChartPoint(ref.lam[::-1], ref.lamhat[::-1], ref.mu[::-1], ref.muhat[::-1], 1.0)
+    rng = np.random.default_rng(68)
+    dA, dB = (rng.standard_normal((2, 5, 5)) + 1j * rng.standard_normal((2, 5, 5)) for _ in range(2))
+    T = chart_module.tracked_tangent(p, dA, dB, ref)
+    got = chart_module.tracked_tangent(p, dA, dB, rev)
+    blocks = np.split(T, [4, 9, 13], axis=-1)
+    want = np.concatenate([b[:, ::-1] for b in blocks], axis=-1)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(T).max()
+    with pytest.raises(ShapeMismatchError):
+        chart_module.tracked_tangent(p, dA[:, :4, :4], dB[:, :4, :4], ref)
+    with pytest.raises(NotNormalizedError):
+        chart_module.tracked_tangent(gauge_act_pair(random_gauge(4, 67), p), dA, dB, ref)
+
+
 def _tracked_reads(p, ref):
     """to_chart_tracked(p, ref) by the secular equation and by eigvals alone.
 

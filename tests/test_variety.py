@@ -378,6 +378,8 @@ def test_a_gauge_element_is_checked_and_inverted_once(monkeypatch):
     assert calls == ["inv"]
     with pytest.raises(ShapeMismatchError):
         GaugeElement(g.g, np.eye(3))
+    with pytest.raises(ShapeMismatchError):
+        GaugeElement(g.g, g.inv() + 1e-6)
 
 
 def test_fingerprints_match_the_word_loop():
