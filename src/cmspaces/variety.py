@@ -602,15 +602,16 @@ def random_quadruple(n: int, k: int, tau: complex, seed: int) -> Representation:
 def random_gauge(n: int, seed: int) -> GaugeElement:
     """Seeded invertible basechange with condition number at most 100, in 32 draws.
 
-    The condition bound takes one SVD; GaugeElement's own check then
-    passes by the norm bound of the inverse, without a second SVD.
+    The condition bound takes one SVD; GaugeElement inverts g once, and
+    its own check passes by the norm bound of that inverse, without a
+    second SVD.
     """
     rng = np.random.default_rng(seed)
     for _ in range(32):
         g = _complex_uniform(rng, (n, n)) + 1.2 * np.eye(n)
         s = np.linalg.svd(g, compute_uv=False)
         if s[-1] > 0 and s[0] / s[-1] <= 100.0:
-            return GaugeElement(g, np.linalg.inv(g))
+            return GaugeElement(g)
     raise SingularMatrixError("could not draw a well conditioned gauge element")
 
 

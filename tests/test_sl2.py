@@ -183,13 +183,15 @@ def _field_tolerance(c, oracle):
 
 
 def test_numeric_field_matches_the_central_difference_oracle():
-    c = find_independence_point(3, 1.0, 17)
-    for gen in (GEN_E, GEN_F, GEN_H):
-        oracle = _central_difference_field(gen, c)
-        got = numeric_field(gen, c).vector()
-        assert np.abs(got - oracle).max() <= _field_tolerance(c, oracle)
-        # and well inside the bound at this well-separated point
-        assert np.abs(got - oracle).max() <= 1e-8 * np.abs(oracle).max()
+    # a slice point (mu = 0, where a tangent's gauge part moves no
+    # coordinate) and a point with mu != 0, where it does
+    for c in (find_independence_point(3, 1.0, 17), random_chart_point(3, 1.0, 17)):
+        for gen in (GEN_E, GEN_F, GEN_H):
+            oracle = _central_difference_field(gen, c)
+            got = numeric_field(gen, c).vector()
+            assert np.abs(got - oracle).max() <= _field_tolerance(c, oracle)
+            # and well inside the bound at these well-separated points
+            assert np.abs(got - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
 
 @settings(max_examples=60, deadline=None)
