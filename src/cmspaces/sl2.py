@@ -192,19 +192,29 @@ def act_components(g, r: Representation) -> Representation:
     """Component form of the action on k = 2 quadruples.
 
     Matches act_pair through augmentation entry for entry (same floating
-    point operations on both routes).
+    point operations on both routes).  The one-item call of
+    act_components_stack.
     """
     if r.k != 2:
         raise ShapeMismatchError("the SL2 action needs k = 2")
-    a, b, c, d = _coeffs(g)
-    v1, v2 = r.v[:, 0], r.v[:, 1]
-    w1, w2 = r.w[0, :], r.w[1, :]
-    return Representation(
-        a * r.A + b * r.B,
-        c * r.A + d * r.B,
-        np.column_stack([a * v1 + b * v2, c * v1 + d * v2]),
-        np.vstack([d * w1 - c * w2, -b * w1 + a * w2]),
-        r.tau,
+    return Representation(*act_components_stack(_coeffs(g), r.A, r.B, r.v, r.w), r.tau)
+
+
+def act_components_stack(coeffs, A, B, v, w):
+    """act_components over k = 2 quadruples (A, B, v, w) stacked over leading axes.
+
+    coeffs = (a, b, c, d): one element's entries, or arrays of them over
+    the leading axes, one element per item.  Each item keeps the bits of
+    its one-item call.
+    """
+    a, b, c, d = (np.asarray(z, dtype=np.complex128)[..., None, None] for z in coeffs)
+    v1, v2 = v[..., :, 0:1], v[..., :, 1:2]
+    w1, w2 = w[..., 0:1, :], w[..., 1:2, :]
+    return (
+        a * A + b * B,
+        c * A + d * B,
+        np.concatenate([a * v1 + b * v2, c * v1 + d * v2], axis=-1),
+        np.concatenate([d * w1 - c * w2, -b * w1 + a * w2], axis=-2),
     )
 
 
@@ -270,17 +280,37 @@ class ChartTangent:
             for k in range(1, kmax + 1)
         }
 
+    @classmethod
+    def from_vector(cls, base: ChartPoint, d) -> "ChartTangent":
+        """The tangent at base with the packed blocks d = (d_lam, d_lamhat, d_mu, d_muhat)."""
+        n = base.n
+        return cls(base=base, d_lam=d[:n], d_lamhat=d[n : 2 * n + 1],
+                   d_mu=d[2 * n + 1 : 3 * n + 1], d_muhat=d[3 * n + 1 :])
 
-def _fields(gens, c: ChartPoint, tol: float) -> np.ndarray:
+
+GENERATORS = (GEN_E, GEN_F, GEN_H)
+
+
+def _fields(gens, c: ChartPoint, p: AugmentedPair, tol: float) -> np.ndarray:
     """Packed induced fields (len(gens), 4n+2) of the generators at c, from one read of c.
 
-    At t = 0 the flow of X = ((p, q), (r, -p)) moves the pair along its
-    tangent pair (p A + q B, r A - p B), which act_pair builds from X.
+    p is c's pair from_chart(c, tol).  At t = 0 the flow of
+    X = ((p, q), (r, -p)) moves the pair along its tangent pair
+    (p A + q B, r A - p B), which act_pair builds from X.
     """
-    p = from_chart(c, tol)
     tangents = [act_pair(gen.matrix(), p) for gen in gens]
     return tracked_tangent(p, np.array([t.A for t in tangents]),
                            np.array([t.B for t in tangents]), c, tol)
+
+
+def induced_fields(c: ChartPoint, p: AugmentedPair, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The fields of GENERATORS (lower shear, upper shear, scaling) at c, packed (3, 4n+2).
+
+    p is the pair from_chart(c, tol), which the caller holds; c is read
+    once for all three.  Row i has the bits of
+    numeric_field(GENERATORS[i], c, tol).vector().
+    """
+    return _fields(GENERATORS, c, p, tol)
 
 
 def numeric_field(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartTangent:
@@ -292,15 +322,7 @@ def numeric_field(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL) ->
     point, so no flowed pair is built or read, and the read's contract
     checks run at c.
     """
-    d = _fields((gen,), c, tol)[0]
-    n = c.n
-    return ChartTangent(
-        base=c,
-        d_lam=d[:n],
-        d_lamhat=d[n : 2 * n + 1],
-        d_mu=d[2 * n + 1 : 3 * n + 1],
-        d_muhat=d[3 * n + 1 :],
-    )
+    return ChartTangent.from_vector(c, _fields((gen,), c, from_chart(c, tol), tol)[0])
 
 
 def analytic_field(gen: SL2Generator, c: ChartPoint) -> ChartTangent:
@@ -382,21 +404,32 @@ def slice_tangency(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL):
     pair, so their derivatives along the flow at t = 0 are their values
     on the generator's tangent pair at from_chart(c).  Both vanish when
     the field is tangent to the slice at c.  Returns
-    (|d trace mismatch|, |d second corner|).
+    (|d trace mismatch|, |d second corner|), slice_rates at c's pair.
     """
-    d = slice_residual(act_pair(gen.matrix(), from_chart(c, tol)))
+    return slice_rates(gen, from_chart(c, tol))
+
+
+def slice_rates(gen: SL2Generator, p: AugmentedPair):
+    """slice_tangency at the pair p = from_chart(c) a caller already holds."""
+    d = slice_residual(act_pair(gen.matrix(), p))
     return float(abs(d[0])), float(abs(d[1]))
 
 
 def independence_rank(c: ChartPoint, tol: float = DEFAULT_TOL):
     """Numeric rank of the three induced fields stacked at c.
 
-    Returns (rank, ratio) with ratio the smallest over largest singular
-    value of the 3 x (4 n + 2) stack of the lower-shear, upper-shear and
-    scaling fields (numeric_field's, from one read of c); the rank counts
-    singular values above 1e-8 times the largest.
+    Returns fields_rank of the lower-shear, upper-shear and scaling
+    fields (induced_fields, from one read of c).
     """
-    M = _fields((GEN_E, GEN_F, GEN_H), c, tol)
+    return fields_rank(induced_fields(c, from_chart(c, tol), tol))
+
+
+def fields_rank(M):
+    """(rank, ratio) of stacked fields M (k, 4n+2).
+
+    ratio is the smallest over the largest singular value; the rank
+    counts singular values above 1e-8 times the largest.
+    """
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0, 0.0

@@ -295,17 +295,30 @@ def block_commutator_residual(r: Representation) -> float:
     For p = augment(r) the commutator [p.A, p.B] has upper block
     [A, B] - v w, border column A v2 - B v1 and border row w2 B + w1 A.
     Returns the largest block-wise Frobenius deviation; the identity holds
-    for arbitrary quadruples, on shell or not.
+    for arbitrary quadruples, on shell or not.  The one-item call of
+    quadruple_block_residual.
     """
-    p = augment(r)
-    K = comm(p.A, p.B)
-    n = r.n
-    v1, v2 = r.v[:, 0], r.v[:, 1]
-    w1, w2 = r.w[0, :], r.w[1, :]
-    d_block = frob(K[:n, :n] - (comm(r.A, r.B) - r.v @ r.w))
-    d_col = float(np.linalg.norm(K[:n, n] - (r.A @ v2 - r.B @ v1)))
-    d_row = float(np.linalg.norm(K[n, :n] - (w2 @ r.B + w1 @ r.A)))
-    return max(d_block, d_col, d_row)
+    if r.k != 2:
+        raise ShapeMismatchError("augmentation needs two inner columns (k = 2)")
+    return float(quadruple_block_residual(r.A, r.B, r.v, r.w))
+
+
+def quadruple_block_residual(A, B, v, w):
+    """block_commutator_residual over the trailing axes of stacked k = 2 quadruples."""
+    n = A.shape[-1]
+    Ah, Bh = augment_stack(A, B, v, w)
+    K = comm(Ah, Bh)
+    v1, v2 = v[..., :, 0:1], v[..., :, 1:2]
+    w1, w2 = w[..., 0:1, :], w[..., 1:2, :]
+    d_block = frob(K[..., :n, :n] - (comm(A, B) - v @ w))
+    d_col = row_norms(K[..., :n, n] - (A @ v2 - B @ v1)[..., 0])
+    d_row = row_norms(K[..., n, :n] - (w2 @ B + w1 @ A)[..., 0, :])
+    return _first_max(_first_max(d_block, d_col), d_row)
+
+
+def _first_max(a, b):
+    """Python's max(a, b) per item: b only where b > a, so a NaN in b never wins."""
+    return np.where(b > a, b, a)
 
 
 def pair_moment(p: AugmentedPair) -> np.ndarray:
@@ -421,27 +434,44 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
     A variant is admissible when it maps the on-shell quadruple to the fiber
     over (tau * I_n, -n tau), within 1e-9 * level_scale.  An empty
     admissible tuple is reported, not raised, so callers can record the
-    outcome.
+    outcome.  The 16 variants are evaluated as one stack, each with the
+    bits of quiver_moment on its own (X1, X2, Y1, Y2).
     """
     if r.k != 2:
         raise ShapeMismatchError("dictionary calibration needs k = 2")
     n = r.n
     scale = level_scale(r)
-    target1 = r.tau * np.eye(n)
-    target2 = -n * r.tau
-    admissible = []
-    residuals = {}
-    for var in ALL_DICTIONARY_VARIANTS:
-        nu1, nu2 = quiver_moment(r.A, r.B, *var.apply(r))
-        resid = max(frob(nu1 - target1), abs(nu2 - target2))
-        residuals[var.label()] = resid
-        if resid <= 1e-9 * scale:
-            admissible.append(var)
+    X1, X2, Y1, Y2 = _dictionary_slots(r.v, r.w)
+    nu1 = comm(r.A, r.B) + X1[:, :, None] * Y2[:, None, :] - X2[:, :, None] * Y1[:, None, :]
+    nu2 = (Y1[:, None, :] @ X2[:, :, None] - Y2[:, None, :] @ X1[:, :, None])[:, 0, 0]
+    # abs of a Python complex: np.abs rounds differently in the last bit
+    dist2 = np.array([abs(z) for z in (nu2 - (-n * r.tau)).tolist()])
+    resids = _first_max(frob(nu1 - r.tau * np.eye(n)), dist2).tolist()
+    admissible = tuple(var for var, resid in zip(ALL_DICTIONARY_VARIANTS, resids)
+                       if resid <= 1e-9 * scale)
     return DictionaryReport(
-        admissible=tuple(admissible),
+        admissible=admissible,
         literal_admissible=LITERAL_DICTIONARY in admissible,
-        residuals=residuals,
+        residuals={var.label(): resid for var, resid in zip(ALL_DICTIONARY_VARIANTS, resids)},
     )
+
+
+def _dictionary_slots(v, w):
+    """(X1, X2, Y1, Y2) of every variant, (16, n) each, in ALL_DICTIONARY_VARIANTS order."""
+    x_slots, y_slots, flip_x, flip_y = _variant_table()
+    X, Y = v.T[x_slots], w[y_slots]
+    return (np.where(flip_x[:, None], -X[:, 0], X[:, 0]), X[:, 1],
+            np.where(flip_y[:, None], -Y[:, 0], Y[:, 0]), Y[:, 1])
+
+
+@lru_cache(maxsize=None)
+def _variant_table():
+    """Per variant: the inner columns feeding (X1, X2), the rows feeding (Y1, Y2), the negations."""
+    variants = ALL_DICTIONARY_VARIANTS
+    return (np.array([(1, 0) if var.swap_x else (0, 1) for var in variants]),
+            np.array([(1, 0) if var.swap_y else (0, 1) for var in variants]),
+            np.array([var.flip_x for var in variants]),
+            np.array([var.flip_y for var in variants]))
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +618,31 @@ def random_points(n: int, k: int, tau: complex, seeds,
 
 
 def random_quadruple(n: int, k: int, tau: complex, seed: int) -> Representation:
-    """Unconstrained seeded quadruple; the level condition generally fails."""
-    rng = np.random.default_rng(seed)
-    return Representation(
-        _complex_uniform(rng, (n, n)),
-        _complex_uniform(rng, (n, n)),
-        _complex_uniform(rng, (n, k)),
-        _complex_uniform(rng, (k, n)),
-        tau,
-    )
+    """Unconstrained seeded quadruple; the level condition generally fails.
+
+    The one-seed call of random_quadruples.
+    """
+    A, B, v, w = random_quadruples(n, k, tau, [seed])
+    return Representation(A[0], B[0], v[0], w[0], tau)
+
+
+def random_quadruples(n: int, k: int, tau: complex, seeds):
+    """Seeded quadruples, one per seed, stacked: (A, B, v, w) with leading axis len(seeds).
+
+    Item i is the matrices of random_quadruple(n, k, tau, seeds[i]): one
+    Generator.random draw per seed gives the uniforms on [-1, 1] of A, B,
+    v and w in turn, each block its real parts and then its imaginary
+    parts.  The draw does not depend on tau.
+    """
+    if k not in (1, 2):
+        raise ShapeMismatchError(f"inner rank k must be 1 or 2, got {k}")
+    shapes = [(n, n), (n, n), (n, k), (k, n)]
+    sizes = [rows * cols for rows, cols in shapes]
+    U = np.array([np.random.default_rng(seed).random(2 * sum(sizes)) for seed in seeds])
+    U = U.reshape(len(U), 2 * sum(sizes))
+    parts = np.split(U, np.cumsum(np.repeat(sizes, 2))[:-1], axis=-1)
+    return tuple(complex_uniforms_from(re, im).reshape(len(U), *shape)
+                 for re, im, shape in zip(parts[0::2], parts[1::2], shapes))
 
 
 def random_gauge(n: int, seed: int) -> GaugeElement:
@@ -638,9 +684,10 @@ def _power_ladder(M: np.ndarray, L: int) -> np.ndarray:
 
 
 def _trace_table(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """T[i, j] = tr(P_i Q_j) for two stacks of m x m matrices, as one product."""
+    """T[..., i, j] = tr(P_i Q_j) for two stacks of m x m matrices along axis -3, one product per item."""
     m = P.shape[-1]
-    return P.reshape(len(P), m * m) @ Q.swapaxes(-1, -2).reshape(len(Q), m * m).T
+    Qt = Q.swapaxes(-1, -2).reshape(*Q.shape[:-2], m * m)
+    return P.reshape(*P.shape[:-2], m * m) @ Qt.swapaxes(-1, -2)
 
 
 def _antidiagonals(T: np.ndarray, first: int, last: int, edges: bool) -> list:
@@ -677,7 +724,24 @@ def _pair_word_index(L: int) -> np.ndarray:
 
 
 def pair_fingerprint(p: AugmentedPair, length: int | None = None) -> np.ndarray:
-    """Trace words of a pair: tr A^i, tr B^j, then tr(A^i B^j) by i + j <= length (default 2 n)."""
-    L = _word_length(length, 2 * p.n)
-    P = _power_ladder(np.stack([p.A, p.B]), L)
-    return _trace_table(P[:, 0], P[:, 1]).take(_pair_word_index(L))
+    """Trace words of a pair: tr A^i, tr B^j, then tr(A^i B^j) by i + j <= length (default 2 n).
+
+    The one-pair call of pair_fingerprints.
+    """
+    return pair_fingerprints(p.A, p.B, length)
+
+
+def pair_fingerprints(A, B, length: int | None = None) -> np.ndarray:
+    """pair_fingerprint of the pairs (A, B) stacked over leading axes: (..., words).
+
+    The stack goes through the same power ladder and trace-table
+    products as one pair, so each item keeps the bits of its one-pair
+    call.
+    """
+    lead = A.ndim - 2
+    L = _word_length(length, 2 * (A.shape[-1] - 1))
+    P = _power_ladder(np.stack([A, B], axis=lead), L)
+    # the powers of each item after its leading axes: (..., L+1, 2, m, m)
+    P = P.transpose(*range(1, lead + 1), 0, *range(lead + 1, lead + 4))
+    T = _trace_table(P[..., 0, :, :], P[..., 1, :, :])
+    return T.reshape(*T.shape[:-2], -1).take(_pair_word_index(L), axis=-1)

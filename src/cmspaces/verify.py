@@ -30,8 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import normal_form, normalize, orbit_dimension
+from .canonical import normal_form, orbit_dimension
 from .chart import (
+    ChartPoint,
     chart_jacobian_stack,
     decompose,
     decompose_stack,
@@ -58,36 +59,38 @@ from .sl2 import (
     GEN_E,
     GEN_F,
     GEN_H,
+    GENERATORS,
+    ChartTangent,
     act_components,
+    act_components_stack,
     act_pair,
     analytic_field,
+    fields_rank,
     find_independence_point,
     fixed_point_probe,
-    independence_rank,
+    induced_fields,
     numeric_field,
     random_sl2,
-    slice_tangency,
+    slice_rates,
 )
 from .variety import (
     AugmentedPair,
     Representation,
     augment,
     augment_stack,
-    block_commutator_residual,
     calibrate_dictionary,
     fingerprint,
     gauge_act,
-    level_residual,
-    level_scale,
     matrix_pair_scale,
-    pair_fingerprint,
+    pair_fingerprints,
     pair_scale,
     project,
+    quadruple_block_residual,
     quadruple_level_residual,
     random_gauge,
     random_point,
     random_points,
-    random_quadruple,
+    random_quadruples,
     spaced_points,
 )
 
@@ -199,9 +202,56 @@ def _fold(samples, pick=max) -> float:
     return bad[0] if bad else pick(samples, default=math.nan)
 
 
-def _trace_word_error(fp, fp0) -> float:
-    """Largest deviation of the trace words fp from fp0, relative to max(1, |fp0|)."""
-    return float(np.abs(fp - fp0).max() / max(1.0, np.abs(fp0).max()))
+def _trace_word_error(fp, fp0):
+    """Largest deviation of the trace words fp from fp0, relative to max(1, |fp0|).
+
+    The words run along the last axis, so stacked fingerprints give one
+    error per item.
+    """
+    scale = np.abs(fp0).max(axis=-1)
+    return np.abs(fp - fp0).max(axis=-1) / np.where(scale > 1.0, scale, 1.0)
+
+
+def _per_size(sizes, kernel) -> list:
+    """kernel(n, trials) for the trials of each size n, one call per size, in trial order.
+
+    Trial i has size sizes[i]; kernel returns one result per trial it is
+    given, in their order.  When a call raises a package error, the
+    error raised is that of the first trial, in trial order, whose call
+    alone raises: the one a loop over the trials would stop at.
+    """
+    by_size = {}
+    for i, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(i)
+    results, failing, error = [None] * len(sizes), [], None
+    for n, trials in by_size.items():
+        try:
+            stack = list(kernel(n, trials))
+        except CMSpacesError as exc:
+            failing, error = failing + trials, error or exc
+            continue
+        for i, x in zip(trials, stack, strict=True):
+            results[i] = x
+    for i in sorted(failing):
+        kernel(sizes[i], [i])
+    if error:
+        raise error
+    return results
+
+
+def _draw(cfg: RunConfig, tag: str, n: int, trials, k: int = 2):
+    """random_points of size n at the seeds of the given trials: (A, B, v, w) stacked."""
+    return random_points(n, k, cfg.tau, [_seed(cfg, tag, i) for i in trials])
+
+
+def _seeded_quadruples(cfg: RunConfig, tag: str, sizes) -> list:
+    """random_quadruple(sizes[i], 2, tau, _seed(cfg, tag, i)) for each trial i, in trial order.
+
+    The trials of one size are drawn with one random_quadruples call.
+    """
+    def draw(n, trials):
+        return zip(*random_quadruples(n, 2, cfg.tau, [_seed(cfg, tag, i) for i in trials]))
+    return [Representation(*x, cfg.tau) for x in _per_size(sizes, draw)]
 
 
 def _seeded_points(cfg: RunConfig, tag: str, sizes) -> list:
@@ -209,15 +259,15 @@ def _seeded_points(cfg: RunConfig, tag: str, sizes) -> list:
 
     The trials of one size are drawn with one random_points call.
     """
-    by_size = {}
-    for i, n in enumerate(sizes):
-        by_size.setdefault(n, []).append(i)
-    points = [None] * len(sizes)
-    for n, trials in by_size.items():
-        stack = random_points(n, 2, cfg.tau, [_seed(cfg, tag, i) for i in trials])
-        for j, i in enumerate(trials):
-            points[i] = Representation(*(x[j] for x in stack), cfg.tau)
-    return points
+    return [Representation(*x, cfg.tau)
+            for x in _per_size(sizes, lambda n, trials: zip(*_draw(cfg, tag, n, trials)))]
+
+
+def _level_residuals(cfg: RunConfig, A, B, v, w):
+    """Level residuals of stacked quadruples at cfg.tau, relative to max(1, ||A|| ||B||)."""
+    with np.errstate(over="ignore"):    # a scale past the float range is inf, as a float product
+        scale = matrix_pair_scale(A, B)
+    return quadruple_level_residual(A, B, v, w, cfg.tau) / scale
 
 
 def _chart_stack(cfg: RunConfig, n: int, tag: str, trials) -> np.ndarray:
@@ -280,31 +330,25 @@ def _check_level_condition(cfg: RunConfig) -> _Measured:
     ns = _ns(cfg, 6)
     for n in ns:
         for k in cfg.k_values:
-            A, B, v, w = random_points(n, k, cfg.tau,
-                                       [_seed(cfg, f"lvl{n}{k}", i) for i in range(trials)])
-            resids.extend((quadruple_level_residual(A, B, v, w, cfg.tau)
-                           / matrix_pair_scale(A, B)).tolist())
+            resids.extend(_level_residuals(cfg, *_draw(cfg, f"lvl{n}{k}", n, range(trials), k)))
     return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)",
                      len(ns) * len(cfg.k_values) * trials)
 
 
 @_declare(("variety.block_identity", "pair-commutator-block-forms", 1e-12))
 def _check_block_identity(cfg: RunConfig) -> _Measured:
-    resids = []
-    count = _trials(cfg, 200)
-    for i in range(count):
-        n = 1 + i % 6
-        r = random_quadruple(n, 2, cfg.tau, _seed(cfg, "blk", i))
-        resids.append(block_commutator_residual(r) / level_scale(r))
+    def residuals(n, trials):
+        A, B, v, w = random_quadruples(n, 2, cfg.tau, [_seed(cfg, "blk", i) for i in trials])
+        return quadruple_block_residual(A, B, v, w) / matrix_pair_scale(A, B)
+
+    resids = _per_size([1 + i % 6 for i in range(_trials(cfg, 200))], residuals)
     return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)")
 
 
 @_declare(("variety.augment_project_roundtrip", "border-embedding-inverse", 0.0))
 def _check_augment_roundtrip(cfg: RunConfig) -> _Measured:
     resids = []
-    for i in range(20):
-        n = 1 + i % 5
-        r = random_quadruple(n, 2, cfg.tau, _seed(cfg, "aug", i))
+    for r in _seeded_quadruples(cfg, "aug", [1 + i % 5 for i in range(20)]):
         back = project(augment(r))
         resids += [np.abs(back.A - r.A).max(), np.abs(back.B - r.B).max(),
                    np.abs(back.v - r.v).max(), np.abs(back.w - r.w).max()]
@@ -324,29 +368,37 @@ def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
 # canonical
 
 
-def _normalized_points(cfg: RunConfig, tag: str, count: int) -> list:
-    """Seeded augmented pairs of sizes 1 + i % 5 with their normal forms."""
-    pairs = [augment(r) for r in _seeded_points(cfg, tag, [1 + i % 5 for i in range(count)])]
-    return [(p, normalize(p, cfg.tol)[0]) for p in pairs]
+def _normalized(cfg: RunConfig, tag: str, count: int, measure) -> list:
+    """measure(A, B, Ah, Bh) per trial, in trial order, with trial i of size 1 + i % 5.
+
+    (A, B) are the seeded augmented pairs of one size, stacked, and
+    (Ah, Bh) their normal forms, from one normal_form call per size;
+    measure returns one result per item and raises no package error.
+    """
+    def normalized(n, trials):
+        A, B = augment_stack(*_draw(cfg, tag, n, trials))
+        return measure(A, B, *normal_form(A, B, cfg.tol)[:2])
+    return _per_size([1 + i % 5 for i in range(count)], normalized)
 
 
 @_declare(("canonical.normal_form_shape", "diagonal-block-unit-border-row", 0.0))
 def _check_normal_form_shape(cfg: RunConfig) -> _Measured:
-    resids = []
-    for _, nf in _normalized_points(cfg, "nf", 20):
-        n = nf.n
-        block = nf.A[:n, :n]
-        off = block - np.diag(np.diag(block))
-        resids += [np.abs(off).max(), np.abs(nf.A[n, :n] - 1.0).max()]
+    def deviations(A, B, Ah, Bh):
+        n = Ah.shape[-1] - 1
+        off = Ah[..., :n, :n] * (1.0 - np.eye(n))
+        return np.stack([np.abs(off).max(axis=(-2, -1)),
+                         np.abs(Ah[..., n, :n] - 1.0).max(axis=-1)], axis=-1)
+    resids = np.ravel(_normalized(cfg, "nf", 20, deviations))
     return _Measured(_fold(resids), "exact after snapping")
 
 
 @_declare(("canonical.normalize_gauge_equivalence", "normal-form-on-same-orbit", 1e-8))
 def _check_normalize_equivalence(cfg: RunConfig) -> _Measured:
-    resids = []
-    for p, nf in _normalized_points(cfg, "nfe", 20):
-        resids.append(_trace_word_error(pair_fingerprint(nf), pair_fingerprint(p)))
-    return _Measured(_fold(resids), "relative trace-word deviation")
+    def deviations(A, B, Ah, Bh):
+        fp = pair_fingerprints(np.stack([Ah, A]), np.stack([Bh, B]))
+        return _trace_word_error(fp[0], fp[1])
+    return _Measured(_fold(_normalized(cfg, "nfe", 20, deviations)),
+                     "relative trace-word deviation")
 
 
 @_declare(("canonical.orbit_rank_regular", "free-basechange-orbit-dimension", 0.0))
@@ -359,11 +411,16 @@ def _check_orbit_rank(cfg: RunConfig) -> _Measured:
 
 @_declare(("canonical.normalize_idempotent", "normal-form-fixed-point", 1e-12))
 def _check_normalize_idempotent(cfg: RunConfig) -> _Measured:
-    resids = []
-    for _, nf in _normalized_points(cfg, "nfi", 10):
-        nf2, _ = normalize(nf, cfg.tol)
-        resids += [frob(nf2.A - nf.A), frob(nf2.B - nf.B)]
-    return _Measured(_fold(resids), "absolute matrix deviation")
+    # two sweeps, so that a failing first normalization is recorded before
+    # a failing second one, wherever their trials sit
+    sizes = [1 + i % 5 for i in range(10)]
+    forms = _normalized(cfg, "nfi", 10, lambda A, B, Ah, Bh: zip(Ah, Bh))
+
+    def deviations(n, trials):
+        Ah, Bh = (np.stack(x) for x in zip(*(forms[i] for i in trials)))
+        A2, B2 = normal_form(Ah, Bh, cfg.tol)[:2]
+        return np.stack([frob(A2 - Ah), frob(B2 - Bh)], axis=-1)
+    return _Measured(_fold(np.ravel(_per_size(sizes, deviations))), "absolute matrix deviation")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +446,7 @@ def _check_splitting_constraints(cfg: RunConfig) -> _Measured:
         trials = list(range(n - 1, 20, 5))    # trial i has size 1 + i % 5
         A, B = from_chart_stack(_chart_stack(cfg, n, "spl", trials), n, cfg.tau, cfg.tol)
         d = decompose_stack(A, B, cfg.tau, cfg.tol)
-        off = d.g @ d.N2 @ np.linalg.inv(d.g) - d.S
+        off = d.g @ d.N2 @ d.ginv - d.S
         off[..., np.arange(n + 1), np.arange(n + 1)] -= d.muhat
         resids[trials] = (np.stack([frob(d.N1 + d.N2 - B), frob(off)], axis=-1)
                           / matrix_pair_scale(A, B)[:, None])
@@ -435,10 +492,9 @@ def _check_round_trip_pair(cfg: RunConfig) -> _Measured:
     for n in ns:
         points = random_points(n, 2, cfg.tau, [_seed(cfg, f"rtp{n}", i) for i in range(trials)])
         A, B, _, _ = normal_form(*augment_stack(*points), cfg.tol)
-        coords = to_chart_stack(A, B, cfg.tau, cfg.tol)
-        for a, b, qA, qB in zip(A, B, *from_chart_stack(coords, n, cfg.tau, cfg.tol)):
-            resids.append(_trace_word_error(pair_fingerprint(AugmentedPair(qA, qB, cfg.tau)),
-                                            pair_fingerprint(AugmentedPair(a, b, cfg.tau))))
+        qA, qB = from_chart_stack(to_chart_stack(A, B, cfg.tau, cfg.tol), n, cfg.tau, cfg.tol)
+        fp = pair_fingerprints(np.stack([qA, A]), np.stack([qB, B]))
+        resids.extend(_trace_word_error(fp[0], fp[1]))
     return _Measured(_fold(resids), "relative trace-word deviation", len(ns) * trials)
 
 
@@ -461,9 +517,7 @@ def _check_jacobian_rank(cfg: RunConfig) -> _Measured:
 @_declare(("sl2.equivariance_exact", "augmentation-intertwines-action", 0.0))
 def _check_equivariance(cfg: RunConfig) -> _Measured:
     resids = []
-    for i in range(20):
-        n = 1 + i % 5
-        r = random_quadruple(n, 2, cfg.tau, _seed(cfg, "eqv", i))
+    for i, r in enumerate(_seeded_quadruples(cfg, "eqv", [1 + i % 5 for i in range(20)])):
         g = random_sl2(_seed(cfg, "eqvg", i))
         via_components = augment(act_components(g, r))
         via_pair = act_pair(g, augment(r))
@@ -474,22 +528,20 @@ def _check_equivariance(cfg: RunConfig) -> _Measured:
 
 @_declare(("sl2.moment_preservation", "unit-determinant-preserves-level", 1e-10))
 def _check_moment_preservation(cfg: RunConfig) -> _Measured:
-    resids = []
-    trials = _trials(cfg, 100)
-    for i, r in enumerate(_seeded_points(cfg, "mom", [1 + i % 5 for i in range(trials)])):
-        g = random_sl2(_seed(cfg, "momg", i))
-        out = act_components(g, r)
-        resids.append(level_residual(out) / level_scale(out))
+    def residuals(n, trials):
+        g = [random_sl2(_seed(cfg, "momg", i)) for i in trials]
+        coeffs = np.array([[x.a, x.b, x.c, x.d] for x in g]).T
+        return _level_residuals(cfg, *act_components_stack(coeffs, *_draw(cfg, "mom", n, trials)))
+    resids = _per_size([1 + i % 5 for i in range(_trials(cfg, 100))], residuals)
     return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)")
 
 
 @_declare(("sl2.determinant_control_margin", "non-unimodular-breaks-level", 0.0))
 def _check_negative_control(cfg: RunConfig) -> _Measured:
-    bad = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-    resids = []
-    for r in _seeded_points(cfg, "neg", [1 + i % 5 for i in range(10)]):
-        out = act_components(bad, r)
-        resids.append(level_residual(out) / level_scale(out))
+    def residuals(n, trials):   # by the unimodular-breaking element diag(2, 1)
+        return _level_residuals(cfg, *act_components_stack((2.0, 0.0, 0.0, 1.0),
+                                                           *_draw(cfg, "neg", n, trials)))
+    resids = _per_size([1 + i % 5 for i in range(10)], residuals)
     return _Measured(1e-3 - _fold(resids, min),
                      "margin: smallest residual must exceed 1e-3; negative passes")
 
@@ -511,20 +563,68 @@ def _check_scaling_probe(cfg: RunConfig) -> _Measured:
                      "margin: smallest separation must exceed 1e-6; negative passes")
 
 
-def _independence_points(cfg: RunConfig) -> dict:
-    points = {}
-    for n in _ns(cfg, 5):
-        points[n] = find_independence_point(n, cfg.tau, _seed(cfg, f"ind{n}"), cfg.tol)
-    return points
+class _PointRead(NamedTuple):
+    """An sl2 independence point c and its reads, shared by the checks that need them.
+
+    pair is from_chart(c) and fields the induced_fields at c; a read that
+    raised holds its package error instead (fields holds the pair's when
+    the pair was not read).
+    """
+
+    c: ChartPoint
+    pair: AugmentedPair | CMSpacesError
+    fields: np.ndarray | CMSpacesError
+
+
+def _attempt(read, *args):
+    """read(*args), or the package error it raised."""
+    try:
+        return read(*args)
+    except CMSpacesError as exc:
+        return exc
+
+
+def _got(value):
+    """A read's value; a read that raised raises its error here."""
+    if isinstance(value, CMSpacesError):
+        raise value
+    return value
+
+
+def _independence_points(cfg: RunConfig) -> list:
+    """The sl2 independence point of each size, each read once: its pair and three fields."""
+    points = [find_independence_point(n, cfg.tau, _seed(cfg, f"ind{n}"), cfg.tol)
+              for n in _ns(cfg, 5)]
+    reads = []
+    for c in points:
+        pair = _attempt(from_chart, c, cfg.tol)
+        if isinstance(pair, CMSpacesError):
+            reads.append(_PointRead(c, pair, pair))
+        else:
+            reads.append(_PointRead(c, pair, _attempt(induced_fields, c, pair, cfg.tol)))
+    return reads
+
+
+def _field(point: _PointRead, gen, cfg: RunConfig) -> ChartTangent:
+    """The field of the generator gen at the point, from its shared read.
+
+    When the read of all three fields raised but the pair was read, the
+    generator's own read decides: at extreme scale one field overflows
+    where another does not.
+    """
+    _got(point.pair)
+    if isinstance(point.fields, CMSpacesError):
+        return numeric_field(gen, point.c, cfg.tol)
+    return ChartTangent.from_vector(point.c, point.fields[GENERATORS.index(gen)])
 
 
 @_declare(("sl2.independence_rank", "three-fields-independent", 0.0),
           ("sl2.independence_ratio_margin", "three-fields-independent", 0.0),
           needs_points=True)
-def _check_independence(cfg: RunConfig, points: dict) -> list:
+def _check_independence(cfg: RunConfig, points: list) -> list:
     deficiencies, ratios = [], []
-    for c in points.values():
-        rank, ratio = independence_rank(c, cfg.tol)
+    for point in points:
+        rank, ratio = fields_rank(_got(point.fields))
         deficiencies.append(3 - rank)
         ratios.append(ratio)
     return [_Measured(_fold(deficiencies), "rank deficiency below 3", len(points)),
@@ -535,10 +635,11 @@ def _check_independence(cfg: RunConfig, points: dict) -> list:
 @_declare(("sl2.lower_shear_field_match", "shear-field-closed-form", 1e-6),
           ("sl2.lower_shear_invariance", "shear-fixes-spectra-and-row-moments", 1e-7),
           needs_points=True)
-def _check_lower_shear_match(cfg: RunConfig, points: dict) -> list:
+def _check_lower_shear_match(cfg: RunConfig, points: list) -> list:
     full, frozen = [], []
-    for c in points.values():
-        num = numeric_field(GEN_E, c, cfg.tol)
+    for point in points:
+        c = point.c
+        num = _field(point, GEN_E, cfg)
         ana = analytic_field(GEN_E, c)
         scale = max(1.0, float(np.abs(c.lamhat).max()))
         full.append(np.abs(num.vector() - ana.vector()).max() / scale)
@@ -550,13 +651,12 @@ def _check_lower_shear_match(cfg: RunConfig, points: dict) -> list:
 
 @_declare(("sl2.trace_component_match", "scaling-and-upper-shear-trace-rates", 1e-6),
           needs_points=True)
-def _check_trace_components(cfg: RunConfig, points: dict) -> _Measured:
+def _check_trace_components(cfg: RunConfig, points: list) -> _Measured:
     resids = []
-    for c in points.values():
+    for point in points:
         for gen in (GEN_F, GEN_H):
-            num = numeric_field(gen, c, cfg.tol)
-            ana = analytic_field(gen, c).d_s
-            got = num.s_components(2)
+            got = _field(point, gen, cfg).s_components(2)
+            ana = analytic_field(gen, point.c).d_s
             scale = max(1.0, *(abs(v) for v in ana.values()))
             resids += [abs(got[k] - ana[k]) / scale for k in (1, 2)]
     return _Measured(_fold(resids), "relative to max(1, |component|)", len(points))
@@ -564,12 +664,13 @@ def _check_trace_components(cfg: RunConfig, points: dict) -> _Measured:
 
 @_declare(("sl2.slice_tangency", "fields-tangent-to-embedded-slice", 1e-7),
           needs_points=True)
-def _check_slice_tangency(cfg: RunConfig, points: dict) -> _Measured:
+def _check_slice_tangency(cfg: RunConfig, points: list) -> _Measured:
     resids = []
-    for c in points.values():
-        scale = pair_scale(from_chart(c, cfg.tol))
-        for gen in (GEN_E, GEN_F, GEN_H):
-            resids += [r / scale for r in slice_tangency(gen, c, cfg.tol)]
+    for point in points:
+        pair = _got(point.pair)
+        scale = pair_scale(pair)
+        for gen in GENERATORS:
+            resids += [r / scale for r in slice_rates(gen, pair)]
     return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)", len(points))
 
 
@@ -598,12 +699,19 @@ def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
 
 
 def _flow_base_points(cfg: RunConfig, tag: str) -> list:
-    points = []
-    for n in _ns(cfg, 3):
-        for i in range(5):
-            c = random_chart_point(n, cfg.tau, _seed(cfg, f"{tag}{n}", i))
-            points.append(from_chart(c, cfg.tol))
-    return points
+    """from_chart of five seeded chart points per size n <= 3, size by size: one stack per size."""
+    def pairs(n, trials):
+        seeds = [_seed(cfg, f"{tag}{n}", i % 5) for i in trials]
+        A, B = from_chart_stack(random_chart_points(n, cfg.tau, seeds), n, cfg.tau, cfg.tol)
+        return [AugmentedPair(a, b, cfg.tau) for a, b in zip(A, B)]
+    return _per_size([n for n in _ns(cfg, 3) for _ in range(5)], pairs)
+
+
+def _ladder_errors(target: AugmentedPair, flows) -> np.ndarray:
+    """Trace-word errors of the flowed pairs of a ladder against its target: one fingerprint stack."""
+    pairs = (target, *flows)
+    fp = pair_fingerprints(np.array([q.A for q in pairs]), np.array([q.B for q in pairs]))
+    return _trace_word_error(fp[1:], fp[0])
 
 
 @_declare(("flowcalc.trotter_rate", "split-composition-first-order", 0.3))
@@ -611,9 +719,9 @@ def _check_trotter_rate(cfg: RunConfig) -> _Measured:
     slopes = []
     points = _flow_base_points(cfg, "tro")
     for p in points:
-        fp0 = pair_fingerprint(trotter_target(GEN_E, GEN_F, TROTTER_TIME, p))
-        flows = (trotter_flow(GEN_E, GEN_F, TROTTER_TIME, m, p) for m in TROTTER_STEPS)
-        errs = [max(_trace_word_error(pair_fingerprint(q), fp0), 1e-300) for q in flows]
+        target = trotter_target(GEN_E, GEN_F, TROTTER_TIME, p)
+        flows = [trotter_flow(GEN_E, GEN_F, TROTTER_TIME, m, p) for m in TROTTER_STEPS]
+        errs = np.maximum(_ladder_errors(target, flows), 1e-300)
         coef = np.polyfit(np.log(TROTTER_STEPS), np.log(errs), 1)
         slopes.append(-float(coef[0]))
     note = "order in 1/steps; measured slopes " + ", ".join(f"{s:.3f}" for s in slopes)
@@ -626,11 +734,11 @@ def _check_bracket_limit(cfg: RunConfig) -> list:
     finals, increases = [], []
     points = _flow_base_points(cfg, "brk")
     for p in points:
-        fp0 = pair_fingerprint(bracket_target(GEN_E, GEN_F, BRACKET_TIME, p))
-        flows = (bracket_flow(GEN_E, GEN_F, BRACKET_TIME, m, p) for m in BRACKET_STEPS)
-        errs = [_trace_word_error(pair_fingerprint(q), fp0) for q in flows]
+        target = bracket_target(GEN_E, GEN_F, BRACKET_TIME, p)
+        flows = [bracket_flow(GEN_E, GEN_F, BRACKET_TIME, m, p) for m in BRACKET_STEPS]
+        errs = _ladder_errors(target, flows)
         finals.append(errs[-1])
-        increases += [b - a for a, b in zip(errs, errs[1:])]
+        increases.extend(errs[1:] - errs[:-1])
     return [_Measured(_fold(finals), f"relative trace-word error at {BRACKET_STEPS[-1]} "
                                      f"squares, t={BRACKET_TIME}", len(points)),
             _Measured(_fold(increases),
@@ -781,8 +889,11 @@ def run(cfg: RunConfig) -> dict:
     A check that raises a package error is recorded with status "error"
     rather than aborting its suite or the report.
     """
-    # found by the first check that needs them, and charged to it; when the
-    # search raises, every check that needs them records the same error
+    # the sl2 independence points with their reads (each point's pair and
+    # its three fields, read once), made by the first check that needs
+    # them and charged to it; when the search raises, every check that
+    # needs the points records the same error, and an error a read raised
+    # is recorded by every check that uses that read
     found = []
 
     def find_points():

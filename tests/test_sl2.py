@@ -16,6 +16,7 @@ from cmspaces.sl2 import (
     GEN_H,
     SL2Element,
     act_components,
+    act_components_stack,
     act_pair,
     analytic_field,
     find_independence_point,
@@ -36,12 +37,14 @@ from cmspaces.chart import (
     to_chart_tracked,
 )
 from cmspaces.variety import (
+    Representation,
     augment,
     level_residual,
     level_scale,
     pair_moment,
     pair_scale,
     random_point,
+    random_points,
 )
 
 
@@ -90,6 +93,23 @@ def test_action_routes_agree_bitwise():
         via_pair = act_pair(g, augment(r))
         assert np.array_equal(via_components.A, via_pair.A)
         assert np.array_equal(via_components.B, via_pair.B)
+
+
+def test_stacked_action_is_the_one_quadruple_action():
+    bad = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+    for n in range(1, 6):
+        for tau in (1.0, 1e8):
+            A, B, v, w = random_points(n, 2, tau, range(7))
+            elements = [random_sl2(40 + i) for i in range(7)]
+            per_item = act_components_stack(np.array([[g.a, g.b, g.c, g.d] for g in elements]).T,
+                                            A, B, v, w)
+            shared = act_components_stack((2.0, 0.0, 0.0, 1.0), A, B, v, w)
+            for i, g in enumerate(elements):
+                r = Representation(A[i], B[i], v[i], w[i], tau)
+                for stack, one in ((per_item, act_components(g, r)),
+                                   (shared, act_components(bad, r))):
+                    for got, want in zip(stack, (one.A, one.B, one.v, one.w)):
+                        assert got[i].tobytes() == want.tobytes()
 
 
 def test_action_needs_two_columns():

@@ -34,14 +34,17 @@ from cmspaces.variety import (
     on_level,
     on_shell,
     pair_fingerprint,
+    pair_fingerprints,
     pair_scale,
     project,
+    quadruple_block_residual,
     quadruple_level_residual,
     quiver_moment,
     random_gauge,
     random_point,
     random_points,
     random_quadruple,
+    random_quadruples,
 )
 
 
@@ -269,6 +272,42 @@ def test_stacked_level_residual_is_the_one_point_residual():
     assert np.array_equal(Ah[3], p.A) and np.array_equal(Bh[3], p.B)
 
 
+def _drawn_quadruple(n, k, seed):
+    # the construction random_quadruple made before the stacked draw: four
+    # uniform blocks in turn, each its real then its imaginary parts
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+            for shape in ((n, n), (n, n), (n, k), (k, n))]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_quadruples_are_the_one_seed_quadruples(k):
+    for n in range(1, 7):
+        seeds = [7 * n + k, 0, 2**31 + n, 12345]
+        stack = random_quadruples(n, k, 0.5 - 2j, seeds)
+        assert [x.shape for x in stack] == [(4, n, n), (4, n, n), (4, n, k), (4, k, n)]
+        for i, seed in enumerate(seeds):
+            r = random_quadruple(n, k, 0.5 - 2j, seed)
+            assert r.tau == 0.5 - 2j
+            for got, one, want in zip(stack, (r.A, r.B, r.v, r.w), _drawn_quadruple(n, k, seed)):
+                assert got[i].tobytes() == one.tobytes() == want.tobytes()
+    assert [x.shape for x in random_quadruples(3, k, 1.0, [])] == [(0, 3, 3), (0, 3, 3),
+                                                                   (0, 3, k), (0, k, 3)]
+    with pytest.raises(ShapeMismatchError):
+        random_quadruples(3, 3, 1.0, [1])
+
+
+def test_stacked_block_residual_is_the_one_quadruple_residual():
+    for n in range(1, 7):
+        A, B, v, w = random_quadruples(n, 2, 1.0, range(9))
+        resid = quadruple_block_residual(A, B, v, w)
+        for i in range(9):
+            r = Representation(A[i], B[i], v[i], w[i], 1.0)
+            assert resid[i].tobytes() == np.float64(block_commutator_residual(r)).tobytes()
+    with pytest.raises(ShapeMismatchError):
+        block_commutator_residual(random_quadruple(2, 1, 1.0, 3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
 def test_block_identity_for_arbitrary_quadruples(n, seed):
@@ -408,6 +447,22 @@ def test_pair_fingerprint_gathers_the_trace_table_words_bit_for_bit():
             assert got.tolist() == words and got.dtype == np.complex128, (n, L)
 
 
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)])
+def test_stacked_pair_fingerprints_are_the_one_pair_fingerprints(lead):
+    count = int(np.prod(lead))
+    for n in range(1, 7):
+        pairs = [augment(random_point(n, 2, 1.0, 90 + i)) for i in range(count - 1)]
+        pairs.append(gauge_act_pair(random_gauge(n, 91), augment(random_point(n, 2, 1.0, 92))))
+        A = np.array([p.A for p in pairs]).reshape(lead + (n + 1, n + 1))
+        B = np.array([p.B for p in pairs]).reshape(lead + (n + 1, n + 1))
+        for length in (1, 3, None):
+            got = pair_fingerprints(A, B, length)
+            words = pair_fingerprint(pairs[0], length).size
+            assert got.shape == lead + (words,) and got.dtype == np.complex128
+            for p, fp in zip(pairs, got.reshape(count, words)):
+                assert fp.tobytes() == pair_fingerprint(p, length).tobytes(), (n, length)
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 16])
 def test_power_ladder_matches_sequential_powers(count):
     rng = np.random.default_rng(count)
@@ -497,6 +552,28 @@ def test_dictionary_calibration_is_point_independent():
         rep = calibrate_dictionary(random_point(n, 2, 1.0, 100 + seed))
         assert {v.label() for v in rep.admissible} == want
         assert rep.literal_admissible is False
+
+
+def _loop_calibration(r):
+    # oracle: the per-variant loop calibrate_dictionary ran before its stack
+    n, out = r.n, {}
+    for var in ALL_DICTIONARY_VARIANTS:
+        nu1, nu2 = quiver_moment(r.A, r.B, *var.apply(r))
+        out[var.label()] = max(frob(nu1 - r.tau * np.eye(n)), abs(nu2 - (-n * r.tau)))
+    return out
+
+
+def test_stacked_dictionary_residuals_match_the_variant_loop():
+    for n in range(1, 6):
+        for seed, tau in ((1, 1.0), (2, 1e8), (3, 0.3 - 2j)):
+            r = random_point(n, 2, tau, 200 + 10 * n + seed)
+            rep, want = calibrate_dictionary(r), _loop_calibration(r)
+            assert list(rep.residuals) == list(want)
+            for label, resid in want.items():
+                assert np.float64(rep.residuals[label]).tobytes() == np.float64(resid).tobytes()
+            scale = level_scale(r)
+            assert rep.admissible == tuple(v for v in ALL_DICTIONARY_VARIANTS
+                                           if want[v.label()] <= 1e-9 * scale)
 
 
 def test_dictionary_calibration_requires_two_columns():

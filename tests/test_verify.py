@@ -6,8 +6,13 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from cmspaces import verify
-from cmspaces.errors import SearchExhaustedError
+from cmspaces import sl2, verify
+from cmspaces.errors import (
+    DegenerateSpectrumError,
+    NonConvergentError,
+    SearchExhaustedError,
+    ZeroRowEntryError,
+)
 from cmspaces.verify import SCHEMA_VERSION, SUITE_NAMES, RunConfig, expand_suites, run
 
 
@@ -75,18 +80,19 @@ def test_a_non_finite_sample_fails_its_check_wherever_it_sits():
 
 
 def test_flow_checks_fingerprint_each_target_once(monkeypatch):
-    original, calls = verify.pair_fingerprint, []
+    # one fingerprint stack per base point: the target, then one flow per step count
+    original, stacks = verify.pair_fingerprints, []
 
-    def counting(p, length=None):
-        calls.append(p)
-        return original(p, length)
+    def counting(A, B, length=None):
+        stacks.append(A.shape[0])
+        return original(A, B, length)
 
-    monkeypatch.setattr(verify, "pair_fingerprint", counting)
+    monkeypatch.setattr(verify, "pair_fingerprints", counting)
     cfg = RunConfig(n_values=(1, 2), seed=3)
     verify._check_trotter_rate(cfg)
     verify._check_bracket_limit(cfg)
-    # 10 base points per check: one target, then one flow per step count
-    assert len(calls) == 10 * (2 + len(verify.TROTTER_STEPS) + len(verify.BRACKET_STEPS))
+    # 10 base points per check
+    assert stacks == [1 + len(verify.TROTTER_STEPS)] * 10 + [1 + len(verify.BRACKET_STEPS)] * 10
 
 
 def _status(check):
@@ -178,6 +184,90 @@ def test_a_raising_independence_search_errors_every_check_that_needs_the_points(
     assert records and all(rec["status"] == "pass" for rec in records.values())
 
 
+def test_the_sl2_point_checks_read_each_point_once(monkeypatch):
+    # one read of the three fields per point, shared by the four checks:
+    # 5 reads at n = 1..5, where each check read its own used to make 20
+    original, calls = sl2._fields, []
+
+    def counting(gens, *args, **kwargs):
+        calls.append(len(gens))
+        return original(gens, *args, **kwargs)
+
+    monkeypatch.setattr(sl2, "_fields", counting)
+    report = run(RunConfig(suites=("sl2",), seed=1))
+    assert report["summary"]["passed"] == report["summary"]["total"]
+    assert calls == [3] * 5
+
+
+def test_a_raising_shared_read_errors_every_check_that_reads_it(monkeypatch):
+    # the read of a point's pair fails once; each check that reads it records that error
+    find, read = verify.find_independence_point, verify.from_chart
+    points, reads = set(), []
+
+    def finding(*args, **kwargs):
+        c = find(*args, **kwargs)
+        points.add(id(c))
+        return c
+
+    def failing_read(c, *args, **kwargs):
+        if id(c) in points:
+            reads.append(c.n)
+            raise NonConvergentError("no pair")
+        return read(c, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "find_independence_point", finding)
+    monkeypatch.setattr(verify, "from_chart", failing_read)
+    records = {rec["name"]: rec for rec in run(RunConfig(suites=("sl2",), seed=7))["records"]}
+    assert reads == [1, 2, 3, 4, 5]     # once per point, not once per check
+    for name in _POINT_RECORDS:
+        rec = records.pop(name)
+        assert rec["status"] == "error" and rec["residual"] is None
+        assert rec["note"] == "NonConvergentError at seed 7: no pair"
+    assert records and all(rec["status"] == "pass" for rec in records.values())
+
+
+def test_a_field_that_overflows_errors_only_the_checks_that_use_it():
+    # at tau = 1e200 the upper-shear field overflows and the lower-shear
+    # field does not: the shared read of all three raises, and each check
+    # records what its own fields do, as when each read its own
+    with np.errstate(all="ignore"):
+        records = {rec["name"]: rec
+                   for rec in run(RunConfig(suites=("sl2",), seed=1, tau=1e200))["records"]}
+    overflow = "NonConvergentError at seed 1: chart tangent overflowed: it has a non-finite entry"
+    for name in ("sl2.independence_rank", "sl2.independence_ratio_margin",
+                 "sl2.trace_component_match"):
+        assert (records[name]["status"], records[name]["note"]) == ("error", overflow)
+    for name in ("sl2.lower_shear_field_match", "sl2.lower_shear_invariance",
+                 "sl2.slice_tangency"):
+        assert records[name]["status"] == "pass"
+
+
+def test_stacked_trials_come_back_in_trial_order_with_the_first_trials_error():
+    sizes = [1, 2, 1, 2, 3]
+    calls = []
+
+    def kernel(n, trials):
+        calls.append((n, list(trials)))
+        return [10 * i + n for i in trials]
+
+    assert verify._per_size(sizes, kernel) == [1, 12, 21, 32, 43]
+    assert calls == [(1, [0, 2]), (2, [1, 3]), (3, [4])]   # one call per size
+
+    def failing(n, trials):
+        # trial 3 fails alone with one class, trial 2 with another; a stack
+        # raises the class its kernel checks first, whatever the trial order
+        if 3 in trials:
+            raise ZeroRowEntryError(f"trial 3 of {list(trials)}")
+        if 2 in trials:
+            raise DegenerateSpectrumError(f"trial 2 of {list(trials)}")
+        return list(trials)
+
+    for sizes in ([1, 2, 2, 2, 1],    # within one stack
+                  [1, 1, 2, 1]):      # the stack of trial 3 is called first
+        with pytest.raises(DegenerateSpectrumError, match=r"trial 2 of \[2\]$"):
+            verify._per_size(sizes, failing)
+
+
 def test_grouped_seeded_points_are_the_one_point_draws():
     cfg = RunConfig(seed=4)
     points = verify._seeded_points(cfg, "mom", [1 + i % 5 for i in range(12)])
@@ -188,9 +278,12 @@ def test_grouped_seeded_points_are_the_one_point_draws():
 
 def test_lapack_calls_of_one_verify_pass(monkeypatch):
     # per routine, one default pass at seed 1: eig and its inverse for each
-    # normalization and the eig checks, eigvals for the untracked reads,
-    # svd for random_gauge's condition bound and the ranks; the chart
-    # Jacobian, the induced fields and the gauge checks make none.  The
+    # normal_form stack (one per size: 5 in the pair round trip, 5 each in
+    # the shape and equivalence checks, 10 in the idempotence check) and
+    # for the 50 of the eig checks, 20 inv for the gauges random_gauge
+    # draws, eigvals for the untracked reads, svd for random_gauge's
+    # condition bound and the ranks; the chart Jacobian, the induced
+    # fields, the splitting check and the gauge checks make none.  The
     # four pinv of the flow fits are cached for the process, so a pass
     # after the first makes none
     counts = dict.fromkeys(("eig", "eigvals", "inv", "svd", "solve", "lstsq", "pinv"), 0)
@@ -206,4 +299,4 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     assert report["summary"]["passed"] == report["summary"]["total"]
     pinv = counts.pop("pinv")
     assert pinv in (0, 4)
-    assert counts == {"eig": 115, "eigvals": 15, "inv": 140, "svd": 45, "solve": 5, "lstsq": 0}
+    assert counts == {"eig": 75, "eigvals": 15, "inv": 95, "svd": 45, "solve": 5, "lstsq": 0}
