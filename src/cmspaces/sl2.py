@@ -295,8 +295,8 @@ def _fields(gens, c: ChartPoint, p: AugmentedPair, tol: float) -> np.ndarray:
     """Packed induced fields (len(gens), 4n+2) of the generators at c, from one read of c.
 
     p is c's pair from_chart(c, tol).  At t = 0 the flow of
-    X = ((p, q), (r, -p)) moves the pair along its tangent pair
-    (p A + q B, r A - p B), which act_pair builds from X.
+    X = ((s, q), (r, -s)) moves the pair (A, B) along its tangent pair
+    (s A + q B, r A - s B), which act_pair builds from X.
     """
     tangents = [act_pair(gen.matrix(), p) for gen in gens]
     return tracked_tangent(p, np.array([t.A for t in tangents]),

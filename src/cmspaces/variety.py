@@ -441,7 +441,8 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
         raise ShapeMismatchError("dictionary calibration needs k = 2")
     n = r.n
     scale = level_scale(r)
-    X1, X2, Y1, Y2 = _dictionary_slots(r.v, r.w)
+    slots = zip(*(var.apply(r) for var in ALL_DICTIONARY_VARIANTS))
+    X1, X2, Y1, Y2 = (np.array(slot) for slot in slots)     # (16, n) each
     nu1 = comm(r.A, r.B) + X1[:, :, None] * Y2[:, None, :] - X2[:, :, None] * Y1[:, None, :]
     nu2 = (Y1[:, None, :] @ X2[:, :, None] - Y2[:, None, :] @ X1[:, :, None])[:, 0, 0]
     # abs of a Python complex: np.abs rounds differently in the last bit
@@ -454,24 +455,6 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
         literal_admissible=LITERAL_DICTIONARY in admissible,
         residuals={var.label(): resid for var, resid in zip(ALL_DICTIONARY_VARIANTS, resids)},
     )
-
-
-def _dictionary_slots(v, w):
-    """(X1, X2, Y1, Y2) of every variant, (16, n) each, in ALL_DICTIONARY_VARIANTS order."""
-    x_slots, y_slots, flip_x, flip_y = _variant_table()
-    X, Y = v.T[x_slots], w[y_slots]
-    return (np.where(flip_x[:, None], -X[:, 0], X[:, 0]), X[:, 1],
-            np.where(flip_y[:, None], -Y[:, 0], Y[:, 0]), Y[:, 1])
-
-
-@lru_cache(maxsize=None)
-def _variant_table():
-    """Per variant: the inner columns feeding (X1, X2), the rows feeding (Y1, Y2), the negations."""
-    variants = ALL_DICTIONARY_VARIANTS
-    return (np.array([(1, 0) if var.swap_x else (0, 1) for var in variants]),
-            np.array([(1, 0) if var.swap_y else (0, 1) for var in variants]),
-            np.array([var.flip_x for var in variants]),
-            np.array([var.flip_y for var in variants]))
 
 
 # ---------------------------------------------------------------------------

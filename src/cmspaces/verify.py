@@ -167,7 +167,8 @@ def _declare(*records, needs_points=False):
     """Declare the (name, law, threshold) of each record a check returns.
 
     The check is registered under the suite its record names start with.
-    With needs_points it also takes the run's sl2 independence points.
+    With needs_points it also takes the run's sl2 independence points and
+    their shared reads (_independence_points).
     """
     def register(check):
         check.records, check.needs_points = records, needs_points
@@ -244,23 +245,15 @@ def _draw(cfg: RunConfig, tag: str, n: int, trials, k: int = 2):
     return random_points(n, k, cfg.tau, [_seed(cfg, tag, i) for i in trials])
 
 
-def _seeded_quadruples(cfg: RunConfig, tag: str, sizes) -> list:
-    """random_quadruple(sizes[i], 2, tau, _seed(cfg, tag, i)) for each trial i, in trial order.
+def _seeded_points(cfg: RunConfig, tag: str, sizes, draw=random_points) -> list:
+    """The k = 2 quadruple of size sizes[i] at _seed(cfg, tag, i) for each trial i, in trial order.
 
-    The trials of one size are drawn with one random_quadruples call.
+    draw is random_points (on-shell points, as random_point draws them)
+    or random_quadruples; the trials of one size take one call.
     """
-    def draw(n, trials):
-        return zip(*random_quadruples(n, 2, cfg.tau, [_seed(cfg, tag, i) for i in trials]))
-    return [Representation(*x, cfg.tau) for x in _per_size(sizes, draw)]
-
-
-def _seeded_points(cfg: RunConfig, tag: str, sizes) -> list:
-    """random_point(sizes[i], 2, tau, _seed(cfg, tag, i)) for each trial i, in trial order.
-
-    The trials of one size are drawn with one random_points call.
-    """
-    return [Representation(*x, cfg.tau)
-            for x in _per_size(sizes, lambda n, trials: zip(*_draw(cfg, tag, n, trials)))]
+    def stacked(n, trials):
+        return zip(*draw(n, 2, cfg.tau, [_seed(cfg, tag, i) for i in trials]))
+    return [Representation(*x, cfg.tau) for x in _per_size(sizes, stacked)]
 
 
 def _level_residuals(cfg: RunConfig, A, B, v, w):
@@ -348,7 +341,7 @@ def _check_block_identity(cfg: RunConfig) -> _Measured:
 @_declare(("variety.augment_project_roundtrip", "border-embedding-inverse", 0.0))
 def _check_augment_roundtrip(cfg: RunConfig) -> _Measured:
     resids = []
-    for r in _seeded_quadruples(cfg, "aug", [1 + i % 5 for i in range(20)]):
+    for r in _seeded_points(cfg, "aug", [1 + i % 5 for i in range(20)], random_quadruples):
         back = project(augment(r))
         resids += [np.abs(back.A - r.A).max(), np.abs(back.B - r.B).max(),
                    np.abs(back.v - r.v).max(), np.abs(back.w - r.w).max()]
@@ -517,7 +510,8 @@ def _check_jacobian_rank(cfg: RunConfig) -> _Measured:
 @_declare(("sl2.equivariance_exact", "augmentation-intertwines-action", 0.0))
 def _check_equivariance(cfg: RunConfig) -> _Measured:
     resids = []
-    for i, r in enumerate(_seeded_quadruples(cfg, "eqv", [1 + i % 5 for i in range(20)])):
+    sizes = [1 + i % 5 for i in range(20)]
+    for i, r in enumerate(_seeded_points(cfg, "eqv", sizes, random_quadruples)):
         g = random_sl2(_seed(cfg, "eqvg", i))
         via_components = augment(act_components(g, r))
         via_pair = act_pair(g, augment(r))
