@@ -16,7 +16,7 @@ stabilizer dimension is #{i : |x'_i| <= thr and |y'_i| <= thr} and the
 orbit dimension is n^2 minus that.  The eigenvector condition therefore
 implies a trivial stabilizer, and it alone cuts out the regular locus
 used by the chart.  Every border entry is compared with the one threshold
-thr = tol * max(1, ||M||_F).
+thr = tol * linalg.matrix_scale(M).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .linalg import (
     as_cmatrix,
     eig,
     eigvals,
-    frob,
+    matrix_scale,
     min_gap,
     numeric_rank,
 )
@@ -44,12 +44,12 @@ from .variety import AugmentedPair, GaugeElement, check_gauge, split_blocks
 
 
 def simple_gap(gap: float, M, tol: float) -> bool:
-    """True when an eigenvalue gap of M exceeds tol * max(1, ||M||_F).
+    """True when an eigenvalue gap of M exceeds tol * matrix_scale(M).
 
     The one statement of "simple spectrum" that every regularity test
     compares its gap against.  Stacks of gaps and matrices give arrays.
     """
-    return gap > tol * np.maximum(1.0, frob(M))
+    return gap > tol * matrix_scale(M)
 
 
 def _eigenbasis_border(A, tol: float):
@@ -57,14 +57,14 @@ def _eigenbasis_border(A, tol: float):
 
     Returns (lam, g, ginv, x', y', thr): g block ginv = diag(lam), the
     border column x' = g col, the border row y' = row ginv, and the
-    threshold thr = tol * max(1, ||A||_F) at or below which a border entry
+    threshold thr = tol * matrix_scale(A) at or below which a border entry
     counts as zero.  Raises DegenerateSpectrumError when the block
     spectrum is not simple.  A may be a stack over leading axes.
     """
     lam, g, ginv = eig(A[..., :-1, :-1], tol)
     x = (g @ A[..., :-1, -1:])[..., 0]
     y = (A[..., -1:, :-1] @ ginv)[..., 0, :]
-    return lam, g, ginv, x, y, tol * np.maximum(1.0, frob(A))
+    return lam, g, ginv, x, y, tol * matrix_scale(A)
 
 
 def conjugation_operator(M) -> np.ndarray:

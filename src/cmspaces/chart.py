@@ -49,17 +49,19 @@ from .linalg import (
     frob,
     gather,
     match_to_reference,
+    matrix_scale,
     min_gap,
     normalize_frame,
+    pair_scale,
     reorder,
     sort_order,
+    value_scale,
 )
 from .variety import (
     AugmentedPair,
     commutator_level_deviation,
     complex_uniforms_from,
     level_shift,
-    matrix_pair_scale,
     spaced_points_from,
     split_blocks,
 )
@@ -159,15 +161,10 @@ class Decomposition:
 
 def _normal_form_test(A, tol: float):
     n = A.shape[-1] - 1
-    scale = np.maximum(1.0, frob(A))
+    scale = matrix_scale(A)
     off = A[..., :n, :n].copy()
     off[..., np.arange(n), np.arange(n)] = 0.0
     return (frob(off) <= tol * scale) & (np.abs(A[..., n, :n] - 1.0).max(axis=-1) <= tol * scale)
-
-
-def is_normal_form(p: AugmentedPair, tol: float = DEFAULT_TOL) -> bool:
-    """Diagonal block and unit border row, within tol * max(1, ||M||)."""
-    return bool(_normal_form_test(p.A, tol))
 
 
 def _reference(ref, lead: tuple, size: int) -> np.ndarray:
@@ -201,7 +198,7 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     The diagonal block is its own eigenbasis and the border row y' is all
     ones, so by the eigenbasis criterion of canonical no padded
     eigenvector survives and the stabilizer is trivial.  Both gaps use
-    the threshold tol * max(1, ||.||_F) that canonical.simple_gap and the
+    the threshold tol * matrix_scale(.) that canonical.simple_gap and the
     eigenbasis test share, the full gap scaled once more by the largest
     eigenvalue condition number kappa_j = ||g_j|| ||ginv_j|| of the
     frame, floored at 1.  A double full eigenvalue is a Jordan block (the
@@ -220,7 +217,7 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     its frame is linalg.arrowhead_frame of the block diagonal and those
     values, checked by its residual
     ||g M g^-1 - diag(lamhat)|| (EigenMismatchError beyond
-    1e3 * tol * max(1, max |lamhat|)) and rescaled to linalg.eig's
+    1e3 * tol * value_scale(lamhat)) and rescaled to linalg.eig's
     convention, which g and S follow.
     """
     if not _normal_form_test(p.A, max(tol, 1e-12)):
@@ -265,7 +262,7 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
     _check_frame(A, lamhat, g, ginv, tol)
     g, ginv = normalize_frame(g, ginv)
     K = comm(A, B)
-    scale = matrix_pair_scale(A, B)
+    scale = pair_scale(A, B)
     if not all_items(commutator_level_deviation(K, tau) <= max(tol, 1e-12) * 1e3 * scale):
         raise LevelConditionError("pair commutator leaves the shifted border space")
 
@@ -501,12 +498,12 @@ def tracked_tangent(p: AugmentedPair, dA, dB, ref: ChartPoint,
 
 
 def _check_frame(A, lamhat, g, ginv, tol: float) -> None:
-    """Raise EigenMismatchError unless g A ginv = diag(lamhat) within 1e3 * tol * max(1, max |lamhat|)."""
+    """Raise EigenMismatchError unless g A ginv = diag(lamhat) within 1e3 * tol * value_scale(lamhat)."""
     R = g @ A @ ginv
     full = np.arange(A.shape[-1])
     R[..., full, full] -= lamhat
     resid = frob(R)
-    bound = 1e3 * tol * np.maximum(1.0, np.abs(lamhat).max(axis=-1))
+    bound = 1e3 * tol * value_scale(lamhat)
     bad = ~(resid <= bound)
     if any_item(bad):
         raise EigenMismatchError(
@@ -524,7 +521,7 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     unit-normalized: S, the rebuilt second matrix and project_to_slice's
     kappa do not change under a diagonal rescaling of the frame.  The
     frame residual is the contract check (EigenMismatchError beyond
-    1e3 * tol * max(1, max |lamhat|)).
+    1e3 * tol * value_scale(lamhat)).
 
     S is closed form.  Row n of ginv is all ones (every right eigenvector
     ends in 1), so a border column m e_n^T adds (g[:, :n] m) 1^T to
@@ -535,7 +532,7 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     S_jk = (P_jk - P_jj) / (lamhat_j - lamhat_k).
     """
     n = lam.shape[-1]
-    scale = np.maximum(1.0, np.abs(lamhat).max(axis=-1))
+    scale = value_scale(lamhat)
     if any_item((min_gap(lam) <= tol * scale) | (min_gap(lamhat) <= tol * scale)):
         raise DegenerateSpectrumError("chart coordinates need simple spectra")
 

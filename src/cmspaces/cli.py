@@ -26,15 +26,13 @@ from .chart import ChartPoint, from_chart, random_chart_point, to_chart, to_char
 from .errors import CMSpacesError
 from .flowcalc import flow_exact
 from .jsonio import decode, dumps, encode, encode_cmatrix
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, pair_scale
 from .variety import (
     AugmentedPair,
     Representation,
     augment,
     level_deviation,
     level_residual,
-    level_scale,
-    pair_scale,
     random_point,
 )
 from .verify import RunConfig, run
@@ -157,7 +155,7 @@ def cmd_gen(args) -> int:
     _emit(encode(r), args.out)
     print(
         f"gen: n={args.n} k={args.k} seed={args.seed} "
-        f"level residual {level_residual(r) / level_scale(r):.3e} (relative)",
+        f"level residual {level_residual(r) / pair_scale(r.A, r.B):.3e} (relative)",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -194,7 +192,7 @@ def cmd_chart(args) -> int:
         _emit(encode(p), args.out)
         print(
             f"chart --invert: rebuilt pair, level deviation "
-            f"{level_deviation(p) / pair_scale(p):.3e} (relative)",
+            f"{level_deviation(p) / pair_scale(p.A, p.B):.3e} (relative)",
             file=sys.stderr,
         )
         return EXIT_OK
@@ -216,14 +214,14 @@ def cmd_flow(args) -> int:
         "before": encode(before),
         "after": encode(after),
         "residuals": {
-            "level_before": level_deviation(p) / pair_scale(p),
-            "level_after": level_deviation(q) / pair_scale(q),
+            "level_before": level_deviation(p) / pair_scale(p.A, p.B),
+            "level_after": level_deviation(q) / pair_scale(q.A, q.B),
         },
     }
     _emit(payload, args.out)
     print(
         f"flow: generator={args.generator} t={args.t} "
-        f"level deviation after {level_deviation(q) / pair_scale(q):.3e}",
+        f"level deviation after {level_deviation(q) / pair_scale(q.A, q.B):.3e}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IllConditionedFitError, WitnessVanishesError
-from .linalg import as_square_stack, frob
+from .linalg import as_square_stack, frob, matrix_scale, value_scale
 from .sl2 import GEN_E, GEN_F, GEN_H, SL2Element, SL2Generator, act_pair, sl2_exp
 from .variety import AugmentedPair
 
@@ -215,7 +215,7 @@ def lnd_degree(kind: str, observable, p: AugmentedPair, d_max: int = 6) -> int |
     the scaling flow is not, and the fit reports that as None rather than
     a large degree.  Samples at d_max + 2 Chebyshev nodes on [-1, 1] and
     accepts the least degree whose residual is at most 1e-8 times
-    max(1, largest |sample|).  A flowed pair or sample that is not finite
+    value_scale(samples).  A flowed pair or sample that is not finite
     raises (see _shear_samples).
     """
     if kind not in ("e", "f"):
@@ -224,7 +224,7 @@ def lnd_degree(kind: str, observable, p: AugmentedPair, d_max: int = 6) -> int |
         observable = _OBSERVABLES[observable]
     count = d_max + 2
     samples = _shear_samples(kind, count, 1.0, p, observable)
-    samples = samples / max(1.0, float(np.abs(samples).max()))
+    samples = samples / value_scale(samples)
     for deg in range(d_max + 1):
         if _fit(count, 1.0, deg, samples)[1] <= 1e-8:
             return deg
@@ -265,12 +265,12 @@ def _fit_derivatives(kind: str, p: AugmentedPair) -> np.ndarray:
     """Polynomial coefficients of t -> tr(second matrix) along a shear flow.
 
     A degree-4 fit at 6 Chebyshev nodes on [-0.5, 0.5]; a residual above
-    1e-6 * max(1, max |sample|), or one that is not finite, raises.
+    1e-6 * value_scale(samples), or one that is not finite, raises.
     """
     count, half_width, degree = 6, 0.5, 4
     samples = _shear_samples(kind, count, half_width, p, _OBSERVABLES["trace_second"])
     coeffs, resid = _fit(count, half_width, degree, samples)
-    if not resid <= 1e-6 * max(1.0, float(np.abs(samples).max())):
+    if not resid <= 1e-6 * value_scale(samples):
         raise IllConditionedFitError(
             f"shear pullback of the trace is not polynomial to fit tolerance "
             f"(residual {resid:.3e})"
@@ -284,10 +284,10 @@ def compatible_witness(p: AugmentedPair) -> WitnessReport:
     Checks (by exact-flow polynomial fits): the upper shear leaves h
     constant; along the lower shear the first derivative equals tr(first
     matrix) and the second and higher derivatives vanish.  Points where
-    |tr(first matrix)| <= 1e-8 * max(1, ||A||, ||B||) cannot anchor the
+    |tr(first matrix)| <= 1e-8 * max(matrix_scale(A), matrix_scale(B)) cannot anchor the
     certificate and raise WitnessVanishesError.
     """
-    scale = max(1.0, frob(p.A), frob(p.B))
+    scale = max(matrix_scale(p.A), matrix_scale(p.B))
     anchor = complex(np.trace(p.A))
     if abs(anchor) <= 1e-8 * scale:
         raise WitnessVanishesError(

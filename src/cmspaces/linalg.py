@@ -10,8 +10,9 @@ directly, so the conventions fixed here are uniform across the package:
 
 The second convention pins the remaining phase freedom, which makes every
 quantity computed from a diagonalizer reproducible bit for bit on
-identical input.  Tolerances are relative to the Frobenius norm of the
-input; `DEFAULT_TOL` is used when the caller does not pass one.
+identical input.  Tolerances here are relative to the Frobenius norm of
+the input, and elsewhere to `matrix_scale`, `pair_scale` or
+`value_scale`; `DEFAULT_TOL` is used when the caller does not pass one.
 
 The arrowhead matrices of the chart (`arrowhead`, built from their two
 spectra) have their frame in closed form (`arrowhead_frame`): no
@@ -121,6 +122,28 @@ def _rescaled_norm(M, stacked, nrm):
     M = M / s
     plain = row_norms(M.reshape(M.shape[:-2] + (-1,))) if stacked else np.linalg.norm(M.ravel())
     return s.reshape(np.shape(nrm)) * plain
+
+
+def matrix_scale(M):
+    """max(1, ||M||_F) over the leading axes of a stack, like frob; NaN for a NaN norm."""
+    return np.maximum(1.0, frob(M))
+
+
+def pair_scale(A, B):
+    """max(1, ||A||_F ||B||_F) over the leading axes of stacked pairs; NaN for a NaN norm."""
+    return np.maximum(1.0, frob(A) * frob(B))
+
+
+def value_scale(x):
+    """max(1, max |x|) along the last axis of x; NaN when an entry is NaN."""
+    return np.maximum(1.0, np.abs(x).max(axis=-1))
+
+
+# One item gives a numpy scalar, so ~ negates a comparison with it.  A text is
+# the formula a note states, over named operands (several: the largest scale).
+matrix_scale.text = lambda *names: f"max(1, {', '.join(f'||{m}||' for m in names)})"
+pair_scale.text = lambda a, b: f"max(1, ||{a}|| ||{b}||)"
+value_scale.text = lambda x: f"max(1, |{x}|)"
 
 
 def any_item(bad) -> bool:

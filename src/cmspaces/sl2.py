@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from cmath import cosh, exp, sinh, sqrt
 from dataclasses import dataclass
-from math import hypot
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .chart import (
     slice_residual,
     tracked_tangent,
 )
-from .linalg import DEFAULT_TOL, frob, min_gap
+from .linalg import DEFAULT_TOL, as_cmatrix, frob, matrix_scale, min_gap, value_scale
 from .variety import (
     AugmentedPair,
     Representation,
@@ -148,11 +147,11 @@ def sl2_exp(X) -> SL2Element:
     exp(X) = cosh(s) I + (sinh(s)/s) X at s = sqrt(delta); the quotient is
     evaluated by series near s = 0.
     """
-    X = np.asarray(X, dtype=np.complex128)
+    X = as_cmatrix(X)
     if X.shape != (2, 2):
         raise ShapeMismatchError(f"expected a 2 x 2 matrix, got {X.shape}")
     p, q, r, m = X.ravel().tolist()
-    if abs(p + m) > 1e-12 * max(1.0, hypot(*map(abs, (p, q, r, m)))):
+    if abs(p + m) > 1e-12 * matrix_scale(X):
         raise ShapeMismatchError("generator must be traceless")
     delta = p**2 + q * r
     s = sqrt(delta)
@@ -368,7 +367,7 @@ def find_independence_point(n: int, tau: complex, seed: int,
     Looks for coordinates with mu = 0, matching traces (sum lam = sum
     lamhat), vanishing second corner (via project_to_slice), and the
     nondegeneracy |(sum muhat) s_2 - (sum lamhat muhat) s_1| > 0.1 * scale
-    with scale = max(1, |s_1|, |s_2|).  muhat is resampled inside the
+    with scale = value_scale([|s_1|, |s_2|]).  muhat is resampled inside the
     slice-constraint kernel until the nondegeneracy holds.  Raises
     SearchExhaustedError after 200 draws of the spectra.
     """
@@ -385,7 +384,7 @@ def find_independence_point(n: int, tau: complex, seed: int,
         muhat = rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)
         c = ChartPoint(lam, lamhat, np.zeros(n), muhat, tau)
         s = (np.sum(lamhat), np.sum(lamhat**2))
-        scale = max(1.0, abs(s[0]), abs(s[1]))
+        scale = value_scale([abs(s[0]), abs(s[1])])
         for _ in range(16):
             c = project_to_slice(c, tol)
             val = np.sum(c.muhat) * s[1] - np.sum(c.lamhat * c.muhat) * s[0]

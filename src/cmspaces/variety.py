@@ -34,7 +34,18 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOL, all_items, any_item, as_cmatrix, comm, frob, row_norms
+from .linalg import (
+    DEFAULT_TOL,
+    all_items,
+    any_item,
+    as_cmatrix,
+    comm,
+    frob,
+    matrix_scale,
+    pair_scale,
+    row_norms,
+    value_scale,
+)
 
 # ---------------------------------------------------------------------------
 # core containers
@@ -45,7 +56,7 @@ class Representation:
     """Quadruple (A, B, v, w) with its level parameter tau.
 
     The level condition is not enforced at construction; use
-    level_residual / on_shell to test it.  Arrays are stored as
+    level_residual to test it.  Arrays are stored as
     complex128 and should be treated as immutable.
     """
 
@@ -151,10 +162,6 @@ class GaugeElement:
     def n(self) -> int:
         return self.g.shape[0]
 
-    def inv(self) -> np.ndarray:
-        """The held inverse."""
-        return self.ginv
-
     def embedded(self) -> np.ndarray:
         return _embed(self.g)
 
@@ -172,18 +179,18 @@ def check_gauge(g, ginv=None) -> None:
     """Raise SingularMatrixError unless every basechange in the stack g is invertible.
 
     The invertibility test: smallest singular value above 1e-12 times
-    max(1, largest).  When the caller holds the exact inverse ginv,
-    1 / ||ginv||_F > 1e-12 max(1, ||g||_F) implies that test (the
-    smallest singular value is at least 1 / ||ginv||_F and the largest at
-    most ||g||_F), so it accepts at once; the SVD runs only when that
-    bound is inconclusive, and the accepted set stays the same.
+    value_scale of the singular values.  When the caller holds the exact
+    inverse ginv, 1 / ||ginv||_F > 1e-12 matrix_scale(g) implies that
+    test (the smallest singular value is at least 1 / ||ginv||_F and the
+    largest at most ||g||_F), so it accepts at once; the SVD runs only
+    when that bound is inconclusive, and the accepted set stays the same.
     canonical.normal_form and GaugeElement check their gauges this way,
     with the exact inverse.
     """
-    if ginv is not None and all_items(1.0 / frob(ginv) > 1e-12 * np.maximum(1.0, frob(g))):
+    if ginv is not None and all_items(1.0 / frob(ginv) > 1e-12 * matrix_scale(g)):
         return
     s = np.linalg.svd(g, compute_uv=False)
-    if any_item(s[..., -1] <= 1e-12 * np.maximum(1.0, s[..., 0])):
+    if any_item(s[..., -1] <= 1e-12 * value_scale(s)):
         raise SingularMatrixError("gauge element is numerically singular")
 
 
@@ -197,15 +204,6 @@ def split_blocks(M):
 # moment maps and the level condition
 
 
-def moment_map(r: Representation) -> np.ndarray:
-    """[A, B] - v w."""
-    return comm(r.A, r.B) - r.v @ r.w
-
-
-def level_scale(r: Representation) -> float:
-    return float(matrix_pair_scale(r.A, r.B))
-
-
 def level_residual(r: Representation) -> float:
     """Frobenius distance of the moment map from tau * I."""
     return float(quadruple_level_residual(r.A, r.B, r.v, r.w, r.tau))
@@ -214,10 +212,6 @@ def level_residual(r: Representation) -> float:
 def quadruple_level_residual(A, B, v, w, tau):
     """level_residual over the trailing axes of stacked quadruples."""
     return frob(comm(A, B) - v @ w - tau * np.eye(A.shape[-1]))
-
-
-def on_shell(r: Representation, tol: float = DEFAULT_TOL) -> bool:
-    return level_residual(r) <= tol * level_scale(r)
 
 
 def level_shift(n: int, tau: complex) -> np.ndarray:
@@ -237,7 +231,7 @@ def gauge_act(g: GaugeElement, r: Representation) -> Representation:
     """(g A g^-1, g B g^-1, g v, w g^-1); the moment map transforms by conjugation."""
     if g.n != r.n:
         raise ShapeMismatchError(f"gauge size {g.n} does not match point size {r.n}")
-    gi = g.inv()
+    gi = g.ginv
     return Representation(
         g.g @ r.A @ gi, g.g @ r.B @ gi, g.g @ r.v, r.w @ gi, r.tau
     )
@@ -279,7 +273,7 @@ def augment_stack(A, B, v, w):
 def project(p: AugmentedPair, tol: float = DEFAULT_TOL) -> Representation:
     """Invert augment(); both corners must vanish within tol."""
     n = p.n
-    scale = max(1.0, frob(p.A), frob(p.B))
+    scale = max(matrix_scale(p.A), matrix_scale(p.B))
     if abs(p.A[n, n]) > tol * scale or abs(p.B[n, n]) > tol * scale:
         raise NonzeroCornerError(
             f"corners ({p.A[n, n]:.3e}, {p.B[n, n]:.3e}) do not vanish at tol {tol:.1e}"
@@ -327,15 +321,6 @@ def pair_moment(p: AugmentedPair) -> np.ndarray:
     return comm(p.A, p.B)[:n, :n]
 
 
-def pair_scale(p: AugmentedPair) -> float:
-    return matrix_pair_scale(p.A, p.B)
-
-
-def matrix_pair_scale(A, B):
-    """max(1, ||A||_F ||B||_F), over the trailing axes of stacked matrices."""
-    return np.maximum(1.0, frob(A) * frob(B))
-
-
 def level_deviation(p: AugmentedPair) -> float:
     """How far the pair commutator leaves the shifted border space.
 
@@ -355,7 +340,7 @@ def commutator_level_deviation(K, tau: complex):
 
 def on_level(p: AugmentedPair, tol: float = DEFAULT_TOL) -> bool:
     """True when the pair commutator sits in the shifted border space."""
-    return bool(level_deviation(p) <= tol * pair_scale(p))
+    return bool(level_deviation(p) <= tol * pair_scale(p.A, p.B))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +417,7 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
     """Find which dictionary variants land in the expected quiver fiber.
 
     A variant is admissible when it maps the on-shell quadruple to the fiber
-    over (tau * I_n, -n tau), within 1e-9 * level_scale.  An empty
+    over (tau * I_n, -n tau), within 1e-9 * pair_scale(A, B).  An empty
     admissible tuple is reported, not raised, so callers can record the
     outcome.  The 16 variants are evaluated as one stack, each with the
     bits of quiver_moment on its own (X1, X2, Y1, Y2).
@@ -440,7 +425,7 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
     if r.k != 2:
         raise ShapeMismatchError("dictionary calibration needs k = 2")
     n = r.n
-    scale = level_scale(r)
+    scale = pair_scale(r.A, r.B)
     slots = zip(*(var.apply(r) for var in ALL_DICTIONARY_VARIANTS))
     X1, X2, Y1, Y2 = (np.array(slot) for slot in slots)     # (16, n) each
     nu1 = comm(r.A, r.B) + X1[:, :, None] * Y2[:, None, :] - X2[:, :, None] * Y1[:, None, :]

@@ -54,7 +54,16 @@ from .flowcalc import (
     trotter_flow,
     trotter_target,
 )
-from .linalg import eig, frob, match_to_reference, numeric_rank, solve
+from .linalg import (
+    eig,
+    frob,
+    match_to_reference,
+    matrix_scale,
+    numeric_rank,
+    pair_scale,
+    solve,
+    value_scale,
+)
 from .sl2 import (
     GEN_E,
     GEN_F,
@@ -81,9 +90,7 @@ from .variety import (
     calibrate_dictionary,
     fingerprint,
     gauge_act,
-    matrix_pair_scale,
     pair_fingerprints,
-    pair_scale,
     project,
     quadruple_block_residual,
     quadruple_level_residual,
@@ -111,7 +118,6 @@ class RunConfig:
     """Parameters shared by the suites; None fields fall back per check."""
 
     n_values: tuple | None = None
-    k_values: tuple = (1, 2)
     tau: complex = 1.0
     seed: int = 1
     tol: float = 1e-9
@@ -121,7 +127,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "n_values": list(self.n_values) if self.n_values else None,
-            "k_values": list(self.k_values),
             "tau": [complex(self.tau).real, complex(self.tau).imag],
             "seed": self.seed,
             "tol": self.tol,
@@ -204,13 +209,12 @@ def _fold(samples, pick=max) -> float:
 
 
 def _trace_word_error(fp, fp0):
-    """Largest deviation of the trace words fp from fp0, relative to max(1, |fp0|).
+    """Largest deviation of the trace words fp from fp0, relative to value_scale(fp0).
 
     The words run along the last axis, so stacked fingerprints give one
     error per item.
     """
-    scale = np.abs(fp0).max(axis=-1)
-    return np.abs(fp - fp0).max(axis=-1) / np.where(scale > 1.0, scale, 1.0)
+    return np.abs(fp - fp0).max(axis=-1) / value_scale(fp0)
 
 
 def _per_size(sizes, kernel) -> list:
@@ -257,9 +261,9 @@ def _seeded_points(cfg: RunConfig, tag: str, sizes, draw=random_points) -> list:
 
 
 def _level_residuals(cfg: RunConfig, A, B, v, w):
-    """Level residuals of stacked quadruples at cfg.tau, relative to max(1, ||A|| ||B||)."""
+    """Level residuals of stacked quadruples at cfg.tau, relative to pair_scale(A, B)."""
     with np.errstate(over="ignore"):    # a scale past the float range is inf, as a float product
-        scale = matrix_pair_scale(A, B)
+        scale = pair_scale(A, B)
     return quadruple_level_residual(A, B, v, w, cfg.tau) / scale
 
 
@@ -280,9 +284,9 @@ def _check_eig_reassembly(cfg: RunConfig) -> _Measured:
             rng = np.random.default_rng(_seed(cfg, f"eig{size}", i))
             M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             vals, g, ginv = eig(M, cfg.tol)
-            resid = frob(g @ M @ ginv - np.diag(vals)) / max(1.0, frob(M))
+            resid = frob(g @ M @ ginv - np.diag(vals)) / matrix_scale(M)
             resids.append(resid)
-    return _Measured(_fold(resids), "relative to max(1, ||M||)")
+    return _Measured(_fold(resids), f"relative to {matrix_scale.text('M')}")
 
 
 @_declare(("linalg.solve_residual", "linear-solve-residual", 1e-12))
@@ -322,20 +326,20 @@ def _check_level_condition(cfg: RunConfig) -> _Measured:
     trials = _trials(cfg, 50)
     ns = _ns(cfg, 6)
     for n in ns:
-        for k in cfg.k_values:
+        for k in (1, 2):
             resids.extend(_level_residuals(cfg, *_draw(cfg, f"lvl{n}{k}", n, range(trials), k)))
-    return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)",
-                     len(ns) * len(cfg.k_values) * trials)
+    return _Measured(_fold(resids), f"relative to {pair_scale.text('A', 'B')}",
+                     len(ns) * 2 * trials)
 
 
 @_declare(("variety.block_identity", "pair-commutator-block-forms", 1e-12))
 def _check_block_identity(cfg: RunConfig) -> _Measured:
     def residuals(n, trials):
         A, B, v, w = random_quadruples(n, 2, cfg.tau, [_seed(cfg, "blk", i) for i in trials])
-        return quadruple_block_residual(A, B, v, w) / matrix_pair_scale(A, B)
+        return quadruple_block_residual(A, B, v, w) / pair_scale(A, B)
 
     resids = _per_size([1 + i % 6 for i in range(_trials(cfg, 200))], residuals)
-    return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)")
+    return _Measured(_fold(resids), f"relative to {pair_scale.text('A', 'B')}")
 
 
 @_declare(("variety.augment_project_roundtrip", "border-embedding-inverse", 0.0))
@@ -354,7 +358,7 @@ def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
     for i, r in enumerate(_seeded_points(cfg, "fpg", [2 + i % 4 for i in range(20)])):
         g = random_gauge(r.n, _seed(cfg, "fpgg", i))
         resids.append(_trace_word_error(fingerprint(gauge_act(g, r)), fingerprint(r)))
-    return _Measured(_fold(resids), "relative to max(1, |fingerprint|)")
+    return _Measured(_fold(resids), f"relative to {value_scale.text('fingerprint')}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +446,8 @@ def _check_splitting_constraints(cfg: RunConfig) -> _Measured:
         off = d.g @ d.N2 @ d.ginv - d.S
         off[..., np.arange(n + 1), np.arange(n + 1)] -= d.muhat
         resids[trials] = (np.stack([frob(d.N1 + d.N2 - B), frob(off)], axis=-1)
-                          / matrix_pair_scale(A, B)[:, None])
-    return _Measured(_fold(resids.ravel()), "relative to max(1, ||A|| ||B||)")
+                          / pair_scale(A, B)[:, None])
+    return _Measured(_fold(resids.ravel()), f"relative to {pair_scale.text('A', 'B')}")
 
 
 @_declare(("chart.gap_term_spectral_only", "gap-term-depends-on-spectra-only", 1e-10))
@@ -472,9 +476,9 @@ def _check_round_trip_coordinates(cfg: RunConfig) -> _Measured:
     for n in ns:
         coords = _chart_stack(cfg, n, f"rtc{n}", range(trials))
         back = to_chart_stack(*from_chart_stack(coords, n, cfg.tau, cfg.tol), cfg.tau, cfg.tol)
-        dev = np.abs(back - coords).max(axis=-1) / np.maximum(1.0, np.abs(coords).max(axis=-1))
+        dev = np.abs(back - coords).max(axis=-1) / value_scale(coords)
         resids.extend(dev)
-    return _Measured(_fold(resids), "relative to max(1, |coords|)", len(ns) * trials)
+    return _Measured(_fold(resids), f"relative to {value_scale.text('coords')}", len(ns) * trials)
 
 
 @_declare(("chart.round_trip_pair", "rebuilt-pair-on-same-orbit", 1e-8))
@@ -527,7 +531,7 @@ def _check_moment_preservation(cfg: RunConfig) -> _Measured:
         coeffs = np.array([[x.a, x.b, x.c, x.d] for x in g]).T
         return _level_residuals(cfg, *act_components_stack(coeffs, *_draw(cfg, "mom", n, trials)))
     resids = _per_size([1 + i % 5 for i in range(_trials(cfg, 100))], residuals)
-    return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)")
+    return _Measured(_fold(resids), f"relative to {pair_scale.text('A', 'B')}")
 
 
 @_declare(("sl2.determinant_control_margin", "non-unimodular-breaks-level", 0.0))
@@ -549,10 +553,10 @@ def _check_scaling_probe(cfg: RunConfig) -> _Measured:
         seed = _seed(cfg, "prb", i)
         for bump in range(10):
             r = random_point(n, 2, cfg.tau, seed + 31 * bump)
-            if abs(np.trace(r.A @ r.A)) > 1e-3 * max(1.0, frob(r.A) ** 2):
+            if abs(np.trace(r.A @ r.A)) > 1e-3 * matrix_scale(r.A) ** 2:
                 break
         before, _, sep = fixed_point_probe(r, 1.0)
-        separations.append(sep / max(1.0, float(np.abs(before).max())))
+        separations.append(sep / float(value_scale(before)))   # a numpy inf / inf warns
     return _Measured(1e-6 - _fold(separations, min),
                      "margin: smallest separation must exceed 1e-6; negative passes")
 
@@ -635,12 +639,11 @@ def _check_lower_shear_match(cfg: RunConfig, points: list) -> list:
         c = point.c
         num = _field(point, GEN_E, cfg)
         ana = analytic_field(GEN_E, c)
-        scale = max(1.0, float(np.abs(c.lamhat).max()))
+        scale = value_scale(c.lamhat)
         full.append(np.abs(num.vector() - ana.vector()).max() / scale)
-        frozen += [np.abs(num.d_lam).max() / scale, np.abs(num.d_lamhat).max() / scale,
-                   np.abs(num.d_mu).max() / scale]
-    return [_Measured(_fold(full), "relative to max(1, |spectrum|)", len(points)),
-            _Measured(_fold(frozen), "relative to max(1, |spectrum|)", len(points))]
+        frozen += [np.abs(d).max() / scale for d in (num.d_lam, num.d_lamhat, num.d_mu)]
+    return [_Measured(_fold(full), f"relative to {value_scale.text('spectrum')}", len(points)),
+            _Measured(_fold(frozen), f"relative to {value_scale.text('spectrum')}", len(points))]
 
 
 @_declare(("sl2.trace_component_match", "scaling-and-upper-shear-trace-rates", 1e-6),
@@ -651,9 +654,10 @@ def _check_trace_components(cfg: RunConfig, points: list) -> _Measured:
         for gen in (GEN_F, GEN_H):
             got = _field(point, gen, cfg).s_components(2)
             ana = analytic_field(gen, point.c).d_s
-            scale = max(1.0, *(abs(v) for v in ana.values()))
+            # abs of a Python complex: np.abs rounds differently in the last bit
+            scale = value_scale([abs(v) for v in ana.values()])
             resids += [abs(got[k] - ana[k]) / scale for k in (1, 2)]
-    return _Measured(_fold(resids), "relative to max(1, |component|)", len(points))
+    return _Measured(_fold(resids), f"relative to {value_scale.text('component')}", len(points))
 
 
 @_declare(("sl2.slice_tangency", "fields-tangent-to-embedded-slice", 1e-7),
@@ -662,10 +666,10 @@ def _check_slice_tangency(cfg: RunConfig, points: list) -> _Measured:
     resids = []
     for point in points:
         pair = _got(point.pair)
-        scale = pair_scale(pair)
+        scale = pair_scale(pair.A, pair.B)
         for gen in GENERATORS:
             resids += [r / scale for r in slice_rates(gen, pair)]
-    return _Measured(_fold(resids), "relative to max(1, ||A|| ||B||)", len(points))
+    return _Measured(_fold(resids), f"relative to {pair_scale.text('A', 'B')}", len(points))
 
 
 @_declare(("sl2.scaling_spectra", "joint-exponential-scaling-of-spectra", 1e-9))
@@ -756,14 +760,14 @@ def _check_bracket_sign(cfg: RunConfig) -> _Measured:
 def _check_commuting_cases(cfg: RunConfig) -> _Measured:
     c = random_chart_point(2, cfg.tau, _seed(cfg, "comm"))
     p = from_chart(c, cfg.tol)
-    scale = pair_scale(p)
+    scale = pair_scale(p.A, p.B)
     same_trotter = pair_distance(
         trotter_flow(GEN_E, GEN_E, 0.3, 64, p),
         trotter_target(GEN_E, GEN_E, 0.3, p),
     )
     same_bracket = pair_distance(bracket_flow(GEN_E, GEN_E, 0.3, 64, p), p)
     return _Measured(_fold([same_trotter, same_bracket]) / scale,
-                     "relative to max(1, ||A|| ||B||)")
+                     f"relative to {pair_scale.text('A', 'B')}")
 
 
 @_declare(("flowcalc.shear_pullback_degrees", "unipotent-flows-polynomial", 0.0))
@@ -796,7 +800,7 @@ def _check_witness(cfg: RunConfig) -> _Measured:
                 break
         report = compatible_witness(p)
         resids.append(report.residual / report.scale)
-    return _Measured(_fold(resids), "relative to max(1, ||A||, ||B||)")
+    return _Measured(_fold(resids), f"relative to {matrix_scale.text('A', 'B')}")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from cmspaces.flowcalc import (
     trotter_target,
 )
 from cmspaces.verify import BRACKET_STEPS, BRACKET_TIME, TROTTER_STEPS, TROTTER_TIME
-from cmspaces.linalg import frob, numeric_rank
+from cmspaces.linalg import frob, numeric_rank, pair_scale
 from cmspaces.sl2 import (
     GEN_E,
     GEN_F,
@@ -57,10 +57,8 @@ from cmspaces.variety import (
     calibrate_dictionary,
     level_deviation,
     level_residual,
-    level_scale,
     pair_fingerprint,
     pair_moment,
-    pair_scale,
     random_point,
     random_quadruple,
 )
@@ -79,7 +77,7 @@ def test_ac01_seeded_points_sit_on_the_level_set():
         for k in (1, 2):
             for seed in range(50):
                 r = random_point(n, k, 1.0, 1000 + seed)
-                worst = max(worst, level_residual(r) / level_scale(r))
+                worst = max(worst, level_residual(r) / pair_scale(r.A, r.B))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 5.0
     _report("AC-01", "seeded level-set residual (n 1..6, k 1..2, 50 seeds)",
@@ -91,7 +89,7 @@ def test_ac02_commutator_block_identity():
     for i in range(200):
         n = 1 + i % 6
         r = random_quadruple(n, 2, 1.0, 2000 + i)
-        worst = max(worst, block_commutator_residual(r) / level_scale(r))
+        worst = max(worst, block_commutator_residual(r) / pair_scale(r.A, r.B))
     _report("AC-02", "commutator block identity (200 quadruples, n <= 6)",
             f"worst {worst:.3e}", "1e-12", worst < 1e-12)
 
@@ -103,7 +101,7 @@ def test_ac03_second_matrix_splitting():
         n = 1 + seed % 5
         p, _ = normalize(augment(random_point(n, 2, 1.0, 3000 + seed)))
         d = decompose(p)
-        scale = pair_scale(p)
+        scale = pair_scale(p.A, p.B)
         gi = np.linalg.inv(d.g)
         checks = [
             frob(d.N1 + d.N2 - p.B),
@@ -187,13 +185,14 @@ def test_ac05_action_preserves_the_moment():
         n = 1 + i % 5
         r = random_point(n, 2, 1.0, 5000 + i)
         g = random_sl2(5200 + i)
-        p0 = pair_moment(augment(r))
-        p1 = pair_moment(act_pair(g, augment(r)))
-        worst = max(worst, frob(p1 - p0) / pair_scale(augment(r)))
+        p = augment(r)
+        p0 = pair_moment(p)
+        p1 = pair_moment(act_pair(g, p))
+        worst = max(worst, frob(p1 - p0) / pair_scale(p.A, p.B))
     # negative control: a determinant-2 matrix must fail visibly
     r = random_point(3, 2, 1.0, 5300)
     broken = act_pair(np.array([[2.0, 0.0], [0.0, 1.0]]), augment(r))
-    control = level_deviation(broken) / pair_scale(broken)
+    control = level_deviation(broken) / pair_scale(broken.A, broken.B)
     ok = worst < 1e-10 and control > 1e-3
     _report("AC-05", "unit-determinant action preserves the level (100 elements)",
             f"worst {worst:.3e}, control {control:.3e}",
@@ -240,7 +239,8 @@ def test_ac07_independence_certificate():
             )
 
         tan_dev = 0.0
-        scale = pair_scale(from_chart(c))
+        q = from_chart(c)
+        scale = pair_scale(q.A, q.B)
         for gen in (GEN_E, GEN_F, GEN_H):
             r1, r2 = slice_tangency(gen, c)
             tan_dev = max(tan_dev, max(r1, r2) / scale)
@@ -262,7 +262,7 @@ def test_ac08_flow_composition_laws():
     for i in range(5):
         n = 1 + i % 3
         p = from_chart(random_chart_point(n, 1.0, 8000 + i))
-        scale = pair_scale(p)
+        scale = pair_scale(p.A, p.B)
 
         target = trotter_target(GEN_E, GEN_H, TROTTER_TIME, p)
         errs = [

@@ -79,6 +79,39 @@ def test_no_module_imports_a_private_name_from_another():
     assert private == {}
 
 
+# linalg's scale functions are where a magnitude is floored at 1.  The one
+# other floor is kappa's in chart.decompose_stack: a bound on an eigenvalue
+# condition number (at least 1 in exact arithmetic), not a scale.
+_FLOOR_SITES = {"linalg.matrix_scale", "linalg.pair_scale", "linalg.value_scale",
+                "chart.decompose_stack"}
+
+
+def _floors_at_one(node, where, found):
+    """Add where + line of each max(1, .), np.maximum(1, .) or np.where(., ., 1) call."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        where = f"{where.split('.')[0]}.{node.name}"
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        ones = [a for a in node.args if isinstance(a, ast.Constant)
+                and type(a.value) in (int, float) and a.value == 1]
+        if name in ("max", "maximum", "fmax", "where") and ones:
+            found.append(f"{where}:{node.lineno}")
+    for child in ast.iter_child_nodes(node):
+        _floors_at_one(child, where, found)
+
+
+def test_no_scale_is_floored_outside_the_scale_functions():
+    found = []
+    package = Path(cmspaces.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        _floors_at_one(ast.parse(path.read_text()), path.stem, found)
+    assert sorted(f for f in found if f.split(":")[0] not in _FLOOR_SITES) == []
+    # verify's notes name their scales through the functions' formula texts
+    tree = ast.parse((package / "verify.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and "max(1" in node.value] == []
+
+
 def test_importing_the_package_loads_no_scipy():
     # scipy is a test dependency only; the package must not pay its import
     code = "import sys, cmspaces; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"

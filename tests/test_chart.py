@@ -17,7 +17,6 @@ from cmspaces.chart import (
     decompose,
     from_chart,
     from_chart_stack,
-    is_normal_form,
     project_to_slice,
     random_chart_point,
     random_chart_points,
@@ -45,6 +44,7 @@ from cmspaces.linalg import (
     match_to_reference,
     min_gap,
     numeric_rank,
+    pair_scale,
     reorder,
     sort_order,
 )
@@ -55,7 +55,6 @@ from cmspaces.variety import (
     level_shift,
     on_level,
     pair_fingerprint,
-    pair_scale,
     random_gauge,
     random_point,
 )
@@ -93,11 +92,18 @@ def test_chart_point_packing_round_trip():
         ChartPoint.from_vector(c.vector()[:-1], 3, c.tau)
 
 
+def _is_normal_form(p):
+    """The block of the first matrix is diagonal and its border row all ones, exactly."""
+    n = p.n
+    block = p.A[:n, :n]
+    return np.array_equal(block, np.diag(np.diag(block))) and np.array_equal(p.A[n, :n], np.ones(n))
+
+
 def test_hand_case_is_on_level_and_normal():
     p = AugmentedPair(HAND_A, HAND_B, 1.0)
     assert np.array_equal(comm(p.A, p.B), np.diag([1.0 + 0j, -1.0 + 0j]))
     assert on_level(p, tol=1e-15)
-    assert is_normal_form(p, tol=1e-15)
+    assert _is_normal_form(p)
 
 
 def test_hand_case_split_package_order():
@@ -123,7 +129,7 @@ def test_decompose_constraints_hold_at_seeded_points():
         n = 1 + seed % 5
         p = _normal_pair(n, 90 + seed)
         d = decompose(p)
-        scale = pair_scale(p)
+        scale = pair_scale(p.A, p.B)
         # N1 + N2 rebuilds the second matrix, N1 diagonal in the block
         assert frob(d.N1 + d.N2 - p.B) < 1e-14 * scale
         assert frob(d.N1 - np.diag(np.diag(d.N1))) == 0.0
@@ -329,7 +335,7 @@ def test_to_chart_orders_a_normal_form_with_a_reversed_diagonal():
     n = 4
     c = random_chart_point(n, 1.0, 88)
     p = from_chart(ChartPoint(c.lam[::-1], c.lamhat, c.mu[::-1], c.muhat, 1.0))
-    assert is_normal_form(p)
+    assert _is_normal_form(p)
     got = to_chart(p)
     scrambled = to_chart(gauge_act_pair(random_gauge(n, 89), p))
     scale = max(1.0, np.abs(c.vector()).max())
@@ -341,7 +347,7 @@ def test_to_chart_orders_a_normal_form_with_a_reversed_diagonal():
 def test_rebuilt_pair_is_normal_with_stated_spectra():
     c = random_chart_point(3, 1.0, 77)
     p = from_chart(c)
-    assert is_normal_form(p)
+    assert _is_normal_form(p)
     np.testing.assert_allclose(np.diag(p.A[:3, :3]), c.lam, atol=1e-10)
     lamhat = np.linalg.eigvals(p.A)
     lamhat = lamhat[np.lexsort((lamhat.imag, lamhat.real))]
@@ -468,7 +474,7 @@ def test_a_tracked_read_near_coalescing_lamhat_agrees_with_the_eigvals_path(
     kappa = np.linalg.norm(g, axis=-1) * np.linalg.norm(ginv, axis=-2)
     dev = np.abs(secular - lapack)
     assert np.all(dev[n:2 * n + 1] <= 1e-12 * kappa * max(1.0, frob(p.A)))
-    assert dev.max() <= 1e-12 * kappa.max() ** 2 * pair_scale(p)
+    assert dev.max() <= 1e-12 * kappa.max() ** 2 * pair_scale(p.A, p.B)
 
 
 def test_a_reference_that_swaps_two_roots_falls_back_and_raises(monkeypatch):
@@ -669,8 +675,9 @@ def test_project_to_slice_kills_the_second_corner():
     assert np.array_equal(s.lam, c.lam)
     assert np.array_equal(s.lamhat, c.lamhat)
     assert np.array_equal(s.mu, c.mu)
-    _, corner = slice_residual(from_chart(s))
-    assert abs(corner) < 1e-9 * pair_scale(from_chart(s))
+    q = from_chart(s)
+    _, corner = slice_residual(q)
+    assert abs(corner) < 1e-9 * pair_scale(q.A, q.B)
 
 
 def test_slice_recipe_zeroes_both_corners():
@@ -683,5 +690,5 @@ def test_slice_recipe_zeroes_both_corners():
     s = project_to_slice(balanced)
     p = from_chart(s)
     tr_dev, corner = slice_residual(p)
-    assert abs(tr_dev) < 1e-9 * pair_scale(p)
-    assert abs(corner) < 1e-9 * pair_scale(p)
+    assert abs(tr_dev) < 1e-9 * pair_scale(p.A, p.B)
+    assert abs(corner) < 1e-9 * pair_scale(p.A, p.B)

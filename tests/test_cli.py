@@ -250,7 +250,7 @@ def test_an_overflowed_normal_form_is_a_numerical_error(capsys, monkeypatch):
 
 
 def test_the_determinant_control_keeps_its_margin_at_huge_tau(capsys, monkeypatch):
-    # its samples divide by level_scale, whose norms no longer overflow at
+    # its samples divide by pair_scale, whose norms no longer overflow at
     # tau = 1e200: the negative control breaks the level there as at tau = 1
     with np.errstate(all="ignore"):
         _, out, _ = _run(capsys, monkeypatch,

@@ -21,9 +21,9 @@ from cmspaces.flowcalc import (
     trotter_target,
 )
 from cmspaces.chart import from_chart, random_chart_point, to_chart_tracked
-from cmspaces.linalg import frob
+from cmspaces.linalg import frob, pair_scale
 from cmspaces.sl2 import GEN_E, GEN_F, GEN_H
-from cmspaces.variety import AugmentedPair, augment, pair_scale, random_point
+from cmspaces.variety import AugmentedPair, augment, random_point
 from cmspaces.verify import BRACKET_STEPS, BRACKET_TIME, TROTTER_STEPS, TROTTER_TIME
 
 
@@ -36,13 +36,13 @@ def test_flow_exact_closed_forms():
     t = 0.37
     e = flow_exact("e", t, p)
     assert np.array_equal(e.A, p.A)
-    assert frob(e.B - (p.B + t * p.A)) < 1e-14 * pair_scale(p)
+    assert frob(e.B - (p.B + t * p.A)) < 1e-14 * pair_scale(p.A, p.B)
     f = flow_exact("f", t, p)
     assert np.array_equal(f.B, p.B)
-    assert frob(f.A - (p.A + t * p.B)) < 1e-14 * pair_scale(p)
+    assert frob(f.A - (p.A + t * p.B)) < 1e-14 * pair_scale(p.A, p.B)
     h = flow_exact("h", t, p)
-    assert frob(h.A - np.exp(t) * p.A) < 1e-14 * pair_scale(p)
-    assert frob(h.B - np.exp(-t) * p.B) < 1e-14 * pair_scale(p)
+    assert frob(h.A - np.exp(t) * p.A) < 1e-14 * pair_scale(p.A, p.B)
+    assert frob(h.B - np.exp(-t) * p.B) < 1e-14 * pair_scale(p.A, p.B)
 
 
 def test_flows_compose_additively():
@@ -50,9 +50,9 @@ def test_flows_compose_additively():
     for kind in ("e", "f", "h"):
         q = flow_exact(kind, 0.2, flow_exact(kind, 0.3, p))
         r = flow_exact(kind, 0.5, p)
-        assert pair_distance(q, r) < 1e-12 * pair_scale(p)
+        assert pair_distance(q, r) < 1e-12 * pair_scale(p.A, p.B)
         back = flow_exact(kind, -0.5, r)
-        assert pair_distance(back, p) < 1e-12 * pair_scale(p)
+        assert pair_distance(back, p) < 1e-12 * pair_scale(p.A, p.B)
 
 
 def test_trotter_error_shrinks_at_first_order():
@@ -74,9 +74,9 @@ def test_trotter_with_equal_generators_is_exact():
         trotter_flow(GEN_E, GEN_E, 0.3, 8, p),
         trotter_target(GEN_E, GEN_E, 0.3, p),
     )
-    assert dev < 1e-12 * pair_scale(p)
+    assert dev < 1e-12 * pair_scale(p.A, p.B)
     # the commutator of a generator with itself flows nowhere
-    assert pair_distance(bracket_flow(GEN_E, GEN_E, 0.3, 64, p), p) < 1e-12 * pair_scale(p)
+    assert pair_distance(bracket_flow(GEN_E, GEN_E, 0.3, 64, p), p) < 1e-12 * pair_scale(p.A, p.B)
 
 
 def test_bracket_flow_converges_like_inverse_sqrt_steps():
@@ -87,7 +87,7 @@ def test_bracket_flow_converges_like_inverse_sqrt_steps():
     errs = np.array([
         pair_distance(bracket_flow(GEN_E, GEN_F, 0.25, m, p), target)
         for m in (64, 256, 1024)
-    ]) / pair_scale(p)
+    ]) / pair_scale(p.A, p.B)
     assert errs[0] > errs[1] > errs[2]
     rates = errs[:-1] / errs[1:]
     # each 4x step refinement should halve the error: allow a wide band
@@ -98,7 +98,7 @@ def test_bracket_flow_is_accurate_at_short_time():
     p = _pair(2, 106)
     target = bracket_target(GEN_E, GEN_F, 0.01, p)
     err = pair_distance(bracket_flow(GEN_E, GEN_F, 0.01, 1024, p), target)
-    assert err < 1e-3 * pair_scale(p)
+    assert err < 1e-3 * pair_scale(p.A, p.B)
 
 
 def test_bracket_lands_on_the_reversed_commutator():

@@ -21,10 +21,13 @@ from cmspaces.linalg import (
     eigvals,
     frob,
     match_to_reference,
+    matrix_scale,
     min_gap,
     normalize_frame,
     numeric_rank,
+    pair_scale,
     solve,
+    value_scale,
 )
 
 
@@ -356,3 +359,74 @@ def test_frob_stays_finite_and_correct_at_extreme_scales():
     np.testing.assert_allclose([one, frob(M[2])], got[1:3], rtol=1e-14)
     # non-finite input keeps its non-finite norm
     assert frob(np.array([[np.inf, 1.0]])) == np.inf
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _scale_stacks():
+    """3 x 3 matrices, small, unit and near 1e200, stacked C-ordered and transposed."""
+    rng = np.random.default_rng(18)
+    M = _random_complex(rng, 4, 3, 3)
+    M[0] *= 1e-3
+    M[2] *= 1e200
+    return M, M.transpose(0, 2, 1)
+
+
+def _nan_stack():
+    """A unit stack whose item 1 has a NaN entry."""
+    M = _random_complex(np.random.default_rng(19), 3, 3, 3)
+    M[1, 1, 2] = np.nan
+    return M
+
+
+def test_matrix_and_pair_scales_keep_the_bits_of_the_inline_floors():
+    with np.errstate(over="ignore"):
+        for S in _scale_stacks():
+            T = S[::-1]
+            assert _bits(matrix_scale(S)) == _bits(np.maximum(1.0, frob(S)))
+            assert _bits(pair_scale(S, T)) == _bits(np.maximum(1.0, frob(S) * frob(T)))
+            for i in range(len(S)):
+                one = matrix_scale(S[i])
+                assert _bits(one) == _bits(matrix_scale(S)[i]) == _bits(max(1.0, frob(S[i])))
+                assert _bits(pair_scale(S[i], T[i])) == _bits(pair_scale(S, T)[i])
+    # NaN: the scale keeps it, as np.maximum does; a Python max drops it
+    N = _nan_stack()
+    assert _bits(matrix_scale(N)) == _bits(np.maximum(1.0, frob(N)))
+    assert _bits(pair_scale(N, N)) == _bits(np.maximum(1.0, frob(N) * frob(N)))
+    assert np.isnan(matrix_scale(N[1])) and np.isnan(pair_scale(N, N)[1])
+    assert max(1.0, frob(N[1])) == 1.0
+
+
+def test_value_scale_keeps_the_bits_of_the_inline_floors():
+    for S in _scale_stacks():
+        x = S[:, 0, :]      # rows: contiguous items, then strided ones
+        top = np.abs(x).max(axis=-1)
+        assert _bits(value_scale(x)) == _bits(np.maximum(1.0, top))
+        assert _bits(value_scale(x)) == _bits(np.where(top > 1.0, top, 1.0))
+        for i in range(len(x)):
+            one = value_scale(x[i])
+            assert _bits(one) == _bits(value_scale(x)[i])
+            assert _bits(one) == _bits(max(1.0, float(np.abs(x[i]).max())))
+    # NaN: the scale keeps it, as np.maximum does; max and np.where drop it
+    x = _nan_stack()[:, 1, :]
+    top = np.abs(x).max(axis=-1)
+    assert _bits(value_scale(x)) == _bits(np.maximum(1.0, top))
+    assert np.isnan(value_scale(x[1])) and np.where(top > 1.0, top, 1.0)[1] == 1.0
+    # magnitudes passed in, as a caller holding Python abs values does
+    assert value_scale([0.5, 3.0]) == 3.0 and value_scale([0.5, 0.25]) == 1.0
+
+
+def test_one_item_scales_are_numpy_scalars_that_negate_a_comparison():
+    # ~ of a Python bool is an int (~True == -2, truthy); a stack's ~ negates
+    for one in (matrix_scale(np.eye(2)), pair_scale(np.eye(2), np.eye(2)), value_scale([0.5])):
+        assert isinstance(one, np.float64)
+        assert not ~(one <= 3.0) and ~(one > 3.0)
+
+
+def test_scale_texts_are_the_formulas_the_notes_state():
+    assert matrix_scale.text("M") == "max(1, ||M||)"
+    assert matrix_scale.text("A", "B") == "max(1, ||A||, ||B||)"
+    assert pair_scale.text("A", "B") == "max(1, ||A|| ||B||)"
+    assert value_scale.text("spectrum") == "max(1, |spectrum|)"

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cmspaces.errors import CMSpacesError, NotStronglySemisimpleError, ShapeMismatchError, ZeroPairError
-from cmspaces.linalg import arrowhead_frame, frob, min_gap
+from cmspaces.linalg import arrowhead_frame, frob, min_gap, pair_scale
 from cmspaces.sl2 import (
     GEN_E,
     GEN_F,
@@ -40,9 +40,7 @@ from cmspaces.variety import (
     Representation,
     augment,
     level_residual,
-    level_scale,
     pair_moment,
-    pair_scale,
     random_point,
     random_points,
 )
@@ -85,6 +83,15 @@ def test_sl2_exp_matches_scipy_expm():
     np.testing.assert_allclose(sl2_exp(X).matrix(), scipy.linalg.expm(X), atol=1e-15)
 
 
+def test_sl2_exp_refuses_a_generator_with_a_trace_or_a_non_finite_entry():
+    with pytest.raises(ShapeMismatchError, match="traceless"):
+        sl2_exp(np.array([[1.0, 0.0], [0.0, 1e-3]]))
+    # a NaN entry has no scale to compare the trace with, traceless or not
+    for X in ([[1.0, np.nan], [0.0, 0.0]], [[0.0, np.nan], [0.0, 0.0]], [[0.0, np.inf], [1.0, 0.0]]):
+        with pytest.raises(ShapeMismatchError, match="non-finite"):
+            sl2_exp(np.array(X))
+
+
 def test_action_routes_agree_bitwise():
     r = random_point(3, 2, 1.0, 15)
     for seed in range(5):
@@ -123,10 +130,10 @@ def test_action_preserves_the_moment():
         r = random_point(n, 2, 1.0, 30 + seed)
         g = random_sl2(60 + seed)
         moved = act_components(g, r)
-        assert level_residual(moved) < 1e-10 * level_scale(r)
+        assert level_residual(moved) < 1e-10 * pair_scale(r.A, r.B)
         p = act_pair(g, augment(r))
         dev = frob(pair_moment(p) - pair_moment(augment(r)))
-        assert dev < 1e-10 * pair_scale(p)
+        assert dev < 1e-10 * pair_scale(p.A, p.B)
 
 
 def test_non_unimodular_matrix_breaks_the_level():
@@ -134,7 +141,7 @@ def test_non_unimodular_matrix_breaks_the_level():
     p = act_pair(np.array([[2.0, 0.0], [0.0, 1.0]]), augment(r))
     from cmspaces.variety import level_deviation
 
-    assert level_deviation(p) > 1e-3 * pair_scale(p)
+    assert level_deviation(p) > 1e-3 * pair_scale(p.A, p.B)
 
 
 def test_scaling_probe_separates_points():
@@ -199,7 +206,8 @@ def _field_tolerance(c, oracle):
     g, ginv = arrowhead_frame(c.lam, c.lamhat)
     kappa = (np.linalg.norm(g, axis=-1) * np.linalg.norm(ginv, axis=-2)).max()
     cond = kappa / min(min_gap(c.lam), min_gap(c.lamhat))
-    return 1e-8 * cond**2 * (np.abs(oracle).max() + pair_scale(from_chart(c)))
+    p = from_chart(c)
+    return 1e-8 * cond**2 * (np.abs(oracle).max() + pair_scale(p.A, p.B))
 
 
 def test_numeric_field_matches_the_central_difference_oracle():
@@ -276,8 +284,8 @@ def test_independence_certificate():
         # the point really sits on the embedded slice
         p = from_chart(c)
         tr_dev, corner = slice_residual(p)
-        assert abs(tr_dev) < 1e-8 * pair_scale(p)
-        assert abs(corner) < 1e-8 * pair_scale(p)
+        assert abs(tr_dev) < 1e-8 * pair_scale(p.A, p.B)
+        assert abs(corner) < 1e-8 * pair_scale(p.A, p.B)
         rank, ratio = independence_rank(c)
         assert rank == 3
         assert ratio > 1e-6
@@ -293,7 +301,7 @@ def test_fields_are_tangent_to_the_slice():
         # the central difference of the slice functions along the flow
         ahead, behind = (np.array(slice_residual(act_pair(gen.exp(t), p))) for t in (step, -step))
         want = np.abs((ahead - behind) / (2.0 * step))
-        assert np.abs(np.array([tr_rate, corner_rate]) - want).max() <= 1e-9 * pair_scale(p)
+        assert np.abs(np.array([tr_rate, corner_rate]) - want).max() <= 1e-9 * pair_scale(p.A, p.B)
 
 
 def test_random_sl2_is_unimodular():
@@ -314,5 +322,5 @@ def test_chart_survives_the_action():
     p = act_pair(g, augment(r))
     nf, _ = normalize(p)
     c = to_chart(nf)
-    assert abs(np.sum(c.lamhat) - np.trace(nf.A)) < 1e-9 * pair_scale(p)
+    assert abs(np.sum(c.lamhat) - np.trace(nf.A)) < 1e-9 * pair_scale(p.A, p.B)
     assert on_level(from_chart(c), tol=1e-8)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmspaces.errors import InfeasibleRowError, NonzeroCornerError, ShapeMismatchError
-from cmspaces.linalg import comm, frob
+from cmspaces.linalg import comm, frob, pair_scale
 from cmspaces.variety import (
     _power_ladder,
     _trace_table,
@@ -27,15 +27,10 @@ from cmspaces.variety import (
     gauge_act_pair,
     level_deviation,
     level_residual,
-    level_scale,
     level_shift,
-    matrix_pair_scale,
-    moment_map,
     on_level,
-    on_shell,
     pair_fingerprint,
     pair_fingerprints,
-    pair_scale,
     project,
     quadruple_block_residual,
     quadruple_level_residual,
@@ -101,11 +96,12 @@ def test_augmented_pair_needs_matching_square_shapes():
 
 
 def test_moment_map_one_site_hand_case():
-    # n = 1, k = 1: the commutator vanishes, so the moment map is -v w
-    r = Representation(np.zeros((1, 1)), np.zeros((1, 1)),
-                       np.array([[2.0]]), np.array([[3.0]]), -6.0)
-    np.testing.assert_allclose(moment_map(r), [[-6.0]])
-    assert on_shell(r)
+    # n = 1, k = 1: the commutator vanishes, so the moment map is -v w = -6,
+    # and the level residual is its distance |-6 - tau| from tau
+    def residual(tau):
+        return level_residual(Representation(np.zeros((1, 1)), np.zeros((1, 1)),
+                                             np.array([[2.0]]), np.array([[3.0]]), tau))
+    assert residual(-6.0) == 0.0 and residual(-5.0) == 1.0 and residual(-6.0 + 2j) == 2.0
 
 
 def test_level_shift_values():
@@ -119,8 +115,7 @@ def test_random_point_lands_on_shell():
         for k in (1, 2):
             for seed in (1, 2, 3):
                 r = random_point(n, k, 1.0, seed)
-                assert level_residual(r) < 1e-12 * level_scale(r)
-                assert on_shell(r, tol=1e-12)
+                assert level_residual(r) < 1e-12 * pair_scale(r.A, r.B)
 
 
 def test_random_point_is_reproducible():
@@ -263,10 +258,10 @@ def test_stacked_level_residual_is_the_one_point_residual():
     for k in (1, 2):
         A, B, v, w = random_points(5, k, 2.5 - 1j, range(12))
         resid = quadruple_level_residual(A, B, v, w, 2.5 - 1j)
-        scale = matrix_pair_scale(A, B)
+        scale = pair_scale(A, B)
         for i in range(12):
             r = Representation(A[i], B[i], v[i], w[i], 2.5 - 1j)
-            assert resid[i] == level_residual(r) and scale[i] == level_scale(r)
+            assert resid[i] == level_residual(r) and scale[i] == pair_scale(r.A, r.B)
     Ah, Bh = augment_stack(A, B, v, w)
     p = augment(Representation(A[3], B[3], v[3], w[3], 1.0))
     assert np.array_equal(Ah[3], p.A) and np.array_equal(Bh[3], p.B)
@@ -313,7 +308,7 @@ def test_stacked_block_residual_is_the_one_quadruple_residual():
 def test_block_identity_for_arbitrary_quadruples(n, seed):
     # the commutator block forms hold off shell as well
     r = random_quadruple(n, 2, 1.0, seed)
-    assert block_commutator_residual(r) < 1e-12 * level_scale(r)
+    assert block_commutator_residual(r) < 1e-12 * pair_scale(r.A, r.B)
 
 
 def test_augment_project_is_a_bitwise_round_trip():
@@ -340,7 +335,7 @@ def test_project_rejects_nonzero_corner():
 def test_on_level_and_deviation():
     p = augment(random_point(3, 2, 1.0, 31))
     assert on_level(p, tol=1e-12)
-    assert level_deviation(p) < 1e-12 * pair_scale(p)
+    assert level_deviation(p) < 1e-12 * pair_scale(p.A, p.B)
     # a block-entry perturbation leaves the allowed border support
     A = p.A.copy()
     A[0, 1] += 0.1
@@ -353,7 +348,7 @@ def test_augmented_commutator_corner_value():
     r = random_point(3, 2, 2.0, 41)
     p = augment(r)
     K = comm(p.A, p.B)
-    assert abs(K[3, 3] - (-3 * 2.0)) < 1e-12 * pair_scale(p)
+    assert abs(K[3, 3] - (-3 * 2.0)) < 1e-12 * pair_scale(p.A, p.B)
 
 
 def test_fingerprints_are_gauge_invariant():
@@ -376,7 +371,7 @@ def test_gauge_act_pair_does_not_check_its_gauge_again(monkeypatch):
     # conjugated by diag(g, 1) and diag(ginv, 1) with no LAPACK call
     g, p = random_gauge(4, 52), augment(random_point(4, 2, 1.0, 51))
     E, Ei = np.eye(5, dtype=np.complex128), np.eye(5, dtype=np.complex128)
-    E[:4, :4], Ei[:4, :4] = g.g, g.inv()
+    E[:4, :4], Ei[:4, :4] = g.g, g.ginv
     calls = []
     for name in ("svd", "inv"):
         original = getattr(np.linalg, name)
@@ -390,7 +385,7 @@ def test_gauge_act_pair_does_not_check_its_gauge_again(monkeypatch):
     r = gauge_act(g, random_point(4, 2, 1.0, 51))
     assert calls == []
     assert np.array_equal(q.A, E @ p.A @ Ei) and np.array_equal(q.B, E @ p.B @ Ei)
-    assert np.array_equal(r.A, g.g @ random_point(4, 2, 1.0, 51).A @ g.inv())
+    assert np.array_equal(r.A, g.g @ random_point(4, 2, 1.0, 51).A @ g.ginv)
 
 
 def test_a_gauge_element_is_checked_and_inverted_once(monkeypatch):
@@ -407,18 +402,18 @@ def test_a_gauge_element_is_checked_and_inverted_once(monkeypatch):
     # element's own check passes by the inverse's norm bound
     g = random_gauge(4, 52)
     assert calls == ["svd", "inv"]
-    assert frob(g.g @ g.inv() - np.eye(4)) < 1e-12
+    assert frob(g.g @ g.ginv - np.eye(4)) < 1e-12
     # a held inverse is kept as given, and checked without an SVD
     calls.clear()
-    held = GaugeElement(g.g, g.inv())
-    assert np.array_equal(held.inv(), g.inv()) and calls == []
+    held = GaugeElement(g.g, g.ginv)
+    assert np.array_equal(held.ginv, g.ginv) and calls == []
     # without one, the element inverts g itself, once
     GaugeElement(g.g)
     assert calls == ["inv"]
     with pytest.raises(ShapeMismatchError):
         GaugeElement(g.g, np.eye(3))
     with pytest.raises(ShapeMismatchError):
-        GaugeElement(g.g, g.inv() + 1e-6)
+        GaugeElement(g.g, g.ginv + 1e-6)
 
 
 def test_fingerprints_match_the_word_loop():
@@ -571,7 +566,7 @@ def test_stacked_dictionary_residuals_match_the_variant_loop():
             assert list(rep.residuals) == list(want)
             for label, resid in want.items():
                 assert np.float64(rep.residuals[label]).tobytes() == np.float64(resid).tobytes()
-            scale = level_scale(r)
+            scale = pair_scale(r.A, r.B)
             assert rep.admissible == tuple(v for v in ALL_DICTIONARY_VARIANTS
                                            if want[v.label()] <= 1e-9 * scale)
 
