@@ -53,9 +53,7 @@ def as_cmatrix(M, square: bool = False) -> np.ndarray:
         raise ShapeMismatchError(f"expected a 2-d array, got ndim={A.ndim}")
     if square and A.shape[0] != A.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got {A.shape}")
-    if not np.isfinite(A).all():
-        raise ShapeMismatchError("matrix contains non-finite entries")
-    return A
+    return as_finite(A)[0]
 
 
 def as_square_stack(M) -> np.ndarray:
@@ -63,9 +61,15 @@ def as_square_stack(M) -> np.ndarray:
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise ShapeMismatchError(f"expected square matrices, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ShapeMismatchError("matrix contains non-finite entries")
-    return A
+    return as_finite(A)[0]
+
+
+def as_finite(*arrays) -> tuple:
+    """The arrays as given, once every entry of each is finite; ShapeMismatchError otherwise."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ShapeMismatchError("matrix contains non-finite entries")
+    return arrays
 
 
 # plain norms outside [_NORM_FLOOR, _NORM_CEIL] are recomputed: below the
@@ -114,14 +118,21 @@ def row_norms(x):
 
 
 def _rescaled_norm(M, stacked, nrm):
-    """frob's recomputation of the plain norms nrm; non-finite input keeps them."""
-    if not np.isfinite(M).all():
-        return nrm
-    axes = (-2, -1) if stacked else None
-    s = np.ldexp(1.0, np.frexp(np.abs(M).max(axis=axes, keepdims=True))[1] - 1)
-    M = M / s
-    plain = row_norms(M.reshape(M.shape[:-2] + (-1,))) if stacked else np.linalg.norm(M.ravel())
-    return s.reshape(np.shape(nrm)) * plain
+    """frob's recomputation of the plain norms nrm out of range.
+
+    Only the items out of range are recomputed, each as its one-item call
+    would be; an item with a non-finite entry keeps its plain norm.
+    """
+    if not stacked:
+        if not np.isfinite(M).all():
+            return nrm
+        s = np.ldexp(1.0, np.frexp(np.abs(M).max())[1] - 1)
+        return s * np.linalg.norm((M / s).ravel())
+    redo = ~((nrm >= _NORM_FLOOR) & (nrm <= _NORM_CEIL)) & np.isfinite(M).all(axis=(-2, -1))
+    X = M[redo]
+    s = np.ldexp(1.0, np.frexp(np.abs(X).max(axis=(-2, -1), keepdims=True))[1] - 1)
+    nrm[redo] = s.reshape(-1) * row_norms((X / s).reshape(len(X), M.shape[-2] * M.shape[-1]))
+    return nrm
 
 
 def matrix_scale(M):
@@ -416,8 +427,7 @@ def numeric_rank(M, tol: float = DEFAULT_TOL):
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim < 2:
         raise ShapeMismatchError(f"expected matrices, got ndim={A.ndim}")
-    if not np.isfinite(A).all():
-        raise ShapeMismatchError("matrix contains non-finite entries")
+    as_finite(A)
     if 0 in A.shape[-2:]:
         rank = np.zeros(A.shape[:-2], dtype=int)
     else:

@@ -39,11 +39,20 @@ from .chart import (
     slice_residual,
     tracked_tangent,
 )
-from .linalg import DEFAULT_TOL, as_cmatrix, frob, matrix_scale, min_gap, value_scale
+from .linalg import (
+    DEFAULT_TOL,
+    any_item,
+    as_cmatrix,
+    as_finite,
+    frob,
+    matrix_scale,
+    min_gap,
+    value_scale,
+)
 from .variety import (
     AugmentedPair,
     Representation,
-    fingerprint,
+    fingerprints,
     spaced_points,
 )
 
@@ -223,16 +232,30 @@ def fixed_point_probe(r: Representation, t: float):
     Returns (before, after, separation) with separation the largest
     absolute fingerprint difference.  Pure trace powers make the probe
     sensitive: tr A^m picks up the factor e^{m t}.  Requires a nonzero
-    matrix pair and nonzero time.
+    matrix pair and nonzero time.  The one-quadruple call of
+    fixed_point_probe_stack.
+    """
+    before, after, separation = fixed_point_probe_stack(r.A, r.B, r.v, r.w, t)
+    return before, after, float(separation)
+
+
+def fixed_point_probe_stack(A, B, v, w, t: float):
+    """fixed_point_probe of k = 2 quadruples (A, B, v, w) stacked over leading axes.
+
+    Returns (before, after, separation), with one separation per item;
+    each item keeps the bits of its one-quadruple call.  Raises
+    ZeroPairError when an item's matrix pair is zero, and
+    ShapeMismatchError when an acted quadruple has a non-finite entry.
     """
     if t == 0:
         raise ValueError("probe time must be nonzero")
-    if frob(r.A) + frob(r.B) == 0.0:
+    if any_item(frob(A) + frob(B) == 0.0):
         raise ZeroPairError("the probe needs a nonzero matrix pair")
-    h = GEN_H.exp(t)
-    before = fingerprint(r)
-    after = fingerprint(act_components(h, r))
-    return before, after, float(np.abs(before - after).max())
+    if v.shape[-1] != 2:
+        raise ShapeMismatchError("the SL2 action needs k = 2")
+    acted = as_finite(*act_components_stack(_coeffs(GEN_H.exp(t)), A, B, v, w))
+    before, after = fingerprints(A, B, v, w), fingerprints(*acted)
+    return before, after, np.abs(before - after).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -671,15 +671,49 @@ def fingerprint(r: Representation, length: int | None = None) -> np.ndarray:
     of A and B up to `length`, powers of C up to min(length, 4), mixed words
     tr(A^i B^j) with i + j <= length, and bordered words tr(A^i B^j C) with
     i + j <= length - 2.  Default length is 2 n.  Conjugation-invariant
-    because every word is a trace of conjugation-covariant products.
+    because every word is a trace of conjugation-covariant products.  The
+    one-quadruple call of fingerprints.
     """
-    L = _word_length(length, 2 * r.n)
-    C = r.v @ r.w
-    P = _power_ladder(np.stack([r.A, r.B]), L)
-    T, bordered = _trace_table(P[:, 0], P[:, 1]), _trace_table(P[:L - 1, 0], P[:L - 1, 1] @ C)
-    return np.concatenate([
-        T[1:, 0], T[0, 1:], _power_ladder(C, min(L, 4))[1:].trace(axis1=1, axis2=2),
-        *_antidiagonals(T, 2, L, edges=False), *_antidiagonals(bordered, 1, L - 2, edges=True)])
+    return fingerprints(r.A, r.B, r.v, r.w, length)
+
+
+def fingerprints(A, B, v, w, length: int | None = None) -> np.ndarray:
+    """fingerprint of the quadruples (A, B, v, w) stacked over leading axes: (..., words).
+
+    The stack goes through the same power ladders and trace-table
+    products as one quadruple, so each item keeps the bits of its
+    one-quadruple call.
+    """
+    lead = A.ndim - 2
+    L = _word_length(length, 2 * A.shape[-1])
+    C = v @ w
+    P = _power_ladder(np.stack([A, B], axis=lead), L)
+    # the powers of each item after its leading axes: (..., L+1, 2, n, n)
+    P = P.transpose(*range(1, lead + 1), 0, *range(lead + 1, lead + 4))
+    PA, PB = P[..., 0, :, :], P[..., 1, :, :]
+    T = _trace_table(PA, PB)
+    bordered = _trace_table(PA[..., :L - 1, :, :], PB[..., :L - 1, :, :] @ C[..., None, :, :])
+    pure_C = np.moveaxis(_power_ladder(C, min(L, 4))[1:].trace(axis1=-2, axis2=-1), 0, -1)
+    table = np.concatenate([T.reshape(*T.shape[:-2], -1), pure_C,
+                            bordered.reshape(*bordered.shape[:-2], -1)], axis=-1)
+    return table.take(_word_index(L), axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _word_index(L: int) -> np.ndarray:
+    """Positions of fingerprint's words, in order, in its table.
+
+    The table is the (L+1) x (L+1) trace table flattened, then the
+    min(L, 4) traces of the powers of C, then the (L-1) x (L-1) bordered
+    table flattened.
+    """
+    T = np.arange((L + 1) ** 2).reshape(L + 1, L + 1)
+    pure_C = T.size + np.arange(min(L, 4))
+    bordered = T.size + pure_C.size + np.arange((L - 1) ** 2).reshape(L - 1, L - 1)
+    index = np.concatenate([T[1:, 0], T[0, 1:], pure_C, *_antidiagonals(T, 2, L, edges=False),
+                            *_antidiagonals(bordered, 1, L - 2, edges=True)])
+    index.setflags(write=False)
+    return index
 
 
 @lru_cache(maxsize=None)

@@ -55,8 +55,10 @@ from .flowcalc import (
     trotter_target,
 )
 from .linalg import (
+    as_finite,
     eig,
     frob,
+    gather,
     match_to_reference,
     matrix_scale,
     numeric_rank,
@@ -76,7 +78,7 @@ from .sl2 import (
     analytic_field,
     fields_rank,
     find_independence_point,
-    fixed_point_probe,
+    fixed_point_probe_stack,
     induced_fields,
     numeric_field,
     random_sl2,
@@ -88,14 +90,13 @@ from .variety import (
     augment,
     augment_stack,
     calibrate_dictionary,
-    fingerprint,
+    fingerprints,
     gauge_act,
     pair_fingerprints,
     project,
     quadruple_block_residual,
     quadruple_level_residual,
     random_gauge,
-    random_point,
     random_points,
     random_quadruples,
     spaced_points,
@@ -249,12 +250,14 @@ def _draw(cfg: RunConfig, tag: str, n: int, trials, k: int = 2):
     return random_points(n, k, cfg.tau, [_seed(cfg, tag, i) for i in trials])
 
 
-def _seeded_points(cfg: RunConfig, tag: str, sizes, draw=random_points) -> list:
+def _seeded_points(cfg: RunConfig, tag: str, sizes, draw=None) -> list:
     """The k = 2 quadruple of size sizes[i] at _seed(cfg, tag, i) for each trial i, in trial order.
 
-    draw is random_points (on-shell points, as random_point draws them)
-    or random_quadruples; the trials of one size take one call.
+    draw is random_points (the default: on-shell points, as random_point
+    draws them) or random_quadruples; the trials of one size take one call.
     """
+    draw = draw or random_points
+
     def stacked(n, trials):
         return zip(*draw(n, 2, cfg.tau, [_seed(cfg, tag, i) for i in trials]))
     return [Representation(*x, cfg.tau) for x in _per_size(sizes, stacked)]
@@ -272,20 +275,47 @@ def _chart_stack(cfg: RunConfig, n: int, tag: str, trials) -> np.ndarray:
     return random_chart_points(n, cfg.tau, [_seed(cfg, tag, i) for i in trials])
 
 
+def _stacked(points) -> tuple:
+    """The matrices (A, B, v, w) of quadruples of one size, stacked."""
+    return tuple(np.array([getattr(r, f) for r in points]) for f in "ABvw")
+
+
+def _bumped(seeds, draw, accepts) -> list:
+    """draw(seeds), with each rejected item redrawn at seed + 31 b for b = 1..9 until accepted.
+
+    draw returns arrays stacked over the seeds it is given and accepts a
+    mask over such a draw.  Round b redraws only the items still
+    rejected, so each item is the draw a loop over its bumps stops at:
+    the first accepted, or else the one at bump 9.
+    """
+    points = list(draw(seeds))
+    todo = np.flatnonzero(~accepts(*points))
+    for bump in range(1, 10):
+        if not todo.size:
+            break
+        redrawn = draw([seeds[i] + 31 * bump for i in todo])
+        for x, y in zip(points, redrawn, strict=True):
+            x[todo] = y
+        todo = todo[~accepts(*redrawn)]
+    return points
+
+
 # ---------------------------------------------------------------------------
 # linalg
 
 
 @_declare(("linalg.eig_reassembly", "spectral-factorization-residual", 1e-12))
 def _check_eig_reassembly(cfg: RunConfig) -> _Measured:
-    resids = []
-    for size in range(2, 7):
-        for i in range(8):
-            rng = np.random.default_rng(_seed(cfg, f"eig{size}", i))
-            M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            vals, g, ginv = eig(M, cfg.tol)
-            resid = frob(g @ M @ ginv - np.diag(vals)) / matrix_scale(M)
-            resids.append(resid)
+    def residuals(size, trials):    # trial t is the (t % 8)-th of its size
+        rngs = [np.random.default_rng(_seed(cfg, f"eig{size}", t % 8)) for t in trials]
+        M = np.array([rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+                      for rng in rngs])
+        vals, g, ginv = eig(M, cfg.tol)
+        R = g @ M @ ginv
+        R[..., np.arange(size), np.arange(size)] -= vals
+        return frob(R) / matrix_scale(M)
+
+    resids = _per_size([2 + t // 8 for t in range(40)], residuals)
     return _Measured(_fold(resids), f"relative to {matrix_scale.text('M')}")
 
 
@@ -354,10 +384,15 @@ def _check_augment_roundtrip(cfg: RunConfig) -> _Measured:
 
 @_declare(("variety.fingerprint_gauge_invariance", "trace-words-basechange-invariant", 1e-9))
 def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
-    resids = []
-    for i, r in enumerate(_seeded_points(cfg, "fpg", [2 + i % 4 for i in range(20)])):
-        g = random_gauge(r.n, _seed(cfg, "fpgg", i))
-        resids.append(_trace_word_error(fingerprint(gauge_act(g, r)), fingerprint(r)))
+    sizes = [2 + i % 4 for i in range(20)]
+    points = _seeded_points(cfg, "fpg", sizes)
+
+    def residuals(n, trials):
+        acted = [gauge_act(random_gauge(n, _seed(cfg, "fpgg", i)), points[i]) for i in trials]
+        drawn = [points[i] for i in trials]
+        return _trace_word_error(fingerprints(*_stacked(acted)), fingerprints(*_stacked(drawn)))
+
+    resids = _per_size(sizes, residuals)
     return _Measured(_fold(resids), f"relative to {value_scale.text('fingerprint')}")
 
 
@@ -544,20 +579,37 @@ def _check_negative_control(cfg: RunConfig) -> _Measured:
                      "margin: smallest residual must exceed 1e-3; negative passes")
 
 
+def _probe_accepts(A, B, v, w) -> np.ndarray:
+    """The scaling probe's test of its points: |tr A^2| > 1e-3 matrix_scale(A)^2.
+
+    It runs item by item on numpy scalars, as on one point: their abs
+    and square round differently from the array forms.
+    """
+    return np.array([abs(t) > 1e-3 * s ** 2
+                     for t, s in zip(np.trace(A @ A, axis1=-2, axis2=-1), matrix_scale(A))])
+
+
+def _probe_points(cfg: RunConfig, n: int, trials) -> list:
+    """The scaling probe's points of size n for the given trials, stacked (A, B, v, w).
+
+    Each trial draws random_point(n, 2, tau, seed + 31 b) at its own seed
+    for the bumps b = 0..9 until _probe_accepts takes the point, as
+    _bumped rounds; a drawn entry that is not finite raises, as the
+    one-point draw does.
+    """
+    return _bumped([_seed(cfg, "prb", i) for i in trials],
+                   lambda seeds: as_finite(*random_points(n, 2, cfg.tau, seeds)), _probe_accepts)
+
+
 @_declare(("sl2.scaling_probe_margin", "scaling-action-moves-invariants", 0.0))
 def _check_scaling_probe(cfg: RunConfig) -> _Measured:
-    separations = []
-    count = _trials(cfg, 50)
-    for i in range(count):
-        n = 1 + i % 5
-        seed = _seed(cfg, "prb", i)
-        for bump in range(10):
-            r = random_point(n, 2, cfg.tau, seed + 31 * bump)
-            if abs(np.trace(r.A @ r.A)) > 1e-3 * matrix_scale(r.A) ** 2:
-                break
-        before, _, sep = fixed_point_probe(r, 1.0)
-        separations.append(sep / float(value_scale(before)))   # a numpy inf / inf warns
-    return _Measured(1e-6 - _fold(separations, min),
+    def separations(n, trials):
+        before, _, sep = fixed_point_probe_stack(*_probe_points(cfg, n, trials), 1.0)
+        # in Python floats: a numpy inf / inf warns
+        return [x / y for x, y in zip(sep.tolist(), value_scale(before).tolist())]
+
+    found = _per_size([1 + i % 5 for i in range(_trials(cfg, 50))], separations)
+    return _Measured(1e-6 - _fold(found, min),
                      "margin: smallest separation must exceed 1e-6; negative passes")
 
 
@@ -674,21 +726,20 @@ def _check_slice_tangency(cfg: RunConfig, points: list) -> _Measured:
 
 @_declare(("sl2.scaling_spectra", "joint-exponential-scaling-of-spectra", 1e-9))
 def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
-    resids = []
-    for i in range(5):
-        n = 1 + i % 3
-        c = random_chart_point(n, cfg.tau, _seed(cfg, "hsc", i))
-        p = from_chart(c, cfg.tol)
-        q = act_pair(GEN_H.exp(0.1), p)
-        factor = np.exp(0.1)
-        vals_q, _, _ = eig(q.A, cfg.tol)
-        want = factor * c.lamhat
-        perm = match_to_reference(vals_q, want)
-        resids.append(np.abs(vals_q[perm] - want).max())
-        vals_b, _, _ = eig(q.A[:n, :n], cfg.tol)
-        want_b = factor * c.lam
-        perm_b = match_to_reference(vals_b, want_b)
-        resids.append(np.abs(vals_b[perm_b] - want_b).max())
+    h, factor = GEN_H.exp(0.1), np.exp(0.1)
+
+    def deviations(vals, want):
+        return np.abs(gather(vals, match_to_reference(vals, want), -1) - want).max(axis=-1)
+
+    def residuals(n, trials):
+        V = _chart_stack(cfg, n, "hsc", trials)
+        A, B = as_finite(*from_chart_stack(V, n, cfg.tau, cfg.tol))
+        qA = h.a * A + h.b * B      # the first matrix of act_pair(h, p)
+        full = deviations(eig(qA, cfg.tol)[0], factor * V[:, n:2 * n + 1])
+        block = deviations(eig(qA[:, :n, :n], cfg.tol)[0], factor * V[:, :n])
+        return np.stack([full, block], axis=-1)
+
+    resids = np.ravel(_per_size([1 + i % 3 for i in range(5)], residuals))
     return _Measured(_fold(resids), "absolute eigenvalue deviation at t=0.1")
 
 
@@ -786,20 +837,33 @@ def _check_shear_degrees(cfg: RunConfig) -> _Measured:
     return _Measured(float(total), "sum of degree deviations over hand cases")
 
 
+def _witness_accepts(A, B) -> np.ndarray:
+    """The witness check's test of its pairs, |tr A| > 0.1, item by item on numpy scalars."""
+    return np.array([abs(t) > 0.1 for t in np.trace(A, axis1=-2, axis2=-1)])
+
+
+def _witness_pairs(cfg: RunConfig, n: int, trials) -> list:
+    """The witness check's pairs of size n for the given trials, stacked (A, B).
+
+    Each trial reads from_chart(random_chart_point(n, tau, seed + 31 b))
+    at its own seed for the bumps b = 0..9 until _witness_accepts takes
+    the pair, as _bumped rounds; a pair entry that is not finite raises,
+    as the one-point read does.
+    """
+    def draw(seeds):
+        return as_finite(*from_chart_stack(random_chart_points(n, cfg.tau, seeds),
+                                           n, cfg.tau, cfg.tol))
+    return _bumped([_seed(cfg, "wit", i) for i in trials], draw, _witness_accepts)
+
+
 @_declare(("flowcalc.witness_triple", "trace-witness-derivative-identities", 1e-10))
 def _check_witness(cfg: RunConfig) -> _Measured:
-    resids = []
-    count = _trials(cfg, 20)
-    for i in range(count):
-        n = 1 + i % 4
-        seed = _seed(cfg, "wit", i)
-        for bump in range(10):
-            c = random_chart_point(n, cfg.tau, seed + 31 * bump)
-            p = from_chart(c, cfg.tol)
-            if abs(np.trace(p.A)) > 0.1:
-                break
-        report = compatible_witness(p)
-        resids.append(report.residual / report.scale)
+    def residuals(n, trials):
+        reports = [compatible_witness(AugmentedPair(a, b, cfg.tau))
+                   for a, b in zip(*_witness_pairs(cfg, n, trials))]
+        return [x.residual / x.scale for x in reports]
+
+    resids = _per_size([1 + i % 4 for i in range(_trials(cfg, 20))], residuals)
     return _Measured(_fold(resids), f"relative to {matrix_scale.text('A', 'B')}")
 
 

@@ -361,6 +361,24 @@ def test_frob_stays_finite_and_correct_at_extreme_scales():
     assert frob(np.array([[np.inf, 1.0]])) == np.inf
 
 
+def test_frob_rescales_the_finite_items_of_a_stack_with_a_non_finite_item():
+    # a NaN or inf item keeps its plain norm; the others still get their one-item bits
+    M = np.ones((2, 3, 3))
+    M[0] *= 1e200
+    M[1, 1, 2] = np.nan
+    C = np.ones((4, 3, 3), dtype=np.complex128)
+    C[0] *= 1e200
+    C[1, 0, 0] = np.inf
+    C[2] *= 1e-200
+    C[3, 2, 1] = np.nan
+    with np.errstate(over="ignore"):
+        got, got_c = frob(M), frob(C)
+        want, want_c = [frob(item) for item in M], [frob(item) for item in C]
+    assert got[0] == want[0] == 3e200 and np.isnan(got[1]) and np.isnan(want[1])
+    assert got_c[:3].tolist() == want_c[:3] and got_c[1] == np.inf and np.isnan(got_c[3])
+    assert abs(got_c[2] - 3e-200) <= 1e-15 * 3e-200
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 

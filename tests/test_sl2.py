@@ -21,6 +21,7 @@ from cmspaces.sl2 import (
     analytic_field,
     find_independence_point,
     fixed_point_probe,
+    fixed_point_probe_stack,
     independence_rank,
     numeric_field,
     random_sl2,
@@ -163,6 +164,28 @@ def test_probe_rejects_degenerate_input():
                        np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
     with pytest.raises(ZeroPairError):
         fixed_point_probe(z, 1.0)
+
+
+def test_stacked_probe_is_the_one_point_probe():
+    points = [random_point(1 + i % 3, 2, 1.0, 60 + i) for i in range(12)]
+    for n in (1, 2, 3):
+        items = [r for r in points if r.n == n]
+        stacks = [np.array([getattr(r, f) for r in items]) for f in "ABvw"]
+        A, B, v, w = (x.reshape(2, 2, *x.shape[1:]) for x in stacks)
+        before, after, sep = fixed_point_probe_stack(A, B, v, w, 0.7)
+        assert sep.shape == (2, 2)
+        for r, b, a, s in zip(items, before.reshape(4, -1), after.reshape(4, -1), sep.ravel()):
+            want = fixed_point_probe(r, 0.7)
+            assert (b.tobytes(), a.tobytes(), s) == (want[0].tobytes(), want[1].tobytes(), want[2])
+    A[1, 0], B[1, 0] = 0.0, 0.0
+    with pytest.raises(ZeroPairError):     # one zero pair anywhere in the stack
+        fixed_point_probe_stack(A, B, v, w, 0.7)
+
+
+def test_probe_rejects_an_acted_point_that_overflows():
+    big = Representation(np.diag([1e308, 1.0]), np.eye(2), np.ones((2, 2)), np.ones((2, 2)), 1.0)
+    with np.errstate(all="ignore"), pytest.raises(ShapeMismatchError, match="non-finite"):
+        fixed_point_probe(big, 1.0)
 
 
 def test_lower_shear_field_matches_the_closed_form():

@@ -23,6 +23,7 @@ from cmspaces.variety import (
     calibrate_dictionary,
     check_gauge,
     fingerprint,
+    fingerprints,
     gauge_act,
     gauge_act_pair,
     level_deviation,
@@ -456,6 +457,23 @@ def test_stacked_pair_fingerprints_are_the_one_pair_fingerprints(lead):
             assert got.shape == lead + (words,) and got.dtype == np.complex128
             for p, fp in zip(pairs, got.reshape(count, words)):
                 assert fp.tobytes() == pair_fingerprint(p, length).tobytes(), (n, length)
+
+
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)])
+def test_stacked_fingerprints_are_the_one_quadruple_fingerprints(lead):
+    count = int(np.prod(lead))
+    for n in range(1, 6):
+        for k in (1, 2):
+            points = [random_point(n, k, 1.0, 95 + i) for i in range(count - 1)]
+            points.append(gauge_act(random_gauge(n, 96), random_point(n, k, 0.5 - 1j, 97)))
+            A, B, v, w = (np.array([getattr(r, f) for r in points])
+                          .reshape(lead + getattr(points[0], f).shape) for f in "ABvw")
+            for length in (1, 2, 3, None):
+                got = fingerprints(A, B, v, w, length)
+                words = fingerprint(points[0], length).size
+                assert got.shape == lead + (words,) and got.dtype == np.complex128
+                for r, fp in zip(points, got.reshape(count, words)):
+                    assert fp.tobytes() == fingerprint(r, length).tobytes(), (n, k, length)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 16])

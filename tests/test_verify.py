@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from cmspaces import sl2, verify
+from cmspaces.chart import from_chart, random_chart_point
 from cmspaces.errors import (
     DegenerateSpectrumError,
+    InfeasibleRowError,
     NonConvergentError,
     SearchExhaustedError,
     ZeroRowEntryError,
 )
+from cmspaces.linalg import matrix_scale
+from cmspaces.variety import random_point
 from cmspaces.verify import SCHEMA_VERSION, SUITE_NAMES, RunConfig, expand_suites, run
 
 
@@ -100,16 +104,17 @@ def _status(check):
     return rec.status
 
 
-def _count_eigensolver_calls(monkeypatch):
-    counts = {"eig": 0, "eigvals": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
+def _count_calls(monkeypatch, owner, *names):
+    """Counts of the calls to owner's functions of the given names, from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
 
 
@@ -117,7 +122,7 @@ def test_chart_sweeps_make_one_eigensolver_call_per_size(monkeypatch):
     # one stack per size n: the per-trial loops made 100 eig and 100
     # eigvals calls in the Jacobian sweep and 80 eigvals in the gap sweep;
     # the perturbed points are normal forms, so the sweep needs no eig
-    counts = _count_eigensolver_calls(monkeypatch)
+    counts = _count_calls(monkeypatch, np.linalg, "eig", "eigvals")
     assert _status(verify._check_jacobian_rank) == "pass"
     assert counts["eig"] == 0 and counts["eigvals"] <= 5
     counts.update(eig=0, eigvals=0)
@@ -126,21 +131,127 @@ def test_chart_sweeps_make_one_eigensolver_call_per_size(monkeypatch):
 
 
 def test_seeded_sweeps_draw_one_stack_per_size(monkeypatch):
-    # the level and pair sweeps used to draw 600 and 100 points one seed at a time
-    calls = {"random_point": 0, "random_points": 0}
-    for name in calls:
-        original = getattr(verify, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(verify, name, counted)
+    # the level and pair sweeps used to draw 600 and 100 points one seed
+    # at a time; verify has no one-point draw left
+    assert not hasattr(verify, "random_point") and not hasattr(verify, "fingerprint")
+    calls = _count_calls(monkeypatch, verify, "random_points")
     assert _status(verify._check_level_condition) == "pass"
-    assert calls == {"random_point": 0, "random_points": 12}  # n = 1..6, k = 1, 2
+    assert calls == {"random_points": 12}  # n = 1..6, k = 1, 2
     calls.update(random_points=0)
     assert _status(verify._check_round_trip_pair) == "pass"
-    assert calls == {"random_point": 0, "random_points": 5}  # n = 1..5
+    assert calls == {"random_points": 5}  # n = 1..5
+
+
+def test_the_per_trial_checks_make_one_call_per_size(monkeypatch):
+    # the loops made one draw per trial and bump and one eig, probe or
+    # fingerprint per trial; no trial bumps at seed 1
+    names = ("random_points", "random_chart_points", "fingerprints", "fixed_point_probe_stack",
+             "eig")
+    counts = _count_calls(monkeypatch, verify, *names)
+    for check, want in (
+            (verify._check_scaling_probe, {"random_points": 5, "fixed_point_probe_stack": 5}),
+            (verify._check_witness, {"random_chart_points": 4}),
+            # its draws, then the words before and after the gauges, per size n = 2..5
+            (verify._check_fingerprint_invariance, {"random_points": 4, "fingerprints": 8}),
+            (verify._check_eig_reassembly, {"eig": 5}),
+            # one eig per size of matrix: the pair's first matrix and its block
+            (verify._check_scaling_spectra, {"random_chart_points": 3, "eig": 6})):
+        counts.update(dict.fromkeys(names, 0))
+        assert _status(check) == "pass"
+        assert counts == {**dict.fromkeys(names, 0), **want}, check.__name__
+
+
+def _probe_draw(cfg, n, seed):
+    r = random_point(n, 2, cfg.tau, seed)
+    return r.A, r.B, r.v, r.w
+
+
+def _witness_draw(cfg, n, seed):
+    p = from_chart(random_chart_point(n, cfg.tau, seed), cfg.tol)
+    return p.A, p.B
+
+
+# per bumped check: its seed tag, the size of trial i, the one-point draw
+# of its per-trial loop, its stacked points, its test of a draw and its sampler
+_BUMPED = {
+    "probe": ("prb", lambda i: 1 + i % 5, _probe_draw, "_probe_points", "_probe_accepts",
+              "random_points", verify._check_scaling_probe),
+    "witness": ("wit", lambda i: 1 + i % 4, _witness_draw, "_witness_pairs", "_witness_accepts",
+                "random_chart_points", verify._check_witness),
+}
+
+# (trial, bump) draws that the test below rejects: trial 1 passes at bump 2,
+# trials 6 and 8 at bump 1 (trial 8's bump 2, never drawn, would be
+# rejected), and trial 3 never passes
+_REJECTED = [(1, 0), (1, 1), (6, 0), (8, 0), (8, 2)] + [(3, b) for b in range(10)]
+
+
+def _loop_points(cfg, case, trials, accepts):
+    """The per-trial loop the bump rounds replace: each trial draws from bump 0 until accepted."""
+    tag, size, draw = _BUMPED[case][:3]
+    points = []
+    for i in trials:
+        seed = verify._seed(cfg, tag, i)
+        for bump in range(10):
+            point = draw(cfg, size(i), seed + 31 * bump)
+            if accepts(*(x[None] for x in point))[0]:
+                break
+        points.append(point)
+    return points
+
+
+def _rejecting(cfg, case):
+    """A test of stacked draws that rejects the draws of _REJECTED and accepts all others."""
+    tag, size, draw = _BUMPED[case][:3]
+    bad = {draw(cfg, size(i), verify._seed(cfg, tag, i) + 31 * b)[0].tobytes()
+           for i, b in _REJECTED}
+    return lambda A, *rest: np.array([a.tobytes() not in bad for a in A])
+
+
+@pytest.mark.parametrize("case", sorted(_BUMPED))
+def test_bump_rounds_pick_the_points_of_the_per_trial_loop(monkeypatch, case):
+    tag, size, _, points_of, test, sampler, _ = _BUMPED[case]
+    cfg, trials = RunConfig(seed=3), range(12)
+    accepts = _rejecting(cfg, case)
+    monkeypatch.setattr(verify, test, accepts)
+    counts = _count_calls(monkeypatch, verify, sampler)
+    sizes = [size(i) for i in trials]
+    got = verify._per_size(sizes, lambda n, t: zip(*getattr(verify, points_of)(cfg, n, t)))
+    want = _loop_points(cfg, case, trials, accepts)
+    for i, (have, wanted) in enumerate(zip(got, want, strict=True)):
+        assert all(np.array_equal(x, y) for x, y in zip(have, wanted, strict=True)), i
+    # one draw per size and round: round b draws the trials still rejected
+    passes_at = {i: next((b for b in range(10) if (i, b) not in _REJECTED), 9) for i in trials}
+    assert counts[sampler] == sum(1 + max(passes_at[i] for i in trials if size(i) == n)
+                                  for n in set(sizes))
+
+
+@pytest.mark.parametrize("case", sorted(_BUMPED))
+def test_a_raising_bumped_draw_records_the_first_trials_error(monkeypatch, case):
+    # trial 6 raises first in the rounds (bump 0), trial 1 first in trial order (bump 2)
+    tag, _, _, _, test, sampler, check = _BUMPED[case]
+    cfg = RunConfig(seed=3, trials=12)
+    monkeypatch.setattr(verify, test, _rejecting(cfg, case))
+    raising = {verify._seed(cfg, tag, i) + 31 * b for i, b in ((1, 2), (3, 5), (6, 0))}
+    original = getattr(verify, sampler)
+
+    def draw(*args):
+        for seed in args[-1]:
+            if seed in raising:
+                raise InfeasibleRowError(f"seed {seed}")
+        return original(*args)
+
+    monkeypatch.setattr(verify, sampler, draw)
+    (rec,) = verify._run_check(check, cfg)
+    first = verify._seed(cfg, tag, 1) + 62
+    assert (rec.status, rec.note) == ("error", f"InfeasibleRowError at seed 3: seed {first}")
+
+
+def test_the_bump_tests_are_the_one_point_tests():
+    A = np.array([np.diag([1.0, 1j]), np.diag([1.0, 2.0]), np.diag([1.0, -1.0])])
+    assert verify._probe_accepts(A, None, None, None).tolist() == [
+        bool(abs(np.trace(a @ a)) > 1e-3 * matrix_scale(a) ** 2) for a in A] == [False, True, True]
+    assert verify._witness_accepts(A, None).tolist() == [True, True, False]
 
 
 _POINT_RECORDS = (
@@ -272,7 +383,7 @@ def test_grouped_seeded_points_are_the_one_point_draws():
     cfg = RunConfig(seed=4)
     points = verify._seeded_points(cfg, "mom", [1 + i % 5 for i in range(12)])
     for i, r in enumerate(points):
-        want = verify.random_point(1 + i % 5, 2, cfg.tau, verify._seed(cfg, "mom", i))
+        want = random_point(1 + i % 5, 2, cfg.tau, verify._seed(cfg, "mom", i))
         assert all(np.array_equal(getattr(r, f), getattr(want, f)) for f in "ABvw")
 
 
@@ -280,9 +391,11 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     # per routine, one default pass at seed 1: eig and its inverse for each
     # normal_form stack (one per size: 5 in the pair round trip, 5 each in
     # the shape and equivalence checks, 10 in the idempotence check) and
-    # for the 50 of the eig checks, 20 inv for the gauges random_gauge
-    # draws, eigvals for the untracked reads, svd for random_gauge's
-    # condition bound and the ranks; the chart Jacobian, the induced
+    # for each stack of the eig checks (one per size: 5 in the reassembly
+    # check, 6 in the scaling spectra, whose points give two sizes of
+    # matrix), 20 inv for the gauges random_gauge draws, eigvals for the
+    # untracked reads, svd for random_gauge's condition bound and the
+    # ranks; the chart Jacobian, the induced
     # fields, the splitting check and the gauge checks make none.  The
     # four pinv of the flow fits are cached for the process, so a pass
     # after the first makes none
@@ -299,4 +412,4 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     assert report["summary"]["passed"] == report["summary"]["total"]
     pinv = counts.pop("pinv")
     assert pinv in (0, 4)
-    assert counts == {"eig": 75, "eigvals": 15, "inv": 95, "svd": 45, "solve": 5, "lstsq": 0}
+    assert counts == {"eig": 36, "eigvals": 15, "inv": 56, "svd": 45, "solve": 5, "lstsq": 0}
