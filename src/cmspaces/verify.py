@@ -283,20 +283,21 @@ def _stacked(points) -> tuple:
 def _bumped(seeds, draw, accepts) -> list:
     """draw(seeds), with each rejected item redrawn at seed + 31 b for b = 1..9 until accepted.
 
-    draw returns arrays stacked over the seeds it is given and accepts a
-    mask over such a draw.  Round b redraws only the items still
-    rejected, so each item is the draw a loop over its bumps stops at:
-    the first accepted, or else the one at bump 9.
+    draw returns arrays stacked over the seeds it is given, and accepts
+    takes the first of them and returns a mask over its items.  Round b
+    redraws only the items still rejected, so each item is the draw a
+    loop over its bumps stops at: the first accepted, or else the one at
+    bump 9.
     """
     points = list(draw(seeds))
-    todo = np.flatnonzero(~accepts(*points))
+    todo = np.flatnonzero(~accepts(points[0]))
     for bump in range(1, 10):
         if not todo.size:
             break
         redrawn = draw([seeds[i] + 31 * bump for i in todo])
         for x, y in zip(points, redrawn, strict=True):
             x[todo] = y
-        todo = todo[~accepts(*redrawn)]
+        todo = todo[~accepts(redrawn[0])]
     return points
 
 
@@ -579,7 +580,7 @@ def _check_negative_control(cfg: RunConfig) -> _Measured:
                      "margin: smallest residual must exceed 1e-3; negative passes")
 
 
-def _probe_accepts(A, B, v, w) -> np.ndarray:
+def _probe_accepts(A) -> np.ndarray:
     """The scaling probe's test of its points: |tr A^2| > 1e-3 matrix_scale(A)^2.
 
     It runs item by item on numpy scalars, as on one point: their abs
@@ -837,7 +838,7 @@ def _check_shear_degrees(cfg: RunConfig) -> _Measured:
     return _Measured(float(total), "sum of degree deviations over hand cases")
 
 
-def _witness_accepts(A, B) -> np.ndarray:
+def _witness_accepts(A) -> np.ndarray:
     """The witness check's test of its pairs, |tr A| > 0.1, item by item on numpy scalars."""
     return np.array([abs(t) > 0.1 for t in np.trace(A, axis1=-2, axis2=-1)])
 

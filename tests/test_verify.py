@@ -194,7 +194,7 @@ def _loop_points(cfg, case, trials, accepts):
         seed = verify._seed(cfg, tag, i)
         for bump in range(10):
             point = draw(cfg, size(i), seed + 31 * bump)
-            if accepts(*(x[None] for x in point))[0]:
+            if accepts(point[0][None])[0]:
                 break
         points.append(point)
     return points
@@ -205,7 +205,7 @@ def _rejecting(cfg, case):
     tag, size, draw = _BUMPED[case][:3]
     bad = {draw(cfg, size(i), verify._seed(cfg, tag, i) + 31 * b)[0].tobytes()
            for i, b in _REJECTED}
-    return lambda A, *rest: np.array([a.tobytes() not in bad for a in A])
+    return lambda A: np.array([a.tobytes() not in bad for a in A])
 
 
 @pytest.mark.parametrize("case", sorted(_BUMPED))
@@ -249,9 +249,9 @@ def test_a_raising_bumped_draw_records_the_first_trials_error(monkeypatch, case)
 
 def test_the_bump_tests_are_the_one_point_tests():
     A = np.array([np.diag([1.0, 1j]), np.diag([1.0, 2.0]), np.diag([1.0, -1.0])])
-    assert verify._probe_accepts(A, None, None, None).tolist() == [
+    assert verify._probe_accepts(A).tolist() == [
         bool(abs(np.trace(a @ a)) > 1e-3 * matrix_scale(a) ** 2) for a in A] == [False, True, True]
-    assert verify._witness_accepts(A, None).tolist() == [True, True, False]
+    assert verify._witness_accepts(A).tolist() == [True, True, False]
 
 
 _POINT_RECORDS = (
