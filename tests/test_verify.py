@@ -172,7 +172,8 @@ def _witness_draw(cfg, n, seed):
 
 
 # per bumped check: its seed tag, the size of trial i, the one-point draw
-# of its per-trial loop, its stacked points, its test of a draw and its sampler
+# of its per-trial loop, its stacked points, its test of a draw, its
+# sampler and the check
 _BUMPED = {
     "probe": ("prb", lambda i: 1 + i % 5, _probe_draw, "_probe_points", "_probe_accepts",
               "random_points", verify._check_scaling_probe),
@@ -399,15 +400,8 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     # fields, the splitting check and the gauge checks make none.  The
     # four pinv of the flow fits are cached for the process, so a pass
     # after the first makes none
-    counts = dict.fromkeys(("eig", "eigvals", "inv", "svd", "solve", "lstsq", "pinv"), 0)
-    for name in counts:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    counts = _count_calls(monkeypatch, np.linalg, "eig", "eigvals", "inv", "svd", "solve", "lstsq",
+                          "pinv")
     report = run(RunConfig(seed=1))
     assert report["summary"]["passed"] == report["summary"]["total"]
     pinv = counts.pop("pinv")
