@@ -76,11 +76,13 @@ from .variety import (
 # packed coordinates and references
 
 
-def _unpack(V, n: int):
-    """(lam, lamhat, mu, muhat) of packed coordinates (..., 4n+2), checked finite."""
+def _unpack(V):
+    """(lam, lamhat, mu, muhat) of packed coordinates (..., 4n+2), n >= 1, checked finite."""
     V = np.asarray(V, dtype=np.complex128)
-    if V.ndim == 0 or V.shape[-1] != 4 * n + 2:
-        raise ShapeMismatchError(f"expected {4 * n + 2} packed coordinates, got {np.shape(V)}")
+    size = V.shape[-1] if V.ndim else 0
+    n = (size - 2) // 4
+    if n < 1 or size != 4 * n + 2:
+        raise ShapeMismatchError(f"expected 4n+2 packed coordinates, n >= 1, got {V.shape}")
     if not np.isfinite(V).all():
         raise ShapeMismatchError("chart coordinates contain non-finite entries")
     return V[..., :n], V[..., n : 2 * n + 1], V[..., 2 * n + 1 : 3 * n + 1], V[..., 3 * n + 1 :]
@@ -129,8 +131,9 @@ class ChartPoint:
         return np.concatenate([self.lam, self.lamhat, self.mu, self.muhat])
 
     @classmethod
-    def from_vector(cls, vec, n: int, tau: complex) -> "ChartPoint":
-        return cls(*_unpack(np.ravel(vec), n), tau)
+    def from_vector(cls, vec, tau: complex) -> "ChartPoint":
+        """The point at level tau with the packed coordinates vec (4n+2 values)."""
+        return cls(*_unpack(np.ravel(vec)), tau)
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,8 @@ class Decomposition:
 
 
 def _normal_form_test(A, tol: float):
+    """Per item: is A in bordered normal form, within max(tol, 1e-12) * matrix_scale(A)?"""
+    tol = max(tol, 1e-12)
     n = A.shape[-1] - 1
     scale = matrix_scale(A)
     off = A[..., :n, :n].copy()
@@ -220,7 +225,7 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     1e3 * tol * value_scale(lamhat)) and rescaled to linalg.eig's
     convention, which g and S follow.
     """
-    if not _normal_form_test(p.A, max(tol, 1e-12)):
+    if not _normal_form_test(p.A, tol):
         raise NotNormalizedError("pair is not in bordered normal form")
     if lamhat_ref is not None:
         lamhat_ref = _reference(lamhat_ref, (), p.n + 1)
@@ -368,8 +373,8 @@ def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np
     n = A.shape[-1] - 1
     lam_ref = lamhat_ref = None
     if ref is not None:
-        lam_ref, lamhat_ref, _, _ = _unpack(_reference(ref, A.shape[:-2], 4 * n + 2), n)
-    if not all_items(_normal_form_test(A, max(tol, 1e-12))):
+        lam_ref, lamhat_ref, _, _ = _unpack(_reference(ref, A.shape[:-2], 4 * n + 2))
+    if not all_items(_normal_form_test(A, tol)):
         A, B, _, _ = normal_form(A, B, tol)
     d = decompose_stack(A, B, tau, tol, lamhat_ref)
     lam = A[..., np.arange(n), np.arange(n)]
@@ -384,7 +389,7 @@ def to_chart(p: AugmentedPair, tol: float = DEFAULT_TOL) -> ChartPoint:
     Both spectra come out in the package ordering, whatever the order of a
     normal form's diagonal; mu follows lam's ordering and muhat lamhat's.
     """
-    return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol), p.n, p.tau)
+    return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol), p.tau)
 
 
 def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL) -> ChartPoint:
@@ -395,7 +400,7 @@ def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL
     single analytic branch.  Raises BranchAmbiguityError when matching is
     not injective at the reference gaps.
     """
-    return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol, ref.vector()), p.n, p.tau)
+    return ChartPoint.from_vector(to_chart_stack(p.A, p.B, p.tau, tol, ref.vector()), p.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +478,7 @@ def tracked_tangent(p: AugmentedPair, dA, dB, ref: ChartPoint,
         raise ShapeMismatchError(
             f"tangents {dA.shape}, {dB.shape} and a reference of size {ref.n}"
             f" do not serve a pair of size {n}")
-    if not _normal_form_test(p.A, max(tol, 1e-12)):
+    if not _normal_form_test(p.A, tol):
         raise NotNormalizedError("pair is not in bordered normal form")
     d = decompose_stack(p.A, p.B, p.tau, tol, ref.lamhat)
     idx = np.arange(n)
@@ -549,9 +554,10 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     return Ah, g, ginv, S
 
 
-def from_chart_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL):
+def from_chart_stack(V, tau: complex, tol: float = DEFAULT_TOL):
     """from_chart for packed coordinates V of shape (..., 4n+2); returns the matrices (A, B)."""
-    lam, lamhat, mu, muhat = _unpack(V, n)
+    lam, lamhat, mu, muhat = _unpack(V)
+    n = lam.shape[-1]
     Ah, g, ginv, S = _chart_frame(lam, lamhat, tau, tol)
     full = np.arange(n + 1)
     S[..., full, full] = muhat          # S is off-diagonal: this is diag(muhat) + S
@@ -567,7 +573,7 @@ def from_chart(c: ChartPoint, tol: float = DEFAULT_TOL) -> AugmentedPair:
     its full spectrum is lamhat (in the given order, which need not be
     sorted), and to_chart inverts it up to the package eigenvalue ordering.
     """
-    A, B = from_chart_stack(c.vector(), c.n, c.tau, tol)
+    A, B = from_chart_stack(c.vector(), c.tau, tol)
     return AugmentedPair(A, B, c.tau)
 
 
@@ -640,10 +646,10 @@ def random_chart_point(n: int, tau: complex, seed: int) -> ChartPoint:
     from_chart / to_chart compare coordinates directly.  The one-seed call
     of random_chart_points.
     """
-    return ChartPoint.from_vector(random_chart_points(n, tau, [seed])[0], n, tau)
+    return ChartPoint.from_vector(random_chart_points(n, tau, [seed])[0], tau)
 
 
-def chart_jacobian_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL) -> np.ndarray:
+def chart_jacobian_stack(V, tau: complex, tol: float = DEFAULT_TOL) -> np.ndarray:
     """chart_jacobian at the base points V (..., 4n+2); returns (..., 4n+2, 4n+2).
 
     Each base point is rebuilt and read once, and the read's closed-form
@@ -654,15 +660,16 @@ def chart_jacobian_stack(V, n: int, tau: complex, tol: float = DEFAULT_TOL) -> n
     the second matrix, and a unit of muhat_j the spectral projector
     ginv[:, j] g[j, :] of the base point.
     """
-    _, lamhat, _, _ = _unpack(V, n)
+    lam, lamhat, _, _ = _unpack(V)
+    n = lam.shape[-1]
     V = np.asarray(V, dtype=np.complex128)
-    A, B = from_chart_stack(V, n, tau, tol)
+    A, B = from_chart_stack(V, tau, tol)
     d = decompose_stack(A, B, tau, tol, lamhat)
     spectral = 2 * n + 1
     step = 1e-6
     steps = step * np.eye(spectral, 4 * n + 2)
     base = V[..., None, :]
-    Ap, Bp = from_chart_stack(np.concatenate([base + steps, base - steps], axis=-2), n, tau, tol)
+    Ap, Bp = from_chart_stack(np.concatenate([base + steps, base - steps], axis=-2), tau, tol)
     dA = np.zeros(Ap.shape[:-3] + (4 * n + 2,) + Ap.shape[-2:], dtype=np.complex128)
     dB = np.zeros_like(dA)
     dA[..., :spectral, :, :] = (Ap[..., :spectral, :, :] - Ap[..., spectral:, :, :]) / (2.0 * step)
@@ -682,4 +689,4 @@ def chart_jacobian(c: ChartPoint, tol: float = DEFAULT_TOL) -> np.ndarray:
     muhat.  On the chart domain this is the identity up to the rebuild's
     step error, and its rank certifies the coordinate count 4 n + 2.
     """
-    return chart_jacobian_stack(c.vector(), c.n, c.tau, tol)
+    return chart_jacobian_stack(c.vector(), c.tau, tol)

@@ -201,31 +201,35 @@ def _shear_samples(kind: str, count: int, half_width: float, p: AugmentedPair,
     return samples
 
 
-def lnd_degree(kind: str, observable, p: AugmentedPair, d_max: int = 6) -> int | None:
+# the largest degree lnd_degree fits
+_D_MAX = 6
+
+
+def lnd_degree(kind: str, observable, p: AugmentedPair) -> int | None:
     """Least polynomial degree of t -> observable(flow(t, p)), or None.
 
     observable is 'trace_first', 'trace_second', 'trace_second_sq', or a
-    callable f(first, second): it takes the flowed pair at all sample
-    times as two stacks of matrices, shape (d_max + 2, n + 1, n + 1) each,
-    and returns one complex sample per time, shape (d_max + 2,).
+    callable f(first, second): it takes the flowed pair at all 8 sample
+    times as two stacks of matrices, shape (8, n + 1, n + 1) each, and
+    returns one complex sample per time, shape (8,).
     The cubic trace word of the second matrix, for instance, is
     lambda P, Q: (Q @ Q @ Q).trace(axis1=1, axis2=2).
 
     Only the shear flows 'e' and 'f' are polynomial on trace observables;
     the scaling flow is not, and the fit reports that as None rather than
-    a large degree.  Samples at d_max + 2 Chebyshev nodes on [-1, 1] and
-    accepts the least degree whose residual is at most 1e-8 times
-    value_scale(samples).  A flowed pair or sample that is not finite
-    raises (see _shear_samples).
+    a large degree.  Samples at 8 Chebyshev nodes on [-1, 1] and accepts
+    the least degree up to 6 whose residual is at most 1e-8 times
+    value_scale(samples); an observable of higher degree reads None.  A
+    flowed pair or sample that is not finite raises (see _shear_samples).
     """
     if kind not in ("e", "f"):
         raise ValueError("nilpotency degree is defined for the shear flows only")
     if isinstance(observable, str):
         observable = _OBSERVABLES[observable]
-    count = d_max + 2
+    count = _D_MAX + 2
     samples = _shear_samples(kind, count, 1.0, p, observable)
     samples = samples / value_scale(samples)
-    for deg in range(d_max + 1):
+    for deg in range(_D_MAX + 1):
         if _fit(count, 1.0, deg, samples)[1] <= 1e-8:
             return deg
     return None

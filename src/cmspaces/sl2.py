@@ -98,9 +98,6 @@ class SL2Element:
     def _entries(self) -> tuple:
         return self.a, self.b, self.c, self.d
 
-    def inverse(self) -> "SL2Element":
-        return SL2Element(self.d, -self.b, -self.c, self.a)
-
 
 def _product(x: tuple, y: tuple) -> tuple:
     """Entries (a, b, c, d) of the 2 x 2 product x y, in complex scalars."""
@@ -111,7 +108,7 @@ def _product(x: tuple, y: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class SL2Generator:
-    """Scaled basis generator of the action.
+    """Basis generator of the action.
 
     kind 'e' is the lower-left nilpotent (exponential is the lower shear),
     'f' the upper-right nilpotent (upper shear), 'h' the diagonal generator
@@ -120,23 +117,20 @@ class SL2Generator:
     """
 
     kind: str
-    coeff: complex = 1.0
 
     def __post_init__(self):
         if self.kind not in ("e", "f", "h"):
             raise ShapeMismatchError(f"unknown generator kind {self.kind!r}")
-        object.__setattr__(self, "coeff", complex(self.coeff))
 
     def matrix(self) -> np.ndarray:
-        base = {
-            "e": np.array([[0.0, 0.0], [1.0, 0.0]]),
-            "f": np.array([[0.0, 1.0], [0.0, 0.0]]),
-            "h": np.array([[1.0, 0.0], [0.0, -1.0]]),
-        }[self.kind]
-        return self.coeff * base.astype(np.complex128)
+        return np.array({
+            "e": [[0.0, 0.0], [1.0, 0.0]],
+            "f": [[0.0, 1.0], [0.0, 0.0]],
+            "h": [[1.0, 0.0], [0.0, -1.0]],
+        }[self.kind], dtype=np.complex128)
 
     def exp(self, t: complex) -> SL2Element:
-        z = self.coeff * complex(t)
+        z = complex(t)
         if self.kind == "e":
             return SL2Element(1.0, 0.0, z, 1.0)
         if self.kind == "f":
@@ -226,26 +220,16 @@ def act_components_stack(coeffs, A, B, v, w):
     )
 
 
-def fixed_point_probe(r: Representation, t: float):
-    """Fingerprints before and after the scaling subgroup at time t.
-
-    Returns (before, after, separation) with separation the largest
-    absolute fingerprint difference.  Pure trace powers make the probe
-    sensitive: tr A^m picks up the factor e^{m t}.  Requires a nonzero
-    matrix pair and nonzero time.  The one-quadruple call of
-    fixed_point_probe_stack.
-    """
-    before, after, separation = fixed_point_probe_stack(r.A, r.B, r.v, r.w, t)
-    return before, after, float(separation)
-
-
 def fixed_point_probe_stack(A, B, v, w, t: float):
-    """fixed_point_probe of k = 2 quadruples (A, B, v, w) stacked over leading axes.
+    """Fingerprints before and after the scaling subgroup at time t, per stacked quadruple.
 
-    Returns (before, after, separation), with one separation per item;
-    each item keeps the bits of its one-quadruple call.  Raises
-    ZeroPairError when an item's matrix pair is zero, and
-    ShapeMismatchError when an acted quadruple has a non-finite entry.
+    The k = 2 quadruples (A, B, v, w) are stacked over leading axes.
+    Returns (before, after, separation), with separation the largest
+    absolute fingerprint difference of each item.  Pure trace powers
+    make the probe sensitive: tr A^m picks up the factor e^{m t}.
+    Requires nonzero time; raises ZeroPairError when an item's matrix
+    pair is zero, and ShapeMismatchError when an acted quadruple has a
+    non-finite entry.
     """
     if t == 0:
         raise ValueError("probe time must be nonzero")
@@ -269,7 +253,7 @@ class ChartTangent:
     Fields read through the chart (numeric_field) fill all four coordinate
     blocks; closed-form fields fill only the components the computation
     determines and leave the rest None (never silently zero).  d_s carries power-sum components
-    {k: d s_k} when they are the natural closed form.
+    {k: d s_k}, k = 1, 2, when they are the natural closed form.
     """
 
     base: ChartPoint
@@ -286,21 +270,15 @@ class ChartTangent:
             raise ShapeMismatchError("tangent has unspecified coordinate blocks")
         return np.concatenate([np.asarray(b, dtype=np.complex128) for b in blocks])
 
-    def s_components(self, kmax: int = 2) -> dict:
-        """Power-sum components d s_k = k sum_j lamhat_j^{k-1} d lamhat_j.
+    def s_components(self) -> dict:
+        """Power-sum components d s_k = k sum_j lamhat_j^{k-1} d lamhat_j for k = 1, 2.
 
-        Falls back to the stored closed-form d_s when the lamhat block is
-        not available.
+        Requires the lamhat block (ShapeMismatchError without it).
         """
         if self.d_lamhat is None:
-            if self.d_s is None:
-                raise ShapeMismatchError("no lamhat block and no stored d_s")
-            return {k: self.d_s[k] for k in range(1, kmax + 1) if k in self.d_s}
+            raise ShapeMismatchError("the tangent has no lamhat block")
         lh = self.base.lamhat
-        return {
-            k: complex(k * np.sum(lh ** (k - 1) * self.d_lamhat))
-            for k in range(1, kmax + 1)
-        }
+        return {k: complex(k * np.sum(lh ** (k - 1) * self.d_lamhat)) for k in (1, 2)}
 
     @classmethod
     def from_vector(cls, base: ChartPoint, d) -> "ChartTangent":
@@ -357,7 +335,6 @@ def analytic_field(gen: SL2Generator, c: ChartPoint) -> ChartTangent:
     matrix has no commuting diagonal part).  Components the closed forms do
     not determine are left None.
     """
-    z = gen.coeff
     if gen.kind == "e":
         n = c.n
         return ChartTangent(
@@ -365,17 +342,13 @@ def analytic_field(gen: SL2Generator, c: ChartPoint) -> ChartTangent:
             d_lam=np.zeros(n, dtype=np.complex128),
             d_lamhat=np.zeros(n + 1, dtype=np.complex128),
             d_mu=np.zeros(n, dtype=np.complex128),
-            d_muhat=z * c.lamhat.copy(),
+            d_muhat=c.lamhat.copy(),
         )
     if gen.kind == "h":
-        return ChartTangent(base=c, d_s={1: z * np.sum(c.lamhat),
-                                         2: 2.0 * z * np.sum(c.lamhat**2)})
+        return ChartTangent(base=c, d_s={1: np.sum(c.lamhat), 2: 2.0 * np.sum(c.lamhat**2)})
     return ChartTangent(
         base=c,
-        d_s={
-            1: z * complex(np.sum(c.muhat)),
-            2: 2.0 * z * complex(np.sum(c.lamhat * c.muhat)),
-        },
+        d_s={1: complex(np.sum(c.muhat)), 2: 2.0 * complex(np.sum(c.lamhat * c.muhat))},
     )
 
 

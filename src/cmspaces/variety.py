@@ -39,6 +39,7 @@ from .linalg import (
     all_items,
     any_item,
     as_cmatrix,
+    as_square_stack,
     comm,
     frob,
     matrix_scale,
@@ -175,19 +176,17 @@ def _embed(g: np.ndarray) -> np.ndarray:
     return E
 
 
-def check_gauge(g, ginv=None) -> None:
+def check_gauge(g, ginv) -> None:
     """Raise SingularMatrixError unless every basechange in the stack g is invertible.
 
     The invertibility test: smallest singular value above 1e-12 times
-    value_scale of the singular values.  When the caller holds the exact
-    inverse ginv, 1 / ||ginv||_F > 1e-12 matrix_scale(g) implies that
-    test (the smallest singular value is at least 1 / ||ginv||_F and the
-    largest at most ||g||_F), so it accepts at once; the SVD runs only
-    when that bound is inconclusive, and the accepted set stays the same.
-    canonical.normal_form and GaugeElement check their gauges this way,
-    with the exact inverse.
+    value_scale of the singular values.  With ginv the exact inverse,
+    1 / ||ginv||_F > 1e-12 matrix_scale(g) implies that test (the
+    smallest singular value is at least 1 / ||ginv||_F and the largest
+    at most ||g||_F), so it accepts at once; the SVD runs only when that
+    bound is inconclusive, and the accepted set stays the same.
     """
-    if ginv is not None and all_items(1.0 / frob(ginv) > 1e-12 * matrix_scale(g)):
+    if all_items(1.0 / frob(ginv) > 1e-12 * matrix_scale(g)):
         return
     s = np.linalg.svd(g, compute_uv=False)
     if any_item(s[..., -1] <= 1e-12 * value_scale(s)):
@@ -283,22 +282,15 @@ def project(p: AugmentedPair, tol: float = DEFAULT_TOL) -> Representation:
     return Representation(p.A[:n, :n].copy(), p.B[:n, :n].copy(), v, w, p.tau)
 
 
-def block_commutator_residual(r: Representation) -> float:
-    """Deviation of the pair commutator blocks from their closed forms.
-
-    For p = augment(r) the commutator [p.A, p.B] has upper block
-    [A, B] - v w, border column A v2 - B v1 and border row w2 B + w1 A.
-    Returns the largest block-wise Frobenius deviation; the identity holds
-    for arbitrary quadruples, on shell or not.  The one-item call of
-    quadruple_block_residual.
-    """
-    if r.k != 2:
-        raise ShapeMismatchError("augmentation needs two inner columns (k = 2)")
-    return float(quadruple_block_residual(r.A, r.B, r.v, r.w))
-
-
 def quadruple_block_residual(A, B, v, w):
-    """block_commutator_residual over the trailing axes of stacked k = 2 quadruples."""
+    """Deviation of the pair commutator blocks from their closed forms, per stacked quadruple.
+
+    For k = 2 quadruples stacked over leading axes, the commutator of
+    their augmented pairs has upper block [A, B] - v w, border column
+    A v2 - B v1 and border row w2 B + w1 A.  Returns the largest
+    block-wise Frobenius deviation per item; the identity holds for
+    arbitrary quadruples, on shell or not.
+    """
     n = A.shape[-1]
     Ah, Bh = augment_stack(A, B, v, w)
     K = comm(Ah, Bh)
@@ -351,13 +343,14 @@ def quiver_moment(A, B, X1, X2, Y1, Y2):
     """Moment map in framed-quiver coordinates.
 
     Returns the pair ([A, B] + X1 Y2 - X2 Y1, Y1 . X2 - Y2 . X1) with the
-    X's as columns and the Y's as rows.
+    X's as columns and the Y's as rows.  The vectors (..., n) may be
+    stacked over leading axes that broadcast with those of A and B
+    (..., n, n); nu1 and nu2 then gain them.
     """
-    A = as_cmatrix(A, square=True)
-    B = as_cmatrix(B, square=True)
-    X1, X2, Y1, Y2 = (np.asarray(z, dtype=np.complex128).ravel() for z in (X1, X2, Y1, Y2))
-    nu1 = comm(A, B) + np.outer(X1, Y2) - np.outer(X2, Y1)
-    nu2 = complex(Y1 @ X2 - Y2 @ X1)
+    A, B = as_square_stack(A), as_square_stack(B)
+    X1, X2, Y1, Y2 = (np.asarray(z, dtype=np.complex128) for z in (X1, X2, Y1, Y2))
+    nu1 = comm(A, B) + X1[..., :, None] * Y2[..., None, :] - X2[..., :, None] * Y1[..., None, :]
+    nu2 = (Y1[..., None, :] @ X2[..., :, None] - Y2[..., None, :] @ X1[..., :, None])[..., 0, 0]
     return nu1, nu2
 
 
@@ -419,8 +412,7 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
     A variant is admissible when it maps the on-shell quadruple to the fiber
     over (tau * I_n, -n tau), within 1e-9 * pair_scale(A, B).  An empty
     admissible tuple is reported, not raised, so callers can record the
-    outcome.  The 16 variants are evaluated as one stack, each with the
-    bits of quiver_moment on its own (X1, X2, Y1, Y2).
+    outcome.  The 16 variants are evaluated as one quiver_moment stack.
     """
     if r.k != 2:
         raise ShapeMismatchError("dictionary calibration needs k = 2")
@@ -428,8 +420,7 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
     scale = pair_scale(r.A, r.B)
     slots = zip(*(var.apply(r) for var in ALL_DICTIONARY_VARIANTS))
     X1, X2, Y1, Y2 = (np.array(slot) for slot in slots)     # (16, n) each
-    nu1 = comm(r.A, r.B) + X1[:, :, None] * Y2[:, None, :] - X2[:, :, None] * Y1[:, None, :]
-    nu2 = (Y1[:, None, :] @ X2[:, :, None] - Y2[:, None, :] @ X1[:, :, None])[:, 0, 0]
+    nu1, nu2 = quiver_moment(r.A, r.B, X1, X2, Y1, Y2)
     # abs of a Python complex: np.abs rounds differently in the last bit
     dist2 = np.array([abs(z) for z in (nu2 - (-n * r.tau)).tolist()])
     resids = _first_max(frob(nu1 - r.tau * np.eye(n)), dist2).tolist()
@@ -475,12 +466,13 @@ def complex_uniforms_from(re, im, half_width: float = 1.0):
     return (low + (high - low) * re) + 1j * (low + (high - low) * im)
 
 
-def _complex_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+# an inner row of random_point is redrawn while its norm is below _ROW_FLOOR,
+# at most _MAX_TRIES times in a row
+_ROW_FLOOR = 0.3
+_MAX_TRIES = 32
 
 
-def random_point(n: int, k: int, tau: complex, seed: int,
-                 row_floor: float = 0.3, max_tries: int = 32) -> Representation:
+def random_point(n: int, k: int, tau: complex, seed: int) -> Representation:
     """Seeded on-shell point with diagonal A and well-separated spectrum.
 
     Construction: draw distinct diagonal entries for A (gaps >= 0.5), draw v
@@ -490,7 +482,7 @@ def random_point(n: int, k: int, tau: complex, seed: int,
     The result satisfies the level condition to rounding.  The one-seed
     call of random_points.
     """
-    A, B, v, w = random_points(n, k, tau, [seed], row_floor, max_tries)
+    A, B, v, w = random_points(n, k, tau, [seed])
     return Representation(A[0], B[0], v[0], w[0], tau)
 
 
@@ -500,7 +492,7 @@ def _inner_rows(u, k: int):
     return complex_uniforms_from(u[..., 0, :], u[..., 1, :])
 
 
-def _replay_rows(rng, rest, n: int, k: int, row_floor: float, max_tries: int):
+def _replay_rows(rng, rest, n: int, k: int):
     """One seed's inner rows by the per-row rejection loop, and the doubles after them.
 
     rest holds the doubles the stacked draw took after the spectrum; the
@@ -514,9 +506,9 @@ def _replay_rows(rng, rest, n: int, k: int, row_floor: float, max_tries: int):
             rest = np.concatenate([rest, rng.random(need - len(rest))])
         block, rest = _inner_rows(rest[:need], k), rest[need:]
         for row, norm in zip(block, row_norms(block)):
-            if tries >= max_tries:
+            if tries >= _MAX_TRIES:
                 raise InfeasibleRowError(f"no admissible inner row for index {len(rows)}")
-            if norm >= row_floor:
+            if norm >= _ROW_FLOOR:
                 rows.append(row)
                 tries = 0
             else:
@@ -527,17 +519,16 @@ def _replay_rows(rng, rest, n: int, k: int, row_floor: float, max_tries: int):
     return np.array(rows), rest[:tail]
 
 
-def random_points(n: int, k: int, tau: complex, seeds,
-                  row_floor: float = 0.3, max_tries: int = 32):
+def random_points(n: int, k: int, tau: complex, seeds):
     """Seeded on-shell points, one per seed, stacked: (A, B, v, w) with leading axis len(seeds).
 
-    Item i is random_point(n, k, tau, seeds[i], row_floor, max_tries),
-    from one Generator per seed.  Each seed's spectrum, its inner rows as
-    if none were rejected and the doubles after them come in one draw,
-    and the arithmetic runs over the whole stack.  A seed that rejects a
-    row replays the per-row rejection loop on its own stream, which it
-    consumes as one row at a time would; the first seed to exhaust
-    max_tries raises InfeasibleRowError.
+    Item i is random_point(n, k, tau, seeds[i]), from one Generator per
+    seed.  Each seed's spectrum, its inner rows as if none were rejected
+    and the doubles after them come in one draw, and the arithmetic runs
+    over the whole stack.  A seed that rejects a row replays the per-row
+    rejection loop on its own stream, which it consumes as one row at a
+    time would; the first seed to exhaust _MAX_TRIES raises
+    InfeasibleRowError.
     """
     if complex(tau) == 0:
         raise ValueError("the level parameter tau must be nonzero")
@@ -556,8 +547,8 @@ def random_points(n: int, k: int, tau: complex, seeds,
 
     v, tail = _inner_rows(U[:, head:head + body], k), U[:, head + body:]
     norms = row_norms(v)
-    for s in np.flatnonzero((norms < row_floor).any(axis=-1) | (max_tries < 1)):
-        v[s], tail[s] = _replay_rows(rngs[s], U[s, head:].copy(), n, k, row_floor, max_tries)
+    for s in np.flatnonzero((norms < _ROW_FLOOR).any(axis=-1)):
+        v[s], tail[s] = _replay_rows(rngs[s], U[s, head:].copy(), n, k)
         norms[s] = row_norms(v[s])
     lam = spaced_points_from(U[:, :head])
 
@@ -585,22 +576,13 @@ def random_points(n: int, k: int, tau: complex, seeds,
     return A, B + off, v, w
 
 
-def random_quadruple(n: int, k: int, tau: complex, seed: int) -> Representation:
-    """Unconstrained seeded quadruple; the level condition generally fails.
-
-    The one-seed call of random_quadruples.
-    """
-    A, B, v, w = random_quadruples(n, k, tau, [seed])
-    return Representation(A[0], B[0], v[0], w[0], tau)
-
-
 def random_quadruples(n: int, k: int, tau: complex, seeds):
     """Seeded quadruples, one per seed, stacked: (A, B, v, w) with leading axis len(seeds).
 
-    Item i is the matrices of random_quadruple(n, k, tau, seeds[i]): one
-    Generator.random draw per seed gives the uniforms on [-1, 1] of A, B,
-    v and w in turn, each block its real parts and then its imaginary
-    parts.  The draw does not depend on tau.
+    The quadruples are unconstrained: the level condition generally
+    fails.  One Generator.random draw per seed gives the uniforms on
+    [-1, 1] of A, B, v and w in turn, each block its real parts and then
+    its imaginary parts.  The draw does not depend on tau.
     """
     if k not in (1, 2):
         raise ShapeMismatchError(f"inner rank k must be 1 or 2, got {k}")
@@ -622,7 +604,8 @@ def random_gauge(n: int, seed: int) -> GaugeElement:
     """
     rng = np.random.default_rng(seed)
     for _ in range(32):
-        g = _complex_uniform(rng, (n, n)) + 1.2 * np.eye(n)
+        u = rng.random(2 * n * n)
+        g = complex_uniforms_from(u[:n * n], u[n * n:]).reshape(n, n) + 1.2 * np.eye(n)
         s = np.linalg.svd(g, compute_uv=False)
         if s[-1] > 0 and s[0] / s[-1] <= 100.0:
             return GaugeElement(g)
@@ -631,13 +614,6 @@ def random_gauge(n: int, seed: int) -> GaugeElement:
 
 # ---------------------------------------------------------------------------
 # trace-word fingerprints
-
-
-def _word_length(length, default: int) -> int:
-    L = default if length is None else int(length)
-    if L < 1:
-        raise ShapeMismatchError(f"fingerprint length must be positive, got {L}")
-    return L
 
 
 def _power_ladder(M: np.ndarray, L: int) -> np.ndarray:
@@ -664,20 +640,20 @@ def _antidiagonals(T: np.ndarray, first: int, last: int, edges: bool) -> list:
     return [flipped.diagonal(len(T) - 1 - t)[lo:t + 1 - lo] for t in range(first, last + 1)]
 
 
-def fingerprint(r: Representation, length: int | None = None) -> np.ndarray:
+def fingerprint(r: Representation) -> np.ndarray:
     """Gauge-invariant trace-word vector of a quadruple.
 
-    Fixed enumeration over the alphabet (A, B, C) with C = v w: pure powers
-    of A and B up to `length`, powers of C up to min(length, 4), mixed words
-    tr(A^i B^j) with i + j <= length, and bordered words tr(A^i B^j C) with
-    i + j <= length - 2.  Default length is 2 n.  Conjugation-invariant
-    because every word is a trace of conjugation-covariant products.  The
+    Fixed enumeration over the alphabet (A, B, C) with C = v w, at word
+    length L = 2 n: pure powers of A and B up to L, powers of C up to
+    min(L, 4), mixed words tr(A^i B^j) with i + j <= L, and bordered words
+    tr(A^i B^j C) with i + j <= L - 2.  Conjugation-invariant because
+    every word is a trace of conjugation-covariant products.  The
     one-quadruple call of fingerprints.
     """
-    return fingerprints(r.A, r.B, r.v, r.w, length)
+    return fingerprints(r.A, r.B, r.v, r.w)
 
 
-def fingerprints(A, B, v, w, length: int | None = None) -> np.ndarray:
+def fingerprints(A, B, v, w) -> np.ndarray:
     """fingerprint of the quadruples (A, B, v, w) stacked over leading axes: (..., words).
 
     The stack goes through the same power ladders and trace-table
@@ -685,7 +661,7 @@ def fingerprints(A, B, v, w, length: int | None = None) -> np.ndarray:
     one-quadruple call.
     """
     lead = A.ndim - 2
-    L = _word_length(length, 2 * A.shape[-1])
+    L = 2 * A.shape[-1]
     C = v @ w
     P = _power_ladder(np.stack([A, B], axis=lead), L)
     # the powers of each item after its leading axes: (..., L+1, 2, n, n)
@@ -725,15 +701,15 @@ def _pair_word_index(L: int) -> np.ndarray:
     return index
 
 
-def pair_fingerprint(p: AugmentedPair, length: int | None = None) -> np.ndarray:
-    """Trace words of a pair: tr A^i, tr B^j, then tr(A^i B^j) by i + j <= length (default 2 n).
+def pair_fingerprint(p: AugmentedPair) -> np.ndarray:
+    """Trace words of a pair: tr A^i, tr B^j, then tr(A^i B^j) by i + j <= L, at L = 2 n.
 
     The one-pair call of pair_fingerprints.
     """
-    return pair_fingerprints(p.A, p.B, length)
+    return pair_fingerprints(p.A, p.B)
 
 
-def pair_fingerprints(A, B, length: int | None = None) -> np.ndarray:
+def pair_fingerprints(A, B) -> np.ndarray:
     """pair_fingerprint of the pairs (A, B) stacked over leading axes: (..., words).
 
     The stack goes through the same power ladder and trace-table
@@ -741,7 +717,7 @@ def pair_fingerprints(A, B, length: int | None = None) -> np.ndarray:
     call.
     """
     lead = A.ndim - 2
-    L = _word_length(length, 2 * (A.shape[-1] - 1))
+    L = 2 * (A.shape[-1] - 1)
     P = _power_ladder(np.stack([A, B], axis=lead), L)
     # the powers of each item after its leading axes: (..., L+1, 2, m, m)
     P = P.transpose(*range(1, lead + 1), 0, *range(lead + 1, lead + 4))

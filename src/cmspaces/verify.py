@@ -57,6 +57,7 @@ from .flowcalc import (
 from .linalg import (
     as_finite,
     eig,
+    eigvals,
     frob,
     gather,
     match_to_reference,
@@ -477,7 +478,7 @@ def _check_splitting_constraints(cfg: RunConfig) -> _Measured:
     resids = np.empty((20, 2))
     for n in range(1, 6):
         trials = list(range(n - 1, 20, 5))    # trial i has size 1 + i % 5
-        A, B = from_chart_stack(_chart_stack(cfg, n, "spl", trials), n, cfg.tau, cfg.tol)
+        A, B = from_chart_stack(_chart_stack(cfg, n, "spl", trials), cfg.tau, cfg.tol)
         d = decompose_stack(A, B, cfg.tau, cfg.tol)
         off = d.g @ d.N2 @ d.ginv - d.S
         off[..., np.arange(n + 1), np.arange(n + 1)] -= d.muhat
@@ -498,7 +499,7 @@ def _check_gap_term_invariance(cfg: RunConfig) -> _Measured:
             mu = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
             muhat = rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)
             moments.append(np.concatenate([base.lam, base.lamhat, mu, muhat]))
-        A, B = from_chart_stack(np.array(moments), n, cfg.tau, cfg.tol)
+        A, B = from_chart_stack(np.array(moments), cfg.tau, cfg.tol)
         S = decompose_stack(A, B, cfg.tau, cfg.tol, lamhat_ref=base.lamhat).S
         resids.extend(np.abs(S[1:] - S[0]).max(axis=(-2, -1)))
     return _Measured(_fold(resids), "absolute deviation across moment variations", 20 * len(ns))
@@ -511,7 +512,7 @@ def _check_round_trip_coordinates(cfg: RunConfig) -> _Measured:
     ns = _ns(cfg, 5)
     for n in ns:
         coords = _chart_stack(cfg, n, f"rtc{n}", range(trials))
-        back = to_chart_stack(*from_chart_stack(coords, n, cfg.tau, cfg.tol), cfg.tau, cfg.tol)
+        back = to_chart_stack(*from_chart_stack(coords, cfg.tau, cfg.tol), cfg.tau, cfg.tol)
         dev = np.abs(back - coords).max(axis=-1) / value_scale(coords)
         resids.extend(dev)
     return _Measured(_fold(resids), f"relative to {value_scale.text('coords')}", len(ns) * trials)
@@ -525,7 +526,7 @@ def _check_round_trip_pair(cfg: RunConfig) -> _Measured:
     for n in ns:
         points = random_points(n, 2, cfg.tau, [_seed(cfg, f"rtp{n}", i) for i in range(trials)])
         A, B, _, _ = normal_form(*augment_stack(*points), cfg.tol)
-        qA, qB = from_chart_stack(to_chart_stack(A, B, cfg.tau, cfg.tol), n, cfg.tau, cfg.tol)
+        qA, qB = from_chart_stack(to_chart_stack(A, B, cfg.tau, cfg.tol), cfg.tau, cfg.tol)
         fp = pair_fingerprints(np.stack([qA, A]), np.stack([qB, B]))
         resids.extend(_trace_word_error(fp[0], fp[1]))
     return _Measured(_fold(resids), "relative trace-word deviation", len(ns) * trials)
@@ -537,8 +538,7 @@ def _check_jacobian_rank(cfg: RunConfig) -> _Measured:
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
     for n in ns:
-        J = chart_jacobian_stack(_chart_stack(cfg, n, f"jac{n}", range(trials)),
-                                 n, cfg.tau, cfg.tol)
+        J = chart_jacobian_stack(_chart_stack(cfg, n, f"jac{n}", range(trials)), cfg.tau, cfg.tol)
         deficiencies.extend(np.abs(numeric_rank(J) - (4 * n + 2)).tolist())
     return _Measured(_fold(deficiencies), "deviation from 4n+2", len(ns) * trials)
 
@@ -705,7 +705,7 @@ def _check_trace_components(cfg: RunConfig, points: list) -> _Measured:
     resids = []
     for point in points:
         for gen in (GEN_F, GEN_H):
-            got = _field(point, gen, cfg).s_components(2)
+            got = _field(point, gen, cfg).s_components()
             ana = analytic_field(gen, point.c).d_s
             # abs of a Python complex: np.abs rounds differently in the last bit
             scale = value_scale([abs(v) for v in ana.values()])
@@ -734,10 +734,10 @@ def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
 
     def residuals(n, trials):
         V = _chart_stack(cfg, n, "hsc", trials)
-        A, B = as_finite(*from_chart_stack(V, n, cfg.tau, cfg.tol))
+        A, B = as_finite(*from_chart_stack(V, cfg.tau, cfg.tol))
         qA = h.a * A + h.b * B      # the first matrix of act_pair(h, p)
-        full = deviations(eig(qA, cfg.tol)[0], factor * V[:, n:2 * n + 1])
-        block = deviations(eig(qA[:, :n, :n], cfg.tol)[0], factor * V[:, :n])
+        full = deviations(eigvals(qA), factor * V[:, n:2 * n + 1])
+        block = deviations(eigvals(qA[:, :n, :n]), factor * V[:, :n])
         return np.stack([full, block], axis=-1)
 
     resids = np.ravel(_per_size([1 + i % 3 for i in range(5)], residuals))
@@ -752,7 +752,7 @@ def _flow_base_points(cfg: RunConfig, tag: str) -> list:
     """from_chart of five seeded chart points per size n <= 3, size by size: one stack per size."""
     def pairs(n, trials):
         seeds = [_seed(cfg, f"{tag}{n}", i % 5) for i in trials]
-        A, B = from_chart_stack(random_chart_points(n, cfg.tau, seeds), n, cfg.tau, cfg.tol)
+        A, B = from_chart_stack(random_chart_points(n, cfg.tau, seeds), cfg.tau, cfg.tol)
         return [AugmentedPair(a, b, cfg.tau) for a, b in zip(A, B)]
     return _per_size([n for n in _ns(cfg, 3) for _ in range(5)], pairs)
 
@@ -852,8 +852,8 @@ def _witness_pairs(cfg: RunConfig, n: int, trials) -> list:
     as the one-point read does.
     """
     def draw(seeds):
-        return as_finite(*from_chart_stack(random_chart_points(n, cfg.tau, seeds),
-                                           n, cfg.tau, cfg.tol))
+        V = random_chart_points(n, cfg.tau, seeds)
+        return as_finite(*from_chart_stack(V, cfg.tau, cfg.tol))
     return _bumped([_seed(cfg, "wit", i) for i in trials], draw, _witness_accepts)
 
 

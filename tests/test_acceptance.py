@@ -44,7 +44,7 @@ from cmspaces.sl2 import (
     act_pair,
     analytic_field,
     find_independence_point,
-    fixed_point_probe,
+    fixed_point_probe_stack,
     independence_rank,
     numeric_field,
     random_sl2,
@@ -53,14 +53,14 @@ from cmspaces.sl2 import (
 from cmspaces.variety import (
     AugmentedPair,
     augment,
-    block_commutator_residual,
     calibrate_dictionary,
     level_deviation,
     level_residual,
     pair_fingerprint,
     pair_moment,
+    quadruple_block_residual,
     random_point,
-    random_quadruple,
+    random_quadruples,
 )
 
 
@@ -86,10 +86,9 @@ def test_ac01_seeded_points_sit_on_the_level_set():
 
 def test_ac02_commutator_block_identity():
     worst = 0.0
-    for i in range(200):
-        n = 1 + i % 6
-        r = random_quadruple(n, 2, 1.0, 2000 + i)
-        worst = max(worst, block_commutator_residual(r) / pair_scale(r.A, r.B))
+    for n in range(1, 7):   # quadruple i has size 1 + i % 6
+        A, B, v, w = random_quadruples(n, 2, 1.0, [2000 + i for i in range(n - 1, 200, 6)])
+        worst = max(worst, float((quadruple_block_residual(A, B, v, w) / pair_scale(A, B)).max()))
     _report("AC-02", "commutator block identity (200 quadruples, n <= 6)",
             f"worst {worst:.3e}", "1e-12", worst < 1e-12)
 
@@ -209,7 +208,7 @@ def test_ac06_scaling_probe_separates_points():
         i += 1
         if abs(np.trace(r.A @ r.A)) <= 1e-3 * max(1.0, frob(r.A) ** 2):
             continue
-        before, _, sep = fixed_point_probe(r, 1.0)
+        before, _, sep = fixed_point_probe_stack(r.A, r.B, r.v, r.w, 1.0)
         smallest = min(smallest, sep / max(1.0, float(np.abs(before).max())))
         tested += 1
     _report("AC-06", "scaling probe separation (50 points, t = 1)",
@@ -231,7 +230,7 @@ def test_ac07_independence_certificate():
 
         comp_dev = 0.0
         for gen in (GEN_F, GEN_H):
-            got = numeric_field(gen, c).s_components(2)
+            got = numeric_field(gen, c).s_components()
             want = analytic_field(gen, c).d_s
             comp_scale = max(1.0, *(abs(v) for v in want.values()))
             comp_dev = max(

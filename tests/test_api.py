@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,3 +121,41 @@ def test_importing_the_package_loads_no_scipy():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _named_identifiers(tree, skip_def, strings):
+    """Every name a tree reads or looks up as an attribute, outside the def of skip_def.
+
+    Imports name nothing, so a re-export is not a use.  With strings, a
+    string constant that is a whole name counts too (the benchmark tracer
+    looks its functions up by name); a docstring never is one.
+    """
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == skip_def:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    # nothing is public only because its own test calls it: each exported
+    # function is named in the package outside its own def, in README's
+    # examples, or in the benchmark
+    package = sorted(Path(cmspaces.__file__).parent.glob("*.py"))
+    trees = [(ast.parse(path.read_text()), False) for path in package]
+    readme = (ROOT / "README.md").read_text()
+    trees += [(ast.parse(code), False) for code in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    trees += [(ast.parse(path.read_text()), True) for path in bench]
+    functions = [name for name in cmspaces.__all__ if inspect.isfunction(getattr(cmspaces, name))]
+    unused = [name for name in functions if not any(
+        name in _named_identifiers(tree, name, strings) for tree, strings in trees)]
+    assert functions and unused == []

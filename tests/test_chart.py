@@ -86,10 +86,14 @@ def _count_lapack(monkeypatch, names):
 
 def test_chart_point_packing_round_trip():
     c = random_chart_point(3, 1.0, 2)
-    again = ChartPoint.from_vector(c.vector(), 3, c.tau)
+    again = ChartPoint.from_vector(c.vector(), c.tau)
     assert np.array_equal(again.vector(), c.vector())
-    with pytest.raises(ShapeMismatchError):
-        ChartPoint.from_vector(c.vector()[:-1], 3, c.tau)
+    # n is read off the length 4n+2, and any other length, or n = 0, is refused
+    for size in (13, 12, 2, 0):
+        with pytest.raises(ShapeMismatchError):
+            ChartPoint.from_vector(c.vector()[:size], c.tau)
+        with pytest.raises(ShapeMismatchError):
+            from_chart_stack(np.ones((2, size)), c.tau)
 
 
 def _is_normal_form(p):
@@ -232,9 +236,10 @@ def _eig_chart_frame(lam, lamhat, tau, tol=1e-9):
     return Ah, g, ginv, S
 
 
-def _eig_from_chart_stack(V, n, tau):
+def _eig_from_chart_stack(V, tau):
     """from_chart_stack on the eig-based frame."""
-    lam, lamhat, mu, muhat = _unpack(V, n)
+    lam, lamhat, mu, muhat = _unpack(V)
+    n = lam.shape[-1]
     Ah, g, ginv, S = _eig_chart_frame(lam, lamhat, tau)
     full = np.arange(n + 1)
     S[..., full, full] = muhat
@@ -249,10 +254,9 @@ def test_closed_form_frame_rebuilds_what_the_eig_frame_did():
 
     for n in range(1, 9):
         c = random_chart_point(n, 1.0, 180 + n)
-        assert close(from_chart_stack(c.vector(), n, c.tau),
-                     _eig_from_chart_stack(c.vector(), n, c.tau))
+        assert close(from_chart_stack(c.vector(), c.tau), _eig_from_chart_stack(c.vector(), c.tau))
     V = np.array([random_chart_point(4, 0.5 - 1j, 190 + i).vector() for i in range(6)])
-    assert close(from_chart_stack(V, 4, 0.5 - 1j), _eig_from_chart_stack(V, 4, 0.5 - 1j))
+    assert close(from_chart_stack(V, 0.5 - 1j), _eig_from_chart_stack(V, 0.5 - 1j))
 
 
 @pytest.mark.parametrize("n, seed, delta", [(4, 0, 3e-9), (4, 1, 3e-9), (8, 0, 1e-8)])
@@ -376,7 +380,7 @@ def _serial_chart_jacobian(c, tol=1e-9, step=1e-6):
         def coords(s):
             v = base.copy()
             v[idx] += s
-            moved = ChartPoint.from_vector(v, c.n, c.tau)
+            moved = ChartPoint.from_vector(v, c.tau)
             return to_chart_tracked(from_chart(moved, tol), c, tol).vector()
 
         J[:, idx] = (coords(step) - coords(-step)) / (2.0 * step)
@@ -610,13 +614,13 @@ def test_a_coalesced_item_fails_the_stack_like_the_scalar_call():
     with pytest.raises(DegenerateSpectrumError) as scalar:
         from_chart(points[1])
     with pytest.raises(type(scalar.value)):
-        from_chart_stack(np.array([c.vector() for c in points]), 3, 1.0)
+        from_chart_stack(np.array([c.vector() for c in points]), 1.0)
 
 
 def test_stacked_base_points_give_the_per_point_jacobians():
     for n in range(1, 6):
         points = [random_chart_point(n, 1.0, 400 + 20 * n + i) for i in range(20)]
-        J = chart_jacobian_stack(np.array([c.vector() for c in points]), n, 1.0)
+        J = chart_jacobian_stack(np.array([c.vector() for c in points]), 1.0)
         assert J.shape == (20, 4 * n + 2, 4 * n + 2)
         assert np.array_equal(J, np.array([chart_jacobian(c) for c in points]))
 
@@ -655,13 +659,13 @@ def test_one_bad_item_fails_the_stacked_kernels_like_the_scalar_call():
     with pytest.raises(DegenerateSpectrumError) as scalar:
         chart_jacobian(points[1])
     with pytest.raises(type(scalar.value)):
-        chart_jacobian_stack(np.array([c.vector() for c in points]), 3, 1.0)
+        chart_jacobian_stack(np.array([c.vector() for c in points]), 1.0)
     # an ambiguous reference in a tracked read: two reference values 1e-3
     # apart leave no trustworthy matching
     points, pairs, A, B = _scrambled_stack(3, 3, 190)
     refs = [c.vector() for c in points]
     refs[2][4] = refs[2][3] + 1e-3     # lamhat[1] next to lamhat[0]
-    bad = ChartPoint.from_vector(refs[2], 3, 1.0)
+    bad = ChartPoint.from_vector(refs[2], 1.0)
     with pytest.raises(BranchAmbiguityError) as scalar:
         to_chart_tracked(pairs[2], bad)
     with pytest.raises(type(scalar.value)):

@@ -130,11 +130,14 @@ def test_shear_pullback_degrees():
 
 def test_degree_cap_reports_none():
     p = _pair(2, 112)
-    obs = lambda P, Q: (Q @ Q @ Q).trace(axis1=1, axis2=2)  # noqa: E731
-    # under the lower shear the cubic trace word has degree three, which
-    # an intentionally low cap cannot fit
-    assert lnd_degree("e", obs, p, d_max=2) is None
-    assert lnd_degree("e", obs, p, d_max=4) == 3
+
+    def power_trace(m):
+        return lambda P, Q: np.linalg.matrix_power(Q, m).trace(axis1=1, axis2=2)
+    # under the lower shear tr Q^m has degree m: the fit reaches degree 6,
+    # and a seventh power lies above it
+    assert lnd_degree("e", power_trace(3), p) == 3
+    assert lnd_degree("e", power_trace(6), p) == 6
+    assert lnd_degree("e", power_trace(7), p) is None
 
 
 def test_witness_identities_hold_at_seeded_points():

@@ -20,7 +20,6 @@ from cmspaces.sl2 import (
     act_pair,
     analytic_field,
     find_independence_point,
-    fixed_point_probe,
     fixed_point_probe_stack,
     independence_rank,
     numeric_field,
@@ -55,7 +54,7 @@ def test_sl2_element_rejects_bad_determinant():
 def test_sl2_compose_and_inverse():
     g = random_sl2(3)
     h = random_sl2(4)
-    gi = g.inverse()
+    gi = SL2Element(g.d, -g.b, -g.c, g.a)
     np.testing.assert_allclose(g.compose(gi).matrix(), np.eye(2), atol=1e-12)
     np.testing.assert_allclose(
         g.compose(h).matrix(), g.matrix() @ h.matrix(), atol=1e-12
@@ -150,20 +149,20 @@ def test_scaling_probe_separates_points():
         r = random_point(2 + seed % 3, 2, 1.0, 50 + seed)
         if abs(np.trace(r.A @ r.A)) < 1e-3:
             continue
-        before, after, sep = fixed_point_probe(r, 1.0)
+        before, after, sep = fixed_point_probe_stack(r.A, r.B, r.v, r.w, 1.0)
         assert sep > 1e-6 * max(1.0, float(np.abs(before).max()))
 
 
 def test_probe_rejects_degenerate_input():
     r = random_point(2, 2, 1.0, 57)
     with pytest.raises(ValueError):
-        fixed_point_probe(r, 0.0)
+        fixed_point_probe_stack(r.A, r.B, r.v, r.w, 0.0)
     from cmspaces.variety import Representation
 
     z = Representation(np.zeros((2, 2)), np.zeros((2, 2)),
                        np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
     with pytest.raises(ZeroPairError):
-        fixed_point_probe(z, 1.0)
+        fixed_point_probe_stack(z.A, z.B, z.v, z.w, 1.0)
 
 
 def test_stacked_probe_is_the_one_point_probe():
@@ -175,7 +174,7 @@ def test_stacked_probe_is_the_one_point_probe():
         before, after, sep = fixed_point_probe_stack(A, B, v, w, 0.7)
         assert sep.shape == (2, 2)
         for r, b, a, s in zip(items, before.reshape(4, -1), after.reshape(4, -1), sep.ravel()):
-            want = fixed_point_probe(r, 0.7)
+            want = fixed_point_probe_stack(r.A, r.B, r.v, r.w, 0.7)
             assert (b.tobytes(), a.tobytes(), s) == (want[0].tobytes(), want[1].tobytes(), want[2])
     A[1, 0], B[1, 0] = 0.0, 0.0
     with pytest.raises(ZeroPairError):     # one zero pair anywhere in the stack
@@ -185,7 +184,7 @@ def test_stacked_probe_is_the_one_point_probe():
 def test_probe_rejects_an_acted_point_that_overflows():
     big = Representation(np.diag([1e308, 1.0]), np.eye(2), np.ones((2, 2)), np.ones((2, 2)), 1.0)
     with np.errstate(all="ignore"), pytest.raises(ShapeMismatchError, match="non-finite"):
-        fixed_point_probe(big, 1.0)
+        fixed_point_probe_stack(big.A, big.B, big.v, big.w, 1.0)
 
 
 def test_lower_shear_field_matches_the_closed_form():
@@ -296,9 +295,12 @@ def test_scaling_and_upper_shear_trace_components():
     want_f = {1: s1, 2: 2.0 * s2}
     for k in (1, 2):
         assert abs(num_f[k] - want_f[k]) < 1e-6 * max(1.0, abs(want_f[k]))
-    ana_f = analytic_field(GEN_F, c).s_components()
+    ana_f = analytic_field(GEN_F, c).d_s
     for k in (1, 2):
         assert abs(ana_f[k] - want_f[k]) == 0.0
+    # a closed-form field without the lamhat block has no components to read
+    with pytest.raises(ShapeMismatchError):
+        analytic_field(GEN_F, c).s_components()
 
 
 def test_independence_certificate():

@@ -87,9 +87,9 @@ def test_flow_checks_fingerprint_each_target_once(monkeypatch):
     # one fingerprint stack per base point: the target, then one flow per step count
     original, stacks = verify.pair_fingerprints, []
 
-    def counting(A, B, length=None):
+    def counting(A, B):
         stacks.append(A.shape[0])
-        return original(A, B, length)
+        return original(A, B)
 
     monkeypatch.setattr(verify, "pair_fingerprints", counting)
     cfg = RunConfig(n_values=(1, 2), seed=3)
@@ -146,7 +146,7 @@ def test_the_per_trial_checks_make_one_call_per_size(monkeypatch):
     # the loops made one draw per trial and bump and one eig, probe or
     # fingerprint per trial; no trial bumps at seed 1
     names = ("random_points", "random_chart_points", "fingerprints", "fixed_point_probe_stack",
-             "eig")
+             "eig", "eigvals")
     counts = _count_calls(monkeypatch, verify, *names)
     for check, want in (
             (verify._check_scaling_probe, {"random_points": 5, "fixed_point_probe_stack": 5}),
@@ -154,8 +154,8 @@ def test_the_per_trial_checks_make_one_call_per_size(monkeypatch):
             # its draws, then the words before and after the gauges, per size n = 2..5
             (verify._check_fingerprint_invariance, {"random_points": 4, "fingerprints": 8}),
             (verify._check_eig_reassembly, {"eig": 5}),
-            # one eig per size of matrix: the pair's first matrix and its block
-            (verify._check_scaling_spectra, {"random_chart_points": 3, "eig": 6})):
+            # one eigvals per size of matrix: the pair's first matrix and its block
+            (verify._check_scaling_spectra, {"random_chart_points": 3, "eigvals": 6})):
         counts.update(dict.fromkeys(names, 0))
         assert _status(check) == "pass"
         assert counts == {**dict.fromkeys(names, 0), **want}, check.__name__
@@ -392,11 +392,10 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     # per routine, one default pass at seed 1: eig and its inverse for each
     # normal_form stack (one per size: 5 in the pair round trip, 5 each in
     # the shape and equivalence checks, 10 in the idempotence check) and
-    # for each stack of the eig checks (one per size: 5 in the reassembly
-    # check, 6 in the scaling spectra, whose points give two sizes of
-    # matrix), 20 inv for the gauges random_gauge draws, eigvals for the
-    # untracked reads, svd for random_gauge's condition bound and the
-    # ranks; the chart Jacobian, the induced
+    # for each stack of the reassembly check (one per size: 5), 20 inv for
+    # the gauges random_gauge draws, eigvals for the untracked reads and
+    # the scaling spectra (6: one per size and size of matrix), svd for
+    # random_gauge's condition bound and the ranks; the chart Jacobian, the induced
     # fields, the splitting check and the gauge checks make none.  The
     # four pinv of the flow fits are cached for the process, so a pass
     # after the first makes none
@@ -406,4 +405,4 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     assert report["summary"]["passed"] == report["summary"]["total"]
     pinv = counts.pop("pinv")
     assert pinv in (0, 4)
-    assert counts == {"eig": 36, "eigvals": 15, "inv": 56, "svd": 45, "solve": 5, "lstsq": 0}
+    assert counts == {"eig": 30, "eigvals": 21, "inv": 50, "svd": 45, "solve": 5, "lstsq": 0}
