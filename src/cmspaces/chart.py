@@ -407,7 +407,7 @@ def to_chart_tracked(p: AugmentedPair, ref: ChartPoint, tol: float = DEFAULT_TOL
 # the tangent of a read
 
 
-def _read_tangent(A, B, d: Decomposition, dA, dB) -> np.ndarray:
+def _read_tangent(A, B, d: Decomposition, dA, dB, E) -> np.ndarray:
     """Packed tangents (..., k, 4n+2) of the read of normal-form pairs along k tangents each.
 
     (A, B) are normal-form pairs (..., n+1, n+1) and d their
@@ -416,7 +416,7 @@ def _read_tangent(A, B, d: Decomposition, dA, dB) -> np.ndarray:
     vanish.  The read is differentiated at its base point by the
     first-order formulas for simple eigenvalues and their eigenvectors
     (Stewart & Sun, Matrix Perturbation Theory, 1990, ch. IV-V).  With
-    E = g dA ginv,
+    E = g dA ginv, which the caller gives (it knows dA's structure),
 
         dlam = diag(dA)[:n],  dlamhat = diag(E),
         dmu = ([dA, B] + [A, dB])[n, :n],
@@ -436,7 +436,6 @@ def _read_tangent(A, B, d: Decomposition, dA, dB) -> np.ndarray:
     g, ginv, S = d.g[..., None, :, :], d.ginv[..., None, :, :], d.S[..., None, :, :]
     lamhat = d.lamhat[..., None, :]
     with np.errstate(all="ignore"):     # an overflow is refused below
-        E = g @ dA @ ginv
         # row n of [dA, B] + [A, dB]
         dK = dA[..., n:, :] @ B - B[..., n:, :] @ dA + A[..., n:, :] @ dB - dB[..., n:, :] @ A
         dmu = dK[..., 0, :n]
@@ -492,7 +491,8 @@ def tracked_tangent(p: AugmentedPair, dA, dB, ref: ChartPoint,
         X[:, idx, idx] = dA[:, n, :n] - X.sum(axis=-2)
         Y[:, :n, :n] = X
         dA, dB = dA + Y @ p.A - p.A @ Y, dB + Y @ p.B - p.B @ Y
-    T = _read_tangent(p.A, p.B, d, dA, dB)
+        E = d.g[None] @ dA @ d.ginv[None]
+    T = _read_tangent(p.A, p.B, d, dA, dB, E)
     perm = match_to_reference(lam, ref.lam)
     return np.concatenate([T[:, perm], T[:, n:2 * n + 1], T[:, 2 * n + 1 + perm],
                            T[:, 3 * n + 1:]], axis=-1)
@@ -554,16 +554,68 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     return Ah, g, ginv, S
 
 
+def _rebuild_tangent(A, g, ginv, X, lamhat):
+    """Tangents (dA, dB), (..., 4n+2, n+1, n+1), of the rebuild along a unit step of each coordinate.
+
+    (g, ginv) is _chart_frame's frame of A and X = diag(muhat) + S.  A step
+    moves dA's diagonal by dlam, its corner by sum(dlamhat) - sum(dlam) and
+    x_i by sum_j (dlamhat_j - dlam_i) ginv[i, j]
+    - x_i sum_{l != i} (dlam_i - dlam_l) / (lam_i - lam_l).  With E = g dA ginv,
+    first-order perturbation (Stewart & Sun, ch. IV-V) gives the rotation
+    C_jk = E_jk / (lamhat_k - lamhat_j), C_kk = -sum_{j != k} C_jk (row n of
+    ginv stays all ones), dP = P C - C P for P = g shift ginv, off the diagonal
+    dS = (dP - diag(dP) 1^T - S o dG) / G with G_jk = lamhat_j - lamhat_k, and
+    dB = ginv (dS + C X - X C) g.  E is g[:, m] ginv[m, :] + (g dA[:, n]) 1^T
+    for lam_m and e_j 1^T for lamhat_j, so C = e_j h^T - diag(h), h row j of
+    H = 1 / -G.  C's columns sum to zero: X o G = P - diag(P) 1^T stands in.
+    """
+    n = A.shape[-1] - 1
+    idx, full, k = np.arange(n), np.arange(n + 1), 2 * n + 1
+    lam, x = np.ascontiguousarray(A[..., idx, idx]), A[..., :n, n]     # C order: see arrowhead_frame
+    dA, dB = np.zeros((2,) + lam.shape[:-1] + (4 * n + 2, n + 1, n + 1), dtype=np.complex128)
+    dA[..., idx, idx, idx], dA[..., :n, n, n] = 1.0, -1.0    # dlam_m's diagonal and corner
+    dA[..., n:k, :, n] = np.swapaxes(ginv, -1, -2)
+    dlamhat, gT = np.eye(k, n + 1, -n), np.swapaxes(g, -1, -2)
+    with np.errstate(all="ignore"):     # _read_tangent refuses an overflow
+        R = 1.0 / (lam[..., :, None] - lam[..., None, :])
+        R[..., idx, idx] = 0.0
+        dA[..., :n, :n, n] = -R * x[..., None, :]
+        dA[..., idx, idx, n] = -ginv[..., :n, :].sum(axis=-1) - x * R.sum(axis=-1)
+        G = lamhat[..., :, None] - lamhat[..., None, :]
+        H = -1.0 / G
+        H[..., full, full] = 0.0
+        Wr, Wc = np.concatenate([X * G, X], axis=-1), np.concatenate([X * G, X], axis=-2)
+        C = (((dA[..., :n, :, n] @ gT)[..., None] + gT[..., :n, :, None] * ginv[..., :n, None, :])
+             * H[..., None, :, :])
+        C[..., full, full] = -C.sum(axis=-2)
+        CW = np.concatenate([C @ Wr[..., None, :, :], -H[..., :, :, None] * Wr[..., None, :, :]], -3)
+        CW[..., n + full, full, :] += H @ Wr                             # [CZ, CX]
+        WC = np.concatenate([Wc[..., None, :, :] @ C, H[..., :, None, :] * (             # [ZC; XC]
+            np.swapaxes(Wc, -1, -2)[..., :, :, None] - Wc[..., None, :, :])], -3)
+        Q = WC[..., :n + 1, :] - CW[..., :n + 1]
+        dS = (Q[..., full, full][..., :, None] - Q
+              + X[..., None, :, :] * (dlamhat[:, :, None] - dlamhat[:, None, :])) * H[..., None, :, :]
+        dB[..., :k, :, :] = (ginv[..., None, :, :] @ (dS + CW[..., n + 1:] - WC[..., n + 1:, :])
+                             @ g[..., None, :, :])
+        dB[..., k + idx, idx, idx] = 1.0     # mu_k adds E_kk; muhat_j adds the projector below
+        dB[..., 3 * n + 1:, :, :] = np.swapaxes(ginv, -1, -2)[..., :, :, None] * g[..., :, None, :]
+    return dA, dB
+
+
+def _rebuild(V, tau: complex, tol: float):
+    """from_chart_stack's (A, B), _chart_frame's (g, ginv), X = diag(muhat) + S and lamhat."""
+    lam, lamhat, mu, muhat = _unpack(V)
+    Ah, g, ginv, X = _chart_frame(lam, lamhat, tau, tol)
+    full = np.arange(lam.shape[-1] + 1)
+    X[..., full, full] = muhat          # S is off-diagonal: this is diag(muhat) + S
+    Bh = ginv @ X @ g
+    Bh[..., full[:-1], full[:-1]] += mu
+    return Ah, Bh, g, ginv, X, lamhat
+
+
 def from_chart_stack(V, tau: complex, tol: float = DEFAULT_TOL):
     """from_chart for packed coordinates V of shape (..., 4n+2); returns the matrices (A, B)."""
-    lam, lamhat, mu, muhat = _unpack(V)
-    n = lam.shape[-1]
-    Ah, g, ginv, S = _chart_frame(lam, lamhat, tau, tol)
-    full = np.arange(n + 1)
-    S[..., full, full] = muhat          # S is off-diagonal: this is diag(muhat) + S
-    Bh = ginv @ S @ g
-    Bh[..., full[:n], full[:n]] += mu
-    return Ah, Bh
+    return _rebuild(V, tau, tol)[:2]
 
 
 def from_chart(c: ChartPoint, tol: float = DEFAULT_TOL) -> AugmentedPair:
@@ -652,41 +704,26 @@ def random_chart_point(n: int, tau: complex, seed: int) -> ChartPoint:
 def chart_jacobian_stack(V, tau: complex, tol: float = DEFAULT_TOL) -> np.ndarray:
     """chart_jacobian at the base points V (..., 4n+2); returns (..., 4n+2, 4n+2).
 
-    Each base point is rebuilt and read once, and the read's closed-form
-    tangent (_read_tangent) takes every column.  The 2 (2 n + 1)
-    perturbations of lam and lamhat go through from_chart_stack as one
-    stack, at step 1e-6.  mu and muhat enter the rebuild linearly, so
-    their tangents are exact: a unit of mu_k adds the matrix unit E_kk to
-    the second matrix, and a unit of muhat_j the spectral projector
-    ginv[:, j] g[j, :] of the base point.
+    Each base point is rebuilt once and read once, with every check of the
+    read.  In the read's frame a lam or lamhat step's E is one or two outer
+    products, and a mu or muhat step's is zero.
     """
-    lam, lamhat, _, _ = _unpack(V)
-    n = lam.shape[-1]
-    V = np.asarray(V, dtype=np.complex128)
-    A, B = from_chart_stack(V, tau, tol)
+    A, B, g, ginv, X, lamhat = _rebuild(V, tau, tol)
+    n, k = A.shape[-1] - 1, A.shape[-1] * 2 - 1
     d = decompose_stack(A, B, tau, tol, lamhat)
-    spectral = 2 * n + 1
-    step = 1e-6
-    steps = step * np.eye(spectral, 4 * n + 2)
-    base = V[..., None, :]
-    Ap, Bp = from_chart_stack(np.concatenate([base + steps, base - steps], axis=-2), tau, tol)
-    dA = np.zeros(Ap.shape[:-3] + (4 * n + 2,) + Ap.shape[-2:], dtype=np.complex128)
-    dB = np.zeros_like(dA)
-    dA[..., :spectral, :, :] = (Ap[..., :spectral, :, :] - Ap[..., spectral:, :, :]) / (2.0 * step)
-    dB[..., :spectral, :, :] = (Bp[..., :spectral, :, :] - Bp[..., spectral:, :, :]) / (2.0 * step)
-    idx = np.arange(n)
-    dB[..., spectral + idx, idx, idx] = 1.0
-    dB[..., 3 * n + 1:, :, :] = np.swapaxes(d.ginv, -1, -2)[..., :, :, None] * d.g[..., :, None, :]
-    return np.swapaxes(_read_tangent(A, B, d, dA, dB), -1, -2)
+    dA, dB = _rebuild_tangent(A, g, ginv, X, lamhat)
+    E, gT = np.zeros_like(dA), np.swapaxes(d.g, -1, -2)
+    with np.errstate(all="ignore"):     # _read_tangent refuses an overflow
+        E[..., :k, :, :] = (dA[..., :k, :, n] @ gT)[..., None] * d.ginv[..., None, n:, :]
+        E[..., :n, :, :] += gT[..., :n, :, None] * d.ginv[..., :n, None, :]
+    return np.swapaxes(_read_tangent(A, B, d, dA, dB, E), -1, -2)
 
 
 def chart_jacobian(c: ChartPoint, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Jacobian of to_chart(from_chart(.)) at c, the read tracked against c.
 
-    The read's tangent is closed form at c (first-order perturbation of
-    its simple spectra and their frame); the rebuild's is a central
-    difference at step 1e-6 in lam and lamhat and exact in mu and
-    muhat.  On the chart domain this is the identity up to the rebuild's
-    step error, and its rank certifies the coordinate count 4 n + 2.
+    Closed form, by first-order perturbation of the simple spectra and
+    frames of the rebuild and the read, so on the chart domain it is the
+    identity up to rounding; its rank certifies the coordinate count 4n+2.
     """
     return chart_jacobian_stack(c.vector(), c.tau, tol)

@@ -73,7 +73,7 @@ class SL2Element:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-12:
+        if not abs(det - 1.0) <= 1e-12:     # a NaN determinant fails too
             raise ShapeMismatchError(f"determinant {det} is not 1")
 
     def matrix(self) -> np.ndarray:
@@ -135,7 +135,10 @@ class SL2Generator:
             return SL2Element(1.0, 0.0, z, 1.0)
         if self.kind == "f":
             return SL2Element(1.0, z, 0.0, 1.0)
-        return SL2Element(exp(z), 0.0, 0.0, exp(-z))
+        try:
+            return SL2Element(exp(z), 0.0, 0.0, exp(-z))
+        except (OverflowError, ValueError) as exc:     # cmath: math range or domain error
+            raise ShapeMismatchError(f"exp(h t) at t = {z} is not finite ({exc})") from None
 
 
 GEN_E = SL2Generator("e")

@@ -30,6 +30,7 @@ from cmspaces.errors import (
     CMSpacesError,
     DegenerateSpectrumError,
     EigenMismatchError,
+    NonConvergentError,
     NotNormalizedError,
     NotStronglySemisimpleError,
     ShapeMismatchError,
@@ -47,6 +48,7 @@ from cmspaces.linalg import (
     pair_scale,
     reorder,
     sort_order,
+    value_scale,
 )
 from cmspaces.variety import (
     AugmentedPair,
@@ -385,6 +387,88 @@ def _serial_chart_jacobian(c, tol=1e-9, step=1e-6):
 
         J[:, idx] = (coords(step) - coords(-step)) / (2.0 * step)
     return J
+
+
+def _central_difference_jacobian_stack(V, tau, tol=1e-9, step=1e-6):
+    """chart_jacobian_stack with the rebuild's tangent in lam and lamhat by central differences.
+
+    The oracle the closed-form rebuild tangent replaced: the 2 (2n + 1)
+    perturbed rebuilds go through from_chart_stack as one stack; the mu
+    and muhat columns and the read's tangent are chart_jacobian_stack's.
+    """
+    n = (V.shape[-1] - 2) // 4
+    A, B = from_chart_stack(V, tau, tol)
+    d = chart_module.decompose_stack(A, B, tau, tol, V[..., n:2 * n + 1])
+    spectral, idx = 2 * n + 1, np.arange(n)
+    steps = step * np.eye(spectral, 4 * n + 2)
+    base = V[..., None, :]
+    Ap, Bp = from_chart_stack(np.concatenate([base + steps, base - steps], axis=-2), tau, tol)
+    dA = np.zeros(A.shape[:-2] + (4 * n + 2,) + A.shape[-2:], dtype=np.complex128)
+    dB = np.zeros_like(dA)
+    dA[..., :spectral, :, :] = (Ap[..., :spectral, :, :] - Ap[..., spectral:, :, :]) / (2.0 * step)
+    dB[..., :spectral, :, :] = (Bp[..., :spectral, :, :] - Bp[..., spectral:, :, :]) / (2.0 * step)
+    dB[..., spectral + idx, idx, idx] = 1.0
+    dB[..., 3 * n + 1:, :, :] = np.swapaxes(d.ginv, -1, -2)[..., :, :, None] * d.g[..., :, None, :]
+    E = d.g[..., None, :, :] @ dA @ d.ginv[..., None, :, :]
+    return np.swapaxes(chart_module._read_tangent(A, B, d, dA, dB, E), -1, -2)
+
+
+def _conditioning(c):
+    """kappa / gap: the frame's largest eigenvalue condition number over the smallest gap of lam and lamhat."""
+    g, ginv = arrowhead_frame(c.lam, c.lamhat)
+    kappa = (np.linalg.norm(g, axis=-1) * np.linalg.norm(ginv, axis=-2)).max()
+    return kappa / min(min_gap(c.lam), min_gap(c.lamhat))
+
+
+def test_closed_form_jacobian_matches_the_central_difference_oracle():
+    for n in (1, 2, 3, 4, 5, 20):
+        for seed in (160 + n, 161 + n):
+            c = random_chart_point(n, 1.0, seed)
+            oracle = _central_difference_jacobian_stack(c.vector(), c.tau)
+            # the oracle's step error and its rounding at step 1e-6 (about
+            # 1e-9 here) grow with the conditioning
+            assert np.abs(chart_jacobian(c) - oracle).max() <= 1e-7 * _conditioning(c)
+
+
+def test_closed_form_jacobian_is_the_identity_to_rounding():
+    # the central differences left an error floor of about 1e-8 here
+    for n in (1, 2, 3, 4, 5, 10, 20):
+        for seed in (60 + n, 260 + n, 460 + n):
+            c = random_chart_point(n, 1.0, seed)
+            err = np.abs(chart_jacobian(c) - np.eye(4 * n + 2)).max()
+            assert err <= 1e-11 * value_scale(c.vector())
+
+
+def test_closed_form_jacobian_near_coalescing_lamhat():
+    # lamhat_1 within 1e-2 of lamhat_0: the closed form stays within its
+    # rounding, times the conditioning squared (kappa / gap is about 5e4),
+    # where the central differences at step 1e-6 were off by 3e-2
+    c = random_chart_point(3, 1.0, 5)
+    lamhat = c.lamhat.copy()
+    lamhat[1] = lamhat[0] + 1e-2
+    c = ChartPoint(c.lam, lamhat, c.mu, c.muhat, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        J = chart_jacobian(c)
+    assert np.abs(J - np.eye(14)).max() <= 1e-14 * _conditioning(c) ** 2 * value_scale(c.vector())
+    assert numeric_rank(J) == 14
+
+
+def test_an_overflowing_rebuild_tangent_is_refused_quietly(monkeypatch):
+    # a second matrix near the top of the doubles: the rebuild tangent's
+    # products overflow, and the read's tangent refuses the non-finite
+    # columns with a typed error, not a warning
+    rebuild = chart_module._rebuild
+
+    def near_overflow(V, tau, tol):
+        A, B, g, ginv, X, lamhat = rebuild(V, tau, tol)
+        return A, B, g, ginv, 1e308 * X, lamhat
+
+    monkeypatch.setattr(chart_module, "_rebuild", near_overflow)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonConvergentError):
+            chart_jacobian(random_chart_point(3, 1.0, 6))
 
 
 def test_stacked_jacobian_matches_the_serial_loop():

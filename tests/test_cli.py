@@ -186,6 +186,15 @@ def test_nonfinite_or_zero_tau_is_bad_input(capsys, monkeypatch, tau):
         assert out == "" and "--tau" in err
 
 
+@pytest.mark.parametrize("t", ["800", "-800", "1e308", "-1e308", "inf", "nan"])
+def test_a_scaling_flow_time_out_of_range_is_a_typed_error(capsys, monkeypatch, t):
+    # cmath.exp's OverflowError once escaped with a traceback and exit 1
+    code, out, err = _run(capsys, monkeypatch, ["flow", "--generator", "h", f"--t={t}"])
+    assert code in (EXIT_BAD_INPUT, EXIT_NUMERICAL)
+    assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "ShapeMismatchError: " in err
+
+
 @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
 def test_a_bad_seed_is_bad_input_that_names_the_flag(capsys, monkeypatch, seed):
     # -1 used to reach numpy, whose "expected non-negative integer" named no flag

@@ -1,6 +1,7 @@
 """Tests for the two-by-two group layer: elements, exponentials, the action
 on quadruples and pairs, and the induced chart fields."""
 
+import cmath
 import warnings
 
 import numpy as np
@@ -49,6 +50,30 @@ from cmspaces.variety import (
 def test_sl2_element_rejects_bad_determinant():
     with pytest.raises(ShapeMismatchError):
         SL2Element(2.0, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("entries", [(np.nan, 0.0, 0.0, 1.0), (np.inf, 0.0, 0.0, 0.0),
+                                     (1.0, 0.0, np.inf, 1.0), (1.0, np.nan, 0.0, 1.0)])
+def test_sl2_element_rejects_a_non_finite_element(entries):
+    # the determinant test once read False for NaN and let such an element through
+    with pytest.raises(ShapeMismatchError):
+        SL2Element(*entries)
+
+
+def test_generator_exponentials_are_finite_or_raise_typed():
+    for t in (np.inf, -np.inf, np.nan):
+        for gen in (GEN_E, GEN_F, GEN_H):
+            with pytest.raises(ShapeMismatchError):
+                gen.exp(t)
+    # cmath.exp overflows past t = 709.78 and let OverflowError escape
+    for t in (800.0, -800.0, 1e308, -1e308):
+        with pytest.raises(ShapeMismatchError):
+            GEN_H.exp(t)
+    # finite elements keep their bits
+    g = GEN_H.exp(700.0)
+    assert (g.a, g.b, g.c, g.d) == (cmath.exp(700.0), 0.0, 0.0, cmath.exp(-700.0))
+    g = SL2Element(2.0, 3.0 + 2j, 1.0, 2.0 + 1j)
+    assert (g.a, g.b, g.c, g.d) == (2.0, 3.0 + 2j, 1.0, 2.0 + 1j)
 
 
 def test_sl2_compose_and_inverse():
