@@ -23,7 +23,7 @@ import sys
 
 from .canonical import normalize, regularity_report
 from .chart import ChartPoint, from_chart, random_chart_point, to_chart, to_chart_tracked
-from .errors import CMSpacesError
+from .errors import BranchAmbiguityError, CMSpacesError
 from .flowcalc import flow_exact
 from .jsonio import decode, dumps, encode, encode_cmatrix
 from .linalg import DEFAULT_TOL, pair_scale
@@ -41,6 +41,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NUMERICAL = 3
+
+_FLOW_MAX_STEPS = 1024   # the finest continuation of a flow read
 
 
 def _parse_tau(text: str) -> complex:
@@ -202,11 +204,32 @@ def cmd_chart(args) -> int:
     return EXIT_OK
 
 
+def _flowed_chart(kind: str, t: float, p: AugmentedPair, before: ChartPoint, tol: float):
+    """The chart read of flow_exact(kind, t, p), continued along the flow from before.
+
+    The flowed pairs at the times t i/k, i = 1..k, are read in turn, each
+    tracked against the read of the step before, from k = 1 (one tracked
+    read).  When a step's branch is ambiguous, k doubles, up to
+    _FLOW_MAX_STEPS; past that the error is raised.
+    """
+    k = 1
+    while True:
+        try:
+            c = before
+            for i in range(1, k + 1):
+                c = to_chart_tracked(flow_exact(kind, t * (i / k), p), c, tol)
+            return c
+        except BranchAmbiguityError:
+            if k >= _FLOW_MAX_STEPS:
+                raise
+            k *= 2
+
+
 def cmd_flow(args) -> int:
     before = random_chart_point(args.n, args.tau, args.seed)
     p = from_chart(before, args.tol)
     q = flow_exact(args.generator, args.t, p)
-    after = to_chart_tracked(q, before, args.tol)
+    after = _flowed_chart(args.generator, args.t, p, before, args.tol)
     payload = {
         "kind": "flow_result",
         "generator": args.generator,

@@ -14,7 +14,9 @@ residual.  A sweep with no sample in its range is recorded as "skipped",
 with no residual, never as a pass.  Each check runs on its own: one that
 raises a package error is recorded with status "error", no residual, and
 the exception and seed in its note, and the other checks of its suite
-still run; callers map that to a distinct exit code.  Records sort by name
+still run; callers map that to a distinct exit code.  A check may also
+return a package error in place of one record's measurement, which
+records that one as "error" in the same way.  Records sort by name
 before emission and reports are deterministic for a fixed config
 (runtime_ms aside).
 """
@@ -32,7 +34,6 @@ import numpy as np
 
 from .canonical import normal_form, orbit_dimension
 from .chart import (
-    ChartPoint,
     chart_jacobian_stack,
     decompose,
     decompose_stack,
@@ -170,15 +171,13 @@ class _Measured(NamedTuple):
 _CHECKS = []  # every declared check, in definition (= run) order
 
 
-def _declare(*records, needs_points=False):
+def _declare(*records):
     """Declare the (name, law, threshold) of each record a check returns.
 
     The check is registered under the suite its record names start with.
-    With needs_points it also takes the run's sl2 independence points and
-    their shared reads (_independence_points).
     """
     def register(check):
-        check.records, check.needs_points = records, needs_points
+        check.records = records
         check.suite = records[0][0].split(".")[0]
         _CHECKS.append(check)
         return check
@@ -614,115 +613,88 @@ def _check_scaling_probe(cfg: RunConfig) -> _Measured:
                      "margin: smallest separation must exceed 1e-6; negative passes")
 
 
-class _PointRead(NamedTuple):
-    """An sl2 independence point c and its reads, shared by the checks that need them.
-
-    pair is from_chart(c) and fields the induced_fields at c; a read that
-    raised holds its package error instead (fields holds the pair's when
-    the pair was not read).
-    """
-
-    c: ChartPoint
-    pair: AugmentedPair | CMSpacesError
-    fields: np.ndarray | CMSpacesError
-
-
-def _attempt(read, *args):
-    """read(*args), or the package error it raised."""
-    try:
-        return read(*args)
-    except CMSpacesError as exc:
-        return exc
-
-
-def _got(value):
-    """A read's value; a read that raised raises its error here."""
-    if isinstance(value, CMSpacesError):
-        raise value
-    return value
-
-
-def _independence_points(cfg: RunConfig) -> list:
-    """The sl2 independence point of each size, each read once: its pair and three fields."""
-    points = [find_independence_point(n, cfg.tau, _seed(cfg, f"ind{n}"), cfg.tol)
-              for n in _ns(cfg, 5)]
-    reads = []
-    for c in points:
-        pair = _attempt(from_chart, c, cfg.tol)
-        if isinstance(pair, CMSpacesError):
-            reads.append(_PointRead(c, pair, pair))
-        else:
-            reads.append(_PointRead(c, pair, _attempt(induced_fields, c, pair, cfg.tol)))
-    return reads
-
-
-def _field(point: _PointRead, gen, cfg: RunConfig) -> ChartTangent:
-    """The field of the generator gen at the point, from its shared read.
-
-    When the read of all three fields raised but the pair was read, the
-    generator's own read decides: at extreme scale one field overflows
-    where another does not.
-    """
-    _got(point.pair)
-    if isinstance(point.fields, CMSpacesError):
-        return numeric_field(gen, point.c, cfg.tol)
-    return ChartTangent.from_vector(point.c, point.fields[GENERATORS.index(gen)])
-
-
 @_declare(("sl2.independence_rank", "three-fields-independent", 0.0),
           ("sl2.independence_ratio_margin", "three-fields-independent", 0.0),
-          needs_points=True)
-def _check_independence(cfg: RunConfig, points: list) -> list:
-    deficiencies, ratios = [], []
-    for point in points:
-        rank, ratio = fields_rank(_got(point.fields))
-        deficiencies.append(3 - rank)
-        ratios.append(ratio)
-    return [_Measured(_fold(deficiencies), "rank deficiency below 3", len(points)),
-            _Measured(1e-6 - _fold(ratios, min),
-                      "margin: smallest/largest singular value must exceed 1e-6", len(points))]
-
-
-@_declare(("sl2.lower_shear_field_match", "shear-field-closed-form", 1e-6),
+          ("sl2.lower_shear_field_match", "shear-field-closed-form", 1e-6),
           ("sl2.lower_shear_invariance", "shear-fixes-spectra-and-row-moments", 1e-7),
-          needs_points=True)
-def _check_lower_shear_match(cfg: RunConfig, points: list) -> list:
-    full, frozen = [], []
-    for point in points:
-        c = point.c
-        num = _field(point, GEN_E, cfg)
-        ana = analytic_field(GEN_E, c)
-        scale = value_scale(c.lamhat)
-        full.append(np.abs(num.vector() - ana.vector()).max() / scale)
-        frozen += [np.abs(d).max() / scale for d in (num.d_lam, num.d_lamhat, num.d_mu)]
-    return [_Measured(_fold(full), f"relative to {value_scale.text('spectrum')}", len(points)),
-            _Measured(_fold(frozen), f"relative to {value_scale.text('spectrum')}", len(points))]
+          ("sl2.trace_component_match", "scaling-and-upper-shear-trace-rates", 1e-6),
+          ("sl2.slice_tangency", "fields-tangent-to-embedded-slice", 1e-7))
+def _check_independence(cfg: RunConfig) -> list:
+    """The six records of the sl2 independence point of each size, each point read once.
 
+    A point's pair is read first, then its three fields with one
+    induced_fields call; when that call raises, each field is read alone:
+    at extreme scale one overflows where another does not.  A measurement
+    (rank, lower shear, trace components, tangency) stops at the first
+    point where it raises, and its records hold that package error.
+    """
+    points = [find_independence_point(n, cfg.tau, _seed(cfg, f"ind{n}"), cfg.tol)
+              for n in _ns(cfg, 5)]
+    found = [[] for _ in range(6)]  # each record's samples, or the error that stopped it
 
-@_declare(("sl2.trace_component_match", "scaling-and-upper-shear-trace-rates", 1e-6),
-          needs_points=True)
-def _check_trace_components(cfg: RunConfig, points: list) -> _Measured:
-    resids = []
-    for point in points:
-        for gen in (GEN_F, GEN_H):
-            got = _field(point, gen, cfg).s_components()
-            ana = analytic_field(gen, point.c).d_s
-            # abs of a Python complex: np.abs rounds differently in the last bit
-            scale = value_scale([abs(v) for v in ana.values()])
-            resids += [abs(got[k] - ana[k]) / scale for k in (1, 2)]
-    return _Measured(_fold(resids), f"relative to {value_scale.text('component')}", len(points))
+    def fail(records, exc):
+        for i in records:
+            found[i] = found[i] if isinstance(found[i], CMSpacesError) else exc
 
+    def measure(records, sample):
+        if not isinstance(found[records[0]], CMSpacesError):
+            try:
+                for i, x in zip(records, sample(), strict=True):
+                    found[i] += x
+            except CMSpacesError as exc:
+                fail(records, exc)
 
-@_declare(("sl2.slice_tangency", "fields-tangent-to-embedded-slice", 1e-7),
-          needs_points=True)
-def _check_slice_tangency(cfg: RunConfig, points: list) -> _Measured:
-    resids = []
-    for point in points:
-        pair = _got(point.pair)
-        scale = pair_scale(pair.A, pair.B)
-        for gen in GENERATORS:
-            resids += [r / scale for r in slice_rates(gen, pair)]
-    return _Measured(_fold(resids), f"relative to {pair_scale.text('A', 'B')}", len(points))
+    for c in points:
+        try:
+            pair = from_chart(c, cfg.tol)
+        except CMSpacesError as exc:
+            fail(range(6), exc)
+            continue
+        try:
+            fields = induced_fields(c, pair, cfg.tol)
+        except CMSpacesError as exc:
+            fields = exc
+            fail((0, 1), exc)
+
+        def field(gen):
+            if isinstance(fields, CMSpacesError):
+                return numeric_field(gen, c, cfg.tol)
+            return ChartTangent.from_vector(c, fields[GENERATORS.index(gen)])
+
+        def ranks():
+            rank, ratio = fields_rank(fields)
+            return [3 - rank], [1e-6 - ratio]
+
+        def lower_shear():
+            num, scale = field(GEN_E), value_scale(c.lamhat)
+            full = np.abs(num.vector() - analytic_field(GEN_E, c).vector()).max() / scale
+            return [full], [np.abs(d).max() / scale for d in (num.d_lam, num.d_lamhat, num.d_mu)]
+
+        def trace_components():
+            resids = []
+            for gen in (GEN_F, GEN_H):
+                got = field(gen).s_components()
+                ana = analytic_field(gen, c).d_s
+                # abs of a Python complex: np.abs rounds differently in the last bit
+                scale = value_scale([abs(v) for v in ana.values()])
+                resids += [abs(got[k] - ana[k]) / scale for k in (1, 2)]
+            return [resids]
+
+        def tangency():
+            scale = pair_scale(pair.A, pair.B)
+            return [[r / scale for gen in GENERATORS for r in slice_rates(gen, pair)]]
+
+        measure((0, 1), ranks)
+        measure((2, 3), lower_shear)
+        measure((4,), trace_components)
+        measure((5,), tangency)
+
+    notes = ("rank deficiency below 3", "margin: smallest/largest singular value must exceed 1e-6",
+             *[f"relative to {value_scale.text('spectrum')}"] * 2,
+             f"relative to {value_scale.text('component')}",
+             f"relative to {pair_scale.text('A', 'B')}")
+    return [x if isinstance(x, CMSpacesError) else _Measured(_fold(x), note, len(points))
+            for x, note in zip(found, notes, strict=True)]
 
 
 @_declare(("sl2.scaling_spectra", "joint-exponential-scaling-of-spectra", 1e-9))
@@ -764,6 +736,12 @@ def _ladder_errors(target: AugmentedPair, flows) -> np.ndarray:
     return _trace_word_error(fp[1:], fp[0])
 
 
+def _slope(xs, ys) -> float:
+    """Least-squares slope of ys on xs, in closed form: no LAPACK call."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
 @_declare(("flowcalc.trotter_rate", "split-composition-first-order", 0.3))
 def _check_trotter_rate(cfg: RunConfig) -> _Measured:
     slopes = []
@@ -772,8 +750,7 @@ def _check_trotter_rate(cfg: RunConfig) -> _Measured:
         target = trotter_target(GEN_E, GEN_F, TROTTER_TIME, p)
         flows = [trotter_flow(GEN_E, GEN_F, TROTTER_TIME, m, p) for m in TROTTER_STEPS]
         errs = np.maximum(_ladder_errors(target, flows), 1e-300)
-        coef = np.polyfit(np.log(TROTTER_STEPS), np.log(errs), 1)
-        slopes.append(-float(coef[0]))
+        slopes.append(-_slope([math.log(m) for m in TROTTER_STEPS], [math.log(e) for e in errs]))
     note = "order in 1/steps; measured slopes " + ", ".join(f"{s:.3f}" for s in slopes)
     return _Measured(_fold(abs(s - 1.0) for s in slopes), note, len(points))
 
@@ -922,27 +899,25 @@ def _record(declared, measured: _Measured, runtime_ms: float) -> CheckRecord:
     return CheckRecord(name, law, status, residual, float(threshold), runtime_ms, note)
 
 
-def _run_check(check, cfg: RunConfig, find_points=None) -> list:
+def _run_check(check, cfg: RunConfig) -> list:
     """Time one check and build its records, one per declared name.
 
     The first record carries the check's wall time, the others 0.0.  A
-    package error becomes an error record under each declared name.  A
-    check that needs the sl2 independence points gets find_points(), which
-    run() caches for the run.
+    package error, raised by the check or returned in place of one
+    record's measurement, becomes an error record under that name: a
+    raised one under each declared name.
     """
     t0 = perf_counter()
-    error = None
     try:
-        measured = check(cfg, find_points()) if check.needs_points else check(cfg)
+        measured = check(cfg)
     except CMSpacesError as exc:
-        error = f"{type(exc).__name__} at seed {cfg.seed}: {exc}"
+        measured = [exc] * len(check.records)
     times = [(perf_counter() - t0) * 1000.0] + [0.0] * (len(check.records) - 1)
-    if error:
-        return [CheckRecord(name, "check-execution", "error", None, 0.0, ms, error)
-                for (name, _, _), ms in zip(check.records, times)]
     if isinstance(measured, _Measured):
         measured = [measured]
-    return [_record(declared, m, ms)
+    return [CheckRecord(declared[0], "check-execution", "error", None, 0.0, ms,
+                        f"{type(m).__name__} at seed {cfg.seed}: {m}")
+            if isinstance(m, CMSpacesError) else _record(declared, m, ms)
             for declared, m, ms in zip(check.records, measured, times, strict=True)]
 
 
@@ -952,25 +927,8 @@ def run(cfg: RunConfig) -> dict:
     A check that raises a package error is recorded with status "error"
     rather than aborting its suite or the report.
     """
-    # the sl2 independence points with their reads (each point's pair and
-    # its three fields, read once), made by the first check that needs
-    # them and charged to it; when the search raises, every check that
-    # needs the points records the same error, and an error a read raised
-    # is recorded by every check that uses that read
-    found = []
-
-    def find_points():
-        if not found:
-            try:
-                found.append(_independence_points(cfg))
-            except CMSpacesError as exc:
-                found.append(exc)
-        if isinstance(found[0], CMSpacesError):
-            raise found[0]
-        return found[0]
-
     records = [rec for suite in expand_suites(cfg.suites) for check in _CHECKS
-               if check.suite == suite for rec in _run_check(check, cfg, find_points)]
+               if check.suite == suite for rec in _run_check(check, cfg)]
     records.sort(key=lambda r: r.name)
     status = Counter(r.status for r in records)
     return {

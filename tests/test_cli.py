@@ -84,6 +84,15 @@ def test_flow_reports_small_level_deviation(capsys, monkeypatch):
     assert payload["residuals"]["level_after"] < 1e-9
 
 
+@pytest.mark.parametrize("generator", ["f", "h"])
+@pytest.mark.parametrize("t", ["0.3", "1", "-1"])
+def test_a_flow_read_is_continued_along_the_flow(capsys, monkeypatch, generator, t):
+    # one tracked read at time t raised BranchAmbiguityError (exit 3) here
+    code, out, err = _run(capsys, monkeypatch, ["flow", "--generator", generator, f"--t={t}"])
+    assert code == EXIT_OK, err
+    assert json.loads(out)["residuals"]["level_after"] < 1e-9
+
+
 def test_verify_single_suite_passes(capsys, monkeypatch, tmp_path):
     report_path = tmp_path / "report.json"
     code, out, err = _run(

@@ -99,6 +99,19 @@ def test_flow_checks_fingerprint_each_target_once(monkeypatch):
     assert stacks == [1 + len(verify.TROTTER_STEPS)] * 10 + [1 + len(verify.BRACKET_STEPS)] * 10
 
 
+def test_a_returned_error_errors_its_record_only():
+    def check(cfg):
+        return [NonConvergentError("no read"), verify._Measured(0.5, "half")]
+    check.records = (("x.first", "law", 1.0), ("x.second", "law", 1.0))
+    first, second = verify._run_check(check, RunConfig(seed=6))
+    assert (first.name, first.status, first.residual) == ("x.first", "error", None)
+    assert first.note == "NonConvergentError at seed 6: no read"
+    assert first.runtime_ms > 0.0
+    assert (second.name, second.status, second.residual, second.note) == (
+        "x.second", "pass", 0.5, "half")
+    assert second.runtime_ms == 0.0
+
+
 def _status(check):
     (rec,) = verify._run_check(check, RunConfig())
     return rec.status
@@ -409,8 +422,11 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     # after the first makes none
     counts = _count_calls(monkeypatch, np.linalg, "eig", "eigvals", "inv", "svd", "solve", "lstsq",
                           "pinv")
+    # polyfit reaches lstsq through numpy's own import, which the patch above misses
+    fits = _count_calls(monkeypatch, np, "polyfit")
     report = run(RunConfig(seed=1))
     assert report["summary"]["passed"] == report["summary"]["total"]
     pinv = counts.pop("pinv")
     assert pinv in (0, 4)
     assert counts == {"eig": 30, "eigvals": 21, "inv": 50, "svd": 45, "solve": 5, "lstsq": 0}
+    assert fits == {"polyfit": 0}
