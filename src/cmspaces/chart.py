@@ -76,7 +76,7 @@ from .variety import (
 # packed coordinates and references
 
 
-def _unpack(V):
+def unpack(V):
     """(lam, lamhat, mu, muhat) of packed coordinates (..., 4n+2), n >= 1, checked finite."""
     V = np.asarray(V, dtype=np.complex128)
     size = V.shape[-1] if V.ndim else 0
@@ -133,7 +133,7 @@ class ChartPoint:
     @classmethod
     def from_vector(cls, vec, tau: complex) -> "ChartPoint":
         """The point at level tau with the packed coordinates vec (4n+2 values)."""
-        return cls(*_unpack(np.ravel(vec)), tau)
+        return cls(*unpack(np.ravel(vec)), tau)
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,7 @@ def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np
     n = A.shape[-1] - 1
     lam_ref = lamhat_ref = None
     if ref is not None:
-        lam_ref, lamhat_ref, _, _ = _unpack(_reference(ref, A.shape[:-2], 4 * n + 2))
+        lam_ref, lamhat_ref, _, _ = unpack(_reference(ref, A.shape[:-2], 4 * n + 2))
     if not all_items(_normal_form_test(A, tol)):
         A, B, _, _ = normal_form(A, B, tol)
     d = decompose_stack(A, B, tau, tol, lamhat_ref)
@@ -494,8 +494,8 @@ def tracked_tangent(p: AugmentedPair, dA, dB, ref: ChartPoint,
         E = d.g[None] @ dA @ d.ginv[None]
     T = _read_tangent(p.A, p.B, d, dA, dB, E)
     perm = match_to_reference(lam, ref.lam)
-    return np.concatenate([T[:, perm], T[:, n:2 * n + 1], T[:, 2 * n + 1 + perm],
-                           T[:, 3 * n + 1:]], axis=-1)
+    d_lam, d_lamhat, d_mu, d_muhat = unpack(T)
+    return np.concatenate([d_lam[:, perm], d_lamhat, d_mu[:, perm], d_muhat], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +604,7 @@ def _rebuild_tangent(A, g, ginv, X, lamhat):
 
 def _rebuild(V, tau: complex, tol: float):
     """from_chart_stack's (A, B), _chart_frame's (g, ginv), X = diag(muhat) + S and lamhat."""
-    lam, lamhat, mu, muhat = _unpack(V)
+    lam, lamhat, mu, muhat = unpack(V)
     Ah, g, ginv, X = _chart_frame(lam, lamhat, tau, tol)
     full = np.arange(lam.shape[-1] + 1)
     X[..., full, full] = muhat          # S is off-diagonal: this is diag(muhat) + S

@@ -140,8 +140,8 @@ def _as_pair(obj) -> AugmentedPair:
     raise ValueError(f"expected a pair or a quadruple, got {type(obj).__name__}")
 
 
-def _emit(payload, out_path=None) -> None:
-    text = dumps(payload) if isinstance(payload, dict) else payload
+def _emit(payload: dict, out_path=None) -> None:
+    text = dumps(payload)
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -149,10 +149,6 @@ def _emit(payload, out_path=None) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be positive, got {args.n}")
-    if args.k not in (1, 2):
-        raise ValueError(f"--k must be 1 or 2, got {args.k}")
     r = random_point(args.n, args.k, args.tau, args.seed)
     _emit(encode(r), args.out)
     print(
@@ -298,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=True):
-        if with_n:
-            p.add_argument("--n", type=int, default=3, help="matrix size")
+    def common(p):
         p.add_argument("--tau", type=_parse_tau, default=complex(1.0),
                        help="level parameter as 're' or 're,im'")
         p.add_argument("--seed", type=_seed_value, default=1, help="RNG seed")
@@ -309,21 +303,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="also write the JSON payload to this file")
 
     g = sub.add_parser("gen", help="seeded point on the level set")
+    g.add_argument("--n", type=_positive_int, default=3, help="matrix size")
     common(g)
     g.add_argument("--k", type=int, choices=(1, 2), default=2, help="inner rank")
     g.set_defaults(func=cmd_gen)
 
     nrm = sub.add_parser("normalize", help="bordered normal form of stdin JSON")
-    common(nrm, with_n=False)
+    common(nrm)
     nrm.set_defaults(func=cmd_normalize)
 
     ch = sub.add_parser("chart", help="chart coordinates of stdin JSON")
-    common(ch, with_n=False)
+    common(ch)
     ch.add_argument("--invert", action="store_true",
                     help="rebuild the pair from chart-point JSON instead")
     ch.set_defaults(func=cmd_chart)
 
     fl = sub.add_parser("flow", help="one-parameter subgroup applied to a seeded point")
+    fl.add_argument("--n", type=_positive_int, default=3, help="matrix size")
     common(fl)
     fl.add_argument("--generator", choices=("e", "f", "h"), required=True,
                     help="lower shear, upper shear, or scaling")
@@ -337,10 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sizes to sweep, e.g. 3 or 1..4 or 2,4")
     vf.add_argument("--trials", type=_positive_int, default=None,
                     help="override per-check trial counts")
-    vf.add_argument("--tau", type=_parse_tau, default=complex(1.0))
-    vf.add_argument("--seed", type=_seed_value, default=1)
-    vf.add_argument("--tol", type=_tolerance, default=tol_default)
-    vf.add_argument("--out", help="also write the JSON report to this file")
+    common(vf)
     vf.set_defaults(func=cmd_verify)
 
     return parser

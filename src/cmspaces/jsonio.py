@@ -2,10 +2,10 @@
 
 Complex scalars encode as [re, im] pairs, complex matrices as nested
 lists of those pairs.  Composite objects carry a "kind" tag so decode
-can dispatch without guessing.  Dumps sort keys and use a fixed
-separator, so equal objects serialize to identical bytes, and write
-strict JSON: a non-finite float raises ValueError instead of printing as
-NaN or Infinity.
+can dispatch without guessing; each kind's keys are stated once, in
+_KINDS.  Dumps sort keys and use a fixed separator, so equal objects
+serialize to identical bytes, and write strict JSON: a non-finite float
+raises ValueError instead of printing as NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ import numpy as np
 
 from .chart import ChartPoint
 from .variety import AugmentedPair, Representation
-
-
-def encode_complex(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _pairs(value, ndims) -> np.ndarray:
@@ -38,10 +33,9 @@ def decode_complex(pair) -> complex:
 
 
 def encode_cmatrix(M) -> list:
+    """M, a complex scalar, vector or matrix, as [re, im] pairs in nested lists."""
     M = np.asarray(M, dtype=np.complex128)
-    if M.ndim == 1:
-        return [encode_complex(z) for z in M]
-    return [[encode_complex(z) for z in row] for row in M]
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def decode_cmatrix(rows) -> np.ndarray:
@@ -49,32 +43,24 @@ def decode_cmatrix(rows) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+# The wire format of each value type: its kind tag, its class, and the
+# (JSON key, attribute) pair of each field in constructor order.  The
+# level tau is a complex scalar, every other field a vector or a matrix.
+_TAG = "kind"
+_KINDS = {
+    "representation": (Representation, (("first", "A"), ("second", "B"), ("cols", "v"),
+                                        ("rows", "w"), ("level", "tau"))),
+    "pair": (AugmentedPair, (("first", "A"), ("second", "B"), ("level", "tau"))),
+    "chart_point": (ChartPoint, (("block_spectrum", "lam"), ("full_spectrum", "lamhat"),
+                                 ("row_moments", "mu"), ("diag_moments", "muhat"),
+                                 ("level", "tau"))),
+}
+
+
 def encode(obj) -> dict:
-    if isinstance(obj, Representation):
-        return {
-            "kind": "representation",
-            "first": encode_cmatrix(obj.A),
-            "second": encode_cmatrix(obj.B),
-            "cols": encode_cmatrix(obj.v),
-            "rows": encode_cmatrix(obj.w),
-            "level": encode_complex(obj.tau),
-        }
-    if isinstance(obj, AugmentedPair):
-        return {
-            "kind": "pair",
-            "first": encode_cmatrix(obj.A),
-            "second": encode_cmatrix(obj.B),
-            "level": encode_complex(obj.tau),
-        }
-    if isinstance(obj, ChartPoint):
-        return {
-            "kind": "chart_point",
-            "block_spectrum": encode_cmatrix(obj.lam),
-            "full_spectrum": encode_cmatrix(obj.lamhat),
-            "row_moments": encode_cmatrix(obj.mu),
-            "diag_moments": encode_cmatrix(obj.muhat),
-            "level": encode_complex(obj.tau),
-        }
+    for kind, (cls, fields) in _KINDS.items():
+        if isinstance(obj, cls):
+            return {_TAG: kind, **{key: encode_cmatrix(getattr(obj, attr)) for key, attr in fields}}
     raise ValueError(f"cannot encode {type(obj).__name__}")
 
 
@@ -82,36 +68,17 @@ def decode(data: dict):
     """The value type encoded by data; ValueError for a JSON value of the wrong type or length."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    kind = data.get("kind")
-    if kind == "representation":
-        v = decode_cmatrix(data["cols"])
-        w = decode_cmatrix(data["rows"])
-        if v.ndim == 1:
-            v = v[:, None]
-        if w.ndim == 1:
-            w = w[None, :]
-        return Representation(
-            decode_cmatrix(data["first"]),
-            decode_cmatrix(data["second"]),
-            v,
-            w,
-            decode_complex(data["level"]),
-        )
-    if kind == "pair":
-        return AugmentedPair(
-            decode_cmatrix(data["first"]),
-            decode_cmatrix(data["second"]),
-            decode_complex(data["level"]),
-        )
-    if kind == "chart_point":
-        return ChartPoint(
-            decode_cmatrix(data["block_spectrum"]),
-            decode_cmatrix(data["full_spectrum"]),
-            decode_cmatrix(data["row_moments"]),
-            decode_cmatrix(data["diag_moments"]),
-            decode_complex(data["level"]),
-        )
-    raise ValueError(f"unknown kind tag {kind!r}")
+    kind = data.get(_TAG)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown kind tag {kind!r}")
+    cls, fields = _KINDS[kind]
+    values = {attr: (decode_complex if attr == "tau" else decode_cmatrix)(data[key])
+              for key, attr in fields}
+    if cls is Representation:   # with k = 1 the column and the row may come as vectors
+        v, w = values["v"], values["w"]
+        values["v"] = v[:, None] if v.ndim == 1 else v
+        values["w"] = w[None, :] if w.ndim == 1 else w
+    return cls(**values)
 
 
 def dumps(obj) -> str:
@@ -121,6 +88,6 @@ def dumps(obj) -> str:
 
 def loads(text: str):
     data = json.loads(text)
-    if isinstance(data, dict) and "kind" in data:
+    if isinstance(data, dict) and _TAG in data:
         return decode(data)
     return data

@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernel.
 
-Every other module goes through these wrappers instead of calling numpy
-directly, so the conventions fixed here are uniform across the package:
+Eigenvalues and diagonalizers are taken through these wrappers, so the
+conventions fixed here are uniform across the package:
 
 * eigenvalues are sorted lexicographically by (real part, imaginary part);
 * eigenvector columns (the columns of `ginv`, the inverse of the
@@ -13,6 +13,11 @@ quantity computed from a diagonalizer reproducible bit for bit on
 identical input.  Tolerances here are relative to the Frobenius norm of
 the input, and elsewhere to `matrix_scale`, `pair_scale` or
 `value_scale`; `DEFAULT_TOL` is used when the caller does not pass one.
+Calls that no convention here governs go to numpy directly:
+`np.linalg.inv` and `svd` in `variety` (gauge elements), `svd` in `sl2`
+(the rank of the induced fields), `pinv` in `flowcalc` (the fit
+projectors) and `norm` in `chart` (kappa and the slice projection) and
+in `verify`.
 
 The arrowhead matrices of the chart (`arrowhead`, built from their two
 spectra) have their frame in closed form (`arrowhead_frame`): no

@@ -38,6 +38,7 @@ from .chart import (
     project_to_slice,
     slice_residual,
     tracked_tangent,
+    unpack,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -286,9 +287,7 @@ class ChartTangent:
     @classmethod
     def from_vector(cls, base: ChartPoint, d) -> "ChartTangent":
         """The tangent at base with the packed blocks d = (d_lam, d_lamhat, d_mu, d_muhat)."""
-        n = base.n
-        return cls(base=base, d_lam=d[:n], d_lamhat=d[n : 2 * n + 1],
-                   d_mu=d[2 * n + 1 : 3 * n + 1], d_muhat=d[3 * n + 1 :])
+        return cls(base, *unpack(d))
 
 
 GENERATORS = (GEN_E, GEN_F, GEN_H)

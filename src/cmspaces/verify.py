@@ -42,6 +42,7 @@ from .chart import (
     random_chart_point,
     random_chart_points,
     to_chart_stack,
+    unpack,
 )
 from .errors import CMSpacesError
 from .flowcalc import (
@@ -57,6 +58,7 @@ from .flowcalc import (
 )
 from .linalg import (
     as_finite,
+    comm,
     eig,
     eigvals,
     frob,
@@ -94,6 +96,7 @@ from .variety import (
     calibrate_dictionary,
     fingerprints,
     gauge_act,
+    level_shift,
     pair_fingerprints,
     project,
     quadruple_block_residual,
@@ -479,9 +482,9 @@ def _check_splitting_constraints(cfg: RunConfig) -> _Measured:
         trials = list(range(n - 1, 20, 5))    # trial i has size 1 + i % 5
         A, B = from_chart_stack(_chart_stack(cfg, n, "spl", trials), cfg.tau, cfg.tol)
         d = decompose_stack(A, B, cfg.tau, cfg.tol)
-        off = d.g @ d.N2 @ d.ginv - d.S
-        off[..., np.arange(n + 1), np.arange(n + 1)] -= d.muhat
-        resids[trials] = (np.stack([frob(d.N1 + d.N2 - B), frob(off)], axis=-1)
+        law = comm(A, d.N2) - level_shift(n, cfg.tau)   # [A, N2] = shift + defect e_n^T
+        law[..., :n, n] -= d.defect
+        resids[trials] = (np.stack([frob(d.N1 + d.N2 - B), frob(law)], axis=-1)
                           / pair_scale(A, B)[:, None])
     return _Measured(_fold(resids.ravel()), f"relative to {pair_scale.text('A', 'B')}")
 
@@ -707,9 +710,10 @@ def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
     def residuals(n, trials):
         V = _chart_stack(cfg, n, "hsc", trials)
         A, B = as_finite(*from_chart_stack(V, cfg.tau, cfg.tol))
+        lam, lamhat, _, _ = unpack(V)
         qA = h.a * A + h.b * B      # the first matrix of act_pair(h, p)
-        full = deviations(eigvals(qA), factor * V[:, n:2 * n + 1])
-        block = deviations(eigvals(qA[:, :n, :n]), factor * V[:, :n])
+        full = deviations(eigvals(qA), factor * lamhat)
+        block = deviations(eigvals(qA[:, :n, :n]), factor * lam)
         return np.stack([full, block], axis=-1)
 
     resids = np.ravel(_per_size([1 + i % 3 for i in range(5)], residuals))

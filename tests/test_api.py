@@ -123,26 +123,30 @@ def test_importing_the_package_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
-def _named_identifiers(tree, skip_def, strings):
-    """Every name a tree reads or looks up as an attribute, outside the def of skip_def.
+def _used_names(tree, strings, used):
+    """Add to used every name the tree reads or looks up as an attribute outside a def of that name.
 
-    Imports name nothing, so a re-export is not a use.  With strings, a
-    string constant that is a whole name counts too (the benchmark tracer
-    looks its functions up by name); a docstring never is one.
+    A use inside a def of its own name (a function that calls itself)
+    does not count.  Imports name nothing, so a re-export is not a use.
+    With strings, a string constant that is a whole name counts too (the
+    benchmark tracer looks its functions up by name); a docstring never
+    is one.
     """
-    names, stack = set(), [tree]
+    stack = [(tree, frozenset())]
     while stack:
-        node = stack.pop()
-        if isinstance(node, ast.FunctionDef) and node.name == skip_def:
-            continue
+        node, defs = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            defs = defs | {node.name}
+        name = None
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            name = node.attr
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-        stack.extend(ast.iter_child_nodes(node))
-    return names
+            name = node.value
+        if name is not None and name not in defs:
+            used.add(name)
+        stack.extend((child, defs) for child in ast.iter_child_nodes(node))
 
 
 def test_every_exported_function_has_a_caller_outside_the_tests():
@@ -155,7 +159,8 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
     trees += [(ast.parse(code), False) for code in re.findall(r"```python\n(.*?)```", readme, re.S)]
     bench = sorted((ROOT / "perfbench").glob("*.py"))
     trees += [(ast.parse(path.read_text()), True) for path in bench]
+    used = set()
+    for tree, strings in trees:
+        _used_names(tree, strings, used)
     functions = [name for name in cmspaces.__all__ if inspect.isfunction(getattr(cmspaces, name))]
-    unused = [name for name in functions if not any(
-        name in _named_identifiers(tree, name, strings) for tree, strings in trees)]
-    assert functions and unused == []
+    assert functions and [name for name in functions if name not in used] == []

@@ -11,7 +11,6 @@ import cmspaces.chart as chart_module
 from cmspaces.canonical import normalize
 from cmspaces.chart import (
     ChartPoint,
-    _unpack,
     chart_jacobian,
     chart_jacobian_stack,
     decompose,
@@ -24,6 +23,7 @@ from cmspaces.chart import (
     to_chart,
     to_chart_stack,
     to_chart_tracked,
+    unpack,
 )
 from cmspaces.errors import (
     BranchAmbiguityError,
@@ -240,7 +240,7 @@ def _eig_chart_frame(lam, lamhat, tau, tol=1e-9):
 
 def _eig_from_chart_stack(V, tau):
     """from_chart_stack on the eig-based frame."""
-    lam, lamhat, mu, muhat = _unpack(V)
+    lam, lamhat, mu, muhat = unpack(V)
     n = lam.shape[-1]
     Ah, g, ginv, S = _eig_chart_frame(lam, lamhat, tau)
     full = np.arange(n + 1)

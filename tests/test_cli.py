@@ -227,6 +227,16 @@ def test_an_input_too_large_for_memory_is_bad_input(capsys, monkeypatch):
     assert out == "" and err.startswith("input error: gen ") and "MemoryError" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "flow"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_a_nonpositive_size_is_rejected_at_parse_time(capsys, monkeypatch, command, n):
+    # flow --n 0 used to reach the chart sampler and exit 3 as a numerical failure
+    extra = ["--generator", "e"] if command == "flow" else []
+    code, out, err = _run(capsys, monkeypatch, [command, "--n", n, *extra])
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "--n" in err
+
+
 @pytest.mark.parametrize("sizes", ["0", "-3", "2..1", "x"])
 def test_verify_rejects_bad_sizes_at_parse_time(capsys, monkeypatch, sizes):
     code, out, err = _run(capsys, monkeypatch, ["verify", "--suite", "chart", "--n", sizes])

@@ -62,3 +62,39 @@ def test_loads_rejects_unknown_kind():
 def test_encode_rejects_foreign_objects():
     with pytest.raises(ValueError):
         encode(object())
+
+
+# one small hand-made value of each kind and its exact bytes: the keys,
+# their order and the [re, im] layout of every field
+_GOLDEN = [
+    (Representation([[1.0, 0.5], [0.0, -1.0]], [[0.0, 2j], [1.0, 0.0]], [[1.0], [0.5j]],
+                    [[0.25, 2.0]], 1.0),
+     '{"cols":[[[1.0,0.0]],[[0.0,0.5]]],"first":[[[1.0,0.0],[0.5,0.0]],[[0.0,0.0],[-1.0,0.0]]],'
+     '"kind":"representation","level":[1.0,0.0],"rows":[[[0.25,0.0],[2.0,0.0]]],'
+     '"second":[[[0.0,0.0],[0.0,2.0]],[[1.0,0.0],[0.0,0.0]]]}'),
+    (Representation([[1.0]], [[-2.0]], [[1.0, 0.5]], [[0.0], [1.5j]], 1.0 - 0.5j),
+     '{"cols":[[[1.0,0.0],[0.5,0.0]]],"first":[[[1.0,0.0]]],"kind":"representation",'
+     '"level":[1.0,-0.5],"rows":[[[0.0,0.0]],[[0.0,1.5]]],"second":[[[-2.0,0.0]]]}'),
+    (AugmentedPair([[1.0, 0.5], [1.0, 0.0]], [[0.0, -1.5], [2j, 0.0]], 1.0),
+     '{"first":[[[1.0,0.0],[0.5,0.0]],[[1.0,0.0],[0.0,0.0]]],"kind":"pair","level":[1.0,0.0],'
+     '"second":[[[0.0,0.0],[-1.5,0.0]],[[0.0,2.0],[0.0,0.0]]]}'),
+    (ChartPoint([-1.0], [0.5, 2.0], [0.25j], [1.0, -3.0], 2.0),
+     '{"block_spectrum":[[-1.0,0.0]],"diag_moments":[[1.0,0.0],[-3.0,0.0]],'
+     '"full_spectrum":[[0.5,0.0],[2.0,0.0]],"kind":"chart_point","level":[2.0,0.0],'
+     '"row_moments":[[0.0,0.25]]}'),
+]
+
+
+@pytest.mark.parametrize("value, text", _GOLDEN)
+def test_each_kind_encodes_to_its_pinned_bytes(value, text):
+    assert dumps(encode(value)) == text
+    assert dumps(encode(loads(text))) == text
+
+
+def test_a_k1_quadruple_may_give_its_column_and_row_as_vectors():
+    data = {"kind": "representation", "first": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+            "second": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            "cols": [[0.5, 0.0], [1.0, 0.0]], "rows": [[0.0, 1.0], [3.0, 0.0]], "level": [1.0, 0.0]}
+    r = decode(data)
+    assert r.v.shape == (2, 1) and r.w.shape == (1, 2)
+    assert np.array_equal(r.v[:, 0], [0.5, 1.0]) and np.array_equal(r.w[0], [1j, 3.0])

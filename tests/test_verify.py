@@ -1,5 +1,6 @@
 """Tests for the self-verification harness itself."""
 
+import dataclasses
 import math
 from time import perf_counter
 
@@ -430,3 +431,18 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     assert pinv in (0, 4)
     assert counts == {"eig": 30, "eigvals": 21, "inv": 50, "svd": 45, "solve": 5, "lstsq": 0}
     assert fits == {"polyfit": 0}
+
+
+def test_the_splitting_record_fails_on_a_wrong_border_defect(monkeypatch):
+    # the record measures the splitting law [A, N2] = shift + defect e_n^T
+    # itself, so a read whose defect is off by 1e-6 fails it
+    original = verify.decompose_stack
+
+    def shifted(*args, **kwargs):
+        d = original(*args, **kwargs)
+        return dataclasses.replace(d, defect=d.defect + 1e-6)
+
+    monkeypatch.setattr(verify, "decompose_stack", shifted)
+    records = {rec["name"]: rec for rec in run(RunConfig(suites=("chart",)))["records"]}
+    rec = records["chart.splitting_constraints"]
+    assert rec["status"] == "fail" and rec["residual"] > 1e-9
