@@ -3,7 +3,9 @@
 The one-parameter subgroups act linearly on pairs, so every flow here is
 evaluated by composing 2 x 2 group elements first and acting on the pair
 once; the splitting formulas below are statements about the group elements
-alone.  Lie-Trotter:
+alone.  Each ladder's element, and each target's, is built once per
+(generators, time, steps) and cached, so a ladder costs only its action on
+the pair.  Lie-Trotter:
 
     (exp(t E / n) exp(t F / n))^n  ->  exp(t (E + F)),   error O(1/n),
 
@@ -21,7 +23,7 @@ of the 'e' and 'f' flows equals minus the field of the matrix bracket
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -44,6 +46,13 @@ def flow_exact(kind: str, t: float, p: AugmentedPair) -> AugmentedPair:
     return act_pair(_GENS[kind].exp(t), p)
 
 
+def _memo(build):
+    """build, cached on its generators and its other arguments read as Python scalars."""
+    cached = lru_cache(maxsize=128)(build)
+    return wraps(build)(lambda g1, g2, *xs: cached(g1, g2, *(np.asarray(x).item() for x in xs)))
+
+
+@_memo
 def trotter_element(gen1: SL2Generator, gen2: SL2Generator, t: float,
                     n_steps: int) -> SL2Element:
     """(exp((t/n) gen1) exp((t/n) gen2))^n as a single group element."""
@@ -65,9 +74,10 @@ def trotter_flow(gen1: SL2Generator, gen2: SL2Generator, t: float,
 def trotter_target(gen1: SL2Generator, gen2: SL2Generator, t: float,
                    p: AugmentedPair) -> AugmentedPair:
     """Exact endpoint exp(t (gen1 + gen2)) of the split flow."""
-    return act_pair(sl2_exp(t * (gen1.matrix() + gen2.matrix())), p)
+    return act_pair(_exact(gen1, gen2, t, False), p)
 
 
+@_memo
 def bracket_element(gen1: SL2Generator, gen2: SL2Generator, t: float,
                     n_steps: int) -> SL2Element:
     """Commutator-square composition approximating exp(t [gen2, gen1]).
@@ -109,8 +119,14 @@ def bracket_target(gen1: SL2Generator, gen2: SL2Generator, t: float,
     bracket, and the flow lands on the scaling subgroup with positive
     weight (BRACKET_SIGN).
     """
+    return act_pair(_exact(gen1, gen2, t, True), p)
+
+
+@_memo
+def _exact(gen1: SL2Generator, gen2: SL2Generator, t: float, bracket: bool) -> SL2Element:
+    """The targets' element: exp(t [gen2, gen1]) if bracket, else exp(t (gen1 + gen2))."""
     g1, g2 = gen1.matrix(), gen2.matrix()
-    return act_pair(sl2_exp(t * (g2 @ g1 - g1 @ g2)), p)
+    return sl2_exp(t * (g2 @ g1 - g1 @ g2 if bracket else g1 + g2))
 
 
 def pair_distance(p: AugmentedPair, q: AugmentedPair) -> float:

@@ -616,13 +616,19 @@ def random_gauge(n: int, seed: int) -> GaugeElement:
 # trace-word fingerprints
 
 
-def _power_ladder(M: np.ndarray, L: int) -> np.ndarray:
-    """I, M, ..., M^L as one (L+1, ..., m, m) array, by doubling: ceil(log2 L) products."""
-    P = np.empty((L + 1, *M.shape), dtype=np.complex128)
-    P[0], P[1] = np.eye(M.shape[-1]), M
+def _power_ladder(L: int, *mats) -> np.ndarray:
+    """I, M, ..., M^L of each M in mats as (..., len(mats), L+1, m, m); one product per doubling."""
+    stack, m = (*mats[0].shape[:-2], len(mats)), mats[0].shape[-1]
+    P = np.empty((*stack, L + 1, m, m), dtype=np.complex128)
+    P[..., 0, :, :] = np.eye(m)
+    for i, M in enumerate(mats):
+        P[..., i, 1, :, :] = M
+    R = P.reshape(*stack, (L + 1) * m, m)     # the powers stacked as rows: a view of P
     k = 1
     while k < L:
-        P[k + 1:2 * k + 1] = P[1:min(k, L - k) + 1] @ P[k]
+        h = min(k, L - k)
+        np.matmul(R[..., m:(h + 1) * m, :], P[..., k, :, :],
+                  out=R[..., (k + 1) * m:(k + h + 1) * m, :])
         k *= 2
     return P
 
@@ -660,16 +666,13 @@ def fingerprints(A, B, v, w) -> np.ndarray:
     products as one quadruple, so each item keeps the bits of its
     one-quadruple call.
     """
-    lead = A.ndim - 2
     L = 2 * A.shape[-1]
     C = v @ w
-    P = _power_ladder(np.stack([A, B], axis=lead), L)
-    # the powers of each item after its leading axes: (..., L+1, 2, n, n)
-    P = P.transpose(*range(1, lead + 1), 0, *range(lead + 1, lead + 4))
-    PA, PB = P[..., 0, :, :], P[..., 1, :, :]
+    P = _power_ladder(L, A, B)
+    PA, PB = P[..., 0, :, :, :], P[..., 1, :, :, :]
     T = _trace_table(PA, PB)
     bordered = _trace_table(PA[..., :L - 1, :, :], PB[..., :L - 1, :, :] @ C[..., None, :, :])
-    pure_C = np.moveaxis(_power_ladder(C, min(L, 4))[1:].trace(axis1=-2, axis2=-1), 0, -1)
+    pure_C = _power_ladder(min(L, 4), C)[..., 0, 1:, :, :].trace(axis1=-2, axis2=-1)
     table = np.concatenate([T.reshape(*T.shape[:-2], -1), pure_C,
                             bordered.reshape(*bordered.shape[:-2], -1)], axis=-1)
     return table.take(_word_index(L), axis=-1)
@@ -716,10 +719,7 @@ def pair_fingerprints(A, B) -> np.ndarray:
     products as one pair, so each item keeps the bits of its one-pair
     call.
     """
-    lead = A.ndim - 2
     L = 2 * (A.shape[-1] - 1)
-    P = _power_ladder(np.stack([A, B], axis=lead), L)
-    # the powers of each item after its leading axes: (..., L+1, 2, m, m)
-    P = P.transpose(*range(1, lead + 1), 0, *range(lead + 1, lead + 4))
-    T = _trace_table(P[..., 0, :, :], P[..., 1, :, :])
+    P = _power_ladder(L, A, B)
+    T = _trace_table(P[..., 0, :, :, :], P[..., 1, :, :, :])
     return T.reshape(*T.shape[:-2], -1).take(_pair_word_index(L), axis=-1)

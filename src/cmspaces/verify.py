@@ -405,32 +405,31 @@ def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
 
 
 def _normalized(cfg: RunConfig, tag: str, count: int, measure) -> list:
-    """measure(A, B, Ah, Bh) per trial, in trial order, with trial i of size 1 + i % 5.
+    """measure(A, B, *normal_form(A, B)) per trial, in trial order; trial i has size 1 + i % 5.
 
-    (A, B) are the seeded augmented pairs of one size, stacked, and
-    (Ah, Bh) their normal forms, from one normal_form call per size;
-    measure returns one result per item and raises no package error.
+    (A, B) are the seeded augmented pairs of one size, stacked, with one normal_form
+    call per size; measure returns one result per item and raises no package error.
     """
     def normalized(n, trials):
         A, B = augment_stack(*_draw(cfg, tag, n, trials))
-        return measure(A, B, *normal_form(A, B, cfg.tol)[:2])
+        return measure(A, B, *normal_form(A, B, cfg.tol))
     return _per_size([1 + i % 5 for i in range(count)], normalized)
 
 
-@_declare(("canonical.normal_form_shape", "diagonal-block-unit-border-row", 0.0))
+@_declare(("canonical.normal_form_shape", "diagonal-block-unit-border-row", 1e-12))
 def _check_normal_form_shape(cfg: RunConfig) -> _Measured:
-    def deviations(A, B, Ah, Bh):
-        n = Ah.shape[-1] - 1
-        off = Ah[..., :n, :n] * (1.0 - np.eye(n))
-        return np.stack([np.abs(off).max(axis=(-2, -1)),
-                         np.abs(Ah[..., n, :n] - 1.0).max(axis=-1)], axis=-1)
+    def deviations(A, B, Ah, Bh, G, Gi):
+        conj = A.copy()      # diag(G, 1) A diag(Ginv, 1), before normal_form snaps it
+        conj[..., :-1, :] = G @ conj[..., :-1, :]
+        conj[..., :, :-1] = conj[..., :, :-1] @ Gi
+        return frob(conj - Ah) / matrix_scale(A)
     resids = np.ravel(_normalized(cfg, "nf", 20, deviations))
-    return _Measured(_fold(resids), "exact after snapping")
+    return _Measured(_fold(resids), f"gauge conjugate less the form, over {matrix_scale.text('A')}")
 
 
 @_declare(("canonical.normalize_gauge_equivalence", "normal-form-on-same-orbit", 1e-8))
 def _check_normalize_equivalence(cfg: RunConfig) -> _Measured:
-    def deviations(A, B, Ah, Bh):
+    def deviations(A, B, Ah, Bh, *_):
         fp = pair_fingerprints(np.stack([Ah, A]), np.stack([Bh, B]))
         return _trace_word_error(fp[0], fp[1])
     return _Measured(_fold(_normalized(cfg, "nfe", 20, deviations)),
@@ -450,7 +449,7 @@ def _check_normalize_idempotent(cfg: RunConfig) -> _Measured:
     # two sweeps, so that a failing first normalization is recorded before
     # a failing second one, wherever their trials sit
     sizes = [1 + i % 5 for i in range(10)]
-    forms = _normalized(cfg, "nfi", 10, lambda A, B, Ah, Bh: zip(Ah, Bh))
+    forms = _normalized(cfg, "nfi", 10, lambda A, B, Ah, Bh, *_: zip(Ah, Bh))
 
     def deviations(n, trials):
         Ah, Bh = (np.stack(x) for x in zip(*(forms[i] for i in trials)))

@@ -193,6 +193,45 @@ def test_scalar_powering_matches_matrix_power():
         GEN_E.exp(0.1).power(0)
 
 
+def test_ladder_elements_are_built_once_per_key(monkeypatch):
+    from cmspaces import sl2
+
+    built = []
+    original = sl2.SL2Element.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(sl2.SL2Element, "__post_init__", counted)
+    p, q = _pair(3, 131), _pair(3, 132)
+    t, m = 0.0625, 16
+    ladders = [
+        (lambda t, r: trotter_flow(GEN_E, GEN_F, t, m, r), trotter_element, (t, m)),
+        (lambda t, r: bracket_flow(GEN_E, GEN_F, t, m, r), bracket_element, (t, m)),
+        (lambda t, r: trotter_target(GEN_E, GEN_F, t, r), flowcalc._exact, (t, False)),
+        (lambda t, r: bracket_target(GEN_E, GEN_F, t, r), flowcalc._exact, (t, True)),
+    ]
+    for flow, element, key in ladders:
+        flow(t, p)
+        built.clear()
+        got = flow(t, q)
+        # a numpy scalar or a 0-d array time is the same key
+        for same in (np.float64(t), np.array(t)):
+            assert flow(same, q).A.tobytes() == got.A.tobytes()
+        assert not built, element.__name__
+        fresh = element.__wrapped__(GEN_E, GEN_F, *key)
+        assert built, element.__name__     # the counter sees a build
+        assert _entries(element(GEN_E, GEN_F, *key)).tobytes() == _entries(fresh).tobytes()
+    for element in (trotter_element, bracket_element):
+        for bad in (0, -3, 0, -3):
+            with pytest.raises(ValueError):
+                element(GEN_E, GEN_F, 0.1, bad)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            bracket_element(GEN_E, GEN_F, -0.1, 4)
+
+
 def test_stacked_shear_samples_match_per_node_flows():
     p = _pair(3, 114)
     seen = {}

@@ -2,6 +2,7 @@
 quadruple-to-quiver dictionary."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -449,8 +450,8 @@ def test_pair_fingerprint_gathers_the_trace_table_words_bit_for_bit():
     for n in range(1, 9):
         p = augment(random_point(n, 2, 1.0, 80 + n))
         L = 2 * n
-        P = _power_ladder(np.stack([p.A, p.B]), L)
-        T = _trace_table(P[:, 0], P[:, 1])
+        P = _power_ladder(L, p.A, p.B)
+        T = _trace_table(P[0], P[1])
         words = ([T[i, 0] for i in range(1, L + 1)] + [T[0, j] for j in range(1, L + 1)]
                  + [T[i, t - i] for t in range(2, L + 1) for i in range(1, t)])
         got = pair_fingerprint(p)
@@ -491,13 +492,19 @@ def test_stacked_fingerprints_are_the_one_quadruple_fingerprints(lead):
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 16])
 def test_power_ladder_matches_sequential_powers(count):
     rng = np.random.default_rng(count)
-    M = (rng.standard_normal((2, 5, 5)) + 1j * rng.standard_normal((2, 5, 5))) / 3.0
-    P = _power_ladder(M, count)
-    assert P.shape == (count + 1, 2, 5, 5)
-    assert np.array_equal(P[0], np.broadcast_to(np.eye(5), (2, 5, 5)))
-    for item in range(2):
-        for k, want in enumerate(_loop_powers(M[item], count), start=1):
-            assert frob(P[k, item] - want) <= 1e-13 * max(1.0, frob(want))
+    for lead, k in itertools.product([(), (3,), (2, 3)], (1, 2, 3)):
+        shape = lead + (k, 5, 5)
+        M = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 3.0
+        P = _power_ladder(count, *np.moveaxis(M, -3, 0))
+        assert P.shape == lead + (k, count + 1, 5, 5)
+        assert np.array_equal(P[..., 0, :, :], np.broadcast_to(np.eye(5), lead + (k, 5, 5)))
+        for index in np.ndindex(*lead, k):
+            for j, want in enumerate(_loop_powers(M[index], count), start=1):
+                assert frob(P[index][j] - want) <= 1e-13 * max(1.0, frob(want))
+        # each stacked item keeps the bits of its one-item ladder
+        for index in np.ndindex(*lead):
+            one = _power_ladder(count, *np.moveaxis(M[index], -3, 0))
+            assert one.tobytes() == P[index].tobytes(), (lead, k, index)
 
 
 def test_gauge_element_rejects_singular():

@@ -446,3 +446,18 @@ def test_the_splitting_record_fails_on_a_wrong_border_defect(monkeypatch):
     records = {rec["name"]: rec for rec in run(RunConfig(suites=("chart",)))["records"]}
     rec = records["chart.splitting_constraints"]
     assert rec["status"] == "fail" and rec["residual"] > 1e-9
+
+
+def test_the_normal_form_shape_record_fails_on_a_wrong_gauge(monkeypatch):
+    # the record compares the returned gauge's conjugate of A with the
+    # snapped form, so a gauge off by 1e-6 fails it
+    original = verify.normal_form
+
+    def skewed(*args, **kwargs):
+        Ah, Bh, G, Gi = original(*args, **kwargs)
+        return Ah, Bh, G * (1.0 + 1e-6), Gi
+
+    monkeypatch.setattr(verify, "normal_form", skewed)
+    records = {rec["name"]: rec for rec in run(RunConfig(suites=("canonical",)))["records"]}
+    rec = records["canonical.normal_form_shape"]
+    assert rec["status"] == "fail" and rec["residual"] > 1e-12
