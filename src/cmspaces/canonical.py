@@ -40,7 +40,7 @@ from .linalg import (
     min_gap,
     numeric_rank,
 )
-from .variety import AugmentedPair, GaugeElement, check_gauge, split_blocks
+from .variety import AugmentedPair, GaugeElement, check_gauge, embed
 
 
 def simple_gap(gap: float, M, tol: float) -> bool:
@@ -137,7 +137,7 @@ def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityR
     the eigenvector condition is false and the orbit dimension comes from
     orbit_dimension.
     """
-    block = split_blocks(p.A)[0]
+    block = p.A[:-1, :-1]
     try:
         lam, _, _, x, y, thr = _eigenbasis_border(p.A, tol)
         block_ok = bool(simple_gap(min_gap(lam), block, tol))
@@ -163,14 +163,15 @@ def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityR
 def normal_form(A, B, tol: float = DEFAULT_TOL):
     """Bordered normal form of the pairs (A, B), stacked over leading axes.
 
-    Returns (Ah, Bh, G, Ginv): the conjugates of A and B by diag(G, 1),
-    the basechange G itself and its exact inverse.  See normalize for the
-    contract; the block spectrum comes out in the package ordering.  Any
-    failing item raises.  A gauge or conjugate with a non-finite entry
-    (the border row scales G, so at extreme scale it overflows) raises
-    NonConvergentError, and a numerically singular G raises
-    SingularMatrixError: normal_form checks its own gauge with
-    variety.check_gauge(G, Ginv), so callers do not check it again.
+    Returns (Ah, Bh, G, Ginv): the conjugates of A and B by
+    variety.embed(G) = diag(G, 1), the basechange G itself and its exact
+    inverse.  See normalize for the contract; the block spectrum comes
+    out in the package ordering.  Any failing item raises.  A gauge or
+    conjugate with a non-finite entry (the border row scales G, so at
+    extreme scale it overflows) raises NonConvergentError, and a
+    numerically singular G raises SingularMatrixError: normal_form checks
+    its own gauge with variety.check_gauge(G, Ginv), so callers do not
+    check it again.
     """
     n = A.shape[-1] - 1
     lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol)
@@ -180,12 +181,7 @@ def normal_form(A, B, tol: float = DEFAULT_TOL):
         )
     G = y[..., :, None] * g1
     Gi = g1inv / y[..., None, :]
-    E = np.zeros_like(A)
-    E[..., :n, :n] = G
-    E[..., n, n] = 1.0
-    Ei = np.zeros_like(A)
-    Ei[..., :n, :n] = Gi
-    Ei[..., n, n] = 1.0
+    E, Ei = embed(G), embed(Gi)
     Ah = E @ A @ Ei
     Bh = E @ B @ Ei
     if not all(np.isfinite(X).all() for X in (Ah, Bh, G, Gi)):

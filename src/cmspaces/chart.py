@@ -63,7 +63,6 @@ from .variety import (
     complex_uniforms_from,
     level_shift,
     spaced_points_from,
-    split_blocks,
 )
 
 # Every kernel below works over the trailing axes of its arrays, so one
@@ -634,12 +633,12 @@ def from_chart(c: ChartPoint, tol: float = DEFAULT_TOL) -> AugmentedPair:
 
 
 def slice_residual(p: AugmentedPair):
-    """(trace mismatch, second corner); both vanish on the embedded slice."""
-    block, _, _, _ = split_blocks(p.A)
-    return (
-        complex(np.trace(p.A) - np.trace(block)),
-        complex(p.B[p.n, p.n]),
-    )
+    """The two slice functions (A[n, n], B[n, n]), the pair's corners.
+
+    The first is the trace mismatch tr A - tr(block of A); both are
+    invariant under embedded basechange and vanish on the embedded slice.
+    """
+    return complex(p.A[p.n, p.n]), complex(p.B[p.n, p.n])
 
 
 def project_to_slice(c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartPoint:

@@ -75,35 +75,34 @@ def _parse_n_range(text: str) -> tuple:
     return values
 
 
-def _int_at_least(text: str, least: int, rule: str) -> int:
+def _number(text: str, kind, ok, rule: str):
+    """kind(text), for kind int or float, if ok holds of it; else the rule, as a parse error."""
     try:
-        value = int(text)
+        value = kind(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < least:
+        value = None
+    if value is None or not ok(value):
         raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
     return value
 
 
 def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1, "must be positive")
+    return _number(text, int, lambda v: v >= 1, "must be a positive integer")
 
 
 def _seed_value(text: str) -> int:
     """An RNG seed: numpy's generators take non-negative integers only."""
-    return _int_at_least(text, 0, "must be a non-negative integer")
+    return _number(text, int, lambda v: v >= 0, "must be a non-negative integer")
+
+
+def _finite_float(text: str) -> float:
+    return _number(text, float, cmath.isfinite, "must be a finite number")
 
 
 def _tolerance(text: str) -> float:
     """Parse a tolerance: a positive, finite number (rejects 0, negatives, nan, inf)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}")
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be positive and finite, got {text!r}")
-    return value
+    return _number(text, float, lambda v: 0.0 < v < float("inf"),
+                   "tolerance must be a positive, finite number")
 
 
 def _default_tol() -> float:
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(fl)
     fl.add_argument("--generator", choices=("e", "f", "h"), required=True,
                     help="lower shear, upper shear, or scaling")
-    fl.add_argument("--t", type=float, default=0.1, help="flow time")
+    fl.add_argument("--t", type=_finite_float, default=0.1, help="flow time")
     fl.set_defaults(func=cmd_flow)
 
     vf = sub.add_parser("verify", help="run self-check suites")

@@ -27,7 +27,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .errors import IllConditionedFitError, WitnessVanishesError
+from .errors import IllConditionedFitError, ShapeMismatchError, WitnessVanishesError
 from .linalg import as_square_stack, frob, matrix_scale, value_scale
 from .sl2 import GEN_E, GEN_F, GEN_H, SL2Element, SL2Generator, act_pair, sl2_exp
 from .variety import AugmentedPair
@@ -125,6 +125,8 @@ def bracket_target(gen1: SL2Generator, gen2: SL2Generator, t: float,
 @_memo
 def _exact(gen1: SL2Generator, gen2: SL2Generator, t: float, bracket: bool) -> SL2Element:
     """The targets' element: exp(t [gen2, gen1]) if bracket, else exp(t (gen1 + gen2))."""
+    if not np.isfinite(t):      # refused before t multiplies a generator
+        raise ShapeMismatchError(f"target time {t} is not finite")
     g1, g2 = gen1.matrix(), gen2.matrix()
     return sl2_exp(t * (g2 @ g1 - g1 @ g2 if bracket else g1 + g2))
 

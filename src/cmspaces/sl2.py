@@ -23,6 +23,7 @@ shear and scaling actions admit.
 from __future__ import annotations
 
 from cmath import cosh, exp, sinh, sqrt
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +137,17 @@ class SL2Generator:
             return SL2Element(1.0, 0.0, z, 1.0)
         if self.kind == "f":
             return SL2Element(1.0, z, 0.0, 1.0)
-        try:
+        with _finite("exp(h t) at t", z):
             return SL2Element(exp(z), 0.0, 0.0, exp(-z))
-        except (OverflowError, ValueError) as exc:     # cmath: math range or domain error
-            raise ShapeMismatchError(f"exp(h t) at t = {z} is not finite ({exc})") from None
+
+
+@contextmanager
+def _finite(what: str, value):
+    """Raise a cmath range or domain error in the block as ShapeMismatchError."""
+    try:
+        yield
+    except (OverflowError, ValueError) as exc:     # cmath: math range or domain error
+        raise ShapeMismatchError(f"{what} = {value} is not finite ({exc})") from None
 
 
 GEN_E = SL2Generator("e")
@@ -152,7 +160,8 @@ def sl2_exp(X) -> SL2Element:
 
     For X = ((p, q), (r, -p)) with delta = p^2 + q r,
     exp(X) = cosh(s) I + (sinh(s)/s) X at s = sqrt(delta); the quotient is
-    evaluated by series near s = 0.
+    evaluated by series near s = 0.  An exponential past the float range
+    raises ShapeMismatchError, as SL2Generator.exp does.
     """
     X = as_cmatrix(X)
     if X.shape != (2, 2):
@@ -160,15 +169,16 @@ def sl2_exp(X) -> SL2Element:
     p, q, r, m = X.ravel().tolist()
     if abs(p + m) > 1e-12 * matrix_scale(X):
         raise ShapeMismatchError("generator must be traceless")
-    delta = p**2 + q * r
-    s = sqrt(delta)
-    if abs(s) < 1e-6:
-        ch = 1.0 + delta / 2.0 + delta**2 / 24.0
-        ratio = 1.0 + delta / 6.0 + delta**2 / 120.0
-    else:
-        ch = cosh(s)
-        ratio = sinh(s) / s
-    return SL2Element(ch + ratio * p, ratio * q, ratio * r, ch + ratio * m)
+    with _finite("exp(X) at X", X.tolist()):
+        delta = p**2 + q * r
+        s = sqrt(delta)
+        if abs(s) < 1e-6:
+            ch = 1.0 + delta / 2.0 + delta**2 / 24.0
+            ratio = 1.0 + delta / 6.0 + delta**2 / 120.0
+        else:
+            ch = cosh(s)
+            ratio = sinh(s) / s
+        return SL2Element(ch + ratio * p, ratio * q, ratio * r, ch + ratio * m)
 
 
 def _coeffs(g) -> tuple:

@@ -18,7 +18,8 @@ writing the inner columns and rows along the border:
 The pair commutator then carries the level condition in its upper block
 and the remaining freedom in its border, which is what the chart and flow
 modules exploit.  Corner entries of a general pair are free and play the
-role of two extra scalar coordinates.
+role of two extra scalar coordinates; the basechange acts on pairs by
+conjugation with embed(g) = diag(g, 1), which fixes both.
 """
 
 from __future__ import annotations
@@ -163,16 +164,13 @@ class GaugeElement:
     def n(self) -> int:
         return self.g.shape[0]
 
-    def embedded(self) -> np.ndarray:
-        return _embed(self.g)
 
-
-def _embed(g: np.ndarray) -> np.ndarray:
-    """diag(g, 1)."""
-    n = g.shape[0]
-    E = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    E[:n, :n] = g
-    E[n, n] = 1.0
+def embed(g) -> np.ndarray:
+    """diag(g, 1) of each basechange in the stack g, over leading axes."""
+    n = g.shape[-1]
+    E = np.zeros(g.shape[:-2] + (n + 1, n + 1), dtype=np.complex128)
+    E[..., :n, :n] = g
+    E[..., n, n] = 1.0
     return E
 
 
@@ -191,12 +189,6 @@ def check_gauge(g, ginv) -> None:
     s = np.linalg.svd(g, compute_uv=False)
     if any_item(s[..., -1] <= 1e-12 * value_scale(s)):
         raise SingularMatrixError("gauge element is numerically singular")
-
-
-def split_blocks(M):
-    """Read an (n+1) square matrix as (block, border column, border row, corner)."""
-    M = as_cmatrix(M, square=True)
-    return M[:-1, :-1], M[:-1, -1], M[-1, :-1], M[-1, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +232,7 @@ def gauge_act_pair(g: GaugeElement, p: AugmentedPair) -> AugmentedPair:
     """Conjugate a pair by the embedded basechange diag(g, 1)."""
     if g.n != p.n:
         raise ShapeMismatchError(f"gauge size {g.n} does not match pair size {p.n}")
-    E, Ei = g.embedded(), _embed(g.ginv)
+    E, Ei = embed(g.g), embed(g.ginv)
     return AugmentedPair(E @ p.A @ Ei, E @ p.B @ Ei, p.tau)
 
 
@@ -299,12 +291,7 @@ def quadruple_block_residual(A, B, v, w):
     d_block = frob(K[..., :n, :n] - (comm(A, B) - v @ w))
     d_col = row_norms(K[..., :n, n] - (A @ v2 - B @ v1)[..., 0])
     d_row = row_norms(K[..., n, :n] - (w2 @ B + w1 @ A)[..., 0, :])
-    return _first_max(_first_max(d_block, d_col), d_row)
-
-
-def _first_max(a, b):
-    """Python's max(a, b) per item: b only where b > a, so a NaN in b never wins."""
-    return np.where(b > a, b, a)
+    return np.maximum(np.maximum(d_block, d_col), d_row)
 
 
 def pair_moment(p: AugmentedPair) -> np.ndarray:
@@ -423,7 +410,7 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
     nu1, nu2 = quiver_moment(r.A, r.B, X1, X2, Y1, Y2)
     # abs of a Python complex: np.abs rounds differently in the last bit
     dist2 = np.array([abs(z) for z in (nu2 - (-n * r.tau)).tolist()])
-    resids = _first_max(frob(nu1 - r.tau * np.eye(n)), dist2).tolist()
+    resids = np.maximum(frob(nu1 - r.tau * np.eye(n)), dist2).tolist()
     admissible = tuple(var for var, resid in zip(ALL_DICTIONARY_VARIANTS, resids)
                        if resid <= 1e-9 * scale)
     return DictionaryReport(
@@ -675,31 +662,21 @@ def fingerprints(A, B, v, w) -> np.ndarray:
     pure_C = _power_ladder(min(L, 4), C)[..., 0, 1:, :, :].trace(axis1=-2, axis2=-1)
     table = np.concatenate([T.reshape(*T.shape[:-2], -1), pure_C,
                             bordered.reshape(*bordered.shape[:-2], -1)], axis=-1)
-    return table.take(_word_index(L), axis=-1)
+    return table.take(_word_index(L, True), axis=-1)
 
 
 @lru_cache(maxsize=None)
-def _word_index(L: int) -> np.ndarray:
-    """Positions of fingerprint's words, in order, in its table.
+def _word_index(L: int, bordered: bool) -> np.ndarray:
+    """Positions of pair_fingerprint's words (fingerprint's with bordered), in order, in the table.
 
-    The table is the (L+1) x (L+1) trace table flattened, then the
-    min(L, 4) traces of the powers of C, then the (L-1) x (L-1) bordered
-    table flattened.
+    The table is the (L+1) x (L+1) trace table flattened, then with bordered
+    the min(L, 4) traces of the powers of C and the bordered table flattened.
     """
     T = np.arange((L + 1) ** 2).reshape(L + 1, L + 1)
-    pure_C = T.size + np.arange(min(L, 4))
-    bordered = T.size + pure_C.size + np.arange((L - 1) ** 2).reshape(L - 1, L - 1)
+    pure_C = T.size + np.arange(min(L, 4) if bordered else 0)
+    table = T.size + pure_C.size + np.arange((L - 1) ** 2).reshape(L - 1, L - 1)
     index = np.concatenate([T[1:, 0], T[0, 1:], pure_C, *_antidiagonals(T, 2, L, edges=False),
-                            *_antidiagonals(bordered, 1, L - 2, edges=True)])
-    index.setflags(write=False)
-    return index
-
-
-@lru_cache(maxsize=None)
-def _pair_word_index(L: int) -> np.ndarray:
-    """Flat positions in the (L+1) x (L+1) trace table of pair_fingerprint's words, in order."""
-    table = np.arange((L + 1) ** 2).reshape(L + 1, L + 1)
-    index = np.concatenate([table[1:, 0], table[0, 1:], *_antidiagonals(table, 2, L, edges=False)])
+                            *(_antidiagonals(table, 1, L - 2, edges=True) if bordered else ())])
     index.setflags(write=False)
     return index
 
@@ -722,4 +699,4 @@ def pair_fingerprints(A, B) -> np.ndarray:
     L = 2 * (A.shape[-1] - 1)
     P = _power_ladder(L, A, B)
     T = _trace_table(P[..., 0, :, :, :], P[..., 1, :, :, :])
-    return T.reshape(*T.shape[:-2], -1).take(_pair_word_index(L), axis=-1)
+    return T.reshape(*T.shape[:-2], -1).take(_word_index(L, False), axis=-1)

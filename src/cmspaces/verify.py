@@ -476,16 +476,14 @@ def _check_hand_case(cfg: RunConfig) -> _Measured:
 
 @_declare(("chart.splitting_constraints", "second-matrix-splitting", 1e-9))
 def _check_splitting_constraints(cfg: RunConfig) -> _Measured:
-    resids = np.empty((20, 2))
-    for n in range(1, 6):
-        trials = list(range(n - 1, 20, 5))    # trial i has size 1 + i % 5
+    def residuals(n, trials):
         A, B = from_chart_stack(_chart_stack(cfg, n, "spl", trials), cfg.tau, cfg.tol)
         d = decompose_stack(A, B, cfg.tau, cfg.tol)
         law = comm(A, d.N2) - level_shift(n, cfg.tau)   # [A, N2] = shift + defect e_n^T
         law[..., :n, n] -= d.defect
-        resids[trials] = (np.stack([frob(d.N1 + d.N2 - B), frob(law)], axis=-1)
-                          / pair_scale(A, B)[:, None])
-    return _Measured(_fold(resids.ravel()), f"relative to {pair_scale.text('A', 'B')}")
+        return np.stack([frob(d.N1 + d.N2 - B), frob(law)], axis=-1) / pair_scale(A, B)[:, None]
+    resids = _per_size([1 + i % 5 for i in range(20)], residuals)
+    return _Measured(_fold(np.ravel(resids)), f"relative to {pair_scale.text('A', 'B')}")
 
 
 @_declare(("chart.gap_term_spectral_only", "gap-term-depends-on-spectra-only", 1e-10))
@@ -582,13 +580,8 @@ def _check_negative_control(cfg: RunConfig) -> _Measured:
 
 
 def _probe_accepts(A) -> np.ndarray:
-    """The scaling probe's test of its points: |tr A^2| > 1e-3 matrix_scale(A)^2.
-
-    It runs item by item on numpy scalars, as on one point: their abs
-    and square round differently from the array forms.
-    """
-    return np.array([abs(t) > 1e-3 * s ** 2
-                     for t, s in zip(np.trace(A @ A, axis1=-2, axis2=-1), matrix_scale(A))])
+    """The scaling probe's test of its stacked points: |tr A^2| > 1e-3 matrix_scale(A)^2."""
+    return np.abs(np.trace(A @ A, axis1=-2, axis2=-1)) > 1e-3 * matrix_scale(A) ** 2
 
 
 def _probe_points(cfg: RunConfig, n: int, trials) -> list:
@@ -819,8 +812,8 @@ def _check_shear_degrees(cfg: RunConfig) -> _Measured:
 
 
 def _witness_accepts(A) -> np.ndarray:
-    """The witness check's test of its pairs, |tr A| > 0.1, item by item on numpy scalars."""
-    return np.array([abs(t) > 0.1 for t in np.trace(A, axis1=-2, axis2=-1)])
+    """The witness check's test of its stacked pairs, |tr A| > 0.1."""
+    return np.abs(np.trace(A, axis1=-2, axis2=-1)) > 0.1
 
 
 def _witness_pairs(cfg: RunConfig, n: int, trials) -> list:

@@ -1,6 +1,7 @@
 """Tests for the spectral chart: the second-matrix splitting, coordinates,
 and the closed-form inverse."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -780,3 +781,12 @@ def test_slice_recipe_zeroes_both_corners():
     tr_dev, corner = slice_residual(p)
     assert abs(tr_dev) < 1e-9 * pair_scale(p.A, p.B)
     assert abs(corner) < 1e-9 * pair_scale(p.A, p.B)
+
+
+def test_the_slice_functions_are_the_corners_bit_for_bit():
+    # the trace mismatch tr A - tr(block) is A[n, n]; read as the corner it
+    # keeps the corner's bits, where the difference of traces rounds
+    for tau, seed in itertools.product((1.0, 1e8, 0.5 - 2j), range(8)):
+        p = gauge_act_pair(random_gauge(4, seed), from_chart(random_chart_point(4, tau, seed)))
+        got = np.array(slice_residual(p))
+        assert got.tobytes() == np.array([p.A[4, 4], p.B[4, 4]]).tobytes(), (tau, seed)

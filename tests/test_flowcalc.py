@@ -1,6 +1,8 @@
 """Tests for the one-parameter flows: exact forms, split composition,
 commutator composition, polynomial pullbacks, and the trace witness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,20 @@ def test_ladder_elements_are_built_once_per_key(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError):
             bracket_element(GEN_E, GEN_F, -0.1, 4)
+
+
+def test_targets_past_the_float_range_raise_typed_errors_without_warnings():
+    # the targets' exponentials once let cmath's OverflowError escape, and a
+    # time that is not finite warned in the array product before it raised
+    p = _pair(3, 133)
+    targets = [(trotter_target, GEN_E, GEN_H, 1000.0), (bracket_target, GEN_E, GEN_F, 1e6)]
+    targets += [(target, GEN_E, GEN_F, t) for target in (trotter_target, bracket_target)
+                for t in (np.inf, -np.inf, np.nan)]
+    for target, gen1, gen2, t in targets:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatchError, match="not finite"):
+                target(gen1, gen2, t, p)
 
 
 def test_stacked_shear_samples_match_per_node_flows():

@@ -115,6 +115,13 @@ def test_sl2_exp_refuses_a_generator_with_a_trace_or_a_non_finite_entry():
     for X in ([[1.0, np.nan], [0.0, 0.0]], [[0.0, np.nan], [0.0, 0.0]], [[0.0, np.inf], [1.0, 0.0]]):
         with pytest.raises(ShapeMismatchError, match="non-finite"):
             sl2_exp(np.array(X))
+    # cmath.cosh overflows past |s| = 710 and let OverflowError escape
+    for X in ([[1000.0, 0.0], [0.0, -1000.0]], [[0.0, 1e6], [1e6, 0.0]],
+              [[1e3 + 1e3j, 0.0], [0.0, -1e3 - 1e3j]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatchError, match="is not finite"):
+                sl2_exp(np.array(X))
 
 
 def test_action_routes_agree_bitwise():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmspaces import variety
+from cmspaces import variety, verify
 from cmspaces.errors import InfeasibleRowError, NonzeroCornerError, ShapeMismatchError
 from cmspaces.linalg import comm, frob, pair_scale
 from cmspaces.variety import (
@@ -23,6 +23,7 @@ from cmspaces.variety import (
     augment_stack,
     calibrate_dictionary,
     check_gauge,
+    embed,
     fingerprint,
     fingerprints,
     gauge_act,
@@ -303,6 +304,22 @@ def test_stacked_block_residual_is_the_one_quadruple_residual():
         resid = quadruple_block_residual(A, B, v, w)
         for i in range(9):
             assert resid[i].tobytes() == quadruple_block_residual(A[i], B[i], v[i], w[i]).tobytes()
+
+
+def test_an_overflowed_block_residual_reads_nan_and_fails_its_record(monkeypatch):
+    # the border column's identity is inf - inf here; a max that kept its
+    # first operand where the second was NaN once read 0.0
+    A = np.array([2.0 * np.eye(2)], dtype=np.complex128)
+    B, v, w = np.zeros_like(A), np.full_like(A, 1e308), np.full_like(A, 1e-300)
+
+    def draw(n, k, tau, seeds):
+        return tuple(np.repeat(x, len(seeds), axis=0) for x in (A, B, v, w))
+
+    monkeypatch.setattr(verify, "random_quadruples", draw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(quadruple_block_residual(A, B, v, w)).all()
+        (rec,) = verify._run_check(verify._check_block_identity, verify.RunConfig())
+    assert rec.status == "fail" and "non-finite residual (nan)" in rec.note
 
 
 @settings(max_examples=40, deadline=None)
@@ -603,3 +620,14 @@ def test_stacked_dictionary_residuals_match_the_variant_loop():
 def test_dictionary_calibration_requires_two_columns():
     with pytest.raises(ShapeMismatchError):
         calibrate_dictionary(random_point(2, 1, 1.0, 3))
+
+
+def test_embed_of_a_stack_is_the_one_item_embeds():
+    g = np.stack([random_gauge(3, seed).g for seed in range(6)]).reshape(2, 3, 3, 3)
+    E = embed(g)
+    assert E.shape == (2, 3, 4, 4)
+    for i, j in itertools.product(range(2), range(3)):
+        one = embed(g[i, j])
+        assert E[i, j].tobytes() == one.tobytes()
+        assert np.array_equal(one[:3, :3], g[i, j]) and one[3, 3] == 1.0
+        assert not one[3, :3].any() and not one[:3, 3].any()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cmspaces import sl2, verify
-from cmspaces.chart import from_chart, random_chart_point
+from cmspaces.chart import from_chart, from_chart_stack, random_chart_point, random_chart_points
 from cmspaces.errors import (
     DegenerateSpectrumError,
     InfeasibleRowError,
@@ -17,7 +17,7 @@ from cmspaces.errors import (
     ZeroRowEntryError,
 )
 from cmspaces.linalg import matrix_scale
-from cmspaces.variety import random_point
+from cmspaces.variety import random_point, random_points
 from cmspaces.verify import SCHEMA_VERSION, SUITE_NAMES, RunConfig, expand_suites, run
 
 
@@ -275,6 +275,21 @@ def test_the_bump_tests_are_the_one_point_tests():
     assert verify._probe_accepts(A).tolist() == [
         bool(abs(np.trace(a @ a)) > 1e-3 * matrix_scale(a) ** 2) for a in A] == [False, True, True]
     assert verify._witness_accepts(A).tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e8, 0.5 - 2j])
+def test_the_array_bump_tests_accept_the_draws_of_the_per_item_tests(tau):
+    # 2,000 seeded draws per tau, each size as the checks draw it; the
+    # reference is the test of one point, on numpy scalars
+    for n in range(1, 6):
+        seeds = range(1000 * n, 1000 * n + 400)
+        A = random_points(n, 2, tau, seeds)[0]
+        traces = np.trace(A @ A, axis1=-2, axis2=-1)
+        assert verify._probe_accepts(A).tolist() == [
+            bool(abs(t) > 1e-3 * s ** 2) for t, s in zip(traces, matrix_scale(A))]
+        A = from_chart_stack(random_chart_points(n, tau, seeds), tau, 1e-9)[0]
+        assert verify._witness_accepts(A).tolist() == [
+            bool(abs(t) > 0.1) for t in np.trace(A, axis1=-2, axis2=-1)]
 
 
 _POINT_RECORDS = (
