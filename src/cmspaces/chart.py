@@ -62,6 +62,7 @@ from .variety import (
     commutator_level_deviation,
     complex_uniforms_from,
     level_shift,
+    seeded_streams,
     spaced_points_from,
 )
 
@@ -668,19 +669,19 @@ def project_to_slice(c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartPoint:
 def random_chart_points(n: int, tau: complex, seeds) -> np.ndarray:
     """Packed coordinates (len(seeds), 4n+2) of seeded chart points, one per seed.
 
-    Item i is random_chart_point(n, tau, seeds[i]).vector().  Each seed
-    takes one Generator.random draw of the doubles the one-point
-    construction draws in turn (the two spaced spectra, then the real
-    and imaginary parts of mu and of muhat), and the arithmetic runs over
-    the whole stack.
+    Item i is random_chart_point(n, tau, seeds[i]).vector().  The first
+    8n + 8 doubles of each seed's np.random.default_rng stream (the seeds
+    hashed in one call, variety.seeded_streams) are those the one-point
+    construction draws in turn: the two spaced spectra, then the real
+    and imaginary parts of mu and of muhat.  The arithmetic runs over the
+    whole stack.
     """
     if complex(tau) == 0:
         raise ValueError("the level parameter tau must be nonzero")
     if n < 1:
         raise ShapeMismatchError(f"n must be positive, got {n}")
     cuts = np.cumsum([2 * n + 2, 2 * n + 4, n, n, n + 1])
-    U = np.array([np.random.default_rng(seed).random(8 * n + 8) for seed in seeds])
-    U = U.reshape(len(U), 8 * n + 8)
+    U = seeded_streams(seeds).rows(8 * n + 8)
     u_lam, u_lamhat, mu_re, mu_im, muhat_re, muhat_im = np.split(U, cuts, axis=-1)
     lam = spaced_points_from(u_lam)
     lamhat = spaced_points_from(u_lamhat) + (0.45 + 0.35j)

@@ -54,7 +54,9 @@ from .linalg import (
 from .variety import (
     AugmentedPair,
     Representation,
+    complex_uniforms_from,
     fingerprints,
+    seeded_streams,
     spaced_points,
 )
 
@@ -379,7 +381,7 @@ def find_independence_point(n: int, tau: complex, seed: int,
     slice-constraint kernel until the nondegeneracy holds.  Raises
     SearchExhaustedError after 200 draws of the spectra.
     """
-    rng = np.random.default_rng(seed)
+    rng, = seeded_streams([seed])
     for _ in range(200):
         lam = spaced_points(rng, n)
         lamhat = spaced_points(rng, n + 1) + (0.4 + 0.3j)
@@ -444,14 +446,25 @@ def fields_rank(M):
     return rank, float(s[-1] / s[0])
 
 
+def random_sl2s(seeds) -> list:
+    """random_sl2 at each seed: one SL2Element per seed, in order.
+
+    The first six doubles of each seed's np.random.default_rng stream
+    (the seeds hashed in one call, variety.seeded_streams) are the real
+    and imaginary parts of the complex uniforms on [-1, 1] that give
+    a - 1.5, b and c, in turn.  d = (1 + b c) / a is Python complex arithmetic per
+    element, which numpy's complex product and quotient do not round
+    alike, and each element checks its own determinant.
+    """
+    U = seeded_streams(seeds).rows(6)
+    z = complex_uniforms_from(U[:, 0::2], U[:, 1::2])
+    z[:, 0] += 1.5  # keep the pivot away from zero
+    return [SL2Element(a, b, c, (1.0 + b * c) / a) for a, b, c in z.tolist()]
+
+
 def random_sl2(seed: int) -> SL2Element:
-    """Seeded unit-determinant element with moderate entries."""
-    rng = np.random.default_rng(seed)
+    """Seeded unit-determinant element with moderate entries.
 
-    def draw():
-        return complex(rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-
-    a = draw() + 1.5  # keep the pivot away from zero
-    b, c = draw(), draw()
-    d = (1.0 + b * c) / a
-    return SL2Element(a, b, c, d)
+    The one-seed call of random_sl2s.
+    """
+    return random_sl2s([seed])[0]

@@ -24,6 +24,7 @@ conjugation with embed(g) = diag(g, 1), which fixes both.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -219,13 +220,21 @@ def level_shift(n: int, tau: complex) -> np.ndarray:
 
 
 def gauge_act(g: GaugeElement, r: Representation) -> Representation:
-    """(g A g^-1, g B g^-1, g v, w g^-1); the moment map transforms by conjugation."""
+    """(g A g^-1, g B g^-1, g v, w g^-1); the moment map transforms by conjugation.
+
+    The one-item call of gauge_act_stack.
+    """
     if g.n != r.n:
         raise ShapeMismatchError(f"gauge size {g.n} does not match point size {r.n}")
-    gi = g.ginv
-    return Representation(
-        g.g @ r.A @ gi, g.g @ r.B @ gi, g.g @ r.v, r.w @ gi, r.tau
-    )
+    return Representation(*gauge_act_stack(g.g, g.ginv, r.A, r.B, r.v, r.w), r.tau)
+
+
+def gauge_act_stack(g, ginv, A, B, v, w):
+    """gauge_act of the quadruples (A, B, v, w) by the basechanges g with inverses ginv, stacked.
+
+    Over leading axes; each item takes the products of its one-item call.
+    """
+    return g @ A @ ginv, g @ B @ ginv, g @ v, w @ ginv
 
 
 def gauge_act_pair(g: GaugeElement, p: AugmentedPair) -> AugmentedPair:
@@ -421,6 +430,150 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
 
 
 # ---------------------------------------------------------------------------
+# seeded streams
+#
+# np.random.default_rng(seed) is a PCG64 (O'Neill 2014) seeded by numpy's
+# SeedSequence: the seed's 32-bit words, little end first, are hashed into
+# a pool of four words, and the pool into four 64-bit words (s0, s1, q0,
+# q1).  With s = s0 s1 and q = q0 q1 read as 128-bit integers, the
+# generator starts at inc = 2 q + 1 and state = (inc + s) M + inc, mod
+# 2^128, M being PCG64's multiplier: its two LCG steps from 0.
+# seeded_streams hashes a whole stack of seeds in one vectorized pass of
+# that hash and sets one PCG64 to each seed's state in turn.
+
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875     # the entropy mixing's hash constant
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED     # the state output's
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple:
+    """(xor, multiplier) uint32 columns of count hashmix calls whose hash constant starts at init.
+
+    At call t the constant is init mult^t mod 2^32: the call XORs it in,
+    steps it, and multiplies by the stepped constant.
+    """
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    h = np.array(h, dtype=np.uint32)[:, None]
+    return h[:-1], h[1:]
+
+
+_OUTPUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)
+
+
+@lru_cache(maxsize=None)
+def _mixing_steps(words: int) -> tuple:
+    """(xor, multiplier) columns of SeedSequence's hashmix calls on a seed of `words` >= 4 words.
+
+    In turn: the four calls that fill the pool; for each pool word s, the
+    three that mix it into the other words, listed from word s + 1 on
+    (the order _pcg64_states rotates the pool in); and four per word past
+    the fourth.
+    """
+    xor, mult = _hash_steps(_INIT_A, _MULT_A, 4 * words)
+
+    def at(t):
+        return xor[list(t)], mult[list(t)]
+
+    rounds = [at([4 + 3 * s + d - (d > s) for d in ((s + 1) % 4, (s + 2) % 4, (s + 3) % 4)])
+              for s in range(4)]
+    return at(range(4)), rounds, [at(range(4 * j, 4 * j + 4)) for j in range(4, words)]
+
+
+def _hashmix(x, steps):
+    xor, mult = steps
+    x = (x ^ xor) * mult
+    return x ^ (x >> _XSHIFT)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _pcg64_states(seeds: list) -> list:
+    """The PCG64 (state, inc) np.random.default_rng(seed) starts from, for each int seed >= 0.
+
+    numpy's SeedSequence hash on uint32 arrays, one row per pool word and
+    one column per seed.  A seed of up to four words hashes as its words
+    padded with zeros; each word past the fourth mixes into every pool
+    word, in the columns of the seeds that have it.
+    """
+    if any(s < 0 for s in seeds):
+        raise ValueError("expected non-negative integer")
+    lens = np.array([(s.bit_length() + 31) // 32 for s in seeds], dtype=int)
+    words = max(4, int(lens.max(initial=0)))
+    E = np.frombuffer(b"".join(s.to_bytes(4 * words, "little") for s in seeds),
+                      dtype="<u4").reshape(len(seeds), words).T
+    first, rounds, extra = _mixing_steps(words)
+    pool = _hashmix(E[:4], first)
+    for steps in rounds:    # word s is row 0 of the pool, rotated one row per round
+        pool = np.concatenate([_mix(pool[1:], _hashmix(pool[0], steps)), pool[:1]])
+    for j, steps in enumerate(extra, 4):
+        pool = np.where(lens > j, _mix(pool, _hashmix(E[j], steps)), pool)
+    out = _hashmix(np.concatenate([pool, pool]), _OUTPUT_STEPS)
+    states = []
+    for s0, s1, q0, q1 in np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist():
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        states.append((((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+@dataclass(frozen=True)
+class SeededStreams:
+    """The np.random.default_rng streams of a stack of seeds, from one hash (seeded_streams).
+
+    Iterating gives one Generator, set to each seed's start in turn, so
+    the i-th item draws bit for bit what default_rng of the i-th seed
+    draws.  The streams of one hash share one PCG64 (bits): draw from
+    each item before the next is asked for, or any other of these streams
+    is drawn from.  Indexing with a sequence of positions gives the
+    streams of those seeds, without hashing them again.
+    """
+
+    states: list    # the PCG64 (state, inc) of each seed
+    bits: np.random.PCG64
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, index) -> SeededStreams:
+        return SeededStreams([self.states[i] for i in index], self.bits)
+
+    def __iter__(self):
+        gen = np.random.Generator(self.bits)
+        for state, inc in self.states:
+            self.bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+            yield gen
+
+    def rows(self, count: int) -> np.ndarray:
+        """(len, count) doubles: row i is default_rng(seed i).random(count).
+
+        A longer row of a stream starts with its shorter ones.
+        """
+        U = np.empty((len(self), count))
+        for row, gen in zip(U, self):
+            gen.random(out=row)
+        return U
+
+
+def seeded_streams(seeds) -> SeededStreams:
+    """The streams of the seeds, non-negative integers, from one hash of them all.
+
+    SeededStreams pass as they are, so a caller that hashed a check's
+    seeds once hands the samplers the streams of each stack.
+    """
+    if isinstance(seeds, SeededStreams):
+        return seeds
+    return SeededStreams(_pcg64_states([operator.index(s) for s in seeds]), np.random.PCG64(0))
+
+
+# ---------------------------------------------------------------------------
 # seeded constructions
 
 
@@ -479,43 +632,37 @@ def _inner_rows(u, k: int):
     return complex_uniforms_from(u[..., 0, :], u[..., 1, :])
 
 
-def _replay_rows(rng, rest, n: int, k: int):
+def _replay_rows(u, n: int, k: int):
     """One seed's inner rows by the per-row rejection loop, and the doubles after them.
 
-    rest holds the doubles the stacked draw took after the spectrum; the
-    stream goes on in rng.  The blocks of the rows still missing are
-    taken at once, which consumes the stream as one row at a time does.
+    u is the seed's stream after the spectrum, long enough for
+    n (_MAX_TRIES + 1) blocks of 2k doubles and 2nk more.  Row i is the
+    i-th block whose norm reaches _ROW_FLOOR, scanned as one array.  When
+    a run of _MAX_TRIES rejected blocks comes before the n-th taken one,
+    the loop gives up on the row it was drawing; n (_MAX_TRIES + 1) blocks
+    hold either n taken ones or such a run.
     """
-    rows, tries = [], 0
-    while len(rows) < n:
-        need = 2 * k * (n - len(rows))
-        if len(rest) < need:
-            rest = np.concatenate([rest, rng.random(need - len(rest))])
-        block, rest = _inner_rows(rest[:need], k), rest[need:]
-        for row, norm in zip(block, row_norms(block)):
-            if tries >= _MAX_TRIES:
-                raise InfeasibleRowError(f"no admissible inner row for index {len(rows)}")
-            if norm >= _ROW_FLOOR:
-                rows.append(row)
-                tries = 0
-            else:
-                tries += 1
-    tail = 2 * n * k
-    if len(rest) < tail:
-        rest = np.concatenate([rest, rng.random(tail - len(rest))])
-    return np.array(rows), rest[:tail]
+    blocks = _inner_rows(u[:2 * k * n * (_MAX_TRIES + 1)], k)
+    taken = np.flatnonzero(row_norms(blocks) >= _ROW_FLOOR)[:n]
+    short = np.flatnonzero(np.diff(taken, prepend=-1) - 1 >= _MAX_TRIES)
+    if short.size or taken.size < n:
+        index = short[0] if short.size else taken.size
+        raise InfeasibleRowError(f"no admissible inner row for index {index}")
+    end = 2 * k * (taken[-1] + 1)
+    return blocks[taken], u[end:end + 2 * n * k]
 
 
 def random_points(n: int, k: int, tau: complex, seeds):
     """Seeded on-shell points, one per seed, stacked: (A, B, v, w) with leading axis len(seeds).
 
-    Item i is random_point(n, k, tau, seeds[i]), from one Generator per
-    seed.  Each seed's spectrum, its inner rows as if none were rejected
-    and the doubles after them come in one draw, and the arithmetic runs
-    over the whole stack.  A seed that rejects a row replays the per-row
-    rejection loop on its own stream, which it consumes as one row at a
-    time would; the first seed to exhaust _MAX_TRIES raises
-    InfeasibleRowError.
+    Item i is random_point(n, k, tau, seeds[i]), from the stream of
+    np.random.default_rng(seeds[i]); the seeds are hashed in one call
+    (seeded_streams).  Each seed's spectrum, its inner rows as if none
+    were rejected and the doubles after them are the first doubles of its
+    stream, and the arithmetic runs over the whole stack.  A seed that
+    rejects a row replays the per-row rejection loop on a longer row of
+    its stream, which it consumes as one row at a time would; the first
+    seed to exhaust _MAX_TRIES raises InfeasibleRowError.
     """
     if complex(tau) == 0:
         raise ValueError("the level parameter tau must be nonzero")
@@ -524,19 +671,21 @@ def random_points(n: int, k: int, tau: complex, seeds):
     if n < 1:
         raise ShapeMismatchError(f"n must be positive, got {n}")
     tau = complex(tau)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    streams = seeded_streams(seeds)
     # per seed: the spectrum (spaced_points), n blocks of 2k row doubles,
     # then (k = 2) n kernel coefficients as (real, imaginary) pairs and
     # the diagonal of B (n real, n imaginary)
     head, body = 2 * n + 2, 2 * n * k
-    total = head + body + 2 * n * k
-    U = np.array([rng.random(total) for rng in rngs]).reshape(len(rngs), total)
+    U = streams.rows(head + body + 2 * n * k)
 
     v, tail = _inner_rows(U[:, head:head + body], k), U[:, head + body:]
     norms = row_norms(v)
-    for s in np.flatnonzero((norms < _ROW_FLOOR).any(axis=-1)):
-        v[s], tail[s] = _replay_rows(rngs[s], U[s, head:].copy(), n, k)
-        norms[s] = row_norms(v[s])
+    rejecting = np.flatnonzero((norms < _ROW_FLOOR).any(axis=-1))
+    if rejecting.size:
+        longer = streams[rejecting.tolist()].rows(head + body * (_MAX_TRIES + 2))
+        for s, u in zip(rejecting, longer):
+            v[s], tail[s] = _replay_rows(u[head:], n, k)
+            norms[s] = row_norms(v[s])
     lam = spaced_points_from(U[:, :head])
 
     # the squared row norms go through libm pow, as a Python float power
@@ -552,7 +701,7 @@ def random_points(n: int, k: int, tau: complex, seeds):
     d = tail[:, -2 * n:]
 
     idx = np.arange(n)
-    A = np.zeros((len(rngs), n, n), dtype=np.complex128)
+    A = np.zeros((len(U), n, n), dtype=np.complex128)
     A[:, idx, idx] = lam
     B = np.zeros_like(A)
     B[:, idx, idx] = complex_uniforms_from(d[:, :n], d[:, n:])
@@ -567,36 +716,74 @@ def random_quadruples(n: int, k: int, tau: complex, seeds):
     """Seeded quadruples, one per seed, stacked: (A, B, v, w) with leading axis len(seeds).
 
     The quadruples are unconstrained: the level condition generally
-    fails.  One Generator.random draw per seed gives the uniforms on
-    [-1, 1] of A, B, v and w in turn, each block its real parts and then
-    its imaginary parts.  The draw does not depend on tau.
+    fails.  The first doubles of each seed's np.random.default_rng stream
+    (seeded_streams, one hash for the stack) give the uniforms on [-1, 1]
+    of A, B, v and w in turn, each block its real parts and then its
+    imaginary parts.  The draw does not depend on tau.
     """
     if k not in (1, 2):
         raise ShapeMismatchError(f"inner rank k must be 1 or 2, got {k}")
     shapes = [(n, n), (n, n), (n, k), (k, n)]
     sizes = [rows * cols for rows, cols in shapes]
-    U = np.array([np.random.default_rng(seed).random(2 * sum(sizes)) for seed in seeds])
-    U = U.reshape(len(U), 2 * sum(sizes))
+    U = seeded_streams(seeds).rows(2 * sum(sizes))
     parts = np.split(U, np.cumsum(np.repeat(sizes, 2))[:-1], axis=-1)
     return tuple(complex_uniforms_from(re, im).reshape(len(U), *shape)
                  for re, im, shape in zip(parts[0::2], parts[1::2], shapes))
 
 
+# random_gauge draws up to _GAUGE_TRIES matrices per seed for one whose
+# condition number is at most 100
+_GAUGE_TRIES = 32
+
+
+def _gauge_tries(u, n: int):
+    """The tries g = Z + 1.2 I from rows of 2 n^2 doubles, and whether each is kept.
+
+    Z takes the real parts, then the imaginary parts, of complex uniforms
+    on [-1, 1].  A try is kept when its condition number s_max / s_min,
+    by one SVD stack, is at most 100.
+    """
+    m = n * n
+    Z = complex_uniforms_from(u[..., :m], u[..., m:]).reshape(*u.shape[:-1], n, n)
+    g = Z + 1.2 * np.eye(n)
+    s = np.linalg.svd(g, compute_uv=False)
+    cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf),
+                     where=s[..., -1] > 0)
+    return g, cond <= 100.0
+
+
+def random_gauges(n: int, seeds):
+    """random_gauge of size n at each seed, stacked: (g, ginv) with leading axis len(seeds).
+
+    Each seed's tries are the rows of 2 n^2 doubles of its
+    np.random.default_rng stream in turn (seeded_streams, one hash for the
+    stack); the first try of every seed takes one SVD stack, and a seed
+    whose first is rejected scans a longer row of its stream.  The first
+    seed with no kept try raises SingularMatrixError.  The inverses are
+    one inv stack, and check_gauge passes by their norm bound.
+    """
+    streams = seeded_streams(seeds)
+    g, kept = _gauge_tries(streams.rows(2 * n * n), n)
+    rejected = np.flatnonzero(~kept)
+    if rejected.size:
+        longer = streams[rejected.tolist()].rows(_GAUGE_TRIES * 2 * n * n)
+        tries, kept = _gauge_tries(longer.reshape(rejected.size, _GAUGE_TRIES, 2 * n * n), n)
+        for s, gs, ok in zip(rejected, tries, kept):
+            if not ok.any():
+                raise SingularMatrixError("could not draw a well conditioned gauge element")
+            g[s] = gs[np.argmax(ok)]
+    ginv = np.linalg.inv(g)
+    check_gauge(g, ginv)
+    return g, ginv
+
+
 def random_gauge(n: int, seed: int) -> GaugeElement:
     """Seeded invertible basechange with condition number at most 100, in 32 draws.
 
-    The condition bound takes one SVD; GaugeElement inverts g once, and
-    its own check passes by the norm bound of that inverse, without a
-    second SVD.
+    The one-seed call of random_gauges.
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(32):
-        u = rng.random(2 * n * n)
-        g = complex_uniforms_from(u[:n * n], u[n * n:]).reshape(n, n) + 1.2 * np.eye(n)
-        s = np.linalg.svd(g, compute_uv=False)
-        if s[-1] > 0 and s[0] / s[-1] <= 100.0:
-            return GaugeElement(g)
-    raise SingularMatrixError("could not draw a well conditioned gauge element")
+    g, ginv = random_gauges(n, [seed])
+    return GaugeElement(g[0], ginv[0])
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ from .sl2 import (
     fixed_point_probe_stack,
     induced_fields,
     numeric_field,
-    random_sl2,
+    random_sl2s,
     slice_rates,
 )
 from .variety import (
@@ -95,15 +95,16 @@ from .variety import (
     augment_stack,
     calibrate_dictionary,
     fingerprints,
-    gauge_act,
+    gauge_act_stack,
     level_shift,
     pair_fingerprints,
     project,
     quadruple_block_residual,
     quadruple_level_residual,
-    random_gauge,
+    random_gauges,
     random_points,
     random_quadruples,
+    seeded_streams,
     spaced_points,
 )
 
@@ -248,21 +249,28 @@ def _per_size(sizes, kernel) -> list:
     return results
 
 
-def _draw(cfg: RunConfig, tag: str, n: int, trials, k: int = 2):
-    """random_points of size n at the seeds of the given trials: (A, B, v, w) stacked."""
-    return random_points(n, k, cfg.tau, [_seed(cfg, tag, i) for i in trials])
+def _tag_streams(cfg: RunConfig, count: int, *tags) -> list:
+    """Per tag, the seeded streams of _seed(cfg, tag, i) for i < count, all tags hashed in one call.
+
+    A check draws its seeded inputs from these: item i of a tag's streams
+    is trial i's.
+    """
+    streams = seeded_streams([_seed(cfg, tag, i) for tag in tags for i in range(count)])
+    return [streams[range(j * count, (j + 1) * count)] for j in range(len(tags))]
 
 
 def _seeded_points(cfg: RunConfig, tag: str, sizes, draw=None) -> list:
     """The k = 2 quadruple of size sizes[i] at _seed(cfg, tag, i) for each trial i, in trial order.
 
     draw is random_points (the default: on-shell points, as random_point
-    draws them) or random_quadruples; the trials of one size take one call.
+    draws them) or random_quadruples; the seeds take one hash, and the
+    trials of one size one call.
     """
     draw = draw or random_points
+    streams, = _tag_streams(cfg, len(sizes), tag)
 
     def stacked(n, trials):
-        return zip(*draw(n, 2, cfg.tau, [_seed(cfg, tag, i) for i in trials]))
+        return zip(*draw(n, 2, cfg.tau, streams[trials]))
     return [Representation(*x, cfg.tau) for x in _per_size(sizes, stacked)]
 
 
@@ -271,11 +279,6 @@ def _level_residuals(cfg: RunConfig, A, B, v, w):
     with np.errstate(over="ignore"):    # a scale past the float range is inf, as a float product
         scale = pair_scale(A, B)
     return quadruple_level_residual(A, B, v, w, cfg.tau) / scale
-
-
-def _chart_stack(cfg: RunConfig, n: int, tag: str, trials) -> np.ndarray:
-    """The coordinate vectors of the seeded chart points of the given trials, stacked."""
-    return random_chart_points(n, cfg.tau, [_seed(cfg, tag, i) for i in trials])
 
 
 def _stacked(points) -> tuple:
@@ -310,24 +313,25 @@ def _bumped(seeds, draw, accepts) -> list:
 
 @_declare(("linalg.eig_reassembly", "spectral-factorization-residual", 1e-12))
 def _check_eig_reassembly(cfg: RunConfig) -> _Measured:
-    def residuals(size, trials):    # trial t is the (t % 8)-th of its size
-        rngs = [np.random.default_rng(_seed(cfg, f"eig{size}", t % 8)) for t in trials]
-        M = np.array([rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-                      for rng in rngs])
+    sizes = [2 + t // 8 for t in range(40)]     # trial t is the (t % 8)-th of its size
+    streams = seeded_streams([_seed(cfg, f"eig{size}", t % 8) for t, size in enumerate(sizes)])
+
+    def residuals(size, trials):    # each M: size x size normals, real then imaginary parts
+        Z = np.array([rng.standard_normal((2, size, size)) for rng in streams[trials]])
+        M = Z[:, 0] + 1j * Z[:, 1]
         vals, g, ginv = eig(M, cfg.tol)
         R = g @ M @ ginv
         R[..., np.arange(size), np.arange(size)] -= vals
         return frob(R) / matrix_scale(M)
 
-    resids = _per_size([2 + t // 8 for t in range(40)], residuals)
+    resids = _per_size(sizes, residuals)
     return _Measured(_fold(resids), f"relative to {matrix_scale.text('M')}")
 
 
 @_declare(("linalg.solve_residual", "linear-solve-residual", 1e-12))
 def _check_solve(cfg: RunConfig) -> _Measured:
-    resids = []
-    for size in range(2, 7):
-        rng = np.random.default_rng(_seed(cfg, f"solve{size}"))
+    resids, sizes = [], range(2, 7)
+    for size, rng in zip(sizes, seeded_streams([_seed(cfg, f"solve{size}") for size in sizes])):
         M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         M = M + 1.5 * np.eye(size)
         b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -339,8 +343,7 @@ def _check_solve(cfg: RunConfig) -> _Measured:
 @_declare(("linalg.match_permutation", "nearest-neighbor-tracking", 0.0))
 def _check_matching(cfg: RunConfig) -> _Measured:
     mismatches = 0
-    for i in range(20):
-        rng = np.random.default_rng(_seed(cfg, "match", i))
+    for rng in seeded_streams([_seed(cfg, "match", i) for i in range(20)]):
         ref = spaced_points(rng, 5)
         perm = rng.permutation(5)
         noisy = ref[perm] + 1e-8 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
@@ -358,21 +361,24 @@ def _check_matching(cfg: RunConfig) -> _Measured:
 def _check_level_condition(cfg: RunConfig) -> _Measured:
     resids = []
     trials = _trials(cfg, 50)
-    ns = _ns(cfg, 6)
-    for n in ns:
-        for k in (1, 2):
-            resids.extend(_level_residuals(cfg, *_draw(cfg, f"lvl{n}{k}", n, range(trials), k)))
+    groups = [(n, k) for n in _ns(cfg, 6) for k in (1, 2)]
+    streams = _tag_streams(cfg, trials, *(f"lvl{n}{k}" for n, k in groups))
+    for (n, k), drawn in zip(groups, streams):
+        resids.extend(_level_residuals(cfg, *random_points(n, k, cfg.tau, drawn)))
     return _Measured(_fold(resids), f"relative to {pair_scale.text('A', 'B')}",
-                     len(ns) * 2 * trials)
+                     len(groups) * trials)
 
 
 @_declare(("variety.block_identity", "pair-commutator-block-forms", 1e-12))
 def _check_block_identity(cfg: RunConfig) -> _Measured:
+    count = _trials(cfg, 200)
+    streams, = _tag_streams(cfg, count, "blk")
+
     def residuals(n, trials):
-        A, B, v, w = random_quadruples(n, 2, cfg.tau, [_seed(cfg, "blk", i) for i in trials])
+        A, B, v, w = random_quadruples(n, 2, cfg.tau, streams[trials])
         return quadruple_block_residual(A, B, v, w) / pair_scale(A, B)
 
-    resids = _per_size([1 + i % 6 for i in range(_trials(cfg, 200))], residuals)
+    resids = _per_size([1 + i % 6 for i in range(count)], residuals)
     return _Measured(_fold(resids), f"relative to {pair_scale.text('A', 'B')}")
 
 
@@ -390,11 +396,12 @@ def _check_augment_roundtrip(cfg: RunConfig) -> _Measured:
 def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
     sizes = [2 + i % 4 for i in range(20)]
     points = _seeded_points(cfg, "fpg", sizes)
+    gauge_streams, = _tag_streams(cfg, 20, "fpgg")
 
     def residuals(n, trials):
-        acted = [gauge_act(random_gauge(n, _seed(cfg, "fpgg", i)), points[i]) for i in trials]
-        drawn = [points[i] for i in trials]
-        return _trace_word_error(fingerprints(*_stacked(acted)), fingerprints(*_stacked(drawn)))
+        drawn = _stacked([points[i] for i in trials])
+        acted = gauge_act_stack(*random_gauges(n, gauge_streams[trials]), *drawn)
+        return _trace_word_error(fingerprints(*acted), fingerprints(*drawn))
 
     resids = _per_size(sizes, residuals)
     return _Measured(_fold(resids), f"relative to {value_scale.text('fingerprint')}")
@@ -410,8 +417,10 @@ def _normalized(cfg: RunConfig, tag: str, count: int, measure) -> list:
     (A, B) are the seeded augmented pairs of one size, stacked, with one normal_form
     call per size; measure returns one result per item and raises no package error.
     """
+    streams, = _tag_streams(cfg, count, tag)
+
     def normalized(n, trials):
-        A, B = augment_stack(*_draw(cfg, tag, n, trials))
+        A, B = augment_stack(*random_points(n, 2, cfg.tau, streams[trials]))
         return measure(A, B, *normal_form(A, B, cfg.tol))
     return _per_size([1 + i % 5 for i in range(count)], normalized)
 
@@ -476,8 +485,10 @@ def _check_hand_case(cfg: RunConfig) -> _Measured:
 
 @_declare(("chart.splitting_constraints", "second-matrix-splitting", 1e-9))
 def _check_splitting_constraints(cfg: RunConfig) -> _Measured:
+    streams, = _tag_streams(cfg, 20, "spl")
+
     def residuals(n, trials):
-        A, B = from_chart_stack(_chart_stack(cfg, n, "spl", trials), cfg.tau, cfg.tol)
+        A, B = from_chart_stack(random_chart_points(n, cfg.tau, streams[trials]), cfg.tau, cfg.tol)
         d = decompose_stack(A, B, cfg.tau, cfg.tol)
         law = comm(A, d.N2) - level_shift(n, cfg.tau)   # [A, N2] = shift + defect e_n^T
         law[..., :n, n] -= d.defect
@@ -490,16 +501,17 @@ def _check_splitting_constraints(cfg: RunConfig) -> _Measured:
 def _check_gap_term_invariance(cfg: RunConfig) -> _Measured:
     resids = []
     ns = _ns(cfg, 4)
-    for n in ns:
-        base = random_chart_point(n, cfg.tau, _seed(cfg, f"gapi{n}"))
-        rng = np.random.default_rng(_seed(cfg, f"gapv{n}"))
+    streams = _tag_streams(cfg, 1, *(f"gap{x}{n}" for n in ns for x in "iv"))
+    for n, base, variations in zip(ns, streams[0::2], streams[1::2]):
+        lam, lamhat, _, _ = unpack(random_chart_points(n, cfg.tau, base)[0])
+        rng, = variations
         moments = []
         for _ in range(20):
             mu = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
             muhat = rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)
-            moments.append(np.concatenate([base.lam, base.lamhat, mu, muhat]))
+            moments.append(np.concatenate([lam, lamhat, mu, muhat]))
         A, B = from_chart_stack(np.array(moments), cfg.tau, cfg.tol)
-        S = decompose_stack(A, B, cfg.tau, cfg.tol, lamhat_ref=base.lamhat).S
+        S = decompose_stack(A, B, cfg.tau, cfg.tol, lamhat_ref=lamhat).S
         resids.extend(np.abs(S[1:] - S[0]).max(axis=(-2, -1)))
     return _Measured(_fold(resids), "absolute deviation across moment variations", 20 * len(ns))
 
@@ -509,8 +521,8 @@ def _check_round_trip_coordinates(cfg: RunConfig) -> _Measured:
     resids = []
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
-    for n in ns:
-        coords = _chart_stack(cfg, n, f"rtc{n}", range(trials))
+    for n, streams in zip(ns, _tag_streams(cfg, trials, *(f"rtc{n}" for n in ns))):
+        coords = random_chart_points(n, cfg.tau, streams)
         back = to_chart_stack(*from_chart_stack(coords, cfg.tau, cfg.tol), cfg.tau, cfg.tol)
         dev = np.abs(back - coords).max(axis=-1) / value_scale(coords)
         resids.extend(dev)
@@ -522,8 +534,8 @@ def _check_round_trip_pair(cfg: RunConfig) -> _Measured:
     resids = []
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
-    for n in ns:
-        points = random_points(n, 2, cfg.tau, [_seed(cfg, f"rtp{n}", i) for i in range(trials)])
+    for n, streams in zip(ns, _tag_streams(cfg, trials, *(f"rtp{n}" for n in ns))):
+        points = random_points(n, 2, cfg.tau, streams)
         A, B, _, _ = normal_form(*augment_stack(*points), cfg.tol)
         qA, qB = from_chart_stack(to_chart_stack(A, B, cfg.tau, cfg.tol), cfg.tau, cfg.tol)
         fp = pair_fingerprints(np.stack([qA, A]), np.stack([qB, B]))
@@ -536,8 +548,8 @@ def _check_jacobian_rank(cfg: RunConfig) -> _Measured:
     deficiencies = []
     trials = _trials(cfg, 20)
     ns = _ns(cfg, 5)
-    for n in ns:
-        J = chart_jacobian_stack(_chart_stack(cfg, n, f"jac{n}", range(trials)), cfg.tau, cfg.tol)
+    for n, streams in zip(ns, _tag_streams(cfg, trials, *(f"jac{n}" for n in ns))):
+        J = chart_jacobian_stack(random_chart_points(n, cfg.tau, streams), cfg.tau, cfg.tol)
         deficiencies.extend(np.abs(numeric_rank(J) - (4 * n + 2)).tolist())
     return _Measured(_fold(deficiencies), "deviation from 4n+2", len(ns) * trials)
 
@@ -550,8 +562,9 @@ def _check_jacobian_rank(cfg: RunConfig) -> _Measured:
 def _check_equivariance(cfg: RunConfig) -> _Measured:
     resids = []
     sizes = [1 + i % 5 for i in range(20)]
-    for i, r in enumerate(_seeded_points(cfg, "eqv", sizes, random_quadruples)):
-        g = random_sl2(_seed(cfg, "eqvg", i))
+    points = _seeded_points(cfg, "eqv", sizes, random_quadruples)
+    elements = random_sl2s(_tag_streams(cfg, 20, "eqvg")[0])
+    for r, g in zip(points, elements, strict=True):
         via_components = augment(act_components(g, r))
         via_pair = act_pair(g, augment(r))
         resids += [np.abs(via_components.A - via_pair.A).max(),
@@ -561,19 +574,25 @@ def _check_equivariance(cfg: RunConfig) -> _Measured:
 
 @_declare(("sl2.moment_preservation", "unit-determinant-preserves-level", 1e-10))
 def _check_moment_preservation(cfg: RunConfig) -> _Measured:
+    count = _trials(cfg, 100)
+    point_streams, element_streams = _tag_streams(cfg, count, "mom", "momg")
+
     def residuals(n, trials):
-        g = [random_sl2(_seed(cfg, "momg", i)) for i in trials]
+        g = random_sl2s(element_streams[trials])
         coeffs = np.array([[x.a, x.b, x.c, x.d] for x in g]).T
-        return _level_residuals(cfg, *act_components_stack(coeffs, *_draw(cfg, "mom", n, trials)))
-    resids = _per_size([1 + i % 5 for i in range(_trials(cfg, 100))], residuals)
+        points = random_points(n, 2, cfg.tau, point_streams[trials])
+        return _level_residuals(cfg, *act_components_stack(coeffs, *points))
+    resids = _per_size([1 + i % 5 for i in range(count)], residuals)
     return _Measured(_fold(resids), f"relative to {pair_scale.text('A', 'B')}")
 
 
 @_declare(("sl2.determinant_control_margin", "non-unimodular-breaks-level", 0.0))
 def _check_negative_control(cfg: RunConfig) -> _Measured:
+    streams, = _tag_streams(cfg, 10, "neg")
+
     def residuals(n, trials):   # by the unimodular-breaking element diag(2, 1)
-        return _level_residuals(cfg, *act_components_stack((2.0, 0.0, 0.0, 1.0),
-                                                           *_draw(cfg, "neg", n, trials)))
+        points = random_points(n, 2, cfg.tau, streams[trials])
+        return _level_residuals(cfg, *act_components_stack((2.0, 0.0, 0.0, 1.0), *points))
     resids = _per_size([1 + i % 5 for i in range(10)], residuals)
     return _Measured(1e-3 - _fold(resids, min),
                      "margin: smallest residual must exceed 1e-3; negative passes")
@@ -699,8 +718,10 @@ def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
     def deviations(vals, want):
         return np.abs(gather(vals, match_to_reference(vals, want), -1) - want).max(axis=-1)
 
+    streams, = _tag_streams(cfg, 5, "hsc")
+
     def residuals(n, trials):
-        V = _chart_stack(cfg, n, "hsc", trials)
+        V = random_chart_points(n, cfg.tau, streams[trials])
         A, B = as_finite(*from_chart_stack(V, cfg.tau, cfg.tol))
         lam, lamhat, _, _ = unpack(V)
         qA = h.a * A + h.b * B      # the first matrix of act_pair(h, p)
@@ -718,11 +739,14 @@ def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
 
 def _flow_base_points(cfg: RunConfig, tag: str) -> list:
     """from_chart of five seeded chart points per size n <= 3, size by size: one stack per size."""
+    ns = _ns(cfg, 3)
+    streams = seeded_streams([_seed(cfg, f"{tag}{n}", i) for n in ns for i in range(5)])
+
     def pairs(n, trials):
-        seeds = [_seed(cfg, f"{tag}{n}", i % 5) for i in trials]
-        A, B = from_chart_stack(random_chart_points(n, cfg.tau, seeds), cfg.tau, cfg.tol)
+        A, B = from_chart_stack(random_chart_points(n, cfg.tau, streams[trials]),
+                                cfg.tau, cfg.tol)
         return [AugmentedPair(a, b, cfg.tau) for a, b in zip(A, B)]
-    return _per_size([n for n in _ns(cfg, 3) for _ in range(5)], pairs)
+    return _per_size([n for n in ns for _ in range(5)], pairs)
 
 
 def _ladder_errors(target: AugmentedPair, flows) -> np.ndarray:

@@ -25,6 +25,7 @@ from cmspaces.sl2 import (
     independence_rank,
     numeric_field,
     random_sl2,
+    random_sl2s,
     sl2_exp,
     slice_tangency,
 )
@@ -45,6 +46,24 @@ from cmspaces.variety import (
     random_point,
     random_points,
 )
+
+
+def test_stacked_sl2_elements_keep_their_bits():
+    # the per-seed draws they replace: six uniforms from default_rng, and
+    # d in Python complex arithmetic, which numpy's does not round alike
+    seeds = range(2000)
+    for seed, g in zip(seeds, random_sl2s(seeds), strict=True):
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            return complex(rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+
+        a = draw() + 1.5
+        b, c = draw(), draw()
+        want = (a, b, c, (1.0 + b * c) / a)
+        assert [x.hex() for z in (g.a, g.b, g.c, g.d) for x in (z.real, z.imag)] == \
+            [x.hex() for z in want for x in (z.real, z.imag)], seed
+    assert random_sl2(1999) == g and random_sl2s([]) == []
 
 
 def test_sl2_element_rejects_bad_determinant():

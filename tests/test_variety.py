@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmspaces import variety, verify
-from cmspaces.errors import InfeasibleRowError, NonzeroCornerError, ShapeMismatchError
+from cmspaces.errors import (
+    InfeasibleRowError,
+    NonzeroCornerError,
+    ShapeMismatchError,
+    SingularMatrixError,
+)
 from cmspaces.linalg import comm, frob, pair_scale
 from cmspaces.variety import (
     _power_ladder,
@@ -23,11 +28,13 @@ from cmspaces.variety import (
     augment_stack,
     calibrate_dictionary,
     check_gauge,
+    complex_uniforms_from,
     embed,
     fingerprint,
     fingerprints,
     gauge_act,
     gauge_act_pair,
+    gauge_act_stack,
     level_deviation,
     level_residual,
     level_shift,
@@ -39,9 +46,12 @@ from cmspaces.variety import (
     quadruple_level_residual,
     quiver_moment,
     random_gauge,
+    random_gauges,
     random_point,
     random_points,
     random_quadruples,
+    seeded_streams,
+    spaced_points,
 )
 
 
@@ -246,6 +256,144 @@ def test_stacked_points_are_the_one_seed_points(k, monkeypatch):
     with pytest.raises(InfeasibleRowError) as info:
         random_points(4, k, 1.0, [2, *failing])
     assert f"InfeasibleRowError: {info.value}" == _REJECTION_OUTCOMES[(k, failing[0])]
+
+
+# seeds of one to seven 32-bit words, at the edges of numpy's word split
+_EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128, 10**46,
+               2**160 - 1, 2**200 + 7)
+
+
+def _guard_seeds() -> list:
+    """2,052 seeds: small ones, 63- and 64-bit ones, verify's and the edges."""
+    rng = np.random.default_rng(2027)
+    return [*range(1000), *rng.integers(0, 2**63, 600).tolist(),
+            *rng.integers(2**63, 2**64, 200, dtype=np.uint64).tolist(),
+            *(verify._seed(verify.RunConfig(seed=s), "lvl62", i)
+              for s in (1, 2, 3, 10**39) for i in range(60)), *_EDGE_SEEDS]
+
+
+def test_seeded_streams_draw_the_default_rng_streams_bit_for_bit():
+    # one hash of the stack, then one PCG64 set to each seed's state: a
+    # change in numpy's seeding or in its PCG64 would show here
+    seeds = _guard_seeds()
+    streams = seeded_streams(seeds)
+    long = streams.rows(62)
+    want = np.array([np.random.default_rng(s).random(62) for s in seeds])
+    assert len(seeds) > 2000 and long.tobytes() == want.tobytes()
+    for count in (0, 1, 9):     # a longer row starts with the shorter ones
+        assert streams.rows(count).tobytes() == long[:, :count].tobytes()
+    pick = [5, len(seeds) - 1, 3, 3]
+    assert streams[pick].rows(9).tobytes() == long[pick, :9].tobytes()
+    assert seeded_streams(streams) is streams
+    # the other Generator methods the streams serve, one after another
+    draws = (lambda g: g.random(3, dtype=np.float32),   # reads PCG64's 32-bit buffer first
+             lambda g: g.standard_normal((2, 3, 3)), lambda g: g.permutation(5),
+             lambda g: g.uniform(-1, 1, 4), lambda g: g.random(12), lambda g: g.integers(0, 9, 3))
+    for seed, rng in zip(seeds, streams, strict=True):
+        ref = np.random.default_rng(seed)
+        for draw in draws:
+            assert draw(rng).tobytes() == draw(ref).tobytes(), seed
+    # numpy integers and bools are the seeds they stand for
+    odd = [np.uint64(2**64 - 1), np.int32(7), True]
+    assert seeded_streams(odd).rows(3).tobytes() == seeded_streams([2**64 - 1, 7, 1]).rows(3).tobytes()
+
+
+def test_seeded_streams_refuse_what_default_rng_refuses():
+    for bad, error in ((-1, ValueError), (np.int64(-3), ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            np.random.default_rng(bad)
+        with pytest.raises(error):
+            seeded_streams([4, bad])
+        with pytest.raises(error):
+            random_point(2, 1, 1.0, bad)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        seeded_streams([2**70, -(2**70)])
+    assert seeded_streams([]).rows(4).shape == (0, 4)
+
+
+def _loop_point(n, k, tau, seed):
+    """random_point by the per-seed loop: its own default_rng, inner rows drawn one at a time."""
+    rng = np.random.default_rng(seed)
+    lam = spaced_points(rng, n)
+    rows, tries = [], 0
+    while len(rows) < n:
+        if tries >= variety._MAX_TRIES:
+            raise InfeasibleRowError(f"no admissible inner row for index {len(rows)}")
+        u = rng.random(2 * k)
+        row = complex_uniforms_from(u[:k], u[k:])
+        if np.linalg.norm(row) >= variety._ROW_FLOOR:
+            rows.append(row)
+            tries = 0
+        else:
+            tries += 1
+    v = np.array(rows)
+    sq = np.array([float(np.linalg.norm(row)) ** 2 for row in rows])
+    w = -complex(tau) * v.conj() / sq[:, None]
+    if k == 2:
+        u = rng.random(2 * n)
+        w = w + (complex_uniforms_from(u[0::2], u[1::2]) * 0.7)[:, None] * np.stack(
+            [-v[:, 1], v[:, 0]], axis=-1)
+    w = np.ascontiguousarray(w.T)
+    u = rng.random(2 * n)
+    B = np.diag(complex_uniforms_from(u[:n], u[n:]))
+    denom = lam[:, None] - lam[None, :] + np.eye(n)
+    off = (v @ w) / denom
+    off[np.arange(n), np.arange(n)] = 0.0
+    return np.diag(lam), B + off, v, w
+
+
+def test_stacked_points_replay_rejections_as_the_per_seed_loop(monkeypatch):
+    # k = 1 rejects a row at about a third of the seeds at n = 6; the loop
+    # is the reference the stacked draw and its array replay replace
+    seeds = list(range(300))
+    A, B, v, w = random_points(6, 1, 2.5 - 1j, seeds)
+    for i, seed in enumerate(seeds):
+        want = _loop_point(6, 1, 2.5 - 1j, seed)
+        assert all(x[i].tobytes() == y.tobytes() for x, y in zip((A, B, v, w), want)), seed
+    # with a high floor and four tries per row, most seeds give up: each
+    # at the row the loop gives up on, and a stack with the first such seed
+    _rejecting(monkeypatch, 1)
+    outcomes = {}
+    for seed in range(60):
+        try:
+            outcomes[seed] = _loop_point(6, 1, 1.0, seed)
+        except InfeasibleRowError as exc:
+            outcomes[seed] = f"InfeasibleRowError: {exc}"
+    passing = [s for s, x in outcomes.items() if not isinstance(x, str)]
+    failing = [s for s in outcomes if s not in passing]
+    assert passing and failing
+    for i, x in enumerate(random_points(6, 1, 1.0, passing)):
+        assert all(x[j].tobytes() == outcomes[s][i].tobytes() for j, s in enumerate(passing))
+    for seeds in ([passing[0], s] for s in failing):
+        with pytest.raises(InfeasibleRowError) as info:
+            random_points(6, 1, 1.0, seeds)
+        assert f"InfeasibleRowError: {info.value}" == outcomes[seeds[1]]
+    with pytest.raises(InfeasibleRowError) as info:
+        random_points(6, 1, 1.0, [*passing, *failing[::-1]])
+    assert f"InfeasibleRowError: {info.value}" == outcomes[failing[-1]]
+
+
+def test_stacked_gauges_and_their_action_are_the_one_item_calls(monkeypatch):
+    # seeds 280, 485 and 521 reject their first try at n = 5, seed 2 at
+    # n = 8, and 1532 its first two there
+    for n, seeds in ((5, [280, 7, 485, 521, 3]), (8, [1532, 2, 0])):
+        g, ginv = random_gauges(n, seeds)
+        A, B, v, w = random_points(n, 2, 1.0, seeds)
+        acted = gauge_act_stack(g, ginv, A, B, v, w)
+        for i, seed in enumerate(seeds):
+            one = random_gauge(n, seed)
+            assert g[i].tobytes() == one.g.tobytes() and ginv[i].tobytes() == one.ginv.tobytes()
+            assert one.ginv.tobytes() == np.linalg.inv(one.g).tobytes()
+            r = gauge_act(one, Representation(A[i], B[i], v[i], w[i], 1.0))
+            assert all(x[i].tobytes() == getattr(r, f).tobytes() for x, f in zip(acted, "ABvw"))
+    # with one try per seed a stack raises when any of its seeds has no
+    # kept try, as that seed alone does
+    monkeypatch.setattr(variety, "_GAUGE_TRIES", 1)
+    assert random_gauges(5, [7, 3])[0].tobytes() == np.stack(
+        [random_gauge(5, 7).g, random_gauge(5, 3).g]).tobytes()
+    for seeds in ([280], [7, 280, 3]):
+        with pytest.raises(SingularMatrixError, match="could not draw a well conditioned"):
+            random_gauges(5, seeds)
 
 
 def test_random_points_edge_arguments():

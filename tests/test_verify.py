@@ -7,7 +7,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from cmspaces import sl2, verify
+from cmspaces import sl2, variety, verify
 from cmspaces.chart import from_chart, from_chart_stack, random_chart_point, random_chart_points
 from cmspaces.errors import (
     DegenerateSpectrumError,
@@ -429,13 +429,13 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     # per routine, one default pass at seed 1: eig and its inverse for each
     # normal_form stack (one per size: 5 in the pair round trip, 5 each in
     # the shape and equivalence checks, 10 in the idempotence check) and
-    # for each stack of the reassembly check (one per size: 5), 20 inv for
-    # the gauges random_gauge draws, eigvals for the untracked reads and
-    # the scaling spectra (6: one per size and size of matrix), svd for
-    # random_gauge's condition bound and the ranks; the chart Jacobian, the induced
-    # fields, the splitting check and the gauge checks make none.  The
-    # four pinv of the flow fits are cached for the process, so a pass
-    # after the first makes none
+    # for each stack of the reassembly check (one per size: 5), 4 inv for
+    # the gauge stacks random_gauges draws (one per size), eigvals for the
+    # untracked reads and the scaling spectra (6: one per size and size of
+    # matrix), svd for random_gauges' condition bound (one per size) and
+    # the ranks; the chart Jacobian, the induced fields, the splitting
+    # check and the gauge checks make none.  The four pinv of the flow
+    # fits are cached for the process, so a pass after the first makes none
     counts = _count_calls(monkeypatch, np.linalg, "eig", "eigvals", "inv", "svd", "solve", "lstsq",
                           "pinv")
     # polyfit reaches lstsq through numpy's own import, which the patch above misses
@@ -444,8 +444,29 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     assert report["summary"]["passed"] == report["summary"]["total"]
     pinv = counts.pop("pinv")
     assert pinv in (0, 4)
-    assert counts == {"eig": 30, "eigvals": 21, "inv": 50, "svd": 45, "solve": 5, "lstsq": 0}
+    assert counts == {"eig": 30, "eigvals": 21, "inv": 34, "svd": 29, "solve": 5, "lstsq": 0}
     assert fits == {"polyfit": 0}
+
+
+def test_seeded_draws_of_one_verify_pass(monkeypatch):
+    # no numpy Generator per seed: the 1,715 seeds of a default pass at
+    # seed 1 are hashed in 42 calls, each with one PCG64 set to its seeds'
+    # states in turn.  One call per check, except one per size in the
+    # scaling probe (5) and the witness check (4), one per independence
+    # point (5), and two in the gauge invariance and equivariance checks
+    # (points and group elements)
+    counts = _count_calls(monkeypatch, np.random, "default_rng", "PCG64")
+    hashed, original = [], variety._pcg64_states
+
+    def hashing(seeds):
+        hashed.append(len(seeds))
+        return original(seeds)
+
+    monkeypatch.setattr(variety, "_pcg64_states", hashing)
+    report = run(RunConfig(seed=1))
+    assert report["summary"]["passed"] == report["summary"]["total"]
+    assert counts == {"default_rng": 0, "PCG64": 42}
+    assert (len(hashed), sum(hashed)) == (42, 1715)
 
 
 def test_the_splitting_record_fails_on_a_wrong_border_defect(monkeypatch):
