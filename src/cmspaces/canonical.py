@@ -33,7 +33,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     any_item,
-    as_cmatrix,
+    as_square_stack,
     eig,
     eigvals,
     matrix_scale,
@@ -73,20 +73,25 @@ def conjugation_operator(M) -> np.ndarray:
     Columns run over the n^2 elementary matrices of the block algebra in
     row-major order; rows are the flattened (n+1)^2 output entries.  In
     row-major vectorization X M - M X is (I kron M^T - M kron I) vec(X),
-    restricted here to the columns of the block entries.
+    restricted here to the columns of the block entries.  Those entries
+    are built by broadcast products, the very products np.kron takes, so
+    a stack of matrices M over leading axes gives a stack of operators.
     """
-    M = as_cmatrix(M, square=True)
-    m = M.shape[0]
-    eye = np.eye(m, dtype=np.complex128)
-    block_cols = (np.arange(m - 1)[:, None] * m + np.arange(m - 1)).ravel()
-    return (np.kron(eye, M.T) - np.kron(M, eye))[:, block_cols]
+    M = as_square_stack(M)
+    n = M.shape[-1] - 1
+    eye = np.eye(n + 1, dtype=np.complex128)
+    # entry [..., i, j, k, l]: output entry (i, j), block entry (k, l)
+    op = (eye[:, None, :n, None] * M.swapaxes(-1, -2)[..., None, :, None, :n]
+          - M[..., :, None, :n, None] * eye[None, :, None, :n])
+    return op.reshape(*M.shape[:-2], (n + 1) ** 2, n * n)
 
 
-def orbit_dimension(M, tol: float = DEFAULT_TOL) -> int:
+def orbit_dimension(M, tol: float = DEFAULT_TOL):
     """Dimension of the embedded-basechange orbit through M (numeric rank).
 
     An independent certificate of the eigenbasis stabilizer count; it
-    costs an SVD of an (n+1)^2 x n^2 matrix.
+    costs an SVD of an (n+1)^2 x n^2 matrix.  An int for one matrix (or
+    pair); for a stack over leading axes, an int array from one SVD call.
     """
     if isinstance(M, AugmentedPair):
         M = M.A

@@ -5,7 +5,9 @@ evaluated by composing 2 x 2 group elements first and acting on the pair
 once; the splitting formulas below are statements about the group elements
 alone.  Each ladder's element, and each target's, is built once per
 (generators, time, steps) and cached, so a ladder costs only its action on
-the pair.  Lie-Trotter:
+the pair.  ladder_fingerprints runs a whole ladder, its target and every
+rung, on a stack of pairs of one size: one broadcast action and one
+fingerprint stack.  Lie-Trotter:
 
     (exp(t E / n) exp(t F / n))^n  ->  exp(t (E + F)),   error O(1/n),
 
@@ -28,9 +30,18 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .errors import IllConditionedFitError, ShapeMismatchError, WitnessVanishesError
-from .linalg import as_square_stack, frob, matrix_scale, value_scale
-from .sl2 import GEN_E, GEN_F, GEN_H, SL2Element, SL2Generator, act_pair, sl2_exp
-from .variety import AugmentedPair
+from .linalg import as_finite, as_square_stack, frob, matrix_scale, value_scale
+from .sl2 import (
+    GEN_E,
+    GEN_F,
+    GEN_H,
+    SL2Element,
+    SL2Generator,
+    act_pair,
+    act_pair_stack,
+    sl2_exp,
+)
+from .variety import AugmentedPair, pair_fingerprints
 
 # The pair action is a left action written on row vectors of matrices, so
 # pushing generators to vector fields reverses the bracket: the commutator
@@ -129,6 +140,26 @@ def _exact(gen1: SL2Generator, gen2: SL2Generator, t: float, bracket: bool) -> S
         raise ShapeMismatchError(f"target time {t} is not finite")
     g1, g2 = gen1.matrix(), gen2.matrix()
     return sl2_exp(t * (g2 @ g1 - g1 @ g2 if bracket else g1 + g2))
+
+
+def ladder_fingerprints(gen1: SL2Generator, gen2: SL2Generator, t: float, steps, A, B,
+                        bracket: bool = False) -> np.ndarray:
+    """Pair fingerprints of a flow ladder's target and rungs at the pairs (A, B), in one stack.
+
+    The pairs of one size are stacked over leading axes.  Returns
+    (1 + len(steps), ..., words): row 0 holds the target's fingerprints
+    (trotter_target, or bracket_target with bracket), row 1 + j those of
+    the rung at steps[j] (trotter_flow, or bracket_flow).  Every cached
+    element acts on every pair in one broadcast and the whole stack takes
+    one pair_fingerprints call, so each item keeps the bits of
+    pair_fingerprint of its one-pair call.  A flowed pair with a
+    non-finite entry raises ShapeMismatchError, as the one-pair calls do.
+    """
+    rung = bracket_element if bracket else trotter_element
+    elements = [_exact(gen1, gen2, t, bracket), *(rung(gen1, gen2, t, m) for m in steps)]
+    coeffs = np.array([(g.a, g.b, g.c, g.d) for g in elements]).T
+    coeffs = coeffs.reshape(4, len(elements), *(1,) * (np.ndim(A) - 2))
+    return pair_fingerprints(*as_finite(*act_pair_stack(coeffs, A, B)))
 
 
 def pair_distance(p: AugmentedPair, q: AugmentedPair) -> float:

@@ -218,6 +218,23 @@ def act_components(g, r: Representation) -> Representation:
     return Representation(*act_components_stack(_coeffs(g), r.A, r.B, r.v, r.w), r.tau)
 
 
+def _stacked_coeffs(coeffs) -> tuple:
+    """The entries (a, b, c, d) as complex arrays that broadcast against stacked matrices."""
+    return tuple(np.asarray(z, dtype=np.complex128)[..., None, None] for z in coeffs)
+
+
+def act_pair_stack(coeffs, A, B):
+    """act_pair over pairs (A, B) stacked over leading axes: (a A + b B, c A + d B).
+
+    coeffs = (a, b, c, d): one element's entries, or arrays of them that
+    broadcast against the leading axes.  Each item keeps the bits of its
+    one-item call.  The pair twin of act_components_stack; nothing is
+    checked, so a caller tests the acted pairs' entries as it needs.
+    """
+    a, b, c, d = _stacked_coeffs(coeffs)
+    return a * A + b * B, c * A + d * B
+
+
 def act_components_stack(coeffs, A, B, v, w):
     """act_components over k = 2 quadruples (A, B, v, w) stacked over leading axes.
 
@@ -225,12 +242,11 @@ def act_components_stack(coeffs, A, B, v, w):
     the leading axes, one element per item.  Each item keeps the bits of
     its one-item call.
     """
-    a, b, c, d = (np.asarray(z, dtype=np.complex128)[..., None, None] for z in coeffs)
+    a, b, c, d = _stacked_coeffs(coeffs)
     v1, v2 = v[..., :, 0:1], v[..., :, 1:2]
     w1, w2 = w[..., 0:1, :], w[..., 1:2, :]
     return (
-        a * A + b * B,
-        c * A + d * B,
+        *act_pair_stack(coeffs, A, B),
         np.concatenate([a * v1 + b * v2, c * v1 + d * v2], axis=-1),
         np.concatenate([d * w1 - c * w2, -b * w1 + a * w2], axis=-2),
     )

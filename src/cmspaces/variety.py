@@ -271,16 +271,32 @@ def augment_stack(A, B, v, w):
 
 
 def project(p: AugmentedPair, tol: float = DEFAULT_TOL) -> Representation:
-    """Invert augment(); both corners must vanish within tol."""
-    n = p.n
-    scale = max(matrix_scale(p.A), matrix_scale(p.B))
-    if abs(p.A[n, n]) > tol * scale or abs(p.B[n, n]) > tol * scale:
+    """Invert augment(); both corners must vanish within tol.
+
+    The one-pair call of project_stack.
+    """
+    return Representation(*project_stack(p.A, p.B, tol), p.tau)
+
+
+def project_stack(A, B, tol: float = DEFAULT_TOL):
+    """The quadruples (A, B, v, w) that the pairs (A, B), stacked over leading axes, augment.
+
+    Both corners of every pair must vanish within tol times the larger
+    matrix_scale of its two matrices; the first pair whose corners do not
+    raises NonzeroCornerError, with the message of its one-pair call.
+    """
+    n = A.shape[-1] - 1
+    scale = np.maximum(matrix_scale(A), matrix_scale(B))
+    a, b = A[..., n, n], B[..., n, n]
+    bad = (np.abs(a) > tol * scale) | (np.abs(b) > tol * scale)
+    if any_item(bad):
+        i = np.flatnonzero(bad)[0]
         raise NonzeroCornerError(
-            f"corners ({p.A[n, n]:.3e}, {p.B[n, n]:.3e}) do not vanish at tol {tol:.1e}"
+            f"corners ({np.ravel(a)[i]:.3e}, {np.ravel(b)[i]:.3e}) do not vanish at tol {tol:.1e}"
         )
-    v = np.column_stack([p.A[:n, n], p.B[:n, n]])
-    w = np.vstack([-p.B[n, :n], p.A[n, :n]])
-    return Representation(p.A[:n, :n].copy(), p.B[:n, :n].copy(), v, w, p.tau)
+    v = np.stack([A[..., :n, n], B[..., :n, n]], axis=-1)
+    w = np.stack([-B[..., n, :n], A[..., n, :n]], axis=-2)
+    return A[..., :n, :n].copy(), B[..., :n, :n].copy(), v, w
 
 
 def quadruple_block_residual(A, B, v, w):
@@ -365,13 +381,14 @@ class DictionaryVariant:
     flip_y: bool
     swap_y: bool
 
-    def apply(self, r: Representation):
+    def apply(self, v, w):
+        """(X1, X2, Y1, Y2) of the inner blocks v (..., n, 2) and w (..., 2, n), over leading axes."""
         c0, c1 = (1, 0) if self.swap_x else (0, 1)
         r0, r1 = (1, 0) if self.swap_y else (0, 1)
-        X1 = -r.v[:, c0] if self.flip_x else r.v[:, c0]
-        X2 = r.v[:, c1]
-        Y1 = -r.w[r0, :] if self.flip_y else r.w[r0, :]
-        Y2 = r.w[r1, :]
+        X1 = -v[..., :, c0] if self.flip_x else v[..., :, c0]
+        X2 = v[..., :, c1]
+        Y1 = -w[..., r0, :] if self.flip_y else w[..., r0, :]
+        Y2 = w[..., r1, :]
         return X1, X2, Y1, Y2
 
     def label(self) -> str:
@@ -408,25 +425,36 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
     A variant is admissible when it maps the on-shell quadruple to the fiber
     over (tau * I_n, -n tau), within 1e-9 * pair_scale(A, B).  An empty
     admissible tuple is reported, not raised, so callers can record the
-    outcome.  The 16 variants are evaluated as one quiver_moment stack.
+    outcome.  The one-quadruple call of calibrate_dictionary_stack.
     """
-    if r.k != 2:
-        raise ShapeMismatchError("dictionary calibration needs k = 2")
-    n = r.n
-    scale = pair_scale(r.A, r.B)
-    slots = zip(*(var.apply(r) for var in ALL_DICTIONARY_VARIANTS))
-    X1, X2, Y1, Y2 = (np.array(slot) for slot in slots)     # (16, n) each
-    nu1, nu2 = quiver_moment(r.A, r.B, X1, X2, Y1, Y2)
-    # abs of a Python complex: np.abs rounds differently in the last bit
-    dist2 = np.array([abs(z) for z in (nu2 - (-n * r.tau)).tolist()])
-    resids = np.maximum(frob(nu1 - r.tau * np.eye(n)), dist2).tolist()
-    admissible = tuple(var for var, resid in zip(ALL_DICTIONARY_VARIANTS, resids)
-                       if resid <= 1e-9 * scale)
+    resids, admissible = calibrate_dictionary_stack(r.A, r.B, r.v, r.w, r.tau)
+    admissible = tuple(var for var, ok in zip(ALL_DICTIONARY_VARIANTS, admissible) if ok)
     return DictionaryReport(
         admissible=admissible,
         literal_admissible=LITERAL_DICTIONARY in admissible,
-        residuals={var.label(): resid for var, resid in zip(ALL_DICTIONARY_VARIANTS, resids)},
+        residuals={var.label(): resid for var, resid in zip(ALL_DICTIONARY_VARIANTS, resids.tolist())},
     )
+
+
+def calibrate_dictionary_stack(A, B, v, w, tau):
+    """calibrate_dictionary of k = 2 quadruples (A, B, v, w) stacked over leading axes.
+
+    Returns (residuals, admissible), each (..., 16) along
+    ALL_DICTIONARY_VARIANTS: every variant of every quadruple goes
+    through one quiver_moment stack, and each item keeps the bits of its
+    one-quadruple call.
+    """
+    if v.shape[-1] != 2:
+        raise ShapeMismatchError("dictionary calibration needs k = 2")
+    n, tau = A.shape[-1], complex(tau)
+    scale = pair_scale(A, B)
+    slots = zip(*(var.apply(v, w) for var in ALL_DICTIONARY_VARIANTS))
+    X1, X2, Y1, Y2 = (np.stack(slot, axis=-2) for slot in slots)     # (..., 16, n) each
+    nu1, nu2 = quiver_moment(A[..., None, :, :], B[..., None, :, :], X1, X2, Y1, Y2)
+    # abs of a Python complex: np.abs rounds differently in the last bit
+    dist2 = np.array([abs(z) for z in (nu2 - (-n * tau)).ravel().tolist()]).reshape(nu2.shape)
+    resids = np.maximum(frob(nu1 - tau * np.eye(n)), dist2)
+    return resids, resids <= 1e-9 * np.asarray(scale)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -633,23 +661,29 @@ def _inner_rows(u, k: int):
 
 
 def _replay_rows(u, n: int, k: int):
-    """One seed's inner rows by the per-row rejection loop, and the doubles after them.
+    """The inner rows of rejecting seeds by the per-row rejection loop, and the doubles after them.
 
-    u is the seed's stream after the spectrum, long enough for
-    n (_MAX_TRIES + 1) blocks of 2k doubles and 2nk more.  Row i is the
-    i-th block whose norm reaches _ROW_FLOOR, scanned as one array.  When
-    a run of _MAX_TRIES rejected blocks comes before the n-th taken one,
-    the loop gives up on the row it was drawing; n (_MAX_TRIES + 1) blocks
-    hold either n taken ones or such a run.
+    u has one row per seed: its stream after the spectrum, long enough for
+    n (_MAX_TRIES + 1) blocks of 2k doubles and 2nk more.  A seed's row i
+    is its i-th block whose norm reaches _ROW_FLOOR; all seeds are scanned
+    as one array.  When a run of _MAX_TRIES rejected blocks comes before a
+    seed's n-th taken one, the loop gives up on the row it was drawing;
+    n (_MAX_TRIES + 1) blocks hold either n taken ones or such a run.  The
+    first seed, in order, that gives up raises InfeasibleRowError.
     """
-    blocks = _inner_rows(u[:2 * k * n * (_MAX_TRIES + 1)], k)
-    taken = np.flatnonzero(row_norms(blocks) >= _ROW_FLOOR)[:n]
-    short = np.flatnonzero(np.diff(taken, prepend=-1) - 1 >= _MAX_TRIES)
-    if short.size or taken.size < n:
-        index = short[0] if short.size else taken.size
+    blocks = _inner_rows(u[:, :2 * k * n * (_MAX_TRIES + 1)], k)
+    ok = row_norms(blocks) >= _ROW_FLOOR
+    count = np.minimum(ok.sum(axis=-1), n)
+    taken = np.argsort(~ok, axis=-1, kind="stable")[:, :n]    # the first n taken blocks, in order
+    short = (np.diff(taken, axis=-1, prepend=-1) - 1 >= _MAX_TRIES) & (np.arange(n) < count[:, None])
+    gives_up = np.flatnonzero(short.any(axis=-1) | (count < n))
+    if gives_up.size:
+        s = gives_up[0]
+        index = np.argmax(short[s]) if short[s].any() else count[s]
         raise InfeasibleRowError(f"no admissible inner row for index {index}")
-    end = 2 * k * (taken[-1] + 1)
-    return blocks[taken], u[end:end + 2 * n * k]
+    end = 2 * k * (taken[:, -1:] + 1)
+    return (np.take_along_axis(blocks, taken[..., None], axis=1),
+            np.take_along_axis(u, end + np.arange(2 * n * k), axis=1))
 
 
 def random_points(n: int, k: int, tau: complex, seeds):
@@ -659,10 +693,11 @@ def random_points(n: int, k: int, tau: complex, seeds):
     np.random.default_rng(seeds[i]); the seeds are hashed in one call
     (seeded_streams).  Each seed's spectrum, its inner rows as if none
     were rejected and the doubles after them are the first doubles of its
-    stream, and the arithmetic runs over the whole stack.  A seed that
-    rejects a row replays the per-row rejection loop on a longer row of
-    its stream, which it consumes as one row at a time would; the first
-    seed to exhaust _MAX_TRIES raises InfeasibleRowError.
+    stream, and the arithmetic runs over the whole stack.  The seeds that
+    reject a row replay the per-row rejection loop on longer rows of their
+    streams, all in one array scan, each consuming its stream as one row
+    at a time would; the first seed to exhaust _MAX_TRIES raises
+    InfeasibleRowError.
     """
     if complex(tau) == 0:
         raise ValueError("the level parameter tau must be nonzero")
@@ -683,9 +718,8 @@ def random_points(n: int, k: int, tau: complex, seeds):
     rejecting = np.flatnonzero((norms < _ROW_FLOOR).any(axis=-1))
     if rejecting.size:
         longer = streams[rejecting.tolist()].rows(head + body * (_MAX_TRIES + 2))
-        for s, u in zip(rejecting, longer):
-            v[s], tail[s] = _replay_rows(u[head:], n, k)
-            norms[s] = row_norms(v[s])
+        v[rejecting], tail[rejecting] = _replay_rows(longer[:, head:], n, k)
+        norms[rejecting] = row_norms(v[rejecting])
     lam = spaced_points_from(U[:, :head])
 
     # the squared row norms go through libm pow, as a Python float power

@@ -48,9 +48,9 @@ from .errors import CMSpacesError
 from .flowcalc import (
     BRACKET_SIGN,
     bracket_flow,
-    bracket_target,
     compatible_witness,
     detect_bracket_sign,
+    ladder_fingerprints,
     lnd_degree,
     pair_distance,
     trotter_flow,
@@ -76,9 +76,8 @@ from .sl2 import (
     GEN_H,
     GENERATORS,
     ChartTangent,
-    act_components,
     act_components_stack,
-    act_pair,
+    act_pair_stack,
     analytic_field,
     fields_rank,
     find_independence_point,
@@ -89,16 +88,17 @@ from .sl2 import (
     slice_rates,
 )
 from .variety import (
+    ALL_DICTIONARY_VARIANTS,
+    LITERAL_DICTIONARY,
     AugmentedPair,
-    Representation,
-    augment,
     augment_stack,
-    calibrate_dictionary,
+    calibrate_dictionary_stack,
+    complex_uniforms_from,
     fingerprints,
     gauge_act_stack,
     level_shift,
     pair_fingerprints,
-    project,
+    project_stack,
     quadruple_block_residual,
     quadruple_level_residual,
     random_gauges,
@@ -259,19 +259,13 @@ def _tag_streams(cfg: RunConfig, count: int, *tags) -> list:
     return [streams[range(j * count, (j + 1) * count)] for j in range(len(tags))]
 
 
-def _seeded_points(cfg: RunConfig, tag: str, sizes, draw=None) -> list:
-    """The k = 2 quadruple of size sizes[i] at _seed(cfg, tag, i) for each trial i, in trial order.
+def _points(cfg: RunConfig, n: int, streams):
+    """random_points(n, 2, cfg.tau, streams), once every entry is finite (ShapeMismatchError otherwise).
 
-    draw is random_points (the default: on-shell points, as random_point
-    draws them) or random_quadruples; the seeds take one hash, and the
-    trials of one size one call.
+    The drawn quadruples are checked as a Representation of each would
+    check them.
     """
-    draw = draw or random_points
-    streams, = _tag_streams(cfg, len(sizes), tag)
-
-    def stacked(n, trials):
-        return zip(*draw(n, 2, cfg.tau, streams[trials]))
-    return [Representation(*x, cfg.tau) for x in _per_size(sizes, stacked)]
+    return as_finite(*random_points(n, 2, cfg.tau, streams))
 
 
 def _level_residuals(cfg: RunConfig, A, B, v, w):
@@ -279,11 +273,6 @@ def _level_residuals(cfg: RunConfig, A, B, v, w):
     with np.errstate(over="ignore"):    # a scale past the float range is inf, as a float product
         scale = pair_scale(A, B)
     return quadruple_level_residual(A, B, v, w, cfg.tau) / scale
-
-
-def _stacked(points) -> tuple:
-    """The matrices (A, B, v, w) of quadruples of one size, stacked."""
-    return tuple(np.array([getattr(r, f) for r in points]) for f in "ABvw")
 
 
 def _bumped(seeds, draw, accepts) -> list:
@@ -384,22 +373,24 @@ def _check_block_identity(cfg: RunConfig) -> _Measured:
 
 @_declare(("variety.augment_project_roundtrip", "border-embedding-inverse", 0.0))
 def _check_augment_roundtrip(cfg: RunConfig) -> _Measured:
-    resids = []
-    for r in _seeded_points(cfg, "aug", [1 + i % 5 for i in range(20)], random_quadruples):
-        back = project(augment(r))
-        resids += [np.abs(back.A - r.A).max(), np.abs(back.B - r.B).max(),
-                   np.abs(back.v - r.v).max(), np.abs(back.w - r.w).max()]
+    streams, = _tag_streams(cfg, 20, "aug")
+
+    def deviations(n, trials):
+        drawn = random_quadruples(n, 2, cfg.tau, streams[trials])
+        back = project_stack(*augment_stack(*drawn))
+        return np.stack([np.abs(x - y).max(axis=(-2, -1)) for x, y in zip(back, drawn)], axis=-1)
+    resids = np.ravel(_per_size([1 + i % 5 for i in range(20)], deviations))
     return _Measured(_fold(resids), "bitwise round trip")
 
 
 @_declare(("variety.fingerprint_gauge_invariance", "trace-words-basechange-invariant", 1e-9))
 def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
     sizes = [2 + i % 4 for i in range(20)]
-    points = _seeded_points(cfg, "fpg", sizes)
+    point_streams, = _tag_streams(cfg, 20, "fpg")
     gauge_streams, = _tag_streams(cfg, 20, "fpgg")
 
     def residuals(n, trials):
-        drawn = _stacked([points[i] for i in trials])
+        drawn = _points(cfg, n, point_streams[trials])
         acted = gauge_act_stack(*random_gauges(n, gauge_streams[trials]), *drawn)
         return _trace_word_error(fingerprints(*acted), fingerprints(*drawn))
 
@@ -447,10 +438,13 @@ def _check_normalize_equivalence(cfg: RunConfig) -> _Measured:
 
 @_declare(("canonical.orbit_rank_regular", "free-basechange-orbit-dimension", 0.0))
 def _check_orbit_rank(cfg: RunConfig) -> _Measured:
-    deficiencies = []
-    for r in _seeded_points(cfg, "orb", [1 + i % 5 for i in range(15)]):
-        deficiencies.append(abs(orbit_dimension(augment(r), cfg.tol) - r.n * r.n))
-    return _Measured(_fold(deficiencies), "deviation from n^2")
+    streams, = _tag_streams(cfg, 15, "orb")
+
+    def deficiencies(n, trials):
+        A, _ = augment_stack(*_points(cfg, n, streams[trials]))
+        return np.abs(orbit_dimension(A, cfg.tol) - n * n).tolist()
+    return _Measured(_fold(_per_size([1 + i % 5 for i in range(15)], deficiencies)),
+                     "deviation from n^2")
 
 
 @_declare(("canonical.normalize_idempotent", "normal-form-fixed-point", 1e-12))
@@ -504,13 +498,14 @@ def _check_gap_term_invariance(cfg: RunConfig) -> _Measured:
     streams = _tag_streams(cfg, 1, *(f"gap{x}{n}" for n in ns for x in "iv"))
     for n, base, variations in zip(ns, streams[0::2], streams[1::2]):
         lam, lamhat, _, _ = unpack(random_chart_points(n, cfg.tau, base)[0])
-        rng, = variations
-        moments = []
-        for _ in range(20):
-            mu = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-            muhat = rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1)
-            moments.append(np.concatenate([lam, lamhat, mu, muhat]))
-        A, B = from_chart_stack(np.array(moments), cfg.tau, cfg.tol)
+        # per variation, the doubles of uniform(-1, 1) draws: mu's real and
+        # imaginary parts (n each), then muhat's (n + 1 each)
+        U = variations.rows(20 * (4 * n + 2)).reshape(20, 4 * n + 2)
+        mu = complex_uniforms_from(U[:, :n], U[:, n:2 * n])
+        muhat = complex_uniforms_from(U[:, 2 * n:3 * n + 1], U[:, 3 * n + 1:])
+        moments = np.concatenate([np.broadcast_to(np.concatenate([lam, lamhat]), (20, 2 * n + 1)),
+                                  mu, muhat], axis=-1)
+        A, B = from_chart_stack(moments, cfg.tau, cfg.tol)
         S = decompose_stack(A, B, cfg.tau, cfg.tol, lamhat_ref=lamhat).S
         resids.extend(np.abs(S[1:] - S[0]).max(axis=(-2, -1)))
     return _Measured(_fold(resids), "absolute deviation across moment variations", 20 * len(ns))
@@ -558,17 +553,23 @@ def _check_jacobian_rank(cfg: RunConfig) -> _Measured:
 # sl2
 
 
+def _coeffs(elements) -> np.ndarray:
+    """The entries (a, b, c, d) of SL2 elements, as a (4, len(elements)) array."""
+    return np.array([[x.a, x.b, x.c, x.d] for x in elements]).T
+
+
 @_declare(("sl2.equivariance_exact", "augmentation-intertwines-action", 0.0))
 def _check_equivariance(cfg: RunConfig) -> _Measured:
-    resids = []
-    sizes = [1 + i % 5 for i in range(20)]
-    points = _seeded_points(cfg, "eqv", sizes, random_quadruples)
-    elements = random_sl2s(_tag_streams(cfg, 20, "eqvg")[0])
-    for r, g in zip(points, elements, strict=True):
-        via_components = augment(act_components(g, r))
-        via_pair = act_pair(g, augment(r))
-        resids += [np.abs(via_components.A - via_pair.A).max(),
-                   np.abs(via_components.B - via_pair.B).max()]
+    point_streams, = _tag_streams(cfg, 20, "eqv")
+    coeffs = _coeffs(random_sl2s(_tag_streams(cfg, 20, "eqvg")[0]))
+
+    def deviations(n, trials):
+        drawn = random_quadruples(n, 2, cfg.tau, point_streams[trials])
+        via_components = augment_stack(*act_components_stack(coeffs[:, trials], *drawn))
+        via_pair = act_pair_stack(coeffs[:, trials], *augment_stack(*drawn))
+        return np.stack([np.abs(x - y).max(axis=(-2, -1))
+                         for x, y in zip(via_components, via_pair)], axis=-1)
+    resids = np.ravel(_per_size([1 + i % 5 for i in range(20)], deviations))
     return _Measured(_fold(resids), "bitwise agreement of the two routes")
 
 
@@ -578,8 +579,7 @@ def _check_moment_preservation(cfg: RunConfig) -> _Measured:
     point_streams, element_streams = _tag_streams(cfg, count, "mom", "momg")
 
     def residuals(n, trials):
-        g = random_sl2s(element_streams[trials])
-        coeffs = np.array([[x.a, x.b, x.c, x.d] for x in g]).T
+        coeffs = _coeffs(random_sl2s(element_streams[trials]))
         points = random_points(n, 2, cfg.tau, point_streams[trials])
         return _level_residuals(cfg, *act_components_stack(coeffs, *points))
     resids = _per_size([1 + i % 5 for i in range(count)], residuals)
@@ -737,23 +737,28 @@ def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
 # flowcalc
 
 
-def _flow_base_points(cfg: RunConfig, tag: str) -> list:
-    """from_chart of five seeded chart points per size n <= 3, size by size: one stack per size."""
+def _ladder_errors(cfg: RunConfig, tag: str, t: float, steps, bracket: bool) -> list:
+    """Per base point, the trace-word errors of its ladder's rungs against its target.
+
+    The base points are from_chart of five seeded chart points per size
+    n <= 3, one stack per size, all read before any ladder runs; then one
+    ladder_fingerprints call per size runs the (GEN_E, GEN_F) ladder at
+    time t over the steps.  Trial order; each result has one error per rung.
+    """
     ns = _ns(cfg, 3)
+    sizes = [n for n in ns for _ in range(5)]
     streams = seeded_streams([_seed(cfg, f"{tag}{n}", i) for n in ns for i in range(5)])
 
     def pairs(n, trials):
-        A, B = from_chart_stack(random_chart_points(n, cfg.tau, streams[trials]),
-                                cfg.tau, cfg.tol)
-        return [AugmentedPair(a, b, cfg.tau) for a, b in zip(A, B)]
-    return _per_size([n for n in ns for _ in range(5)], pairs)
+        return zip(*from_chart_stack(random_chart_points(n, cfg.tau, streams[trials]),
+                                     cfg.tau, cfg.tol))
+    points = _per_size(sizes, pairs)
 
-
-def _ladder_errors(target: AugmentedPair, flows) -> np.ndarray:
-    """Trace-word errors of the flowed pairs of a ladder against its target: one fingerprint stack."""
-    pairs = (target, *flows)
-    fp = pair_fingerprints(np.array([q.A for q in pairs]), np.array([q.B for q in pairs]))
-    return _trace_word_error(fp[1:], fp[0])
+    def errors(n, trials):
+        A, B = (np.stack(x) for x in zip(*(points[i] for i in trials)))
+        fp = ladder_fingerprints(GEN_E, GEN_F, t, steps, A, B, bracket)
+        return _trace_word_error(fp[1:], fp[0]).T
+    return _per_size(sizes, errors)
 
 
 def _slope(xs, ys) -> float:
@@ -765,38 +770,39 @@ def _slope(xs, ys) -> float:
 @_declare(("flowcalc.trotter_rate", "split-composition-first-order", 0.3))
 def _check_trotter_rate(cfg: RunConfig) -> _Measured:
     slopes = []
-    points = _flow_base_points(cfg, "tro")
-    for p in points:
-        target = trotter_target(GEN_E, GEN_F, TROTTER_TIME, p)
-        flows = [trotter_flow(GEN_E, GEN_F, TROTTER_TIME, m, p) for m in TROTTER_STEPS]
-        errs = np.maximum(_ladder_errors(target, flows), 1e-300)
+    ladders = _ladder_errors(cfg, "tro", TROTTER_TIME, TROTTER_STEPS, bracket=False)
+    for errs in ladders:
+        errs = np.maximum(errs, 1e-300)
         slopes.append(-_slope([math.log(m) for m in TROTTER_STEPS], [math.log(e) for e in errs]))
     note = "order in 1/steps; measured slopes " + ", ".join(f"{s:.3f}" for s in slopes)
-    return _Measured(_fold(abs(s - 1.0) for s in slopes), note, len(points))
+    return _Measured(_fold(abs(s - 1.0) for s in slopes), note, len(ladders))
 
 
 @_declare(("flowcalc.bracket_final_error", "commutator-composition-limit", 1e-3),
           ("flowcalc.bracket_monotone", "commutator-composition-limit", 0.0))
 def _check_bracket_limit(cfg: RunConfig) -> list:
     finals, increases = [], []
-    points = _flow_base_points(cfg, "brk")
-    for p in points:
-        target = bracket_target(GEN_E, GEN_F, BRACKET_TIME, p)
-        flows = [bracket_flow(GEN_E, GEN_F, BRACKET_TIME, m, p) for m in BRACKET_STEPS]
-        errs = _ladder_errors(target, flows)
+    ladders = _ladder_errors(cfg, "brk", BRACKET_TIME, BRACKET_STEPS, bracket=True)
+    for errs in ladders:
         finals.append(errs[-1])
         increases.extend(errs[1:] - errs[:-1])
     return [_Measured(_fold(finals), f"relative trace-word error at {BRACKET_STEPS[-1]} "
-                                     f"squares, t={BRACKET_TIME}", len(points)),
+                                     f"squares, t={BRACKET_TIME}", len(ladders)),
             _Measured(_fold(increases),
                       "largest error increase across the step ladder; negative passes",
-                      len(points))]
+                      len(ladders))]
 
 
 @_declare(("flowcalc.bracket_sign_consistency", "global-bracket-sign", 0.0))
 def _check_bracket_sign(cfg: RunConfig) -> _Measured:
     mismatches = 0
-    points = _flow_base_points(cfg, "sgn")[:5]
+
+    def pairs(n, trials):
+        streams, = _tag_streams(cfg, 5, f"sgn{n}")
+        A, B = from_chart_stack(random_chart_points(n, cfg.tau, streams[trials]), cfg.tau, cfg.tol)
+        return [AugmentedPair(a, b, cfg.tau) for a, b in zip(A, B)]
+    # five base points at the first requested size n <= 3, and none when there is none
+    points = _per_size(_ns(cfg, 3)[:1] * 5, pairs)
     for p in points:
         if detect_bracket_sign(0.2, 256, p) != -BRACKET_SIGN:
             mismatches += 1
@@ -873,16 +879,18 @@ def _check_witness(cfg: RunConfig) -> _Measured:
           ("quiver.literal_dictionary_recorded", "printed-dictionary-membership", 0.0))
 def _check_dictionary(cfg: RunConfig) -> list:
     count = _trials(cfg, 20)
-    label_sets = []
-    literal_flags = []
-    for r in _seeded_points(cfg, "qvr", [1 + i % 4 for i in range(count)]):
-        report = calibrate_dictionary(r)
-        label_sets.append(tuple(sorted(v.label() for v in report.admissible)))
-        literal_flags.append(report.literal_admissible)
-    disagreements = sum(1 for s in label_sets if s != label_sets[0])
-    note = f"admissible: {list(label_sets[0])}; literal admissible: {literal_flags[0]}"
+    streams, = _tag_streams(cfg, count, "qvr")
+
+    def admissible(n, trials):
+        drawn = _points(cfg, n, streams[trials])
+        return calibrate_dictionary_stack(*drawn, cfg.tau)[1].tolist()
+    found = _per_size([1 + i % 4 for i in range(count)], admissible)
+    literal = ALL_DICTIONARY_VARIANTS.index(LITERAL_DICTIONARY)
+    labels = sorted(var.label() for var, ok in zip(ALL_DICTIONARY_VARIANTS, found[0]) if ok)
+    disagreements = sum(1 for x in found if x != found[0])
+    note = f"admissible: {labels}; literal admissible: {found[0][literal]}"
     return [_Measured(float(disagreements), note),
-            _Measured(0.0, f"literal admissible: {all(literal_flags)}")]
+            _Measured(0.0, f"literal admissible: {all(x[literal] for x in found)}")]
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,31 @@ def test_conjugation_operator_matches_the_elementary_loop():
         assert np.array_equal(conjugation_operator(p.A), _loop_conjugation_operator(p.A))
 
 
+def _kron_conjugation_operator(M):
+    # reference: the Kronecker form of the docstring, restricted to the block columns
+    m = M.shape[0]
+    eye = np.eye(m, dtype=np.complex128)
+    block_cols = (np.arange(m - 1)[:, None] * m + np.arange(m - 1)).ravel()
+    return (np.kron(eye, M.T) - np.kron(M, eye))[:, block_cols]
+
+
+def test_stacked_conjugation_operators_and_orbit_dimensions_are_the_one_matrix_calls():
+    for n in range(1, 6):
+        M = np.stack([_pair(n, 300 + 10 * n + i).A for i in range(6)])
+        M[2, 0, n] = M[2, n, 0] = 0.0     # the border of a diagonal entry: a stabilizer
+        ops = conjugation_operator(M.reshape(2, 3, n + 1, n + 1))
+        assert ops.shape == (2, 3, (n + 1) ** 2, n * n)
+        dims = orbit_dimension(M)
+        assert dims.shape == (6,) and dims[0] == n * n
+        for i, one in enumerate(M):
+            op = ops.reshape(6, (n + 1) ** 2, n * n)[i]
+            assert op.tobytes() == conjugation_operator(one).tobytes()
+            assert np.array_equal(op, _kron_conjugation_operator(one))
+            assert np.array_equal(op, _loop_conjugation_operator(one))
+            assert dims[i] == orbit_dimension(one) == orbit_dimension(AugmentedPair(one, one, 1.0))
+        assert dims[2] < n * n
+
+
 def test_conjugation_operator_kernel_is_block_centralizer():
     # block basechanges act on a 3 x 3 matrix through diag(xi, 0); for a
     # diagonal target the kernel is the 2-dim diagonal algebra

@@ -16,6 +16,7 @@ from cmspaces.flowcalc import (
     compatible_witness,
     detect_bracket_sign,
     flow_exact,
+    ladder_fingerprints,
     lnd_degree,
     pair_distance,
     trotter_element,
@@ -25,7 +26,7 @@ from cmspaces.flowcalc import (
 from cmspaces.chart import from_chart, random_chart_point, to_chart_tracked
 from cmspaces.linalg import frob, pair_scale
 from cmspaces.sl2 import GEN_E, GEN_F, GEN_H
-from cmspaces.variety import AugmentedPair, augment, random_point
+from cmspaces.variety import AugmentedPair, augment, pair_fingerprint, random_point
 from cmspaces.verify import BRACKET_STEPS, BRACKET_TIME, TROTTER_STEPS, TROTTER_TIME
 
 
@@ -299,3 +300,38 @@ def test_overflowing_flows_raise_instead_of_fitting():
     with pytest.raises(IllConditionedFitError):
         lnd_degree("e", "trace_second_sq", q)
     assert lnd_degree("e", "trace_second", q) == 1
+
+
+@pytest.mark.parametrize("bracket", [False, True])
+def test_a_ladder_stack_is_the_one_pair_flows(bracket):
+    # every point and rung of one ladder call, target first, against
+    # pair_fingerprint of the one-pair target and flows
+    t, steps = (BRACKET_TIME, BRACKET_STEPS) if bracket else (TROTTER_TIME, TROTTER_STEPS)
+    flow, target = (bracket_flow, bracket_target) if bracket else (trotter_flow, trotter_target)
+    for n in range(1, 5):
+        for tau in (1.0, 1e8, 0.5 - 2j):
+            pairs = [from_chart(random_chart_point(n, tau, 500 + 10 * n + i)) for i in range(4)]
+            A, B = np.stack([p.A for p in pairs]), np.stack([p.B for p in pairs])
+            fp = ladder_fingerprints(GEN_E, GEN_F, t, steps, A, B, bracket)
+            assert fp.shape[:2] == (1 + len(steps), 4)
+            two = ladder_fingerprints(GEN_E, GEN_F, t, steps, A.reshape(2, 2, n + 1, n + 1),
+                                      B.reshape(2, 2, n + 1, n + 1), bracket)
+            assert two.tobytes() == fp.tobytes()
+            for j, p in enumerate(pairs):
+                want = [target(GEN_E, GEN_F, t, p), *(flow(GEN_E, GEN_F, t, m, p) for m in steps)]
+                for rung, q in enumerate(want):
+                    assert fp[rung, j].tobytes() == pair_fingerprint(q).tobytes(), (n, j, rung)
+
+
+def test_a_ladder_that_overflows_raises_as_its_flows_do():
+    # the second pair's entries sit near the top of the float range, which
+    # the split flow's element (entries about 1.1 and 0.5) carries past it
+    p = _pair(2, 7)
+    big = np.full_like(p.A, 1.5e308)
+    A, B = np.stack([p.A, big]), np.stack([p.B, big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ShapeMismatchError):
+            trotter_flow(GEN_E, GEN_F, TROTTER_TIME, TROTTER_STEPS[0], AugmentedPair(A[1], B[1], 1.0))
+        with pytest.raises(ShapeMismatchError, match="non-finite"):
+            ladder_fingerprints(GEN_E, GEN_F, TROTTER_TIME, TROTTER_STEPS, A, B)

@@ -19,6 +19,7 @@ from cmspaces.sl2 import (
     act_components,
     act_components_stack,
     act_pair,
+    act_pair_stack,
     analytic_field,
     find_independence_point,
     fixed_point_probe_stack,
@@ -168,6 +169,26 @@ def test_stacked_action_is_the_one_quadruple_action():
                                    (shared, act_components(bad, r))):
                     for got, want in zip(stack, (one.A, one.B, one.v, one.w)):
                         assert got[i].tobytes() == want.tobytes()
+
+
+def test_stacked_pair_action_is_the_one_pair_action():
+    # per-item elements over one leading axis, and every element on every
+    # pair over two, each item with the bits of act_pair
+    for n in range(1, 6):
+        for tau in (1.0, 1e8, 0.5 - 2j):
+            pairs = [augment(random_point(n, 2, tau, 60 + i)) for i in range(6)]
+            A, B = np.stack([p.A for p in pairs]), np.stack([p.B for p in pairs])
+            elements = [random_sl2(70 + i) for i in range(6)]
+            coeffs = np.array([[g.a, g.b, g.c, g.d] for g in elements]).T
+            per_item = act_pair_stack(coeffs, A, B)
+            every = act_pair_stack(coeffs[:, :, None], A, B)
+            for i, g in enumerate(elements):
+                for j, p in enumerate(pairs):
+                    one = act_pair(g, p)
+                    stacks = ((per_item[0][j], per_item[1][j]),) if i == j else ()
+                    for got in (*stacks, (every[0][i, j], every[1][i, j])):
+                        assert got[0].tobytes() == one.A.tobytes()
+                        assert got[1].tobytes() == one.B.tobytes()
 
 
 def test_action_needs_two_columns():

@@ -27,6 +27,7 @@ from cmspaces.variety import (
     augment,
     augment_stack,
     calibrate_dictionary,
+    calibrate_dictionary_stack,
     check_gauge,
     complex_uniforms_from,
     embed,
@@ -42,6 +43,7 @@ from cmspaces.variety import (
     pair_fingerprint,
     pair_fingerprints,
     project,
+    project_stack,
     quadruple_block_residual,
     quadruple_level_residual,
     quiver_moment,
@@ -373,6 +375,48 @@ def test_stacked_points_replay_rejections_as_the_per_seed_loop(monkeypatch):
     assert f"InfeasibleRowError: {info.value}" == outcomes[failing[-1]]
 
 
+def test_the_array_replay_is_the_per_seed_loop_at_every_size():
+    # 2,004 seeds per inner rank over n = 1..6; k = 1 rejects a row at
+    # about a third of the seeds at n = 6, k = 2 at a few in a hundred
+    for k in (1, 2):
+        rejecting = 0
+        for n in range(1, 7):
+            seeds = range(5000 * n, 5000 * n + 334)
+            A, B, v, w = random_points(n, k, 0.7 + 0.2j, seeds)
+            for i, seed in enumerate(seeds):
+                want = _loop_point(n, k, 0.7 + 0.2j, seed)
+                assert all(x[i].tobytes() == y.tobytes() for x, y in zip((A, B, v, w), want)), seed
+            head = seeded_streams(seeds).rows(2 * n + 2 + 2 * n * k)[:, 2 * n + 2:]
+            first = variety.row_norms(variety._inner_rows(head, k))
+            rejecting += int((first < variety._ROW_FLOOR).any(axis=-1).sum())
+        assert rejecting >= 20, k
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_the_array_replay_raises_for_the_first_seed_that_gives_up(monkeypatch, k):
+    # a high floor and four tries per row: in any order of the seeds, the
+    # first that gives up names the row the per-seed loop gives up on
+    _rejecting(monkeypatch, k)
+    for n in range(1, 7):
+        outcomes = {}
+        for seed in range(40):
+            try:
+                outcomes[seed] = _loop_point(n, k, 1.0, seed)
+            except InfeasibleRowError as exc:
+                outcomes[seed] = str(exc)
+        failing = [s for s, x in outcomes.items() if isinstance(x, str)]
+        passing = [s for s in outcomes if s not in failing]
+        assert failing, n
+        for order in (failing, failing[::-1], [*passing, *failing[1::2], *failing[::2]]):
+            with pytest.raises(InfeasibleRowError) as info:
+                random_points(n, k, 1.0, order)
+            assert str(info.value) == outcomes[next(s for s in order if s in failing)]
+        if passing:
+            got = random_points(n, k, 1.0, passing)
+            for i, seed in enumerate(passing):
+                assert all(x[i].tobytes() == y.tobytes() for x, y in zip(got, outcomes[seed]))
+
+
 def test_stacked_gauges_and_their_action_are_the_one_item_calls(monkeypatch):
     # seeds 280, 485 and 521 reject their first try at n = 5, seed 2 at
     # n = 8, and 1532 its first two there
@@ -484,6 +528,23 @@ def test_augment_project_is_a_bitwise_round_trip():
     assert np.array_equal(back.A, r.A) and np.array_equal(back.B, r.B)
     assert np.array_equal(back.v, r.v) and np.array_equal(back.w, r.w)
     assert back.tau == r.tau
+
+
+def test_stacked_projections_are_the_one_pair_projections():
+    for n in range(1, 6):
+        A, B = augment_stack(*random_quadruples(n, 2, 1.0, range(10 * n, 10 * n + 6)))
+        back = project_stack(A.reshape(2, 3, n + 1, n + 1), B.reshape(2, 3, n + 1, n + 1))
+        for i in range(6):
+            one = project(AugmentedPair(A[i], B[i], 1.0))
+            for got, want in zip(back, (one.A, one.B, one.v, one.w)):
+                assert got.reshape(6, *want.shape)[i].tobytes() == want.tobytes()
+        # the first pair whose corners do not vanish raises, with its one-pair message
+        A[3, n, n], B[1, n, n] = 0.5, 0.25j
+        with pytest.raises(NonzeroCornerError) as one:
+            project(AugmentedPair(A[1], B[1], 1.0))
+        with pytest.raises(NonzeroCornerError) as stacked:
+            project_stack(A, B)
+        assert str(stacked.value) == str(one.value)
 
 
 def test_augment_rejects_one_column():
@@ -747,7 +808,7 @@ def _loop_calibration(r):
     # oracle: the per-variant loop calibrate_dictionary ran before its stack
     n, out = r.n, {}
     for var in ALL_DICTIONARY_VARIANTS:
-        nu1, nu2 = quiver_moment(r.A, r.B, *var.apply(r))
+        nu1, nu2 = quiver_moment(r.A, r.B, *var.apply(r.v, r.w))
         out[var.label()] = max(frob(nu1 - r.tau * np.eye(n)), abs(complex(nu2) - (-n * r.tau)))
     return out
 
@@ -763,6 +824,22 @@ def test_stacked_dictionary_residuals_match_the_variant_loop():
             scale = pair_scale(r.A, r.B)
             assert rep.admissible == tuple(v for v in ALL_DICTIONARY_VARIANTS
                                            if want[v.label()] <= 1e-9 * scale)
+
+
+def test_a_dictionary_stack_is_the_one_quadruple_calibrations():
+    for n in range(1, 6):
+        for tau in (1.0, 1e8, 0.3 - 2j):
+            A, B, v, w = random_points(n, 2, tau, range(700 + 10 * n, 700 + 10 * n + 6))
+            resids, admissible = calibrate_dictionary_stack(
+                *(x.reshape(2, 3, *x.shape[1:]) for x in (A, B, v, w)), tau)
+            assert resids.shape == admissible.shape == (2, 3, 16)
+            for i in range(6):
+                rep = calibrate_dictionary(Representation(A[i], B[i], v[i], w[i], tau))
+                row, ok = resids.reshape(6, 16)[i], admissible.reshape(6, 16)[i]
+                assert rep.residuals == dict(zip((var.label() for var in ALL_DICTIONARY_VARIANTS),
+                                                 row.tolist()))
+                assert rep.admissible == tuple(var for var, x in zip(ALL_DICTIONARY_VARIANTS, ok)
+                                               if x)
 
 
 def test_dictionary_calibration_requires_two_columns():

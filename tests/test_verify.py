@@ -7,7 +7,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from cmspaces import sl2, variety, verify
+from cmspaces import flowcalc, sl2, variety, verify
 from cmspaces.chart import from_chart, from_chart_stack, random_chart_point, random_chart_points
 from cmspaces.errors import (
     DegenerateSpectrumError,
@@ -85,19 +85,20 @@ def test_a_non_finite_sample_fails_its_check_wherever_it_sits():
 
 
 def test_flow_checks_fingerprint_each_target_once(monkeypatch):
-    # one fingerprint stack per base point: the target, then one flow per step count
-    original, stacks = verify.pair_fingerprints, []
+    # one fingerprint stack per size and ladder: the target, then one flow
+    # per step count, each at the five base points of the size
+    original, stacks = flowcalc.pair_fingerprints, []
 
     def counting(A, B):
-        stacks.append(A.shape[0])
+        stacks.append(A.shape[:2])
         return original(A, B)
 
-    monkeypatch.setattr(verify, "pair_fingerprints", counting)
+    monkeypatch.setattr(flowcalc, "pair_fingerprints", counting)
     cfg = RunConfig(n_values=(1, 2), seed=3)
     verify._check_trotter_rate(cfg)
     verify._check_bracket_limit(cfg)
-    # 10 base points per check
-    assert stacks == [1 + len(verify.TROTTER_STEPS)] * 10 + [1 + len(verify.BRACKET_STEPS)] * 10
+    # sizes n = 1, 2 per check
+    assert stacks == [(1 + len(verify.TROTTER_STEPS), 5)] * 2 + [(1 + len(verify.BRACKET_STEPS), 5)] * 2
 
 
 def test_a_returned_error_errors_its_record_only():
@@ -419,10 +420,12 @@ def test_stacked_trials_come_back_in_trial_order_with_the_first_trials_error():
 
 def test_grouped_seeded_points_are_the_one_point_draws():
     cfg = RunConfig(seed=4)
-    points = verify._seeded_points(cfg, "mom", [1 + i % 5 for i in range(12)])
-    for i, r in enumerate(points):
+    streams, = verify._tag_streams(cfg, 12, "mom")
+    points = verify._per_size([1 + i % 5 for i in range(12)],
+                              lambda n, trials: zip(*verify._points(cfg, n, streams[trials])))
+    for i, drawn in enumerate(points):
         want = random_point(1 + i % 5, 2, cfg.tau, verify._seed(cfg, "mom", i))
-        assert all(np.array_equal(getattr(r, f), getattr(want, f)) for f in "ABvw")
+        assert all(x.tobytes() == getattr(want, f).tobytes() for x, f in zip(drawn, "ABvw"))
 
 
 def test_lapack_calls_of_one_verify_pass(monkeypatch):
@@ -433,7 +436,8 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     # the gauge stacks random_gauges draws (one per size), eigvals for the
     # untracked reads and the scaling spectra (6: one per size and size of
     # matrix), svd for random_gauges' condition bound (one per size) and
-    # the ranks; the chart Jacobian, the induced fields, the splitting
+    # the ranks (one per size in the orbit check: 5, where one per point
+    # made 15); the chart Jacobian, the induced fields, the splitting
     # check and the gauge checks make none.  The four pinv of the flow
     # fits are cached for the process, so a pass after the first makes none
     counts = _count_calls(monkeypatch, np.linalg, "eig", "eigvals", "inv", "svd", "solve", "lstsq",
@@ -444,17 +448,18 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     assert report["summary"]["passed"] == report["summary"]["total"]
     pinv = counts.pop("pinv")
     assert pinv in (0, 4)
-    assert counts == {"eig": 30, "eigvals": 21, "inv": 34, "svd": 29, "solve": 5, "lstsq": 0}
+    assert counts == {"eig": 30, "eigvals": 21, "inv": 34, "svd": 19, "solve": 5, "lstsq": 0}
     assert fits == {"polyfit": 0}
 
 
 def test_seeded_draws_of_one_verify_pass(monkeypatch):
-    # no numpy Generator per seed: the 1,715 seeds of a default pass at
+    # no numpy Generator per seed: the 1,705 seeds of a default pass at
     # seed 1 are hashed in 42 calls, each with one PCG64 set to its seeds'
     # states in turn.  One call per check, except one per size in the
     # scaling probe (5) and the witness check (4), one per independence
     # point (5), and two in the gauge invariance and equivariance checks
-    # (points and group elements)
+    # (points and group elements); the bracket sign check hashes only the
+    # five seeds it reads
     counts = _count_calls(monkeypatch, np.random, "default_rng", "PCG64")
     hashed, original = [], variety._pcg64_states
 
@@ -466,7 +471,7 @@ def test_seeded_draws_of_one_verify_pass(monkeypatch):
     report = run(RunConfig(seed=1))
     assert report["summary"]["passed"] == report["summary"]["total"]
     assert counts == {"default_rng": 0, "PCG64": 42}
-    assert (len(hashed), sum(hashed)) == (42, 1715)
+    assert (len(hashed), sum(hashed)) == (42, 1705)
 
 
 def test_the_splitting_record_fails_on_a_wrong_border_defect(monkeypatch):
@@ -497,3 +502,76 @@ def test_the_normal_form_shape_record_fails_on_a_wrong_gauge(monkeypatch):
     records = {rec["name"]: rec for rec in run(RunConfig(suites=("canonical",)))["records"]}
     rec = records["canonical.normal_form_shape"]
     assert rec["status"] == "fail" and rec["residual"] > 1e-12
+
+
+def test_stack_calls_of_one_verify_pass(monkeypatch):
+    # one call per size, where the per-trial loops made one per point:
+    # the Trotter and bracket ladders at n = 1..3 (30 points, each with its
+    # target and 3 flows), the dictionary at n = 1..4 (20 points), the
+    # orbit rank, the augment round trip and the equivariance pair route
+    # at n = 1..5 (15, 20 and 20 points)
+    names = ("ladder_fingerprints", "calibrate_dictionary_stack", "orbit_dimension",
+             "project_stack", "act_pair_stack")
+    counts = _count_calls(monkeypatch, verify, *names)
+    report = run(RunConfig(seed=1))
+    assert report["summary"]["passed"] == report["summary"]["total"]
+    assert counts == {"ladder_fingerprints": 6, "calibrate_dictionary_stack": 4,
+                      "orbit_dimension": 5, "project_stack": 5, "act_pair_stack": 5}
+
+
+def _spoil_one(original, spoil):
+    """original, with spoil applied to its result at the first call only: one item goes wrong."""
+    calls = []
+
+    def spoiled(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(None)
+        return spoil(out) if len(calls) == 1 else out
+    return spoiled
+
+
+def _ladder_off(fp):
+    fp = fp.copy()
+    fp[1:, 0] = fp[0, 0] + 1.0      # every rung of one point one unit off its target
+    return fp
+
+
+def _flip_one(found):
+    resids, admissible = found
+    admissible = admissible.copy()
+    admissible[-1, 0] = not admissible[-1, 0]
+    return resids, admissible
+
+
+def _one_off(arrays, delta):
+    first, *rest = arrays
+    first = first.copy()
+    first[(-1,) * first.ndim] += delta
+    return (first, *rest)
+
+
+# per restacked record: its check, the stack form it calls and how one item goes wrong
+_SPOILED = {
+    "flowcalc.trotter_rate": (verify._check_trotter_rate, "ladder_fingerprints", _ladder_off),
+    "flowcalc.bracket_final_error": (verify._check_bracket_limit, "ladder_fingerprints",
+                                     _ladder_off),
+    "quiver.dictionary_consistency": (verify._check_dictionary, "calibrate_dictionary_stack",
+                                      _flip_one),
+    "canonical.orbit_rank_regular": (verify._check_orbit_rank, "orbit_dimension",
+                                     lambda dims: dims - (np.arange(dims.size) == 0)),
+    "sl2.equivariance_exact": (verify._check_equivariance, "act_pair_stack",
+                               lambda pair: _one_off(pair, 1e-12)),
+    "variety.augment_project_roundtrip": (verify._check_augment_roundtrip, "project_stack",
+                                          lambda quad: _one_off(quad, 1e-12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPOILED))
+def test_a_restacked_record_fails_when_one_item_of_its_stack_is_wrong(monkeypatch, name):
+    # each record still measures the law through the stack form it certifies
+    check, stack, spoil = _SPOILED[name]
+    records = {rec.name: rec for rec in verify._run_check(check, RunConfig())}
+    assert records[name].status == "pass"
+    monkeypatch.setattr(verify, stack, _spoil_one(getattr(verify, stack), spoil))
+    records = {rec.name: rec for rec in verify._run_check(check, RunConfig())}
+    assert records[name].status in ("fail", "error"), records[name]
