@@ -382,7 +382,7 @@ class DictionaryVariant:
     swap_y: bool
 
     def apply(self, v, w):
-        """(X1, X2, Y1, Y2) of the inner blocks v (..., n, 2) and w (..., 2, n), over leading axes."""
+        """(X1, X2, Y1, Y2) of the inner blocks v (..., n, 2) and w (..., 2, n), stacked."""
         c0, c1 = (1, 0) if self.swap_x else (0, 1)
         r0, r1 = (1, 0) if self.swap_y else (0, 1)
         X1 = -v[..., :, c0] if self.flip_x else v[..., :, c0]
@@ -432,7 +432,7 @@ def calibrate_dictionary(r: Representation) -> DictionaryReport:
     return DictionaryReport(
         admissible=admissible,
         literal_admissible=LITERAL_DICTIONARY in admissible,
-        residuals={var.label(): resid for var, resid in zip(ALL_DICTIONARY_VARIANTS, resids.tolist())},
+        residuals=dict(zip((var.label() for var in ALL_DICTIONARY_VARIANTS), resids.tolist())),
     )
 
 
@@ -675,7 +675,8 @@ def _replay_rows(u, n: int, k: int):
     ok = row_norms(blocks) >= _ROW_FLOOR
     count = np.minimum(ok.sum(axis=-1), n)
     taken = np.argsort(~ok, axis=-1, kind="stable")[:, :n]    # the first n taken blocks, in order
-    short = (np.diff(taken, axis=-1, prepend=-1) - 1 >= _MAX_TRIES) & (np.arange(n) < count[:, None])
+    gaps = np.diff(taken, axis=-1, prepend=-1) - 1
+    short = (gaps >= _MAX_TRIES) & (np.arange(n) < count[:, None])
     gives_up = np.flatnonzero(short.any(axis=-1) | (count < n))
     if gives_up.size:
         s = gives_up[0]

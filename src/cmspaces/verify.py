@@ -260,10 +260,10 @@ def _tag_streams(cfg: RunConfig, count: int, *tags) -> list:
 
 
 def _points(cfg: RunConfig, n: int, streams):
-    """random_points(n, 2, cfg.tau, streams), once every entry is finite (ShapeMismatchError otherwise).
+    """random_points(n, 2, cfg.tau, streams), once every entry is finite.
 
-    The drawn quadruples are checked as a Representation of each would
-    check them.
+    A non-finite entry raises ShapeMismatchError, as a Representation of
+    the drawn quadruple would.
     """
     return as_finite(*random_points(n, 2, cfg.tau, streams))
 
