@@ -737,7 +737,7 @@ def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
 # flowcalc
 
 
-def _ladder_errors(cfg: RunConfig, tag: str, t: float, steps, bracket: bool) -> list:
+def _flow_ladders(cfg: RunConfig, tag: str, t: float, steps, bracket: bool) -> list:
     """Per base point, the trace-word errors of its ladder's rungs against its target.
 
     The base points are from_chart of five seeded chart points per size
@@ -770,7 +770,7 @@ def _slope(xs, ys) -> float:
 @_declare(("flowcalc.trotter_rate", "split-composition-first-order", 0.3))
 def _check_trotter_rate(cfg: RunConfig) -> _Measured:
     slopes = []
-    ladders = _ladder_errors(cfg, "tro", TROTTER_TIME, TROTTER_STEPS, bracket=False)
+    ladders = _flow_ladders(cfg, "tro", TROTTER_TIME, TROTTER_STEPS, bracket=False)
     for errs in ladders:
         errs = np.maximum(errs, 1e-300)
         slopes.append(-_slope([math.log(m) for m in TROTTER_STEPS], [math.log(e) for e in errs]))
@@ -782,7 +782,7 @@ def _check_trotter_rate(cfg: RunConfig) -> _Measured:
           ("flowcalc.bracket_monotone", "commutator-composition-limit", 0.0))
 def _check_bracket_limit(cfg: RunConfig) -> list:
     finals, increases = [], []
-    ladders = _ladder_errors(cfg, "brk", BRACKET_TIME, BRACKET_STEPS, bracket=True)
+    ladders = _flow_ladders(cfg, "brk", BRACKET_TIME, BRACKET_STEPS, bracket=True)
     for errs in ladders:
         finals.append(errs[-1])
         increases.extend(errs[1:] - errs[:-1])
