@@ -59,6 +59,7 @@ from .linalg import (
 )
 from .variety import (
     AugmentedPair,
+    check_size,
     commutator_level_deviation,
     complex_uniforms_from,
     level_shift,
@@ -678,8 +679,7 @@ def random_chart_points(n: int, tau: complex, seeds) -> np.ndarray:
     """
     if complex(tau) == 0:
         raise ValueError("the level parameter tau must be nonzero")
-    if n < 1:
-        raise ShapeMismatchError(f"n must be positive, got {n}")
+    check_size(n)
     cuts = np.cumsum([2 * n + 2, 2 * n + 4, n, n, n + 1])
     U = seeded_streams(seeds).rows(8 * n + 8)
     u_lam, u_lamhat, mu_re, mu_im, muhat_re, muhat_im = np.split(U, cuts, axis=-1)

@@ -39,6 +39,7 @@ from .sl2 import (
     SL2Generator,
     act_pair,
     act_pair_stack,
+    coefficients,
     sl2_exp,
 )
 from .variety import AugmentedPair, pair_fingerprints
@@ -49,12 +50,10 @@ from .variety import AugmentedPair, pair_fingerprints
 # [E, F] = -H.  Flows computed here land on BRACKET_SIGN * [E, F].
 BRACKET_SIGN: int = -1
 
-_GENS = {"e": GEN_E, "f": GEN_F, "h": GEN_H}
-
 
 def flow_exact(kind: str, t: float, p: AugmentedPair) -> AugmentedPair:
-    """One-parameter subgroup flow by its closed-form exponential."""
-    return act_pair(_GENS[kind].exp(t), p)
+    """One-parameter subgroup flow by its closed-form exponential; SL2Generator checks kind."""
+    return act_pair(SL2Generator(kind).exp(t), p)
 
 
 def _memo(build):
@@ -157,8 +156,7 @@ def ladder_fingerprints(gen1: SL2Generator, gen2: SL2Generator, t: float, steps,
     """
     rung = bracket_element if bracket else trotter_element
     elements = [_exact(gen1, gen2, t, bracket), *(rung(gen1, gen2, t, m) for m in steps)]
-    coeffs = np.array([(g.a, g.b, g.c, g.d) for g in elements]).T
-    coeffs = coeffs.reshape(4, len(elements), *(1,) * (np.ndim(A) - 2))
+    coeffs = [z.reshape(len(elements), *(1,) * np.ndim(A)) for z in coefficients(elements)]
     return pair_fingerprints(*as_finite(*act_pair_stack(coeffs, A, B)))
 
 
@@ -274,6 +272,8 @@ def lnd_degree(kind: str, observable, p: AugmentedPair) -> int | None:
     if kind not in ("e", "f"):
         raise ValueError("nilpotency degree is defined for the shear flows only")
     if isinstance(observable, str):
+        if observable not in _OBSERVABLES:
+            raise ValueError(f"unknown observable {observable!r}; known: {sorted(_OBSERVABLES)}")
         observable = _OBSERVABLES[observable]
     count = _D_MAX + 2
     samples = _shear_samples(kind, count, 1.0, p, observable)

@@ -102,7 +102,7 @@ def frob(M):
         if _NORM_FLOOR <= nrm <= _NORM_CEIL or (nrm == 0.0 and not M.any()):
             return nrm
         return float(_rescaled_norm(M, False, nrm))
-    nrm = row_norms(M.reshape(M.shape[:-2] + (-1,)))
+    nrm = row_norms(M.reshape(M.shape[:-2] + (M.shape[-2] * M.shape[-1],)))
     if ((nrm >= _NORM_FLOOR) & (nrm <= _NORM_CEIL)).all():
         return nrm
     return _rescaled_norm(M, True, nrm)

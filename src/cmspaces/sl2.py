@@ -54,6 +54,7 @@ from .linalg import (
 from .variety import (
     AugmentedPair,
     Representation,
+    check_size,
     complex_uniforms_from,
     fingerprints,
     seeded_streams,
@@ -84,13 +85,13 @@ class SL2Element:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.complex128)
 
     def compose(self, other: "SL2Element") -> "SL2Element":
-        return SL2Element(*_product(self._entries(), other._entries()))
+        return SL2Element(*_product(coefficients(self), coefficients(other)))
 
     def power(self, n: int) -> "SL2Element":
         """n-th power, n >= 1, by binary powering on the four entries."""
         if n < 1:
             raise ValueError(f"need a positive power, got {n}")
-        z, result = self._entries(), None
+        z, result = coefficients(self), None
         while True:
             n, bit = divmod(n, 2)
             if bit:
@@ -98,9 +99,6 @@ class SL2Element:
             if not n:
                 return SL2Element(*result)
             z = _product(z, z)
-
-    def _entries(self) -> tuple:
-        return self.a, self.b, self.c, self.d
 
 
 def _product(x: tuple, y: tuple) -> tuple:
@@ -183,13 +181,23 @@ def sl2_exp(X) -> SL2Element:
         return SL2Element(ch + ratio * p, ratio * q, ratio * r, ch + ratio * m)
 
 
-def _coeffs(g) -> tuple:
+def coefficients(g) -> tuple:
+    """The entries (a, b, c, d) of SL2 elements, as the action kernels take them.
+
+    g is an SL2Element or a 2 x 2 array, which give four complex scalars,
+    or k of them (a sequence, or a (k, 2, 2) array), which give four
+    complex (k, 1, 1) arrays: one element per item of a (k, m, m) stack.
+    """
     if isinstance(g, SL2Element):
         return g.a, g.b, g.c, g.d
+    if isinstance(g, (list, tuple)) and all(isinstance(x, SL2Element) for x in g):
+        g = np.array([[x.a, x.b, x.c, x.d] for x in g], dtype=np.complex128).reshape(-1, 2, 2)
     M = np.asarray(g, dtype=np.complex128)
-    if M.shape != (2, 2):
-        raise ShapeMismatchError(f"expected SL2Element or 2 x 2 matrix, got {M.shape}")
-    return M[0, 0], M[0, 1], M[1, 0], M[1, 1]
+    if M.shape[-2:] != (2, 2) or M.ndim not in (2, 3):
+        raise ShapeMismatchError(f"expected SL2 elements or 2 x 2 matrices, got shape {M.shape}")
+    if M.ndim == 2:
+        return M[0, 0], M[0, 1], M[1, 0], M[1, 1]
+    return tuple(M[:, i, j, None, None] for i in (0, 1) for j in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +207,10 @@ def _coeffs(g) -> tuple:
 def act_pair(g, p: AugmentedPair) -> AugmentedPair:
     """(M, N) -> (a M + b N, c M + d N); accepts any 2 x 2 array as well.
 
-    The carried level parameter is unchanged: unit-determinant elements
-    preserve the level set.
+    The one-item call of act_pair_stack.  The carried level parameter is
+    unchanged: unit-determinant elements preserve the level set.
     """
-    a, b, c, d = _coeffs(g)
-    return AugmentedPair(a * p.A + b * p.B, c * p.A + d * p.B, p.tau)
+    return AugmentedPair(*act_pair_stack(coefficients(g), p.A, p.B), p.tau)
 
 
 def act_components(g, r: Representation) -> Representation:
@@ -213,36 +220,32 @@ def act_components(g, r: Representation) -> Representation:
     point operations on both routes).  The one-item call of
     act_components_stack.
     """
-    if r.k != 2:
-        raise ShapeMismatchError("the SL2 action needs k = 2")
-    return Representation(*act_components_stack(_coeffs(g), r.A, r.B, r.v, r.w), r.tau)
-
-
-def _stacked_coeffs(coeffs) -> tuple:
-    """The entries (a, b, c, d) as complex arrays that broadcast against stacked matrices."""
-    return tuple(np.asarray(z, dtype=np.complex128)[..., None, None] for z in coeffs)
+    return Representation(*act_components_stack(coefficients(g), r.A, r.B, r.v, r.w), r.tau)
 
 
 def act_pair_stack(coeffs, A, B):
     """act_pair over pairs (A, B) stacked over leading axes: (a A + b B, c A + d B).
 
-    coeffs = (a, b, c, d): one element's entries, or arrays of them that
-    broadcast against the leading axes.  Each item keeps the bits of its
-    one-item call.  The pair twin of act_components_stack; nothing is
-    checked, so a caller tests the acted pairs' entries as it needs.
+    coeffs = (a, b, c, d), as coefficients returns them: one element's
+    entries, or arrays of them that broadcast against the stack.  The one
+    place the action is computed; each item keeps the bits of its
+    one-item call.  Nothing is checked, so a caller tests the acted
+    pairs' entries as it needs.
     """
-    a, b, c, d = _stacked_coeffs(coeffs)
+    a, b, c, d = coeffs
     return a * A + b * B, c * A + d * B
 
 
 def act_components_stack(coeffs, A, B, v, w):
     """act_components over k = 2 quadruples (A, B, v, w) stacked over leading axes.
 
-    coeffs = (a, b, c, d): one element's entries, or arrays of them over
-    the leading axes, one element per item.  Each item keeps the bits of
-    its one-item call.
+    coeffs = (a, b, c, d), as for act_pair_stack, which acts on the
+    matrix pair.  Each item keeps the bits of its one-item call.  Raises
+    ShapeMismatchError unless v has k = 2 columns.
     """
-    a, b, c, d = _stacked_coeffs(coeffs)
+    if v.shape[-1] != 2:
+        raise ShapeMismatchError("the SL2 action needs k = 2")
+    a, b, c, d = coeffs
     v1, v2 = v[..., :, 0:1], v[..., :, 1:2]
     w1, w2 = w[..., 0:1, :], w[..., 1:2, :]
     return (
@@ -267,9 +270,7 @@ def fixed_point_probe_stack(A, B, v, w, t: float):
         raise ValueError("probe time must be nonzero")
     if any_item(frob(A) + frob(B) == 0.0):
         raise ZeroPairError("the probe needs a nonzero matrix pair")
-    if v.shape[-1] != 2:
-        raise ShapeMismatchError("the SL2 action needs k = 2")
-    acted = as_finite(*act_components_stack(_coeffs(GEN_H.exp(t)), A, B, v, w))
+    acted = as_finite(*act_components_stack(coefficients(GEN_H.exp(t)), A, B, v, w))
     before, after = fingerprints(A, B, v, w), fingerprints(*acted)
     return before, after, np.abs(before - after).max(axis=-1)
 
@@ -326,11 +327,10 @@ def _fields(gens, c: ChartPoint, p: AugmentedPair, tol: float) -> np.ndarray:
 
     p is c's pair from_chart(c, tol).  At t = 0 the flow of
     X = ((s, q), (r, -s)) moves the pair (A, B) along its tangent pair
-    (s A + q B, r A - s B), which act_pair builds from X.
+    (s A + q B, r A - s B), which one act_pair_stack call builds for every X.
     """
-    tangents = [act_pair(gen.matrix(), p) for gen in gens]
-    return tracked_tangent(p, np.array([t.A for t in tangents]),
-                           np.array([t.B for t in tangents]), c, tol)
+    dA, dB = act_pair_stack(coefficients([gen.matrix() for gen in gens]), p.A, p.B)
+    return tracked_tangent(p, dA, dB, c, tol)
 
 
 def induced_fields(c: ChartPoint, p: AugmentedPair, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -395,8 +395,10 @@ def find_independence_point(n: int, tau: complex, seed: int,
     nondegeneracy |(sum muhat) s_2 - (sum lamhat muhat) s_1| > 0.1 * scale
     with scale = value_scale([|s_1|, |s_2|]).  muhat is resampled inside the
     slice-constraint kernel until the nondegeneracy holds.  Raises
-    SearchExhaustedError after 200 draws of the spectra.
+    ShapeMismatchError for n < 1 and SearchExhaustedError after 200 draws
+    of the spectra.
     """
+    check_size(n)
     rng, = seeded_streams([seed])
     for _ in range(200):
         lam = spaced_points(rng, n)

@@ -605,6 +605,12 @@ def seeded_streams(seeds) -> SeededStreams:
 # seeded constructions
 
 
+def check_size(n: int) -> None:
+    """Raise ShapeMismatchError unless the size n a sampler is asked for is at least 1."""
+    if n < 1:
+        raise ShapeMismatchError(f"n must be positive, got {n}")
+
+
 def spaced_points(rng: np.random.Generator, count: int) -> np.ndarray:
     """Complex values on a jittered line; pairwise gaps at least 1 - 2 sqrt(2) 0.15 > 0.57."""
     return spaced_points_from(rng.random(2 * count + 2))
@@ -704,8 +710,7 @@ def random_points(n: int, k: int, tau: complex, seeds):
         raise ValueError("the level parameter tau must be nonzero")
     if k not in (1, 2):
         raise ShapeMismatchError(f"inner rank k must be 1 or 2, got {k}")
-    if n < 1:
-        raise ShapeMismatchError(f"n must be positive, got {n}")
+    check_size(n)
     tau = complex(tau)
     streams = seeded_streams(seeds)
     # per seed: the spectrum (spaced_points), n blocks of 2k row doubles,
@@ -758,6 +763,7 @@ def random_quadruples(n: int, k: int, tau: complex, seeds):
     """
     if k not in (1, 2):
         raise ShapeMismatchError(f"inner rank k must be 1 or 2, got {k}")
+    check_size(n)
     shapes = [(n, n), (n, n), (n, k), (k, n)]
     sizes = [rows * cols for rows, cols in shapes]
     U = seeded_streams(seeds).rows(2 * sum(sizes))
@@ -797,6 +803,7 @@ def random_gauges(n: int, seeds):
     seed with no kept try raises SingularMatrixError.  The inverses are
     one inv stack, and check_gauge passes by their norm bound.
     """
+    check_size(n)
     streams = seeded_streams(seeds)
     g, kept = _gauge_tries(streams.rows(2 * n * n), n)
     rejected = np.flatnonzero(~kept)

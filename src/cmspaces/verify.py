@@ -79,6 +79,7 @@ from .sl2 import (
     act_components_stack,
     act_pair_stack,
     analytic_field,
+    coefficients,
     fields_rank,
     find_independence_point,
     fixed_point_probe_stack,
@@ -386,8 +387,7 @@ def _check_augment_roundtrip(cfg: RunConfig) -> _Measured:
 @_declare(("variety.fingerprint_gauge_invariance", "trace-words-basechange-invariant", 1e-9))
 def _check_fingerprint_invariance(cfg: RunConfig) -> _Measured:
     sizes = [2 + i % 4 for i in range(20)]
-    point_streams, = _tag_streams(cfg, 20, "fpg")
-    gauge_streams, = _tag_streams(cfg, 20, "fpgg")
+    point_streams, gauge_streams = _tag_streams(cfg, 20, "fpg", "fpgg")
 
     def residuals(n, trials):
         drawn = _points(cfg, n, point_streams[trials])
@@ -553,20 +553,16 @@ def _check_jacobian_rank(cfg: RunConfig) -> _Measured:
 # sl2
 
 
-def _coeffs(elements) -> np.ndarray:
-    """The entries (a, b, c, d) of SL2 elements, as a (4, len(elements)) array."""
-    return np.array([[x.a, x.b, x.c, x.d] for x in elements]).T
-
-
 @_declare(("sl2.equivariance_exact", "augmentation-intertwines-action", 0.0))
 def _check_equivariance(cfg: RunConfig) -> _Measured:
-    point_streams, = _tag_streams(cfg, 20, "eqv")
-    coeffs = _coeffs(random_sl2s(_tag_streams(cfg, 20, "eqvg")[0]))
+    point_streams, element_streams = _tag_streams(cfg, 20, "eqv", "eqvg")
+    elements = random_sl2s(element_streams)
 
     def deviations(n, trials):
+        coeffs = coefficients([elements[i] for i in trials])
         drawn = random_quadruples(n, 2, cfg.tau, point_streams[trials])
-        via_components = augment_stack(*act_components_stack(coeffs[:, trials], *drawn))
-        via_pair = act_pair_stack(coeffs[:, trials], *augment_stack(*drawn))
+        via_components = augment_stack(*act_components_stack(coeffs, *drawn))
+        via_pair = act_pair_stack(coeffs, *augment_stack(*drawn))
         return np.stack([np.abs(x - y).max(axis=(-2, -1))
                          for x, y in zip(via_components, via_pair)], axis=-1)
     resids = np.ravel(_per_size([1 + i % 5 for i in range(20)], deviations))
@@ -579,7 +575,7 @@ def _check_moment_preservation(cfg: RunConfig) -> _Measured:
     point_streams, element_streams = _tag_streams(cfg, count, "mom", "momg")
 
     def residuals(n, trials):
-        coeffs = _coeffs(random_sl2s(element_streams[trials]))
+        coeffs = coefficients(random_sl2s(element_streams[trials]))
         points = random_points(n, 2, cfg.tau, point_streams[trials])
         return _level_residuals(cfg, *act_components_stack(coeffs, *points))
     resids = _per_size([1 + i % 5 for i in range(count)], residuals)
@@ -713,7 +709,7 @@ def _check_independence(cfg: RunConfig) -> list:
 
 @_declare(("sl2.scaling_spectra", "joint-exponential-scaling-of-spectra", 1e-9))
 def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
-    h, factor = GEN_H.exp(0.1), np.exp(0.1)
+    h, factor = coefficients(GEN_H.exp(0.1)), np.exp(0.1)
 
     def deviations(vals, want):
         return np.abs(gather(vals, match_to_reference(vals, want), -1) - want).max(axis=-1)
@@ -724,7 +720,7 @@ def _check_scaling_spectra(cfg: RunConfig) -> _Measured:
         V = random_chart_points(n, cfg.tau, streams[trials])
         A, B = as_finite(*from_chart_stack(V, cfg.tau, cfg.tol))
         lam, lamhat, _, _ = unpack(V)
-        qA = h.a * A + h.b * B      # the first matrix of act_pair(h, p)
+        qA, _ = act_pair_stack(h, A, B)
         full = deviations(eigvals(qA), factor * lamhat)
         block = deviations(eigvals(qA[:, :n, :n]), factor * lam)
         return np.stack([full, block], axis=-1)

@@ -164,3 +164,20 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
         _used_names(tree, strings, used)
     functions = [name for name in cmspaces.__all__ if inspect.isfunction(getattr(cmspaces, name))]
     assert functions and [name for name in functions if name not in used] == []
+
+
+def test_only_sl2_reads_a_group_elements_entries():
+    # sl2.coefficients is the one conversion of elements to the action's
+    # coefficients, and SL2Generator the one check of a generator kind
+    package = Path(cmspaces.__file__).parent
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             if path.name != "sl2.py" for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("a", "b", "c", "d")]
+    assert reads == []
+    kinds = {"e", "f", "h"}
+    tables = [node.lineno for node in ast.walk(ast.parse((package / "flowcalc.py").read_text()))
+              if isinstance(node, ast.Dict)
+              and kinds & {getattr(key, "value", None) for key in node.keys}
+              or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+              and kinds & {kw.arg for kw in node.keywords}]
+    assert tables == []

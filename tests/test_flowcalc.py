@@ -48,6 +48,14 @@ def test_flow_exact_closed_forms():
     assert frob(h.B - np.exp(-t) * p.B) < 1e-14 * pair_scale(p.A, p.B)
 
 
+def test_an_unknown_flow_kind_or_observable_raises_a_typed_error():
+    p = _pair(2, 103)
+    with pytest.raises(ShapeMismatchError, match="unknown generator kind 'x'"):
+        flow_exact("x", 0.1, p)
+    with pytest.raises(ValueError, match="unknown observable 'bogus'.*trace_second_sq"):
+        lnd_degree("e", "bogus", p)
+
+
 def test_flows_compose_additively():
     p = _pair(2, 102)
     for kind in ("e", "f", "h"):

@@ -328,6 +328,14 @@ def test_frob_gives_each_item_of_a_transposed_stack_its_one_item_bits():
             assert frob(big).tolist() == [frob(item) for item in big], size
 
 
+def test_frob_and_the_scales_of_an_empty_stack_are_empty():
+    for shape in ((0, 3, 3), (2, 0, 3, 3), (0, 1, 1)):
+        E = np.zeros(shape, dtype=np.complex128)
+        for got in (frob(E), matrix_scale(E), pair_scale(E, E)):
+            assert got.shape == shape[:-2]
+    assert frob(np.zeros((0, 0))) == 0.0
+
+
 def test_frob_is_finite_for_entries_from_two_to_the_1023():
     # the rescaling power of two must stay at or below the largest entry:
     # 2^1024 is inf, and the norm read nan

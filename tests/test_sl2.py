@@ -21,6 +21,7 @@ from cmspaces.sl2 import (
     act_pair,
     act_pair_stack,
     analytic_field,
+    coefficients,
     find_independence_point,
     fixed_point_probe_stack,
     independence_rank,
@@ -160,8 +161,7 @@ def test_stacked_action_is_the_one_quadruple_action():
         for tau in (1.0, 1e8):
             A, B, v, w = random_points(n, 2, tau, range(7))
             elements = [random_sl2(40 + i) for i in range(7)]
-            per_item = act_components_stack(np.array([[g.a, g.b, g.c, g.d] for g in elements]).T,
-                                            A, B, v, w)
+            per_item = act_components_stack(coefficients(elements), A, B, v, w)
             shared = act_components_stack((2.0, 0.0, 0.0, 1.0), A, B, v, w)
             for i, g in enumerate(elements):
                 r = Representation(A[i], B[i], v[i], w[i], tau)
@@ -179,9 +179,9 @@ def test_stacked_pair_action_is_the_one_pair_action():
             pairs = [augment(random_point(n, 2, tau, 60 + i)) for i in range(6)]
             A, B = np.stack([p.A for p in pairs]), np.stack([p.B for p in pairs])
             elements = [random_sl2(70 + i) for i in range(6)]
-            coeffs = np.array([[g.a, g.b, g.c, g.d] for g in elements]).T
+            coeffs = coefficients(elements)
             per_item = act_pair_stack(coeffs, A, B)
-            every = act_pair_stack(coeffs[:, :, None], A, B)
+            every = act_pair_stack([z[:, None] for z in coeffs], A, B)
             for i, g in enumerate(elements):
                 for j, p in enumerate(pairs):
                     one = act_pair(g, p)
@@ -192,8 +192,18 @@ def test_stacked_pair_action_is_the_one_pair_action():
 
 
 def test_action_needs_two_columns():
-    with pytest.raises(ShapeMismatchError):
-        act_components(random_sl2(1), random_point(2, 1, 1.0, 2))
+    # one check, in act_components_stack, for its three callers; the probe
+    # tests its time and its pair first
+    r, g = random_point(2, 1, 1.0, 2), random_sl2(1)
+    for act in (lambda: act_components(g, r),
+                lambda: act_components_stack(coefficients(g), r.A, r.B, r.v, r.w),
+                lambda: fixed_point_probe_stack(r.A, r.B, r.v, r.w, 1.0)):
+        with pytest.raises(ShapeMismatchError, match="needs k = 2"):
+            act()
+    with pytest.raises(ValueError, match="probe time"):
+        fixed_point_probe_stack(r.A, r.B, r.v, r.w, 0.0)
+    with pytest.raises(ZeroPairError):
+        fixed_point_probe_stack(0 * r.A, 0 * r.B, r.v, r.w, 1.0)
 
 
 def test_action_preserves_the_moment():

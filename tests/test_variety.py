@@ -15,7 +15,9 @@ from cmspaces.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
+from cmspaces.chart import random_chart_points
 from cmspaces.linalg import comm, frob, pair_scale
+from cmspaces.sl2 import find_independence_point
 from cmspaces.variety import (
     _power_ladder,
     _trace_table,
@@ -451,6 +453,25 @@ def test_random_points_edge_arguments():
                 random_points(n, k, tau, seeds)
         with pytest.raises(error):
             random_point(n, k, tau, 1)
+
+
+def test_every_sampler_rejects_a_size_below_one():
+    # the stacked samplers with no seed too, where nothing is drawn
+    samplers = [lambda n: random_gauge(n, 1), lambda n: find_independence_point(n, 1.0, 1)]
+    for seeds in ([], [1, 2]):
+        samplers += [lambda n, s=seeds: random_points(n, 2, 1.0, s),
+                     lambda n, s=seeds: random_quadruples(n, 2, 1.0, s),
+                     lambda n, s=seeds: random_gauges(n, s),
+                     lambda n, s=seeds: random_chart_points(n, 1.0, s)]
+    for sample in samplers:
+        for n in (0, -1):
+            with pytest.raises(ShapeMismatchError, match=f"n must be positive, got {n}"):
+                sample(n)
+
+
+def test_gauges_of_no_seed_are_empty_stacks():
+    g, ginv = random_gauges(3, [])
+    assert g.shape == ginv.shape == (0, 3, 3)
 
 
 def test_stacked_level_residual_is_the_one_point_residual():

@@ -454,12 +454,12 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
 
 def test_seeded_draws_of_one_verify_pass(monkeypatch):
     # no numpy Generator per seed: the 1,705 seeds of a default pass at
-    # seed 1 are hashed in 42 calls, each with one PCG64 set to its seeds'
+    # seed 1 are hashed in 40 calls, each with one PCG64 set to its seeds'
     # states in turn.  One call per check, except one per size in the
-    # scaling probe (5) and the witness check (4), one per independence
-    # point (5), and two in the gauge invariance and equivariance checks
-    # (points and group elements); the bracket sign check hashes only the
-    # five seeds it reads
+    # scaling probe (5) and the witness check (4) and one per independence
+    # point (5); a check that draws points and group elements hashes both
+    # in its one call, and the bracket sign check hashes only the five
+    # seeds it reads
     counts = _count_calls(monkeypatch, np.random, "default_rng", "PCG64")
     hashed, original = [], variety._pcg64_states
 
@@ -470,8 +470,8 @@ def test_seeded_draws_of_one_verify_pass(monkeypatch):
     monkeypatch.setattr(variety, "_pcg64_states", hashing)
     report = run(RunConfig(seed=1))
     assert report["summary"]["passed"] == report["summary"]["total"]
-    assert counts == {"default_rng": 0, "PCG64": 42}
-    assert (len(hashed), sum(hashed)) == (42, 1705)
+    assert counts == {"default_rng": 0, "PCG64": 40}
+    assert (len(hashed), sum(hashed)) == (40, 1705)
 
 
 def test_the_splitting_record_fails_on_a_wrong_border_defect(monkeypatch):
@@ -509,14 +509,15 @@ def test_stack_calls_of_one_verify_pass(monkeypatch):
     # the Trotter and bracket ladders at n = 1..3 (30 points, each with its
     # target and 3 flows), the dictionary at n = 1..4 (20 points), the
     # orbit rank, the augment round trip and the equivariance pair route
-    # at n = 1..5 (15, 20 and 20 points)
+    # at n = 1..5 (15, 20 and 20 points); the scaling spectra act at
+    # n = 1..3 (5 points)
     names = ("ladder_fingerprints", "calibrate_dictionary_stack", "orbit_dimension",
              "project_stack", "act_pair_stack")
     counts = _count_calls(monkeypatch, verify, *names)
     report = run(RunConfig(seed=1))
     assert report["summary"]["passed"] == report["summary"]["total"]
     assert counts == {"ladder_fingerprints": 6, "calibrate_dictionary_stack": 4,
-                      "orbit_dimension": 5, "project_stack": 5, "act_pair_stack": 5}
+                      "orbit_dimension": 5, "project_stack": 5, "act_pair_stack": 8}
 
 
 def _spoil_one(original, spoil):
