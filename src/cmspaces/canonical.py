@@ -34,6 +34,7 @@ from .linalg import (
     DEFAULT_TOL,
     any_item,
     as_square_stack,
+    diagonal_view,
     eig,
     eigvals,
     matrix_scale,
@@ -52,19 +53,20 @@ def simple_gap(gap: float, M, tol: float) -> bool:
     return gap > tol * matrix_scale(M)
 
 
-def _eigenbasis_border(A, tol: float):
+def _eigenbasis_border(A, tol: float, scale):
     """Block spectral frame of A and its border read in that frame.
 
     Returns (lam, g, ginv, x', y', thr): g block ginv = diag(lam), the
     border column x' = g col, the border row y' = row ginv, and the
-    threshold thr = tol * matrix_scale(A) at or below which a border entry
-    counts as zero.  Raises DegenerateSpectrumError when the block
-    spectrum is not simple.  A may be a stack over leading axes.
+    threshold thr = tol * scale, scale = matrix_scale(A), at or below
+    which a border entry counts as zero.  Raises DegenerateSpectrumError
+    when the block spectrum is not simple.  A may be a stack over
+    leading axes.
     """
     lam, g, ginv = eig(A[..., :-1, :-1], tol)
     x = (g @ A[..., :-1, -1:])[..., 0]
     y = (A[..., -1:, :-1] @ ginv)[..., 0, :]
-    return lam, g, ginv, x, y, tol * matrix_scale(A)
+    return lam, g, ginv, x, y, tol * scale
 
 
 def conjugation_operator(M) -> np.ndarray:
@@ -144,7 +146,7 @@ def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityR
     """
     block = p.A[:-1, :-1]
     try:
-        lam, _, _, x, y, thr = _eigenbasis_border(p.A, tol)
+        lam, _, _, x, y, thr = _eigenbasis_border(p.A, tol, matrix_scale(p.A))
         block_ok = bool(simple_gap(min_gap(lam), block, tol))
     except DegenerateSpectrumError:
         lam, block_ok = eigvals(block), False
@@ -178,8 +180,17 @@ def normal_form(A, B, tol: float = DEFAULT_TOL):
     its own gauge with variety.check_gauge(G, Ginv), so callers do not
     check it again.
     """
+    return normal_form_at_scale(A, B, tol, matrix_scale(A))
+
+
+def normal_form_at_scale(A, B, tol: float, scale):
+    """normal_form for a caller that has taken scale = matrix_scale(A) already.
+
+    The chart's read takes it for its own normal-form test, so the
+    border threshold tol * scale costs no second norm.
+    """
     n = A.shape[-1] - 1
-    lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol)
+    lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol, scale)
     if any_item(np.abs(y).min(axis=-1) <= thr):
         raise ZeroRowEntryError(
             "a border-row entry vanishes on the eigenbasis; no unit-row form"
@@ -195,9 +206,8 @@ def normal_form(A, B, tol: float = DEFAULT_TOL):
         )
     check_gauge(G, Gi)
     # snap the structural entries the conjugation guarantees
-    idx = np.arange(n)
     Ah[..., :n, :n] = 0.0
-    Ah[..., idx, idx] = lam
+    diagonal_view(Ah)[..., :n] = lam
     Ah[..., n, :n] = 1.0
     return Ah, Bh, G, Gi
 

@@ -34,7 +34,7 @@ from .errors import (
     NotStronglySemisimpleError,
     ShapeMismatchError,
 )
-from .canonical import normal_form, simple_gap
+from .canonical import normal_form_at_scale, simple_gap
 from .linalg import (
     DEFAULT_TOL,
     MATCH_GUARD,
@@ -44,6 +44,7 @@ from .linalg import (
     arrowhead_frame,
     as_square_stack,
     comm,
+    diagonal_view,
     eigvals,
     first_failure,
     frob,
@@ -52,8 +53,8 @@ from .linalg import (
     matrix_scale,
     min_gap,
     normalize_frame,
-    pair_scale,
     reorder,
+    row_norms,
     sort_order,
     value_scale,
 )
@@ -133,8 +134,18 @@ class ChartPoint:
 
     @classmethod
     def from_vector(cls, vec, tau: complex) -> "ChartPoint":
-        """The point at level tau with the packed coordinates vec (4n+2 values)."""
-        return cls(*unpack(np.ravel(vec)), tau)
+        """The point at level tau with the packed coordinates vec, one vector of 4n+2 values.
+
+        unpack validates vec, once: a stack or any other length raises
+        ShapeMismatchError.
+        """
+        if np.ndim(vec) != 1:
+            raise ShapeMismatchError(f"expected one vector of 4n+2 coordinates, got {np.shape(vec)}")
+        point = object.__new__(cls)
+        for name, part in zip(("lam", "lamhat", "mu", "muhat"), unpack(vec)):
+            object.__setattr__(point, name, part)
+        object.__setattr__(point, "tau", complex(tau))
+        return point
 
 
 @dataclass(frozen=True)
@@ -163,14 +174,21 @@ class Decomposition:
 # reading coordinates off a pair
 
 
-def _normal_form_test(A, tol: float):
-    """Per item: is A in bordered normal form, within max(tol, 1e-12) * matrix_scale(A)?"""
+def _normal_form_test(A, tol: float, scale):
+    """Per item: is A in bordered normal form, within max(tol, 1e-12) * scale?
+
+    scale is matrix_scale(A), which the caller takes once per read.
+    """
     tol = max(tol, 1e-12)
     n = A.shape[-1] - 1
-    scale = matrix_scale(A)
     off = A[..., :n, :n].copy()
-    off[..., np.arange(n), np.arange(n)] = 0.0
+    diagonal_view(off)[...] = 0.0
     return (frob(off) <= tol * scale) & (np.abs(A[..., n, :n] - 1.0).max(axis=-1) <= tol * scale)
+
+
+def _scale_of(norm):
+    """max(1, norm) of Frobenius norms already taken: linalg.value_scale of each as one value."""
+    return value_scale(np.asarray(norm)[..., None])
 
 
 def _reference(ref, lead: tuple, size: int) -> np.ndarray:
@@ -226,7 +244,7 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     1e3 * tol * value_scale(lamhat)) and rescaled to linalg.eig's
     convention, which g and S follow.
     """
-    if not _normal_form_test(p.A, tol):
+    if not _normal_form_test(p.A, tol, matrix_scale(p.A)):
         raise NotNormalizedError("pair is not in bordered normal form")
     if lamhat_ref is not None:
         lamhat_ref = _reference(lamhat_ref, (), p.n + 1)
@@ -243,13 +261,34 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
     enlarging them: one reference for all items or one per item.  The
     callers make both true (decompose and to_chart_stack test them,
     from_chart_stack builds normal forms), so neither is tested again.
+    The read itself is _read's; this rescales its frame and forms S.
+    """
+    lamhat, g, ginv, mu, N1, N2, defect = _read(A, B, tau, tol, lamhat_ref, frob(A))
+    g, ginv = normalize_frame(g, ginv)
+    if lamhat_ref is not None:
+        lamhat, g, ginv = reorder(lamhat, g, ginv, match_to_reference(lamhat, lamhat_ref))
+    S = g @ N2 @ ginv
+    muhat = diagonal_view(S).copy()
+    diagonal_view(S)[...] = 0.0
+    return Decomposition(mu=mu, muhat=muhat, lamhat=lamhat, defect=defect,
+                         g=g, ginv=ginv, N1=N1, N2=N2, S=S)
+
+
+def _read(A, B, tau: complex, tol: float, lamhat_ref, norm_A):
+    """Every check of a chart read of normal-form pairs, in order, and the pieces it reads.
+
+    norm_A is frob(A), taken once per read.  In turn: the block gap, the
+    full spectrum (eigvals, or the tracked roots with lamhat_ref), the
+    kappa-scaled full gap, the frame residual, the level condition and
+    the split residual; see decompose for each.  Returns
+    (lamhat, g, ginv, mu, N1, N2, defect) with lamhat in the order it was
+    computed in and (g, ginv) the frame as linalg.arrowhead_frame builds
+    it, in lamhat's order and not unit-normalized.
     """
     n = A.shape[-1] - 1
-    idx = np.arange(n)
-    block = A[..., :n, :n]
-    lam = block[..., idx, idx]
+    lam = A.diagonal(axis1=-2, axis2=-1)[..., :n]
     block_gap = min_gap(lam)
-    bad = ~simple_gap(block_gap, block, tol)
+    bad = ~simple_gap(block_gap, A[..., :n, :n], tol)
     if any_item(bad):
         raise NotStronglySemisimpleError(
             f"block spectrum not simple: gap {first_failure(block_gap, bad):.3e}")
@@ -258,23 +297,22 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
     # a repeated value of lamhat makes the frame, and so kappa, non-finite
     with np.errstate(all="ignore"):
         g, ginv = arrowhead_frame(lam, lamhat)
-        kappa = np.maximum(1.0, (np.linalg.norm(g, axis=-1)
-                                 * np.linalg.norm(ginv, axis=-2)).max(axis=-1))
-    bad = ~simple_gap(full_gap, A, tol * kappa)
+        kappa = np.maximum(1.0, (row_norms(g) * row_norms(np.swapaxes(ginv, -1, -2))).max(axis=-1))
+    # canonical.simple_gap(full_gap, A, tol * kappa), with A's scale taken once
+    bad = ~(full_gap > tol * kappa * _scale_of(norm_A))
     if any_item(bad):
         raise NotStronglySemisimpleError(
             f"full spectrum not simple: gap {first_failure(full_gap, bad):.3e} at "
             f"eigenvalue condition number {first_failure(kappa, bad):.3e}")
     _check_frame(A, lamhat, g, ginv, tol)
-    g, ginv = normalize_frame(g, ginv)
     K = comm(A, B)
-    scale = pair_scale(A, B)
+    scale = _scale_of(norm_A * frob(B))     # pair_scale(A, B)
     if not all_items(commutator_level_deviation(K, tau) <= max(tol, 1e-12) * 1e3 * scale):
         raise LevelConditionError("pair commutator leaves the shifted border space")
 
     mu = K[..., n, :n].copy()
-    N1 = np.zeros_like(A)
-    N1[..., idx, idx] = mu
+    N1 = np.zeros(A.shape, dtype=np.complex128)
+    diagonal_view(N1)[..., :n] = mu
     N2 = B - N1
 
     # [A, N2] = K - [A, N1], and [A, N1]_ij = A_ij (d_j - d_i) for N1 = diag(d)
@@ -289,15 +327,7 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
             f"split residual {first_failure(resid, bad):.3e} exceeds contract "
             f"at scale {first_failure(scale, bad):.3e}"
         )
-
-    if lamhat_ref is not None:
-        lamhat, g, ginv = reorder(lamhat, g, ginv, match_to_reference(lamhat, lamhat_ref))
-    S = g @ N2 @ ginv
-    full = np.arange(n + 1)
-    muhat = S[..., full, full]
-    S[..., full, full] = 0.0
-    return Decomposition(mu=mu, muhat=muhat, lamhat=lamhat, defect=defect,
-                         g=g, ginv=ginv, N1=N1, N2=N2, S=S)
+    return lamhat, g, ginv, mu, N1, N2, defect
 
 
 # Newton steps a tracked read takes at most before it stops its item
@@ -375,13 +405,21 @@ def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np
     lam_ref = lamhat_ref = None
     if ref is not None:
         lam_ref, lamhat_ref, _, _ = unpack(_reference(ref, A.shape[:-2], 4 * n + 2))
-    if not all_items(_normal_form_test(A, tol)):
-        A, B, _, _ = normal_form(A, B, tol)
-    d = decompose_stack(A, B, tau, tol, lamhat_ref)
-    lam = A[..., np.arange(n), np.arange(n)]
+    norm_A = frob(A)
+    scale = _scale_of(norm_A)
+    if not all_items(_normal_form_test(A, tol, scale)):
+        A, B, _, _ = normal_form_at_scale(A, B, tol, scale)
+        norm_A = frob(A)
+    lamhat, g, ginv, mu, _, N2, _ = _read(A, B, tau, tol, lamhat_ref, norm_A)
+    # muhat_j = (g N2 ginv)_jj, which a diagonal rescaling of the frame leaves alone
+    muhat = ((g @ N2) * np.swapaxes(ginv, -1, -2)).sum(axis=-1)
+    if ref is not None:
+        perm = match_to_reference(lamhat, lamhat_ref)
+        lamhat, muhat = gather(lamhat, perm, -1), gather(muhat, perm, -1)
+    lam = A.diagonal(axis1=-2, axis2=-1)[..., :n]
     perm = sort_order(lam) if ref is None else match_to_reference(lam, lam_ref)
-    lam, mu = gather(lam, perm, -1), gather(d.mu, perm, -1)
-    return np.concatenate([lam, d.lamhat, mu, d.muhat], axis=-1)
+    lam, mu = gather(lam, perm, -1), gather(mu, perm, -1)
+    return np.concatenate([lam, lamhat, mu, muhat], axis=-1)
 
 
 def to_chart(p: AugmentedPair, tol: float = DEFAULT_TOL) -> ChartPoint:
@@ -478,7 +516,7 @@ def tracked_tangent(p: AugmentedPair, dA, dB, ref: ChartPoint,
         raise ShapeMismatchError(
             f"tangents {dA.shape}, {dB.shape} and a reference of size {ref.n}"
             f" do not serve a pair of size {n}")
-    if not _normal_form_test(p.A, tol):
+    if not _normal_form_test(p.A, tol, matrix_scale(p.A)):
         raise NotNormalizedError("pair is not in bordered normal form")
     d = decompose_stack(p.A, p.B, p.tau, tol, ref.lamhat)
     idx = np.arange(n)
@@ -506,8 +544,7 @@ def tracked_tangent(p: AugmentedPair, dA, dB, ref: ChartPoint,
 def _check_frame(A, lamhat, g, ginv, tol: float) -> None:
     """Raise EigenMismatchError unless g A ginv = diag(lamhat) within 1e3 * tol * value_scale(lamhat)."""
     R = g @ A @ ginv
-    full = np.arange(A.shape[-1])
-    R[..., full, full] -= lamhat
+    diagonal_view(R)[...] -= lamhat
     resid = frob(R)
     bound = 1e3 * tol * value_scale(lamhat)
     bad = ~(resid <= bound)
@@ -547,11 +584,10 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     _check_frame(Ah, lamhat, g, ginv, tol)
 
     P = (g * np.diagonal(level_shift(n, tau))) @ ginv   # the shift is diagonal
-    full = np.arange(n + 1)
     gaps = lamhat[..., :, None] - lamhat[..., None, :]
-    gaps[..., full, full] = 1.0
-    S = (P - P[..., full, full][..., :, None]) / gaps
-    S[..., full, full] = 0.0
+    diagonal_view(gaps)[...] = 1.0
+    S = (P - diagonal_view(P)[..., :, None]) / gaps
+    diagonal_view(S)[...] = 0.0
     return Ah, g, ginv, S
 
 
@@ -607,10 +643,9 @@ def _rebuild(V, tau: complex, tol: float):
     """from_chart_stack's (A, B), _chart_frame's (g, ginv), X = diag(muhat) + S and lamhat."""
     lam, lamhat, mu, muhat = unpack(V)
     Ah, g, ginv, X = _chart_frame(lam, lamhat, tau, tol)
-    full = np.arange(lam.shape[-1] + 1)
-    X[..., full, full] = muhat          # S is off-diagonal: this is diag(muhat) + S
+    diagonal_view(X)[...] = muhat       # S is off-diagonal: this is diag(muhat) + S
     Bh = ginv @ X @ g
-    Bh[..., full[:-1], full[:-1]] += mu
+    diagonal_view(Bh)[..., :-1] += mu
     return Ah, Bh, g, ginv, X, lamhat
 
 

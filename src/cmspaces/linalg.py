@@ -16,21 +16,22 @@ the input, and elsewhere to `matrix_scale`, `pair_scale` or
 Calls that no convention here governs go to numpy directly:
 `np.linalg.inv` and `svd` in `variety` (gauge elements), `svd` in `sl2`
 (the rank of the induced fields), `pinv` in `flowcalc` (the fit
-projectors) and `norm` in `chart` (kappa and the slice projection) and
-in `verify`.
+projectors) and `norm` in `chart` (the slice projection) and in
+`verify`.  The chart read's kappa, which only sets a threshold, takes
+its row and column norms from `row_norms`, not from `np.linalg.norm`.
 
 The arrowhead matrices of the chart (`arrowhead`, built from their two
 spectra) have their frame in closed form (`arrowhead_frame`): no
 eigensolver, no inverse, and the order of the given spectrum.  That frame
 is not unit-normalized.  Quantities that do not change under a diagonal
 rescaling of the frame (the rebuild in chart.from_chart, with its
-off-diagonal term) use it as it is; chart.decompose, whose frame and
-off-diagonal term are public, rescales it to the convention above with
-`normalize_frame`.  An arrowhead's full spectrum is the set of roots of
-its secular equation, so a chart read tracked against a reference takes
-it by Newton steps from the reference (chart.decompose) and calls
-`eigvals` only for an item those steps do not certify; an untracked
-read calls `eigvals`.
+off-diagonal term, and the diagonal muhat of chart.to_chart) use it as
+it is; chart.decompose, whose frame and off-diagonal term are public,
+rescales it to the convention above with `normalize_frame`.  An
+arrowhead's full spectrum is the set of roots of its secular equation,
+so a chart read tracked against a reference takes it by Newton steps
+from the reference (chart.decompose) and calls `eigvals` only for an
+item those steps do not certify; an untracked read calls `eigvals`.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def frob(M):
     """
     M = np.asarray(M)
     if M.ndim <= 2:
-        nrm = float(np.linalg.norm(M.ravel()))
+        nrm = _plain_norm(M.ravel())
         if _NORM_FLOOR <= nrm <= _NORM_CEIL or (nrm == 0.0 and not M.any()):
             return nrm
         return float(_rescaled_norm(M, False, nrm))
@@ -106,6 +107,16 @@ def frob(M):
     if ((nrm >= _NORM_FLOOR) & (nrm <= _NORM_CEIL)).all():
         return nrm
     return _rescaled_norm(M, True, nrm)
+
+
+def _plain_norm(x) -> float:
+    """np.linalg.norm of the vector x, bit for bit: the same dot products, without its wrapper."""
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return float(np.sqrt(re.dot(re) + im.dot(im)))
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
+    return float(np.sqrt(x.dot(x)))
 
 
 def row_norms(x):
@@ -132,7 +143,7 @@ def _rescaled_norm(M, stacked, nrm):
         if not np.isfinite(M).all():
             return nrm
         s = np.ldexp(1.0, np.frexp(np.abs(M).max())[1] - 1)
-        return s * np.linalg.norm((M / s).ravel())
+        return s * _plain_norm((M / s).ravel())
     redo = ~((nrm >= _NORM_FLOOR) & (nrm <= _NORM_CEIL)) & np.isfinite(M).all(axis=(-2, -1))
     X = M[redo]
     s = np.ldexp(1.0, np.frexp(np.abs(X).max(axis=(-2, -1), keepdims=True))[1] - 1)
@@ -177,17 +188,26 @@ def first_failure(values, bad) -> float:
     return float(np.broadcast_to(values, np.shape(bad)).ravel()[np.flatnonzero(bad)[0]])
 
 
+def diagonal_view(X: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each square matrix in the C-contiguous stack X.
+
+    A strided slice of the flattened matrices, so writing through it costs
+    no index arrays.  X must be C-contiguous (ValueError otherwise).
+    """
+    k = X.shape[-1]
+    return X.reshape(X.shape[:-2] + (k * k,), copy=False)[..., :: k + 1]
+
+
 def min_gap(values):
     """Smallest pairwise distance within a set of complex numbers.
 
     The set runs along the last axis; a stack of sets gives an array of gaps.
     """
     v = np.asarray(values, dtype=np.complex128)
-    k = v.shape[-1]
-    if k < 2:
+    if v.shape[-1] < 2:
         return np.full(v.shape[:-1], np.inf)[()]
     d = np.abs(v[..., :, None] - v[..., None, :])
-    d[..., np.arange(k), np.arange(k)] = np.inf
+    diagonal_view(d)[...] = np.inf
     return d.min(axis=(-2, -1))
 
 
@@ -216,15 +236,14 @@ def _normalize_columns(V: np.ndarray):
     Returns them with the column factors c (shape (..., 1, n)) for which
     V * c equals them up to rounding.
     """
-    nrm = np.linalg.norm(V, axis=-2)
+    nrm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=-2))    # np.linalg.norm(V, axis=-2)
     if (nrm == 0.0).any():
         raise NonConvergentError("eigensolver produced a zero eigenvector")
     W = V / nrm[..., None, :]
     mags = np.abs(W)
     significant = mags > _PHASE_FLOOR
     # first significant entry per column, or the largest when none is
-    k = np.where(significant.any(axis=-2), np.argmax(significant, axis=-2),
-                 np.argmax(mags, axis=-2))
+    k = np.where(significant.any(axis=-2), significant.argmax(axis=-2), mags.argmax(axis=-2))
     anchor = np.take_along_axis(W, k[..., None, :], axis=-2)
     phase = np.conj(anchor) / np.abs(anchor)
     return W * phase, phase / nrm[..., None, :]
@@ -247,18 +266,20 @@ def _leave_one_out(D: np.ndarray) -> np.ndarray:
     No entry is divided out, so a zero factor leaves every other product
     intact.
     """
-    ones = np.ones(D.shape[:-1] + (1,), dtype=D.dtype)
-    prefix = np.cumprod(np.concatenate([ones, D[..., :-1]], axis=-1), axis=-1)
-    suffix = np.cumprod(np.concatenate([ones, D[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
-    return prefix * suffix
+    k = D.shape[-1]
+    runs = np.empty(D.shape[:-1] + (2, k), dtype=D.dtype)    # prefix and reversed suffix factors
+    runs[..., 0] = 1.0
+    runs[..., 0, 1:] = D[..., :-1]
+    runs[..., 1, 1:] = D[..., :0:-1]
+    runs.cumprod(axis=-1, out=runs)
+    return runs[..., 0, :] * runs[..., 1, ::-1]
 
 
 def _offdiagonal_products(v: np.ndarray) -> np.ndarray:
     """prod_{l != i} (v_i - v_l) for each i, along the last axis."""
     d = v[..., :, None] - v[..., None, :]
-    k = v.shape[-1]
-    d[..., np.arange(k), np.arange(k)] = 1.0
-    return np.prod(d, axis=-1)
+    diagonal_view(d)[...] = 1.0
+    return d.prod(axis=-1)
 
 
 def arrowhead(lam, lamhat):
@@ -273,13 +294,12 @@ def arrowhead(lam, lamhat):
     lam = np.asarray(lam, dtype=np.complex128)
     lamhat = np.asarray(lamhat, dtype=np.complex128)
     n = lam.shape[-1]
-    idx = np.arange(n)
     A = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
-    A[..., idx, idx] = lam
-    A[..., :n, n] = (-np.prod(lam[..., :, None] - lamhat[..., None, :], axis=-1)
+    diagonal_view(A)[..., :n] = lam
+    A[..., :n, n] = (-(lam[..., :, None] - lamhat[..., None, :]).prod(axis=-1)
                      / _offdiagonal_products(lam))
     A[..., n, :n] = 1.0
-    A[..., n, n] = np.sum(lamhat, axis=-1) - np.sum(lam, axis=-1)
+    A[..., n, n] = lamhat.sum(axis=-1) - lam.sum(axis=-1)
     return A
 
 
@@ -323,7 +343,7 @@ def arrowhead_frame(lam, lamhat):
     E = lamhat[..., :, None] - lam[..., None, :]
     W = np.empty_like(ginv)
     W[..., :n] = _leave_one_out(E)
-    W[..., n] = np.prod(E, axis=-1)
+    W[..., n] = E.prod(axis=-1)
     g = W / _offdiagonal_products(lamhat)[..., :, None]
 
     ginv[..., :n, :] *= s[..., None]
@@ -382,8 +402,7 @@ def eig(M, tol: float = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise NonConvergentError("eigenvector matrix is singular") from exc
     R = g @ A @ vecs
-    idx = np.arange(A.shape[-1])
-    R[..., idx, idx] -= vals
+    diagonal_view(R)[...] -= vals
     resid = frob(R)
     bad = resid > 1e2 * tol * norm + 1e-300
     if any_item(bad):

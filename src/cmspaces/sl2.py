@@ -315,7 +315,15 @@ class ChartTangent:
 
     @classmethod
     def from_vector(cls, base: ChartPoint, d) -> "ChartTangent":
-        """The tangent at base with the packed blocks d = (d_lam, d_lamhat, d_mu, d_muhat)."""
+        """The tangent at base with the packed blocks d = (d_lam, d_lamhat, d_mu, d_muhat).
+
+        d is one vector of 4 base.n + 2 values; a stack, or a tangent of
+        another size, raises ShapeMismatchError.
+        """
+        if np.shape(d) != (4 * base.n + 2,):
+            raise ShapeMismatchError(
+                f"expected one tangent of {4 * base.n + 2} values at a point of size {base.n},"
+                f" got shape {np.shape(d)}")
         return cls(base, *unpack(d))
 
 

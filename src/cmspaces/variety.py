@@ -207,11 +207,20 @@ def quadruple_level_residual(A, B, v, w, tau):
 
 
 def level_shift(n: int, tau: complex) -> np.ndarray:
-    """diag(tau, ..., tau, -n tau), the traceless shift the pair commutator hits."""
-    d = np.full(n, complex(tau), dtype=np.complex128)
+    """diag(tau, ..., tau, -n tau), the traceless shift the pair commutator hits.
+
+    Read-only, and built once per (n, tau) in a process.
+    """
+    return _level_shift(int(n), complex(tau))
+
+
+@lru_cache(maxsize=64)
+def _level_shift(n: int, tau: complex) -> np.ndarray:
+    d = np.full(n, tau, dtype=np.complex128)
     out = np.zeros((n + 1, n + 1), dtype=np.complex128)
     out[np.arange(n), np.arange(n)] = d
     out[n, n] = -d.sum()
+    out.flags.writeable = False
     return out
 
 

@@ -82,10 +82,10 @@ def test_no_module_imports_a_private_name_from_another():
 
 
 # linalg's scale functions are where a magnitude is floored at 1.  The one
-# other floor is kappa's in chart.decompose_stack: a bound on an eigenvalue
+# other floor is kappa's in chart._read: a bound on an eigenvalue
 # condition number (at least 1 in exact arithmetic), not a scale.
 _FLOOR_SITES = {"linalg.matrix_scale", "linalg.pair_scale", "linalg.value_scale",
-                "chart.decompose_stack"}
+                "chart._read"}
 
 
 def _floors_at_one(node, where, found):

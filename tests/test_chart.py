@@ -2,6 +2,7 @@
 and the closed-form inverse."""
 
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -106,6 +107,15 @@ def _is_normal_form(p):
     return np.array_equal(block, np.diag(np.diag(block))) and np.array_equal(p.A[n, :n], np.ones(n))
 
 
+def test_from_vector_takes_one_vector_and_no_stack():
+    # three n = 1 points pack 18 values, the length of one n = 4 point: a
+    # stack is refused, not read as one larger point
+    c = random_chart_point(1, 1.0, 2)
+    for vec in (np.stack([c.vector()] * 3), c.vector()[None, :], np.array(1.0)):
+        with pytest.raises(ShapeMismatchError):
+            ChartPoint.from_vector(vec, c.tau)
+
+
 def test_hand_case_is_on_level_and_normal():
     p = AugmentedPair(HAND_A, HAND_B, 1.0)
     assert np.array_equal(comm(p.A, p.B), np.diag([1.0 + 0j, -1.0 + 0j]))
@@ -199,6 +209,38 @@ def test_to_chart_lapack_call_budget(monkeypatch):
     names = [name for name, _ in calls]
     assert names.count("eig") <= 1 and names.count("eigvals") <= 1 and names.count("inv") <= 1
     assert "svd" not in names
+
+
+def _c_calls(fn):
+    """fn's result and the number of calls into C functions (sys.setprofile c_call events) it made."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, count
+
+
+def test_numpy_calls_of_one_chart_round_trip():
+    # the chart_large round trip at n = 20: one read of a gauge-scrambled
+    # pair and one rebuild of the result.  Each small numpy call costs a
+    # few microseconds there, as much as LAPACK does per matrix entry, so
+    # the counts are pinned like the LAPACK ledger: 371 and 89 when the
+    # read rescaled its frame, formed S and built the level shift per call
+    n = 20
+    c = random_chart_point(n, 1.0, 3)
+    p = gauge_act_pair(random_gauge(n, 3 ^ 0x5A5A5A5A), from_chart(c))
+    from_chart(to_chart(p))     # warm the caches a first call fills
+    got, read = _c_calls(lambda: to_chart(p))
+    _, rebuild = _c_calls(lambda: from_chart(got))
+    assert np.abs(got.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())
+    assert read <= 247 and rebuild <= 78, (read, rebuild)
 
 
 def test_from_chart_lapack_call_budget(monkeypatch):
@@ -790,3 +832,45 @@ def test_the_slice_functions_are_the_corners_bit_for_bit():
         p = gauge_act_pair(random_gauge(4, seed), from_chart(random_chart_point(4, tau, seed)))
         got = np.array(slice_residual(p))
         assert got.tobytes() == np.array([p.A[4, 4], p.B[4, 4]]).tobytes(), (tau, seed)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5 - 2j, 1e8])
+def test_the_lean_read_agrees_with_decompose(tau):
+    # to_chart reads muhat = diag(g N2 ginv) from the frame as built, which
+    # a diagonal rescaling leaves alone; decompose rescales the frame and
+    # forms all of g N2 ginv.  They agree to rounding relative to the size
+    # of N2, the matrix both read muhat from
+    for n in range(1, 9):
+        for seed in (40 + n, 60 + n):
+            p = from_chart(random_chart_point(n, tau, seed))
+            q = gauge_act_pair(random_gauge(n, seed + 50), p)
+            for pair, nf in ((p, p), (q, normalize(q)[0])):
+                got = to_chart(pair)
+                d = decompose(nf)
+                assert np.array_equal(got.lamhat, d.lamhat)
+                scale = max(1.0, frob(d.N2))
+                assert np.abs(got.muhat - d.muhat).max() <= 1e-12 * scale, (n, seed, tau)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5 - 2j, 1e8])
+def test_each_item_of_a_lean_read_has_the_bits_of_its_one_item_call(tau):
+    for n in range(1, 9):
+        points = [random_chart_point(n, tau, 300 + 10 * n + i) for i in range(3)]
+        nf = [from_chart(c) for c in points]
+        scrambled = [gauge_act_pair(random_gauge(n, 350 + 10 * n + i), p) for i, p in enumerate(nf)]
+        ref = np.array([c.vector() for c in points])
+        for pairs in (nf, scrambled):
+            A, B = np.array([p.A for p in pairs]), np.array([p.B for p in pairs])
+            untracked = to_chart_stack(A, B, tau)
+            tracked = to_chart_stack(A, B, tau, ref=ref)
+            for i, p in enumerate(pairs):
+                assert untracked[i].tobytes() == to_chart(p).vector().tobytes(), (n, i, tau)
+                assert tracked[i].tobytes() == to_chart_tracked(p, points[i]).vector().tobytes()
+
+
+def test_the_cached_level_shift_cannot_be_written():
+    shift = level_shift(3, 0.5 - 2j)
+    assert level_shift(3, 0.5 - 2j) is shift
+    with pytest.raises(ValueError):
+        shift[0, 0] = 0.0
+    assert shift.tobytes() == np.diag([0.5 - 2j] * 3 + [-1.5 + 6j]).tobytes()

@@ -15,6 +15,7 @@ from cmspaces.sl2 import (
     GEN_E,
     GEN_F,
     GEN_H,
+    ChartTangent,
     SL2Element,
     act_components,
     act_components_stack,
@@ -66,6 +67,18 @@ def test_stacked_sl2_elements_keep_their_bits():
         assert [x.hex() for z in (g.a, g.b, g.c, g.d) for x in (z.real, z.imag)] == \
             [x.hex() for z in want for x in (z.real, z.imag)], seed
     assert random_sl2(1999) == g and random_sl2s([]) == []
+
+
+def test_a_chart_tangent_takes_one_vector_of_its_base_size():
+    # an n = 1 tangent at an n = 3 base, or a stack, used to pass and let
+    # numpy's broadcast error escape from s_components
+    base = random_chart_point(3, 1.0, 4)
+    for d in (random_chart_point(1, 1.0, 3).vector(), np.stack([base.vector()] * 2),
+              base.vector()[:-1]):
+        with pytest.raises(ShapeMismatchError):
+            ChartTangent.from_vector(base, d)
+    t = ChartTangent.from_vector(base, base.vector())
+    assert t.s_components()[1] == complex(np.sum(base.lamhat))
 
 
 def test_sl2_element_rejects_bad_determinant():
