@@ -229,10 +229,10 @@ def _c_calls(fn):
 
 def test_numpy_calls_of_one_chart_round_trip():
     # the chart_large round trip at n = 20: one read of a gauge-scrambled
-    # pair and one rebuild of the result.  Each small numpy call costs a
-    # few microseconds there, as much as LAPACK does per matrix entry, so
-    # the counts are pinned like the LAPACK ledger: 371 and 89 when the
-    # read rescaled its frame, formed S and built the level shift per call
+    # pair and one rebuild of the result.  Its two eigensolver calls take
+    # about 0.5 ms and each small numpy call a few microseconds, so the
+    # calls are pinned like the LAPACK ledger: 371 and 89 when the read
+    # rescaled its frame, formed S and built the level shift per call
     n = 20
     c = random_chart_point(n, 1.0, 3)
     p = gauge_act_pair(random_gauge(n, 3 ^ 0x5A5A5A5A), from_chart(c))
