@@ -5,8 +5,9 @@ second matrix splits uniquely as N = N1 + N2 where N1 = diag(mu, 0)
 commutes with the block of M and the commutator [M, N2] equals the level
 shift plus a border-column term.  Writing g for the diagonalizer of M,
 the conjugate g N2 g^-1 is a diagonal part diag(muhat) plus an
-off-diagonal part S that is a function of the level parameter and the two
-spectra alone.  The resulting coordinates
+off-diagonal part S of the level parameter and lamhat alone: in the
+frame of linalg.arrowhead_frame, S_jk = tau / (lamhat_k - lamhat_j).
+The resulting coordinates
 
     lam  (n)    eigenvalues of the block,
     lamhat (n+1) eigenvalues of the full matrix,
@@ -14,8 +15,8 @@ spectra alone.  The resulting coordinates
     muhat (n+1) diagonal of the conjugated remainder,
 
 count 4 n + 2 and invert in closed form: the border column of M is a ratio
-of spectral products, the corner is the trace mismatch, and S is recovered
-entrywise from the conjugated level shift and the gaps of lamhat.
+of spectral products, the corner is the trace mismatch, and S is the
+off-diagonal of the Calogero-Moser Lax matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .linalg import (
 )
 from .variety import (
     AugmentedPair,
+    check_level,
     check_size,
     commutator_level_deviation,
     complex_uniforms_from,
@@ -93,6 +95,8 @@ def unpack(V):
 # ---------------------------------------------------------------------------
 # containers
 
+_PARTS = ("lam", "lamhat", "mu", "muhat")      # a ChartPoint's coordinates, packed in this order
+
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -105,24 +109,16 @@ class ChartPoint:
     tau: complex
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=np.complex128).ravel()
-        lamhat = np.asarray(self.lamhat, dtype=np.complex128).ravel()
-        mu = np.asarray(self.mu, dtype=np.complex128).ravel()
-        muhat = np.asarray(self.muhat, dtype=np.complex128).ravel()
-        n = lam.size
-        if n < 1 or lamhat.size != n + 1 or mu.size != n or muhat.size != n + 1:
-            raise ShapeMismatchError(
-                f"coordinate sizes ({lam.size}, {lamhat.size}, {mu.size}, {muhat.size})"
-                " must be (n, n+1, n, n+1)"
-            )
-        for name, arr in (("lam", lam), ("lamhat", lamhat), ("mu", mu), ("muhat", muhat)):
-            if not np.isfinite(arr).all():
+        parts = [np.asarray(getattr(self, name), dtype=np.complex128).ravel() for name in _PARTS]
+        sizes = tuple(part.size for part in parts)
+        n = sizes[0]
+        if n < 1 or sizes != (n, n + 1, n, n + 1):
+            raise ShapeMismatchError(f"coordinate sizes {sizes} must be (n, n+1, n, n+1)")
+        for name, part in zip(_PARTS, parts):
+            if not np.isfinite(part).all():
                 raise ShapeMismatchError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "lamhat", lamhat)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "muhat", muhat)
-        object.__setattr__(self, "tau", complex(self.tau))
+            object.__setattr__(self, name, part)
+        object.__setattr__(self, "tau", check_level(self.tau))
 
     @property
     def n(self) -> int:
@@ -142,9 +138,9 @@ class ChartPoint:
         if np.ndim(vec) != 1:
             raise ShapeMismatchError(f"expected one vector of 4n+2 coordinates, got {np.shape(vec)}")
         point = object.__new__(cls)
-        for name, part in zip(("lam", "lamhat", "mu", "muhat"), unpack(vec)):
+        for name, part in zip(_PARTS, unpack(vec)):
             object.__setattr__(point, name, part)
-        object.__setattr__(point, "tau", complex(tau))
+        object.__setattr__(point, "tau", check_level(tau))
         return point
 
 
@@ -566,15 +562,12 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     frame residual is the contract check (EigenMismatchError beyond
     1e3 * tol * value_scale(lamhat)).
 
-    S is closed form.  Row n of ginv is all ones (every right eigenvector
-    ends in 1), so a border column m e_n^T adds (g[:, :n] m) 1^T to
-    P = g shift g^-1, and the vanishing diagonal of g [M, N2] g^-1 fixes
-    that term to -diag(P) without solving for m.  Such an m exists: by
-    ginv g = I the range of g[:, :n] is the vectors whose entries sum to
-    zero, and diag(P) sums to tr(shift) = 0.  Off the diagonal
-    S_jk = (P_jk - P_jj) / (lamhat_j - lamhat_k).
+    S is the Calogero-Moser Lax matrix's off-diagonal (Wilson, Invent.
+    Math. 133, 1998), S_jk = tau / (lamhat_k - lamhat_j): the level
+    condition gives S_jk (lamhat_j - lamhat_k) = P_jk - P_jj for
+    P = g shift g^-1, and row n of ginv is all ones (every right
+    eigenvector ends in 1), so P = tau I - (n+1) tau g[:, n] 1^T.
     """
-    n = lam.shape[-1]
     scale = value_scale(lamhat)
     if any_item((min_gap(lam) <= tol * scale) | (min_gap(lamhat) <= tol * scale)):
         raise DegenerateSpectrumError("chart coordinates need simple spectra")
@@ -583,10 +576,9 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     g, ginv = arrowhead_frame(lam, lamhat)
     _check_frame(Ah, lamhat, g, ginv, tol)
 
-    P = (g * np.diagonal(level_shift(n, tau))) @ ginv   # the shift is diagonal
     gaps = lamhat[..., :, None] - lamhat[..., None, :]
     diagonal_view(gaps)[...] = 1.0
-    S = (P - diagonal_view(P)[..., :, None]) / gaps
+    S = -check_level(tau) / gaps
     diagonal_view(S)[...] = 0.0
     return Ah, g, ginv, S
 
@@ -600,11 +592,11 @@ def _rebuild_tangent(A, g, ginv, X, lamhat):
     - x_i sum_{l != i} (dlam_i - dlam_l) / (lam_i - lam_l).  With E = g dA ginv,
     first-order perturbation (Stewart & Sun, ch. IV-V) gives the rotation
     C_jk = E_jk / (lamhat_k - lamhat_j), C_kk = -sum_{j != k} C_jk (row n of
-    ginv stays all ones), dP = P C - C P for P = g shift ginv, off the diagonal
-    dS = (dP - diag(dP) 1^T - S o dG) / G with G_jk = lamhat_j - lamhat_k, and
-    dB = ginv (dS + C X - X C) g.  E is g[:, m] ginv[m, :] + (g dA[:, n]) 1^T
-    for lam_m and e_j 1^T for lamhat_j, so C = e_j h^T - diag(h), h row j of
-    H = 1 / -G.  C's columns sum to zero: X o G = P - diag(P) 1^T stands in.
+    ginv stays all ones), and dB = ginv (dS + C X - X C) g.  S depends on
+    lamhat alone (_chart_frame), so dS = -S o dG / G = X o dG o H with
+    G_jk = lamhat_j - lamhat_k and H = 1 / -G off the diagonal.  E is
+    g[:, m] ginv[m, :] + (g dA[:, n]) 1^T for lam_m and e_j 1^T for
+    lamhat_j, so C = e_j h^T - diag(h), h row j of H.
     """
     n = A.shape[-1] - 1
     idx, full, k = np.arange(n), np.arange(n + 1), 2 * n + 1
@@ -618,22 +610,17 @@ def _rebuild_tangent(A, g, ginv, X, lamhat):
         R[..., idx, idx] = 0.0
         dA[..., :n, :n, n] = -R * x[..., None, :]
         dA[..., idx, idx, n] = -ginv[..., :n, :].sum(axis=-1) - x * R.sum(axis=-1)
-        G = lamhat[..., :, None] - lamhat[..., None, :]
-        H = -1.0 / G
+        H = -1.0 / (lamhat[..., :, None] - lamhat[..., None, :])
         H[..., full, full] = 0.0
-        Wr, Wc = np.concatenate([X * G, X], axis=-1), np.concatenate([X * G, X], axis=-2)
         C = (((dA[..., :n, :, n] @ gT)[..., None] + gT[..., :n, :, None] * ginv[..., :n, None, :])
              * H[..., None, :, :])
         C[..., full, full] = -C.sum(axis=-2)
-        CW = np.concatenate([C @ Wr[..., None, :, :], -H[..., :, :, None] * Wr[..., None, :, :]], -3)
-        CW[..., n + full, full, :] += H @ Wr                             # [CZ, CX]
-        WC = np.concatenate([Wc[..., None, :, :] @ C, H[..., :, None, :] * (             # [ZC; XC]
-            np.swapaxes(Wc, -1, -2)[..., :, :, None] - Wc[..., None, :, :])], -3)
-        Q = WC[..., :n + 1, :] - CW[..., :n + 1]
-        dS = (Q[..., full, full][..., :, None] - Q
-              + X[..., None, :, :] * (dlamhat[:, :, None] - dlamhat[:, None, :])) * H[..., None, :, :]
-        dB[..., :k, :, :] = (ginv[..., None, :, :] @ (dS + CW[..., n + 1:] - WC[..., n + 1:, :])
-                             @ g[..., None, :, :])
+        CX = np.concatenate([C @ X[..., None, :, :], -H[..., :, :, None] * X[..., None, :, :]], -3)
+        CX[..., n + full, full, :] += H @ X
+        XC = np.concatenate([X[..., None, :, :] @ C, H[..., :, None, :] * (
+            np.swapaxes(X, -1, -2)[..., :, :, None] - X[..., None, :, :])], -3)
+        dS = X[..., None, :, :] * (dlamhat[:, :, None] - dlamhat[:, None, :]) * H[..., None, :, :]
+        dB[..., :k, :, :] = ginv[..., None, :, :] @ (dS + CX - XC) @ g[..., None, :, :]
         dB[..., k + idx, idx, idx] = 1.0     # mu_k adds E_kk; muhat_j adds the projector below
         dB[..., 3 * n + 1:, :, :] = np.swapaxes(ginv, -1, -2)[..., :, :, None] * g[..., :, None, :]
     return dA, dB
@@ -681,21 +668,19 @@ def slice_residual(p: AugmentedPair):
 def project_to_slice(c: ChartPoint, tol: float = DEFAULT_TOL) -> ChartPoint:
     """Minimal muhat correction putting the rebuilt pair on the slice.
 
-    The second corner is affine in muhat with coefficient vector
-    kappa_j = ginv[n, j] g[j, n] (the kappa sum to one, so the constraint
-    is never empty); the correction is the least-norm solution of
-    kappa . muhat + s0 = 0.  lam, lamhat, mu are untouched.
+    Row n of ginv is all ones, so the second corner
+    (ginv (diag(muhat) + S) g)[n, n] is (muhat + 1^T S) . kappa with
+    kappa_j = g[j, n] (the kappa sum to one, so the constraint is never
+    empty); the correction is its least-norm zero in muhat.  lam, lamhat,
+    mu are untouched.
     """
-    n = c.n
-    _, g, ginv, S = _chart_frame(c.lam, c.lamhat, c.tau, tol)
-    kappa = ginv[n, :] * g[:, n]
-    s0 = complex((ginv @ S @ g)[n, n])
+    _, g, _, S = _chart_frame(c.lam, c.lamhat, c.tau, tol)
+    kappa = g[:, c.n]
     nrm2 = float(np.linalg.norm(kappa) ** 2)
     if nrm2 <= tol:
         raise DegenerateConstraintError("slice constraint has no usable gradient")
-    resid = complex(kappa @ c.muhat + s0)
-    muhat = c.muhat - kappa.conj() * (resid / nrm2)
-    return replace(c, muhat=muhat)
+    resid = complex((c.muhat + S.sum(axis=0)) @ kappa)
+    return replace(c, muhat=c.muhat - kappa.conj() * (resid / nrm2))
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +697,7 @@ def random_chart_points(n: int, tau: complex, seeds) -> np.ndarray:
     and imaginary parts of mu and of muhat.  The arithmetic runs over the
     whole stack.
     """
-    if complex(tau) == 0:
+    if check_level(tau) == 0:
         raise ValueError("the level parameter tau must be nonzero")
     check_size(n)
     cuts = np.cumsum([2 * n + 2, 2 * n + 4, n, n, n + 1])

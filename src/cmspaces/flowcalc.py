@@ -39,6 +39,7 @@ from .sl2 import (
     SL2Generator,
     act_pair,
     act_pair_stack,
+    check_generator,
     coefficients,
     sl2_exp,
 )
@@ -57,9 +58,10 @@ def flow_exact(kind: str, t: float, p: AugmentedPair) -> AugmentedPair:
 
 
 def _memo(build):
-    """build, cached on its generators and its other arguments read as Python scalars."""
+    """build, cached on its generators (sl2.check_generator) and its other arguments as scalars."""
     cached = lru_cache(maxsize=128)(build)
-    return wraps(build)(lambda g1, g2, *xs: cached(g1, g2, *(np.asarray(x).item() for x in xs)))
+    return wraps(build)(lambda g1, g2, *xs: cached(
+        check_generator(g1), check_generator(g2), *(np.asarray(x).item() for x in xs)))
 
 
 @_memo
@@ -161,6 +163,8 @@ def ladder_fingerprints(gen1: SL2Generator, gen2: SL2Generator, t: float, steps,
 
 
 def pair_distance(p: AugmentedPair, q: AugmentedPair) -> float:
+    if p.n != q.n:
+        raise ShapeMismatchError(f"pairs of sizes {p.n} and {q.n} have no distance")
     return max(frob(p.A - q.A), frob(p.B - q.B))
 
 

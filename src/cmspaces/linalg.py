@@ -24,14 +24,13 @@ The arrowhead matrices of the chart (`arrowhead`, built from their two
 spectra) have their frame in closed form (`arrowhead_frame`): no
 eigensolver, no inverse, and the order of the given spectrum.  That frame
 is not unit-normalized.  Quantities that do not change under a diagonal
-rescaling of the frame (the rebuild in chart.from_chart, with its
-off-diagonal term, and the diagonal muhat of chart.to_chart) use it as
-it is; chart.decompose, whose frame and off-diagonal term are public,
-rescales it to the convention above with `normalize_frame`.  An
-arrowhead's full spectrum is the set of roots of its secular equation,
-so a chart read tracked against a reference takes it by Newton steps
-from the reference (chart.decompose) and calls `eigvals` only for an
-item those steps do not certify; an untracked read calls `eigvals`.
+rescaling of the frame (the rebuild in chart.from_chart and the
+diagonal muhat of chart.to_chart) use it as it is; chart.decompose,
+whose frame and off-diagonal term are public, rescales it to the
+convention above with `normalize_frame`.  An arrowhead's full spectrum
+is the set of roots of its secular equation, so the chart read
+(chart._read) tracked against a reference takes it by Newton steps from
+it and calls `eigvals` only for an item those steps do not certify.
 """
 
 from __future__ import annotations
@@ -240,10 +239,9 @@ def _normalize_columns(V: np.ndarray):
     if (nrm == 0.0).any():
         raise NonConvergentError("eigensolver produced a zero eigenvector")
     W = V / nrm[..., None, :]
-    mags = np.abs(W)
-    significant = mags > _PHASE_FLOOR
-    # first significant entry per column, or the largest when none is
-    k = np.where(significant.any(axis=-2), significant.argmax(axis=-2), mags.argmax(axis=-2))
+    # first significant entry per column: a unit column of m entries has
+    # one of size at least 1 / sqrt(m), far above _PHASE_FLOOR
+    k = (np.abs(W) > _PHASE_FLOOR).argmax(axis=-2)
     anchor = np.take_along_axis(W, k[..., None, :], axis=-2)
     phase = np.conj(anchor) / np.abs(anchor)
     return W * phase, phase / nrm[..., None, :]

@@ -155,6 +155,13 @@ GEN_F = SL2Generator("f")
 GEN_H = SL2Generator("h")
 
 
+def check_generator(gen) -> SL2Generator:
+    """gen, once it is an SL2Generator (its kind string is not); ShapeMismatchError otherwise."""
+    if not isinstance(gen, SL2Generator):
+        raise ShapeMismatchError(f"expected an SL2Generator, got {type(gen).__name__} {gen!r}")
+    return gen
+
+
 def sl2_exp(X) -> SL2Element:
     """Closed-form exponential of a traceless 2 x 2 matrix.
 
@@ -337,7 +344,7 @@ def _fields(gens, c: ChartPoint, p: AugmentedPair, tol: float) -> np.ndarray:
     X = ((s, q), (r, -s)) moves the pair (A, B) along its tangent pair
     (s A + q B, r A - s B), which one act_pair_stack call builds for every X.
     """
-    dA, dB = act_pair_stack(coefficients([gen.matrix() for gen in gens]), p.A, p.B)
+    dA, dB = act_pair_stack(coefficients([check_generator(g).matrix() for g in gens]), p.A, p.B)
     return tracked_tangent(p, dA, dB, c, tol)
 
 
@@ -373,7 +380,7 @@ def analytic_field(gen: SL2Generator, c: ChartPoint) -> ChartTangent:
     matrix has no commuting diagonal part).  Components the closed forms do
     not determine are left None.
     """
-    if gen.kind == "e":
+    if check_generator(gen).kind == "e":
         n = c.n
         return ChartTangent(
             base=c,
@@ -446,7 +453,7 @@ def slice_tangency(gen: SL2Generator, c: ChartPoint, tol: float = DEFAULT_TOL):
 
 def slice_rates(gen: SL2Generator, p: AugmentedPair):
     """slice_tangency at the pair p = from_chart(c) a caller already holds."""
-    d = slice_residual(act_pair(gen.matrix(), p))
+    d = slice_residual(act_pair(check_generator(gen).matrix(), p))
     return float(abs(d[0])), float(abs(d[1]))
 
 

@@ -24,6 +24,7 @@ conjugation with embed(g) = diag(g, 1), which fixes both.
 
 from __future__ import annotations
 
+import cmath
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,14 +82,10 @@ class Representation:
         if k not in (1, 2):
             raise ShapeMismatchError(f"inner rank k must be 1 or 2, got {k}")
         if v.shape != (n, k) or w.shape != (k, n):
-            raise ShapeMismatchError(
-                f"expected v {n} x {k} and w {k} x {n}, got {v.shape}, {w.shape}"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "tau", complex(self.tau))
+            raise ShapeMismatchError(f"expected v {n} x {k} and w {k} x {n}, got {v.shape}, {w.shape}")
+        for name, value in zip("ABvw", (A, B, v, w)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "tau", check_level(self.tau))
 
     @property
     def n(self) -> int:
@@ -122,7 +119,7 @@ class AugmentedPair:
             raise ShapeMismatchError("augmented matrices must be at least 2 x 2")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "tau", complex(self.tau))
+        object.__setattr__(self, "tau", check_level(self.tau))
 
     @property
     def n(self) -> int:
@@ -620,6 +617,14 @@ def check_size(n: int) -> None:
         raise ShapeMismatchError(f"n must be positive, got {n}")
 
 
+def check_level(tau) -> complex:
+    """tau as a complex, for every container, sampler and rebuild; ShapeMismatchError unless finite."""
+    tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise ShapeMismatchError(f"the level parameter tau = {tau} is not finite")
+    return tau
+
+
 def spaced_points(rng: np.random.Generator, count: int) -> np.ndarray:
     """Complex values on a jittered line; pairwise gaps at least 1 - 2 sqrt(2) 0.15 > 0.57."""
     return spaced_points_from(rng.random(2 * count + 2))
@@ -715,12 +720,12 @@ def random_points(n: int, k: int, tau: complex, seeds):
     at a time would; the first seed to exhaust _MAX_TRIES raises
     InfeasibleRowError.
     """
-    if complex(tau) == 0:
+    tau = check_level(tau)
+    if tau == 0:
         raise ValueError("the level parameter tau must be nonzero")
     if k not in (1, 2):
         raise ShapeMismatchError(f"inner rank k must be 1 or 2, got {k}")
     check_size(n)
-    tau = complex(tau)
     streams = seeded_streams(seeds)
     # per seed: the spectrum (spaced_points), n blocks of 2k row doubles,
     # then (k = 2) n kernel coefficients as (real, imaginary) pairs and

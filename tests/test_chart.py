@@ -232,7 +232,9 @@ def test_numpy_calls_of_one_chart_round_trip():
     # pair and one rebuild of the result.  Its two eigensolver calls take
     # about 0.5 ms and each small numpy call a few microseconds, so the
     # calls are pinned like the LAPACK ledger: 371 and 89 when the read
-    # rescaled its frame, formed S and built the level shift per call
+    # rescaled its frame, formed S and built the level shift per call,
+    # 238 and 69 when the rebuild formed S through the conjugated level
+    # shift and eig's phase anchor had a fallback that never decided
     n = 20
     c = random_chart_point(n, 1.0, 3)
     p = gauge_act_pair(random_gauge(n, 3 ^ 0x5A5A5A5A), from_chart(c))
@@ -240,7 +242,7 @@ def test_numpy_calls_of_one_chart_round_trip():
     got, read = _c_calls(lambda: to_chart(p))
     _, rebuild = _c_calls(lambda: from_chart(got))
     assert np.abs(got.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())
-    assert read <= 247 and rebuild <= 78, (read, rebuild)
+    assert read <= 236 and rebuild <= 67, (read, rebuild)
 
 
 def test_from_chart_lapack_call_budget(monkeypatch):

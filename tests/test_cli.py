@@ -389,3 +389,14 @@ def test_verify_surfaces_internal_errors():
     )
     assert proc.returncode == EXIT_NUMERICAL
     assert "errors" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["chart", "normalize"])
+def test_stdin_with_a_level_that_is_not_finite_is_bad_input(capsys, monkeypatch, command):
+    # a NaN level used to pass decoding and fail the read, exit 3
+    pair = json.loads(dumps(encode(from_chart(random_chart_point(2, 1.0, 3)))))
+    point = json.loads(dumps(encode(random_chart_point(2, 1.0, 3))))
+    for data in ({**pair, "level": [float("nan"), 0.0]}, {**point, "level": [0.0, float("inf")]}):
+        code, out, err = _run(capsys, monkeypatch, [command], stdin_text=json.dumps(data))
+        assert code == EXIT_BAD_INPUT
+        assert out == "" and "not finite" in err

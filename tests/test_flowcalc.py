@@ -343,3 +343,27 @@ def test_a_ladder_that_overflows_raises_as_its_flows_do():
             trotter_flow(GEN_E, GEN_F, TROTTER_TIME, TROTTER_STEPS[0], AugmentedPair(A[1], B[1], 1.0))
         with pytest.raises(ShapeMismatchError, match="non-finite"):
             ladder_fingerprints(GEN_E, GEN_F, TROTTER_TIME, TROTTER_STEPS, A, B)
+
+
+def test_pair_distance_of_pairs_of_two_sizes_raises_shape_mismatch():
+    # numpy's broadcast ValueError used to escape
+    p, q = from_chart(random_chart_point(2, 1.0, 1)), from_chart(random_chart_point(3, 1.0, 1))
+    with pytest.raises(ShapeMismatchError):
+        pair_distance(p, q)
+
+
+def test_flows_and_targets_refuse_a_kind_string_for_a_generator():
+    # a kind string used to raise AttributeError from inside the cached build
+    p = from_chart(random_chart_point(2, 1.0, 1))
+    calls = [
+        lambda: trotter_flow("e", GEN_F, 0.5, 4, p),
+        lambda: trotter_target(GEN_E, "f", 0.5, p),
+        lambda: bracket_flow("e", GEN_F, 0.5, 4, p),
+        lambda: bracket_target(GEN_E, ["f"], 0.5, p),
+        lambda: trotter_element("e", GEN_F, 0.5, 4),
+        lambda: bracket_element(GEN_E, "f", 0.5, 4),
+        lambda: ladder_fingerprints("e", "f", 0.5, [1, 2], p.A, p.B),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeMismatchError, match="SL2Generator"):
+            call()

@@ -444,3 +444,11 @@ def test_chart_survives_the_action():
     c = to_chart(nf)
     assert abs(np.sum(c.lamhat) - np.trace(nf.A)) < 1e-9 * pair_scale(p.A, p.B)
     assert on_level(from_chart(c), tol=1e-8)
+
+
+def test_fields_and_slice_tangency_refuse_a_kind_string_for_a_generator():
+    # a kind string used to raise AttributeError
+    c = random_chart_point(2, 1.0, 1)
+    for call in (analytic_field, numeric_field, slice_tangency):
+        with pytest.raises(ShapeMismatchError, match="SL2Generator"):
+            call("e", c)

@@ -877,3 +877,28 @@ def test_embed_of_a_stack_is_the_one_item_embeds():
         assert E[i, j].tobytes() == one.tobytes()
         assert np.array_equal(one[:3, :3], g[i, j]) and one[3, 3] == 1.0
         assert not one[3, :3].any() and not one[:3, 3].any()
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), complex(1.0, -float("inf"))])
+def test_a_level_that_is_not_finite_is_refused_wherever_a_point_is_built(tau):
+    # each of these used to accept the level (a sampler warned in a divide
+    # on the way, and from_chart_stack returned NaN matrices), and
+    # from_chart of such a point warned in a matmul
+    from cmspaces.chart import ChartPoint, from_chart_stack, random_chart_point
+
+    c = random_chart_point(2, 1.0, 3)
+    I2, ones = np.eye(2), np.ones((2, 1))
+    builds = [
+        lambda: Representation(I2, I2, ones, ones.T, tau),
+        lambda: AugmentedPair(I2, I2, tau),
+        lambda: ChartPoint(c.lam, c.lamhat, c.mu, c.muhat, tau),
+        lambda: ChartPoint.from_vector(c.vector(), tau),
+        lambda: random_point(3, 2, tau, 1),
+        lambda: random_points(3, 1, tau, [1, 2]),
+        lambda: random_chart_point(3, tau, 1),
+        lambda: random_chart_points(3, tau, [1, 2]),
+        lambda: from_chart_stack(c.vector(), tau),
+    ]
+    for build in builds:
+        with pytest.raises(ShapeMismatchError, match="not finite"):
+            build()
