@@ -18,7 +18,6 @@ from _reference import (
 from cmspaces.chart import (
     decompose_stack,
     from_chart_stack,
-    random_chart_point,
     random_chart_points,
     unpack,
 )
@@ -34,7 +33,7 @@ SEEDS = range(20)
 
 def _coalescing(delta: float) -> np.ndarray:
     """random_chart_point(4, 1, s), s = 3..10, packed, with lamhat[1] moved to lamhat[0] + delta."""
-    V = np.array([random_chart_point(4, 1.0, s).vector() for s in range(3, 11)])
+    V = random_chart_points(4, 1.0, range(3, 11))
     V[:, 5] = V[:, 4] + delta
     return V
 
