@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumError,
     NonConvergentError,
+    ShapeMismatchError,
     ZeroRowEntryError,
 )
 from .linalg import (
@@ -36,12 +37,13 @@ from .linalg import (
     as_square_stack,
     diagonal_view,
     eig,
+    eig_unphased,
     eigvals,
     matrix_scale,
     min_gap,
     numeric_rank,
 )
-from .variety import AugmentedPair, GaugeElement, check_gauge, embed
+from .variety import AugmentedPair, GaugeElement, check_gauge
 
 
 def simple_gap(gap: float, M, tol: float) -> bool:
@@ -179,6 +181,16 @@ def normal_form(A, B, tol: float = DEFAULT_TOL):
     numerically singular G raises SingularMatrixError: normal_form checks
     its own gauge with variety.check_gauge(G, Ginv), so callers do not
     check it again.
+
+    The conjugation is built blockwise, never through diag(G, 1) itself.
+    With A = [[A11, a], [r, c]], G = diag(y') g and Ginv = g^-1 diag(y')^-1
+    for the block frame g A11 g^-1 = diag(lam) and y' = r g^-1:
+
+        Ah = [[diag(lam), G a], [1^T, c]],
+        Bh = [[G B11 Ginv, G b], [b'^T Ginv, B[n, n]]]
+
+    with b and b' the border column and row of B.  Ah's block and unit
+    row are exact, not conjugated and snapped.
     """
     return normal_form_at_scale(A, B, tol, matrix_scale(A))
 
@@ -187,28 +199,36 @@ def normal_form_at_scale(A, B, tol: float, scale):
     """normal_form for a caller that has taken scale = matrix_scale(A) already.
 
     The chart's read takes it for its own normal-form test, so the
-    border threshold tol * scale costs no second norm.
+    border threshold tol * scale costs no second norm.  The block frame
+    keeps LAPACK's unit columns unphased (linalg.eig_unphased):
+    a phase c_j on column j of g^-1 multiplies y'_j by c_j and row j of
+    g by 1 / c_j, so G and Ginv do not depend on it.  Pairs of unequal
+    shapes, or not square, or below 2 x 2, raise ShapeMismatchError.
     """
+    if A.ndim < 2 or not A.shape[-2] == A.shape[-1] >= 2 or np.shape(B) != A.shape:
+        raise ShapeMismatchError(f"pair shapes {A.shape}, {np.shape(B)} differ or are below 2 x 2")
     n = A.shape[-1] - 1
-    lam, g1, g1inv, _, y, thr = _eigenbasis_border(A, tol, scale)
-    if any_item(np.abs(y).min(axis=-1) <= thr):
+    lam, g1, g1inv = eig_unphased(A[..., :n, :n], tol)
+    y = (A[..., n:, :n] @ g1inv)[..., 0, :]
+    if any_item(np.abs(y).min(axis=-1) <= tol * scale):
         raise ZeroRowEntryError(
             "a border-row entry vanishes on the eigenbasis; no unit-row form"
         )
     G = y[..., :, None] * g1
     Gi = g1inv / y[..., None, :]
-    E, Ei = embed(G), embed(Gi)
-    Ah = E @ A @ Ei
-    Bh = E @ B @ Ei
+    Ah = np.zeros(A.shape, dtype=np.complex128)
+    diagonal_view(Ah)[..., :n] = lam
+    Ah[..., :n, n:] = G @ A[..., :n, n:]
+    Ah[..., n, :n] = 1.0
+    Ah[..., n, n] = A[..., n, n]
+    Bh = np.array(B, dtype=np.complex128)
+    Bh[..., :n, :] = G @ Bh[..., :n, :]
+    Bh[..., :, :n] = Bh[..., :, :n] @ Gi
     if not all(np.isfinite(X).all() for X in (Ah, Bh, G, Gi)):
         raise NonConvergentError(
             "normal form overflowed: the gauge or the conjugated pair is not finite"
         )
     check_gauge(G, Gi)
-    # snap the structural entries the conjugation guarantees
-    Ah[..., :n, :n] = 0.0
-    diagonal_view(Ah)[..., :n] = lam
-    Ah[..., n, :n] = 1.0
     return Ah, Bh, G, Gi
 
 

@@ -41,8 +41,8 @@ from .linalg import (
     MATCH_GUARD,
     all_items,
     any_item,
-    arrowhead,
     arrowhead_frame,
+    arrowhead_with_frame,
     as_square_stack,
     comm,
     diagonal_view,
@@ -173,13 +173,18 @@ class Decomposition:
 def _normal_form_test(A, tol: float, scale):
     """Per item: is A in bordered normal form, within max(tol, 1e-12) * scale?
 
-    scale is matrix_scale(A), which the caller takes once per read.
+    scale is matrix_scale(A), which the caller takes once per read.  The
+    border row is tested first, and the block's off-diagonal norm only
+    when some item's row passes.
     """
     tol = max(tol, 1e-12)
     n = A.shape[-1] - 1
+    ok = np.abs(A[..., n, :n] - 1.0).max(axis=-1) <= tol * scale
+    if not ok.any():
+        return ok
     off = A[..., :n, :n].copy()
     diagonal_view(off)[...] = 0.0
-    return (frob(off) <= tol * scale) & (np.abs(A[..., n, :n] - 1.0).max(axis=-1) <= tol * scale)
+    return ok & (frob(off) <= tol * scale)
 
 
 def _scale_of(norm):
@@ -257,8 +262,10 @@ def decompose_stack(A, B, tau: complex, tol: float = DEFAULT_TOL,
     enlarging them: one reference for all items or one per item.  The
     callers make both true (decompose and to_chart_stack test them,
     from_chart_stack builds normal forms), so neither is tested again.
-    The read itself is _read's; this rescales its frame and forms S.
+    The read itself is _read's; this rescales its frame and forms S.  A
+    tau that is not finite raises ShapeMismatchError before any work.
     """
+    tau = check_level(tau)
     lamhat, g, ginv, mu, N1, N2, defect = _read(A, B, tau, tol, lamhat_ref, frob(A))
     g, ginv = normalize_frame(g, ginv)
     if lamhat_ref is not None:
@@ -392,8 +399,10 @@ def to_chart_stack(A, B, tau: complex, tol: float = DEFAULT_TOL, ref=None) -> np
     before any work.  The pairs are normalized unless every one is in
     normal form already, so the normal form is tested once per read.
     The last step orders lam and mu together: matched to ref's
-    lam, or in the package ordering without ref.
+    lam, or in the package ordering without ref.  A tau that is not
+    finite raises ShapeMismatchError before any work.
     """
+    tau = check_level(tau)
     A, B = as_square_stack(A), as_square_stack(B)
     if A.shape != B.shape or A.shape[-1] < 2:
         raise ShapeMismatchError(f"pair shapes {A.shape}, {B.shape} differ or are below 2 x 2")
@@ -558,25 +567,28 @@ def _chart_frame(lam, lamhat, tau: complex, tol: float):
     (lam, lamhat) and (g, ginv) its closed-form frame
     (linalg.arrowhead_frame), in the given order by construction and not
     unit-normalized: S, the rebuilt second matrix and project_to_slice's
-    kappa do not change under a diagonal rescaling of the frame.  The
-    frame residual is the contract check (EigenMismatchError beyond
-    1e3 * tol * value_scale(lamhat)).
+    kappa do not change under a diagonal rescaling of the frame.  Ah and
+    the frame come from one set of spectral products
+    (linalg.arrowhead_with_frame).  The frame residual is the contract check
+    (EigenMismatchError beyond 1e3 * tol * value_scale(lamhat)).
 
     S is the Calogero-Moser Lax matrix's off-diagonal (Wilson, Invent.
     Math. 133, 1998), S_jk = tau / (lamhat_k - lamhat_j): the level
     condition gives S_jk (lamhat_j - lamhat_k) = P_jk - P_jj for
     P = g shift g^-1, and row n of ginv is all ones (every right
-    eigenvector ends in 1), so P = tau I - (n+1) tau g[:, n] 1^T.
+    eigenvector ends in 1), so P = tau I - (n+1) tau g[:, n] 1^T.  One
+    matrix of differences lamhat_j - lamhat_k serves S and the gap test.
     """
     scale = value_scale(lamhat)
-    if any_item((min_gap(lam) <= tol * scale) | (min_gap(lamhat) <= tol * scale)):
+    gaps = lamhat[..., :, None] - lamhat[..., None, :]
+    dist = np.abs(gaps)
+    diagonal_view(dist)[...] = np.inf
+    if any_item((min_gap(lam) <= tol * scale) | (dist.min(axis=(-2, -1)) <= tol * scale)):
         raise DegenerateSpectrumError("chart coordinates need simple spectra")
 
-    Ah = arrowhead(lam, lamhat)
-    g, ginv = arrowhead_frame(lam, lamhat)
+    Ah, g, ginv = arrowhead_with_frame(lam, lamhat)
     _check_frame(Ah, lamhat, g, ginv, tol)
 
-    gaps = lamhat[..., :, None] - lamhat[..., None, :]
     diagonal_view(gaps)[...] = 1.0
     S = -check_level(tau) / gaps
     diagonal_view(S)[...] = 0.0

@@ -10,24 +10,33 @@ conventions fixed here are uniform across the package:
 
 The second convention pins the remaining phase freedom, which makes every
 quantity computed from a diagonalizer reproducible bit for bit on
-identical input.  Tolerances here are relative to the Frobenius norm of
-the input, and elsewhere to `matrix_scale`, `pair_scale` or
-`value_scale`; `DEFAULT_TOL` is used when the caller does not pass one.
-Calls that no convention here governs go to numpy directly:
-`np.linalg.inv` and `svd` in `variety` (gauge elements), `svd` in `sl2`
-(the rank of the induced fields), `pinv` in `flowcalc` (the fit
-projectors) and `norm` in `chart` (the slice projection) and in
-`verify`.  The chart read's kappa, which only sets a threshold, takes
-its row and column norms from `row_norms`, not from `np.linalg.norm`.
+identical input.  It is `eig`'s.  LAPACK already returns unit columns,
+so `eig_unphased` differs from `eig` only by skipping the phase fix.
+The bordered normal form (canonical.normal_form) takes its block frame
+from `eig_unphased`, because its unit-row scaling undoes any phase: a
+factor c_j on column j of ginv multiplies the border-row entry y'_j by
+c_j and row j of g by 1 / c_j, so the gauge diag(y') g does not change.
+
+Tolerances here are relative to the Frobenius norm of the input, and
+elsewhere to `matrix_scale`, `pair_scale` or `value_scale`;
+`DEFAULT_TOL` is used when the caller does not pass one.  Calls that no
+convention here governs go to numpy directly: `np.linalg.inv` and `svd`
+in `variety` (gauge elements), `svd` in `sl2` (the rank of the induced
+fields), `pinv` in `flowcalc` (the fit projectors) and `norm` in `chart`
+(the slice projection) and in `verify`.  The chart read's kappa, which
+only sets a threshold, takes its row and column norms from `row_norms`,
+not from `np.linalg.norm`.
 
 The arrowhead matrices of the chart (`arrowhead`, built from their two
 spectra) have their frame in closed form (`arrowhead_frame`): no
-eigensolver, no inverse, and the order of the given spectrum.  That frame
-is not unit-normalized.  Quantities that do not change under a diagonal
-rescaling of the frame (the rebuild in chart.from_chart and the
-diagonal muhat of chart.to_chart) use it as it is; chart.decompose,
-whose frame and off-diagonal term are public, rescales it to the
-convention above with `normalize_frame`.  An arrowhead's full spectrum
+eigensolver, no inverse, and the order of the given spectrum.  Both come
+from one kernel of spectral products, and `arrowhead_with_frame` gives
+the two from one evaluation.  That frame is not unit-normalized.
+Quantities that do not change under a diagonal rescaling of the frame
+(the rebuild in chart.from_chart and the diagonal muhat of
+chart.to_chart) use it as it is; chart.decompose, whose frame and
+off-diagonal term are public, rescales it to the convention above with
+`normalize_frame`.  An arrowhead's full spectrum
 is the set of roots of its secular equation, so the chart read
 (chart._read) tracked against a reference takes it by Newton steps from
 it and calls `eigvals` only for an item those steps do not certify.
@@ -288,17 +297,13 @@ def arrowhead(lam, lamhat):
 
         x_i = -prod_j (lam_i - lamhat_j) / prod_{l != i} (lam_i - lam_l),
         a = sum(lamhat) - sum(lam).
+
+    x is homogeneous of degree 2, so it is evaluated at the spectral
+    scale s of arrowhead_frame and multiplied back by s^2: the same bits
+    as the formula above, barring overflow and underflow.  Its products
+    are the ones the frame is built from (arrowhead_with_frame).
     """
-    lam = np.asarray(lam, dtype=np.complex128)
-    lamhat = np.asarray(lamhat, dtype=np.complex128)
-    n = lam.shape[-1]
-    A = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
-    diagonal_view(A)[..., :n] = lam
-    A[..., :n, n] = (-(lam[..., :, None] - lamhat[..., None, :]).prod(axis=-1)
-                     / _offdiagonal_products(lam))
-    A[..., n, :n] = 1.0
-    A[..., n, n] = lamhat.sum(axis=-1) - lam.sum(axis=-1)
-    return A
+    return _arrowhead_parts(lam, lamhat, True, False)[0]
 
 
 def arrowhead_frame(lam, lamhat):
@@ -325,7 +330,28 @@ def arrowhead_frame(lam, lamhat):
     normalize_frame).  It is homogeneous, so it is evaluated at lam / s,
     lamhat / s with s a power of two at the spectral scale (exact
     scaling, and the products stay clear of overflow) and mapped back by
-    diag(s, ..., s, 1).  Stacks run over leading axes.
+    diag(s, ..., s, 1).  Stacks run over leading axes.  The differences
+    and products it shares with arrowhead are formed in one kernel
+    (arrowhead_with_frame builds both from one evaluation).
+    """
+    return _arrowhead_parts(lam, lamhat, False, True)[1:]
+
+
+def arrowhead_with_frame(lam, lamhat):
+    """(A, g, ginv): arrowhead(lam, lamhat) and arrowhead_frame(lam, lamhat), bit for bit.
+
+    One set of spectral products serves both, for the chart's rebuild.
+    """
+    return _arrowhead_parts(lam, lamhat, True, True)
+
+
+def _arrowhead_parts(lam, lamhat, matrix: bool, frame: bool):
+    """(A, g, ginv): the arrowhead and its frame from one set of spectral products.
+
+    The one kernel of arrowhead, arrowhead_frame and arrowhead_with_frame;
+    a part not asked for is None.  Both parts read the differences
+    lam_i - lamhat_j and the products prod_{l != i} (lam_i - lam_l),
+    formed once at arrowhead_frame's scale s.
     """
     # C-ordered, so that each item of a stack rounds as its one-item call
     lam = np.ascontiguousarray(lam, dtype=np.complex128)
@@ -333,20 +359,28 @@ def arrowhead_frame(lam, lamhat):
     n = lam.shape[-1]
     top = np.maximum(np.abs(lam).max(axis=-1), np.abs(lamhat).max(axis=-1))
     s = np.ldexp(1.0, np.frexp(top)[1])[..., None]
-    lam, lamhat = lam / s, lamhat / s
+    lam_s, lamhat_s = lam / s, lamhat / s
+    D = lam_s[..., :, None] - lamhat_s[..., None, :]
+    P = _offdiagonal_products(lam_s)
 
-    ginv = np.ones(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
-    ginv[..., :n, :] = (_leave_one_out(lam[..., :, None] - lamhat[..., None, :])
-                        / _offdiagonal_products(lam)[..., :, None])
-    E = lamhat[..., :, None] - lam[..., None, :]
-    W = np.empty_like(ginv)
-    W[..., :n] = _leave_one_out(E)
-    W[..., n] = E.prod(axis=-1)
-    g = W / _offdiagonal_products(lamhat)[..., :, None]
-
-    ginv[..., :n, :] *= s[..., None]
-    g[..., :n] /= s[..., None]
-    return g, ginv
+    A = g = ginv = None
+    if matrix:
+        A = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
+        diagonal_view(A)[..., :n] = lam
+        A[..., :n, n] = -D.prod(axis=-1) / P * s * s
+        A[..., n, :n] = 1.0
+        A[..., n, n] = lamhat.sum(axis=-1) - lam.sum(axis=-1)
+    if frame:
+        ginv = np.ones(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
+        ginv[..., :n, :] = _leave_one_out(D) / P[..., :, None]
+        E = np.negative(np.swapaxes(D, -1, -2), order="C")     # lamhat_j - lam_m, exactly
+        W = np.empty_like(ginv)
+        W[..., :n] = _leave_one_out(E)
+        W[..., n] = E.prod(axis=-1)
+        g = W / _offdiagonal_products(lamhat_s)[..., :, None]
+        ginv[..., :n, :] *= s[..., None]
+        g[..., :n] /= s[..., None]
+    return A, g, ginv
 
 
 def eigvals(M):
@@ -379,6 +413,26 @@ def eig(M, tol: float = DEFAULT_TOL):
     same treatment and checks as a single matrix, and the first failing
     item raises.
     """
+    return _eig(M, tol, True)
+
+
+def eig_unphased(M, tol: float = DEFAULT_TOL):
+    """eig without the phase fix: ginv holds LAPACK's unit eigenvector columns as they come.
+
+    The same LAPACK call, gap test, sort, inverse and reassembly check,
+    with the same thresholds and errors; only the rotation that pins each
+    column's phase is skipped.  For a caller whose result does not depend
+    on the columns' phases (canonical.normal_form).
+    """
+    return _eig(M, tol, False)
+
+
+def _eig(M, tol: float, phase: bool):
+    """The one core of eig and eig_unphased; phase selects the phase fix.
+
+    The reassembly residual does not depend on it: a diagonal unimodular
+    D leaves ||D^-1 R D||_F = ||R||_F.
+    """
     A = as_square_stack(M)
     try:
         vals, vecs = np.linalg.eig(A)
@@ -394,7 +448,9 @@ def eig(M, tol: float = DEFAULT_TOL):
         )
     order = sort_order(vals)
     vals = gather(vals, order, -1)
-    vecs, _ = _normalize_columns(gather(vecs, order, -1))
+    vecs = gather(vecs, order, -1)
+    if phase:
+        vecs, _ = _normalize_columns(vecs)
     try:
         g = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:

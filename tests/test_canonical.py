@@ -3,18 +3,26 @@
 import numpy as np
 import pytest
 
+from cmspaces import linalg, variety
 from cmspaces.canonical import (
     RegularityReport,
     conjugation_operator,
+    normal_form,
     normalize,
     orbit_dimension,
     regularity_report,
 )
-from cmspaces.errors import DegenerateSpectrumError, NonConvergentError, ZeroRowEntryError
-from cmspaces.linalg import frob
+from cmspaces.errors import (
+    DegenerateSpectrumError,
+    NonConvergentError,
+    ShapeMismatchError,
+    ZeroRowEntryError,
+)
+from cmspaces.linalg import eig, frob
 from cmspaces.variety import (
     AugmentedPair,
     augment,
+    embed,
     gauge_act_pair,
     on_level,
     pair_fingerprint,
@@ -235,3 +243,88 @@ def test_normalize_rejects_vanishing_row_entry():
     p = AugmentedPair(A, np.eye(3), 1.0)
     with pytest.raises(ZeroRowEntryError):
         normalize(p)
+
+
+def _dense_normal_form(A, B, G, Gi):
+    """The conjugation by diag(G, 1) as dense products, with the entries it guarantees snapped."""
+    n = A.shape[-1] - 1
+    E, Ei = embed(G), embed(Gi)
+    Ah, Bh = E @ A @ Ei, E @ B @ Ei
+    lam = Ah[..., np.arange(n), np.arange(n)].copy()
+    Ah[..., :n, :n] = 0.0
+    Ah[..., np.arange(n), np.arange(n)] = lam
+    Ah[..., n, :n] = 1.0
+    return Ah, Bh
+
+
+def _phased_gauge(A):
+    """normal_form's gauge from eig's phase-fixed frame: G = diag(y') g, y' = r g^-1."""
+    n = A.shape[-1] - 1
+    _, g, ginv = eig(A[..., :n, :n])
+    y = (A[..., n:, :n] @ ginv)[..., 0, :]
+    return y[..., :, None] * g, ginv / y[..., None, :]
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5 - 2j, 1e8])
+def test_the_blockwise_normal_form_is_the_dense_conjugation(tau):
+    # within 16 eps of each product's scale: ||G|| ||A|| for Ah, whose
+    # block and row are exact, ||G|| ||B|| ||G^-1|| for Bh.  Without eig's
+    # phase fix the gauge is the phased one within 16 eps ||G|| times its
+    # condition ||G|| ||G^-1||, the rounding of the two inverses
+    for n in range(1, 9):
+        for seed in range(3):
+            p = gauge_act_pair(random_gauge(n, seed + 40), _pair(n, 300 + seed, tau))
+            Ah, Bh, G, Gi = normal_form(p.A, p.B)
+            dense_A, dense_B = _dense_normal_form(p.A, p.B, G, Gi)
+            nG, nGi = frob(G), frob(Gi)
+            assert frob(Ah - dense_A) <= 16 * _EPS * nG * frob(p.A)
+            assert frob(Bh - dense_B) <= 16 * _EPS * nG * frob(p.B) * nGi
+            assert np.array_equal(Ah[n, :n], np.ones(n))
+            assert Ah[n, n] == p.A[n, n] and Bh[n, n] == p.B[n, n]
+            G_ref, Gi_ref = _phased_gauge(p.A)
+            assert frob(G - G_ref) <= 16 * _EPS * nG * nG * nGi
+            assert frob(Gi - Gi_ref) <= 16 * _EPS * nGi * nG * nGi
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5 - 2j, 1e8])
+def test_each_item_of_a_stacked_normal_form_has_the_bits_of_its_one_item_call(tau):
+    for n in (1, 3, 8):
+        pairs = [gauge_act_pair(random_gauge(n, s + 50), _pair(n, 310 + s, tau)) for s in range(4)]
+        A, B = np.stack([q.A for q in pairs]), np.stack([q.B for q in pairs])
+        stacked = normal_form(A, B)
+        dense_A, dense_B = _dense_normal_form(A, B, *stacked[2:])
+        for i, q in enumerate(pairs):
+            one = normal_form(q.A, q.B)
+            assert all(np.array_equal(x[i], y) for x, y in zip(stacked, one))
+        nG = frob(stacked[2])
+        assert (frob(stacked[0] - dense_A) <= 16 * _EPS * nG * frob(A)).all()
+        assert (frob(stacked[1] - dense_B) <= 16 * _EPS * nG * frob(B) * frob(stacked[3])).all()
+
+
+def test_the_normal_form_neither_embeds_nor_phases_its_gauge(monkeypatch):
+    p = gauge_act_pair(random_gauge(4, 60), _pair(4, 320))
+    calls = []
+    for owner, name in ((linalg, "_normalize_columns"), (variety, "embed")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    normal_form(p.A, p.B)
+    assert calls == []
+    eig(p.A)     # eig keeps its phase fix
+    assert calls == ["_normalize_columns"]
+
+
+def test_a_normal_form_of_mismatched_shapes_is_a_shape_error():
+    # the blockwise build would otherwise accept a second matrix of another size
+    A = _pair(3, 330).A
+    for a, b in ((A, A[:3, :3]), (A, A[:, :3]), (A[:, :3], A[:, :3]), (A[:1, :1], A[:1, :1]),
+                 (np.stack([A, A]), A)):
+        with pytest.raises(ShapeMismatchError):
+            normal_form(a, b)

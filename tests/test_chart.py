@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmspaces.chart as chart_module
+import cmspaces.linalg as linalg_module
 from cmspaces.canonical import normalize
 from cmspaces.chart import (
     ChartPoint,
@@ -234,7 +235,10 @@ def test_numpy_calls_of_one_chart_round_trip():
     # calls are pinned like the LAPACK ledger: 371 and 89 when the read
     # rescaled its frame, formed S and built the level shift per call,
     # 238 and 69 when the rebuild formed S through the conjugated level
-    # shift and eig's phase anchor had a fallback that never decided
+    # shift and eig's phase anchor had a fallback that never decided, 236
+    # and 67 when the normal form phase-fixed its block frame and
+    # conjugated densely, and the rebuild formed the arrowhead's spectral
+    # products apart from its frame's
     n = 20
     c = random_chart_point(n, 1.0, 3)
     p = gauge_act_pair(random_gauge(n, 3 ^ 0x5A5A5A5A), from_chart(c))
@@ -242,7 +246,7 @@ def test_numpy_calls_of_one_chart_round_trip():
     got, read = _c_calls(lambda: to_chart(p))
     _, rebuild = _c_calls(lambda: from_chart(got))
     assert np.abs(got.vector() - c.vector()).max() < 1e-8 * max(1.0, np.abs(c.vector()).max())
-    assert read <= 236 and rebuild <= 67, (read, rebuild)
+    assert read <= 221 and rebuild <= 63, (read, rebuild)
 
 
 def test_from_chart_lapack_call_budget(monkeypatch):
@@ -876,3 +880,39 @@ def test_the_cached_level_shift_cannot_be_written():
     with pytest.raises(ValueError):
         shift[0, 0] = 0.0
     assert shift.tobytes() == np.diag([0.5 - 2j] * 3 + [-1.5 + 6j]).tobytes()
+
+
+@pytest.mark.parametrize("tau", [np.inf, np.nan, complex(1.0, -np.inf)])
+def test_the_read_kernels_refuse_a_non_finite_tau_before_any_work(monkeypatch, tau):
+    # the tau rule of every container, sampler and the rebuild: a shape
+    # error, raised before any eigensolver call, not a level-condition one
+    p = from_chart(random_chart_point(3, 1.0, 14))
+    scrambled = gauge_act_pair(random_gauge(3, 15), p)
+    calls = _count_lapack(monkeypatch, ("eig", "eigvals", "inv", "svd"))
+    for q in (p, scrambled):
+        with pytest.raises(ShapeMismatchError):
+            to_chart_stack(q.A, q.B, tau)
+        with pytest.raises(ShapeMismatchError):
+            to_chart_stack(q.A, q.B, tau, ref=random_chart_point(3, 1.0, 14).vector())
+    with pytest.raises(ShapeMismatchError):
+        chart_module.decompose_stack(p.A, p.B, tau)
+    with pytest.raises(ShapeMismatchError):
+        chart_module.decompose_stack(p.A[None], p.B[None], tau, lamhat_ref=np.zeros(4))
+    assert calls == []
+
+
+def test_the_rebuild_forms_its_spectral_products_once(monkeypatch):
+    # one set of lam - lamhat differences and lam's off-diagonal products
+    # serves the arrowhead and its frame: two off-diagonal products (lam
+    # and lamhat) where arrowhead and arrowhead_frame took three
+    c = random_chart_point(5, 1.0, 16)
+    seen = []
+    original = linalg_module._offdiagonal_products
+
+    def counted(v):
+        seen.append(v.shape[-1])
+        return original(v)
+
+    monkeypatch.setattr(linalg_module, "_offdiagonal_products", counted)
+    from_chart(c)
+    assert seen == [5, 6]

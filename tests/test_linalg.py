@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from cmspaces.chart import random_chart_points
 from cmspaces.errors import (
     BranchAmbiguityError,
     DegenerateSpectrumError,
@@ -15,9 +16,11 @@ from cmspaces.linalg import (
     MATCH_GUARD,
     arrowhead,
     arrowhead_frame,
+    arrowhead_with_frame,
     as_cmatrix,
     comm,
     eig,
+    eig_unphased,
     eigvals,
     frob,
     match_to_reference,
@@ -279,6 +282,61 @@ def test_arrowhead_frame_is_exact_at_a_vanishing_border_entry():
     g, ginv = arrowhead_frame(lam, lamhat)
     assert np.isfinite(g).all() and np.isfinite(ginv).all()
     assert frob(g @ A @ ginv - np.diag(lamhat)) < 1e-13 * frob(A)
+
+
+def _unscaled_arrowhead(lam, lamhat):
+    """arrowhead's formula evaluated as written, at the spectra's own scale."""
+    n = lam.shape[-1]
+    d = lam[..., :, None] - lam[..., None, :]
+    d[..., np.arange(n), np.arange(n)] = 1.0
+    A = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=complex)
+    A[..., np.arange(n), np.arange(n)] = lam
+    A[..., :n, n] = -(lam[..., :, None] - lamhat[..., None, :]).prod(axis=-1) / d.prod(axis=-1)
+    A[..., n, :n] = 1.0
+    A[..., n, n] = lamhat.sum(axis=-1) - lam.sum(axis=-1)
+    return A
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 40])
+def test_arrowhead_keeps_the_bits_of_the_unscaled_formula(n):
+    # x is homogeneous of degree 2, so s^2 x(lam / s, lamhat / s) at a
+    # power of two s rounds like x itself
+    V = random_chart_points(n, 1.0, range(5))
+    lam, lamhat = V[:, :n], V[:, n:2 * n + 1]
+    for s in (1.0, 1e-3, 3.7, 1e4):
+        for i in range(5):
+            want = _unscaled_arrowhead(lam[i] * s, lamhat[i] * s)
+            assert np.array_equal(arrowhead(lam[i] * s, lamhat[i] * s), want)
+
+
+def test_arrowhead_with_frame_is_both_public_builds_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for n in (1, 3, 8):
+        cases = [(_random_complex(rng, 4, n), _random_complex(rng, 4, n + 1))]
+        V = random_chart_points(n, 1.0, range(4))
+        cases.append((V[:, :n], V[:, n:2 * n + 1]))
+        for lam, lamhat in cases:
+            A, g, ginv = arrowhead_with_frame(lam, lamhat)
+            g1, ginv1 = arrowhead_frame(lam, lamhat)
+            assert np.array_equal(A, arrowhead(lam, lamhat))
+            assert np.array_equal(g, g1) and np.array_equal(ginv, ginv1)
+
+
+def test_eig_unphased_is_eig_up_to_the_phases_of_its_columns():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 6, 12):
+        M = _random_complex(rng, 3, n, n)
+        vals, g, ginv = eig(M)
+        vals_u, g_u, ginv_u = eig_unphased(M)
+        assert np.array_equal(vals, vals_u)
+        np.testing.assert_allclose(np.linalg.norm(ginv_u, axis=-2), 1.0, rtol=1e-14)
+        # column j of ginv is column j of ginv_u times a unimodular c_j
+        c = (ginv_u.conj() * ginv).sum(axis=-2)
+        np.testing.assert_allclose(np.abs(c), 1.0, rtol=1e-12)
+        assert np.abs(ginv_u * c[..., None, :] - ginv).max() < 1e-12
+        assert np.abs(g_u / c[..., :, None] - g).max() < 1e-12 * max(1.0, np.abs(g).max())
+    with pytest.raises(DegenerateSpectrumError):
+        eig_unphased(np.diag([1.0, 1.0, 2.0]))
 
 
 def test_stacked_arrowhead_frame_matches_each_item_at_any_scale():

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from cmspaces import flowcalc, sl2, variety, verify
-from cmspaces.chart import from_chart, from_chart_stack, random_chart_point, random_chart_points
+from cmspaces.chart import (
+    chart_jacobian_stack,
+    from_chart,
+    from_chart_stack,
+    random_chart_point,
+    random_chart_points,
+)
 from cmspaces.errors import (
     DegenerateSpectrumError,
     InfeasibleRowError,
@@ -16,7 +22,7 @@ from cmspaces.errors import (
     SearchExhaustedError,
     ZeroRowEntryError,
 )
-from cmspaces.linalg import matrix_scale
+from cmspaces.linalg import matrix_scale, numeric_rank
 from cmspaces.variety import random_point, random_points
 from cmspaces.verify import SCHEMA_VERSION, SUITE_NAMES, RunConfig, expand_suites, run
 
@@ -151,6 +157,34 @@ def test_jacobian_rank_passes_at_large_tau():
     for seed in (1, 2):
         (rec,) = verify._run_check(verify._check_jacobian_rank, RunConfig(tau=1e12, seed=seed))
         assert (rec.status, rec.residual) == ("pass", 0.0)
+
+
+def test_jacobian_ranks_agree_with_numeric_rank():
+    # the certificate ||J - I||_F <= 1/2 skips the SVD only where it
+    # cannot change the count: seeded Jacobians (at tau = 1e12 some are
+    # far enough from I to need the SVD), a rank-deficient J and full-rank
+    # and deficient Js beyond the certificate's radius
+    stacks = [chart_jacobian_stack(random_chart_points(n, tau, range(6)), tau)
+              for n in (1, 3) for tau in (1.0, 1e8, 1e12)]
+    k = 10
+    deficient = np.eye(k, dtype=complex)
+    deficient[3, 3] = 0.0                       # ||J - I||_F = 1, rank k - 1
+    near = np.eye(k, dtype=complex)
+    near[0, 1] = 0.4                            # certified
+    stacks.append(np.stack([deficient, near, 2.0 * np.eye(k), np.eye(k) + 0.6,
+                            np.diag(np.r_[np.ones(k - 1), 1e-12])]))
+    for J in stacks:
+        assert np.array_equal(verify._jacobian_ranks(J), numeric_rank(J))
+    assert verify._jacobian_ranks(stacks[-1]).tolist() == [k - 1, k, k, k, k - 1]
+
+
+def test_jacobian_ranks_take_no_svd_for_certified_items(monkeypatch):
+    calls = _count_calls(monkeypatch, np.linalg, "svd")
+    J = np.stack([np.eye(6) + 1e-3, 3.0 * np.eye(6)]).astype(complex)
+    assert verify._jacobian_ranks(J[:1]).tolist() == [6]
+    assert calls["svd"] == 0
+    assert verify._jacobian_ranks(J).tolist() == [6, 6]
+    assert calls["svd"] == 1
 
 
 def test_seeded_sweeps_draw_one_stack_per_size(monkeypatch):
@@ -437,9 +471,11 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     # untracked reads and the scaling spectra (6: one per size and size of
     # matrix), svd for random_gauges' condition bound (one per size) and
     # the ranks (one per size in the orbit check: 5, where one per point
-    # made 15); the chart Jacobian, the induced fields, the splitting
-    # check and the gauge checks make none.  The four pinv of the flow
-    # fits are cached for the process, so a pass after the first makes none
+    # made 15); the chart Jacobian's ranks make none, since every seeded
+    # Jacobian has ||J - I||_F <= 1/2 (19 svd when they took one per
+    # size), and the induced fields, the splitting check and the gauge
+    # checks make none.  The four pinv of the flow fits are cached for the
+    # process, so a pass after the first makes none
     counts = _count_calls(monkeypatch, np.linalg, "eig", "eigvals", "inv", "svd", "solve", "lstsq",
                           "pinv")
     # polyfit reaches lstsq through numpy's own import, which the patch above misses
@@ -448,7 +484,7 @@ def test_lapack_calls_of_one_verify_pass(monkeypatch):
     assert report["summary"]["passed"] == report["summary"]["total"]
     pinv = counts.pop("pinv")
     assert pinv in (0, 4)
-    assert counts == {"eig": 30, "eigvals": 21, "inv": 34, "svd": 19, "solve": 5, "lstsq": 0}
+    assert counts == {"eig": 30, "eigvals": 21, "inv": 34, "svd": 14, "solve": 5, "lstsq": 0}
     assert fits == {"polyfit": 0}
 
 
