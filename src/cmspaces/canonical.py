@@ -190,8 +190,10 @@ def normal_form(A, B, tol: float = DEFAULT_TOL):
         Bh = [[G B11 Ginv, G b], [b'^T Ginv, B[n, n]]]
 
     with b and b' the border column and row of B.  Ah's block and unit
-    row are exact, not conjugated and snapped.
+    row are exact, not conjugated and snapped.  Nested lists are taken
+    like the arrays they convert to.
     """
+    A = np.asarray(A)
     return normal_form_at_scale(A, B, tol, matrix_scale(A))
 
 

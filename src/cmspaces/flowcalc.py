@@ -30,7 +30,16 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .errors import IllConditionedFitError, ShapeMismatchError, WitnessVanishesError
-from .linalg import as_finite, as_square_stack, frob, matrix_scale, value_scale
+from .linalg import (
+    all_items,
+    any_item,
+    as_finite,
+    as_square_stack,
+    first_failure,
+    frob,
+    matrix_scale,
+    value_scale,
+)
 from .sl2 import (
     GEN_E,
     GEN_F,
@@ -41,6 +50,7 @@ from .sl2 import (
     act_pair_stack,
     check_generator,
     coefficients,
+    is_count,
     sl2_exp,
 )
 from .variety import AugmentedPair, pair_fingerprints
@@ -58,18 +68,27 @@ def flow_exact(kind: str, t: float, p: AugmentedPair) -> AugmentedPair:
 
 
 def _memo(build):
-    """build, cached on its generators (sl2.check_generator) and its other arguments as scalars."""
-    cached = lru_cache(maxsize=128)(build)
+    """build, cached on its generators (sl2.check_generator) and its other arguments as scalars.
+
+    The key is typed, so a float step count never hits the entry of the
+    integer it equals and is refused by build.
+    """
+    cached = lru_cache(maxsize=128, typed=True)(build)
     return wraps(build)(lambda g1, g2, *xs: cached(
         check_generator(g1), check_generator(g2), *(np.asarray(x).item() for x in xs)))
+
+
+def _check_steps(n_steps) -> None:
+    """ValueError unless the step count is an integer >= 1 (sl2.is_count)."""
+    if not is_count(n_steps):
+        raise ValueError(f"need at least one step, as an integer; got {n_steps!r}")
 
 
 @_memo
 def trotter_element(gen1: SL2Generator, gen2: SL2Generator, t: float,
                     n_steps: int) -> SL2Element:
-    """(exp((t/n) gen1) exp((t/n) gen2))^n as a single group element."""
-    if n_steps < 1:
-        raise ValueError("need at least one step")
+    """(exp((t/n) gen1) exp((t/n) gen2))^n as a single group element; n an integer >= 1."""
+    _check_steps(n_steps)
     s = t / n_steps
     return gen1.exp(s).compose(gen2.exp(s)).power(n_steps)
 
@@ -99,8 +118,7 @@ def bracket_element(gen1: SL2Generator, gen2: SL2Generator, t: float,
     inverse second, inverse first) applied left to right.  n squares
     compose to the bracket flow at time t, error O(t^{3/2} / sqrt(n)).
     """
-    if n_steps < 1:
-        raise ValueError("need at least one step")
+    _check_steps(n_steps)
     if t < 0:
         raise ValueError("bracket composition needs t >= 0")
     s = float(np.sqrt(t / n_steps))
@@ -217,16 +235,31 @@ def _fit_projector(count: int, half_width: float, degree: int) -> tuple:
     return V, proj
 
 
-def _fit(count: int, half_width: float, degree: int, samples: np.ndarray) -> tuple:
-    """Least-squares polynomial coefficients of samples and the largest fit residual.
+@lru_cache(maxsize=None)
+def _fit_operator(count: int, half_width: float, degree: int) -> np.ndarray:
+    """pinv(V) over V pinv(V) - I of the degree-`degree` fit (_fit_projector), complex, read-only.
 
-    Samples near the top of the float range can overflow the coefficients;
-    the residual then reads inf or nan, which no tolerance test passes.
+    Applied to samples, its first degree + 1 rows give the least-squares
+    coefficients and the other count rows the fitted values less the
+    samples: the fit and its residual in one product.
     """
     V, proj = _fit_projector(count, half_width, degree)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = proj @ samples
-        return coeffs, float(np.abs(V @ coeffs - samples).max())
+    op = np.concatenate([proj, V @ proj - np.eye(count)]).astype(np.complex128)
+    op.setflags(write=False)
+    return op
+
+
+@lru_cache(maxsize=None)
+def _residual_maps(count: int, half_width: float, top: int) -> np.ndarray:
+    """The residual rows of _fit_operator for the degrees 0..top, stacked, read-only.
+
+    ((top + 1) count, count): applied to samples, rows d count up to
+    (d + 1) count give the degree-d fit's values less the samples, so one
+    product holds the residuals of every degree.
+    """
+    maps = np.concatenate([_fit_operator(count, half_width, d)[d + 1:] for d in range(top + 1)])
+    maps.setflags(write=False)
+    return maps
 
 
 def _shear_samples(kind: str, count: int, half_width: float, p: AugmentedPair,
@@ -270,7 +303,8 @@ def lnd_degree(kind: str, observable, p: AugmentedPair) -> int | None:
     the scaling flow is not, and the fit reports that as None rather than
     a large degree.  Samples at 8 Chebyshev nodes on [-1, 1] and accepts
     the least degree up to 6 whose residual is at most 1e-8 times
-    value_scale(samples); an observable of higher degree reads None.  A
+    value_scale(samples); an observable of higher degree reads None.  The
+    residuals of all degrees come from one product (_residual_maps).  A
     flowed pair or sample that is not finite raises (see _shear_samples).
     """
     if kind not in ("e", "f"):
@@ -282,10 +316,9 @@ def lnd_degree(kind: str, observable, p: AugmentedPair) -> int | None:
     count = _D_MAX + 2
     samples = _shear_samples(kind, count, 1.0, p, observable)
     samples = samples / value_scale(samples)
-    for deg in range(_D_MAX + 1):
-        if _fit(count, 1.0, deg, samples)[1] <= 1e-8:
-            return deg
-    return None
+    resid = np.abs(_residual_maps(count, 1.0, _D_MAX) @ samples).reshape(_D_MAX + 1, count)
+    passed = np.flatnonzero(resid.max(axis=-1) <= 1e-8)
+    return int(passed[0]) if passed.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +335,9 @@ class WitnessReport:
     first matrix.  upper_shear_residual collects all derivatives along the
     upper shear, lower_shear_value is the first derivative along the lower
     shear, value_residual its deviation from tr of the first matrix, and
-    lower_shear_residual the second and higher derivatives there.
+    lower_shear_residual the second and higher derivatives there.  A
+    report of compatible_witnesses holds arrays over the stack's leading
+    axes.
     """
 
     upper_shear_residual: float
@@ -313,26 +348,24 @@ class WitnessReport:
 
     @property
     def residual(self) -> float:
-        return max(
-            self.upper_shear_residual, self.value_residual, self.lower_shear_residual
-        )
+        return np.maximum(np.maximum(self.upper_shear_residual, self.value_residual),
+                          self.lower_shear_residual)
 
 
-def _fit_derivatives(kind: str, p: AugmentedPair) -> np.ndarray:
-    """Polynomial coefficients of t -> tr(second matrix) along a shear flow.
+@lru_cache(maxsize=None)
+def _witness_flows(count: int, half_width: float) -> tuple:
+    """(x, y), complex and read-only, such that x A + y B stacks the witness's flowed matrices.
 
-    A degree-4 fit at 6 Chebyshev nodes on [-0.5, 0.5]; a residual above
-    1e-6 * value_scale(samples), or one that is not finite, raises.
+    Each of shape (3, count, 1, 1); at the nodes t of _chebyshev_nodes(count,
+    half_width) the three rows give A + t B (the upper shear's first
+    matrix), B (its second) and t A + B (the lower shear's second).
     """
-    count, half_width, degree = 6, 0.5, 4
-    samples = _shear_samples(kind, count, half_width, p, _OBSERVABLES["trace_second"])
-    coeffs, resid = _fit(count, half_width, degree, samples)
-    if not resid <= 1e-6 * value_scale(samples):
-        raise IllConditionedFitError(
-            f"shear pullback of the trace is not polynomial to fit tolerance "
-            f"(residual {resid:.3e})"
-        )
-    return coeffs
+    t = _chebyshev_nodes(count, half_width)
+    x = np.array([np.ones(count), np.zeros(count), t], dtype=np.complex128)[..., None, None]
+    y = np.array([t, np.ones(count), np.ones(count)], dtype=np.complex128)[..., None, None]
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
 
 
 def compatible_witness(p: AugmentedPair) -> WitnessReport:
@@ -342,25 +375,51 @@ def compatible_witness(p: AugmentedPair) -> WitnessReport:
     constant; along the lower shear the first derivative equals tr(first
     matrix) and the second and higher derivatives vanish.  Points where
     |tr(first matrix)| <= 1e-8 * max(matrix_scale(A), matrix_scale(B)) cannot anchor the
-    certificate and raise WitnessVanishesError.
+    certificate and raise WitnessVanishesError.  The one-pair call of
+    compatible_witnesses.
     """
-    scale = max(matrix_scale(p.A), matrix_scale(p.B))
-    anchor = complex(np.trace(p.A))
-    if abs(anchor) <= 1e-8 * scale:
+    return compatible_witnesses(p.A, p.B)
+
+
+def compatible_witnesses(A, B) -> WitnessReport:
+    """compatible_witness of the pairs (A, B) stacked over leading axes, as one report of arrays.
+
+    Both shears are sampled at the 6 Chebyshev nodes on [-0.5, 0.5] in one
+    broadcast (_witness_flows): the upper shear leaves the second matrix
+    alone, so its samples are tr B, though its flowed first matrix A + t B
+    is tested too; the lower shear's are tr(t A + B).  Both take a
+    degree-4 fit from one product of the cached _fit_operator.  Each item
+    keeps the bits of its one-pair call.  Any failing item raises: a
+    vanishing anchor WitnessVanishesError, a flowed matrix that is not
+    finite ShapeMismatchError, and a sample that is not finite or a fit
+    whose residual is above 1e-6 * value_scale(samples), or not finite,
+    IllConditionedFitError.
+    """
+    scale = np.maximum(matrix_scale(A), matrix_scale(B))
+    anchor = np.trace(A, axis1=-2, axis2=-1)
+    if any_item(np.abs(anchor) <= 1e-8 * scale):
         raise WitnessVanishesError(
             "tr of the first matrix vanishes at this point; the witness "
             "derivative has no signal here"
         )
-    upper = _fit_derivatives("f", p)
-    lower = _fit_derivatives("e", p)
-    upper_resid = float(np.abs(upper[1:]).max()) if upper.size > 1 else 0.0
-    value = complex(lower[1]) if lower.size > 1 else 0.0 + 0.0j
-    second = abs(2.0 * lower[2]) if lower.size > 2 else 0.0
-    higher = float(np.abs(lower[3:]).max()) if lower.size > 3 else 0.0
-    return WitnessReport(
-        upper_shear_residual=upper_resid,
-        lower_shear_value=value,
-        value_residual=abs(value - anchor),
-        lower_shear_residual=max(second, higher),
-        scale=scale,
-    )
+    count, half_width, degree = 6, 0.5, 4
+    x, y = _witness_flows(count, half_width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flowed = x * A[..., None, None, :, :] + y * B[..., None, None, :, :]
+        as_finite(flowed)
+        samples = flowed[..., 1:, :, :, :].trace(axis1=-2, axis2=-1)    # (..., 2, count)
+        if not np.isfinite(samples).all():
+            raise IllConditionedFitError("a shear-flow sample is not finite")
+        fit = samples @ _fit_operator(count, half_width, degree).T
+        mag = np.abs(fit)
+        resid = np.where(np.isfinite(fit).all(axis=-1), mag[..., degree + 1:].max(axis=-1), np.inf)
+    ok = resid <= 1e-6 * value_scale(samples)
+    if not all_items(ok):
+        raise IllConditionedFitError(
+            f"shear pullback of the trace is not polynomial to fit tolerance "
+            f"(residual {first_failure(resid, ~ok):.3e})"
+        )
+    value = fit[..., 1, 1]
+    report = (mag[..., 0, 1:degree + 1].max(axis=-1), value, np.abs(value - anchor),
+              np.maximum(2.0 * mag[..., 1, 2], mag[..., 1, 3:degree + 1].max(axis=-1)), scale)
+    return WitnessReport(*(r[()] for r in report))      # [()]: one pair's 0-d results as scalars

@@ -88,9 +88,9 @@ class SL2Element:
         return SL2Element(*_product(coefficients(self), coefficients(other)))
 
     def power(self, n: int) -> "SL2Element":
-        """n-th power, n >= 1, by binary powering on the four entries."""
-        if n < 1:
-            raise ValueError(f"need a positive power, got {n}")
+        """n-th power, n >= 1, by binary powering on the four entries; n must be an integer."""
+        if not is_count(n):
+            raise ValueError(f"need a positive integer power, got {n!r}")
         z, result = coefficients(self), None
         while True:
             n, bit = divmod(n, 2)
@@ -99,6 +99,11 @@ class SL2Element:
             if not n:
                 return SL2Element(*result)
             z = _product(z, z)
+
+
+def is_count(n) -> bool:
+    """True for an integer n >= 1, a Python or numpy one; a float of integral value is none."""
+    return isinstance(n, (int, np.integer)) and n >= 1
 
 
 def _product(x: tuple, y: tuple) -> tuple:

@@ -847,20 +847,33 @@ def random_gauge(n: int, seed: int) -> GaugeElement:
 
 
 def _power_ladder(L: int, *mats) -> np.ndarray:
-    """I, M, ..., M^L of each M in mats as (..., len(mats), L+1, m, m); one product per doubling."""
-    stack, m = (*mats[0].shape[:-2], len(mats)), mats[0].shape[-1]
-    P = np.empty((*stack, L + 1, m, m), dtype=np.complex128)
-    P[..., 0, :, :] = np.eye(m)
+    """I, M, ..., M^L of each M in mats as (..., len(mats), L+1, m, m); one product per doubling.
+
+    The leading axes and the mats run along one flat ladder axis, so every
+    operand of a product is a plain slice of it; each item keeps the bits
+    of its one-item ladder.
+    """
+    m = mats[0].shape[-1]
+    P = np.empty((*mats[0].shape[:-2], len(mats), L + 1, m, m), dtype=np.complex128)
     for i, M in enumerate(mats):
         P[..., i, 1, :, :] = M
-    R = P.reshape(*stack, (L + 1) * m, m)     # the powers stacked as rows: a view of P
+    F = P.reshape(-1, L + 1, m, m)
+    F[:, 0] = _identity(m)
+    R = F.reshape(len(F), (L + 1) * m, m)     # the powers stacked as rows: a view of P
     k = 1
     while k < L:
         h = min(k, L - k)
-        np.matmul(R[..., m:(h + 1) * m, :], P[..., k, :, :],
-                  out=R[..., (k + 1) * m:(k + h + 1) * m, :])
+        np.matmul(R[:, m:(h + 1) * m], F[:, k], out=R[:, (k + 1) * m:(k + h + 1) * m])
         k *= 2
     return P
+
+
+@lru_cache(maxsize=None)
+def _identity(m: int) -> np.ndarray:
+    """The complex m x m identity, read-only, built once per size in a process."""
+    eye = np.eye(m, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
 
 
 def _trace_table(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -896,16 +909,16 @@ def fingerprints(A, B, v, w) -> np.ndarray:
     products as one quadruple, so each item keeps the bits of its
     one-quadruple call.
     """
-    L = 2 * A.shape[-1]
-    C = v @ w
-    P = _power_ladder(L, A, B)
-    PA, PB = P[..., 0, :, :, :], P[..., 1, :, :, :]
+    n = A.shape[-1]
+    L = 2 * n
+    C = (v @ w).reshape(-1, 1, n, n)
+    P = _power_ladder(L, A, B).reshape(-1, 2, L + 1, n, n)
+    PA, PB = P[:, 0], P[:, 1]
     T = _trace_table(PA, PB)
-    bordered = _trace_table(PA[..., :L - 1, :, :], PB[..., :L - 1, :, :] @ C[..., None, :, :])
-    pure_C = _power_ladder(min(L, 4), C)[..., 0, 1:, :, :].trace(axis1=-2, axis2=-1)
-    table = np.concatenate([T.reshape(*T.shape[:-2], -1), pure_C,
-                            bordered.reshape(*bordered.shape[:-2], -1)], axis=-1)
-    return table.take(_word_index(L, True), axis=-1)
+    bordered = _trace_table(PA[:, :L - 1], PB[:, :L - 1] @ C)
+    pure_C = _power_ladder(min(L, 4), C)[:, 0, 0, 1:].trace(axis1=-2, axis2=-1)
+    table = np.concatenate([T.reshape(len(T), -1), pure_C, bordered.reshape(len(T), -1)], axis=-1)
+    return table.take(_word_index(L, True), axis=-1).reshape(*A.shape[:-2], -1)
 
 
 @lru_cache(maxsize=None)
@@ -939,7 +952,8 @@ def pair_fingerprints(A, B) -> np.ndarray:
     products as one pair, so each item keeps the bits of its one-pair
     call.
     """
-    L = 2 * (A.shape[-1] - 1)
-    P = _power_ladder(L, A, B)
-    T = _trace_table(P[..., 0, :, :, :], P[..., 1, :, :, :])
-    return T.reshape(*T.shape[:-2], -1).take(_word_index(L, False), axis=-1)
+    m = A.shape[-1]
+    L = 2 * (m - 1)
+    P = _power_ladder(L, A, B).reshape(-1, 2, L + 1, m, m)
+    T = _trace_table(P[:, 0], P[:, 1])
+    return T.reshape(*A.shape[:-2], -1).take(_word_index(L, False), axis=-1)

@@ -48,7 +48,7 @@ from .errors import CMSpacesError
 from .flowcalc import (
     BRACKET_SIGN,
     bracket_flow,
-    compatible_witness,
+    compatible_witnesses,
     detect_bracket_sign,
     ladder_fingerprints,
     lnd_degree,
@@ -876,9 +876,8 @@ def _witness_pairs(cfg: RunConfig, n: int, trials) -> list:
 @_declare(("flowcalc.witness_triple", "trace-witness-derivative-identities", 1e-10))
 def _check_witness(cfg: RunConfig) -> _Measured:
     def residuals(n, trials):
-        reports = [compatible_witness(AugmentedPair(a, b, cfg.tau))
-                   for a, b in zip(*_witness_pairs(cfg, n, trials))]
-        return [x.residual / x.scale for x in reports]
+        report = compatible_witnesses(*_witness_pairs(cfg, n, trials))
+        return report.residual / report.scale
 
     resids = _per_size([1 + i % 4 for i in range(_trials(cfg, 20))], residuals)
     return _Measured(_fold(resids), f"relative to {matrix_scale.text('A', 'B')}")

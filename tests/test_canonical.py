@@ -328,3 +328,14 @@ def test_a_normal_form_of_mismatched_shapes_is_a_shape_error():
                  (np.stack([A, A]), A)):
         with pytest.raises(ShapeMismatchError):
             normal_form(a, b)
+
+
+def test_a_normal_form_of_nested_lists_is_that_of_the_arrays():
+    # a nested-list first matrix once let a raw AttributeError escape
+    A, B = [[1, 2], [3, 4]], [[0, 1], [1, 0]]
+    want = normal_form(np.array(A), np.array(B))
+    for a, b in ((A, B), (A, np.array(B)), (np.array(A), B)):
+        for got, ref in zip(normal_form(a, b), want, strict=True):
+            assert got.tobytes() == ref.tobytes()
+    with pytest.raises(ShapeMismatchError):
+        normal_form([[1, 2], [3, 4]], [[0, 1]])

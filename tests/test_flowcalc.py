@@ -1,6 +1,7 @@
 """Tests for the one-parameter flows: exact forms, split composition,
 commutator composition, polynomial pullbacks, and the trace witness."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from cmspaces.flowcalc import (
     bracket_flow,
     bracket_target,
     compatible_witness,
+    compatible_witnesses,
     detect_bracket_sign,
     flow_exact,
     ladder_fingerprints,
@@ -204,6 +206,26 @@ def test_scalar_powering_matches_matrix_power():
         GEN_E.exp(0.1).power(0)
 
 
+def test_a_step_count_that_is_not_an_integer_is_refused():
+    # binary powering on a float once returned the element itself for 1.5
+    # and its cube for 2.7, so the flows returned a wrong pair
+    p = _pair(3, 134)
+    trotter_flow(GEN_E, GEN_F, 0.5, 2, p)       # a cached integer key does not let 2.0 in
+    for bad in (1.5, 2.7, 2.0, np.float64(4.0), np.array(2.0)):
+        with pytest.raises(ValueError):
+            GEN_E.exp(0.1).power(bad)
+        for flow in (trotter_flow, bracket_flow):
+            with pytest.raises(ValueError):
+                flow(GEN_E, GEN_F, 0.5, bad, p)
+        with pytest.raises(ValueError):
+            ladder_fingerprints(GEN_E, GEN_F, 0.5, [4, bad], p.A, p.B)
+    # numpy integers are counts
+    for m in (np.int64(4), np.int32(4)):
+        for flow in (trotter_flow, bracket_flow):
+            assert flow(GEN_E, GEN_F, 0.5, m, p).A.tobytes() == flow(GEN_E, GEN_F, 0.5, 4, p).A.tobytes()
+        assert _entries(GEN_E.exp(0.1).power(m)).tobytes() == _entries(GEN_E.exp(0.1).power(4)).tobytes()
+
+
 def test_ladder_elements_are_built_once_per_key(monkeypatch):
     from cmspaces import sl2
 
@@ -280,19 +302,27 @@ def test_stacked_shear_samples_match_per_node_flows():
 
 
 def test_cached_fit_projector_matches_polyfit():
+    # lnd_degree's residual maps of every degree and the witness's fit
+    # operator (coefficients over residuals) against numpy's polyfit
     rng = np.random.default_rng(115)
-    for count, half_width, degrees in ((8, 1.0, range(7)), (6, 0.5, (4,))):
+    for count, half_width, top in ((8, 1.0, 6), (6, 0.5, 4)):
         nodes = flowcalc._chebyshev_nodes(count, half_width)
         samples = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        for deg in degrees:
-            coeffs, resid = flowcalc._fit(count, half_width, deg, samples)
+        maps = flowcalc._residual_maps(count, half_width, top)
+        resids = (maps @ samples).reshape(top + 1, count)
+        for deg in range(top + 1):
             want = np.polynomial.polynomial.polyfit(nodes, samples, deg)
-            np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-12)
             fitted = np.polynomial.polynomial.polyval(nodes, want)
-            assert abs(resid - np.abs(fitted - samples).max()) <= 1e-12
+            np.testing.assert_allclose(resids[deg], fitted - samples, rtol=0, atol=1e-12)
             V, proj = flowcalc._fit_projector(count, half_width, deg)
             assert flowcalc._fit_projector(count, half_width, deg)[1] is proj
             assert not V.flags.writeable and not proj.flags.writeable
+        op = flowcalc._fit_operator(count, half_width, top)
+        np.testing.assert_allclose(op @ samples, np.concatenate([want, fitted - samples]),
+                                   rtol=0, atol=1e-12)
+        assert flowcalc._residual_maps(count, half_width, top) is maps
+        assert flowcalc._fit_operator(count, half_width, top) is op
+        assert not maps.flags.writeable and not op.flags.writeable
 
 
 def test_overflowing_flows_raise_instead_of_fitting():
@@ -367,3 +397,116 @@ def test_flows_and_targets_refuse_a_kind_string_for_a_generator():
     for call in calls:
         with pytest.raises(ShapeMismatchError, match="SL2Generator"):
             call()
+
+
+def _loop_lnd_degree(kind, observable, p):
+    # the degree as it was found before one product gave every residual:
+    # a least-squares fit and its residual per degree, lowest first
+    count = 8
+    samples = flowcalc._shear_samples(kind, count, 1.0, p, observable)
+    samples = samples / max(1.0, np.abs(samples).max())
+    for deg in range(7):
+        V, proj = flowcalc._fit_projector(count, 1.0, deg)
+        if np.abs(V @ (proj @ samples) - samples).max() <= 1e-8:
+            return deg
+    return None
+
+
+def test_one_product_degrees_match_a_fit_per_degree():
+    def power_trace(m):
+        return lambda P, Q: np.linalg.matrix_power(Q, m).trace(axis1=1, axis2=2)
+    observables = [*flowcalc._OBSERVABLES, power_trace(3), power_trace(7)]
+    seen = set()
+    for seed in range(6):
+        p = _pair(1 + seed % 4, 150 + seed, tau=(1.0, 0.5 - 2j)[seed % 2])
+        for kind in ("e", "f"):
+            for obs in observables:
+                fn = flowcalc._OBSERVABLES[obs] if isinstance(obs, str) else obs
+                want = _loop_lnd_degree(kind, fn, p)
+                assert lnd_degree(kind, obs, p) == want, (seed, kind, obs)
+                seen.add(want)
+    # a cubic word reads 3 and a seventh power, above the cap, None
+    assert seen == {0, 1, 2, 3, None}
+
+
+def _two_fit_witness(p):
+    # the witness as it was computed before one product fitted both
+    # shears: per shear, samples of one-pair exact flows, one least-squares
+    # fit and its residual
+    count, half_width, degree = 6, 0.5, 4
+    V, proj = flowcalc._fit_projector(count, half_width, degree)
+    fits = []
+    for kind in ("f", "e"):
+        samples = np.array([np.trace(flow_exact(kind, t, p).B)
+                            for t in flowcalc._chebyshev_nodes(count, half_width)])
+        coeffs = proj @ samples
+        assert np.abs(V @ coeffs - samples).max() <= 1e-6 * max(1.0, np.abs(samples).max())
+        fits.append(coeffs)
+    upper, lower = fits
+    value = lower[1]
+    return (np.abs(upper[1:]).max(), value, abs(value - np.trace(p.A)),
+            max(abs(2.0 * lower[2]), np.abs(lower[3:]).max()))
+
+
+_WITNESS_FIELDS = ("upper_shear_residual", "lower_shear_value", "value_residual",
+                   "lower_shear_residual", "scale")
+
+
+@pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
+def test_witness_stack_items_are_the_one_pair_reports(lead):
+    eps = np.finfo(np.float64).eps
+    taus = itertools.cycle((1.0, 0.5 - 2j, 1e4))
+    for n in range(1, 9):
+        drawn = (from_chart(random_chart_point(n, next(taus), 700 + 10 * n + i))
+                 for i in itertools.count())
+        pairs = list(itertools.islice((p for p in drawn if abs(np.trace(p.A)) > 0.1),
+                                      int(np.prod(lead))))
+        A, B = (np.stack([getattr(p, f) for p in pairs]).reshape(lead + (n + 1, n + 1))
+                for f in "AB")
+        report = compatible_witnesses(A, B)
+        for index, p in zip(np.ndindex(*lead), pairs):
+            one = compatible_witness(p)
+            for name in _WITNESS_FIELDS:
+                got = getattr(report, name)[index]
+                assert got.tobytes() == np.asarray(getattr(one, name)).tobytes(), (n, name)
+            assert report.residual[index] == one.residual
+            # against the two fits: at most 30 roundings of the scale were
+            # seen over 240 such pairs
+            for got, want in zip((getattr(one, name) for name in _WITNESS_FIELDS), _two_fit_witness(p)):
+                assert abs(got - want) <= 64 * eps * one.scale, (n, index)
+
+
+def test_a_witness_stack_with_a_failing_pair_raises_its_error():
+    good = [from_chart(random_chart_point(2, 1.0, 160 + i)) for i in range(3)]
+    good = [p for p in good if abs(np.trace(p.A)) > 0.1]
+    A, B = np.stack([p.A for p in good]), np.stack([p.B for p in good])
+    compatible_witnesses(A, B)
+    vanishing = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 1.0], [1.0, 1.0, 0.0]], dtype=complex)
+    with pytest.raises(WitnessVanishesError):
+        compatible_witnesses(np.concatenate([A, vanishing[None]]), np.concatenate([B, B[:1]]))
+    # finite flowed matrices whose upper-shear samples, tr B, overflow
+    big_A, big_B = 1e300 * np.eye(3, dtype=complex), np.diag([1e308, 1e308, 1.0]).astype(complex)
+    with np.errstate(over="ignore"), pytest.raises(IllConditionedFitError, match="not finite"):
+        compatible_witnesses(np.concatenate([A, big_A[None]]), np.concatenate([B, big_B[None]]))
+    # a flowed matrix that is not finite: A + t B overflows
+    edge = np.diag([1.5e308, 1.0, 1.0]).astype(complex)
+    with np.errstate(over="ignore"), pytest.raises(ShapeMismatchError):
+        compatible_witnesses(np.concatenate([A, edge[None]]), np.concatenate([B, edge[None]]))
+
+
+def test_numpy_calls_of_the_flow_kernels():
+    # one call each of the flow_compose kernels at n = 8, pinned like the
+    # chart round trip's ledger (test_chart): a call costs a few
+    # microseconds against a kernel of tens.  Before the fingerprint ladder
+    # ran on one flat axis, lnd_degree fitted one degree at a time and the
+    # witness fitted each shear apart, the counts were 17, 32 and 61
+    from test_chart import _c_calls
+
+    p = from_chart(random_chart_point(8, 1.0, 3))
+    kernels = (lambda: pair_fingerprint(p), lambda: lnd_degree("e", "trace_second_sq", p),
+               lambda: compatible_witness(p))
+    for kernel in kernels:
+        kernel()        # warm the caches a first call fills
+    (_, fingerprint), (degree, fit), (report, witness) = (_c_calls(k) for k in kernels)
+    assert degree == 2 and report.residual <= 1e-10 * report.scale
+    assert fingerprint <= 17 and fit <= 25 and witness <= 34, (fingerprint, fit, witness)

@@ -754,6 +754,42 @@ def test_power_ladder_matches_sequential_powers(count):
             assert one.tobytes() == P[index].tobytes(), (lead, k, index)
 
 
+def _ladder_with_views(L, *mats):
+    # the power ladder as it was before it ran on one flat ladder axis:
+    # the same products in the same order, through ...-indexed views and
+    # a fresh identity per call
+    stack, m = (*mats[0].shape[:-2], len(mats)), mats[0].shape[-1]
+    P = np.empty((*stack, L + 1, m, m), dtype=np.complex128)
+    P[..., 0, :, :] = np.eye(m)
+    for i, M in enumerate(mats):
+        P[..., i, 1, :, :] = M
+    R = P.reshape(*stack, (L + 1) * m, m)
+    k = 1
+    while k < L:
+        h = min(k, L - k)
+        np.matmul(R[..., m:(h + 1) * m, :], P[..., k, :, :],
+                  out=R[..., (k + 1) * m:(k + h + 1) * m, :])
+        k *= 2
+    return P
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (4,), (2, 3)])
+def test_flat_power_ladder_keeps_the_bits_of_the_view_ladder(lead):
+    rng = np.random.default_rng(len(lead) + 7)
+    for n in range(1, 9):
+        m, L = n + 1, 2 * n
+        A, B = (rng.standard_normal(lead + (m, m)) + 1j * rng.standard_normal(lead + (m, m))
+                for _ in range(2))
+        got = _power_ladder(L, A, B)
+        assert got.shape == lead + (2, L + 1, m, m)
+        assert got.tobytes() == _ladder_with_views(L, A, B).tobytes(), (n, lead)
+        assert _power_ladder(L, A).tobytes() == _ladder_with_views(L, A).tobytes(), (n, lead)
+    # the identity comes from a read-only cache that no ladder writes to
+    eye = variety._identity(5)
+    assert eye is variety._identity(5) and not eye.flags.writeable
+    assert np.array_equal(eye, np.eye(5))
+
+
 def test_gauge_element_rejects_singular():
     from cmspaces.errors import SingularMatrixError
 
