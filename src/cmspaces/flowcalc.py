@@ -269,7 +269,8 @@ def _shear_samples(kind: str, count: int, half_width: float, p: AugmentedPair,
     first[i], second[i] have the entries of flow_exact(kind, t_i, p) at the
     nodes t_i = _chebyshev_nodes(count, half_width): the lower shear 'e'
     adds t A to B, the upper shear 'f' adds t B to A.  A flowed matrix that
-    is not finite raises ShapeMismatchError and a sample that is not finite
+    is not finite, or samples not of shape (count,), raise
+    ShapeMismatchError, and a sample that is not finite
     IllConditionedFitError, so nothing is fitted to an overflow.
     """
     t = _chebyshev_nodes(count, half_width)[:, None, None]
@@ -280,6 +281,9 @@ def _shear_samples(kind: str, count: int, half_width: float, p: AugmentedPair,
         else:
             first, second = as_square_stack(p.A + t * p.B), np.broadcast_to(p.B, shape)
         samples = observable(first, second)
+    if np.shape(samples) != (count,):
+        raise ShapeMismatchError(f"an observable gives one sample per time, shape ({count},); "
+                                 f"got {np.shape(samples)}")
     if not np.isfinite(samples).all():
         raise IllConditionedFitError("a shear-flow sample is not finite")
     return samples

@@ -412,6 +412,16 @@ def _loop_lnd_degree(kind, observable, p):
     return None
 
 
+def test_an_observable_gives_one_sample_per_time():
+    # a column of samples once broadcast against its scale, and a scalar
+    # let numpy's matmul error escape
+    p = _pair(2, 149)
+    for bad in (lambda P, Q: Q.trace(axis1=1, axis2=2)[:, None],
+                lambda P, Q: Q.trace(axis1=1, axis2=2).sum()):
+        with pytest.raises(ShapeMismatchError, match="one sample per time"):
+            lnd_degree("e", bad, p)
+
+
 def test_one_product_degrees_match_a_fit_per_degree():
     def power_trace(m):
         return lambda P, Q: np.linalg.matrix_power(Q, m).trace(axis1=1, axis2=2)
