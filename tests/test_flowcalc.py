@@ -220,10 +220,12 @@ def test_a_step_count_that_is_not_an_integer_is_refused():
         with pytest.raises(ValueError):
             ladder_fingerprints(GEN_E, GEN_F, 0.5, [4, bad], p.A, p.B)
     # numpy integers are counts
+    g = GEN_E.exp(0.1)
     for m in (np.int64(4), np.int32(4)):
         for flow in (trotter_flow, bracket_flow):
-            assert flow(GEN_E, GEN_F, 0.5, m, p).A.tobytes() == flow(GEN_E, GEN_F, 0.5, 4, p).A.tobytes()
-        assert _entries(GEN_E.exp(0.1).power(m)).tobytes() == _entries(GEN_E.exp(0.1).power(4)).tobytes()
+            got, want = flow(GEN_E, GEN_F, 0.5, m, p), flow(GEN_E, GEN_F, 0.5, 4, p)
+            assert got.A.tobytes() == want.A.tobytes()
+        assert _entries(g.power(m)).tobytes() == _entries(g.power(4)).tobytes()
 
 
 def test_ladder_elements_are_built_once_per_key(monkeypatch):
@@ -412,16 +414,6 @@ def _loop_lnd_degree(kind, observable, p):
     return None
 
 
-def test_an_observable_gives_one_sample_per_time():
-    # a column of samples once broadcast against its scale, and a scalar
-    # let numpy's matmul error escape
-    p = _pair(2, 149)
-    for bad in (lambda P, Q: Q.trace(axis1=1, axis2=2)[:, None],
-                lambda P, Q: Q.trace(axis1=1, axis2=2).sum()):
-        with pytest.raises(ShapeMismatchError, match="one sample per time"):
-            lnd_degree("e", bad, p)
-
-
 def test_one_product_degrees_match_a_fit_per_degree():
     def power_trace(m):
         return lambda P, Q: np.linalg.matrix_power(Q, m).trace(axis1=1, axis2=2)
@@ -437,6 +429,16 @@ def test_one_product_degrees_match_a_fit_per_degree():
                 seen.add(want)
     # a cubic word reads 3 and a seventh power, above the cap, None
     assert seen == {0, 1, 2, 3, None}
+
+
+def test_an_observable_gives_one_sample_per_time():
+    # a column of samples once broadcast against its scale, and a scalar
+    # let numpy's matmul error escape
+    p = _pair(2, 149)
+    for bad in (lambda P, Q: Q.trace(axis1=1, axis2=2)[:, None],
+                lambda P, Q: Q.trace(axis1=1, axis2=2).sum()):
+        with pytest.raises(ShapeMismatchError, match="one sample per time"):
+            lnd_degree("e", bad, p)
 
 
 def _two_fit_witness(p):
@@ -482,8 +484,8 @@ def test_witness_stack_items_are_the_one_pair_reports(lead):
             assert report.residual[index] == one.residual
             # against the two fits: at most 30 roundings of the scale were
             # seen over 240 such pairs
-            for got, want in zip((getattr(one, name) for name in _WITNESS_FIELDS), _two_fit_witness(p)):
-                assert abs(got - want) <= 64 * eps * one.scale, (n, index)
+            for name, want in zip(_WITNESS_FIELDS, _two_fit_witness(p)):
+                assert abs(getattr(one, name) - want) <= 64 * eps * one.scale, (n, index)
 
 
 def test_a_witness_stack_with_a_failing_pair_raises_its_error():
