@@ -17,6 +17,11 @@ orbit dimension is n^2 minus that.  The eigenvector condition therefore
 implies a trivial stabilizer, and it alone cuts out the regular locus
 used by the chart.  Every border entry is compared with the one threshold
 thr = tol * linalg.matrix_scale(M).
+
+The block eigenbasis is linalg.eig's, with its columns' phases as LAPACK
+leaves them.  Nothing here depends on those phases: the predicates read
+only the magnitudes |x'_i| and |y'_i|, and the normal form's unit-row
+scaling undoes them (normal_form_at_scale).
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .linalg import (
     as_square_stack,
     diagonal_view,
     eig,
-    eig_unphased,
     eigvals,
     matrix_scale,
     min_gap,
@@ -53,22 +57,6 @@ def simple_gap(gap: float, M, tol: float) -> bool:
     compares its gap against.  Stacks of gaps and matrices give arrays.
     """
     return gap > tol * matrix_scale(M)
-
-
-def _eigenbasis_border(A, tol: float, scale):
-    """Block spectral frame of A and its border read in that frame.
-
-    Returns (lam, g, ginv, x', y', thr): g block ginv = diag(lam), the
-    border column x' = g col, the border row y' = row ginv, and the
-    threshold thr = tol * scale, scale = matrix_scale(A), at or below
-    which a border entry counts as zero.  Raises DegenerateSpectrumError
-    when the block spectrum is not simple.  A may be a stack over
-    leading axes.
-    """
-    lam, g, ginv = eig(A[..., :-1, :-1], tol)
-    x = (g @ A[..., :-1, -1:])[..., 0]
-    y = (A[..., -1:, :-1] @ ginv)[..., 0, :]
-    return lam, g, ginv, x, y, tol * scale
 
 
 def conjugation_operator(M) -> np.ndarray:
@@ -148,12 +136,14 @@ def regularity_report(p: AugmentedPair, tol: float = DEFAULT_TOL) -> RegularityR
     """
     block = p.A[:-1, :-1]
     try:
-        lam, _, _, x, y, thr = _eigenbasis_border(p.A, tol, matrix_scale(p.A))
+        lam, g, ginv = eig(block, tol)
         block_ok = bool(simple_gap(min_gap(lam), block, tol))
     except DegenerateSpectrumError:
         lam, block_ok = eigvals(block), False
     block_gap = min_gap(lam)
     if block_ok:
+        # the border in the block eigenbasis: x' = g x, y' = y g^-1
+        x, y, thr = g @ p.A[:-1, -1], p.A[-1, :-1] @ ginv, tol * matrix_scale(p.A)
         evec_ok = bool((np.abs(y) > thr).all())
         dim = p.n * p.n - int(np.count_nonzero((np.abs(x) <= thr) & (np.abs(y) <= thr)))
     else:
@@ -202,15 +192,15 @@ def normal_form_at_scale(A, B, tol: float, scale):
 
     The chart's read takes it for its own normal-form test, so the
     border threshold tol * scale costs no second norm.  The block frame
-    keeps LAPACK's unit columns unphased (linalg.eig_unphased):
-    a phase c_j on column j of g^-1 multiplies y'_j by c_j and row j of
-    g by 1 / c_j, so G and Ginv do not depend on it.  Pairs of unequal
-    shapes, or not square, or below 2 x 2, raise ShapeMismatchError.
+    is linalg.eig's, whose column phases nothing pins: a phase c_j on
+    column j of g^-1 multiplies y'_j by c_j and row j of g by 1 / c_j,
+    so G and Ginv do not depend on it.  Pairs of unequal shapes, or not
+    square, or below 2 x 2, raise ShapeMismatchError.
     """
     if A.ndim < 2 or not A.shape[-2] == A.shape[-1] >= 2 or np.shape(B) != A.shape:
         raise ShapeMismatchError(f"pair shapes {A.shape}, {np.shape(B)} differ or are below 2 x 2")
     n = A.shape[-1] - 1
-    lam, g1, g1inv = eig_unphased(A[..., :n, :n], tol)
+    lam, g1, g1inv = eig(A[..., :n, :n], tol)
     y = (A[..., n:, :n] @ g1inv)[..., 0, :]
     if any_item(np.abs(y).min(axis=-1) <= tol * scale):
         raise ZeroRowEntryError(

@@ -151,8 +151,8 @@ class Decomposition:
     N1 = diag(mu, 0) commutes with the block of the first matrix; the
     commutator [M, N2] is the level shift plus the border column `defect`;
     g diagonalizes M with spectrum lamhat, ginv is its inverse (the
-    eigenvector columns), and g N2 ginv = diag(muhat) + S with S
-    off-diagonal.
+    eigenvector columns, in linalg.normalize_frame's convention), and
+    g N2 ginv = diag(muhat) + S with S off-diagonal.
     """
 
     mu: np.ndarray
@@ -242,8 +242,8 @@ def decompose(p: AugmentedPair, tol: float = DEFAULT_TOL, lamhat_ref=None) -> De
     its frame is linalg.arrowhead_frame of the block diagonal and those
     values, checked by its residual
     ||g M g^-1 - diag(lamhat)|| (EigenMismatchError beyond
-    1e3 * tol * value_scale(lamhat)) and rescaled to linalg.eig's
-    convention, which g and S follow.
+    1e3 * tol * value_scale(lamhat)) and rescaled to the package's phase
+    convention (linalg.normalize_frame), which g and S follow.
     """
     if not _normal_form_test(p.A, tol, matrix_scale(p.A)):
         raise NotNormalizedError("pair is not in bordered normal form")

@@ -9,8 +9,7 @@ input or an input too large to allocate, 3 an internal numerical failure
 (the failing operation is named).
 
 Everything random is seeded explicitly; identical invocations print
-identical bytes (runtimes in verify reports aside).  The environment
-variable CM_TOL overrides the default tolerance when --tol is absent.
+identical bytes (runtimes in verify reports aside).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 
 from .canonical import normalize, regularity_report
@@ -103,16 +101,6 @@ def _tolerance(text: str) -> float:
     """Parse a tolerance: a positive, finite number (rejects 0, negatives, nan, inf)."""
     return _number(text, float, lambda v: 0.0 < v < float("inf"),
                    "tolerance must be a positive, finite number")
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("CM_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return _tolerance(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"CM_TOL: {exc}")
 
 
 def _read_stdin():
@@ -285,7 +273,6 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    tol_default = _default_tol()
     parser = argparse.ArgumentParser(
         prog="cmspaces",
         description="Matrix models, spectral charts, and flow checks for "
@@ -297,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=_parse_tau, default=complex(1.0),
                        help="level parameter as 're' or 're,im'")
         p.add_argument("--seed", type=_seed_value, default=1, help="RNG seed")
-        p.add_argument("--tol", type=_tolerance, default=tol_default,
-                       help="numerical tolerance (CM_TOL overrides the default)")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help="numerical tolerance")
         p.add_argument("--out", help="also write the JSON payload to this file")
 
     g = sub.add_parser("gen", help="seeded point on the level set")
@@ -339,12 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -50,10 +50,9 @@ from .sl2 import (
     act_pair_stack,
     check_generator,
     coefficients,
-    is_count,
     sl2_exp,
 )
-from .variety import AugmentedPair, pair_fingerprints
+from .variety import AugmentedPair, is_count, pair_fingerprints
 
 # The pair action is a left action written on row vectors of matrices, so
 # pushing generators to vector fields reverses the bracket: the commutator
@@ -79,7 +78,7 @@ def _memo(build):
 
 
 def _check_steps(n_steps) -> None:
-    """ValueError unless the step count is an integer >= 1 (sl2.is_count)."""
+    """ValueError unless the step count is an integer >= 1 (variety.is_count)."""
     if not is_count(n_steps):
         raise ValueError(f"need at least one step, as an integer; got {n_steps!r}")
 

@@ -4,18 +4,15 @@ Eigenvalues and diagonalizers are taken through these wrappers, so the
 conventions fixed here are uniform across the package:
 
 * eigenvalues are sorted lexicographically by (real part, imaginary part);
-* eigenvector columns (the columns of `ginv`, the inverse of the
-  returned diagonalizer `g`) have unit 2-norm and their first significant
-  entry is rotated to be real and positive.
-
-The second convention pins the remaining phase freedom, which makes every
-quantity computed from a diagonalizer reproducible bit for bit on
-identical input.  It is `eig`'s.  LAPACK already returns unit columns,
-so `eig_unphased` differs from `eig` only by skipping the phase fix.
-The bordered normal form (canonical.normal_form) takes its block frame
-from `eig_unphased`, because its unit-row scaling undoes any phase: a
-factor c_j on column j of ginv multiplies the border-row entry y'_j by
-c_j and row j of g by 1 / c_j, so the gauge diag(y') g does not change.
+* `eig`'s eigenvector columns (the columns of `ginv`, the inverse of the
+  returned diagonalizer `g`) are LAPACK's unit columns, their phases as
+  LAPACK leaves them;
+* a public frame pins that phase with `normalize_frame`: unit columns,
+  the first significant entry of each real and positive.  That makes a
+  frame reproducible bit for bit on identical input.  Only
+  chart.decompose's frame is public; no package result read from `eig`
+  depends on the phases (the bordered normal form's unit-row scaling
+  undoes them, the regularity predicates read only magnitudes).
 
 Tolerances here are relative to the Frobenius norm of the input, and
 elsewhere to `matrix_scale`, `pair_scale` or `value_scale`;
@@ -27,16 +24,14 @@ fields), `pinv` in `flowcalc` (the fit projectors) and `norm` in `chart`
 only sets a threshold, takes its row and column norms from `row_norms`,
 not from `np.linalg.norm`.
 
-The arrowhead matrices of the chart (`arrowhead`, built from their two
-spectra) have their frame in closed form (`arrowhead_frame`): no
-eigensolver, no inverse, and the order of the given spectrum.  Both come
-from one kernel of spectral products, and `arrowhead_with_frame` gives
-the two from one evaluation.  That frame is not unit-normalized.
-Quantities that do not change under a diagonal rescaling of the frame
-(the rebuild in chart.from_chart and the diagonal muhat of
-chart.to_chart) use it as it is; chart.decompose, whose frame and
-off-diagonal term are public, rescales it to the convention above with
-`normalize_frame`.  An arrowhead's full spectrum
+The arrowhead matrices of the chart, built from their two spectra, have
+their frame in closed form (`arrowhead_frame`): no eigensolver, no
+inverse, and the order of the given spectrum.  `arrowhead_with_frame`
+gives the matrix and its frame from one set of spectral products.  That
+frame is not unit-normalized.  Quantities that do not change under a
+diagonal rescaling of the frame (the rebuild in chart.from_chart and the
+diagonal muhat of chart.to_chart) use it as it is; chart.decompose
+rescales it with `normalize_frame`.  An arrowhead's full spectrum
 is the set of roots of its secular equation, so the chart read
 (chart._read) tracked against a reference takes it by Newton steps from
 it and calls `eigvals` only for an item those steps do not certify.
@@ -246,7 +241,7 @@ def _normalize_columns(V: np.ndarray):
     """
     nrm = np.sqrt(np.add.reduce((V.conj() * V).real, axis=-2))    # np.linalg.norm(V, axis=-2)
     if (nrm == 0.0).any():
-        raise NonConvergentError("eigensolver produced a zero eigenvector")
+        raise NonConvergentError("spectral frame has a zero eigenvector column")
     W = V / nrm[..., None, :]
     # first significant entry per column: a unit column of m entries has
     # one of size at least 1 / sqrt(m), far above _PHASE_FLOOR
@@ -289,29 +284,12 @@ def _offdiagonal_products(v: np.ndarray) -> np.ndarray:
     return d.prod(axis=-1)
 
 
-def arrowhead(lam, lamhat):
-    """The arrowhead [[diag(lam), x], [1^T, a]] with block spectrum lam and full spectrum lamhat.
-
-    lam has n entries and lamhat n+1, both along the last axis of a
-    stack.  The two spectra fix the border column and the corner:
-
-        x_i = -prod_j (lam_i - lamhat_j) / prod_{l != i} (lam_i - lam_l),
-        a = sum(lamhat) - sum(lam).
-
-    x is homogeneous of degree 2, so it is evaluated at the spectral
-    scale s of arrowhead_frame and multiplied back by s^2: the same bits
-    as the formula above, barring overflow and underflow.  Its products
-    are the ones the frame is built from (arrowhead_with_frame).
-    """
-    return _arrowhead_parts(lam, lamhat, True, False)[0]
-
-
 def arrowhead_frame(lam, lamhat):
     """Closed-form spectral frame (g, ginv) of the arrowhead with spectra (lam, lamhat).
 
-    The arrowhead (see arrowhead) has block spectrum lam (n) and full
-    spectrum lamhat (n+1), both simple.  Column j of ginv is the right
-    eigenvector for lamhat_j,
+    The arrowhead [[diag(lam), x], [1^T, a]] has block spectrum lam (n)
+    and full spectrum lamhat (n+1), both simple.  Column j of ginv is
+    the right eigenvector for lamhat_j,
 
         ginv[l, j] = prod_{k != j} (lam_l - lamhat_k) / prod_{m != l} (lam_l - lam_m),
 
@@ -330,26 +308,33 @@ def arrowhead_frame(lam, lamhat):
     normalize_frame).  It is homogeneous, so it is evaluated at lam / s,
     lamhat / s with s a power of two at the spectral scale (exact
     scaling, and the products stay clear of overflow) and mapped back by
-    diag(s, ..., s, 1).  Stacks run over leading axes.  The differences
-    and products it shares with arrowhead are formed in one kernel
-    (arrowhead_with_frame builds both from one evaluation).
+    diag(s, ..., s, 1).  Stacks run over leading axes.
     """
-    return _arrowhead_parts(lam, lamhat, False, True)[1:]
+    return _arrowhead_parts(lam, lamhat, False)[1:]
 
 
 def arrowhead_with_frame(lam, lamhat):
-    """(A, g, ginv): arrowhead(lam, lamhat) and arrowhead_frame(lam, lamhat), bit for bit.
+    """(A, g, ginv): the arrowhead with spectra (lam, lamhat) and arrowhead_frame's frame of it.
 
-    One set of spectral products serves both, for the chart's rebuild.
+    The two spectra fix the border column and the corner of
+    A = [[diag(lam), x], [1^T, a]]:
+
+        x_i = -prod_j (lam_i - lamhat_j) / prod_{l != i} (lam_i - lam_l),
+        a = sum(lamhat) - sum(lam).
+
+    x is homogeneous of degree 2, so it is evaluated at the frame's
+    spectral scale s and multiplied back by s^2: the same bits as the
+    formula above, barring overflow and underflow.  One set of spectral
+    products serves the matrix and the frame, for the chart's rebuild.
     """
-    return _arrowhead_parts(lam, lamhat, True, True)
+    return _arrowhead_parts(lam, lamhat, True)
 
 
-def _arrowhead_parts(lam, lamhat, matrix: bool, frame: bool):
+def _arrowhead_parts(lam, lamhat, matrix: bool):
     """(A, g, ginv): the arrowhead and its frame from one set of spectral products.
 
-    The one kernel of arrowhead, arrowhead_frame and arrowhead_with_frame;
-    a part not asked for is None.  Both parts read the differences
+    The one kernel of arrowhead_frame and arrowhead_with_frame; A is None
+    unless matrix is set.  Both parts read the differences
     lam_i - lamhat_j and the products prod_{l != i} (lam_i - lam_l),
     formed once at arrowhead_frame's scale s.
     """
@@ -363,23 +348,22 @@ def _arrowhead_parts(lam, lamhat, matrix: bool, frame: bool):
     D = lam_s[..., :, None] - lamhat_s[..., None, :]
     P = _offdiagonal_products(lam_s)
 
-    A = g = ginv = None
+    A = None
     if matrix:
         A = np.zeros(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
         diagonal_view(A)[..., :n] = lam
         A[..., :n, n] = -D.prod(axis=-1) / P * s * s
         A[..., n, :n] = 1.0
         A[..., n, n] = lamhat.sum(axis=-1) - lam.sum(axis=-1)
-    if frame:
-        ginv = np.ones(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
-        ginv[..., :n, :] = _leave_one_out(D) / P[..., :, None]
-        E = np.negative(np.swapaxes(D, -1, -2), order="C")     # lamhat_j - lam_m, exactly
-        W = np.empty_like(ginv)
-        W[..., :n] = _leave_one_out(E)
-        W[..., n] = E.prod(axis=-1)
-        g = W / _offdiagonal_products(lamhat_s)[..., :, None]
-        ginv[..., :n, :] *= s[..., None]
-        g[..., :n] /= s[..., None]
+    ginv = np.ones(lam.shape[:-1] + (n + 1, n + 1), dtype=np.complex128)
+    ginv[..., :n, :] = _leave_one_out(D) / P[..., :, None]
+    E = np.negative(np.swapaxes(D, -1, -2), order="C")     # lamhat_j - lam_m, exactly
+    W = np.empty_like(ginv)
+    W[..., :n] = _leave_one_out(E)
+    W[..., n] = E.prod(axis=-1)
+    g = W / _offdiagonal_products(lamhat_s)[..., :, None]
+    ginv[..., :n, :] *= s[..., None]
+    g[..., :n] /= s[..., None]
     return A, g, ginv
 
 
@@ -401,7 +385,8 @@ def eig(M, tol: float = DEFAULT_TOL):
     """Diagonalize a matrix with simple spectrum.
 
     Returns the spectral frame (values, g, ginv): values sorted by the
-    package ordering, ginv the normalized eigenvectors as columns and g its
+    package ordering, ginv LAPACK's unit eigenvectors as columns, their
+    phases as LAPACK leaves them (normalize_frame pins them), and g its
     inverse, with g @ M @ ginv equal to diag(values) within
     1e2 * tol * ||M||_F.  A caller that reorders the spectrum by perm
     uses reorder(), which keeps g and ginv mutually inverse.
@@ -412,26 +397,6 @@ def eig(M, tol: float = DEFAULT_TOL):
     M may be a stack of matrices over leading axes; every item gets the
     same treatment and checks as a single matrix, and the first failing
     item raises.
-    """
-    return _eig(M, tol, True)
-
-
-def eig_unphased(M, tol: float = DEFAULT_TOL):
-    """eig without the phase fix: ginv holds LAPACK's unit eigenvector columns as they come.
-
-    The same LAPACK call, gap test, sort, inverse and reassembly check,
-    with the same thresholds and errors; only the rotation that pins each
-    column's phase is skipped.  For a caller whose result does not depend
-    on the columns' phases (canonical.normal_form).
-    """
-    return _eig(M, tol, False)
-
-
-def _eig(M, tol: float, phase: bool):
-    """The one core of eig and eig_unphased; phase selects the phase fix.
-
-    The reassembly residual does not depend on it: a diagonal unimodular
-    D leaves ||D^-1 R D||_F = ||R||_F.
     """
     A = as_square_stack(M)
     try:
@@ -449,8 +414,6 @@ def _eig(M, tol: float, phase: bool):
     order = sort_order(vals)
     vals = gather(vals, order, -1)
     vecs = gather(vecs, order, -1)
-    if phase:
-        vecs, _ = _normalize_columns(vecs)
     try:
         g = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:

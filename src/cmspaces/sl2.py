@@ -57,6 +57,7 @@ from .variety import (
     check_size,
     complex_uniforms_from,
     fingerprints,
+    is_count,
     seeded_streams,
     spaced_points,
 )
@@ -99,11 +100,6 @@ class SL2Element:
             if not n:
                 return SL2Element(*result)
             z = _product(z, z)
-
-
-def is_count(n) -> bool:
-    """True for an integer n >= 1, a Python or numpy one; a float of integral value is none."""
-    return isinstance(n, (int, np.integer)) and n >= 1
 
 
 def _product(x: tuple, y: tuple) -> tuple:

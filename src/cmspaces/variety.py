@@ -611,10 +611,15 @@ def seeded_streams(seeds) -> SeededStreams:
 # seeded constructions
 
 
+def is_count(n) -> bool:
+    """True for an integer n >= 1, a Python or numpy one; a float of integral value is none."""
+    return isinstance(n, (int, np.integer)) and n >= 1
+
+
 def check_size(n: int) -> None:
-    """Raise ShapeMismatchError unless the size n a sampler is asked for is at least 1."""
-    if n < 1:
-        raise ShapeMismatchError(f"n must be positive, got {n}")
+    """Raise ShapeMismatchError unless the size n a sampler is asked for is a count (is_count)."""
+    if not is_count(n):
+        raise ShapeMismatchError(f"n must be a positive integer, got {n!r}")
 
 
 def check_level(tau) -> complex:

@@ -18,7 +18,7 @@ from cmspaces.errors import (
     ShapeMismatchError,
     ZeroRowEntryError,
 )
-from cmspaces.linalg import eig, frob
+from cmspaces.linalg import eig, frob, normalize_frame
 from cmspaces.variety import (
     AugmentedPair,
     augment,
@@ -258,9 +258,9 @@ def _dense_normal_form(A, B, G, Gi):
 
 
 def _phased_gauge(A):
-    """normal_form's gauge from eig's phase-fixed frame: G = diag(y') g, y' = r g^-1."""
+    """normal_form's gauge from the phase-fixed block frame: G = diag(y') g, y' = r g^-1."""
     n = A.shape[-1] - 1
-    _, g, ginv = eig(A[..., :n, :n])
+    g, ginv = normalize_frame(*eig(A[..., :n, :n])[1:])
     y = (A[..., n:, :n] @ ginv)[..., 0, :]
     return y[..., :, None] * g, ginv / y[..., None, :]
 
@@ -271,7 +271,7 @@ _EPS = np.finfo(np.float64).eps
 @pytest.mark.parametrize("tau", [1.0, 0.5 - 2j, 1e8])
 def test_the_blockwise_normal_form_is_the_dense_conjugation(tau):
     # within 16 eps of each product's scale: ||G|| ||A|| for Ah, whose
-    # block and row are exact, ||G|| ||B|| ||G^-1|| for Bh.  Without eig's
+    # block and row are exact, ||G|| ||B|| ||G^-1|| for Bh.  Without the
     # phase fix the gauge is the phased one within 16 eps ||G|| times its
     # condition ||G|| ||G^-1||, the rounding of the two inverses
     for n in range(1, 9):
@@ -317,7 +317,7 @@ def test_the_normal_form_neither_embeds_nor_phases_its_gauge(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     normal_form(p.A, p.B)
     assert calls == []
-    eig(p.A)     # eig keeps its phase fix
+    normalize_frame(*eig(p.A)[1:])     # the one phase fix, seen by the counter
     assert calls == ["_normalize_columns"]
 
 

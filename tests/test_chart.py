@@ -39,8 +39,8 @@ from cmspaces.errors import (
     ShapeMismatchError,
 )
 from cmspaces.linalg import (
-    arrowhead,
     arrowhead_frame,
+    arrowhead_with_frame,
     comm,
     eig,
     eigvals,
@@ -175,15 +175,17 @@ def test_decompose_requires_normal_form():
 @pytest.mark.parametrize("A, tol", [
     # repeated block eigenvalue
     (np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [1.0, 1.0, 0.0]], dtype=complex), 1e-9),
-    # double lamhat at a block eigenvalue: the computed split is rounding level
-    (arrowhead([0.0, 2.0], [0.0, 0.0, 3.0]), 1e-9),
+    # double lamhat at a block eigenvalue: the computed split is rounding
+    # level (the arrowhead with lam = (0, 2), lamhat = (0, 0, 3))
+    (np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 2.0], [1.0, 1.0, 1.0]], dtype=complex), 1e-9),
     # generic double lamhat: M is then a 2 x 2 Jordan block (the unit row
     # makes it nonderogatory), which rounding splits by about sqrt(eps);
     # a tolerance above that split sees it even before kappa scales it
-    (arrowhead([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-6),
+    # (the arrowhead with lam = (0, 2), lamhat = (1, 1, 3))
+    (np.array([[0.0, 0.0, -1.5], [0.0, 2.0, 0.5], [1.0, 1.0, 3.0]], dtype=complex), 1e-6),
     # and at the default tolerance the gap test scaled by the eigenvalue
     # condition number (about 6e7 for the split pair) sees it
-    (arrowhead([0.0, 2.0], [1.0, 1.0, 3.0]), 1e-9),
+    (np.array([[0.0, 0.0, -1.5], [0.0, 2.0, 0.5], [1.0, 1.0, 3.0]], dtype=complex), 1e-9),
     # a computed full spectrum that repeats a value exactly: the frame,
     # and so kappa, is not finite, and the same scaled test refuses it
     (np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]], dtype=complex), 1e-9),
@@ -264,7 +266,7 @@ def _eig_chart_frame(lam, lamhat, tau, tol=1e-9):
     """The eig-based frame the closed-form arrowhead frame replaced: (Ah, g, ginv, S)."""
     n = lam.shape[-1]
     scale = np.maximum(1.0, np.abs(lamhat).max(axis=-1))
-    Ah = arrowhead(lam, lamhat)
+    Ah = arrowhead_with_frame(lam, lamhat)[0]
     vals, g, ginv = eig(Ah, tol)
     vals, g, ginv = reorder(vals, g, ginv, match_to_reference(vals, lamhat))
     if (np.abs(vals - lamhat).max(axis=-1) > 1e3 * tol * scale).any():
@@ -904,7 +906,7 @@ def test_the_read_kernels_refuse_a_non_finite_tau_before_any_work(monkeypatch, t
 def test_the_rebuild_forms_its_spectral_products_once(monkeypatch):
     # one set of lam - lamhat differences and lam's off-diagonal products
     # serves the arrowhead and its frame: two off-diagonal products (lam
-    # and lamhat) where arrowhead and arrowhead_frame took three
+    # and lamhat) where separate builds of the matrix and the frame took three
     c = random_chart_point(5, 1.0, 16)
     seen = []
     original = linalg_module._offdiagonal_products

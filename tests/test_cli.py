@@ -179,10 +179,6 @@ def test_nonpositive_or_nan_tolerance_is_bad_input(capsys, monkeypatch, tol):
     _, quad_json, _ = _run(capsys, monkeypatch, ["gen", "--n", "2", "--seed", "3"])
     code, out, err = _run(capsys, monkeypatch, ["chart", "--tol", tol], stdin_text=quad_json)
     assert code == EXIT_BAD_INPUT
-    monkeypatch.setenv("CM_TOL", tol)
-    code, out, err = _run(capsys, monkeypatch, ["verify", "--suite", "linalg"])
-    assert code == EXIT_BAD_INPUT
-    assert out == "" and "CM_TOL" in err
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "0", "1,nan"])
@@ -321,16 +317,6 @@ def test_degenerate_input_exits_numerical(capsys, monkeypatch):
         capsys, monkeypatch, ["normalize"], stdin_text=dumps(encode(p))
     )
     assert code == EXIT_NUMERICAL
-
-
-def test_cm_tol_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv("CM_TOL", "not-a-number")
-    code, _, err = _run(capsys, monkeypatch, ["verify", "--suite", "linalg"])
-    assert code == EXIT_BAD_INPUT
-    assert "CM_TOL" in err
-    monkeypatch.setenv("CM_TOL", "1e-8")
-    code, _, _ = _run(capsys, monkeypatch, ["verify", "--suite", "linalg", "--seed", "2"])
-    assert code == EXIT_OK
 
 
 def test_module_entry_point_runs():

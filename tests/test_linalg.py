@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from cmspaces.chart import random_chart_points
+from cmspaces.chart import decompose, from_chart, random_chart_point, random_chart_points
 from cmspaces.errors import (
     BranchAmbiguityError,
     DegenerateSpectrumError,
@@ -14,13 +14,11 @@ from cmspaces.errors import (
 )
 from cmspaces.linalg import (
     MATCH_GUARD,
-    arrowhead,
     arrowhead_frame,
     arrowhead_with_frame,
     as_cmatrix,
     comm,
     eig,
-    eig_unphased,
     eigvals,
     frob,
     match_to_reference,
@@ -244,9 +242,9 @@ def test_arrowhead_has_the_given_spectra_and_stacks_item_by_item():
     rng = np.random.default_rng(13)
     lam = _random_complex(rng, 4, 5)
     lamhat = _random_complex(rng, 4, 6)
-    A = arrowhead(lam, lamhat)
+    A = arrowhead_with_frame(lam, lamhat)[0]
     for i in range(4):
-        assert np.array_equal(A[i], arrowhead(lam[i], lamhat[i]))
+        assert np.array_equal(A[i], arrowhead_with_frame(lam[i], lamhat[i])[0])
         np.testing.assert_allclose(A[i], _arrowhead(lam[i], lamhat[i]), rtol=1e-14)
         assert np.array_equal(np.diag(A[i])[:5], lam[i])
         vals = eigvals(A[i])
@@ -264,8 +262,9 @@ def test_arrowhead_frame_diagonalizes_in_the_given_order():
         assert np.array_equal(ginv[n], np.ones(n + 1))
         assert frob(g @ ginv - np.eye(n + 1)) < 1e-12
         assert frob(g @ A @ ginv - np.diag(lamhat)) < 1e-12 * frob(A)
-        # rescaled to eig's convention it is eig's frame, in lamhat's order
+        # both rescaled to the package convention, it is eig's frame in lamhat's order
         vals, ge, gie = eig(A)
+        ge, gie = normalize_frame(ge, gie)
         perm = match_to_reference(vals, lamhat)
         gn, ginvn = normalize_frame(g, ginv)
         assert np.abs(ginvn - gie[:, perm]).max() < 1e-10
@@ -285,7 +284,7 @@ def test_arrowhead_frame_is_exact_at_a_vanishing_border_entry():
 
 
 def _unscaled_arrowhead(lam, lamhat):
-    """arrowhead's formula evaluated as written, at the spectra's own scale."""
+    """The arrowhead's formula evaluated as written, at the spectra's own scale."""
     n = lam.shape[-1]
     d = lam[..., :, None] - lam[..., None, :]
     d[..., np.arange(n), np.arange(n)] = 1.0
@@ -306,7 +305,7 @@ def test_arrowhead_keeps_the_bits_of_the_unscaled_formula(n):
     for s in (1.0, 1e-3, 3.7, 1e4):
         for i in range(5):
             want = _unscaled_arrowhead(lam[i] * s, lamhat[i] * s)
-            assert np.array_equal(arrowhead(lam[i] * s, lamhat[i] * s), want)
+            assert np.array_equal(arrowhead_with_frame(lam[i] * s, lamhat[i] * s)[0], want)
 
 
 def test_arrowhead_with_frame_is_both_public_builds_bit_for_bit():
@@ -318,25 +317,48 @@ def test_arrowhead_with_frame_is_both_public_builds_bit_for_bit():
         for lam, lamhat in cases:
             A, g, ginv = arrowhead_with_frame(lam, lamhat)
             g1, ginv1 = arrowhead_frame(lam, lamhat)
-            assert np.array_equal(A, arrowhead(lam, lamhat))
+            assert np.array_equal(A, _unscaled_arrowhead(lam, lamhat))
             assert np.array_equal(g, g1) and np.array_equal(ginv, ginv1)
 
 
-def test_eig_unphased_is_eig_up_to_the_phases_of_its_columns():
+def _assert_package_frame(g, ginv, tol):
+    """ginv's columns are unit vectors, each first significant entry real positive; g = ginv^-1."""
+    n = ginv.shape[-1]
+    np.testing.assert_allclose(np.linalg.norm(ginv, axis=-2), 1.0, rtol=1e-14)
+    W = ginv.reshape(-1, n, n)
+    for item in W:
+        for col in item.T:
+            first = col[np.abs(col) > 1e-8][0]      # rotated real up to its rounding
+            assert first.real > 0.0 and abs(first.imag) <= 4 * np.finfo(float).eps * abs(first)
+    assert np.all(frob(g @ ginv - np.eye(n)) < tol)
+
+
+def test_normalize_frame_pins_the_phase_convention():
+    # eig's frame keeps LAPACK's phases; normalize_frame gives it, and the
+    # closed-form arrowhead frame, unit columns whose first significant
+    # entry is real positive, with g ginv = I and g A ginv unchanged
     rng = np.random.default_rng(17)
     for n in (1, 2, 6, 12):
         M = _random_complex(rng, 3, n, n)
         vals, g, ginv = eig(M)
-        vals_u, g_u, ginv_u = eig_unphased(M)
-        assert np.array_equal(vals, vals_u)
-        np.testing.assert_allclose(np.linalg.norm(ginv_u, axis=-2), 1.0, rtol=1e-14)
-        # column j of ginv is column j of ginv_u times a unimodular c_j
-        c = (ginv_u.conj() * ginv).sum(axis=-2)
+        gn, ginvn = normalize_frame(g, ginv)
+        _assert_package_frame(gn, ginvn, 1e-12)
+        D = gn @ M @ ginvn
+        assert np.all(frob(D - g @ M @ ginv) < 1e-12 * frob(M))
+        # column j is column j of eig's times a unimodular factor
+        c = (ginv.conj() * ginvn).sum(axis=-2)
         np.testing.assert_allclose(np.abs(c), 1.0, rtol=1e-12)
-        assert np.abs(ginv_u * c[..., None, :] - ginv).max() < 1e-12
-        assert np.abs(g_u / c[..., :, None] - g).max() < 1e-12 * max(1.0, np.abs(g).max())
-    with pytest.raises(DegenerateSpectrumError):
-        eig_unphased(np.diag([1.0, 1.0, 2.0]))
+        assert np.abs(ginv * c[..., None, :] - ginvn).max() < 1e-12
+        assert np.abs(g / c[..., :, None] - gn).max() < 1e-12 * max(1.0, np.abs(gn).max())
+        lam, lamhat = _random_complex(rng, n), _random_complex(rng, n + 1)
+        A, ga, gainv = arrowhead_with_frame(lam, lamhat)
+        ga_n, gainv_n = normalize_frame(ga, gainv)
+        _assert_package_frame(ga_n, gainv_n, 1e-10)
+        assert frob(ga_n @ A @ gainv_n - np.diag(lamhat)) < 1e-10 * frob(A)
+    # a decomposition's public frame follows it
+    for n in (1, 3, 8):
+        d = decompose(from_chart(random_chart_point(n, 0.5 - 1j, 20 + n)))
+        _assert_package_frame(d.g, d.ginv, 1e-10)
 
 
 def test_stacked_arrowhead_frame_matches_each_item_at_any_scale():

@@ -15,7 +15,7 @@ from cmspaces.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from cmspaces.chart import random_chart_points
+from cmspaces.chart import random_chart_point, random_chart_points
 from cmspaces.linalg import comm, frob, pair_scale
 from cmspaces.sl2 import find_independence_point
 from cmspaces.variety import (
@@ -465,8 +465,21 @@ def test_every_sampler_rejects_a_size_below_one():
                      lambda n, s=seeds: random_chart_points(n, 1.0, s)]
     for sample in samplers:
         for n in (0, -1):
-            with pytest.raises(ShapeMismatchError, match=f"n must be positive, got {n}"):
+            with pytest.raises(ShapeMismatchError, match=f"n must be a positive integer, got {n}"):
                 sample(n)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda n: random_point(n, 2, 1.0, 1),
+    lambda n: random_gauge(n, 1),
+    lambda n: random_chart_point(n, 1.0, 1),
+    lambda n: find_independence_point(n, 1.0, 1),
+], ids=["random_point", "random_gauge", "random_chart_point", "find_independence_point"])
+def test_every_sampler_refuses_a_size_that_is_not_an_integer(sample):
+    # a float size reached numpy's shape arithmetic as a raw TypeError
+    for n in (2.5, 2.0, np.float64(3.0), "3"):
+        with pytest.raises(ShapeMismatchError, match="n must be a positive integer"):
+            sample(n)
 
 
 def test_gauges_of_no_seed_are_empty_stacks():
